@@ -231,30 +231,12 @@ class DynaSoRe(PlacementStrategy):
         self._eval_triples_migration: list = []
         self._eval_profits: dict[int, float] = {}
         self._eval_profits_migration: dict[int, float] = {}
-        #: batch-kernel state: closest-replica memo (broker -> target ->
-        #: (slot, position, device)), cleared in place on every placement
-        #: change; origin memo (broker -> device -> origin label), a pure
-        #: topology function, never cleared; run-local traffic aggregators
-        self._route_memo: dict[int, dict[int, tuple[int, int, int]]] = {}
+        #: batch-kernel state: origin memo (broker -> device -> origin
+        #: label), a pure topology function, never cleared; run-local
+        #: traffic aggregators
         self._origin_memo: dict[int, dict[int, int]] = {}
         self._read_run = None
         self._write_run = None
-        #: execution epoch: bumped on every placement or graph change, it
-        #: versions the proxy-stay memos below.  A read/write whose proxy
-        #: decision came out "stay" records ``epoch * stride + broker``;
-        #: while that code still matches, re-executions skip the transfer
-        #: aggregation and the proxy-placement search entirely (the search
-        #: is a pure function of placement + graph state, so the skipped
-        #: computation could only conclude "stay" again).
-        self._exec_epoch = 0
-        self._read_stay: dict[int, int] = {}
-        self._write_stay: dict[int, int] = {}
-        #: per-slot candidate memo of the decision kernel: slot ->
-        #: (origins dict object, epoch, candidates tuple).  The candidate
-        #: list is a pure function of the origin *keys* (the dict object is
-        #: rebuilt whenever they change) and of placement occupancy (the
-        #: epoch); while both match, the ranked-server scan is skipped.
-        self._candidate_memo: dict[int, tuple] = {}
         #: batched-tick dirty-set companions (see ``_on_tick_batched``):
         #: the earliest rotation period at which any counter of a position
         #: drops non-zero history, and whether the last sweep left the
@@ -314,12 +296,7 @@ class DynaSoRe(PlacementStrategy):
             table.allocate(user, position, write_proxy_broker=broker)
             self.proxies.place_both(user, broker)
         self._origin_rank_cache.clear()
-        self._route_memo = {}
         self._origin_memo = {}
-        self._exec_epoch = 0
-        self._read_stay = {}
-        self._write_stay = {}
-        self._candidate_memo = {}
         # Every position starts dirty (expiry 0 = "must sweep"), so the
         # first batched tick prices the initial placement exactly like the
         # per-slot reference does.
@@ -359,18 +336,10 @@ class DynaSoRe(PlacementStrategy):
         self._origins_above = [tuple(origins) for origins in above]
 
     def _invalidate_ranks(self, position: int) -> None:
-        """Drop the cached rankings of every origin covering ``position``.
-
-        Every placement change funnels through here (or through the fault
-        handlers), so it also clears the batch kernels' closest-replica
-        memo — the memo answers are only valid between placement changes.
-        """
+        """Drop the cached rankings of every origin covering ``position``."""
         cache = self._origin_rank_cache
         for origin in self._origins_above[position]:
             cache.pop(origin, None)
-        for memo in self._route_memo.values():
-            memo.clear()
-        self._exec_epoch += 1
 
     def _require_tables(self) -> ReplicaTable:
         if self.tables is None:
@@ -613,10 +582,6 @@ class DynaSoRe(PlacementStrategy):
         :meth:`execute_write` pair, replacing their per-event costs with
         run-level state:
 
-        * closest-replica resolutions are memoised per ``(broker, target)``
-          in :attr:`_route_memo`; every placement change clears the memo in
-          place (see :meth:`_invalidate_ranks`), so decisions triggered
-          mid-run observe exactly the state a per-event resolution would;
         * origin labels (a pure topology function of ``(device, broker)``)
           are memoised permanently;
         * request/response roundtrips aggregate into per-path counts
@@ -624,10 +589,15 @@ class DynaSoRe(PlacementStrategy):
           and time bucket (warm-up messages only bump the message counter);
         * statistics recording is inlined on the counter-node columns.
 
+        Closest replicas, placement candidates and proxy placement are
+        resolved from the live columns every time: placement changes about
+        once per event on a steady stream, so nothing keyed on "placement
+        unchanged" survives long enough to pay for its invalidation.
         Replication checks (Algorithm 2/3 via :meth:`_consider_replication`)
-        still fire per recorded read — the decision sequence is semantics,
-        not overhead — and rare protocol messages (proxy migrations,
-        replica control/copy, routing updates) are recorded directly.
+        fire per recorded read — the decision sequence is semantics, not
+        overhead — and protocol messages (proxy migrations, replica
+        control/copy, routing updates) go through the accountant's
+        write-combining :meth:`~repro.traffic.accounting.TrafficAccountant.record`.
         """
         read_run = self._read_run
         if read_run is None:
@@ -655,7 +625,6 @@ class DynaSoRe(PlacementStrategy):
         distance_row = topology.distance_row
         origin_of = topology.origin_of
         proxy_broker_for_server = topology.proxy_broker_for_server
-        route_memo = self._route_memo
         origin_memo = self._origin_memo
         ensure_user = self._ensure_user
         decide_with_candidates = self._decide_with_candidates
@@ -665,7 +634,6 @@ class DynaSoRe(PlacementStrategy):
         remove_replica = self._remove_replica
         reads_by_origin = stats.reads_by_origin
         eval_candidates = self._eval_candidates
-        candidate_memo = self._candidate_memo
         origin_rank_cache = self._origin_rank_cache
         down_positions = self._down_positions
         user_head = table._user_head
@@ -686,16 +654,9 @@ class DynaSoRe(PlacementStrategy):
         reads_since_eval = stats._reads_since_eval
         alloc_node = stats._alloc_node
         advance_node = stats._advance_node
-        read_stay = self._read_stay
-        write_stay = self._write_stay
         tick_dirty = table._tick_dirty
-        #: scratch: serving devices of the current read, in target order
-        #: (the transfers dict is only materialised when the proxy search
-        #: actually runs — on stay-memo hits it never is)
-        transfer_devices: list[int] = []
-        #: scratch: slots of the current write's replica chain (collected
-        #: only while its proxy search may run)
-        write_slots_scratch: list[int] = []
+        #: scratch: slots of the current write's replica chain
+        write_slots: list[int] = []
         KIND_READ_ = KIND_READ
 
         for kind, user, now in zip(kinds, users, timestamps):
@@ -712,74 +673,48 @@ class DynaSoRe(PlacementStrategy):
                         device_of_position[first_position]
                     )
                     read_proxy[user] = broker
-                memo = route_memo.get(broker)
-                if memo is None:
-                    memo = route_memo[broker] = {}
                 origins = origin_memo.get(broker)
                 if origins is None:
                     origins = origin_memo[broker] = {}
                 base = broker * stride
                 counts = read_counts_for(now)
                 period_index = int(now // counter_period)
-                if proxy_migration:
-                    # Proxy-stay memo: when this user's last proxy search
-                    # concluded "stay" and the epoch still matches at the
-                    # end of the read, the search is provably "stay" again
-                    # (same placement + same fan-out => same transfers)
-                    # and is skipped.  Serving devices are still collected
-                    # (a replication decision can mutate placement
-                    # mid-read, in which case the search must run on the
-                    # actual multiset exactly like the per-event path),
-                    # but only into a flat scratch list — the transfers
-                    # dict is materialised only when the search runs.
-                    stay_code = self._exec_epoch * stride + broker
-                    known_stay = read_stay.get(user) == stay_code
-                    transfer_devices.clear()
-                    collect_transfers = True
-                else:
-                    stay_code = 0
-                    known_stay = False
-                    collect_transfers = False
+                #: served reads per device, in target order
+                transfers: dict[int, float] = {}
                 for target in following(user):
-                    entry = memo.get(target)
-                    if entry is None:
-                        slot = user_head.get(target, NO_SLOT)
-                        if slot == NO_SLOT:
-                            ensure_user(target)
-                            slot = user_head[target]
-                        if user_next[slot] == NO_SLOT:
-                            position = server_column[slot]
-                        else:
-                            # Replicated view: closest replica to the
-                            # broker, ties on the device index (the
-                            # routing policy).
-                            distances = distance_row(broker)
-                            best_distance = best_device = float("inf")
-                            position = -1
-                            walk = slot
-                            while walk != NO_SLOT:
-                                walk_position = server_column[walk]
-                                device = device_of_position[walk_position]
-                                distance = distances[device]
-                                if distance < best_distance or (
-                                    distance == best_distance
-                                    and device < best_device
-                                ):
-                                    best_distance = distance
-                                    best_device = device
-                                    slot_found = walk
-                                    position = walk_position
-                                walk = user_next[walk]
-                            slot = slot_found
-                        device = device_of_position[position]
-                        memo[target] = (slot, position, device)
+                    slot = user_head.get(target, NO_SLOT)
+                    if slot == NO_SLOT:
+                        ensure_user(target)
+                        slot = user_head[target]
+                    if user_next[slot] == NO_SLOT:
+                        position = server_column[slot]
                     else:
-                        slot, position, device = entry
+                        # Replicated view: closest replica to the broker,
+                        # ties on the device index (the routing policy).
+                        distances = distance_row(broker)
+                        best_distance = best_device = float("inf")
+                        position = -1
+                        walk = slot
+                        while walk != NO_SLOT:
+                            walk_position = server_column[walk]
+                            device = device_of_position[walk_position]
+                            distance = distances[device]
+                            if distance < best_distance or (
+                                distance == best_distance and device < best_device
+                            ):
+                                best_distance = distance
+                                best_device = device
+                                slot_found = walk
+                                position = walk_position
+                            walk = user_next[walk]
+                        slot = slot_found
+                    device = device_of_position[position]
                     key = base + device
                     count = counts.get(key)
                     counts[key] = 1 if count is None else count + 1
-                    if collect_transfers:
-                        transfer_devices.append(device)
+                    if proxy_migration:
+                        seen = transfers.get(device)
+                        transfers[device] = 1.0 if seen is None else seen + 1.0
                     origin = origins.get(device)
                     if origin is None:
                         origin = origins[device] = origin_of(device, broker)
@@ -824,51 +759,37 @@ class DynaSoRe(PlacementStrategy):
                         origins_d = origins_cache.get(slot)
                         if origins_d is None:
                             origins_d = reads_by_origin(slot)
-                        epoch = self._exec_epoch
-                        memo_entry = candidate_memo.get(slot)
-                        if (
-                            memo_entry is not None
-                            and memo_entry[0] is origins_d
-                            and memo_entry[1] == epoch
-                        ):
-                            candidates = memo_entry[2]
-                        else:
-                            eval_candidates.clear()
-                            for read_origin in origins_d:
-                                # Inlined rank-cache hit path of
-                                # ``least_loaded_server_under``.
-                                ranked = origin_rank_cache.get(read_origin)
-                                if ranked is None:
-                                    found = least_loaded_server_under(
-                                        read_origin, target
-                                    )
-                                else:
-                                    found = None
-                                    for ranked_position in ranked:
-                                        if ranked_position in down_positions:
-                                            continue
-                                        chain = user_head[target]
-                                        while (
-                                            chain != NO_SLOT
-                                            and server_column[chain]
-                                            != ranked_position
-                                        ):
-                                            chain = user_next[chain]
-                                        if chain == NO_SLOT:
-                                            found = ranked_position
-                                            break
-                                if found is None:
-                                    continue
-                                found_device = device_of_position[found]
-                                if found_device != device:
-                                    eval_candidates.append(
-                                        (read_origin, found, found_device)
-                                    )
-                            candidates = tuple(eval_candidates)
-                            candidate_memo[slot] = (origins_d, epoch, candidates)
-                        if candidates:
+                        eval_candidates.clear()
+                        for read_origin in origins_d:
+                            # Inlined rank-cache hit path of
+                            # ``least_loaded_server_under``.
+                            ranked = origin_rank_cache.get(read_origin)
+                            if ranked is None:
+                                found = least_loaded_server_under(read_origin, target)
+                            else:
+                                found = None
+                                for ranked_position in ranked:
+                                    if ranked_position in down_positions:
+                                        continue
+                                    chain = user_head[target]
+                                    while (
+                                        chain != NO_SLOT
+                                        and server_column[chain] != ranked_position
+                                    ):
+                                        chain = user_next[chain]
+                                    if chain == NO_SLOT:
+                                        found = ranked_position
+                                        break
+                            if found is None:
+                                continue
+                            found_device = device_of_position[found]
+                            if found_device != device:
+                                eval_candidates.append(
+                                    (read_origin, found, found_device)
+                                )
+                        if eval_candidates:
                             decide_with_candidates(
-                                slot, position, now, target, origins_d, candidates
+                                slot, position, now, target, origins_d, eval_candidates
                             )
                         elif enable_view_migration:
                             next_closest = next_closest_column[slot]
@@ -897,16 +818,7 @@ class DynaSoRe(PlacementStrategy):
                                         remove_replica(target, position, now)
                     else:
                         reads_since_eval[slot] = evals
-                if transfer_devices and (
-                    not known_stay
-                    or self._exec_epoch * stride + broker != stay_code
-                ):
-                    transfers: dict[int, float] = {}
-                    for transfer_device in transfer_devices:
-                        seen = transfers.get(transfer_device)
-                        transfers[transfer_device] = (
-                            1.0 if seen is None else seen + 1.0
-                        )
+                if transfers:
                     best = optimal_proxy_broker(topology, transfers, broker)
                     if best != broker:
                         accountant.record(
@@ -914,10 +826,6 @@ class DynaSoRe(PlacementStrategy):
                         )
                         read_proxy[user] = best
                         counters.read_proxy_migrations += 1
-                    elif self._exec_epoch * stride + broker == stay_code:
-                        # No mid-read placement change: the "stay" answer
-                        # stays valid until the next epoch bump.
-                        read_stay[user] = stay_code
             else:
                 # --------------------------------------------- write event
                 if user not in user_head:
@@ -932,19 +840,8 @@ class DynaSoRe(PlacementStrategy):
                 base = broker * stride
                 counts = write_counts_for(now)
                 period_index = int(now // counter_period)
-                if proxy_migration:
-                    stay_code = self._exec_epoch * stride + broker
-                    transfers = None if write_stay.get(user) == stay_code else {}
-                else:
-                    stay_code = 0
-                    transfers = None
-                if transfers is not None:
-                    # Only the (rare) migration branch walks the slots
-                    # again; skip collecting them when it cannot run.
-                    slots = write_slots_scratch
-                    slots.clear()
-                else:
-                    slots = None
+                transfers = {}
+                write_slots.clear()
                 slot = user_head[user]
                 while slot != NO_SLOT:
                     position = server_column[slot]
@@ -953,8 +850,8 @@ class DynaSoRe(PlacementStrategy):
                     count = counts.get(key)
                     counts[key] = 1 if count is None else count + 1
                     tick_dirty[position] = True
-                    if transfers is not None:
-                        slots.append(slot)
+                    if proxy_migration:
+                        write_slots.append(slot)
                         seen = transfers.get(device)
                         transfers[device] = 1.0 if seen is None else seen + 1.0
                     # Inlined ``StatsTable.record_write`` on the node columns.
@@ -972,7 +869,7 @@ class DynaSoRe(PlacementStrategy):
                 if transfers:
                     best = optimal_proxy_broker(topology, transfers, broker)
                     if best != broker:
-                        for slot in slots:
+                        for slot in write_slots:
                             device = device_of_position[server_column[slot]]
                             accountant.record(
                                 broker, device, MessageKind.PROXY_MIGRATION, now
@@ -980,8 +877,6 @@ class DynaSoRe(PlacementStrategy):
                             write_proxy_column[slot] = best
                         write_proxy[user] = best
                         counters.write_proxy_migrations += 1
-                    elif self._exec_epoch * stride + broker == stay_code:
-                        write_stay[user] = stay_code
         read_run.flush()
         write_run.flush()
 
@@ -1089,8 +984,8 @@ class DynaSoRe(PlacementStrategy):
         decision application — but running on recycled scratch containers
         with no closure, memo-object or decision-object allocation per
         evaluation.  The caller (the request kernel) has already resolved
-        the per-origin ``candidates`` (non-empty, possibly served from the
-        per-slot candidate memo) and handles the no-candidate cases inline;
+        the per-origin ``candidates`` (non-empty) and handles the
+        no-candidate cases inline;
         the per-event path keeps the shared :mod:`~repro.core.replication`
         / :mod:`~repro.core.migration` implementations, which the parity
         suite holds byte-identical to this kernel.
@@ -1229,40 +1124,45 @@ class DynaSoRe(PlacementStrategy):
         """
         assert self.accountant is not None and self.routing is not None
         table = self.tables
-        positions = table.user_positions(user)
-        if target_position in positions:
+        device_of_position = self._device_of_position
+        target_device = device_of_position[target_position]
+        slots, devices = self._replica_chain(user)
+        if target_device in devices:
             return False
         if table.used[target_position] >= table.capacities[target_position]:
             if not self._make_room(target_position, incoming_profit, now):
                 self.counters.creation_rejected_full += 1
                 return False
 
-        write_broker = self.proxies.write_broker(user)
-        device_of_position = self._device_of_position
-        target_device = device_of_position[target_position]
-        before_devices = {device_of_position[p] for p in positions}
-
         # Control traffic: the requesting server notifies the write proxy,
         # which instructs the target server and ships the view data from the
         # closest existing replica.
-        if requesting_position is not None and write_broker is not None:
-            self.accountant.record(
-                device_of_position[requesting_position],
-                write_broker,
-                MessageKind.REPLICA_CONTROL,
-                now,
-            )
+        write_broker = self.proxies.write_broker(user)
+        record = self.accountant.record
         if write_broker is not None:
-            self.accountant.record(write_broker, target_device, MessageKind.REPLICA_CONTROL, now)
-        source_device = self.routing.closest_replica(target_device, before_devices)
-        self.accountant.record(source_device, target_device, MessageKind.REPLICA_COPY, now)
+            if requesting_position is not None:
+                record(
+                    device_of_position[requesting_position],
+                    write_broker,
+                    MessageKind.REPLICA_CONTROL,
+                    now,
+                )
+            record(write_broker, target_device, MessageKind.REPLICA_CONTROL, now)
+        source_device = self.routing.closest_replica(target_device, devices)
+        record(source_device, target_device, MessageKind.REPLICA_COPY, now)
 
-        source_slot = table.slot_of(user, self._position_of_device[source_device])
+        source_slot = slots[devices.index(source_device)]
         new_slot = table.allocate(user, target_position, write_proxy_broker=write_broker)
         self._seed_statistics(source_slot, new_slot, source_device, target_device, now)
         self._invalidate_ranks(target_position)
-        self._notify_routing_add(user, before_devices, target_device, now)
-        self._refresh_next_closest(user)
+        # The brokers that now route to the new replica: those preferring it
+        # to every existing one.
+        self._notify_routing(
+            write_broker, self.routing.preferring_brokers(target_device, devices), now
+        )
+        slots.append(new_slot)
+        devices.append(target_device)
+        self._link_siblings(slots, devices)
         self._refresh_utility(new_slot)
         self.counters.replicas_created += 1
         return True
@@ -1309,97 +1209,93 @@ class DynaSoRe(PlacementStrategy):
     def _remove_replica(self, user: int, position: int, now: float) -> bool:
         """Remove the replica of ``user`` stored at ``position`` (never the
         last one)."""
-        assert self.accountant is not None
-        table = self.tables
-        slot = table.slot_of(user, position)
-        if slot is None:
+        assert self.accountant is not None and self.routing is not None
+        device = self._device_of_position[position]
+        slots, devices = self._replica_chain(user)
+        if device not in devices or len(slots) <= self.config.min_replicas:
             return False
-        if table.user_replica_count(user) <= self.config.min_replicas:
-            return False
-        device_of_position = self._device_of_position
-        device = device_of_position[position]
-        before_devices = {device_of_position[p] for p in table.user_positions(user)}
-        table.free(slot)
+        index = devices.index(device)
+        self.tables.free(slots.pop(index))
+        del devices[index]
         self._invalidate_ranks(position)
-        after_devices = {device_of_position[p] for p in table.user_positions(user)}
 
         write_broker = self.proxies.write_broker(user)
         if write_broker is not None:
             self.accountant.record(device, write_broker, MessageKind.REPLICA_CONTROL, now)
-        self._notify_routing_remove(user, after_devices, device, now)
-        self._refresh_next_closest(user)
+        # The brokers that must re-route: those that preferred the removed
+        # replica to every survivor.
+        self._notify_routing(
+            write_broker, self.routing.preferring_brokers(device, devices), now
+        )
+        self._link_siblings(slots, devices)
         self.counters.replicas_removed += 1
         return True
 
-    def _notify_routing_change(
-        self, user: int, before: set[int], after: set[int], now: float
-    ) -> None:
-        """Send routing updates to the brokers whose closest replica changed."""
-        assert self.routing is not None and self.accountant is not None
-        write_broker = self.proxies.write_broker(user)
-        if write_broker is None:
-            return
-        for broker in self.routing.affected_brokers(before, after):
-            if broker == write_broker:
-                continue
-            self.accountant.record(write_broker, broker, MessageKind.ROUTING_UPDATE, now)
+    def _replica_chain(self, user: int) -> tuple[list[int], list[int]]:
+        """Slots and devices of ``user``'s replicas, in placement order.
 
-    def _notify_routing_add(
-        self, user: int, before: set[int], added: int, now: float
-    ) -> None:
-        """Routing updates when ``added`` joins the replica set ``before``."""
-        assert self.routing is not None and self.accountant is not None
-        write_broker = self.proxies.write_broker(user)
-        if write_broker is None:
-            return
-        record = self.accountant.record
-        for broker in self.routing.affected_brokers_on_add(before, added):
-            if broker == write_broker:
-                continue
-            record(write_broker, broker, MessageKind.ROUTING_UPDATE, now)
-
-    def _notify_routing_remove(
-        self, user: int, after: set[int], removed: int, now: float
-    ) -> None:
-        """Routing updates when ``removed`` leaves, ``after`` surviving."""
-        assert self.routing is not None and self.accountant is not None
-        write_broker = self.proxies.write_broker(user)
-        if write_broker is None:
-            return
-        record = self.accountant.record
-        for broker in self.routing.affected_brokers_on_remove(after, removed):
-            if broker == write_broker:
-                continue
-            record(write_broker, broker, MessageKind.ROUTING_UPDATE, now)
-
-    def _refresh_next_closest(self, user: int) -> None:
-        """Refresh every replica's pointer to its next-closest sibling."""
-        assert self.routing is not None
+        The one chain walk of a placement change: the membership check, the
+        copy source, the routing fan-out and the next-closest refresh all
+        run on these two parallel lists.
+        """
         table = self.tables
-        device_of_position = self._device_of_position
-        slots = table.user_slots(user)
-        next_closest = table._next_closest
+        user_next = table._user_next
         server_column = table._server
+        device_of_position = self._device_of_position
+        slots: list[int] = []
+        devices: list[int] = []
+        slot = table._user_head.get(user, NO_SLOT)
+        while slot != NO_SLOT:
+            slots.append(slot)
+            devices.append(device_of_position[server_column[slot]])
+            slot = user_next[slot]
+        return slots, devices
+
+    def _notify_routing(
+        self, write_broker: int | None, brokers: tuple[int, ...], now: float
+    ) -> None:
+        """A view's write proxy sends a routing update to each of ``brokers``."""
+        assert self.accountant is not None
+        if write_broker is None:
+            return
+        record = self.accountant.record
+        for broker in brokers:
+            if broker != write_broker:
+                record(write_broker, broker, MessageKind.ROUTING_UPDATE, now)
+
+    def _link_siblings(self, slots: list[int], devices: list[int]) -> None:
+        """Point every replica of one view (its whole chain, as returned by
+        :meth:`_replica_chain`) at its next-closest sibling."""
+        assert self.topology is not None
+        table = self.tables
+        next_closest = table._next_closest
         # A next-closest change re-prices every replica of the view at the
         # next tick (the pointer is Algorithm 1's reference replica).
         tick_dirty = table._tick_dirty
+        server_column = table._server
         for slot in slots:
             tick_dirty[server_column[slot]] = True
         if len(slots) == 1:
             next_closest[slots[0]] = NO_SLOT
-            return
-        if len(slots) == 2:
+        elif len(slots) == 2:
             # The common replicated case: each replica's only sibling is
             # the other one.
-            first, second = slots
-            next_closest[first] = device_of_position[server_column[second]]
-            next_closest[second] = device_of_position[server_column[first]]
-            return
-        devices = {device_of_position[server_column[slot]] for slot in slots}
-        for slot in slots:
-            device = device_of_position[server_column[slot]]
-            nearest = self.routing.next_closest(device, devices)
-            next_closest[slot] = NO_SLOT if nearest is None else nearest
+            next_closest[slots[0]] = devices[1]
+            next_closest[slots[1]] = devices[0]
+        else:
+            distance_row = self.topology.distance_row
+            for slot, device in zip(slots, devices):
+                distances = distance_row(device)
+                best_distance = best_device = float("inf")
+                for other in devices:
+                    if other != device:
+                        distance = distances[other]
+                        if distance < best_distance or (
+                            distance == best_distance and other < best_device
+                        ):
+                            best_distance = distance
+                            best_device = other
+                next_closest[slot] = best_device
 
     # =====================================================================
     # Maintenance tick
@@ -1532,8 +1428,8 @@ class DynaSoRe(PlacementStrategy):
         the sweep invalidates the per-slot origin dicts *precisely*: only
         when a rotation actually changed a read window.  Untouched dicts
         stay value- and order-identical to a rebuild (first-record chain
-        order), which keeps the decision kernel's candidate memos hot
-        across ticks.  The eviction pass is unchanged (its ``needs_eviction``
+        order), so the decision kernel keeps reading them without a
+        rebuild.  The eviction pass is unchanged (its ``needs_eviction``
         gate is O(1)); the negative-utility pass only scans positions whose
         last sweep actually produced a negative utility (eviction removals
         can only *raise* effective utilities, never create negatives).
@@ -1566,6 +1462,7 @@ class DynaSoRe(PlacementStrategy):
         node_period = stats._node_period
         node_total = stats._node_total
         node_buckets = stats._node_buckets
+        zero_window = stats._zero_window
         origins_cache = stats._origins_cache
         device_of_position = self._device_of_position
         write_broker_of = self.proxies.write_proxy.get
@@ -1609,9 +1506,18 @@ class DynaSoRe(PlacementStrategy):
                         if total:
                             base = node * counter_slots
                             elapsed = period_index - current
-                            if elapsed >= counter_slots:
-                                for index in range(base, base + counter_slots):
+                            if elapsed == 1:
+                                # Hourly ticks on an hourly window: exactly
+                                # the bucket being re-entered drops out.
+                                index = base + period_index % counter_slots
+                                dropped = node_buckets[index]
+                                if dropped:
                                     node_buckets[index] = 0.0
+                                    total -= dropped
+                                    node_total[node] = total
+                                    changed = True
+                            elif elapsed >= counter_slots:
+                                node_buckets[base : base + counter_slots] = zero_window
                                 node_total[node] = 0.0
                                 total = 0.0
                                 changed = True
@@ -1656,9 +1562,15 @@ class DynaSoRe(PlacementStrategy):
                         if wtotal:
                             base = wnode * counter_slots
                             elapsed = period_index - current
-                            if elapsed >= counter_slots:
-                                for index in range(base, base + counter_slots):
+                            if elapsed == 1:
+                                index = base + period_index % counter_slots
+                                dropped = node_buckets[index]
+                                if dropped:
                                     node_buckets[index] = 0.0
+                                    wtotal -= dropped
+                                    node_total[wnode] = wtotal
+                            elif elapsed >= counter_slots:
+                                node_buckets[base : base + counter_slots] = zero_window
                                 node_total[wnode] = 0.0
                                 wtotal = 0.0
                             else:
@@ -1752,14 +1664,6 @@ class DynaSoRe(PlacementStrategy):
         """New social connection: make sure both users exist in the store."""
         self._ensure_user(follower)
         self._ensure_user(followee)
-        # The follower's read fan-out changed: proxy-stay memos are stale.
-        self._exec_epoch += 1
-
-    def on_edge_removed(self, follower: int, followee: int, now: float) -> None:
-        """Removed connection: nothing to do, statistics decay naturally —
-        but the follower's read fan-out changed, so proxy-stay memos are
-        stale."""
-        self._exec_epoch += 1
 
     # =====================================================================
     # Server failures and elastic capacity
@@ -1791,23 +1695,21 @@ class DynaSoRe(PlacementStrategy):
         for slot in doomed:
             user = table._user[slot]
             write_proxy = table._write_proxy[slot]
-            before_devices = {
-                device_of_position[p] for p in table.user_positions(user)
-            }
+            write_broker = self.proxies.write_broker(user)
             table.detach(slot)
-            remaining = table.user_positions(user)
-            if remaining:
+            survivors, survivor_devices = self._replica_chain(user)
+            if survivors:
                 # Fast path: other replicas keep serving; reroute brokers.
                 plan.recoverable_from_memory.append(user)
                 self.counters.views_recovered_from_memory += 1
-                after_devices = {device_of_position[p] for p in remaining}
-                self._notify_routing_remove(user, after_devices, device, now)
-                self._refresh_next_closest(user)
+                self._notify_routing(
+                    write_broker, self.routing.preferring_brokers(device, survivor_devices), now
+                )
+                self._link_siblings(survivors, survivor_devices)
                 continue
             # Slow path: the sole replica is gone; rebuild it elsewhere.
             target = self._recovery_target()
             target_device = device_of_position[target]
-            write_broker = self.proxies.write_broker(user)
             if graceful:
                 plan.recoverable_from_memory.append(user)
                 self.counters.views_recovered_from_memory += 1
@@ -1832,8 +1734,12 @@ class DynaSoRe(PlacementStrategy):
             if graceful:
                 # A drained replica keeps its access history.
                 table.stats.move_slot(slot, new_slot)
-            self._notify_routing_change(user, before_devices, {target_device}, now)
-            self._refresh_next_closest(user)
+            self._notify_routing(
+                write_broker,
+                self.routing.affected_brokers((device,), (target_device,)),
+                now,
+            )
+            self._link_siblings([new_slot], [target_device])
 
         # Recycle the evacuated slots and leave the departed position with
         # zero capacity (and an infinite admission threshold) while it is
@@ -1844,9 +1750,6 @@ class DynaSoRe(PlacementStrategy):
         table.admission_thresholds[position] = INFINITE_UTILITY
         self._threshold_cache.clear()
         self._origin_rank_cache.clear()
-        for memo in self._route_memo.values():
-            memo.clear()
-        self._exec_epoch += 1
         return plan
 
     def on_server_up(self, position: int, now: float) -> None:
@@ -1862,9 +1765,6 @@ class DynaSoRe(PlacementStrategy):
         table.admission_thresholds[position] = 0.0
         self._threshold_cache.clear()
         self._origin_rank_cache.clear()
-        for memo in self._route_memo.values():
-            memo.clear()
-        self._exec_epoch += 1
 
     def _recovery_target(self) -> int:
         """Least-loaded in-service server, preferring ones with free slots.

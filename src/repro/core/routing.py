@@ -7,7 +7,11 @@ keeps a single authoritative replica-location map and resolves the closest
 replica on demand, which is functionally identical; what matters for the
 evaluation is the *notification traffic*: when the replica set of a view
 changes, only the brokers whose answer changes are notified by the view's
-write proxy (protocol messages).
+write proxy (protocol messages).  Which brokers those are when one replica
+joins or leaves is answered from per-device **preference masks** (one
+broker bitmask per pair of devices, a pure function of the topology) by
+:meth:`RoutingService.preferring_brokers`; the set-based
+:meth:`RoutingService.affected_brokers` covers arbitrary changes.
 
 The resolution loops are written against plain distance rows (flat lists
 indexed by device) so they compose with the table-backed engine's
@@ -15,6 +19,8 @@ integer-id hot paths: no key functions, no per-call closures.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection
 
 from ..exceptions import RoutingError
 from ..topology.base import ClusterTopology
@@ -42,6 +48,10 @@ class RoutingService:
     def __init__(self, topology: ClusterTopology) -> None:
         self.topology = topology
         self._broker_indices = tuple(broker.index for broker in topology.brokers)
+        #: device -> preference-mask row (see :meth:`_prefers_row`)
+        self._prefers: dict[int, list[int]] = {}
+        #: preference mask -> brokers it names, ascending broker order
+        self._mask_brokers: dict[int, tuple[int, ...]] = {}
 
     # ----------------------------------------------------------- resolution
     def closest_replica(self, broker: int, replica_devices: set[int] | tuple[int, ...]) -> int:
@@ -125,49 +135,51 @@ class RoutingService:
                 changed.append(broker)
         return tuple(changed)
 
-    def affected_brokers_on_add(
-        self, before: set[int] | tuple[int, ...], added: int
-    ) -> tuple[int, ...]:
-        """Brokers whose closest replica changes when ``added`` joins ``before``.
-
-        A broker is affected exactly when the new device beats its current
-        closest replica under the (distance, device) policy — one resolution
-        per broker instead of two.
+    def _prefers_row(self, device: int) -> list[int]:
+        """``row[other]``: bitmask (bit *i* = ``_broker_indices[i]``) of the
+        brokers that strictly prefer ``device`` to ``other`` under the
+        (distance, device) policy.  A pure topology function, built on first
+        use; non-leaf devices — on either side — are never preferred.
         """
-        changed = []
-        distance_row = self.topology.distance_row
-        for broker in self._broker_indices:
-            distances = distance_row(broker)
-            closest = _closest(distances, before)
-            added_distance = distances[added]
-            closest_distance = distances[closest]
-            if added_distance < closest_distance or (
-                added_distance == closest_distance and added < closest
-            ):
-                changed.append(broker)
-        return tuple(changed)
+        row = self._prefers.get(device)
+        if row is None:
+            row = [0] * len(self.topology.devices)
+            bit = 1
+            for broker in self._broker_indices:
+                distances = self.topology.distance_row(broker)
+                own = distances[device]
+                if own is not None:
+                    for other, distance in enumerate(distances):
+                        if distance is not None and (
+                            own < distance or (own == distance and device < other)
+                        ):
+                            row[other] |= bit
+                bit <<= 1
+            self._prefers[device] = row
+        return row
 
-    def affected_brokers_on_remove(
-        self, after: set[int] | tuple[int, ...], removed: int
-    ) -> tuple[int, ...]:
-        """Brokers whose closest replica changes when ``removed`` leaves.
+    def preferring_brokers(self, device: int, others: Collection[int]) -> tuple[int, ...]:
+        """Brokers that strictly prefer ``device`` to every device of ``others``.
 
-        ``after`` is the surviving (non-empty) replica set.  A broker is
-        affected exactly when the removed device used to beat every
-        survivor.
+        These are exactly the brokers whose closest replica changes when
+        ``device`` joins the replica set ``others``, or leaves it with
+        ``others`` surviving — one AND per sibling over precomputed
+        preference masks instead of a closest-replica resolution per broker.
         """
-        changed = []
-        distance_row = self.topology.distance_row
-        for broker in self._broker_indices:
-            distances = distance_row(broker)
-            closest = _closest(distances, after)
-            removed_distance = distances[removed]
-            closest_distance = distances[closest]
-            if removed_distance < closest_distance or (
-                removed_distance == closest_distance and removed < closest
-            ):
-                changed.append(broker)
-        return tuple(changed)
+        if not others:
+            raise RoutingError("view has no replica to route to")
+        row = self._prefers_row(device)
+        mask = -1
+        for other in others:
+            mask &= row[other]
+        brokers = self._mask_brokers.get(mask)
+        if brokers is None:
+            brokers = self._mask_brokers[mask] = tuple(
+                broker
+                for position, broker in enumerate(self._broker_indices)
+                if mask >> position & 1
+            )
+        return brokers
 
     def next_closest(self, device: int, replica_devices: set[int]) -> int | None:
         """Closest *other* replica as seen from ``device`` (None when sole)."""

@@ -189,6 +189,7 @@ class StatsTable:
         "_node_period",
         "_node_total",
         "_node_buckets",
+        "_zero_window",
         "_node_alloc",
         "_node_free",
         "_node_count",
@@ -221,6 +222,8 @@ class StatsTable:
         self._node_period: list[int] = []
         self._node_total: list[float] = []
         self._node_buckets = array("d")
+        #: one all-zero window, slice-assigned over a node's buckets to clear them
+        self._zero_window = array("d", bytes(8 * slots))
         # Allocation bitmap of the node pool: pool sweeps must skip free
         # nodes (their windows are zeroed, and ``_alloc_node`` re-stamps the
         # period on reuse, so touching them is pure waste).
@@ -287,7 +290,7 @@ class StatsTable:
             self._node_next.append(NO_SLOT)
             self._node_period.append(0)
             self._node_total.append(0.0)
-            self._node_buckets.extend([0.0] * self.slots)
+            self._node_buckets.extend(self._zero_window)
             self._node_alloc.append(0)
         self._node_alloc[node] = 1
         self._node_origin[node] = origin
@@ -298,12 +301,12 @@ class StatsTable:
         return node
 
     def _free_node(self, node: int) -> None:
-        # Zero the window now so recycled nodes start clean.
-        base = node * self.slots
-        buckets = self._node_buckets
-        for index in range(base, base + self.slots):
-            buckets[index] = 0.0
-        self._node_total[node] = 0.0
+        # Zero the window now so recycled nodes start clean (amounts are
+        # non-negative, so a zero total means every bucket already is zero).
+        if self._node_total[node]:
+            base = node * self.slots
+            self._node_buckets[base : base + self.slots] = self._zero_window
+            self._node_total[node] = 0.0
         self._node_alloc[node] = 0
         self._node_next[node] = self._node_free
         self._node_free = node
@@ -320,9 +323,9 @@ class StatsTable:
         buckets = self._node_buckets
         elapsed = period_index - current
         if elapsed >= slots:
-            for index in range(base, base + slots):
-                buckets[index] = 0.0
-            self._node_total[node] = 0.0
+            if self._node_total[node]:
+                buckets[base : base + slots] = self._zero_window
+                self._node_total[node] = 0.0
         else:
             total = self._node_total[node]
             for step in range(1, elapsed + 1):
@@ -417,6 +420,7 @@ class StatsTable:
         ntotal = self._node_total
         buckets = self._node_buckets
         nalloc = self._node_alloc
+        zero_window = self._zero_window
         for node in range(len(nperiod)):
             if not nalloc[node]:
                 continue
@@ -430,8 +434,7 @@ class StatsTable:
                 base = node * slots
                 elapsed = period_index - current
                 if elapsed >= slots:
-                    for index in range(base, base + slots):
-                        buckets[index] = 0.0
+                    buckets[base : base + slots] = zero_window
                     ntotal[node] = 0.0
                 else:
                     for step in range(1, elapsed + 1):

@@ -15,7 +15,11 @@ Two recording granularities coexist:
 
 * the per-message entry points (:meth:`TrafficAccountant.record` /
   :meth:`~TrafficAccountant.record_roundtrip`) used by the per-event replay
-  path and by rare protocol messages (replica copies, routing updates);
+  path and by protocol messages (replica control and copies, routing
+  updates, proxy migrations).  DynaSoRe issues several of those per
+  placement change, so :meth:`~TrafficAccountant.record` write-combines
+  default-size messages per ``(source, destination, kind)`` and time bucket
+  and applies them lazily — before the bucket changes or a query reads;
 * the batch entry points (:meth:`~TrafficAccountant.record_batch` /
   :meth:`~TrafficAccountant.record_roundtrip_batch`) used by the chunk-native
   execution kernels: a run accumulates ``(source, destination) -> count``
@@ -147,6 +151,11 @@ class TrafficAccountant:
             kind: (kind.default_size, kind.message_class is MessageClass.APPLICATION)
             for kind in MessageKind
         }
+        # Write-combining buffer of :meth:`record`: (source, destination,
+        # kind) -> messages offered in time bucket ``_pending_bucket`` and
+        # not yet applied to the columns (see :meth:`_apply_pending`).
+        self._pending: dict[tuple[int, int, MessageKind], int] = {}
+        self._pending_bucket = 0
 
     # ----------------------------------------------------------------- muting
     def push_mute(self) -> None:
@@ -201,6 +210,12 @@ class TrafficAccountant:
         machine-local messages (empty path) and messages inside the warm-up
         window (``timestamp < measure_from``); only the *traffic* of warm-up
         messages is discarded.  While muted, nothing is counted at all.
+
+        Default-size messages are write-combined: they only bump a per
+        ``(source, destination, kind)`` count for their time bucket, and the
+        switch path is walked once per key — with the count multiplied in —
+        when the bucket changes or a query needs the columns.  Volumes are
+        integer-valued floats, so the sums are exact in any order.
         """
         if self._mute_depth:
             return 0
@@ -210,18 +225,48 @@ class TrafficAccountant:
         path = self._resolve_path(source, destination)
         if not path:
             return 0
-        default_size, is_application = self._kind_info[kind]
-        size_value = default_size if size is None else size
+        bucket = int(timestamp // self.bucket_width)
+        if size is not None:
+            self._add_volume(path, kind, size, bucket)
+            return len(path)
+        if bucket != self._pending_bucket:
+            self._apply_pending()
+            self._pending_bucket = bucket
+        pending = self._pending
+        key = (source, destination, kind)
+        count = pending.get(key)
+        pending[key] = 1 if count is None else count + 1
+        return len(path)
+
+    def _add_volume(
+        self, path: tuple[int, ...], kind: MessageKind, volume: float, bucket: int
+    ) -> None:
+        """Add ``volume`` of ``kind`` traffic to every switch of ``path``."""
+        is_application = self._kind_info[kind][1]
         total = self._total
         split = self._application if is_application else self._system
         for switch in path:
-            total[switch] += size_value
-            split[switch] += size_value
+            total[switch] += volume
+            split[switch] += volume
         if self._top_index in path:
-            bucket = int(timestamp // self.bucket_width)
             series = self._top_series_app if is_application else self._top_series_sys
-            series[bucket] += size_value
-        return len(path)
+            series[bucket] += volume
+
+    def _apply_pending(self) -> None:
+        """Apply the write-combined messages: one multiplied update per key.
+
+        Runs when the bucket changes and before anything reads the columns.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        bucket = self._pending_bucket
+        kind_info = self._kind_info
+        for (source, destination, kind), count in pending.items():
+            self._add_volume(
+                self._resolve_path(source, destination), kind, kind_info[kind][0] * count, bucket
+            )
+        pending.clear()
 
     def record_roundtrip(
         self,
@@ -332,16 +377,7 @@ class TrafficAccountant:
         path = self._resolve_path(source, destination)
         if not path:
             return 0
-        default_size, is_application = self._kind_info[kind]
-        volume = default_size * count
-        total = self._total
-        split = self._application if is_application else self._system
-        for switch in path:
-            total[switch] += volume
-            split[switch] += volume
-        if self._top_index in path:
-            series = self._top_series_app if is_application else self._top_series_sys
-            series[bucket] += volume
+        self._add_volume(path, kind, self._kind_info[kind][0] * count, bucket)
         return len(path)
 
     def record_roundtrip_batch(
@@ -438,17 +474,20 @@ class TrafficAccountant:
                 f"unknown device index {device} (topology has "
                 f"{len(self._total)} devices)"
             )
+        self._apply_pending()
         return self._total[device]
 
     def top_switch_traffic(self) -> float:
         """Total traffic recorded at the top switch."""
-        return self._total[self.topology.top_switch.index]
+        self._apply_pending()
+        return self._total[self._top_index]
 
     def level_traffic(self, level: str) -> float:
         """Total traffic summed over all switches of a level.
 
         Levels with no switches (including unknown level names) sum to 0.0.
         """
+        self._apply_pending()
         return sum(self._total[idx] for idx, lvl in self._level.items() if lvl == level)
 
     def level_average_traffic(self, level: str) -> float:
@@ -456,10 +495,11 @@ class TrafficAccountant:
         devices = [idx for idx, lvl in self._level.items() if lvl == level]
         if not devices:
             return 0.0
-        return sum(self._total[idx] for idx in devices) / len(devices)
+        return self.level_traffic(level) / len(devices)
 
     def snapshot(self) -> TrafficSnapshot:
         """Produce an immutable summary of everything recorded so far."""
+        self._apply_pending()
         total_by_level: dict[str, float] = defaultdict(float)
         app_by_level: dict[str, float] = defaultdict(float)
         sys_by_level: dict[str, float] = defaultdict(float)
@@ -489,6 +529,7 @@ class TrafficAccountant:
         it the byte-identity of :class:`SimulationResult`\\ s, independent
         of the recording granularity.
         """
+        self._apply_pending()
         application = self._top_series_app
         system = self._top_series_sys
         return (
@@ -502,8 +543,10 @@ class TrafficAccountant:
 
         Shard workers call this once at the end of their replay; the
         coordinator sums the deltas into a fresh accountant with
-        :meth:`merge_delta`.  Exporting does not modify the accountant.
+        :meth:`merge_delta`.  Exporting does not change what the accountant
+        reports.
         """
+        self._apply_pending()
         return TrafficDelta(
             stride=len(self._total),
             total=self._total.tobytes(),
@@ -553,6 +596,7 @@ class TrafficAccountant:
             self._system[i] = 0.0
         self._top_series_app.clear()
         self._top_series_sys.clear()
+        self._pending.clear()
         self._messages = 0
 
 

@@ -104,3 +104,14 @@ def result_digest(result) -> str:
     import hashlib
 
     return hashlib.sha256(canonical_result_bytes(result)).hexdigest()[:16]
+
+
+def golden_digest(result) -> str:
+    """sha256 of a result's canonical JSON, as committed in
+    ``tests/golden_digests.json`` (the rendering ``bench/driver.py`` uses:
+    independent of pickle and of dict insertion order)."""
+    import hashlib
+    import json
+
+    payload = json.dumps(dataclasses.asdict(result), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()

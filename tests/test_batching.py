@@ -17,11 +17,20 @@ observation mode.  This suite pins that contract:
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from parity import SCENARIOS, canonical_result_bytes, parity_cluster, parity_graph, parity_stream
+from parity import (
+    SCENARIOS,
+    canonical_result_bytes,
+    golden_digest,
+    parity_cluster,
+    parity_graph,
+    parity_stream,
+)
 from repro.config import ClusterSpec, DynaSoReConfig, SimulationConfig
 from repro.constants import HOUR, MINUTE
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
@@ -55,13 +64,25 @@ def _run_matrix(strategy_key: str, scenario_key: str, batch: bool, tracked: int 
     return simulator.run(stream)
 
 
+#: Committed result digests of the matrix below (``golden_digest`` of each
+#: cell, generated at the commit before the churn-first DynaSoRe kernel):
+#: exactness is pinned to a value in the tree, not only to the twin path.
+GOLDEN_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden_digests.json").read_text()
+)
+
+
 @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
 @pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
 def test_batched_replay_byte_identical(strategy_key, scenario_key):
-    """Batched dispatch must not change a single byte of the result."""
+    """Batched dispatch must not change a single byte of the result — and
+    neither path may drift from the committed golden digest."""
     batched = _run_matrix(strategy_key, scenario_key, batch=True)
     per_event = _run_matrix(strategy_key, scenario_key, batch=False)
     assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
+    expected = GOLDEN_DIGESTS[f"{strategy_key}/{scenario_key}"]
+    assert golden_digest(batched) == expected
+    assert golden_digest(per_event) == expected
 
 
 def test_batched_replay_actually_batches():

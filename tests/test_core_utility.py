@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_dynasore_engine import bind_dynasore
+
+from repro.config import ClusterSpec, FlatClusterSpec
 from repro.core.routing import RoutingService
 from repro.core.utility import estimate_profit, replica_utility
 from repro.exceptions import RoutingError
+from repro.socialgraph.graph import SocialGraph
 from repro.store.stats import AccessStatistics
+from repro.store.tables import ReplicaHandle
+from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
+from repro.traffic.messages import MessageKind
 
 
 @pytest.fixture
@@ -168,3 +177,102 @@ class TestRoutingService:
         table = routing.routing_table_for(layout["broker_a"], replica_map)
         assert table[1] == layout["server_a"]
         assert table[2] == layout["server_b"]
+
+    def test_preferring_brokers_needs_a_sibling(self, tree_topology, layout):
+        """The mask fold starts from "every broker": with no other replica it
+        must fail loudly, never notify the whole cluster."""
+        routing = RoutingService(tree_topology)
+        with pytest.raises(RoutingError, match="no replica to route to"):
+            routing.preferring_brokers(layout["server_a"], [])
+
+    def test_non_leaf_devices_are_never_preferred(self, tree_topology, layout):
+        routing = RoutingService(tree_topology)
+        switch = layout["rack_a"]
+        assert routing.preferring_brokers(switch, [layout["server_a"]]) == ()
+        assert routing.preferring_brokers(layout["server_a"], [switch]) == ()
+
+
+# ---------------------------------------------------------------------------
+# One-walk placement changes against the routing reference
+# ---------------------------------------------------------------------------
+_PROPERTY_TOPOLOGIES = {
+    "tree": TreeTopology(
+        ClusterSpec(
+            intermediate_switches=2,
+            racks_per_intermediate=2,
+            machines_per_rack=4,
+            brokers_per_rack=1,
+        )
+    ),
+    "flat": FlatTopology(FlatClusterSpec(machines=10)),
+}
+_VIEW = 0
+
+
+def _deploy_single_view(topology):
+    """A DynaSoRe deployment storing one view, with room for a replica of it
+    on every server, and a log of the messages it records."""
+    strategy, accountant = bind_dynasore(
+        topology,
+        SocialGraph([_VIEW]),
+        extra_memory_pct=100.0 * len(topology.servers),
+        initializer="random",
+    )
+    messages = []
+    record = accountant.record
+
+    def logging_record(source, destination, kind, timestamp, size=None):
+        messages.append((source, destination, kind))
+        return record(source, destination, kind, timestamp, size)
+
+    accountant.record = logging_record
+    return strategy, messages
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(_PROPERTY_TOPOLOGIES)), data=st.data())
+def test_placement_changes_match_the_routing_reference(kind, data):
+    """Random replica creations and removals of one view: the mask-derived
+    routing fan-out, the copy source and the next-closest pointers the
+    engine derives from its one chain walk equal the set-based reference
+    resolutions of :class:`RoutingService`."""
+    topology = _PROPERTY_TOPOLOGIES[kind]
+    reference = RoutingService(topology)
+    strategy, messages = _deploy_single_view(topology)
+    table = strategy.tables
+    write_broker = strategy.proxies.write_broker(_VIEW)
+    positions = range(len(topology.servers))
+    for _ in range(data.draw(st.integers(1, 8))):
+        before = strategy.replica_locations()[_VIEW]
+        position = data.draw(st.sampled_from(positions))
+        device = strategy.device_of_position(position)
+        messages.clear()
+        if device in before:
+            removed = strategy._remove_replica(_VIEW, position, now=0.0)
+            assert removed == (len(before) > 1)
+            if not removed:
+                assert messages == []
+                continue
+        else:
+            assert strategy._create_replica(_VIEW, position, now=0.0)
+            (copy,) = [m for m in messages if m[2] is MessageKind.REPLICA_COPY]
+            assert copy[:2] == (reference.closest_replica(device, before), device)
+        after = strategy.replica_locations()[_VIEW]
+        assert after == before ^ {device}
+        affected = reference.affected_brokers(before, after)
+        assert strategy.routing.preferring_brokers(device, sorted(before & after)) == affected
+        assert [m[1] for m in messages if m[2] is MessageKind.ROUTING_UPDATE] == [
+            broker for broker in affected if broker != write_broker
+        ]
+        for slot in table.user_slots(_VIEW):
+            own = strategy.device_of_position(table.position_of(slot))
+            assert ReplicaHandle(table, slot).next_closest_replica == reference.next_closest(
+                own, after
+            )
+
+
+def test_create_replica_of_a_view_without_replicas_fails_loudly(tree_topology):
+    strategy, messages = _deploy_single_view(tree_topology)
+    with pytest.raises(RoutingError, match="no replica to route to"):
+        strategy._create_replica(user=99, target_position=0, now=0.0)
+    assert not [m for m in messages if m[2] is MessageKind.ROUTING_UPDATE]

@@ -306,8 +306,8 @@ def test_default_mode_serves_raw_cache_dict(monkeypatch):
     table.stats.record_read(slot, origin=2, timestamp=0.0)
     view = table.stats.reads_by_origin(slot)
     assert isinstance(view, dict)
-    # Shared cache: same object on the next query (the fast path the
-    # decision kernel's candidate memo keys on).
+    # Shared cache: same object on the next query (the decision kernel
+    # reads it in place).
     assert table.stats.reads_by_origin(slot) is view
 
 

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from array import array
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import ClusterSpec
 from repro.exceptions import SimulationError
 from repro.topology.tree import TreeTopology
 from repro.traffic.accounting import TrafficAccountant
@@ -456,3 +461,266 @@ class TestTrafficDelta:
         accountant = TrafficAccountant(tree_topology)
         with pytest.raises(SimulationError):
             accountant.merge_delta(delta)
+
+
+# ---------------------------------------------------------------------------
+# Write-combined recording against a per-message reference
+# ---------------------------------------------------------------------------
+_TREE = TreeTopology(
+    ClusterSpec(
+        intermediate_switches=2,
+        racks_per_intermediate=2,
+        machines_per_rack=3,
+        brokers_per_rack=1,
+    )
+)
+#: Few leaves, so messages repeat a path: two servers of one rack, their
+#: broker, and a server on the far side of the top switch.
+_LEAVES = [
+    _TREE.servers[0].index,
+    _TREE.servers[1].index,
+    _TREE.brokers[0].index,
+    _TREE.servers[-1].index,
+]
+_BUCKET_WIDTH = 10.0
+_MEASURE_FROM = 5.0
+
+
+class _PerMessageAccountant:
+    """What the accountant must report, kept one message at a time.
+
+    Deliberately naive: every offered message walks its switch path on the
+    spot, batches are loops of single messages, and nothing is buffered.
+    """
+
+    def __init__(self) -> None:
+        devices = len(_TREE.devices)
+        self.total = [0.0] * devices
+        self.application = [0.0] * devices
+        self.system = [0.0] * devices
+        self.series = {True: {}, False: {}}
+        self.messages = 0
+        self.mute_depth = 0
+
+    def offer(self, source, destination, kind, timestamp=None, bucket=None, size=None):
+        """One message; ``bucket`` instead of ``timestamp`` for the batch API,
+        whose callers vouch the message lies past the warm-up window."""
+        if self.mute_depth:
+            return
+        self.messages += 1
+        if bucket is None:
+            if timestamp < _MEASURE_FROM:
+                return
+            bucket = int(timestamp // _BUCKET_WIDTH)
+        size = kind.default_size if size is None else size
+        application = kind.message_class is MessageClass.APPLICATION
+        split = self.application if application else self.system
+        for switch in _TREE.path_between(source, destination):
+            self.total[switch] += size
+            split[switch] += size
+            if switch == _TREE.top_switch.index:
+                series = self.series[application]
+                series[bucket] = series.get(bucket, 0.0) + size
+
+    def reset(self) -> None:
+        mute_depth = self.mute_depth
+        self.__init__()
+        self.mute_depth = mute_depth
+
+    def level_traffic(self, level: str) -> float:
+        return sum(
+            self.total[switch.index]
+            for switch in _TREE.switches
+            if _TREE.level_of(switch.index) == level
+        )
+
+    def series_sorted(self):
+        return tuple(dict(sorted(self.series[flag].items())) for flag in (True, False))
+
+
+def _check_snapshot(accountant: TrafficAccountant, reference: _PerMessageAccountant):
+    switches = [switch.index for switch in _TREE.switches]
+    snapshot = accountant.snapshot()
+    assert snapshot.messages == accountant.message_count == reference.messages
+    assert snapshot.total_by_device == {i: reference.total[i] for i in switches}
+    assert snapshot.application_by_device == {i: reference.application[i] for i in switches}
+    assert snapshot.system_by_device == {i: reference.system[i] for i in switches}
+    for level, volume in snapshot.total_by_level.items():
+        assert volume == reference.level_traffic(level)
+
+
+def _check_series(accountant: TrafficAccountant, reference: _PerMessageAccountant):
+    assert accountant.top_switch_series() == reference.series_sorted()
+
+
+def _check_delta(accountant: TrafficAccountant, reference: _PerMessageAccountant):
+    delta = accountant.export_delta()
+    assert delta.messages == reference.messages
+    assert delta.total == array("d", reference.total).tobytes()
+    assert delta.application == array("d", reference.application).tobytes()
+    assert delta.system == array("d", reference.system).tobytes()
+    assert (delta.top_series_app, delta.top_series_sys) == (
+        reference.series[True],
+        reference.series[False],
+    )
+
+
+#: Query operations that compare a whole report; each flushes on its own.
+_REPORT_CHECKS = {
+    "snapshot": _check_snapshot,
+    "top_switch_series": _check_series,
+    "export_delta": _check_delta,
+}
+
+
+_leaf = st.sampled_from(_LEAVES)
+_kind = st.sampled_from(list(MessageKind))
+#: warm-up (< 5), three buckets, and their edges
+_timestamp = st.sampled_from([0.0, 4.9, 5.0, 9.9, 10.0, 17.0, 20.0, 29.9, 31.0])
+_bucket = st.integers(0, 3)
+_count = st.integers(0, 4)
+_default_record = st.tuples(st.just("record"), _leaf, _leaf, _kind, _timestamp, st.none())
+_operation = st.one_of(
+    # Default-size records three times over: the write-combined path is the
+    # one under test, the rest is what it must interleave with.
+    _default_record,
+    _default_record,
+    _default_record,
+    st.tuples(st.just("record"), _leaf, _leaf, _kind, _timestamp, st.integers(1, 7)),
+    st.tuples(st.just("roundtrip"), _leaf, _leaf, _kind, _kind, _timestamp),
+    st.one_of(
+        st.tuples(st.just("record_batch"), _leaf, _leaf, _kind, _count, _bucket),
+        st.tuples(
+            st.just("roundtrip_batch"),
+            st.dictionaries(st.tuples(_leaf, _leaf), st.integers(1, 3), max_size=3),
+            _kind,
+            _kind,
+            _bucket,
+        ),
+        st.tuples(st.just("count_messages"), _count),
+    ),
+    st.tuples(st.sampled_from(["push_mute", "pop_mute", "reset", "merge_own_delta"])),
+    st.tuples(
+        st.sampled_from(
+            ["device_traffic", "top_switch_traffic", "level_traffic", "level_average_traffic"]
+        )
+    ),
+    st.tuples(st.sampled_from(sorted(_REPORT_CHECKS))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=st.lists(_operation, min_size=5, max_size=40))
+def test_write_combined_recording_matches_per_message_reference(operations):
+    """Any interleaving of the recording entry points, mutes, bucket
+    crossings and queries reports what per-message accounting reports."""
+    accountant = TrafficAccountant(
+        _TREE, bucket_width=_BUCKET_WIDTH, measure_from=_MEASURE_FROM
+    )
+    reference = _PerMessageAccountant()
+    stride = accountant.device_count
+    top = _TREE.top_switch.index
+    for name, *arguments in operations:
+        if name == "record":
+            source, destination, kind, timestamp, size = arguments
+            crossed = accountant.record(source, destination, kind, timestamp, size)
+            offered = reference.mute_depth == 0 and timestamp >= _MEASURE_FROM
+            assert crossed == (len(_TREE.path_between(source, destination)) if offered else 0)
+            reference.offer(source, destination, kind, timestamp, size=size)
+        elif name == "roundtrip":
+            source, destination, request, response, timestamp = arguments
+            accountant.record_roundtrip(source, destination, request, response, timestamp)
+            reference.offer(source, destination, request, timestamp)
+            reference.offer(destination, source, response, timestamp)
+        elif name == "record_batch":
+            source, destination, kind, count, bucket = arguments
+            accountant.record_batch(source, destination, kind, count, bucket)
+            for _ in range(count):
+                reference.offer(source, destination, kind, bucket=bucket)
+        elif name == "roundtrip_batch":
+            pairs, request, response, bucket = arguments
+            counts = {source * stride + destination: n for (source, destination), n in pairs.items()}
+            accountant.record_roundtrip_batch(counts, request, response, bucket)
+            for (source, destination), count in pairs.items():
+                for _ in range(count):
+                    reference.offer(source, destination, request, bucket=bucket)
+                    reference.offer(destination, source, response, bucket=bucket)
+        elif name == "count_messages":
+            accountant.count_messages(arguments[0])
+            if not reference.mute_depth:
+                reference.messages += arguments[0]
+        elif name == "push_mute":
+            accountant.push_mute()
+            reference.mute_depth += 1
+        elif name == "pop_mute":
+            if reference.mute_depth:
+                accountant.pop_mute()
+                reference.mute_depth -= 1
+        elif name == "reset":
+            accountant.reset()
+            reference.reset()
+        elif name == "merge_own_delta":
+            # Doubles everything recorded so far, pending messages included.
+            accountant.merge_delta(accountant.export_delta())
+            for column in (reference.total, reference.application, reference.system):
+                column[:] = [2 * volume for volume in column]
+            for series in reference.series.values():
+                for bucket in series:
+                    series[bucket] *= 2
+            reference.messages *= 2
+        elif name == "device_traffic":
+            assert accountant.device_traffic(top) == reference.total[top]
+        elif name == "top_switch_traffic":
+            assert accountant.top_switch_traffic() == reference.total[top]
+        elif name == "level_traffic":
+            assert accountant.level_traffic("rack") == reference.level_traffic("rack")
+        elif name == "level_average_traffic":
+            racks = len(_TREE.rack_switches)
+            assert accountant.level_average_traffic("rack") == (
+                reference.level_traffic("rack") / racks
+            )
+        else:
+            _REPORT_CHECKS[name](accountant, reference)
+    for check in _REPORT_CHECKS.values():
+        check(accountant, reference)
+
+
+def test_reset_drops_pending_messages(tree_topology: TreeTopology):
+    accountant = TrafficAccountant(tree_topology)
+    a, b = tree_topology.servers[0].index, tree_topology.servers[-1].index
+    accountant.record(a, b, MessageKind.ROUTING_UPDATE, timestamp=0.0)
+    accountant.reset()
+    accountant.record(a, b, MessageKind.ROUTING_UPDATE, timestamp=7200.0)
+    assert accountant.message_count == 1
+    assert accountant.top_switch_traffic() == 1
+    assert accountant.top_switch_series() == ({}, {2: 1.0})
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda accountant, top: accountant.device_traffic(top),
+        lambda accountant, top: accountant.top_switch_traffic(),
+        lambda accountant, top: accountant.level_traffic("top"),
+        lambda accountant, top: accountant.level_average_traffic("top"),
+        lambda accountant, top: accountant.snapshot().system_by_device[top],
+        lambda accountant, top: accountant.top_switch_series()[1][0],
+        lambda accountant, top: accountant.export_delta().top_series_sys[0],
+    ],
+    ids=[
+        "device_traffic",
+        "top_switch_traffic",
+        "level_traffic",
+        "level_average_traffic",
+        "snapshot",
+        "top_switch_series",
+        "export_delta",
+    ],
+)
+def test_every_query_sees_write_combined_messages(tree_topology: TreeTopology, query):
+    """Each query, asked first, applies the buffered messages itself."""
+    accountant = TrafficAccountant(tree_topology)
+    a, b = tree_topology.servers[0].index, tree_topology.servers[-1].index
+    accountant.record(a, b, MessageKind.ROUTING_UPDATE, timestamp=0.0)
+    accountant.record(a, b, MessageKind.ROUTING_UPDATE, timestamp=1.0)
+    assert query(accountant, tree_topology.top_switch.index) == 2
