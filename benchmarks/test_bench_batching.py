@@ -1,7 +1,7 @@
 """Batched vs per-event stream-replay benchmarks (the chunk-native kernels).
 
 Two headline numbers guard the batched request-execution layer, plus a
-consolidated ``BENCH_PR5.json`` dropped at the repository root so the
+consolidated ``.benchmarks/BENCH_PR5.json`` (git-ignored) so the
 performance trajectory of the batching work is tracked across PRs:
 
 * ``test_bench_batched_kernel_speedup`` replays an identical pre-built
@@ -54,8 +54,8 @@ MIN_DYNASORE_SPEEDUP = float(os.environ.get("BATCHING_BENCH_MIN_SPEEDUP", "1.35"
 #: Interleaved rounds per path (each path takes its best round).
 ROUNDS = 3
 
-#: Consolidated metrics file at the repository root.
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
+#: Consolidated metrics file, under the git-ignored ``.benchmarks/``.
+BENCH_FILE = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_PR5.json"
 
 _CLUSTER = ClusterSpec(
     intermediate_switches=4,
@@ -75,6 +75,7 @@ def _record_metrics(section: str, payload: dict) -> None:
             data = {}
     data[section] = payload
     data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    BENCH_FILE.parent.mkdir(exist_ok=True)
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 

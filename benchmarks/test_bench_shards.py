@@ -1,6 +1,6 @@
 """Sharded multi-process replay benchmark (one simulation, many workers).
 
-Emits ``BENCH_PR7.json`` at the repository root.  The headline metric is
+Emits ``.benchmarks/BENCH_PR7.json`` (git-ignored).  The headline metric is
 the intra-run speedup of partitioned sharded replay over the single-process
 batched path on a locality-heavy SPAR workload — **>= 2x at 4 shards is the
 acceptance target on quiet multi-core hardware**, with an enforced floor of
@@ -29,7 +29,7 @@ the baseline all read the same file, so stream *generation* cost is paid
 once and parse cost is paid identically by every measured path.
 
 ``SHARD_BENCH_EVENTS`` scales the workload (default 150k events keeps the
-suite quick; the committed BENCH_PR7.json comes from a 1M-event run).
+suite quick; the README's BENCH_PR7.json numbers come from a 1M-event run).
 
 The activity-weighted benchmark (``BENCH_PR8.json``) replays a *skewed*
 celebrity-storm trace and compares population-balanced against
@@ -75,7 +75,7 @@ SHARD_BENCH_SHARDS = int(os.environ.get("SHARD_BENCH_SHARDS", "4"))
 #: Enforced floor of the sharded speedup (projected on core-starved
 #: machines, best-of wall/projected otherwise).  2x is the acceptance
 #: target on quiet multi-core hardware and 1.5x the enforced floor at the
-#: 1M-event scale the committed BENCH_PR7.json uses.  Below that scale the
+#: 1M-event scale the README's BENCH_PR7.json numbers use.  Below that scale the
 #: per-worker fixed costs (graph build, trace parse, full-stream decision
 #: plane) are not yet amortised, so the default floor relaxes to 1.2x.
 MIN_SPEEDUP = float(
@@ -89,11 +89,11 @@ MIN_SPEEDUP = float(
 #: the shard engine's single mode must stay within noise of a plain run.
 MIN_SINGLE_RATIO = float(os.environ.get("SHARD_BENCH_MIN_SINGLE_RATIO", "0.8"))
 
-#: Consolidated metrics file at the repository root.
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
+#: Consolidated metrics file, under the git-ignored ``.benchmarks/``.
+BENCH_FILE = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_PR7.json"
 
 #: Metrics file of the activity-weighted partitioning benchmark.
-BENCH_PR8_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
+BENCH_PR8_FILE = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_PR8.json"
 
 #: Measured-CPU tolerance of weighted vs population balancing.  Per-shard
 #: CPU at benchmark scale is dominated by the replicated decision plane
@@ -140,6 +140,7 @@ def _record_metrics(section: str, payload: dict, bench_file: Path = BENCH_FILE) 
             data = {}
     data[section] = payload
     data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    bench_file.parent.mkdir(exist_ok=True)
     bench_file.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 

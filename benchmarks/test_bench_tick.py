@@ -1,8 +1,7 @@
 """Batched vs per-slot maintenance-tick benchmarks (the column sweep).
 
-Two numbers guard the array-native tick and land in ``BENCH_PR6.json`` at
-the repository root so the performance trajectory stays tracked across
-PRs:
+Two numbers guard the array-native tick and land in the git-ignored
+``.benchmarks/BENCH_PR6.json``:
 
 * ``test_bench_tick_stream_replay`` replays the converged DynaSoRe
   workload of the PR 5 benchmark (identical trace shape, cluster and
@@ -76,8 +75,8 @@ ROUNDS = 3
 #: so no history drops and the utility columns must stay frozen).
 QUIET_TICKS = 12
 
-#: Consolidated metrics file at the repository root.
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
+#: Consolidated metrics file, under the git-ignored ``.benchmarks/``.
+BENCH_FILE = Path(__file__).resolve().parent.parent / ".benchmarks" / "BENCH_PR6.json"
 
 _CLUSTER = ClusterSpec(
     intermediate_switches=4,
@@ -97,6 +96,7 @@ def _record_metrics(section: str, payload: dict) -> None:
             data = {}
     data[section] = payload
     data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    BENCH_FILE.parent.mkdir(exist_ok=True)
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 

@@ -228,9 +228,7 @@ class DynaSoRe(PlacementStrategy):
         #: reusing these avoids per-evaluation allocations
         self._eval_candidates: list[tuple[int, int, int]] = []
         self._eval_triples: list = []
-        self._eval_triples_migration: list = []
         self._eval_profits: dict[int, float] = {}
-        self._eval_profits_migration: dict[int, float] = {}
         #: batch-kernel state: origin memo (broker -> device -> origin
         #: label), a pure topology function, never cleared; run-local
         #: traffic aggregators
@@ -989,6 +987,18 @@ class DynaSoRe(PlacementStrategy):
         the per-event path keeps the shared :mod:`~repro.core.replication`
         / :mod:`~repro.core.migration` implementations, which the parity
         suite holds byte-identical to this kernel.
+
+        Once Algorithm 2 has declined, Algorithm 3 is skipped for a sole
+        replica, because it cannot act there:
+
+        1. it would price the same candidates against the same reference
+           (the replica's own server), so every profit is the one
+           Algorithm 2 saw;
+        2. Algorithm 2 declined, so no candidate has ``profit > threshold
+           and profit > 0``; admission thresholds are ``>= 0``
+           (:meth:`ReplicaTable.check_integrity` asserts it), so none has
+           ``profit > threshold`` — no move;
+        3. the removal is guarded by "not sole" — no removal.
         """
         table = self.tables
         stats = table.stats
@@ -1037,44 +1047,31 @@ class DynaSoRe(PlacementStrategy):
                 incoming_profit=best_profit,
             )
             return
-        if not self.config.enable_view_migration:
+        # Algorithm 3: migrate (or remove) this replica, priced against the
+        # server of its next-closest sibling.  A sole replica has none and
+        # cannot act (see the docstring); Algorithm 2's pricing state is
+        # dead by now, so the scratch containers are recycled.
+        reference = table._next_closest[slot]
+        if reference == NO_SLOT or not self.config.enable_view_migration:
             return
-
-        # Algorithm 3: migrate (or remove) this replica.  A sole replica is
-        # priced against its own server — exactly Algorithm 2's reference,
-        # so its pricing state and per-device profits are reused verbatim.
-        next_closest = table._next_closest[slot]
-        sole = next_closest == NO_SLOT
-        reference = replica_device if sole else next_closest
-        if sole:
-            # Pricing the replica's own server against itself: candidate
-            # and reference costs come from the same row, so the clamped
-            # read terms cancel exactly and only the write cost remains.
-            if write_distances is not None:
-                stay_profit = 0.0 - priced_writes * write_distances[replica_device]
-            else:
-                stay_profit = 0.0
-        else:
-            triples = self._eval_triples_migration
-            profits = self._eval_profits_migration
-            profits.clear()
-            nearest, priced_writes, write_distances = build_pricing(
-                topology,
-                origins,
-                stats.total_writes(slot),
-                reference,
-                write_broker,
-                triples,
-            )
-            stay_profit = priced_profit(
-                topology,
-                triples,
-                nearest,
-                priced_writes,
-                write_distances,
-                reference,
-                replica_device,
-            )
+        profits.clear()
+        nearest, priced_writes, write_distances = build_pricing(
+            topology,
+            origins,
+            stats.total_writes(slot),
+            reference,
+            write_broker,
+            triples,
+        )
+        stay_profit = priced_profit(
+            topology,
+            triples,
+            nearest,
+            priced_writes,
+            write_distances,
+            reference,
+            replica_device,
+        )
         best_profit = stay_profit
         best_position = None
         for origin, candidate_position, candidate_device in candidates:
@@ -1094,7 +1091,7 @@ class DynaSoRe(PlacementStrategy):
             if profit > best_profit and profit > threshold:
                 best_position = candidate_position
                 best_profit = profit
-        if best_profit < 0 and not sole:
+        if best_profit < 0:
             self._remove_replica(user, position, now)
         elif best_position is not None and best_profit > stay_profit:
             created = self._create_replica(

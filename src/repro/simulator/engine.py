@@ -24,11 +24,13 @@ through the strategy's ``execute_request_batch`` kernel (run boundaries
 are found at C speed — a timestamp bisect plus byte scans per run).
 Whenever per-event observation is required — post-request hooks (even
 ones registered mid-run by a pre-tick hook), tracked views, or
-``batch_replay=False`` in the config — the simulator replays per event;
-while a persistent store is active, write runs are replayed per event too
-(each write is mirrored into the store in order) but read runs stay
-batched.  Both dispatch shapes drive the identical sequence of
-strategy/store state transitions, so batched and per-event replay produce
+``batch_replay=False`` in the config — the simulator replays per event.
+An attached persistent store does not reshape the runs: it is a
+durability layer beside the decision layer, so the writes of each run are
+logged into it in stream order just before the run is dispatched
+(:func:`_mirror_writes`).  Both dispatch shapes drive the identical
+sequence of strategy state transitions and leave the identical store
+wherever anything can read it, so batched and per-event replay produce
 byte-identical results.
 
 On top of the benign replay the simulator hosts the *scenario* layer
@@ -39,7 +41,7 @@ the simulator applies at their simulated timestamps, interleaved with
 maintenance ticks.  The simulator keeps the authoritative server up/down
 mask, drives the strategy's evacuation hooks, and wires crashes into the
 persistence layer: writes are mirrored into a
-:class:`~repro.persistence.backend.PersistentStore` as they execute, and
+:class:`~repro.persistence.backend.PersistentStore`, and
 views whose only replica died are re-fetched from that store in simulated
 time (WAL-driven recovery, paper sections 2.2 and 3.3).
 
@@ -72,7 +74,6 @@ from ..workload.stream import (
     KIND_EDGE_REMOVE,
     KIND_READ,
     KIND_WRITE,
-    kind_run_end,
     request_run_end,
     row_to_request,
 )
@@ -89,6 +90,37 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: open-universe violation and falls back to replicated execution, so the
 #: sentinel bounds partitioned runs to 255 shards.
 UNOWNED = 0xFF
+
+
+def _mirror_writes(
+    store: PersistentStore,
+    kinds: bytes,
+    users,
+    times,
+    start: int,
+    end: int,
+    selector: bytes | None = None,
+) -> None:
+    """Log the writes of the run ``[start, end)`` into the WAL-backed store.
+
+    The durability mirror of the batched loops: writes are found with
+    ``bytes.find`` on the kind column and logged in stream order *before*
+    the run is dispatched (log first, the order
+    :meth:`PersistentStore.process_write` documents).  A shard ``selector``
+    (1 = owned) restricts the mirror to the writes this worker executes.
+
+    Mirroring ahead of the run is exact: the store is written only here and
+    read only by crash recovery, by pre-tick hooks and after the run — and
+    fault and tick timestamps end every run — while no strategy, accountant
+    or result field reads it.  At every point where anything can look, the
+    store holds the records per-event mirroring would have written.
+    """
+    process_write = store.process_write
+    position = kinds.find(KIND_WRITE, start, end)
+    while position != -1:
+        if selector is None or selector[position]:
+            process_write(users[position], times[position])
+        position = kinds.find(KIND_WRITE, position + 1, end)
 
 
 class ClusterSimulator:
@@ -381,15 +413,13 @@ class ClusterSimulator:
         through the strategy's ``execute_request_batch`` kernel, and edge
         mutations are applied per event — they re-shape the graph the next
         run executes against.  While a persistent store is active, the
-        chunk is instead segmented into homogeneous kind runs: read runs
-        stay batched (reads never touch the store), write runs are
-        replayed per event so every write is mirrored into the store in
-        order.
+        run's writes are mirrored into it first (:func:`_mirror_writes`);
+        the segmentation and the dispatch are the same with and without
+        a store.
         """
         strategy = self.strategy
         execute_read = strategy.execute_read
         execute_write = strategy.execute_write
-        execute_read_batch = strategy.execute_read_batch
         execute_request_batch = strategy.execute_request_batch
         fault_events = self._fault_events
         next_fault_time = (
@@ -469,41 +499,23 @@ class ClusterSimulator:
                         if times[n - 1] >= boundary
                         else n
                     )
-                    if store is None:
-                        end = request_run_end(kinds, index, end)
-                        if end - index == 1:
-                            if kind == KIND_READ:
-                                execute_read(users[index], timestamp)
-                                reads += 1
-                            else:
-                                execute_write(users[index], timestamp)
-                                writes += 1
-                        else:
-                            execute_request_batch(
-                                kinds[index:end], users[index:end], times[index:end]
-                            )
-                            span = kinds.count(KIND_READ, index, end)
-                            reads += span
-                            writes += end - index - span
-                    else:
-                        end = kind_run_end(kinds, index, end)
+                    end = request_run_end(kinds, index, end)
+                    if store is not None:
+                        _mirror_writes(store, kinds, users, times, index, end)
+                    if end - index == 1:
                         if kind == KIND_READ:
-                            if end - index == 1:
-                                execute_read(users[index], timestamp)
-                            else:
-                                execute_read_batch(
-                                    users[index:end], times[index:end]
-                                )
-                            reads += end - index
+                            execute_read(users[index], timestamp)
+                            reads += 1
                         else:
-                            # Durability path: mirror every write into the
-                            # WAL-backed store in event order.
-                            process_write = store.process_write
-                            for position in range(index, end):
-                                now = times[position]
-                                execute_write(users[position], now)
-                                process_write(users[position], now)
-                            writes += end - index
+                            execute_write(users[index], timestamp)
+                            writes += 1
+                    else:
+                        execute_request_batch(
+                            kinds[index:end], users[index:end], times[index:end]
+                        )
+                        span = kinds.count(KIND_READ, index, end)
+                        reads += span
+                        writes += end - index - span
                     index = end
                 elif kind == KIND_EDGE_ADD:
                     self._edge_added(timestamp, users[index], aux[index])
@@ -552,7 +564,6 @@ class ClusterSimulator:
         strategy = self.strategy
         execute_read = strategy.execute_read
         execute_write = strategy.execute_write
-        execute_read_batch = strategy.execute_read_batch
         execute_request_batch = strategy.execute_request_batch
         accountant = self.accountant
         fault_events = self._fault_events
@@ -639,87 +650,57 @@ class ClusterSimulator:
                         if times[n - 1] >= boundary
                         else n
                     )
-                    if store is None:
-                        end = request_run_end(kinds, index, end)
-                        owned = selector.count(1, index, end)
-                        if owned == end - index:
-                            # Fully-owned run: the batched loop's dispatch.
-                            if owned == 1:
-                                if kind == KIND_READ:
-                                    execute_read(users[index], timestamp)
-                                    reads += 1
-                                else:
-                                    execute_write(users[index], timestamp)
-                                    writes += 1
+                    end = request_run_end(kinds, index, end)
+                    owned = selector.count(1, index, end)
+                    if store is not None and owned:
+                        # Non-owned writes are skipped entirely — the store
+                        # only backs crash recovery, whose fetch of a
+                        # never-written view is side-effect-free.
+                        _mirror_writes(
+                            store, kinds, users, times, index, end, selector
+                        )
+                    if owned == end - index:
+                        # Fully-owned run: the batched loop's dispatch.
+                        if owned == 1:
+                            if kind == KIND_READ:
+                                execute_read(users[index], timestamp)
+                                reads += 1
                             else:
-                                execute_request_batch(
-                                    kinds[index:end], users[index:end], times[index:end]
-                                )
-                                span = kinds.count(KIND_READ, index, end)
-                                reads += span
-                                writes += owned - span
-                        elif owned:
-                            run_selector = selector[index:end]
-                            mine_kinds = bytes(
-                                compress(kinds[index:end], run_selector)
-                            )
-                            if owned == 1:
-                                position = index + run_selector.find(1)
-                                if mine_kinds[0] == KIND_READ:
-                                    execute_read(users[position], times[position])
-                                    reads += 1
-                                else:
-                                    execute_write(users[position], times[position])
-                                    writes += 1
-                            else:
-                                mine_users = list(
-                                    compress(users[index:end], run_selector)
-                                )
-                                mine_times = list(
-                                    compress(times[index:end], run_selector)
-                                )
-                                execute_request_batch(
-                                    mine_kinds, mine_users, mine_times
-                                )
-                                span = mine_kinds.count(KIND_READ)
-                                reads += span
-                                writes += owned - span
-                    else:
-                        end = kind_run_end(kinds, index, end)
-                        owned = selector.count(1, index, end)
-                        if kind == KIND_READ:
-                            if owned == end - index:
-                                if owned == 1:
-                                    execute_read(users[index], timestamp)
-                                else:
-                                    execute_read_batch(
-                                        users[index:end], times[index:end]
-                                    )
-                            elif owned:
-                                run_selector = selector[index:end]
-                                if owned == 1:
-                                    position = index + run_selector.find(1)
-                                    execute_read(users[position], times[position])
-                                else:
-                                    execute_read_batch(
-                                        list(compress(users[index:end], run_selector)),
-                                        list(compress(times[index:end], run_selector)),
-                                    )
-                            reads += owned
+                                execute_write(users[index], timestamp)
+                                writes += 1
                         else:
-                            # Durability path: mirror owned writes into the
-                            # WAL-backed store in event order.  Non-owned
-                            # writes are skipped entirely — the store only
-                            # backs crash recovery, whose fetch of a
-                            # never-written view is side-effect-free.
-                            process_write = store.process_write
-                            for position in compress(
-                                range(index, end), selector[index:end]
-                            ):
-                                now = times[position]
-                                execute_write(users[position], now)
-                                process_write(users[position], now)
-                            writes += owned
+                            execute_request_batch(
+                                kinds[index:end], users[index:end], times[index:end]
+                            )
+                            span = kinds.count(KIND_READ, index, end)
+                            reads += span
+                            writes += owned - span
+                    elif owned:
+                        run_selector = selector[index:end]
+                        mine_kinds = bytes(
+                            compress(kinds[index:end], run_selector)
+                        )
+                        if owned == 1:
+                            position = index + run_selector.find(1)
+                            if mine_kinds[0] == KIND_READ:
+                                execute_read(users[position], times[position])
+                                reads += 1
+                            else:
+                                execute_write(users[position], times[position])
+                                writes += 1
+                        else:
+                            mine_users = list(
+                                compress(users[index:end], run_selector)
+                            )
+                            mine_times = list(
+                                compress(times[index:end], run_selector)
+                            )
+                            execute_request_batch(
+                                mine_kinds, mine_users, mine_times
+                            )
+                            span = mine_kinds.count(KIND_READ)
+                            reads += span
+                            writes += owned - span
                     index = end
                 elif kind == KIND_EDGE_ADD or kind == KIND_EDGE_REMOVE:
                     # Decision-plane event: every worker applies it (the

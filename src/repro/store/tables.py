@@ -1116,6 +1116,13 @@ class ReplicaTable:
             )
         if len(self._tick_dirty) != len(self._srv_head):
             raise StorageError("tick-dirty column out of step with positions")
+        # Admission thresholds are never negative (or NaN): the decision
+        # kernel's sole-replica elision rests on it.
+        for position, threshold in enumerate(self._admission):
+            if not threshold >= 0.0:
+                raise StorageError(
+                    f"position {position} has admission threshold {threshold}"
+                )
         # Statistics node pool: the free list and the allocation bitmap must
         # partition the pool, and free nodes must hold zeroed windows (the
         # invariant the batched tick sweep and ``advance_pool`` rely on to

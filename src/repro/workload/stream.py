@@ -255,43 +255,18 @@ def pack_rows(
         yield chunk
 
 
-#: For every event kind, the other kinds (the run-boundary search set).
-_OTHER_KINDS: dict[int, tuple[int, ...]] = {
-    kind: tuple(
-        other
-        for other in (KIND_READ, KIND_WRITE, KIND_EDGE_ADD, KIND_EDGE_REMOVE)
-        if other != kind
-    )
-    for kind in (KIND_READ, KIND_WRITE, KIND_EDGE_ADD, KIND_EDGE_REMOVE)
-}
-
-
-def kind_run_end(kinds: bytes, start: int, end: int) -> int:
-    """End of the homogeneous kind run beginning at ``kinds[start]``.
-
-    Returns the smallest index in ``(start, end]`` at which the event kind
-    changes (``end`` when the whole range is homogeneous).  ``kinds`` is a
-    chunk's kind column as ``bytes`` (``chunk.kinds.tobytes()``), so the
-    scan runs at C speed — the batched replay loop segments every chunk
-    into dispatchable runs with three ``bytes.find`` calls per run instead
-    of a per-event Python comparison.
-    """
-    for other in _OTHER_KINDS[kinds[start]]:
-        position = kinds.find(other, start + 1, end)
-        if position >= 0:
-            end = position
-    return end
-
-
 def request_run_end(kinds: bytes, start: int, end: int) -> int:
     """End of the request run (reads and writes) beginning at ``start``.
 
-    Like :func:`kind_run_end` but reads and writes form **one** run — only
-    edge-mutation events break it.  Request streams interleave reads and
-    writes tightly (a read-heavy trace still sprinkles writes every few
-    events), so request runs are orders of magnitude longer than
-    single-kind runs; the execution kernels branch per event on the kind
-    byte instead of paying a dispatch per kind flip.
+    Returns the smallest index in ``(start, end]`` holding an edge-mutation
+    event (``end`` when there is none).  ``kinds`` is a chunk's kind column
+    as ``bytes`` (``chunk.kinds.tobytes()``), so the scan runs at C speed:
+    two ``bytes.find`` calls per run instead of a per-event comparison.
+    Reads and writes form **one** run — request streams interleave them
+    tightly (a read-heavy trace still sprinkles writes every few events),
+    so request runs are orders of magnitude longer than single-kind runs;
+    the execution kernels branch per event on the kind byte instead of
+    paying a dispatch per kind flip.
     """
     position = kinds.find(KIND_EDGE_ADD, start + 1, end)
     if position >= 0:
@@ -408,7 +383,6 @@ __all__ = [
     "allocate_proportionally",
     "as_stream",
     "events_per_day",
-    "kind_run_end",
     "request_run_end",
     "merge_streams",
     "pack_rows",

@@ -12,7 +12,10 @@ observation mode.  This suite pins that contract:
   tracked-view sampling and post-request hooks (the observers force the
   documented per-event fallback — which must itself stay byte-identical);
 * unit coverage of the run segmentation helpers and of the batch kernels'
-  fallback paths.
+  fallback paths;
+* the durability mirror: with a persistent store attached, the WAL holds the
+  stream's write subsequence (per shard: the owned writes), every crash sees
+  exactly the earlier writes, and writes do not fragment the runs.
 """
 
 from __future__ import annotations
@@ -33,10 +36,14 @@ from parity import (
 )
 from repro.config import ClusterSpec, DynaSoReConfig, SimulationConfig
 from repro.constants import HOUR, MINUTE
+from repro.partitioning import assign_user_shards
+from repro.persistence.backend import PersistentStore
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
+from repro.scenarios import CrashRecoverScenario
 from repro.scenarios.base import Scenario
 from repro.scenarios.events import NodeLeave, ServerCrash, ServerRecovery
 from repro.simulator.engine import ClusterSimulator
+from repro.simulator.shard import ShardContext, _build_owner_map
 from repro.topology.tree import TreeTopology
 from repro.workload.stream import (
     EventChunk,
@@ -45,7 +52,6 @@ from repro.workload.stream import (
     KIND_EDGE_REMOVE,
     KIND_READ,
     KIND_WRITE,
-    kind_run_end,
     request_run_end,
 )
 
@@ -271,13 +277,6 @@ def test_batch_replay_disabled_matches_default():
 # ---------------------------------------------------------------------------
 # Segmentation helpers
 # ---------------------------------------------------------------------------
-def test_kind_run_end_finds_first_change():
-    kinds = bytes([KIND_READ, KIND_READ, KIND_WRITE, KIND_READ])
-    assert kind_run_end(kinds, 0, len(kinds)) == 2
-    assert kind_run_end(kinds, 2, len(kinds)) == 3
-    assert kind_run_end(kinds, 3, len(kinds)) == 4
-
-
 def test_request_run_end_only_breaks_on_edges():
     kinds = bytes(
         [KIND_READ, KIND_WRITE, KIND_READ, KIND_EDGE_ADD, KIND_WRITE, KIND_EDGE_REMOVE]
@@ -288,7 +287,6 @@ def test_request_run_end_only_breaks_on_edges():
 
 def test_run_helpers_respect_end_bound():
     kinds = bytes([KIND_READ] * 10)
-    assert kind_run_end(kinds, 0, 4) == 4
     assert request_run_end(kinds, 2, 7) == 7
 
 
@@ -507,3 +505,182 @@ def test_run_spanning_bucket_boundary_keeps_series_order():
         batched.top_series_application
     )
     assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
+
+
+# ---------------------------------------------------------------------------
+# Durability mirror: the WAL follows the stream, the runs stay whole
+# ---------------------------------------------------------------------------
+_MIRROR_USERS = 80
+_MIRROR_HORIZON = 6 * HOUR
+_MIRROR_CRASH = 2 * HOUR + 7.0
+_MIRROR_RECOVER = 4 * HOUR + 11.0
+#: small enough that runs cross chunk boundaries many times
+_MIRROR_CHUNK = 97
+
+
+def _mirror_rows(seed: int = 5) -> list[tuple]:
+    """Write-heavy read/write mix with a little edge churn, sorted by time.
+
+    Timestamps are continuous draws, so none coincides with a tick or a
+    fault and "earlier than the crash" is unambiguous.
+    """
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(900):
+        timestamp = rng.uniform(0.0, _MIRROR_HORIZON)
+        user = rng.randrange(_MIRROR_USERS)
+        draw = rng.random()
+        if draw < 0.5:
+            rows.append((KIND_WRITE, timestamp, user, -1))
+        elif draw < 0.98:
+            rows.append((KIND_READ, timestamp, user, -1))
+        else:
+            other = (user + 1 + rng.randrange(_MIRROR_USERS - 1)) % _MIRROR_USERS
+            rows.append((KIND_EDGE_ADD, timestamp, user, other))
+    rows.sort(key=lambda row: row[1])
+    return rows
+
+
+def _written(rows, owned=None) -> list[tuple[int, float]]:
+    return [
+        (user, timestamp)
+        for kind, timestamp, user, _ in rows
+        if kind == KIND_WRITE and (owned is None or owned(user))
+    ]
+
+
+def _wal_sequence(store: PersistentStore) -> list[tuple[int, float]]:
+    return [(record.user, record.timestamp) for record in store.wal.replay()]
+
+
+def _mirror_simulator(strategy_key: str, **kwargs) -> ClusterSimulator:
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=_MIRROR_USERS)
+    strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
+    kwargs.setdefault("config", SimulationConfig(extra_memory_pct=60.0, seed=7))
+    return ClusterSimulator(topology, graph, strategy, **kwargs)
+
+
+def _crash_scenario():
+    return CrashRecoverScenario(
+        crash_time=_MIRROR_CRASH, recover_time=_MIRROR_RECOVER, count=2
+    )
+
+
+def _watch_crashes(simulator: ClusterSimulator, store: PersistentStore) -> list:
+    """Record ``(crash time, WAL length)`` at every crash of the run."""
+    seen = []
+    crash_server = simulator.crash_server
+
+    def spy(position, now, graceful=False):
+        seen.append((now, len(store.wal)))
+        return crash_server(position, now, graceful=graceful)
+
+    simulator.crash_server = spy
+    return seen
+
+
+@pytest.mark.parametrize("strategy_key", ["dynasore_hmetis", "spar", "random"])
+def test_wal_follows_the_write_subsequence(strategy_key):
+    """Mixed runs crossing chunk, tick and fault boundaries log every write
+    once, in stream order, and each crash finds exactly the earlier ones."""
+    rows = _mirror_rows()
+    store = PersistentStore()
+    simulator = _mirror_simulator(
+        strategy_key, scenario=_crash_scenario(), persistent_store=store
+    )
+    crashes = _watch_crashes(simulator, store)
+    result = simulator.run(EventStream.from_rows(rows, chunk_size=_MIRROR_CHUNK))
+
+    writes = _written(rows)
+    assert _wal_sequence(store) == writes
+    assert result.writes_executed == len(writes)
+    assert [now for now, _ in crashes] == [_MIRROR_CRASH] * 2
+    for now, logged in crashes:
+        assert logged == sum(1 for _, timestamp in writes if timestamp < now)
+    store.verify_integrity()
+
+
+@pytest.mark.parametrize("strategy_key", ["spar", "random"])
+def test_partitioned_wal_holds_the_owned_writes(strategy_key):
+    """shards=2: each worker's WAL is its owned slice of the write
+    subsequence (DynaSoRe is not ``shard_requests_pure``: sharded runs of it
+    replay replicated, through the single-process loop tested above)."""
+    rows = _mirror_rows()
+    assignment = assign_user_shards(parity_graph(users=_MIRROR_USERS), 2)
+    owner_map = _build_owner_map(parity_graph(users=_MIRROR_USERS), assignment)
+    logged = 0
+    for shard_id in range(2):
+        store = PersistentStore()
+        simulator = _mirror_simulator(
+            strategy_key,
+            scenario=_crash_scenario(),
+            persistent_store=store,
+            shard_context=ShardContext(
+                shard_id=shard_id, shards=2, partitioned=True, owner_map=owner_map
+            ),
+        )
+        crashes = _watch_crashes(simulator, store)
+        simulator.run(EventStream.from_rows(rows, chunk_size=_MIRROR_CHUNK))
+        owned = _written(rows, owned=lambda user: owner_map[user] == shard_id)
+        assert owned and _wal_sequence(store) == owned
+        for now, seen in crashes:
+            assert seen == sum(1 for _, timestamp in owned if timestamp < now)
+        logged += len(owned)
+    assert logged == len(_written(rows))
+
+
+def test_store_appearing_mid_run_mirrors_only_later_writes():
+    """No crash is staged, so no store exists at t=0; a pre-tick hook crashes
+    a server at the third tick and recovery creates the store.  Both replay
+    loops log exactly the writes that follow."""
+    rows = _mirror_rows()
+    crash_tick = 3 * HOUR
+
+    def run(batch: bool):
+        simulator = _mirror_simulator(
+            "random",
+            config=SimulationConfig(extra_memory_pct=60.0, seed=7, batch_replay=batch),
+        )
+
+        def crash(now):
+            if now == crash_tick:
+                simulator.crash_server(0, now)
+
+        simulator.add_pre_tick_hook(crash)
+        assert simulator.persistent_store is None
+        simulator.run(EventStream.from_rows(rows, chunk_size=_MIRROR_CHUNK))
+        return _wal_sequence(simulator.persistent_store)
+
+    later = [write for write in _written(rows) if write[1] >= crash_tick]
+    assert 0 < len(later) < len(_written(rows))
+    assert run(batch=True) == later
+    assert run(batch=False) == later
+
+
+@pytest.mark.parametrize("strategy_key", ["dynasore_hmetis", "random"])
+def test_store_does_not_fragment_the_runs(strategy_key):
+    """A count, not a timing: with a store attached, only ticks, faults,
+    chunk ends and edge events may end a run — a write never does."""
+    rows = _mirror_rows()
+    stream = EventStream.from_rows(rows, chunk_size=_MIRROR_CHUNK)
+    simulator = _mirror_simulator(strategy_key, scenario=_crash_scenario())
+    strategy = simulator.strategy
+    calls = []
+    for name in ("execute_request_batch", "execute_read", "execute_write"):
+
+        def spy(*args, _original=getattr(strategy, name)):
+            calls.append(1)
+            return _original(*args)
+
+        setattr(strategy, name, spy)
+    ticks = []
+    simulator.add_pre_tick_hook(ticks.append)
+    result = simulator.run(stream)
+
+    assert simulator.persistent_store is not None
+    edges = sum(1 for kind, *_ in rows if kind == KIND_EDGE_ADD)
+    chunks = sum(1 for _ in stream.chunks())
+    bound = len(ticks) + len(result.fault_records) + chunks + edges + 1
+    assert len(calls) <= bound
+    assert bound < len(_written(rows)) // 4  # the guard can tell the two apart

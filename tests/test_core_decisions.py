@@ -4,7 +4,10 @@ proxy-placement optimisation."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import ClusterSpec
 from repro.core.migration import MigrationAction, evaluate_replica_migration
 from repro.core.proxies import ProxyDirectory, optimal_proxy_broker
 from repro.core.replication import evaluate_replica_creation
@@ -227,6 +230,74 @@ class TestReplicaMigration:
             device_of,
         )
         assert decision.action is not MigrationAction.REMOVE
+
+
+_ELISION_TOPOLOGY = TreeTopology(
+    ClusterSpec(
+        intermediate_switches=2,
+        racks_per_intermediate=2,
+        machines_per_rack=4,
+        brokers_per_rack=1,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_declined_creation_on_a_sole_replica_implies_stay(data):
+    """The fused batch kernel returns right after a declined Algorithm 2 on
+    a sole replica; this is the reference-path statement of why it may:
+    with thresholds >= 0, Algorithm 3 can only answer "stay" there."""
+    topology = _ELISION_TOPOLOGY
+    servers = [server.index for server in topology.servers]
+    replica_device = data.draw(st.sampled_from(servers), label="replica device")
+    others = [device for device in servers if device != replica_device]
+    stats = AccessStatistics()
+    reads = data.draw(
+        st.dictionaries(
+            st.sampled_from(topology.origin_regions(replica_device)),
+            st.integers(1, 40),
+            min_size=1,
+        ),
+        label="reads by origin",
+    )
+    for origin, count in reads.items():
+        stats.record_read(origin, 1.0, amount=float(count))
+    writes = data.draw(st.integers(0, 40), label="writes")
+    if writes:
+        stats.record_write(1.0, amount=float(writes))
+    replica = ViewReplica(user=1, server=0, stats=stats)
+    write_broker = data.draw(
+        st.sampled_from([broker.index for broker in topology.brokers]),
+        label="write broker",
+    )
+    candidates = [
+        (origin, servers.index(device), device)
+        for origin in reads
+        for device in data.draw(
+            st.lists(st.sampled_from(others), max_size=2), label=f"targets {origin}"
+        )
+    ]
+    thresholds = {
+        origin: data.draw(
+            st.one_of(st.just(0.0), st.floats(0.0, 60.0), st.just(float("inf"))),
+            label=f"threshold {origin}",
+        )
+        for origin in reads
+    }
+    helpers = (None, thresholds.__getitem__, servers.__getitem__)
+
+    creation = evaluate_replica_creation(
+        topology, replica, replica_device, write_broker, *helpers,
+        candidates=candidates,
+    )
+    if creation.should_replicate:
+        return
+    migration = evaluate_replica_migration(
+        topology, replica, replica_device, None, write_broker, *helpers,
+        candidates=candidates,
+    )
+    assert migration.action is MigrationAction.STAY
 
 
 class TestProxyPlacement:

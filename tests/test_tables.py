@@ -171,6 +171,21 @@ def test_check_integrity_detects_corruption():
         table.check_integrity()
 
 
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_check_integrity_detects_negative_admission_threshold(bad):
+    """Thresholds >= 0 is what lets the decision kernel skip Algorithm 3 on
+    a sole replica once Algorithm 2 declined."""
+    table = ReplicaTable(positions=2, counter_slots=4, counter_period=10.0)
+    table.allocate(1, 0)
+    table.update_admission_threshold(0, admission_fill=0.9)
+    table.check_integrity()
+    table.admission_thresholds[1] = float("inf")  # a departed server's value
+    table.check_integrity()
+    table.admission_thresholds[0] = bad
+    with pytest.raises(StorageError, match="admission threshold"):
+        table.check_integrity()
+
+
 def test_detach_keeps_statistics_until_release():
     table = ReplicaTable(positions=2, counter_slots=4, counter_period=10.0)
     slot = table.allocate(1, 0)
