@@ -1,6 +1,5 @@
 """Graph partitioning substrate (multilevel k-way and hierarchical)."""
 
-from .coarsen import CoarseGraph, coarsen_once, coarsen_to_size
 from .hierarchical import (
     HierarchicalPartitionResult,
     flat_partition_for_spec,
@@ -8,25 +7,19 @@ from .hierarchical import (
 )
 from .kway import PartitionResult, partition_kway, random_partition
 from .quality import balance_ratio, edge_cut, part_weights, validate_partition
-from .refine import rebalance_partition, refine_partition
 from .sharding import ShardAssignment, assign_user_shards
 
 __all__ = [
-    "CoarseGraph",
     "HierarchicalPartitionResult",
     "PartitionResult",
     "ShardAssignment",
     "assign_user_shards",
     "balance_ratio",
-    "coarsen_once",
-    "coarsen_to_size",
     "edge_cut",
     "flat_partition_for_spec",
     "hierarchical_partition",
     "part_weights",
     "partition_kway",
     "random_partition",
-    "rebalance_partition",
-    "refine_partition",
     "validate_partition",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..config import ClusterSpec
 from ..exceptions import PartitioningError
-from .kway import PartitionResult, partition_kway
+from .kway import PartitionResult, index_rows, partition_indexed, partition_kway
 from .quality import balance_ratio, edge_cut
 
 
@@ -38,16 +38,6 @@ class HierarchicalPartitionResult:
     balance: float
 
 
-def _restrict_adjacency(
-    adjacency: Mapping[int, Mapping[int, int]], nodes: set[int]
-) -> dict[int, dict[int, int]]:
-    """Sub-graph induced by ``nodes`` (edges leaving the set are dropped)."""
-    return {
-        node: {n: w for n, w in adjacency[node].items() if n in nodes}
-        for node in nodes
-    }
-
-
 def hierarchical_partition(
     adjacency: Mapping[int, Mapping[int, int]],
     spec: ClusterSpec,
@@ -58,7 +48,9 @@ def hierarchical_partition(
 
     Level 1 splits the graph across intermediate switches, level 2 splits
     each of those parts across the racks of the switch, level 3 splits each
-    rack part across the rack's servers.
+    rack part across the rack's servers.  Every sub-graph is indexed straight
+    from the node set of its part; only the final assignment is measured
+    (edge cut, balance) and checked for coverage.
     """
     nodes = set(adjacency)
     if not nodes:
@@ -71,11 +63,12 @@ def hierarchical_partition(
             balance=1.0,
         )
 
+    def split(part_nodes: set[int] | None, parts: int, part_seed: int) -> dict[int, int]:
+        ids, rows = index_rows(adjacency, part_nodes)
+        return partition_indexed(ids, rows, None, parts, part_seed, balance_tolerance)[0]
+
     rng = random.Random(seed)
-    top = partition_kway(
-        adjacency, spec.intermediate_switches, seed=seed, balance_tolerance=balance_tolerance
-    )
-    intermediate_assignment = dict(top.assignment)
+    intermediate_assignment = split(None, spec.intermediate_switches, seed)
     rack_assignment: dict[int, int] = {}
     server_assignment: dict[int, int] = {}
 
@@ -83,28 +76,16 @@ def hierarchical_partition(
         inter_nodes = {n for n, p in intermediate_assignment.items() if p == inter_index}
         if not inter_nodes:
             continue
-        inter_adjacency = _restrict_adjacency(adjacency, inter_nodes)
-        racks = partition_kway(
-            inter_adjacency,
-            spec.racks_per_intermediate,
-            seed=rng.randrange(1 << 30),
-            balance_tolerance=balance_tolerance,
-        )
+        racks = split(inter_nodes, spec.racks_per_intermediate, rng.randrange(1 << 30))
         for rack_index in range(spec.racks_per_intermediate):
             global_rack = inter_index * spec.racks_per_intermediate + rack_index
-            rack_nodes = {n for n, p in racks.assignment.items() if p == rack_index}
+            rack_nodes = {n for n, p in racks.items() if p == rack_index}
             for node in rack_nodes:
                 rack_assignment[node] = global_rack
             if not rack_nodes:
                 continue
-            rack_adjacency = _restrict_adjacency(adjacency, rack_nodes)
-            servers = partition_kway(
-                rack_adjacency,
-                spec.servers_per_rack,
-                seed=rng.randrange(1 << 30),
-                balance_tolerance=balance_tolerance,
-            )
-            for node, server_index in servers.assignment.items():
+            servers = split(rack_nodes, spec.servers_per_rack, rng.randrange(1 << 30))
+            for node, server_index in servers.items():
                 server_assignment[node] = global_rack * spec.servers_per_rack + server_index
 
     if set(server_assignment) != nodes:

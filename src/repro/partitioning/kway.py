@@ -14,13 +14,18 @@ scratch:
 The result is a balanced partition with a low edge cut — exactly what the
 baseline needs (absolute METIS parity is not required; the baseline's role in
 the paper is "a good static, locality-aware placement").
+
+All three phases run in *index space*: one relabelling pass
+(:func:`index_rows`) turns ``node -> {neighbour -> weight}`` into a list of
+rows keyed by position, and from there assignments, node weights and
+matchings are plain lists.  Node ids reappear only in the returned dict.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from ..exceptions import PartitioningError
 from .coarsen import coarsen_to_size
@@ -116,6 +121,108 @@ def _greedy_initial_partition(
     return assignment
 
 
+def index_rows(
+    adjacency: Mapping[int, Mapping[int, int]], nodes: Iterable[int] | None = None
+) -> tuple[list[int], list[dict[int, int]]]:
+    """The relabelling pass: ``(ids, rows)`` with ``rows[i]`` the neighbour
+    row of ``ids[i]`` keyed by *position* instead of node id.
+
+    Positions follow adjacency order and every row keeps its neighbour order,
+    so nothing downstream can tell the relabelling happened.  With ``nodes``
+    the result is the sub-graph they induce, in their iteration order (edges
+    leaving the set are dropped); without, the whole graph is indexed and
+    checked — a neighbour that is not itself a node, or an edge weight
+    that is not positive, fails here rather than deep inside a kernel.
+    """
+    if nodes is not None:
+        ids = list(nodes)
+        index_of = {node: index for index, node in enumerate(ids)}
+        return ids, [
+            {index_of[n]: w for n, w in adjacency[node].items() if n in index_of}
+            for node in ids
+        ]
+    ids = list(adjacency)
+    index_of = {node: index for index, node in enumerate(ids)}
+    rows: list[dict[int, int]] = []
+    for node, neighbours in adjacency.items():
+        try:
+            rows.append({index_of[n]: w for n, w in neighbours.items()})
+        except KeyError as error:
+            raise PartitioningError(
+                f"node {node} lists neighbour {error.args[0]}, which is not a node of the graph"
+            ) from None
+        if neighbours and min(neighbours.values()) <= 0:
+            raise PartitioningError(f"node {node} has an edge of non-positive weight")
+    return ids, rows
+
+
+def partition_indexed(
+    ids: list[int],
+    rows: list[dict[int, int]],
+    weights: list[float] | None,
+    parts: int,
+    seed: int,
+    balance_tolerance: float = 1.05,
+    refinement_passes: int = 4,
+) -> tuple[dict[int, int], int]:
+    """Multilevel k-way partition of an indexed graph (see :func:`index_rows`).
+
+    Returns the ``node id -> part`` assignment — in the order initial
+    placement will iterate it — and the number of gain evaluations the
+    refinement kernels performed.  ``weights`` of ``None`` means one per node.
+    """
+    if parts == 1:
+        # A set built from a dict, not from the list: iteration order of a
+        # set depends on how its table was sized.
+        return {node: 0 for node in set(dict.fromkeys(ids))}, 0
+    if parts >= len(ids):
+        # Degenerate case: at most one node per part.
+        return {node: i % parts for i, node in enumerate(sorted(ids))}, 0
+
+    rng = random.Random(seed)
+    # 1. Coarsening (weight-conserving: contracted nodes sum their weights).
+    coarsen_target = max(parts * 8, 64)
+    if weights is None:
+        weights = [1] * len(ids)
+        max_node_weight: float = max(1, len(ids) // (coarsen_target // 2))
+    else:
+        max_node_weight = max(max(weights), sum(weights) / (coarsen_target // 2))
+    levels = coarsen_to_size(rows, weights, coarsen_target, rng, max_node_weight)
+
+    graphs = [(rows, weights), *((level.rows, level.weights) for level in levels)]
+
+    # 2. Initial partitioning on the coarsest graph, under the labels the
+    # graph carries there: coarse ids, or node ids when nothing coarsened.
+    top_rows, top_weights = graphs[-1]
+    labels: Sequence[int] = range(len(top_rows)) if levels else ids
+    seeded = _greedy_initial_partition(
+        {labels[i]: {labels[n]: w for n, w in row.items()} for i, row in enumerate(top_rows)},
+        dict(zip(labels, top_weights)),
+        parts,
+        rng,
+    )
+    index_of = {label: index for index, label in enumerate(labels)}
+    order = [index_of[label] for label in seeded]
+    part = [0] * len(top_rows)
+    for index, target in zip(order, seeded.values()):
+        part[index] = target
+
+    # 3. Refinement there, then uncoarsening with refinement at every level.
+    evaluations = 0
+    for depth in range(len(levels), -1, -1):
+        if depth < len(levels):
+            part = [part[coarse] for coarse in levels[depth].fine_to_coarse]
+            order = levels[depth].fine_order
+        level_rows, level_weights = graphs[depth]
+        limit = (sum(level_weights) / parts) * balance_tolerance
+        evaluations += refine_partition(
+            level_rows, part, order, parts, level_weights, limit, refinement_passes
+        )
+
+    rebalance_partition(rows, part, order, parts, weights, balance_tolerance)
+    return {ids[index]: part[index] for index in order}, evaluations
+
+
 def partition_kway(
     adjacency: Mapping[int, Mapping[int, int]],
     parts: int,
@@ -130,7 +237,9 @@ def partition_kway(
     ----------
     adjacency:
         Symmetric adjacency mapping ``node -> {neighbour -> weight}``.  Every
-        node must appear as a key (isolated nodes map to an empty dict).
+        node must appear as a key (isolated nodes map to an empty dict) and
+        every edge weight must be positive; :class:`PartitioningError`
+        otherwise.
     parts:
         Number of parts (servers, racks, or intermediate-switch sub-trees).
     seed:
@@ -150,97 +259,21 @@ def partition_kway(
     """
     if parts < 1:
         raise PartitioningError("parts must be at least 1")
-    nodes = set(adjacency)
+    ids, rows = index_rows(adjacency)
     if node_weights is not None:
-        weights = {node: node_weights.get(node, 1) for node in adjacency}
-        total = sum(weights.values())
-        if total <= 0 or any(weight < 0 for weight in weights.values()):
+        node_weights = {node: node_weights.get(node, 1) for node in ids}
+        if sum(node_weights.values()) <= 0 or min(node_weights.values()) < 0:
             node_weights = None
-        else:
-            node_weights = weights
-    if not nodes:
-        return PartitionResult(assignment={}, parts=parts, edge_cut=0, balance=1.0)
-    if parts == 1:
-        assignment = {node: 0 for node in nodes}
-        return PartitionResult(assignment=assignment, parts=1, edge_cut=0, balance=1.0)
-    if parts >= len(nodes):
-        # Degenerate case: at most one node per part.
-        assignment = {node: i % parts for i, node in enumerate(sorted(nodes))}
-        return PartitionResult(
-            assignment=assignment,
-            parts=parts,
-            edge_cut=edge_cut(adjacency, assignment),
-            balance=balance_ratio(assignment, parts, node_weights),
-        )
-
-    rng = random.Random(seed)
-    mutable_adjacency = {node: dict(neighbours) for node, neighbours in adjacency.items()}
-
-    # 1. Coarsening (weight-conserving: contracted nodes sum their weights).
-    coarsen_target = max(parts * 8, 64)
-    levels = coarsen_to_size(
-        mutable_adjacency, coarsen_target, rng, node_weights=node_weights
-    )
-
-    finest_weights: Mapping[int, float] = (
-        node_weights
-        if node_weights is not None
-        else {node: 1 for node in mutable_adjacency}
-    )
-    if levels:
-        coarsest = levels[-1]
-        coarse_adjacency: Mapping[int, Mapping[int, int]] = coarsest.adjacency
-        coarse_weights: Mapping[int, float] = coarsest.node_weights
-    else:
-        coarse_adjacency = mutable_adjacency
-        coarse_weights = finest_weights
-
-    # 2. Initial partitioning on the coarsest graph.
-    assignment = _greedy_initial_partition(coarse_adjacency, coarse_weights, parts, rng)
-    total_weight = sum(coarse_weights.values())
-    max_part_weight = (total_weight / parts) * balance_tolerance
-    refine_partition(
-        coarse_adjacency,
-        assignment,
+    assignment, _ = partition_indexed(
+        ids,
+        rows,
+        None if node_weights is None else list(node_weights.values()),
         parts,
-        node_weights=coarse_weights,
-        max_part_weight=max_part_weight,
-        passes=refinement_passes,
+        seed,
+        balance_tolerance,
+        refinement_passes,
     )
-
-    # 3. Uncoarsening with refinement at every level.
-    for level_index in range(len(levels) - 1, -1, -1):
-        level = levels[level_index]
-        finer_assignment = {
-            fine: assignment[coarse] for fine, coarse in level.fine_to_coarse.items()
-        }
-        if level_index == 0:
-            finer_adjacency: Mapping[int, Mapping[int, int]] = mutable_adjacency
-            finer_weights = finest_weights
-        else:
-            finer = levels[level_index - 1]
-            finer_adjacency = finer.adjacency
-            finer_weights = finer.node_weights
-        finer_total = sum(finer_weights.values())
-        finer_limit = (finer_total / parts) * balance_tolerance
-        refine_partition(
-            finer_adjacency,
-            finer_assignment,
-            parts,
-            node_weights=finer_weights,
-            max_part_weight=finer_limit,
-            passes=refinement_passes,
-        )
-        assignment = finer_assignment
-
-    rebalance_partition(
-        mutable_adjacency,
-        assignment,
-        parts,
-        node_weights=node_weights,
-        tolerance=balance_tolerance,
-    )
-    validate_partition(assignment, nodes, parts)
+    validate_partition(assignment, set(ids), parts)
     return PartitionResult(
         assignment=assignment,
         parts=parts,

@@ -5,134 +5,140 @@ level), greedy passes move boundary nodes to the neighbouring part that
 maximises the edge-cut gain while respecting the balance constraint.  This is
 the same refinement family METIS uses; a handful of passes is enough to reach
 good cuts on social graphs.
+
+Both kernels work in *index space* (see :mod:`repro.partitioning.kway`):
+``rows[i]`` is node ``i``'s weighted neighbour row, ``part[i]`` its current
+part, ``weights[i]`` its weight.  ``order`` is the order in which the level's
+assignment was built; part weights are summed in that order because float
+node weights make the sum order-dependent and the result must not be.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Sequence
 
 
 def refine_partition(
-    adjacency: Mapping[int, Mapping[int, int]],
-    assignment: dict[int, int],
+    rows: Sequence[dict[int, int]],
+    part: list[int],
+    order: Sequence[int],
     parts: int,
-    node_weights: Mapping[int, float] | None = None,
-    max_part_weight: float | None = None,
+    weights: Sequence[float],
+    max_part_weight: float,
     passes: int = 4,
-) -> dict[int, int]:
-    """Improve ``assignment`` in place with greedy boundary moves.
+) -> int:
+    """Improve ``part`` in place with greedy boundary moves.
 
-    Parameters
-    ----------
-    adjacency:
-        Symmetric weighted adjacency.
-    assignment:
-        Current node → part mapping (modified in place and returned).
-    parts:
-        Number of parts.
-    node_weights:
-        Optional node weights — vertex counts on coarse graphs, or
-        fractional activity rates (defaults to 1 per node).  The balance
-        constraint below is enforced on this weight, so a gain-positive
-        move is rejected when it would overload the target part's
-        *weighted* mass.
-    max_part_weight:
-        Upper bound on the weight of any part after a move.  Defaults to 5%
-        above the perfectly balanced weight.
-    passes:
-        Maximum number of sweeps over the boundary nodes.
+    Every pass visits nodes in index order and moves a node to the part that
+    maximises ``external - internal`` connectivity (first part seen in
+    neighbour order wins ties) unless the move would push the target above
+    ``max_part_weight``.  Returns the number of gain evaluations performed.
+
+    The sweep is an exact *worklist*: after the first pass a node is
+    evaluated again only if (a) a neighbour moved since its last evaluation,
+    (b) it moved itself, or (c) a positive-gain target was refused by the
+    balance limit.  A node's gains depend only on its own and its
+    neighbours' parts, not on part weights; so for any other node the
+    evaluation would find the same non-positive gains as last time and move
+    nothing, and since an evaluation that moves nothing has no side effect,
+    skipping it leaves moves, their order and the ``moved`` counts unchanged.
     """
-    weights = node_weights or {node: 1 for node in adjacency}
     part_weight = [0.0] * parts
-    for node, part in assignment.items():
-        part_weight[part] += weights[node]
-    total_weight = sum(part_weight)
-    if max_part_weight is None:
-        max_part_weight = (total_weight / parts) * 1.05 if parts else total_weight
-
+    for node in order:
+        part_weight[part[node]] += weights[node]
+    dirty = bytearray(b"\x01") * len(rows)
+    evaluations = 0
     for _ in range(passes):
         moved = 0
-        for node, neighbours in adjacency.items():
-            current = assignment[node]
-            if not neighbours:
-                continue
-            # Connectivity of the node towards each part it touches.
-            connectivity: dict[int, int] = {}
-            for neighbour, weight in neighbours.items():
-                part = assignment[neighbour]
-                connectivity[part] = connectivity.get(part, 0) + weight
-            internal = connectivity.get(current, 0)
-            best_part = current
-            best_gain = 0
-            for part, external in connectivity.items():
-                if part == current:
-                    continue
-                gain = external - internal
-                if gain <= best_gain:
-                    continue
-                if part_weight[part] + weights[node] > max_part_weight:
-                    continue
-                best_part = part
-                best_gain = gain
-            if best_part != current:
-                assignment[node] = best_part
-                part_weight[current] -= weights[node]
-                part_weight[best_part] += weights[node]
-                moved += 1
+        node = dirty.find(1)
+        while node >= 0:
+            dirty[node] = 0
+            neighbours = rows[node]
+            if neighbours:
+                evaluations += 1
+                current = part[node]
+                # Connectivity of the node towards each part it touches.
+                connectivity: dict[int, int] = {}
+                for neighbour, weight in neighbours.items():
+                    target = part[neighbour]
+                    connectivity[target] = connectivity.get(target, 0) + weight
+                internal = connectivity.get(current, 0)
+                best_part = current
+                best_gain = 0
+                refused = False
+                for target, external in connectivity.items():
+                    gain = external - internal
+                    if gain <= best_gain:  # the current part's gain is 0
+                        continue
+                    if part_weight[target] + weights[node] > max_part_weight:
+                        refused = True
+                        continue
+                    best_part = target
+                    best_gain = gain
+                if best_part != current:
+                    part[node] = best_part
+                    part_weight[current] -= weights[node]
+                    part_weight[best_part] += weights[node]
+                    moved += 1
+                    dirty[node] = 1  # (b)
+                    for neighbour in neighbours:
+                        dirty[neighbour] = 1  # (a)
+                elif refused:
+                    dirty[node] = 1  # (c)
+            node = dirty.find(1, node + 1)
         if moved == 0:
             break
-    return assignment
+    return evaluations
 
 
 def rebalance_partition(
-    adjacency: Mapping[int, Mapping[int, int]],
-    assignment: dict[int, int],
+    rows: Sequence[dict[int, int]],
+    part: list[int],
+    order: Sequence[int],
     parts: int,
-    node_weights: Mapping[int, float] | None = None,
+    weights: Sequence[float],
     tolerance: float = 1.05,
-) -> dict[int, int]:
+) -> None:
     """Move nodes out of overweight parts until every part fits the tolerance.
 
     Nodes with the least connectivity to their current part are moved first,
     into the lightest part, so the edge cut suffers as little as possible.
-    The tolerance bounds *weighted* part mass when ``node_weights`` is
-    given; each finishing part lands at or below the limit, and a part a
-    move lands in can exceed it by at most one node's weight — so the final
-    heaviest part is bounded by ``ideal·tolerance + max(node weight)``.
+    The tolerance bounds *weighted* part mass; each finishing part lands at
+    or below the limit, and a part a move lands in can exceed it by at most
+    one node's weight — so the final heaviest part is bounded by
+    ``ideal·tolerance + max(node weight)``.
     """
-    weights = node_weights or {node: 1 for node in adjacency}
     part_weight = [0.0] * parts
     members: list[list[int]] = [[] for _ in range(parts)]
-    for node, part in assignment.items():
-        part_weight[part] += weights[node]
-        members[part].append(node)
+    for node in order:
+        part_weight[part[node]] += weights[node]
+        members[part[node]].append(node)
     total_weight = sum(part_weight)
     if parts == 0 or total_weight == 0:
-        return assignment
+        return
     limit = (total_weight / parts) * tolerance
 
-    for part in range(parts):
-        if part_weight[part] <= limit:
+    for source in range(parts):
+        if part_weight[source] <= limit:
             continue
+
         # Sort members by how weakly they are connected to this part.
         def internal_connectivity(node: int) -> int:
             return sum(
                 weight
-                for neighbour, weight in adjacency[node].items()
-                if assignment[neighbour] == part
+                for neighbour, weight in rows[node].items()
+                if part[neighbour] == source
             )
 
-        candidates = sorted(members[part], key=internal_connectivity)
-        for node in candidates:
-            if part_weight[part] <= limit:
+        for node in sorted(members[source], key=internal_connectivity):
+            if part_weight[source] <= limit:
                 break
-            target = min(range(parts), key=lambda p: part_weight[p])
-            if target == part:
+            target = min(range(parts), key=part_weight.__getitem__)
+            if target == source:
                 break
-            assignment[node] = target
-            part_weight[part] -= weights[node]
+            part[node] = target
+            part_weight[source] -= weights[node]
             part_weight[target] += weights[node]
-    return assignment
 
 
 __all__ = ["rebalance_partition", "refine_partition"]

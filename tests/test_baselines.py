@@ -8,10 +8,15 @@ from repro.baselines.hmetis_placement import HierarchicalMetisPlacement
 from repro.baselines.metis_placement import MetisPlacement
 from repro.baselines.random_placement import RandomPlacement
 from repro.baselines.spar import SparPlacement
+from repro.config import ClusterSpec, SimulationConfig
 from repro.exceptions import SimulationError
 from repro.partitioning.quality import edge_cut
+from repro.simulator.engine import ClusterSimulator
+from repro.socialgraph.generators import facebook_like, livejournal_like, twitter_like
 from repro.store.memory import MemoryBudget
+from repro.topology.tree import TreeTopology
 from repro.traffic.accounting import TrafficAccountant
+from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
 def bind_strategy(strategy, topology, graph, extra_memory_pct=30.0, seed=3):
@@ -104,6 +109,36 @@ class TestStaticBaselines:
             view_device = next(iter(strategy.replica_locations()[user]))
             broker = strategy.proxy_broker(user)
             assert tree_topology.rack_of(broker) == tree_topology.rack_of(view_device)
+
+
+class TestPaperPartitioningClaim:
+    """Paper section 4.1: on the tree topology the hierarchical partitioning
+    keeps friends that could not share a server under one sub-tree, so
+    top-switch traffic orders hMETIS < METIS < Random.  This checks the
+    partitioner's *quality* against the paper, not against an earlier
+    commit (``tests/golden_partitions.json`` does that)."""
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize("generator", [twitter_like, facebook_like, livejournal_like])
+    def test_top_switch_traffic_orders_hmetis_metis_random(self, generator, seed):
+        spec = ClusterSpec(
+            intermediate_switches=4, racks_per_intermediate=2, machines_per_rack=4
+        )
+        graph = generator(users=800, seed=seed)
+        log = SyntheticWorkloadGenerator(
+            graph, SyntheticWorkloadConfig(days=0.5, seed=seed)
+        ).generate()
+        traffic = []
+        for strategy_class in (HierarchicalMetisPlacement, MetisPlacement, RandomPlacement):
+            simulator = ClusterSimulator(
+                TreeTopology(spec),
+                graph.copy(),
+                strategy_class(seed=seed),
+                SimulationConfig(extra_memory_pct=0.0, seed=seed),
+            )
+            traffic.append(simulator.run(log).top_switch_traffic)
+        hmetis, metis, random_placement = traffic
+        assert hmetis < metis < random_placement
 
 
 class TestSpar:

@@ -5,15 +5,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ClusterSpec
 from repro.exceptions import PartitioningError
+from repro.partitioning import kway
 from repro.partitioning.coarsen import coarsen_once, coarsen_to_size
 from repro.partitioning.hierarchical import hierarchical_partition
-from repro.partitioning.kway import partition_kway, random_partition
+from repro.partitioning.kway import (
+    index_rows,
+    partition_indexed,
+    partition_kway,
+    random_partition,
+)
 from repro.partitioning.quality import balance_ratio, edge_cut, part_weights, validate_partition
 from repro.partitioning.refine import rebalance_partition, refine_partition
-from repro.socialgraph.generators import facebook_like
+from repro.socialgraph.generators import facebook_like, livejournal_like
 
 
 def two_cliques(size: int = 8) -> dict[int, dict[int, int]]:
@@ -59,56 +67,206 @@ class TestQuality:
             validate_partition({1: 5}, {1}, parts=2)
 
 
+def indexed(adjacency):
+    """Index-space rows of a test graph plus unit weights and identity order."""
+    _, rows = index_rows(adjacency)
+    return rows, [1] * len(rows), list(range(len(rows)))
+
+
 class TestCoarsening:
     def test_coarsen_once_halves_clique(self):
-        adjacency = two_cliques(8)
-        weights = {node: 1 for node in adjacency}
-        coarse = coarsen_once(adjacency, weights, random.Random(1))
-        assert coarse.num_nodes < len(adjacency)
-        assert sum(coarse.node_weights.values()) == len(adjacency)
+        rows, weights, _ = indexed(two_cliques(8))
+        coarse = coarsen_once(rows, weights, random.Random(1), max_node_weight=16)
+        assert len(coarse.rows) < len(rows)
+        assert sum(coarse.weights) == len(rows)
 
     def test_coarsen_preserves_total_weight(self):
         graph = facebook_like(users=200, seed=5)
-        adjacency = graph.undirected_adjacency()
-        levels = coarsen_to_size(adjacency, target_size=50, rng=random.Random(2))
+        rows, weights, _ = indexed(graph.undirected_adjacency())
+        levels = coarsen_to_size(rows, weights, 50, random.Random(2), max_node_weight=8)
         for level in levels:
-            assert sum(level.node_weights.values()) == 200
+            assert sum(level.weights) == 200
 
     def test_coarsen_to_size_reaches_target_or_stalls(self):
         graph = facebook_like(users=300, seed=6)
-        adjacency = graph.undirected_adjacency()
-        levels = coarsen_to_size(adjacency, target_size=60, rng=random.Random(3))
+        rows, weights, _ = indexed(graph.undirected_adjacency())
+        levels = coarsen_to_size(rows, weights, 60, random.Random(3), max_node_weight=10)
         assert levels, "at least one coarsening level expected"
-        assert levels[-1].num_nodes < 300
+        assert len(levels[-1].rows) < 300
 
     def test_fine_to_coarse_covers_all_nodes(self):
-        adjacency = two_cliques(10)
-        weights = {node: 1 for node in adjacency}
-        coarse = coarsen_once(adjacency, weights, random.Random(4))
-        assert set(coarse.fine_to_coarse) == set(adjacency)
+        rows, weights, _ = indexed(two_cliques(10))
+        coarse = coarsen_once(rows, weights, random.Random(4), max_node_weight=20)
+        assert sorted(coarse.fine_order) == list(range(len(rows)))
+        assert all(0 <= c < len(coarse.rows) for c in coarse.fine_to_coarse)
+        # Matching order: a representative, then its partner, share an id.
+        assert [coarse.fine_to_coarse[fine] for fine in coarse.fine_order] == sorted(
+            coarse.fine_to_coarse
+        )
+
+    def test_float_node_weights_survive_coarsening(self):
+        rows, _, _ = indexed(two_cliques(6))
+        weights = [0.5 + 0.25 * node for node in range(len(rows))]
+        coarse = coarsen_once(rows, weights, random.Random(1), max_node_weight=100.0)
+        assert sum(coarse.weights) == pytest.approx(sum(weights))
+        assert any(isinstance(weight, float) for weight in coarse.weights)
 
 
 class TestRefinement:
     def test_refine_improves_bad_partition(self):
         adjacency = two_cliques(8)
-        assignment = {node: node % 2 for node in adjacency}
-        before = edge_cut(adjacency, assignment)
-        refine_partition(adjacency, assignment, parts=2)
-        after = edge_cut(adjacency, assignment)
+        rows, weights, order = indexed(adjacency)
+        part = [node % 2 for node in order]
+        before = edge_cut(adjacency, dict(enumerate(part)))
+        refine_partition(rows, part, order, 2, weights, max_part_weight=8 * 1.05)
+        after = edge_cut(adjacency, dict(enumerate(part)))
         assert after <= before
 
     def test_refine_respects_balance(self):
-        adjacency = two_cliques(8)
-        assignment = {node: node % 2 for node in adjacency}
-        refine_partition(adjacency, assignment, parts=2, max_part_weight=9)
-        weights = part_weights(assignment, 2)
-        assert max(weights) <= 9
+        rows, weights, order = indexed(two_cliques(8))
+        part = [node % 2 for node in order]
+        refine_partition(rows, part, order, 2, weights, max_part_weight=9)
+        assert max(part.count(0), part.count(1)) <= 9
 
     def test_rebalance_fixes_overweight_part(self):
-        adjacency = two_cliques(8)
-        assignment = {node: 0 for node in adjacency}
-        rebalance_partition(adjacency, assignment, parts=2, tolerance=1.1)
-        assert balance_ratio(assignment, 2) <= 1.15
+        rows, weights, order = indexed(two_cliques(8))
+        part = [0] * len(rows)
+        rebalance_partition(rows, part, order, 2, weights, tolerance=1.1)
+        assert balance_ratio(dict(enumerate(part)), 2) <= 1.15
+
+
+def reference_refine(adjacency, assignment, parts, node_weights, max_part_weight, passes):
+    """The full-sweep refinement the worklist kernel replaced, verbatim but
+    for the evaluation counter: every pass re-evaluates every node."""
+    weights = node_weights
+    part_weight = [0.0] * parts
+    for node, part in assignment.items():
+        part_weight[part] += weights[node]
+    evaluations = 0
+    for _ in range(passes):
+        moved = 0
+        for node, neighbours in adjacency.items():
+            current = assignment[node]
+            if not neighbours:
+                continue
+            evaluations += 1
+            # Connectivity of the node towards each part it touches.
+            connectivity: dict[int, int] = {}
+            for neighbour, weight in neighbours.items():
+                part = assignment[neighbour]
+                connectivity[part] = connectivity.get(part, 0) + weight
+            internal = connectivity.get(current, 0)
+            best_part = current
+            best_gain = 0
+            for part, external in connectivity.items():
+                if part == current:
+                    continue
+                gain = external - internal
+                if gain <= best_gain:
+                    continue
+                if part_weight[part] + weights[node] > max_part_weight:
+                    continue
+                best_part = part
+                best_gain = gain
+            if best_part != current:
+                assignment[node] = best_part
+                part_weight[current] -= weights[node]
+                part_weight[best_part] += weights[node]
+                moved += 1
+        if moved == 0:
+            break
+    return evaluations
+
+
+def full_sweep_refine(rows, part, order, parts, weights, max_part_weight, passes=4):
+    """``reference_refine`` behind the index-space kernel's signature."""
+    assignment = {node: part[node] for node in order}
+    evaluations = reference_refine(
+        dict(enumerate(rows)),
+        assignment,
+        parts,
+        dict(enumerate(weights)),
+        max_part_weight,
+        passes,
+    )
+    for node, target in assignment.items():
+        part[node] = target
+    return evaluations
+
+
+@st.composite
+def refinement_inputs(draw):
+    size = draw(st.integers(min_value=4, max_value=28))
+    adjacency: dict[int, dict[int, int]] = {node: {} for node in range(size)}
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, size - 1), st.integers(0, size - 1), st.integers(1, 5)
+            ),
+            max_size=size * 4,
+        )
+    )
+    for left, right, weight in edges:
+        if left != right:
+            adjacency[left][right] = weight
+            adjacency[right][left] = weight
+    parts = draw(st.integers(min_value=2, max_value=4))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    else:
+        weights = draw(
+            st.lists(
+                st.floats(min_value=0.01, max_value=6.0, allow_nan=False),
+                min_size=size,
+                max_size=size,
+            )
+        )
+    part = draw(st.lists(st.integers(0, parts - 1), min_size=size, max_size=size))
+    order = draw(st.permutations(range(size)))
+    # From "no part may grow" to a limit that never binds.
+    slack = draw(st.floats(min_value=0.7, max_value=1.6))
+    passes = draw(st.integers(min_value=1, max_value=4))
+    return adjacency, weights, parts, part, order, slack, passes
+
+
+@given(data=refinement_inputs())
+@settings(max_examples=300, deadline=None)
+def test_worklist_refinement_equals_full_sweep(data):
+    """The worklist kernel moves exactly what a full sweep moves — same
+    assignment after every pass budget — and never evaluates more nodes."""
+    adjacency, weights, parts, part, order, slack, passes = data
+    _, rows = index_rows(adjacency)
+    limit = max(sum(weights) / parts * slack, max(weights))
+    expected = list(part)
+    full = full_sweep_refine(rows, expected, order, parts, weights, limit, passes)
+    evaluations = refine_partition(rows, part, order, parts, weights, limit, passes)
+    assert part == expected
+    assert evaluations <= full
+
+
+def test_moved_node_is_evaluated_again():
+    """Re-queue rule (b), which random graphs rarely isolate: node 0 is
+    refused its best target (part 2 is full) and settles for part 1; node 4
+    — no neighbour of it — then leaves part 2, and the next pass must
+    look at node 0 again although none of its neighbours moved."""
+    adjacency = {0: {1: 5, 3: 3}, 1: {0: 5, 2: 9}, 2: {1: 9}, 3: {0: 3}, 4: {5: 4}, 5: {4: 4}}
+    rows, weights, order = indexed(adjacency)
+    part = [0, 2, 2, 1, 2, 0]
+    expected = list(part)
+    full_sweep_refine(rows, expected, order, 3, weights, max_part_weight=3)
+    refine_partition(rows, part, order, 3, weights, max_part_weight=3)
+    assert part == expected == [2, 2, 2, 1, 0, 0]
+
+
+def test_worklist_skips_two_fifths_of_the_full_sweep(monkeypatch):
+    """A count, not a timing: on a 2 000-user graph at 4 parts the multilevel
+    run evaluates at most 0.6 x the gains a full sweep per pass would."""
+    ids, rows = index_rows(livejournal_like(users=2000, seed=7).undirected_adjacency())
+    assignment, evaluations = partition_indexed(ids, rows, None, 4, seed=7)
+    monkeypatch.setattr(kway, "refine_partition", full_sweep_refine)
+    reference, full = partition_indexed(ids, rows, None, 4, seed=7)
+    assert list(assignment.items()) == list(reference.items())
+    assert 0 < evaluations <= 0.6 * full
 
 
 class TestKWay:
@@ -157,6 +315,33 @@ class TestKWay:
     def test_invalid_parts(self):
         with pytest.raises(PartitioningError):
             partition_kway({1: {}}, parts=0)
+
+    def test_edgeless_graph_is_spread_evenly(self):
+        result = partition_kway({node: {} for node in range(90)}, parts=3, seed=1)
+        assert sorted(part_weights(result.assignment, 3)) == [30, 30, 30]
+        assert result.edge_cut == 0
+
+    def test_single_part_and_empty_graph_report_a_perfect_partition(self):
+        for adjacency in ({}, two_cliques(4)):
+            result = partition_kway(adjacency, parts=1)
+            assert (result.edge_cut, result.balance) == (0, 1.0)
+            assert set(result.assignment) == set(adjacency)
+
+    def test_dangling_neighbour_fails_in_the_relabelling_pass(self):
+        adjacency = two_cliques(40)
+        adjacency[3][999] = 1
+        with pytest.raises(PartitioningError, match="node 3 lists neighbour 999"):
+            partition_kway(adjacency, parts=2)
+        spec = ClusterSpec(intermediate_switches=2, racks_per_intermediate=2, machines_per_rack=3)
+        with pytest.raises(PartitioningError, match="neighbour 999"):
+            hierarchical_partition(adjacency, spec)
+
+    @pytest.mark.parametrize("weight", [0, -2])
+    def test_non_positive_edge_weight_fails_in_the_relabelling_pass(self, weight):
+        adjacency = two_cliques(40)
+        adjacency[5][6] = adjacency[6][5] = weight
+        with pytest.raises(PartitioningError, match="non-positive weight"):
+            partition_kway(adjacency, parts=2)
 
     def test_random_partition_balance(self):
         result = random_partition(list(range(100)), parts=10, seed=2)
@@ -283,3 +468,16 @@ class TestHierarchical:
         )
         result = hierarchical_partition({}, spec)
         assert result.server_assignment == {}
+
+    def test_sub_part_smaller_than_its_fan_out(self):
+        """2 users on a cluster of 3-server racks: every level below the
+        first partitions fewer nodes than it has parts."""
+        spec = ClusterSpec(
+            intermediate_switches=4, racks_per_intermediate=2, machines_per_rack=4
+        )
+        result = hierarchical_partition({10: {20: 2}, 20: {10: 2}}, spec)
+        assert set(result.server_assignment) == {10, 20}
+        for node, server in result.server_assignment.items():
+            assert result.rack_assignment[node] == server // 3
+            assert result.intermediate_assignment[node] == server // 6
+        assert result.balance == pytest.approx(12.0)
