@@ -14,17 +14,15 @@ Three families of configuration live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .constants import (
     APPLICATION_MESSAGE_SIZE,
-    DAY,
     DEFAULT_ADMISSION_FILL,
     DEFAULT_COUNTER_PERIOD,
     DEFAULT_COUNTER_SLOTS,
     DEFAULT_EVICTION_THRESHOLD,
     HOUR,
-    MINUTE,
     PROTOCOL_MESSAGE_SIZE,
 )
 from .exceptions import ConfigurationError
@@ -162,14 +160,6 @@ class SimulationConfig:
     measure_from: float = 0.0
     #: Seed for every random decision taken during the simulation.
     seed: int = 7
-    #: Replay event streams through the chunk-native batched dispatch path
-    #: (homogeneous read/write runs handed to the strategy's batch kernels).
-    #: Batched and per-event replay produce byte-identical results; the
-    #: simulator automatically falls back to the per-event loop whenever
-    #: per-event observation is required (post-request hooks, tracked
-    #: views).  ``False`` forces the per-event loop — the reference path of
-    #: the parity tests and the batching benchmark.
-    batch_replay: bool = True
     #: Run the maintenance tick through the strategy's batched column sweep
     #: (fused counter rotation + utility refresh with dirty-set tracking;
     #: see ``DynaSoRe.on_tick``).  Batched and per-slot ticks produce

@@ -6,32 +6,39 @@ measured identically), applies social-graph mutations, fires the periodic
 maintenance ticks, and optionally samples the replica count of tracked views
 (the flash-event experiment).
 
-Workloads arrive in one of two shapes and replay byte-identically:
+There is **one replay loop** (:meth:`ClusterSimulator._replay`) and it is
+chunk-native: it iterates the typed-array columns of
+:class:`~repro.workload.stream.EventStream` chunks directly, constructing
+no per-event objects; this is how paper-scale runs (tens of millions of
+events) stay within a constant workload memory budget.  A
+:class:`~repro.workload.requests.RequestLog` is an *input adapter*: ``run``
+packs it into chunks with :func:`~repro.workload.stream.as_stream`, so a
+log and a stream of the same events are the same replay.
 
-* an :class:`~repro.workload.stream.EventStream` — the columnar data path.
-  The replay loop iterates the typed-array columns of each chunk directly,
-  constructing **no per-event objects**; this is how paper-scale runs
-  (tens of millions of events) stay within a constant workload memory
-  budget;
-* a :class:`~repro.workload.requests.RequestLog` — the legacy object list,
-  kept as a thin compatibility adapter for hand-built logs and older
-  callers, replayed by the original type-dispatched object loop.
+Each chunk is segmented into **runs** of requests bounded by the next fault
+and maintenance-tick timestamps and by edge-mutation events (boundaries are
+found at C speed — a timestamp bisect plus byte scans per run).  A run of
+one event is dispatched through the strategy's ``execute_read`` /
+``execute_write``, a longer one through its ``execute_request_batch``
+kernel.  Observation and durability sit *beside* that dispatch, not in a
+fork of it:
 
-Stream replay itself is **batch-first**: each chunk is segmented into
-runs of requests bounded by the next fault and maintenance-tick
-timestamps and by edge-mutation events, and whole runs are dispatched
-through the strategy's ``execute_request_batch`` kernel (run boundaries
-are found at C speed — a timestamp bisect plus byte scans per run).
-Whenever per-event observation is required — post-request hooks (even
-ones registered mid-run by a pre-tick hook), tracked views, or
-``batch_replay=False`` in the config — the simulator replays per event.
-An attached persistent store does not reshape the runs: it is a
-durability layer beside the decision layer, so the writes of each run are
-logged into it in stream order just before the run is dispatched
-(:func:`_mirror_writes`).  Both dispatch shapes drive the identical
-sequence of strategy state transitions and leave the identical store
-wherever anything can read it, so batched and per-event replay produce
-byte-identical results.
+* **the run-length rule** — where a run starts, if any post-request hook or
+  tracked view is registered *at that moment* (including ones a pre-tick
+  hook registered mid-run), the run is cut to one event: tracked views are
+  sampled and their reads counted, and the hooks fire after the event (edge
+  events included).  An observed run therefore drives the per-event strategy
+  methods and an unobserved one the batch kernels; both drive the identical
+  sequence of strategy state transitions, so the results are byte-identical
+  (pinned by ``tests/golden_digests.json``);
+* **the durability mirror** — an attached persistent store does not reshape
+  the runs: the writes of each run are logged into it in stream order just
+  before the run is dispatched (:func:`_mirror_writes`), which leaves the
+  identical store wherever anything can read it;
+* **partitioned shard replay** — the same loop with a per-chunk ownership
+  selector (:func:`_owned_selector`): fully-owned runs take the common
+  dispatch, partly-owned runs are gathered down to the owned events, and
+  edge events owned elsewhere are applied with the accountant muted.
 
 On top of the benign replay the simulator hosts the *scenario* layer
 (:mod:`repro.scenarios`): an attached scenario may reshape the workload
@@ -67,13 +74,14 @@ from ..socialgraph.graph import SocialGraph
 from ..store.memory import MemoryBudget
 from ..topology.base import ClusterTopology
 from ..traffic.accounting import TrafficAccountant
-from ..workload.requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, RequestLog, WriteRequest
+from ..workload.requests import Request, RequestLog
 from ..workload.stream import (
     EventStream,
     KIND_EDGE_ADD,
     KIND_EDGE_REMOVE,
     KIND_READ,
     KIND_WRITE,
+    as_stream,
     request_run_end,
     row_to_request,
 )
@@ -85,8 +93,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.events import FaultEvent
     from .shard import ShardContext
 
-#: Owner-map byte marking a user id outside the initial social graph.  The
-#: partitioned replay loop treats any event touching such a user as an
+#: Owner-map byte marking a user id outside the initial social graph.
+#: Partitioned replay treats any event touching such a user as an
 #: open-universe violation and falls back to replicated execution, so the
 #: sentinel bounds partitioned runs to 255 shards.
 UNOWNED = 0xFF
@@ -103,7 +111,7 @@ def _mirror_writes(
 ) -> None:
     """Log the writes of the run ``[start, end)`` into the WAL-backed store.
 
-    The durability mirror of the batched loops: writes are found with
+    The durability mirror of the replay loop: writes are found with
     ``bytes.find`` on the kind column and logged in stream order *before*
     the run is dispatched (log first, the order
     :meth:`PersistentStore.process_write` documents).  A shard ``selector``
@@ -121,6 +129,42 @@ def _mirror_writes(
         if selector is None or selector[position]:
             process_write(users[position], times[position])
         position = kinds.find(KIND_WRITE, position + 1, end)
+
+
+def _owned_selector(
+    owner_map: bytes, selector_table: bytes, kinds: bytes, users, aux
+) -> bytes:
+    """Ownership selector of one chunk (1 = owned by this shard), guarded.
+
+    Partitioned replay is exact only over a **closed user universe**: an
+    event touching a user outside the initial graph could trigger lazy
+    placement, which partitioned request streams would replay in a
+    different order.  The guard is per chunk and C-speed — unknown owners
+    surface as the :data:`UNOWNED` sentinel in the owner bytes, edge
+    endpoints are checked with ``bytes.find`` loops over the rare edge
+    kinds — and raises :class:`ShardFallbackError` *before* any event of
+    the offending chunk executes, so the coordinator can restart in
+    replicated mode from unchanged inputs.  A 256-byte ``translate`` then
+    turns the per-event owner bytes into the selector.
+    """
+    try:
+        owners = bytes(map(owner_map.__getitem__, users))
+    except IndexError:
+        raise ShardFallbackError(
+            "event references a user id beyond the initial graph"
+        ) from None
+    if owners.find(UNOWNED) != -1:
+        raise ShardFallbackError("event references a user outside the initial graph")
+    for edge_kind in (KIND_EDGE_ADD, KIND_EDGE_REMOVE):
+        position = kinds.find(edge_kind)
+        while position != -1:
+            endpoint = aux[position]
+            if not 0 <= endpoint < len(owner_map) or owner_map[endpoint] == UNOWNED:
+                raise ShardFallbackError(
+                    "edge event endpoint outside the initial graph"
+                )
+            position = kinds.find(edge_kind, position + 1)
+    return owners.translate(selector_table)
 
 
 class ClusterSimulator:
@@ -171,24 +215,16 @@ class ClusterSimulator:
         #: events so counting a read is a set-membership check instead of an
         #: O(tracked x following) scan of the reader's adjacency.
         self._tracked_followers: dict[int, set[int]] = {}
+        #: Time of the next tracked-view sample; every run restarts it from
+        #: ``tracking_period``, so setting the period before ``run`` works.
         self._next_sample: float = self.tracking_period
-        #: Request handlers keyed on the concrete request type (object-loop
-        #: hot path: one dict lookup per request instead of an isinstance
-        #: chain).
-        self._dispatch: dict[type, Callable[[Request], None]] = {
-            ReadRequest: self._apply_read,
-            WriteRequest: self._apply_write,
-            EdgeAdded: self._apply_edge_added,
-            EdgeRemoved: self._apply_edge_removed,
-        }
         self._reads_executed = 0
         self._writes_executed = 0
         #: Sharded-replay context (``repro.simulator.shard``): ownership map
         #: for partitioned request execution plus the worker's heartbeat.
         self._shard_context = shard_context
-        #: Per-chunk progress callback ``(events_done, sim_time)`` — served
-        #: by both the batched and the partitioned loop, so replicated-mode
-        #: shard workers report liveness through the standard path too.
+        #: Per-chunk progress callback ``(events_done, sim_time)``, so
+        #: replicated-mode shard workers report liveness like partitioned ones.
         self._chunk_callback = (
             shard_context.heartbeat if shard_context is not None else None
         )
@@ -248,11 +284,11 @@ class ClusterSimulator:
         self._pre_tick_hooks.append(hook)
 
     def add_post_request_hook(self, hook: Callable[[Request], None]) -> None:
-        """Run ``hook(request)`` after every executed request.
+        """Run ``hook(request)`` after every executed event (edges included).
 
-        On the columnar path the request object is constructed on demand
-        (only when at least one hook is registered), so instrumented runs
-        see the same objects the legacy path replays.
+        The request object is constructed on demand from the event's columns
+        (only while at least one hook is registered); while any hook is
+        registered the replay dispatches event by event.
         """
         self._post_request_hooks.append(hook)
 
@@ -332,257 +368,72 @@ class ClusterSimulator:
         workload, then its fault events are applied at their timestamps,
         interleaved with the events and maintenance ticks.
 
-        Both workload shapes drive the identical sequence of strategy,
-        store and hook calls, so streaming and materialised replay of the
-        same events produce byte-identical results.
+        A :class:`RequestLog` is packed into chunks (``as_stream``) and
+        replayed by the same loop as a stream, so both shapes of the same
+        events produce byte-identical results and hook transcripts.
         """
         self.prepare()
-        self._reads_executed = 0
-        self._writes_executed = 0
+        self._next_sample = self.tracking_period
         clock = SimulationClock(tick_period=self.config.tick_period)
-        if isinstance(workload, EventStream):
-            stream = self._stage_scenario_stream(workload)
-            executed, first_time, last_time = self._replay_stream(stream, clock)
-        else:
-            log = self._stage_scenario_log(workload)
-            executed, first_time, last_time = self._replay_log(log, clock)
+        stream = self._stage_scenario(as_stream(workload))
+        executed, first_time, last_time = self._replay(stream, clock)
         return self._finish(clock, executed, first_time, last_time)
 
-    def _replay_log(
-        self, log: RequestLog, clock: SimulationClock
-    ) -> tuple[int, float, float]:
-        """The legacy object loop: replay request objects via type dispatch."""
-        dispatch = self._dispatch
-        post_hooks = self._post_request_hooks
-        for request in log:
-            timestamp = request.timestamp
-            self._apply_due_faults(clock, timestamp)
-            self._advance_ticks(clock, timestamp)
-            self._sample_tracked(timestamp)
-
-            handler = dispatch.get(type(request))
-            if handler is None:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown request type {type(request).__name__}")
-            handler(request)
-            for hook in post_hooks:
-                hook(request)
-        if len(log):
-            return len(log), log[0].timestamp, log[len(log) - 1].timestamp
-        return 0, 0.0, 0.0
-
-    def _replay_stream(
+    def _replay(
         self, stream: EventStream, clock: SimulationClock
     ) -> tuple[int, float, float]:
-        """Replay a stream: batched run dispatch, or per event when needed.
+        """The replay loop: segment each chunk into runs and dispatch them.
 
-        The batched loop requires that no per-event observer is attached:
-        post-request hooks see one request object per event and tracked
-        views count individual reads, so either forces the per-event loop
-        (as does ``batch_replay=False``).  Both loops drive the identical
-        sequence of strategy, store and hook calls, so they produce
-        byte-identical results.
-        """
-        context = self._shard_context
-        if context is not None and context.partitioned:
-            if (
-                not self.config.batch_replay
-                or self._post_request_hooks
-                or self._tracked_views
-            ):
-                raise SimulationError(
-                    "partitioned shard replay requires the batched path: no "
-                    "post-request hooks, no tracked views, batch_replay=True"
-                )
-            return self._replay_stream_sharded(stream, clock, context)
-        if (
-            self.config.batch_replay
-            and not self._post_request_hooks
-            and not self._tracked_views
-        ):
-            return self._replay_stream_batched(stream, clock)
-        return self._replay_stream_events(stream, clock)
+        Before every run, faults and maintenance ticks due at its first
+        timestamp are applied.  A run is then the longest span of read/write
+        events that reaches neither the next fault/tick timestamp (one
+        bisect on the timestamp column) nor an edge-mutation event (two
+        C-speed byte scans).  While a persistent store is active the run's
+        writes are mirrored into it first (:func:`_mirror_writes`); a run of
+        one event goes to ``execute_read``/``execute_write``, a longer one
+        to the ``execute_request_batch`` kernel.  Edge mutations are applied
+        per event — they re-shape the graph the next run executes against.
 
-    def _replay_stream_batched(
-        self, stream: EventStream, clock: SimulationClock
-    ) -> tuple[int, float, float]:
-        """The chunk-native loop: segment chunks into dispatchable runs.
+        **Observation** is the run-length rule of the module docstring,
+        evaluated here where each run starts — after the faults and ticks due
+        at that event, so an observer a pre-tick hook registers mid-run takes
+        effect from the very next event.
 
-        A run is the longest span of read/write events that reaches neither
-        the next fault/tick timestamp (one bisect on the timestamp column)
-        nor an edge-mutation event (two C-speed byte scans); whole runs go
-        through the strategy's ``execute_request_batch`` kernel, and edge
-        mutations are applied per event — they re-shape the graph the next
-        run executes against.  While a persistent store is active, the
-        run's writes are mirrored into it first (:func:`_mirror_writes`);
-        the segmentation and the dispatch are the same with and without
-        a store.
-        """
-        strategy = self.strategy
-        execute_read = strategy.execute_read
-        execute_write = strategy.execute_write
-        execute_request_batch = strategy.execute_request_batch
-        fault_events = self._fault_events
-        next_fault_time = (
-            fault_events[self._next_fault].timestamp
-            if self._next_fault < len(fault_events)
-            else math.inf
-        )
-        next_tick = clock.pending_tick()
-        store = self.persistent_store
-
-        executed = 0
-        reads = 0
-        writes = 0
-        first_time = 0.0
-        last_time = 0.0
-        for chunk in stream.chunks():
-            times = chunk.timestamps
-            n = len(times)
-            if n == 0:
-                continue
-            if executed == 0:
-                first_time = times[0]
-            kinds = chunk.kinds.tobytes()
-            users = chunk.users
-            aux = chunk.aux
-            index = 0
-            while index < n:
-                timestamp = times[index]
-                if timestamp >= next_fault_time:
-                    self._apply_due_faults(clock, timestamp)
-                    next_fault_time = (
-                        fault_events[self._next_fault].timestamp
-                        if self._next_fault < len(fault_events)
-                        else math.inf
-                    )
-                    next_tick = clock.pending_tick()
-                    store = self.persistent_store
-                if timestamp >= next_tick:
-                    self._advance_ticks(clock, timestamp)
-                    next_tick = clock.pending_tick()
-                    store = self.persistent_store
-                kind = kinds[index]
-                post_hooks = self._post_request_hooks
-                if post_hooks:
-                    # A post-request hook appeared mid-run (registered by a
-                    # pre-tick hook): from here on every event is replayed
-                    # with per-event semantics so the hook sees the same
-                    # request objects the per-event loop would deliver.
-                    user = users[index]
-                    other = aux[index]
-                    if kind == KIND_READ:
-                        execute_read(user, timestamp)
-                        reads += 1
-                    elif kind == KIND_WRITE:
-                        execute_write(user, timestamp)
-                        writes += 1
-                        if store is not None:
-                            store.process_write(user, timestamp)
-                    elif kind == KIND_EDGE_ADD:
-                        self._edge_added(timestamp, user, other)
-                    elif kind == KIND_EDGE_REMOVE:
-                        self._edge_removed(timestamp, user, other)
-                    else:  # pragma: no cover - defensive
-                        raise SimulationError(f"unknown event kind {kind}")
-                    request = row_to_request(kind, timestamp, user, other)
-                    for hook in post_hooks:
-                        hook(request)
-                    store = self.persistent_store
-                    index += 1
-                    continue
-                if kind == KIND_READ or kind == KIND_WRITE:
-                    boundary = (
-                        next_fault_time if next_fault_time < next_tick else next_tick
-                    )
-                    end = (
-                        bisect_left(times, boundary, index + 1, n)
-                        if times[n - 1] >= boundary
-                        else n
-                    )
-                    end = request_run_end(kinds, index, end)
-                    if store is not None:
-                        _mirror_writes(store, kinds, users, times, index, end)
-                    if end - index == 1:
-                        if kind == KIND_READ:
-                            execute_read(users[index], timestamp)
-                            reads += 1
-                        else:
-                            execute_write(users[index], timestamp)
-                            writes += 1
-                    else:
-                        execute_request_batch(
-                            kinds[index:end], users[index:end], times[index:end]
-                        )
-                        span = kinds.count(KIND_READ, index, end)
-                        reads += span
-                        writes += end - index - span
-                    index = end
-                elif kind == KIND_EDGE_ADD:
-                    self._edge_added(timestamp, users[index], aux[index])
-                    index += 1
-                elif kind == KIND_EDGE_REMOVE:
-                    self._edge_removed(timestamp, users[index], aux[index])
-                    index += 1
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event kind {kind}")
-            executed += n
-            last_time = times[n - 1]
-            if self._chunk_callback is not None:
-                self._chunk_callback(executed, last_time)
-        self._reads_executed += reads
-        self._writes_executed += writes
-        return executed, first_time, last_time
-
-    def _replay_stream_sharded(
-        self, stream: EventStream, clock: SimulationClock, context: "ShardContext"
-    ) -> tuple[int, float, float]:
-        """Partitioned replay: full system stream, owned requests only.
-
-        The decision plane is *replicated*: every worker applies every edge
-        mutation, fault burst and maintenance tick, so placement state
-        evolves identically in all workers (the coordinator audits this with
-        placement digests).  The measurement plane is *partitioned*: each
-        read/write run is filtered down to the events owned by this shard —
-        a 256-byte ``translate`` turns the per-event owner bytes into a
-        selector, and ``itertools.compress`` gathers the owned columns at C
-        speed — and dispatched through the same kernels as the batched loop,
-        one call per gathered run.  Runs fully owned by this shard take the
-        batched loop's exact dispatch; runs with no owned events are
-        skipped.
-
-        Exactness rests on the strategy being ``shard_requests_pure`` (the
-        coordinator checks) and on a **closed user universe**: an event
-        touching a user outside the initial graph could trigger lazy
-        placement, which partitioned request streams would replay in a
-        different order.  The guard is per chunk and C-speed — unknown
-        owners surface as the :data:`UNOWNED` sentinel in the owner bytes,
-        edge endpoints are checked with ``bytes.find`` loops over the rare
-        edge kinds — and raises :class:`ShardFallbackError` *before* any
-        event of the offending chunk executes, so the coordinator can
-        restart in replicated mode from unchanged inputs.
+        **Partitioned shard replay** is the same loop with a per-chunk
+        ownership selector (:func:`_owned_selector`).  The decision plane is
+        *replicated*: every worker applies every edge mutation, fault burst
+        and maintenance tick, so placement state evolves identically in all
+        workers (the coordinator audits this with placement digests).  The
+        measurement plane is *partitioned*: fully-owned runs take the common
+        dispatch, partly-owned runs are gathered down to the owned events
+        with ``itertools.compress``, runs with no owned event are skipped,
+        and an edge event whose follower another shard owns is applied with
+        the accountant muted.  Exactness rests on the strategy being
+        ``shard_requests_pure`` (the coordinator checks) and on a closed
+        user universe (the selector's guard).
         """
         strategy = self.strategy
         execute_read = strategy.execute_read
         execute_write = strategy.execute_write
         execute_request_batch = strategy.execute_request_batch
         accountant = self.accountant
-        fault_events = self._fault_events
-        next_fault_time = (
-            fault_events[self._next_fault].timestamp
-            if self._next_fault < len(fault_events)
-            else math.inf
-        )
+        post_hooks = self._post_request_hooks
+        tracked = self._tracked_views
+        context = self._shard_context
+        selector_table = None
+        if context is not None and context.partitioned:
+            if post_hooks or tracked:
+                raise SimulationError(
+                    "partitioned shard replay cannot observe per event: no "
+                    "post-request hooks, no tracked views"
+                )
+            # owner byte -> selector byte (1 = owned by this shard).
+            selector_table = bytes(
+                1 if value == context.shard_id else 0 for value in range(256)
+            )
+        selector = None
+        next_fault_time = self._next_fault_time()
         next_tick = clock.pending_tick()
-        store = self.persistent_store
-
-        shard_id = context.shard_id
-        owner_map = context.owner_map
-        owner_map_get = owner_map.__getitem__
-        # owner byte -> selector byte (1 = owned by this shard).
-        selector_table = bytes(
-            1 if value == shard_id else 0 for value in range(256)
-        )
-        heartbeat = self._chunk_callback
 
         executed = 0
         reads = 0
@@ -599,221 +450,98 @@ class ClusterSimulator:
             kinds = chunk.kinds.tobytes()
             users = chunk.users
             aux = chunk.aux
-            # Closed-universe guard (nothing of this chunk has executed yet).
-            try:
-                owners = bytes(map(owner_map_get, users))
-            except IndexError:
-                raise ShardFallbackError(
-                    "event references a user id beyond the initial graph"
-                ) from None
-            if owners.find(UNOWNED) != -1:
-                raise ShardFallbackError(
-                    "event references a user outside the initial graph"
+            if selector_table is not None:
+                selector = _owned_selector(
+                    context.owner_map, selector_table, kinds, users, aux
                 )
-            for edge_kind in (KIND_EDGE_ADD, KIND_EDGE_REMOVE):
-                position = kinds.find(edge_kind)
-                while position != -1:
-                    endpoint = aux[position]
-                    if (
-                        not 0 <= endpoint < len(owner_map)
-                        or owner_map[endpoint] == UNOWNED
-                    ):
-                        raise ShardFallbackError(
-                            "edge event endpoint outside the initial graph"
-                        )
-                    position = kinds.find(edge_kind, position + 1)
-            selector = owners.translate(selector_table)
-
             index = 0
             while index < n:
                 timestamp = times[index]
                 if timestamp >= next_fault_time:
                     self._apply_due_faults(clock, timestamp)
-                    next_fault_time = (
-                        fault_events[self._next_fault].timestamp
-                        if self._next_fault < len(fault_events)
-                        else math.inf
-                    )
+                    next_fault_time = self._next_fault_time()
                     next_tick = clock.pending_tick()
-                    store = self.persistent_store
                 if timestamp >= next_tick:
                     self._advance_ticks(clock, timestamp)
                     next_tick = clock.pending_tick()
-                    store = self.persistent_store
                 kind = kinds[index]
+                observed = bool(post_hooks or tracked)
+                if tracked:
+                    self._sample_tracked(timestamp)
                 if kind == KIND_READ or kind == KIND_WRITE:
-                    boundary = (
-                        next_fault_time if next_fault_time < next_tick else next_tick
-                    )
-                    end = (
-                        bisect_left(times, boundary, index + 1, n)
-                        if times[n - 1] >= boundary
-                        else n
-                    )
-                    end = request_run_end(kinds, index, end)
-                    owned = selector.count(1, index, end)
+                    if observed:
+                        end = index + 1
+                        if tracked and kind == KIND_READ:
+                            self._count_tracked_read(users[index])
+                    else:
+                        boundary = (
+                            next_fault_time if next_fault_time < next_tick else next_tick
+                        )
+                        end = (
+                            bisect_left(times, boundary, index + 1, n)
+                            if times[n - 1] >= boundary
+                            else n
+                        )
+                        end = request_run_end(kinds, index, end)
+                    span = end - index
+                    owned = span if selector is None else selector.count(1, index, end)
+                    # Faults, ticks and hooks may have created the store.
+                    store = self.persistent_store
                     if store is not None and owned:
                         # Non-owned writes are skipped entirely — the store
                         # only backs crash recovery, whose fetch of a
                         # never-written view is side-effect-free.
-                        _mirror_writes(
-                            store, kinds, users, times, index, end, selector
-                        )
-                    if owned == end - index:
-                        # Fully-owned run: the batched loop's dispatch.
-                        if owned == 1:
-                            if kind == KIND_READ:
-                                execute_read(users[index], timestamp)
-                                reads += 1
-                            else:
-                                execute_write(users[index], timestamp)
-                                writes += 1
+                        _mirror_writes(store, kinds, users, times, index, end, selector)
+                    if owned == 1:
+                        position = index if span == 1 else selector.find(1, index, end)
+                        if kinds[position] == KIND_READ:
+                            execute_read(users[position], times[position])
+                            reads += 1
                         else:
-                            execute_request_batch(
-                                kinds[index:end], users[index:end], times[index:end]
-                            )
-                            span = kinds.count(KIND_READ, index, end)
-                            reads += span
-                            writes += owned - span
+                            execute_write(users[position], times[position])
+                            writes += 1
                     elif owned:
-                        run_selector = selector[index:end]
-                        mine_kinds = bytes(
-                            compress(kinds[index:end], run_selector)
-                        )
-                        if owned == 1:
-                            position = index + run_selector.find(1)
-                            if mine_kinds[0] == KIND_READ:
-                                execute_read(users[position], times[position])
-                                reads += 1
-                            else:
-                                execute_write(users[position], times[position])
-                                writes += 1
-                        else:
-                            mine_users = list(
-                                compress(users[index:end], run_selector)
-                            )
-                            mine_times = list(
-                                compress(times[index:end], run_selector)
-                            )
-                            execute_request_batch(
-                                mine_kinds, mine_users, mine_times
-                            )
-                            span = mine_kinds.count(KIND_READ)
-                            reads += span
-                            writes += owned - span
-                    index = end
-                elif kind == KIND_EDGE_ADD or kind == KIND_EDGE_REMOVE:
+                        run_kinds = kinds[index:end]
+                        run_users = users[index:end]
+                        run_times = times[index:end]
+                        if owned < span:
+                            run_selector = selector[index:end]
+                            run_kinds = bytes(compress(run_kinds, run_selector))
+                            run_users = list(compress(run_users, run_selector))
+                            run_times = list(compress(run_times, run_selector))
+                        execute_request_batch(run_kinds, run_users, run_times)
+                        run_reads = run_kinds.count(KIND_READ)
+                        reads += run_reads
+                        writes += owned - run_reads
+                else:
                     # Decision-plane event: every worker applies it (the
                     # graph and placement must stay replicated) but only the
                     # follower's owner shard accounts for any traffic.
-                    mine = owners[index] == shard_id
-                    if not mine:
+                    end = index + 1
+                    muted = selector is not None and not selector[index]
+                    if muted:
                         accountant.push_mute()
                     try:
                         if kind == KIND_EDGE_ADD:
                             self._edge_added(timestamp, users[index], aux[index])
-                        else:
+                        elif kind == KIND_EDGE_REMOVE:
                             self._edge_removed(timestamp, users[index], aux[index])
+                        else:  # pragma: no cover - defensive
+                            raise SimulationError(f"unknown event kind {kind}")
                     finally:
-                        if not mine:
+                        if muted:
                             accountant.pop_mute()
-                    index += 1
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event kind {kind}")
-            executed += n
-            last_time = times[n - 1]
-            if heartbeat is not None:
-                heartbeat(executed, last_time)
-        self._reads_executed += reads
-        self._writes_executed += writes
-        return executed, first_time, last_time
-
-    def _replay_stream_events(
-        self, stream: EventStream, clock: SimulationClock
-    ) -> tuple[int, float, float]:
-        """The per-event columnar loop (hooks, tracking, reference path).
-
-        Maintenance ticks, due faults and tracked-view sampling are guarded
-        by inlined timestamp comparisons — the guarded calls are exact
-        no-ops when the guard is false, so the interleaving matches the
-        object loop event for event.
-        """
-        strategy = self.strategy
-        execute_read = strategy.execute_read
-        execute_write = strategy.execute_write
-        post_hooks = self._post_request_hooks
-        tracking = bool(self._tracked_views)
-        fault_events = self._fault_events
-        next_fault_time = (
-            fault_events[self._next_fault].timestamp
-            if self._next_fault < len(fault_events)
-            else math.inf
-        )
-        next_tick = clock.pending_tick()
-        next_sample = self._next_sample if tracking else math.inf
-        # The store reference can change mid-run only when a crash fault
-        # creates one, so the local is refreshed after each fault burst.
-        store = self.persistent_store
-
-        executed = 0
-        reads = 0
-        writes = 0
-        first_time = 0.0
-        last_time = 0.0
-        for chunk in stream.chunks():
-            times = chunk.timestamps
-            n = len(times)
-            if n == 0:
-                continue
-            if executed == 0:
-                first_time = times[0]
-            for kind, timestamp, user, other in zip(
-                chunk.kinds, times, chunk.users, chunk.aux
-            ):
-                if timestamp >= next_fault_time:
-                    self._apply_due_faults(clock, timestamp)
-                    next_fault_time = (
-                        fault_events[self._next_fault].timestamp
-                        if self._next_fault < len(fault_events)
-                        else math.inf
-                    )
-                    next_tick = clock.pending_tick()
-                    store = self.persistent_store
-                if timestamp >= next_tick:
-                    self._advance_ticks(clock, timestamp)
-                    next_tick = clock.pending_tick()
-                    store = self.persistent_store
-                if timestamp >= next_sample:
-                    self._sample_tracked(timestamp)
-                    next_sample = self._next_sample
-
-                if kind == KIND_READ:
-                    if tracking:
-                        self._count_tracked_read(user)
-                    execute_read(user, timestamp)
-                    reads += 1
-                elif kind == KIND_WRITE:
-                    execute_write(user, timestamp)
-                    writes += 1
-                    if store is not None:
-                        # Durability path: the write reaches the WAL-backed
-                        # store before (in simulated time) the cache serves it.
-                        store.process_write(user, timestamp)
-                elif kind == KIND_EDGE_ADD:
-                    self._edge_added(timestamp, user, other)
-                elif kind == KIND_EDGE_REMOVE:
-                    self._edge_removed(timestamp, user, other)
-                else:  # pragma: no cover - defensive
-                    raise SimulationError(f"unknown event kind {kind}")
-                if post_hooks:
-                    request = row_to_request(kind, timestamp, user, other)
+                if observed and post_hooks:
+                    request = row_to_request(kind, timestamp, users[index], aux[index])
                     for hook in post_hooks:
                         hook(request)
-                    store = self.persistent_store
+                index = end
             executed += n
             last_time = times[n - 1]
-        self._reads_executed += reads
-        self._writes_executed += writes
+            if self._chunk_callback is not None:
+                self._chunk_callback(executed, last_time)
+        self._reads_executed = reads
+        self._writes_executed = writes
         return executed, first_time, last_time
 
     def _finish(
@@ -865,27 +593,7 @@ class ClusterSimulator:
             unavailable_views=self._count_unavailable_views(),
         )
 
-    # ----------------------------------------------------- request handlers
-    def _apply_read(self, request: ReadRequest) -> None:
-        if self._tracked_followers:
-            self._count_tracked_read(request.user)
-        self.strategy.execute_read(request.user, request.timestamp)
-        self._reads_executed += 1
-
-    def _apply_write(self, request: WriteRequest) -> None:
-        self.strategy.execute_write(request.user, request.timestamp)
-        self._writes_executed += 1
-        if self.persistent_store is not None:
-            # Durability path: the write reaches the WAL-backed store
-            # before (in simulated time) the cache serves it.
-            self.persistent_store.process_write(request.user, request.timestamp)
-
-    def _apply_edge_added(self, request: EdgeAdded) -> None:
-        self._edge_added(request.timestamp, request.follower, request.followee)
-
-    def _apply_edge_removed(self, request: EdgeRemoved) -> None:
-        self._edge_removed(request.timestamp, request.follower, request.followee)
-
+    # --------------------------------------------------------- edge handlers
     def _edge_added(self, timestamp: float, follower: int, followee: int) -> None:
         self.graph.add_edge(follower, followee)
         self.strategy.on_edge_added(follower, followee, timestamp)
@@ -901,27 +609,15 @@ class ClusterSimulator:
             followers.discard(follower)
 
     # -------------------------------------------------------------- scenario
-    def _scenario_context(self):
-        from ..scenarios.base import ScenarioContext
-
-        return ScenarioContext(
-            topology=self.topology, graph=self.graph, seed=self.config.seed
-        )
-
-    def _stage_scenario_log(self, log: RequestLog) -> RequestLog:
-        """Apply the scenario's log transform and stage its fault events."""
-        if self.scenario is None:
-            return log
-        context = self._scenario_context()
-        log = self.scenario.transform_log(log, context)
-        self._stage_fault_events(context)
-        return log
-
-    def _stage_scenario_stream(self, stream: EventStream) -> EventStream:
+    def _stage_scenario(self, stream: EventStream) -> EventStream:
         """Apply the scenario's chunk-level transform and stage its faults."""
         if self.scenario is None:
             return stream
-        context = self._scenario_context()
+        from ..scenarios.base import ScenarioContext
+
+        context = ScenarioContext(
+            topology=self.topology, graph=self.graph, seed=self.config.seed
+        )
         stream = self.scenario.transform_stream(stream, context)
         self._stage_fault_events(context)
         return stream
@@ -944,6 +640,12 @@ class ClusterSimulator:
             isinstance(event, ServerCrash) for event in events
         ):
             self.persistent_store = PersistentStore()
+
+    def _next_fault_time(self) -> float:
+        """Timestamp of the next staged fault (infinity when none is left)."""
+        if self._next_fault < len(self._fault_events):
+            return self._fault_events[self._next_fault].timestamp
+        return math.inf
 
     def _apply_due_faults(self, clock: SimulationClock, until: float) -> None:
         """Apply every staged fault event with ``timestamp <= until``.

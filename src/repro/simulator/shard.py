@@ -7,7 +7,7 @@ workload through its own :class:`~repro.simulator.engine.ClusterSimulator`;
 a coordinator spawns the workers, relays their heartbeats, audits their
 final placement state and merges their traffic deltas into one
 :class:`~repro.simulator.results.SimulationResult` that is **byte-identical**
-to the single-process batched path.
+to a single-process run.
 
 Two execution modes, chosen per strategy:
 
@@ -623,7 +623,7 @@ def run_sharded_detailed(
     fallback_reason: str | None = None
     assignment: ShardAssignment | None = None
 
-    if pure and shards <= 255 and materials.config.batch_replay:
+    if pure and shards <= 255:
         graph = materials.graph_factory()
         topology = materials.topology_factory()
         activity = (
@@ -661,10 +661,8 @@ def run_sharded_detailed(
             "(shard_requests_pure=False); partitioned execution would not be "
             "exact"
         )
-    elif shards > 255:
-        fallback_reason = "partitioned mode supports at most 255 shards"
     else:
-        fallback_reason = "batch_replay=False forces the per-event path"
+        fallback_reason = "partitioned mode supports at most 255 shards"
 
     emit = _local_heartbeat(
         progress, 0, shards, "replicated", heartbeat_interval, horizon
@@ -698,7 +696,7 @@ def _spec_stream(workload_spec, graph):
     if tracked:
         raise SimulationError(
             "sharded replay cannot sample tracked views (flash workloads "
-            "need the per-event loop); run with shards=1"
+            "are observed event by event); run with shards=1"
         )
     return stream
 

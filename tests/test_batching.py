@@ -1,16 +1,22 @@
-"""Batched vs per-event replay parity (the chunk-native dispatch layer).
+"""Batch-kernel vs per-event-kernel replay parity (the run dispatch layer).
 
-The simulator's batched loop segments event streams into request runs and
-drives the strategies' fused kernels; the contract is that batched and
-per-event replay are **byte-identical** — same :class:`SimulationResult`,
-same :class:`TrafficSnapshot` — for every strategy, scenario and
-observation mode.  This suite pins that contract:
+The simulator's replay loop segments event streams into request runs: an
+unobserved run drives the strategies' fused ``execute_request_batch``
+kernels, while any post-request hook or tracked view cuts every run to one
+event and so drives the per-event ``execute_read``/``execute_write``
+methods (the run-length rule).  The contract is that both are
+**byte-identical** — same :class:`SimulationResult`, same
+:class:`TrafficSnapshot` — for every strategy, scenario and observation
+mode.  The reference half of each comparison is the same run observed by a
+no-op post-request hook (:func:`_observe_per_event`).  This suite pins:
 
-* the full strategy × scenario matrix (no per-event observers, so the
-  batched path actually batches);
+* the full strategy × scenario matrix, both halves also checked against
+  committed golden digests and spied on, so they provably exercise
+  different kernels;
 * property tests over random interleavings of faults, maintenance ticks,
-  tracked-view sampling and post-request hooks (the observers force the
-  documented per-event fallback — which must itself stay byte-identical);
+  tracked-view sampling and post-request hooks;
+* the single loop's edges: observers registered mid-run, log vs stream
+  hook transcripts, empty workloads, the partitioned-shard observer guard;
 * unit coverage of the run segmentation helpers and of the batch kernels'
   fallback paths;
 * the durability mirror: with a persistent store attached, the WAL holds the
@@ -56,18 +62,42 @@ from repro.workload.stream import (
 )
 
 
+def _observe_per_event(simulator: ClusterSimulator) -> None:
+    """Attach a no-op post-request hook: every run is cut to one event, so
+    the replay drives the per-event strategy methods — the reference the
+    batch kernels are compared against."""
+    simulator.add_post_request_hook(lambda request: None)
+
+
+def _spy_batch_calls(strategy) -> list[int]:
+    """Record the length of every ``execute_request_batch`` call."""
+    calls: list[int] = []
+    original = strategy.execute_request_batch
+
+    def spy(kinds, users, timestamps):
+        calls.append(len(users))
+        return original(kinds, users, timestamps)
+
+    strategy.execute_request_batch = spy
+    return calls
+
+
 def _run_matrix(strategy_key: str, scenario_key: str, batch: bool, tracked: int = 0):
+    """One matrix cell; returns the result and the batch-kernel call sizes."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=120)
     stream = parity_stream(graph, days=0.25)
     strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
-    config = SimulationConfig(extra_memory_pct=60.0, seed=7, batch_replay=batch)
+    config = SimulationConfig(extra_memory_pct=60.0, seed=7)
     simulator = ClusterSimulator(
         topology, graph, strategy, config=config, scenario=SCENARIOS[scenario_key]()
     )
+    if not batch:
+        _observe_per_event(simulator)
     for user in list(graph.users)[:tracked]:
         simulator.track_view(user)
-    return simulator.run(stream)
+    batch_calls = _spy_batch_calls(strategy)
+    return simulator.run(stream), batch_calls
 
 
 #: Committed result digests of the matrix below (``golden_digest`` of each
@@ -82,9 +112,13 @@ GOLDEN_DIGESTS = json.loads(
 @pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
 def test_batched_replay_byte_identical(strategy_key, scenario_key):
     """Batched dispatch must not change a single byte of the result — and
-    neither path may drift from the committed golden digest."""
-    batched = _run_matrix(strategy_key, scenario_key, batch=True)
-    per_event = _run_matrix(strategy_key, scenario_key, batch=False)
+    neither half may drift from the committed golden digest.  The spies
+    prove the halves differ in the kernels they drive: multi-event batch
+    calls un-hooked, no batch call at all under the no-op hook."""
+    batched, batched_calls = _run_matrix(strategy_key, scenario_key, batch=True)
+    per_event, per_event_calls = _run_matrix(strategy_key, scenario_key, batch=False)
+    assert batched_calls and max(batched_calls) > 10
+    assert not per_event_calls
     assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
     expected = GOLDEN_DIGESTS[f"{strategy_key}/{scenario_key}"]
     assert golden_digest(batched) == expected
@@ -100,14 +134,7 @@ def test_batched_replay_actually_batches():
     simulator = ClusterSimulator(
         topology, graph, strategy, config=SimulationConfig(seed=7)
     )
-    calls = []
-    original = strategy.execute_request_batch
-
-    def spy(kinds, users, timestamps):
-        calls.append(len(users))
-        return original(kinds, users, timestamps)
-
-    strategy.execute_request_batch = spy
+    calls = _spy_batch_calls(strategy)
     simulator.run(stream)
     # The parity workload sprinkles edge-churn events, so runs are bounded;
     # what matters is that multi-event runs reach the kernel at all.
@@ -205,7 +232,6 @@ def _interleaving_run(seed: int, batch: bool):
         bucket_width=rng.choice([HOUR / 2, HOUR]),
         measure_from=rng.choice([0.0, HOUR]),
         seed=7,
-        batch_replay=batch,
     )
     scenario = _RandomFaultScenario(
         seed=seed, horizon=horizon, servers=len(topology.servers)
@@ -213,6 +239,8 @@ def _interleaving_run(seed: int, batch: bool):
     simulator = ClusterSimulator(
         topology, graph, strategy, config=config, scenario=scenario
     )
+    if not batch:
+        _observe_per_event(simulator)
     hook_log: list[tuple] = []
     if rng.random() < 0.4:
         for user in list(graph.users)[: rng.randint(1, 3)]:
@@ -233,10 +261,10 @@ def test_random_interleavings_byte_identical(seed):
     """Faults, ticks, sampling and hooks interleave identically on both paths.
 
     Each seed draws a random strategy, workload (reads/writes/edge churn),
-    fault schedule, tick/bucket configuration and observer set; the batched
-    and per-event runs must produce byte-identical results, byte-identical
-    traffic snapshots and identical hook transcripts (observers force the
-    per-event fallback, which is part of the contract under test).
+    fault schedule, tick/bucket configuration and observer set; the run and
+    its no-op-hooked twin must produce byte-identical results, byte-identical
+    traffic snapshots and identical hook transcripts (a drawn observer cuts
+    the runs on both sides, which is part of the contract under test).
     """
     result_a, snapshot_a, hooks_a = _interleaving_run(seed, batch=True)
     result_b, snapshot_b, hooks_b = _interleaving_run(seed, batch=False)
@@ -246,7 +274,7 @@ def test_random_interleavings_byte_identical(seed):
 
 
 def test_post_request_hooks_force_per_event_fallback():
-    """With a hook attached, every event goes through the scalar path."""
+    """With a hook attached, every event goes through the scalar methods."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=60)
     stream = parity_stream(graph, days=0.1)
@@ -254,24 +282,10 @@ def test_post_request_hooks_force_per_event_fallback():
     simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
     seen = []
     simulator.add_post_request_hook(lambda request: seen.append(request))
-    batch_calls = []
-    original = strategy.execute_request_batch
-
-    def spy(kinds, users, timestamps):
-        batch_calls.append(len(users))
-        return original(kinds, users, timestamps)
-
-    strategy.execute_request_batch = spy
+    batch_calls = _spy_batch_calls(strategy)
     result = simulator.run(stream)
     assert not batch_calls
     assert len(seen) == result.requests_executed
-
-
-def test_batch_replay_disabled_matches_default():
-    """``batch_replay=False`` is the reference path and changes nothing."""
-    on = _run_matrix("spar", "plain", batch=True)
-    off = _run_matrix("spar", "plain", batch=False)
-    assert canonical_result_bytes(on) == canonical_result_bytes(off)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +423,7 @@ def test_routing_batch_resolver_rejects_empty():
 
 def test_hook_registered_mid_run_is_honoured():
     """A post-request hook registered by a pre-tick hook mid-run fires for
-    every subsequent request, exactly as on the per-event path."""
+    every subsequent request, exactly as in a run observed from the start."""
 
     def run(batch: bool):
         topology, _ = parity_cluster()
@@ -417,11 +431,10 @@ def test_hook_registered_mid_run_is_honoured():
         stream = parity_stream(graph, days=0.25)
         strategy = build_strategy("random", 7, DynaSoReConfig())
         simulator = ClusterSimulator(
-            topology,
-            graph,
-            strategy,
-            config=SimulationConfig(seed=7, batch_replay=batch),
+            topology, graph, strategy, config=SimulationConfig(seed=7)
         )
+        if not batch:
+            _observe_per_event(simulator)
         seen: list[tuple[str, float]] = []
 
         def late_hook(request):
@@ -445,6 +458,135 @@ def test_hook_registered_mid_run_is_honoured():
     assert canonical_result_bytes(result_batched) == canonical_result_bytes(
         result_per_event
     )
+
+
+def _tracked_mid_run(as_log: bool):
+    """``track_view`` called from the first pre-tick hook of the run."""
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=100)
+    stream = parity_stream(graph, days=0.25)
+    strategy = build_strategy("dynasore_hmetis", 7, DynaSoReConfig())
+    simulator = ClusterSimulator(
+        topology, graph, strategy, config=SimulationConfig(seed=7)
+    )
+    target = next(iter(graph.users))
+
+    tracked_at = []
+
+    def on_tick(now):
+        if not tracked_at:
+            simulator.track_view(target)
+            tracked_at.append(now)
+
+    simulator.add_pre_tick_hook(on_tick)
+    result = simulator.run(stream.materialise() if as_log else stream)
+    return result.tracked_views[target]
+
+
+def test_view_tracked_mid_run_is_sampled_alike_for_stream_and_log():
+    """A view tracked by a pre-tick hook mid-run is sampled from the next
+    event on, whichever shape the workload arrived in."""
+    from_stream = _tracked_mid_run(as_log=False)
+    from_log = _tracked_mid_run(as_log=True)
+    assert len(from_log.replica_counts) > 10  # periodic samples, not just the final one
+    assert from_stream == from_log
+
+
+def test_tracking_period_set_before_run_is_honoured():
+    """``tracking_period`` is public: the first sample of a run lands one
+    period in, not one default (10-minute) period in."""
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=60)
+    users = list(graph.users)
+    rows = [(KIND_READ, 3.0 * index, users[index % len(users)], -1) for index in range(400)]
+    strategy = build_strategy("random", 7, DynaSoReConfig())
+    simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
+    simulator.track_view(users[0])
+    simulator.tracking_period = 60.0
+    result = simulator.run(EventStream.from_rows(rows))
+    samples = [now for now, _ in result.tracked_views[users[0]].replica_counts]
+    assert 60.0 <= samples[0] < 120.0
+    assert len(samples) >= 19  # one per minute of the 1 197 s stream
+
+
+@pytest.mark.parametrize("observer", ["hook", "tracked_view"])
+def test_partitioned_shard_rejects_observers_before_any_event(observer):
+    """Partitioned workers execute only owned events, so per-event observers
+    have nothing exact to observe: fail loudly, before anything runs."""
+    from repro.exceptions import SimulationError
+
+    graph = parity_graph(users=_MIRROR_USERS)
+    owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
+    simulator = _mirror_simulator(
+        "spar",
+        shard_context=ShardContext(
+            shard_id=0, shards=2, partitioned=True, owner_map=owner_map
+        ),
+    )
+    if observer == "hook":
+        simulator.add_post_request_hook(lambda request: None)
+    else:
+        simulator.track_view(0)
+    calls = []
+    for name in ("execute_request_batch", "execute_read", "execute_write", "on_tick"):
+        setattr(simulator.strategy, name, lambda *args: calls.append(args))
+    with pytest.raises(SimulationError, match="partitioned"):
+        simulator.run(EventStream.from_rows(_mirror_rows()))
+    assert not calls
+
+
+@pytest.mark.parametrize("scenario_key", ["plain", "crash"])
+@pytest.mark.parametrize("as_log", [False, True])
+def test_empty_workload_still_finishes_the_run(as_log, scenario_key):
+    """No event at all: trailing faults are applied, the final tick fires and
+    the result is the all-zero one — for a stream and for a log."""
+    from repro.workload.requests import RequestLog
+
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=60)
+    strategy = build_strategy("dynasore_hmetis", 7, DynaSoReConfig())
+    simulator = ClusterSimulator(
+        topology,
+        graph,
+        strategy,
+        config=SimulationConfig(seed=7),
+        scenario=SCENARIOS[scenario_key](),
+    )
+    ticks = []
+    simulator.add_pre_tick_hook(ticks.append)
+    result = simulator.run(RequestLog() if as_log else EventStream.empty())
+    assert result.requests_executed == 0
+    assert result.reads_executed == result.writes_executed == 0
+    assert result.duration == 0.0
+    assert result.unavailable_views == 0
+    if scenario_key == "crash":
+        kinds = [record.kind for record in result.fault_records]
+        assert kinds == ["crash", "crash", "restore", "restore"]
+        assert ticks[-1] == 5 * HOUR  # the final tick, at the last fault
+        assert all(simulator.server_up)
+    else:
+        assert result.fault_records == []
+        assert ticks == [0.0]
+
+
+def test_log_and_stream_deliver_equal_hook_transcripts():
+    """A ``RequestLog`` is an input adapter over the same loop: post-request
+    hooks see equal request objects (edge events included) in equal order."""
+    stream = EventStream.from_rows(_mirror_rows(), chunk_size=_MIRROR_CHUNK)
+    log = stream.materialise()
+    assert log.mutation_count > 0
+
+    def run(workload):
+        simulator = _mirror_simulator("spar")
+        seen = []
+        simulator.add_post_request_hook(seen.append)
+        return simulator.run(workload), seen
+
+    result_log, seen_log = run(log)
+    result_stream, seen_stream = run(stream)
+    assert seen_log == list(log)
+    assert seen_stream == seen_log
+    assert canonical_result_bytes(result_log) == canonical_result_bytes(result_stream)
 
 
 def test_check_tables_env_accepts_falsey_spellings(monkeypatch):
@@ -491,12 +633,11 @@ def test_run_spanning_bucket_boundary_keeps_series_order():
             graph,
             strategy,
             config=SimulationConfig(
-                seed=7,
-                bucket_width=100.0,
-                tick_period=100000.0,
-                batch_replay=batch,
+                seed=7, bucket_width=100.0, tick_period=100000.0
             ),
         )
+        if not batch:
+            _observe_per_event(simulator)
         return simulator.run(stream)
 
     batched = run(True)
@@ -632,16 +773,15 @@ def test_partitioned_wal_holds_the_owned_writes(strategy_key):
 
 def test_store_appearing_mid_run_mirrors_only_later_writes():
     """No crash is staged, so no store exists at t=0; a pre-tick hook crashes
-    a server at the third tick and recovery creates the store.  Both replay
-    loops log exactly the writes that follow."""
+    a server at the third tick and recovery creates the store.  Batched and
+    one-event runs log exactly the writes that follow."""
     rows = _mirror_rows()
     crash_tick = 3 * HOUR
 
     def run(batch: bool):
-        simulator = _mirror_simulator(
-            "random",
-            config=SimulationConfig(extra_memory_pct=60.0, seed=7, batch_replay=batch),
-        )
+        simulator = _mirror_simulator("random")
+        if not batch:
+            _observe_per_event(simulator)
 
         def crash(now):
             if now == crash_tick:

@@ -1,0 +1,40 @@
+"""Unused imports in ``src/repro``: stands in for F401 of CI's ``ruff check``,
+which the build container does not have."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Names read under ``node``, and in strings that parse as expressions:
+    quoted annotations (``TYPE_CHECKING`` imports) and ``__all__`` entries."""
+    names: set[str] = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            try:
+                names |= _names(ast.parse(child.value.strip(), mode="eval"))
+            except SyntaxError:
+                pass  # prose, not an annotation
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":  # re-export modules
+            continue
+        tree = ast.parse(path.read_text())
+        used = _names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                if (alias.asname or alias.name).split(".")[0] not in used:
+                    unused.append(f"{path.relative_to(SRC)}:{node.lineno} {alias.name}")
+    assert not unused, "unused imports:\n" + "\n".join(unused)

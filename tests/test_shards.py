@@ -223,13 +223,6 @@ class TestReplicatedFallback:
         assert report.mode == "replicated"
         assert "shard_requests_pure" in report.fallback_reason
 
-    def test_per_event_config_reports_reason(self):
-        materials = parity_materials("random", "plain")
-        materials.config = dataclasses.replace(materials.config, batch_replay=False)
-        report = run_sharded_detailed(materials, 2)
-        assert report.mode == "replicated"
-        assert "batch_replay" in report.fallback_reason
-
     def test_open_universe_triggers_guard_then_replicated(self):
         """An event touching a user outside the initial graph makes a worker
         raise ShardFallbackError *before* executing the chunk; the

@@ -9,8 +9,8 @@ the dirty-set tracking the sweep relies on:
 
 * the full strategy × scenario matrix with ``batch_tick`` toggled;
 * property tests over random interleavings of faults, maintenance ticks and
-  replay modes (``batch_replay`` is drawn at random so the tick sweep is
-  exercised against both request paths);
+  replay modes (a no-op post-request hook is attached at random so the tick
+  sweep is exercised against both the batch and the per-event kernels);
 * convergence: positions untouched between ticks are skipped outright (no
   pricing, no threshold recompute) until a counter window expires;
 * the negative-utility removal pass and the proactive eviction pass
@@ -34,7 +34,7 @@ from repro.simulator.engine import ClusterSimulator
 from repro.store.tables import NO_SLOT
 from repro.topology.tree import TreeTopology
 
-from test_batching import _RandomFaultScenario, _random_stream
+from test_batching import _RandomFaultScenario, _observe_per_event, _random_stream
 
 
 def _run_tick_matrix(strategy_key: str, scenario_key: str, batch_tick: bool):
@@ -78,15 +78,17 @@ def _interleaving_run(seed: int, batch_tick: bool):
         tick_period=rng.choice([HOUR / 2, HOUR, 2 * HOUR]),
         measure_from=rng.choice([0.0, HOUR]),
         seed=7,
-        batch_replay=rng.random() < 0.5,
         batch_tick=batch_tick,
     )
+    per_event = rng.random() >= 0.5
     scenario = _RandomFaultScenario(
         seed=seed, horizon=horizon, servers=len(topology.servers)
     )
     simulator = ClusterSimulator(
         topology, graph, strategy, config=config, scenario=scenario
     )
+    if per_event:
+        _observe_per_event(simulator)
     result = simulator.run(stream)
     return result, simulator.accountant.snapshot()
 
