@@ -1,12 +1,14 @@
-"""Placement-strategy interface and the shared static execution engine.
+"""Placement-strategy interface and the shared footprint kernel.
 
 Every view-management protocol evaluated in the paper — Random, METIS,
 hierarchical METIS, SPAR and DynaSoRe itself — is a *placement strategy*: it
 decides where view replicas live, which broker executes each request, and it
 is driven by the same trace-driven simulator.  This module defines the
-interface and a base class implementing the common execution logic of the
-static baselines (fixed single-replica placement, proxies on the broker of
-the rack hosting the view).
+interface (:class:`PlacementStrategy`), the batch kernel shared by the four
+strategies whose placement ignores request traffic
+(:class:`FootprintStrategy`), and the static baselines' common engine
+(:class:`StaticPlacementStrategy`: fixed single-replica placement, proxies
+on the broker of the rack hosting the view).
 
 Request execution is **batch-first**: the simulator segments event streams
 into runs of requests (reads and writes, bounded by graph mutations, faults
@@ -16,16 +18,26 @@ dispatched through :meth:`~PlacementStrategy.execute_read_batch` /
 :meth:`~PlacementStrategy.execute_write_batch`.  The base class implements
 all three as per-event loops over the scalar entry points, so every
 strategy — including user subclasses and the frozen legacy twins — is
-batch-dispatchable by construction; strategies with columnar state override
-``execute_request_batch`` with a fused kernel that produces byte-identical
-results (the static kernel below, the SPAR kernel, the DynaSoRe kernel).
+batch-dispatchable by construction.  Two kernels override
+``execute_request_batch`` with byte-identical results: DynaSoRe's
+(:mod:`repro.core.engine`, per event — its requests feed back into
+placement) and :class:`FootprintStrategy`'s, which *counts, then
+multiplies*: paper section 4.1 makes Random, METIS and hMETIS static and
+SPAR reactive "to changes of the social graph, not to request traffic", so
+between two such changes a request is a fixed tuple of ``(broker, device)``
+paths that can be tallied at C speed instead of executed.
+``execute_read`` / ``execute_write`` stay as the per-event reference (and
+the path observed runs take); ``tests/test_batching.py`` holds the
+differential property between the two.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Callable, Sequence
+from itertools import chain
 
 from ..exceptions import SimulationError
 from ..persistence.recovery import RecoveryPlan
@@ -40,6 +52,9 @@ from ..workload.stream import KIND_READ, KIND_WRITE
 #: One-byte kind columns the pure-run wrappers tile to the run length.
 _READ_KINDS = bytes([KIND_READ])
 _WRITE_KINDS = bytes([KIND_WRITE])
+
+#: A request's traffic footprint: one flat path key per roundtrip.
+Footprint = tuple[int, ...]
 
 
 class PlacementStrategy(ABC):
@@ -247,21 +262,173 @@ class PlacementStrategy(ABC):
         return min(servers, key=lambda s: (distances[s], s))
 
 
-class StaticPlacementStrategy(PlacementStrategy):
+class _FootprintMemo(dict):
+    """``(kind, user) -> footprint``, built by the strategy on first use.
+
+    ``dict.__getitem__`` calls :meth:`__missing__` from C, so the kernel's
+    ``map(memo.__getitem__, ...)`` stays a C loop that only re-enters Python
+    at a request's first occurrence since its footprint was last dropped.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[int, int], Footprint]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, request: tuple[int, int]) -> Footprint:
+        footprint = self[request] = self._build(*request)
+        return footprint
+
+
+class FootprintStrategy(PlacementStrategy):
+    """A strategy whose placement changes only on graph and fault events.
+
+    Between two such events a request is a fixed *traffic footprint* of its
+    issuer — the ``(broker, device)`` path of every roundtrip it causes — so
+    a run of requests is tallied instead of executed: subclasses supply
+    :meth:`footprint` and drop memoised footprints where they go stale;
+    :meth:`execute_request_batch` does the rest.  It is exact because
+
+    * the tally pulls requests in stream order, so a footprint is built at
+      the first occurrence of its ``(kind, user)`` and the lazy placements
+      it triggers (``footprint`` places users exactly as ``execute_read`` /
+      ``execute_write`` do) happen in the per-event order;
+    * whatever a memoised footprint read changes only at events that end a
+      run — edge mutations (:meth:`on_edge_added`, :meth:`on_edge_removed`)
+      and faults — and the footprints concerned are dropped there.  Placing
+      a *new* user never stales anything: every user a memoised footprint
+      mentions was placed when it was built;
+    * accounting segments are cut with the accountant's own predicate
+      (:meth:`~repro.traffic.accounting.RoundtripRun.segment_end`), and all
+      volumes are integer-valued floats, so tally order is immaterial.
+
+    Requests are pure measurements here, so the sharded runner may partition
+    the request stream (lazy placement only fires for users *outside* the
+    initial graph, which the shard workers' closed-universe guard excludes).
+
+    Memory: a read footprint holds one pointer per followed edge (the key
+    ints are interned — at most ``2 * stride**2`` distinct objects, shared
+    by all footprints), a write footprint one per replica.
+    """
+
+    shard_requests_pure = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: per-position leaf device / proxy broker columns
+        self._device_of_position: list[int] = []
+        self._broker_of_position: list[int] = []
+        #: ``(kind, user) -> footprint`` memo
+        self._footprints = _FootprintMemo(self.footprint)
+        #: interned path keys (value is the key itself)
+        self._path_keys: dict[int, int] = {}
+        #: roundtrip aggregators the tallies are added into; ``None`` until
+        #: the initial placement is built (the kernel then falls back to
+        #: the scalar loop)
+        self._read_run = None
+        self._write_run = None
+
+    def _reset_footprints(self) -> None:
+        """(Re)build the kernel state; call when initial placement starts."""
+        topology = self.topology
+        self._device_of_position = [server.index for server in topology.servers]
+        self._broker_of_position = [
+            topology.proxy_broker_for_server(device)
+            for device in self._device_of_position
+        ]
+        self._read_run = self.accountant.roundtrip_run(
+            MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE
+        )
+        self._write_run = self.accountant.roundtrip_run(
+            MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK
+        )
+        self._path_keys = {}
+        self._footprints.clear()
+
+    @abstractmethod
+    def footprint(self, kind: int, user: int) -> Footprint:
+        """Flat path keys of the roundtrips one request of ``user`` causes.
+
+        Build them with :meth:`_footprint_of`.  Users without a replica are
+        placed lazily, in the order ``execute_read`` / ``execute_write``
+        would place them; a read by a user unknown to the graph is ``()``.
+        """
+
+    def _footprint_of(
+        self, kind: int, broker: int, devices: Sequence[int]
+    ) -> Footprint:
+        """Interned keys of roundtrips from ``broker`` to each of ``devices``.
+
+        A read roundtrip is keyed ``broker * stride + device`` (the
+        accountant's flat path key); write keys are offset by ``stride**2``
+        so one tally serves both aggregators.
+        """
+        stride = self._read_run.stride
+        base = broker * stride
+        if kind != KIND_READ:
+            base += stride * stride
+        keys = [base + device for device in devices]
+        return tuple(map(self._path_keys.setdefault, keys, keys))
+
+    def execute_request_batch(
+        self,
+        kinds: Sequence[int],
+        users: Sequence[int],
+        timestamps: Sequence[float],
+    ) -> None:
+        """Tally the run's footprints; one multiplied update per path."""
+        read_run = self._read_run
+        write_run = self._write_run
+        if read_run is None:
+            super().execute_request_batch(kinds, users, timestamps)
+            return
+        footprints = self._footprints
+        write_offset = read_run.stride * read_run.stride
+        start = 0
+        end = len(timestamps)
+        while start < end:
+            # One accounting segment: same warm-up side, same time bucket.
+            cut = read_run.segment_end(timestamps, start, end)
+            tally = Counter(
+                chain.from_iterable(
+                    map(footprints.__getitem__, zip(kinds[start:cut], users[start:cut]))
+                )
+            )
+            read_counts = read_run.counts_for(timestamps[start])
+            write_counts = write_run.counts_for(timestamps[start])
+            for key, count in tally.items():
+                if key < write_offset:
+                    read_counts[key] = read_counts.get(key, 0) + count
+                else:
+                    key -= write_offset
+                    write_counts[key] = write_counts.get(key, 0) + count
+            start = cut
+        read_run.flush()
+        write_run.flush()
+
+    def on_edge_added(self, follower: int, followee: int, now: float) -> None:
+        """Drop the read footprints the new edge stales: the follower's
+        (one more target) and the followee's — she may just have become a
+        graph user, which turns her ``()`` into a placement."""
+        self._footprints.pop((KIND_READ, follower), None)
+        self._footprints.pop((KIND_READ, followee), None)
+
+    def on_edge_removed(self, follower: int, followee: int, now: float) -> None:
+        """Drop the follower's read footprint (one target fewer)."""
+        self._footprints.pop((KIND_READ, follower), None)
+
+
+class StaticPlacementStrategy(FootprintStrategy):
     """Shared behaviour of the static baselines (Random, METIS, hMETIS).
 
     A static strategy stores exactly one replica per view, never changes the
     placement during the run, and deploys both proxies of a user on the
     broker associated with the server holding her view (paper section 4.1).
-
-    Requests are pure measurements here: every initial graph user is
-    assigned up front by ``build_initial_placement`` and reads/writes never
-    move replicas, so the sharded runner may partition the request stream
-    (lazy placement only fires for users *outside* the initial graph, which
-    the shard workers' closed-universe guard excludes).
+    Every initial graph user is assigned up front by
+    ``build_initial_placement``; later arrivals are placed lazily on the
+    least-loaded server.  Only a server departure moves a view.
     """
-
-    shard_requests_pure = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -273,12 +440,6 @@ class StaticPlacementStrategy(PlacementStrategy):
         self._load: list[int] = []
         #: server positions currently out of service
         self._down_positions: set[int] = set()
-        #: per-position leaf device / proxy broker columns (batch kernels)
-        self._device_of_position: list[int] = []
-        self._broker_of_position: list[int] = []
-        #: run-local roundtrip aggregators of the batch kernels
-        self._read_run = None
-        self._write_run = None
 
     # ----------------------------------------------------------- assignment
     @abstractmethod
@@ -298,19 +459,7 @@ class StaticPlacementStrategy(PlacementStrategy):
         for position in self._assignment.values():
             if 0 <= position < servers:
                 self._load[position] += 1
-        # Per-position resolution columns and roundtrip aggregators of the
-        # batch kernels (pure functions of the bound topology/accountant).
-        self._device_of_position = [server.index for server in self.topology.servers]
-        self._broker_of_position = [
-            self.topology.proxy_broker_for_server(device)
-            for device in self._device_of_position
-        ]
-        self._read_run = self.accountant.roundtrip_run(
-            MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE
-        )
-        self._write_run = self.accountant.roundtrip_run(
-            MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK
-        )
+        self._reset_footprints()
 
     def assignment(self) -> dict[int, int]:
         """Copy of the user → server-position assignment."""
@@ -351,6 +500,7 @@ class StaticPlacementStrategy(PlacementStrategy):
         assert self.topology is not None and self.accountant is not None
         servers = len(self.topology.servers)
         self._begin_server_down(position, self._down_positions, servers)
+        self._footprints.clear()  # views move: every footprint is stale
 
         plan = RecoveryPlan(crashed_server=position)
         source_device = self.server_device(position)
@@ -409,70 +559,20 @@ class StaticPlacementStrategy(PlacementStrategy):
             broker, server, MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK, now
         )
 
-    # ------------------------------------------------------- batch kernel
-    def execute_request_batch(
-        self,
-        kinds: Sequence[int],
-        users: Sequence[int],
-        timestamps: Sequence[float],
-    ) -> None:
-        """Fused flat-array request kernel of the static baselines.
-
-        One pass over the run with every lookup hoisted: assignments come
-        straight from the flat assignment/load columns (lazy placement in
-        event order, exactly like the scalar path) and read/write
-        roundtrips aggregate into ``(broker, server)`` counts applied once
-        per distinct path and time bucket.
-        """
-        if self._read_run is None:
-            super().execute_request_batch(kinds, users, timestamps)
-            return
-        self.require_bound()
-        graph = self.graph
-        has_user = graph.has_user
-        following = graph.following
-        assignment = self._assignment
-        load = self._load
+    def footprint(self, kind: int, user: int) -> Footprint:
+        """One roundtrip from the user's rack broker per view touched: each
+        followee's single replica for a read, her own for a write."""
+        if kind == KIND_READ and not self.graph.has_user(user):
+            return ()
+        position = self.server_position_of(user)  # the issuer is placed first
+        if kind == KIND_READ:
+            targets = [self.server_position_of(t) for t in self.graph.following(user)]
+        else:
+            targets = [position]
         device_of = self._device_of_position
-        broker_of = self._broker_of_position
-        least_loaded = self._least_loaded_position
-        read_run = self._read_run
-        write_run = self._write_run
-        read_counts_for = read_run.counts_for
-        write_counts_for = write_run.counts_for
-        stride = read_run.stride
-        for kind, user, now in zip(kinds, users, timestamps):
-            if kind == KIND_READ:
-                if not has_user(user):
-                    continue
-                position = assignment.get(user)
-                if position is None:
-                    position = least_loaded()
-                    assignment[user] = position
-                    load[position] += 1
-                base = broker_of[position] * stride
-                counts = read_counts_for(now)
-                for target in following(user):
-                    target_position = assignment.get(target)
-                    if target_position is None:
-                        target_position = least_loaded()
-                        assignment[target] = target_position
-                        load[target_position] += 1
-                    key = base + device_of[target_position]
-                    count = counts.get(key)
-                    counts[key] = 1 if count is None else count + 1
-            else:
-                position = assignment.get(user)
-                if position is None:
-                    position = least_loaded()
-                    assignment[user] = position
-                    load[position] += 1
-                key = broker_of[position] * stride + device_of[position]
-                counts = write_counts_for(now)
-                count = counts.get(key)
-                counts[key] = 1 if count is None else count + 1
-        read_run.flush()
-        write_run.flush()
+        return self._footprint_of(
+            kind, self._broker_of_position[position], [device_of[p] for p in targets]
+        )
 
     # -------------------------------------------------------- introspection
     def replica_locations(self) -> dict[int, set[int]]:
@@ -493,4 +593,4 @@ class StaticPlacementStrategy(PlacementStrategy):
         return len(self._assignment)
 
 
-__all__ = ["PlacementStrategy", "StaticPlacementStrategy"]
+__all__ = ["FootprintStrategy", "PlacementStrategy", "StaticPlacementStrategy"]

@@ -31,26 +31,25 @@ every replica of the written view.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..core.routing import RoutingService
 from ..exceptions import SimulationError
 from ..persistence.recovery import RecoveryPlan
-from ..store.tables import NO_SLOT, ReplicaTable, pick_least_loaded
+from ..store.tables import ReplicaTable, pick_least_loaded
 from ..traffic.messages import MessageKind
 from ..workload.stream import KIND_READ
-from .base import PlacementStrategy
+from .base import Footprint, FootprintStrategy
 
 
-class SparPlacement(PlacementStrategy):
-    """SPAR with the paper's bounded-memory adaptation."""
+class SparPlacement(FootprintStrategy):
+    """SPAR with the paper's bounded-memory adaptation.
+
+    SPAR moves replicas on *edge* events (co-location) and faults, never on
+    reads or writes, so requests go through the shared footprint kernel;
+    every new replica and every evacuation drops all memoised footprints (a
+    view's closest replica may have changed for any broker).
+    """
 
     name = "spar"
-
-    #: SPAR moves replicas on *edge* events (co-location) and faults, never
-    #: on reads or writes — requests are pure measurements, so the sharded
-    #: runner may partition the request stream across workers.
-    shard_requests_pure = True
 
     def __init__(self, seed: int = 7) -> None:
         super().__init__()
@@ -61,15 +60,8 @@ class SparPlacement(PlacementStrategy):
         self.tables: ReplicaTable | None = None
         #: server positions currently out of service
         self._down_positions: set[int] = set()
-        #: batch-kernel state: per-position resolution columns, the shared
-        #: routing service, run-local aggregators and the closest-replica
-        #: memo (broker -> target -> device), cleared on placement changes
-        self._device_of_position: list[int] = []
-        self._broker_of_position: list[int] = []
+        #: closest-replica resolution (distance rows hoisted per footprint)
         self.routing: RoutingService | None = None
-        self._read_run = None
-        self._write_run = None
-        self._route_memo: dict[int, dict[int, int]] = {}
 
     # ------------------------------------------------------------- placement
     def build_initial_placement(self) -> None:
@@ -84,19 +76,8 @@ class SparPlacement(PlacementStrategy):
             table.set_capacity(position, capacity)
         self.tables = table
         self._master = {}
-        self._device_of_position = [server.index for server in self.topology.servers]
-        self._broker_of_position = [
-            self.topology.proxy_broker_for_server(device)
-            for device in self._device_of_position
-        ]
         self.routing = RoutingService(self.topology)
-        self._read_run = self.accountant.roundtrip_run(
-            MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE
-        )
-        self._write_run = self.accountant.roundtrip_run(
-            MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK
-        )
-        self._route_memo = {}
+        self._reset_footprints()
 
         # One master replica per user, least-loaded server first.
         for user in self.graph.users:
@@ -109,16 +90,6 @@ class SparPlacement(PlacementStrategy):
         for follower, followee in edges:
             self._co_locate(follower, followee)
 
-    def _clear_route_memo(self) -> None:
-        """Drop every memoised closest-replica answer (placement changed).
-
-        The per-broker dicts are cleared in place so a running batch kernel
-        that hoisted one keeps observing the (now empty, then repopulating)
-        live memo.
-        """
-        for memo in self._route_memo.values():
-            memo.clear()
-
     def _place_master(self, user: int) -> int:
         """Create the master replica of a user on the least-loaded server."""
         table = self.tables
@@ -127,7 +98,6 @@ class SparPlacement(PlacementStrategy):
             raise SimulationError("no storage server is available")
         self._master[user] = position
         table.allocate(user, position)
-        self._clear_route_memo()
         return position
 
     def _co_locate(self, follower: int, followee: int) -> bool:
@@ -149,7 +119,7 @@ class SparPlacement(PlacementStrategy):
         if table.used[target] >= table.capacities[target]:
             return False
         table.allocate(followee, target)
-        self._clear_route_memo()
+        self._footprints.clear()
         return True
 
     # ------------------------------------------------------------- execution
@@ -195,93 +165,30 @@ class SparPlacement(PlacementStrategy):
                 broker, server, MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK, now
             )
 
-    # ------------------------------------------------------- batch kernel
-    def execute_request_batch(
-        self,
-        kinds: Sequence[int],
-        users: Sequence[int],
-        timestamps: Sequence[float],
-    ) -> None:
-        """Fused SPAR request kernel over the flat replica chains.
-
-        Closest-replica answers are memoised per ``(broker, target)`` —
-        SPAR's placement only changes on graph/fault events, which bound
-        runs and clear the memo in place — and read/write roundtrips
-        aggregate per distinct ``(broker, server)`` path and time bucket.
-        """
-        if self._read_run is None:
-            super().execute_request_batch(kinds, users, timestamps)
-            return
-        self.require_bound()
-        graph = self.graph
-        has_user = graph.has_user
-        following = graph.following
-        master = self._master
-        table = self.tables
-        user_head = table._user_head
-        user_next = table._user_next
-        server_column = table._server
+    def footprint(self, kind: int, user: int) -> Footprint:
+        """From the broker of the user's master rack: a read goes to the
+        closest replica of each followee's view, a write to every replica
+        of her own."""
+        if kind == KIND_READ and not self.graph.has_user(user):
+            return ()
+        broker = self._broker_of_position[self._master_position(user)]
         device_of = self._device_of_position
-        broker_of = self._broker_of_position
-        route_memo = self._route_memo
-        batch_resolver = self.routing.batch_resolver
-        read_run = self._read_run
-        write_run = self._write_run
-        read_counts_for = read_run.counts_for
-        write_counts_for = write_run.counts_for
-        stride = read_run.stride
-        for kind, user, now in zip(kinds, users, timestamps):
-            if kind == KIND_READ:
-                if not has_user(user):
-                    continue
-                master_position = master.get(user)
-                if master_position is None:
-                    master_position = self._place_master(user)
-                broker = broker_of[master_position]
-                memo = route_memo.get(broker)
-                if memo is None:
-                    memo = route_memo[broker] = {}
-                base = broker * stride
-                counts = read_counts_for(now)
-                resolve = None
-                for target in following(user):
-                    device = memo.get(target)
-                    if device is None:
-                        if target not in master:
-                            self._place_master(target)
-                        slot = user_head[target]
-                        if user_next[slot] == NO_SLOT:
-                            device = device_of[server_column[slot]]
-                        else:
-                            if resolve is None:
-                                resolve = batch_resolver(broker)
-                            devices = []
-                            while slot != NO_SLOT:
-                                devices.append(device_of[server_column[slot]])
-                                slot = user_next[slot]
-                            device = resolve(devices)
-                        memo[target] = device
-                    key = base + device
-                    count = counts.get(key)
-                    counts[key] = 1 if count is None else count + 1
-            else:
-                master_position = master.get(user)
-                if master_position is None:
-                    master_position = self._place_master(user)
-                base = broker_of[master_position] * stride
-                counts = write_counts_for(now)
-                slot = user_head[user]
-                while slot != NO_SLOT:
-                    key = base + device_of[server_column[slot]]
-                    count = counts.get(key)
-                    counts[key] = 1 if count is None else count + 1
-                    slot = user_next[slot]
-        read_run.flush()
-        write_run.flush()
+        user_positions = self.tables.user_positions
+        if kind != KIND_READ:
+            return self._footprint_of(
+                kind, broker, [device_of[p] for p in user_positions(user)]
+            )
+        resolve = self.routing.batch_resolver(broker)
+        devices = []
+        for target in self.graph.following(user):
+            self._master_position(target)
+            devices.append(resolve([device_of[p] for p in user_positions(target)]))
+        return self._footprint_of(kind, broker, devices)
 
     # --------------------------------------------------------- graph changes
     def on_edge_added(self, follower: int, followee: int, now: float) -> None:
         """SPAR reacts to the social graph: try to co-locate the new pair."""
+        super().on_edge_added(follower, followee, now)
         self._co_locate(follower, followee)
 
     # ---------------------------------------------------------------- faults
@@ -334,13 +241,12 @@ class SparPlacement(PlacementStrategy):
             self.accountant.record(
                 source, target_device, MessageKind.REPLICA_COPY, now
             )
-        self._clear_route_memo()
+        self._footprints.clear()
         return plan
 
     def on_server_up(self, position: int, now: float) -> None:
         """The server rejoins empty; co-location refills it as edges arrive."""
         self._begin_server_up(position, self._down_positions)
-        self._clear_route_memo()
 
     # ----------------------------------------------------------- introspection
     def replica_locations(self) -> dict[int, set[int]]:

@@ -101,17 +101,6 @@ class RoutingService:
 
         return resolve
 
-    def closest_replica_batch(
-        self, broker: int, replica_sets
-    ) -> list[int]:
-        """Resolve many replica sets against one broker in a single pass.
-
-        Equivalent to ``[closest_replica(broker, s) for s in replica_sets]``
-        with the distance row fetched once.
-        """
-        resolve = self.batch_resolver(broker)
-        return [resolve(devices) for devices in replica_sets]
-
     # ------------------------------------------------------------- fan-out
     def affected_brokers(
         self,

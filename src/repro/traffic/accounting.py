@@ -55,7 +55,9 @@ switch belongs to (a level name is a label, not an index).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..exceptions import SimulationError
@@ -610,7 +612,9 @@ class RoundtripRun:
       per roundtrip.  The method transparently separates warm-up events
       (before ``measure_from`` — message counting only) from measured ones
       and flushes whenever the event's time bucket changes, so every dict
-      it hands out only ever aggregates messages that share one bucket;
+      it hands out only ever aggregates messages that share one bucket.
+      A kernel that tallies many events at once calls it once per
+      :meth:`segment_end` span instead;
     * :meth:`flush` at the end of the run applies whatever is pending.
 
     Timestamps must be non-decreasing (event streams are time ordered).
@@ -659,6 +663,35 @@ class RoundtripRun:
                 self._counts.clear()
             self._bucket = bucket
         return self._counts
+
+    def segment_end(self, timestamps: Sequence[float], start: int, end: int) -> int:
+        """End of the accounting segment of ``timestamps[start:end]`` that
+        begins at ``start``: the events :meth:`counts_for` would send to the
+        same dict as ``timestamps[start]`` (same warm-up side, same bucket).
+
+        Kernels that tally a whole segment at once cut with this, so they
+        and the per-event path split a run by one predicate.  Usually both
+        ends of the span agree and nothing is searched; otherwise a bisect
+        *proposes* the cut and :meth:`counts_for`'s own arithmetic, asked
+        about both neighbours, decides it — ``(bucket + 1) * width`` and
+        ``timestamp // width`` round independently and do disagree at
+        boundaries (``3 * 0.7 // 0.7 == 2.0``).
+        """
+        measure_from = self._measure_from
+        if timestamps[start] < measure_from:
+            if timestamps[end - 1] < measure_from:
+                return end
+            return bisect_left(timestamps, measure_from, start + 1, end)
+        width = self._bucket_width
+        bucket = int(timestamps[start] // width)
+        if int(timestamps[end - 1] // width) == bucket:
+            return end
+        cut = bisect_left(timestamps, (bucket + 1) * width, start + 1, end)
+        while cut > start + 1 and int(timestamps[cut - 1] // width) != bucket:
+            cut -= 1
+        while cut < end and int(timestamps[cut] // width) == bucket:
+            cut += 1
+        return cut
 
     def flush(self) -> None:
         """Apply all pending aggregates to the accountant."""

@@ -155,7 +155,7 @@ class EventStream:
     # ------------------------------------------------------------- summaries
     def stats(self) -> StreamStats:
         """Count events per kind and record the covered time span."""
-        events = reads = writes = mutations = 0
+        events = reads = writes = 0
         first = 0.0
         last = 0.0
         for chunk in self.chunks():
@@ -166,13 +166,10 @@ class EventStream:
                 first = chunk.timestamps[0]
             last = chunk.timestamps[n - 1]
             events += n
-            for kind in chunk.kinds:
-                if kind == KIND_READ:
-                    reads += 1
-                elif kind == KIND_WRITE:
-                    writes += 1
-                else:
-                    mutations += 1
+            kinds = chunk.kinds.tobytes()
+            reads += kinds.count(KIND_READ)
+            writes += kinds.count(KIND_WRITE)
+        mutations = events - reads - writes
         return StreamStats(
             events=events,
             reads=reads,
@@ -253,6 +250,60 @@ def pack_rows(
             append = chunk.append
     if len(chunk):
         yield chunk
+
+
+#: A time-ordered batch of requests as columns: kinds, timestamps, users.
+RequestColumns = tuple[bytes, array, array]
+
+
+def time_ordered_columns(
+    kinds: bytes, timestamps: Sequence[float], users: Sequence[int]
+) -> RequestColumns:
+    """Stable-sort a batch of requests by timestamp, column by column.
+
+    The argsort is stable (ties keep their input order, like sorting rows
+    on the timestamp alone) and each column is gathered at C speed, so a
+    generator never builds a row per event.
+    """
+    order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+    return (
+        bytes(map(kinds.__getitem__, order)),
+        array("d", map(timestamps.__getitem__, order)),
+        array("I", map(users.__getitem__, order)),
+    )
+
+
+def pack_columns(
+    batches: Iterable[RequestColumns], chunk_size: int = CHUNK_EVENTS
+) -> Iterator[EventChunk]:
+    """Pack time-ordered request batches into chunks of ``chunk_size`` events.
+
+    The column-native twin of :func:`pack_rows` for generators that emit a
+    whole window at a time: chunks are cut at the same multiples of
+    ``chunk_size`` (only the last may be shorter) and are byte-identical to
+    packing the same events row by row.  Batches hold reads and writes
+    only, so the ``aux`` column is all :data:`NO_AUX`.
+    """
+    if chunk_size < 1:
+        raise WorkloadError("chunk_size must be at least 1")
+    no_aux = array("i", [NO_AUX])
+    kinds = array("B")
+    timestamps = array("d")
+    users = array("I")
+    for batch_kinds, batch_timestamps, batch_users in batches:
+        kinds.frombytes(batch_kinds)
+        timestamps.extend(batch_timestamps)
+        users.extend(batch_users)
+        full = len(kinds) - len(kinds) % chunk_size
+        for start in range(0, full, chunk_size):
+            stop = start + chunk_size
+            yield EventChunk(
+                kinds[start:stop], timestamps[start:stop], users[start:stop],
+                no_aux * chunk_size,
+            )
+        del kinds[:full], timestamps[:full], users[:full]
+    if kinds:
+        yield EventChunk(kinds, timestamps, users, no_aux * len(kinds))
 
 
 def request_run_end(kinds: bytes, start: int, end: int) -> int:
@@ -385,7 +436,9 @@ __all__ = [
     "events_per_day",
     "request_run_end",
     "merge_streams",
+    "pack_columns",
     "pack_rows",
     "request_to_row",
     "row_to_request",
+    "time_ordered_columns",
 ]

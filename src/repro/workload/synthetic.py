@@ -10,9 +10,11 @@ The generator follows the paper's assumptions:
 * requests are evenly distributed over time (low variance), which lets
   DynaSoRe estimate read and write rates accurately.
 
-Generation is *stream-native*: events are produced lazily in fixed time
-windows (one generator window is a few simulated hours) and packed into the
-columnar chunks of :mod:`repro.workload.stream`.  Randomness is drawn from
+Generation is *stream-native* and *column-native*: events are produced
+lazily in fixed time windows (one generator window is a few simulated
+hours), each window as three columns — no row per event — sorted by one
+stable argsort and packed into the columnar chunks of
+:mod:`repro.workload.stream`.  Randomness is drawn from
 one dedicated ``random.Random`` per model (writes, reads), each consumed in
 window order — never per chunk — so the emitted events are byte-identical
 regardless of the chunk size used to consume the stream, and identical to
@@ -37,15 +39,18 @@ from .stream import (
     EventStream,
     KIND_READ,
     KIND_WRITE,
-    NO_AUX,
     allocate_proportionally,
-    pack_rows,
+    pack_columns,
+    time_ordered_columns,
 )
 
 #: Width of one generation window.  Events are drawn and sorted per window,
 #: so the window — a fixed property of the generator, independent of chunk
 #: size and consumption pattern — is the unit of seed stability.
 GENERATION_WINDOW = 6 * HOUR
+
+_READ = bytes([KIND_READ])
+_WRITE = bytes([KIND_WRITE])
 
 
 @dataclass(frozen=True)
@@ -136,28 +141,29 @@ class SyntheticWorkloadGenerator:
         write_rng = random.Random(f"{config.seed}:synthetic:writes")
         read_rng = random.Random(f"{config.seed}:synthetic:reads")
 
-        def rows():
+        models = (
+            (_WRITE, write_rng, cum_write_weights, writes_per_window),
+            (_READ, read_rng, cum_read_weights, reads_per_window),
+        )
+
+        def batches():
             for window in range(windows):
                 start = window * GENERATION_WINDOW
-                end = min(start + GENERATION_WINDOW, duration)
-                events: list[tuple[float, int, int]] = []
-                writers = write_rng.choices(
-                    user_list, cum_weights=cum_write_weights, k=writes_per_window[window]
-                )
-                events.extend(
-                    (write_rng.uniform(start, end), KIND_WRITE, user) for user in writers
-                )
-                readers = read_rng.choices(
-                    user_list, cum_weights=cum_read_weights, k=reads_per_window[window]
-                )
-                events.extend(
-                    (read_rng.uniform(start, end), KIND_READ, user) for user in readers
-                )
-                events.sort(key=lambda item: item[0])
-                for timestamp, kind, user in events:
-                    yield (kind, timestamp, user, NO_AUX)
+                span = min(start + GENERATION_WINDOW, duration) - start
+                kinds = b""
+                users: list[int] = []
+                timestamps: list[float] = []
+                for kind, rng, cum_weights, budget in models:
+                    count = budget[window]
+                    kinds += kind * count
+                    # Who, then when, on the model's own RNG; the timestamp
+                    # expression is the body of ``Random.uniform(start, end)``.
+                    users += rng.choices(user_list, cum_weights=cum_weights, k=count)
+                    draw = rng.random
+                    timestamps += [start + span * draw() for _ in range(count)]
+                yield time_ordered_columns(kinds, timestamps, users)
 
-        return pack_rows(rows(), chunk_size)
+        return pack_columns(batches(), chunk_size)
 
     # ---------------------------------------------------------------- logs
     def generate(self) -> RequestLog:

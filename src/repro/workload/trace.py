@@ -18,7 +18,9 @@ This module generates a synthetic trace with the same observable properties:
 Generation is stream-native and windowed by simulated *day*: the per-day
 event budget is fixed up front (proportional to the day's load factor), and
 each day's events are drawn from per-model RNGs consumed in day order — so
-the chunk size used to consume the stream can never change the trace.
+the chunk size used to consume the stream can never change the trace.  A day
+is emitted as three columns (kinds, timestamps, users), stable-sorted by
+time and packed into chunks without a row per event.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .stream import (
     EventStream,
     KIND_READ,
     KIND_WRITE,
-    NO_AUX,
     allocate_proportionally,
-    pack_rows,
+    pack_columns,
+    time_ordered_columns,
 )
 
 
@@ -168,15 +170,18 @@ class NewsActivityTraceGenerator:
         write_rng = random.Random(f"{config.seed}:trace:writes")
         read_rng = random.Random(f"{config.seed}:trace:reads")
 
-        def rows():
+        def batches():
             for day in range(len(daily)):
-                events: list[tuple[float, int, int]] = []
+                kinds = b""
+                users: list[int] = []
+                timestamps: list[float] = []
                 for kind, rng, count in (
                     (KIND_WRITE, write_rng, writes_per_day[day]),
                     (KIND_READ, read_rng, reads_per_day[day]),
                 ):
-                    chosen = rng.choices(active_users, weights=weights, k=count)
-                    for user in chosen:
+                    kinds += bytes([kind]) * count
+                    users += rng.choices(active_users, weights=weights, k=count)
+                    for _ in range(count):
                         # Full days always pass first try; a fractional
                         # final day resamples the diurnal draw until the
                         # timestamp falls inside the trace (bounded, so a
@@ -187,12 +192,10 @@ class NewsActivityTraceGenerator:
                                 break
                         else:
                             timestamp = math.nextafter(end_of_trace, day * DAY)
-                        events.append((timestamp, kind, user))
-                events.sort(key=lambda item: item[0])
-                for timestamp, kind, user in events:
-                    yield (kind, timestamp, user, NO_AUX)
+                        timestamps.append(timestamp)
+                yield time_ordered_columns(kinds, timestamps, users)
 
-        return pack_rows(rows(), chunk_size)
+        return pack_columns(batches(), chunk_size)
 
     # ------------------------------------------------------------------ logs
     def generate(self) -> RequestLog:

@@ -273,6 +273,166 @@ def test_random_interleavings_byte_identical(seed):
     assert hooks_a == hooks_b
 
 
+# ---------------------------------------------------------------------------
+# Footprint kernel vs per-event path (Random, METIS, hMETIS, SPAR)
+# ---------------------------------------------------------------------------
+_FOOTPRINT_KNOWN = 80
+
+
+def _footprint_rows(rng: random.Random, bucket_width: float) -> list[tuple]:
+    """1 500 events over an *open, growing* user universe: edge endpoints
+    are drawn from up to five ids beyond the users seen so far (so users
+    unknown to the graph keep arriving, mostly as followee, and then read
+    and write), requests from up to three beyond them.  One timestamp in
+    twenty sits on a multiple of the bucket width — where buckets, and for
+    the round widths ticks and the warm-up boundary, change hands."""
+    known = _FOOTPRINT_KNOWN
+    rows = []
+    timestamps = [rng.uniform(0.0, 6 * HOUR) for _ in range(1500)]
+    for index in range(0, len(timestamps), 20):
+        timestamps[index] = round(timestamps[index] / bucket_width) * bucket_width
+    for timestamp in sorted(timestamps):
+        draw = rng.random()
+        if draw < 0.10:
+            follower = rng.randrange(known + 5)
+            followee = rng.randrange(known + 5)
+            if follower != followee:
+                kind = KIND_EDGE_ADD if draw < 0.08 else KIND_EDGE_REMOVE
+                rows.append((kind, timestamp, follower, followee))
+                known = max(known, follower + 1, followee + 1)
+        else:
+            kind = KIND_READ if draw < 0.75 else KIND_WRITE
+            user = rng.randrange(known + 3)
+            rows.append((kind, timestamp, user, -1))
+            known = max(known, user + 1)
+    return rows
+
+
+def _footprint_run(strategy_key: str, seed: int, batch: bool):
+    rng = random.Random(seed)
+    config = SimulationConfig(
+        bucket_width=rng.choice([3600.0, 1000.0, 77.7, 0.7]),
+        measure_from=rng.choice([0.0, 5000.0, 12345.6]),
+        tick_period=rng.choice([3600.0, 500.0]),
+        extra_memory_pct=rng.choice([0.0, 30.0, 100.0]),
+        seed=7,
+    )
+    stream = EventStream.from_rows(
+        _footprint_rows(rng, config.bucket_width), chunk_size=rng.choice([7, 97, 4096])
+    )
+    topology, _ = parity_cluster()
+    simulator = ClusterSimulator(
+        topology,
+        parity_graph(users=_FOOTPRINT_KNOWN, seed=seed),
+        build_strategy(strategy_key, 7, DynaSoReConfig()),
+        config=config,
+    )
+    if not batch:
+        _observe_per_event(simulator)
+    return simulator.run(stream), simulator.accountant.snapshot()
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("strategy_key", ["random", "hmetis", "spar"])
+def test_footprint_kernel_matches_per_event_path(strategy_key, seed):
+    """Counting footprints equals executing events, on streams the golden
+    matrix does not have: users unknown to the graph, edge churn between
+    every few requests, bucket widths that cut inside runs and are not
+    float-friendly, a warm-up boundary inside the stream.
+
+    Mutations the 180 cells were checked against:
+
+    (a) ``on_edge_added`` drops only the follower's read footprint — a
+        followee new to the graph keeps her ``()`` and her next read does
+        not place her: 114 cells differ, while the whole golden matrix passes
+        (a prototype of the kernel shipped exactly this bug);
+    (b) a run's reads are tallied before its writes — lazy placement then
+        leaves stream order: 84 cells differ;
+    (c) ``segment_end`` trusts its bisect instead of asking
+        ``timestamp // width`` about both neighbours of the cut: *no* cell
+        differs, by construction — every segment re-derives its bucket
+        from its first timestamp through ``counts_for``, so a cut that
+        comes early (common at ``bucket_width=0.7``) only splits a segment,
+        and one that comes late does not exist in IEEE arithmetic.  What the
+        mutation breaks is the cut positions, which
+        ``test_traffic.py::test_segment_end_cuts_where_counts_for_switches_dicts``
+        pins.
+    """
+    batched, batched_snapshot = _footprint_run(strategy_key, seed, batch=True)
+    per_event, per_event_snapshot = _footprint_run(strategy_key, seed, batch=False)
+    assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
+    assert batched_snapshot == per_event_snapshot
+
+
+@pytest.mark.parametrize("key", ["random", "hmetis", "spar"])
+def test_footprints_walk_the_graph_once_per_reader(key):
+    """A work count, not a timing: 40 runs without an edge event read
+    ``following`` at most once per distinct reader; after one edge the
+    static strategies re-read it only for the edge's two endpoints."""
+    strategy, simulator = _bound_strategy(key)
+    graph = simulator.graph
+    walked: list[int] = []
+    following = graph.following
+
+    def spy(user):
+        walked.append(user)
+        return following(user)
+
+    graph.following = spy
+    rng = random.Random(3)
+    users = list(graph.users)
+
+    def replay(start: float) -> set[int]:
+        readers = set()
+        for run in range(40):
+            kinds = bytes(rng.choice([KIND_READ, KIND_READ, KIND_WRITE]) for _ in range(50))
+            run_users = [rng.choice(users) for _ in kinds]
+            times = [start + run * 100.0 + index for index in range(50)]
+            strategy.execute_request_batch(kinds, run_users, times)
+            readers.update(u for k, u in zip(kinds, run_users) if k == KIND_READ)
+        return readers
+
+    readers = replay(0.0)
+    assert sorted(walked) == sorted(readers)
+
+    follower = users[0]
+    followee = next(u for u in users[1:] if not graph.has_edge(follower, u))
+    graph.add_edge(follower, followee)
+    strategy.on_edge_added(follower, followee, 5000.0)
+    del walked[:]
+    readers = replay(5000.0)
+    if key != "spar":  # a SPAR co-location moves a replica: everything is dropped
+        assert sorted(walked) == sorted(readers & {follower, followee})
+    assert len(walked) == len(set(walked))
+
+
+def test_equal_footprints_share_their_key_objects():
+    """Footprint memory stays one pointer per followed edge: path keys are
+    interned, so equal keys in different footprints are one ``int`` object
+    (at most ``2 * stride**2`` of them), not one per roundtrip."""
+    strategy, simulator = _bound_strategy("random")
+    users = list(simulator.graph.users)
+    strategy.execute_request_batch(
+        bytes([KIND_READ, KIND_WRITE] * len(users)),
+        [user for user in users for _ in range(2)],
+        [0.0] * (2 * len(users)),
+    )
+    by_position: dict[int, list[int]] = {}
+    for user, position in strategy.assignment().items():
+        by_position.setdefault(position, []).append(user)
+    first, second = next(group for group in by_position.values() if len(group) > 1)[:2]
+    write_a = strategy._footprints[KIND_WRITE, first]
+    write_b = strategy._footprints[KIND_WRITE, second]
+    assert write_a == write_b and write_a[0] > 256  # beyond CPython's small ints
+    assert write_a[0] is write_b[0]
+    objects: dict[int, int] = {}
+    for footprint in strategy._footprints.values():
+        for key in footprint:
+            assert objects.setdefault(key, id(key)) == id(key)
+    stride = simulator.accountant.device_count
+    assert len(objects) <= 2 * stride * stride
+
+
 def test_post_request_hooks_force_per_event_fallback():
     """With a hook attached, every event goes through the scalar methods."""
     topology, _ = parity_cluster()
@@ -403,9 +563,7 @@ def test_routing_batch_resolver_matches_scalar():
         set(servers[:5]),
         tuple(servers[3:7]),
     ]
-    batch = routing.closest_replica_batch(broker, sets)
     scalar = [routing.closest_replica(broker, devices) for devices in sets]
-    assert batch == scalar
     resolve = routing.batch_resolver(broker)
     assert [resolve(devices) for devices in sets] == scalar
 

@@ -40,13 +40,17 @@ from repro.workload.requests import EdgeAdded, ReadRequest, RequestLog, WriteReq
 from repro.workload.stream import (
     EventChunk,
     EventStream,
+    KIND_EDGE_ADD,
+    KIND_EDGE_REMOVE,
     KIND_READ,
     KIND_WRITE,
     allocate_proportionally,
     as_stream,
     events_per_day,
     merge_streams,
+    pack_columns,
     pack_rows,
+    time_ordered_columns,
 )
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 from repro.workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
@@ -75,6 +79,36 @@ class TestChunksAndAdapters:
     def test_pack_rows_rejects_bad_chunk_size(self):
         with pytest.raises(WorkloadError):
             list(pack_rows(iter(()), chunk_size=0))
+
+    @pytest.mark.parametrize("chunk_size", [1, 4, 100])
+    def test_pack_columns_equals_pack_rows(self, chunk_size):
+        """Windows of unsorted columns (with timestamp ties) pack into the
+        chunks their stable-sorted rows pack into."""
+        windows = [
+            (bytes([KIND_WRITE, KIND_READ, KIND_READ]), [2.0, 1.0, 2.0], [7, 8, 9]),
+            (b"", [], []),
+            (bytes([KIND_READ] * 6), [5.0, 4.0, 5.0, 3.0, 4.0, 5.0], [1, 2, 3, 4, 5, 6]),
+        ]
+        rows = [
+            row
+            for kinds, timestamps, users in windows
+            for row in sorted(zip(kinds, timestamps, users, [-1] * len(users)), key=lambda r: r[1])
+        ]
+        packed = list(
+            pack_columns((time_ordered_columns(*window) for window in windows), chunk_size)
+        )
+        assert packed == list(pack_rows(iter(rows), chunk_size))
+
+    def test_pack_columns_rejects_bad_chunk_size(self):
+        with pytest.raises(WorkloadError):
+            list(pack_columns(iter(()), chunk_size=0))
+
+    def test_stats_count_all_four_kinds(self):
+        kinds = [KIND_READ, KIND_EDGE_ADD, KIND_WRITE, KIND_READ, KIND_EDGE_REMOVE, KIND_READ]
+        rows = [(kind, 10.0 + i, i, i + 1) for i, kind in enumerate(kinds)]
+        stats = EventStream.from_rows(rows, chunk_size=4).stats()
+        assert (stats.events, stats.reads, stats.writes, stats.mutations) == (6, 3, 1, 2)
+        assert (stats.first_timestamp, stats.last_timestamp) == (10.0, 15.0)
 
     def test_chunk_validate_catches_disorder(self):
         chunk = EventChunk()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from array import array
 
 import pytest
@@ -353,6 +354,42 @@ class TestRoundtripRun:
         assert batched.snapshot() == scalar.snapshot()
         assert batched.top_switch_series() == scalar.top_switch_series()
         assert batched.message_count == scalar.message_count == 10
+
+    @pytest.mark.parametrize("bucket_width", [3600.0, 77.7, 0.7])
+    @pytest.mark.parametrize("measure_from", [0.0, 5000.0, 12345.6])
+    def test_segment_end_cuts_where_counts_for_switches_dicts(
+        self, tree_topology: TreeTopology, bucket_width, measure_from
+    ):
+        """Whole-segment kernels and ``counts_for`` split a run alike — also
+        where ``(bucket + 1) * width`` and ``timestamp // width`` round apart
+        (multiples of 0.7 hit that within the first few hundred buckets)."""
+        accountant = TrafficAccountant(
+            tree_topology, bucket_width=bucket_width, measure_from=measure_from
+        )
+        run = accountant.roundtrip_run(MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE)
+        rng = random.Random(5)
+        timestamps = sorted(
+            [rng.uniform(0.0, 20000.0) for _ in range(400)]
+            + [measure_from + k * bucket_width for k in range(400)]
+            + [k * bucket_width for k in range(400)]
+        )
+
+        def counts_dict(timestamp):  # which dict ``counts_for`` hands out
+            if timestamp < measure_from:
+                return None
+            return int(timestamp // bucket_width)
+
+        expected = [
+            index
+            for index in range(1, len(timestamps))
+            if counts_dict(timestamps[index]) != counts_dict(timestamps[index - 1])
+        ] + [len(timestamps)]
+        cuts = []
+        start = 0
+        while start < len(timestamps):
+            start = run.segment_end(timestamps, start, len(timestamps))
+            cuts.append(start)
+        assert cuts == expected
 
     def test_flush_resets_for_reuse(self, tree_topology: TreeTopology):
         accountant = TrafficAccountant(tree_topology, bucket_width=100.0)
