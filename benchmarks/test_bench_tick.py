@@ -122,20 +122,24 @@ def _canonical(result) -> bytes:
     return pickle.dumps(dataclasses.asdict(result), protocol=4)
 
 
-def _timed_replay(batch_tick: bool, warm, tail):
+def _timed_replay(warm, tail, *, reference: bool):
     """Warm the placement on ``warm`` untimed, then time the ``tail`` replay.
 
+    ``reference`` binds the per-slot tick over ``on_tick`` on the strategy
+    instance, for this run and for every tick driven on it afterwards.
     Returns ``(strategy, result, elapsed)`` so the quiet-tick benchmark can
     reuse the converged placement.
     """
     topology = TreeTopology(_CLUSTER)
     graph = generate_social_graph(dataset_preset("twitter", users=2500), seed=7)
     strategy = build_strategy("dynasore_hmetis", 7, DynaSoReConfig())
+    if reference:
+        strategy.on_tick = strategy._on_tick_reference
     simulator = ClusterSimulator(
         topology,
         graph,
         strategy,
-        config=SimulationConfig(extra_memory_pct=60.0, seed=7, batch_tick=batch_tick),
+        config=SimulationConfig(extra_memory_pct=60.0, seed=7),
     )
     simulator.prepare()
     simulator.run(warm)
@@ -154,15 +158,15 @@ def test_bench_tick_stream_replay(benchmark):
     """Batched vs per-slot tick on the PR 5 converged DynaSoRe workload."""
     warm, tail = _split_workload(users=2500, days=1.0, read_write_ratio=19.0)
 
-    _, batched_result, first_batched = _timed_replay(True, warm, tail)
-    _, reference_result, first_reference = _timed_replay(False, warm, tail)
+    _, batched_result, first_batched = _timed_replay(warm, tail, reference=False)
+    _, reference_result, first_reference = _timed_replay(warm, tail, reference=True)
     assert _canonical(batched_result) == _canonical(reference_result)
 
     batched_times = [first_batched]
     reference_times = [first_reference]
     for _ in range(ROUNDS - 1):
-        batched_times.append(_timed_replay(True, warm, tail)[2])
-        reference_times.append(_timed_replay(False, warm, tail)[2])
+        batched_times.append(_timed_replay(warm, tail, reference=False)[2])
+        reference_times.append(_timed_replay(warm, tail, reference=True)[2])
 
     events = batched_result.requests_executed
     best_batched = min(batched_times)
@@ -186,7 +190,7 @@ def test_bench_tick_stream_replay(benchmark):
     benchmark.extra_info.update(metrics)
     _record_metrics("dynasore_converged_replay", metrics)
     benchmark.pedantic(
-        lambda: _timed_replay(True, warm, tail),
+        lambda: _timed_replay(warm, tail, reference=False),
         iterations=1,
         rounds=1,
     )
@@ -201,8 +205,8 @@ def test_bench_tick_stream_replay(benchmark):
 def test_bench_quiet_tick_sweep(benchmark):
     """Hourly no-traffic ticks: dirty-set skip vs per-slot full re-price."""
     warm, tail = _split_workload(users=2500, days=1.0, read_write_ratio=19.0)
-    batched, batched_result, _ = _timed_replay(True, warm, tail)
-    reference, reference_result, _ = _timed_replay(False, warm, tail)
+    batched, batched_result, _ = _timed_replay(warm, tail, reference=False)
+    reference, reference_result, _ = _timed_replay(warm, tail, reference=True)
     assert _canonical(batched_result) == _canonical(reference_result)
 
     def quiet_round(strategy) -> float:

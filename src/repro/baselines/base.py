@@ -17,8 +17,8 @@ and maintenance ticks) and hands whole runs to
 dispatched through :meth:`~PlacementStrategy.execute_read_batch` /
 :meth:`~PlacementStrategy.execute_write_batch`.  The base class implements
 all three as per-event loops over the scalar entry points, so every
-strategy — including user subclasses and the frozen legacy twins — is
-batch-dispatchable by construction.  Two kernels override
+strategy — including user subclasses — is batch-dispatchable by
+construction.  Two kernels override
 ``execute_request_batch`` with byte-identical results: DynaSoRe's
 (:mod:`repro.core.engine`, per event — its requests feed back into
 placement) and :class:`FootprintStrategy`'s, which *counts, then
@@ -62,14 +62,6 @@ class PlacementStrategy(ABC):
 
     #: Human-readable name used in experiment reports.
     name: str = "strategy"
-
-    #: Whether :meth:`on_tick` may run through a batched column sweep where
-    #: one exists (DynaSoRe's fused rotation/utility/threshold passes).
-    #: Set from ``SimulationConfig.batch_tick`` by the simulator's
-    #: ``prepare``; ``False`` forces the per-slot reference tick.  Both
-    #: paths are byte-identical — strategies without a batched tick ignore
-    #: the flag.
-    batch_tick: bool = True
 
     #: Whether request execution is a *pure measurement* over placement
     #: state that only system events (edges, faults, ticks) mutate.  Pure

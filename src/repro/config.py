@@ -160,12 +160,6 @@ class SimulationConfig:
     measure_from: float = 0.0
     #: Seed for every random decision taken during the simulation.
     seed: int = 7
-    #: Run the maintenance tick through the strategy's batched column sweep
-    #: (fused counter rotation + utility refresh with dirty-set tracking;
-    #: see ``DynaSoRe.on_tick``).  Batched and per-slot ticks produce
-    #: byte-identical results; ``False`` forces the per-slot reference path
-    #: — the baseline of the tick parity tests and the tick benchmark.
-    batch_tick: bool = True
 
     def __post_init__(self) -> None:
         if self.extra_memory_pct < 0:

@@ -235,7 +235,7 @@ class DynaSoRe(PlacementStrategy):
         self._origin_memo: dict[int, dict[int, int]] = {}
         self._read_run = None
         self._write_run = None
-        #: batched-tick dirty-set companions (see ``_on_tick_batched``):
+        #: batched-tick dirty-set companions (see ``on_tick``):
         #: the earliest rotation period at which any counter of a position
         #: drops non-zero history, and whether the last sweep left the
         #: position with a negative-utility replica (drives the removal
@@ -1297,25 +1297,12 @@ class DynaSoRe(PlacementStrategy):
     # =====================================================================
     # Maintenance tick
     # =====================================================================
-    def on_tick(self, now: float) -> None:
-        """Hourly maintenance: rotate counters, refresh utilities and
-        thresholds, evict, and run the migration sweep (Algorithm 3).
-
-        Dispatches to the fused column sweep (the default) or to the
-        per-slot reference path; the two produce byte-identical simulation
-        results (tick parity tests pin this for every strategy and
-        scenario).
-        """
-        if self.batch_tick:
-            self._on_tick_batched(now)
-        else:
-            self._on_tick_reference(now)
-
     def _on_tick_reference(self, now: float) -> None:
         """Per-slot reference tick: wholesale counter rotation, then a
-        utility walk per position.  Kept verbatim as the baseline of the
-        tick parity tests and the tick benchmark
-        (``SimulationConfig(batch_tick=False)``)."""
+        utility walk per position.  Never run in production; kept verbatim
+        as what ``tests/test_tick.py`` and the tick benchmark compare
+        :meth:`on_tick` against (they bind it over ``on_tick`` on the
+        instance)."""
         self.require_bound()
         assert self.topology is not None
         self._last_tick = now
@@ -1381,8 +1368,10 @@ class DynaSoRe(PlacementStrategy):
                 if table.effective_utility(slot) < 0:
                     self._remove_replica(user_column[slot], position, now)
 
-    def _on_tick_batched(self, now: float) -> None:
-        """Fused maintenance sweep over the placement and statistics columns.
+    def on_tick(self, now: float) -> None:
+        """Hourly maintenance: rotate counters, refresh utilities and
+        thresholds, evict, and run the migration sweep (Algorithm 3) — as
+        one fused sweep over the placement and statistics columns.
 
         One chain walk per *dirty* position does everything the reference
         tick does in three passes: rotates each replica's counter windows
@@ -1634,9 +1623,8 @@ class DynaSoRe(PlacementStrategy):
     def _refresh_utility(self, slot: int) -> None:
         """Recompute the cached utility of a replica (Algorithm 1).
 
-        Sole replicas are pinned at infinite utility (window totals are
-        never negative, so the object path's ``total_reads() >= 0`` guard
-        was always true).
+        Sole replicas are pinned at infinite utility: Algorithm 1 needs a
+        next-closest replica to compare against.
         """
         assert self.topology is not None
         table = self.tables

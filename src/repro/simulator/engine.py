@@ -259,7 +259,6 @@ class ClusterSimulator:
             self.strategy.bind(
                 self.topology, self.graph, self.accountant, self.budget, seed=self.config.seed
             )
-            self.strategy.batch_tick = self.config.batch_tick
             self.strategy.build_initial_placement()
         finally:
             if self._shard_system_mute:
@@ -702,7 +701,7 @@ class ClusterSimulator:
         after maintenance ticks and fault bursts — the two moments bulk
         state transitions (counter sweeps, evictions, evacuations) could
         corrupt the chain indexes.  Strategies without a ``tables``
-        attribute (custom or legacy object-path strategies) are skipped.
+        attribute (custom strategies keeping their own state) are skipped.
         """
         tables = getattr(self.strategy, "tables", None)
         if tables is not None and hasattr(tables, "check_integrity"):

@@ -958,12 +958,13 @@ class ReplicaTable:
             slot = srv_next[slot]
         threshold = -heap[0]
         # Boundary on a sole replica: the infinite threshold collapses to
-        # 0.0 (admit everything).  This mirrors ``repro.legacy`` — the seed
-        # implementation of paper section 3.2 — byte for byte; the golden
-        # parity suite pins the legacy twin, so the collapse is kept as the
-        # reference semantics rather than "fixed" (see the boundary
-        # regression tests in tests/test_tables.py, which cover both the
-        # collapsing and the finite branch).
+        # 0.0 (admit everything).  Nobody endorsed that reading of paper
+        # section 3.2; it is what the seed implementation did, and it is a
+        # candidate fidelity defect kept for ROADMAP item 2.  What pins it:
+        # ``test_admission_threshold_boundary_semantics`` (both branches)
+        # and, in tests/golden_tables.json, the mem0/mem30 DynaSoRe crash
+        # cells and the ``fill=0.5,evict=0.8`` cells — no default-config
+        # cell at 60 % extra memory or above reaches it.
         value = 0.0 if threshold == _INF else max(0.0, threshold)
         self._admission[position] = value
         return value

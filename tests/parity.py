@@ -1,24 +1,26 @@
-"""Shared harness of the golden parity suite.
+"""Shared harness of the golden and parity suites.
 
-Builds matched simulation runs for the table-backed strategies and their
-frozen seed twins (:mod:`repro.legacy`) and canonicalises
-:class:`~repro.simulator.results.SimulationResult`\\ s into bytes so the
-suite can assert **byte-identical** outcomes.  Kept outside the test module
-so the strategy benchmarks can reuse the exact same scenario matrix.
+Builds the small simulation runs the committed goldens
+(``tests/golden_tables.json``, ``tests/golden_digests.json``) and the
+batch/tick/shard parity suites replay, and canonicalises
+:class:`~repro.simulator.results.SimulationResult`\\ s into bytes and digests
+so they can assert **byte-identical** outcomes.  Kept outside the test
+modules so every suite builds the exact same cluster, graph and stream.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import pickle
 
 from repro.config import ClusterSpec, DynaSoReConfig, SimulationConfig
 from repro.constants import HOUR
-from repro.legacy import build_legacy_strategy
 
 # Imported from the run registry so a newly registered strategy
-# automatically joins the parity matrix (and fails loudly until it has a
-# legacy twin or an explicit exemption).
+# automatically joins the golden matrix (and fails loudly until its cells
+# are recorded).
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
 from repro.scenarios import CrashRecoverScenario, DiurnalLoadScenario
 from repro.simulator.engine import ClusterSimulator
@@ -63,17 +65,21 @@ def run_strategy(
     strategy_key: str,
     scenario_key: str,
     *,
-    legacy: bool,
     users: int = 220,
     extra_memory_pct: float = 60.0,
     tracked: int = 2,
+    dynasore: DynaSoReConfig | None = None,
 ):
-    """One simulation run of the parity matrix; returns a SimulationResult."""
+    """One simulation run of the parity matrix; returns a SimulationResult.
+
+    ``tracked`` views cut every run to one event, so ``tracked > 0`` replays
+    through ``execute_read``/``execute_write`` and ``tracked=0`` through the
+    ``execute_request_batch`` kernels.
+    """
     topology, _ = parity_cluster()
     graph = parity_graph(users=users)
     stream = parity_stream(graph)
-    build = build_legacy_strategy if legacy else build_strategy
-    strategy = build(strategy_key, 7, DynaSoReConfig())
+    strategy = build_strategy(strategy_key, 7, dynasore or DynaSoReConfig())
     config = SimulationConfig(extra_memory_pct=extra_memory_pct, seed=7)
     simulator = ClusterSimulator(
         topology,
@@ -99,19 +105,10 @@ def canonical_result_bytes(result) -> bytes:
     return pickle.dumps(tree, protocol=4)
 
 
-def result_digest(result) -> str:
-    """Short hex digest used in assertion messages."""
-    import hashlib
-
-    return hashlib.sha256(canonical_result_bytes(result)).hexdigest()[:16]
-
-
 def golden_digest(result) -> str:
     """sha256 of a result's canonical JSON, as committed in
-    ``tests/golden_digests.json`` (the rendering ``bench/driver.py`` uses:
-    independent of pickle and of dict insertion order)."""
-    import hashlib
-    import json
-
+    ``tests/golden_tables.json`` and ``tests/golden_digests.json`` (the
+    rendering ``bench/driver.py`` uses: independent of pickle and of dict
+    insertion order)."""
     payload = json.dumps(dataclasses.asdict(result), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -83,7 +83,7 @@ class TestShardedParity:
     @pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
     def test_two_shards_byte_identical(self, strategy_key, scenario_key):
         report = run_sharded_detailed(parity_materials(strategy_key, scenario_key), 2)
-        reference = run_strategy(strategy_key, scenario_key, legacy=False, tracked=0)
+        reference = run_strategy(strategy_key, scenario_key, tracked=0)
         assert canonical_result_bytes(report.result) == canonical_result_bytes(
             reference
         ), f"sharded replay diverged for {strategy_key}/{scenario_key}"
@@ -92,7 +92,7 @@ class TestShardedParity:
 
     def test_four_shards_byte_identical(self):
         report = run_sharded_detailed(parity_materials("spar", "crash"), 4)
-        reference = run_strategy("spar", "crash", legacy=False, tracked=0)
+        reference = run_strategy("spar", "crash", tracked=0)
         assert report.mode == "partitioned"
         assert len(report.outcomes) == 4
         assert canonical_result_bytes(report.result) == canonical_result_bytes(
@@ -101,7 +101,7 @@ class TestShardedParity:
 
     def test_one_shard_runs_in_process(self):
         report = run_sharded_detailed(parity_materials("random", "plain"), 1)
-        reference = run_strategy("random", "plain", legacy=False, tracked=0)
+        reference = run_strategy("random", "plain", tracked=0)
         assert report.mode == "single"
         assert report.fallback_reason is None
         assert canonical_result_bytes(report.result) == canonical_result_bytes(

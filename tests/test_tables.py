@@ -1,13 +1,15 @@
-"""Golden parity suite and property tests of the placement tables.
+"""Committed goldens and property tests of the placement tables.
 
-Three layers of protection for the struct-of-arrays refactor:
+Three layers of protection for the one world of placement state
+(:mod:`repro.store.tables`):
 
-* **Golden parity** — every placement strategy replays identical workloads
-  through the table-backed path and through the frozen seed object path
-  (:mod:`repro.legacy`), and the resulting
-  :class:`~repro.simulator.results.SimulationResult`\\ s must be
-  **byte-identical** (canonical serialisation), across plain, diurnal-load
-  and crash-recover scenarios with tracked views.
+* **Committed goldens** — ``tests/golden_tables.json`` holds the
+  ``parity.golden_digest`` of 156 small runs (220 users, 12 servers, half a
+  day): matrix A is every strategy x {plain, diurnal, crash} x extra memory
+  {0, 30, 60, 150} % through the per-event path, matrix B is six
+  non-default ``DynaSoReConfig``\\ s x {dynasore_hmetis, dynasore_random} x
+  the three scenarios, through the per-event path (``tracked2``) and
+  through the batch kernel (``tracked0``).
 * **Properties** — random create/remove/migrate churn against a dict/set
   reference model, with free-list reuse and chain-index integrity audited
   after every step, plus a windows-arithmetic equivalence check of
@@ -15,23 +17,57 @@ Three layers of protection for the struct-of-arrays refactor:
 * **Counter regressions** — crash → evacuate → restore must leave the O(1)
   per-server counters (``memory_in_use``/``server_utilisations``) exactly
   consistent with a from-scratch recount.
+
+**Where the goldens come from.**  They were harvested once, at the last
+commit that still carried the frozen seed object world
+(``src/repro/legacy/``, the pre-table implementation of every strategy):
+each cell was replayed through both worlds and recorded only after
+``canonical_result_bytes`` of the two results compared equal — 156 cells,
+none differed.  The object world and its 21-cell twin comparison
+(``test_byte_identical_with_seed_object_path``, all at 60 % memory with the
+default config) were deleted in the same change; the ``A/*/mem60`` row is
+those 21 cells.
+
+**What the file catches.**  Failing cells per mutant, as *A's 84 / the
+deleted 21-cell suite run at its last commit against the same mutant / B's
+36 ``tracked0`` / B's 36 ``tracked2``*:
+
+* ``update_admission_threshold`` keeps the infinite threshold on a
+  sole-replica boundary (no collapse to 0.0): 6 / **0** / 6 / 6;
+* ``eviction_candidate_slots`` sorts on ``(utility, slot)``: 29 / 9 / 35 / 35;
+* ``_decide_with_candidates``, Algorithm 2 admits at ``profit >=
+  threshold`` (batch kernel only): 0 / 0 / 33 / 0;
+* ``_decide_with_candidates``, Algorithm 3 removes at ``best_profit <= 0``
+  (batch kernel only): 0 / 0 / 7 / 0;
+* ``core/replication.py``, Algorithm 2 admits at ``profit >= threshold``
+  (per-event reference only): 20 / 8 / 0 / 33.
+
+Every cell the old suite failed is failed by its ``A/*/mem60`` successor,
+and the two halves of matrix B pin different code.
+
+Regenerate (only for an intended, explained result change — e.g. a
+fidelity fix under ROADMAP item 2 — in a change that does nothing else):
+``PYTHONPATH=src python tests/test_tables.py``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import tracemalloc
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from parity import (
     SCENARIOS,
     STRATEGY_KEYS,
-    canonical_result_bytes,
+    golden_digest,
     parity_cluster,
     parity_graph,
     parity_stream,
-    result_digest,
     run_strategy,
 )
 from repro.config import DynaSoReConfig, SimulationConfig
@@ -43,25 +79,58 @@ from repro.store.tables import ReplicaTable, StatsTable, pick_least_loaded
 
 
 # ---------------------------------------------------------------------------
-# Golden parity: table path vs frozen seed object path
+# Committed goldens of the placement layer (tests/golden_tables.json)
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
-@pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
-def test_byte_identical_with_seed_object_path(strategy_key, scenario_key):
-    """The flagship guarantee: same workload, byte-identical result."""
-    table_result = run_strategy(strategy_key, scenario_key, legacy=False)
-    legacy_result = run_strategy(strategy_key, scenario_key, legacy=True)
-    assert canonical_result_bytes(table_result) == canonical_result_bytes(
-        legacy_result
-    ), (
-        f"{strategy_key}/{scenario_key}: table path diverged from the seed "
-        f"object path ({result_digest(table_result)} != {result_digest(legacy_result)})"
+GOLDEN_PATH = Path(__file__).parent / "golden_tables.json"
+
+#: Matrix A: extra memory, in percent.  At 0 and 30 servers fill up, so
+#: admission thresholds and eviction decide; 60 was the old parity matrix.
+MEMORY_PCTS = (0, 30, 60, 150)
+
+#: Matrix B: one non-default ``DynaSoReConfig`` per branch it switches.
+DYNASORE_CONFIGS = {
+    "min_replicas=2": DynaSoReConfig(min_replicas=2),
+    "check_interval=3": DynaSoReConfig(replication_check_interval=3),
+    "no_proxy_migration": DynaSoReConfig(enable_proxy_migration=False),
+    "no_view_migration": DynaSoReConfig(enable_view_migration=False),
+    "counter_slots=6": DynaSoReConfig(counter_slots=6),
+    "fill=0.5,evict=0.8": DynaSoReConfig(admission_fill=0.5, eviction_threshold=0.8),
+}
+
+
+#: ``run_strategy`` keyword arguments per committed digest.
+CASES = {
+    f"A/{strategy_key}/{scenario_key}/mem{pct}": dict(
+        strategy_key=strategy_key, scenario_key=scenario_key, extra_memory_pct=float(pct)
     )
+    for strategy_key, scenario_key, pct in product(STRATEGY_KEYS, sorted(SCENARIOS), MEMORY_PCTS)
+} | {
+    f"B/{name}/{strategy_key}/{scenario_key}/tracked{tracked}": dict(
+        strategy_key=strategy_key, scenario_key=scenario_key, tracked=tracked, dynasore=dynasore
+    )
+    for (name, dynasore), strategy_key, scenario_key, tracked in product(
+        DYNASORE_CONFIGS.items(), ("dynasore_hmetis", "dynasore_random"), sorted(SCENARIOS), (2, 0)
+    )
+}
+
+
+def _committed() -> dict[str, str]:
+    return json.loads(GOLDEN_PATH.read_text())["digests"]
+
+
+def test_golden_file_lists_exactly_the_cases():
+    assert sorted(_committed()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_result_matches_committed_golden(key):
+    """Same workload, same ``SimulationResult`` as the digest in the tree."""
+    assert golden_digest(run_strategy(**CASES[key])) == _committed()[key], key
 
 
 def test_parity_runs_exercise_dynamic_placement():
     """Sanity: the parity workload actually replicates and recovers."""
-    result = run_strategy("dynasore_hmetis", "crash", legacy=False)
+    result = run_strategy("dynasore_hmetis", "crash")
     assert result.replication_factor > 1.0
     assert result.fault_records
     assert result.unavailable_views == 0
@@ -198,6 +267,29 @@ def test_detach_keeps_statistics_until_release():
     assert table.stats.reads_from(target, 3) == 1.0
     assert table.user_positions(1) == (1,)
     table.check_integrity()
+
+
+def test_placement_state_stays_under_260_bytes_per_view():
+    """Absolute ceiling on what one single-replica view costs the table.
+
+    209 B/view measured here (195 B/view at one million); the seed's
+    ``ViewReplica``-per-dict world cost about 4.5x that, which is what the
+    struct-of-arrays layout was for.  A column that turns into a list of
+    objects, or a per-replica dict, breaks the ceiling.
+    """
+    views, positions = 100_000, 64
+    tracemalloc.start()
+    try:
+        table = ReplicaTable(positions=positions, counter_slots=24, counter_period=3600.0)
+        for position in range(positions):
+            table.set_capacity(position, views // positions + 1)
+        for user in range(views):
+            table.allocate(user, user % positions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.active_count == views
+    assert peak <= 260 * views, f"{peak / views:.0f} bytes per view"
 
 
 def test_pick_least_loaded_matches_min_semantics():
@@ -419,29 +511,19 @@ def test_advance_pool_equals_per_slot_advance_after_churn(seed):
 
 
 def _threshold_fixture(utilities):
-    """Matched legacy server and replica table holding ``utilities``.
+    """Replica table (one position, capacity 3) holding ``utilities``.
 
     Each entry is ``(utility, sole)``; sole replicas have no next-closest
     sibling and price as infinitely useful at the admission boundary.
     """
-    from repro.legacy.server import LegacyStorageServer
-
-    legacy = LegacyStorageServer(
-        server_index=0, capacity=3, admission_fill=0.67
-    )
     table = ReplicaTable(positions=1)
     table.set_capacity(0, 3)
     for user, (utility, sole) in enumerate(utilities):
-        replica = legacy.add_replica(user)
         slot = table.allocate(user, 0)
-        if sole:
-            replica.next_closest_replica = None
-        else:
-            replica.next_closest_replica = 7
-            replica.utility = utility
+        if not sole:
             table._next_closest[slot] = 7
             table._utility[slot] = utility
-    return legacy, table
+    return table
 
 
 @pytest.mark.parametrize(
@@ -449,10 +531,11 @@ def _threshold_fixture(utilities):
     [
         # Fill boundary (capacity 3, fill 0.67 -> 2nd most useful) lands on
         # a sole replica: the infinite threshold collapses to 0.0 ("admit
-        # everything").  Pinned as the legacy reference semantics of paper
-        # section 3.2 rather than fixed: the boundary replica cannot be
-        # displaced anyway, so a 0.0 threshold only ever under-filters, and
-        # the golden parity suite holds the seed behaviour byte for byte.
+        # everything").  Pinned here and by the mem0/mem30 DynaSoRe cells
+        # of tests/golden_tables.json as what the code does, not as what
+        # paper section 3.2 asks for: a candidate fidelity defect kept for
+        # ROADMAP item 2 (the boundary replica cannot be displaced anyway,
+        # so a 0.0 threshold only ever under-filters).
         ([(0.0, True), (0.0, True), (5.0, False)], 0.0),
         # Finite boundary: plain 2nd-largest utility.
         ([(0.0, True), (7.0, False), (5.0, False)], 7.0),
@@ -461,13 +544,10 @@ def _threshold_fixture(utilities):
         ([(0.0, True), (-3.0, False), (-5.0, False)], 0.0),
     ],
 )
-def test_admission_threshold_boundary_matches_legacy(utilities, expected):
-    """Top-k selection == legacy sort-and-index, including the collapse."""
-    legacy, table = _threshold_fixture(utilities)
-    legacy_value = legacy.update_admission_threshold()
-    table_value = table.update_admission_threshold(0, admission_fill=0.67)
-    assert legacy_value == expected
-    assert table_value == expected
+def test_admission_threshold_boundary_semantics(utilities, expected):
+    """Top-k selection == sort-and-index, including the collapse."""
+    table = _threshold_fixture(utilities)
+    assert table.update_admission_threshold(0, admission_fill=0.67) == expected
     assert table.admission_thresholds[0] == expected
 
 
@@ -517,3 +597,11 @@ def test_eviction_candidates_sort_on_utility_first():
         table._utility[slot] = value
     ordered = [table.user_of(slot) for slot in table.eviction_candidate_slots(0)]
     assert ordered == [21, 22, 20]
+
+
+if __name__ == "__main__":
+    digests = {key: golden_digest(run_strategy(**kwargs)) for key, kwargs in CASES.items()}
+    GOLDEN_PATH.write_text(
+        json.dumps({"digests": dict(sorted(digests.items()))}, indent=1) + "\n"
+    )
+    print(f"wrote {len(digests)} digests to {GOLDEN_PATH}")

@@ -1,13 +1,17 @@
 """Batched vs per-slot maintenance tick parity (the fused column sweep).
 
-``DynaSoRe.on_tick`` dispatches between the fused column sweep (rotation +
-utility refresh + threshold recompute in one chain walk per dirty position)
-and the per-slot reference path; the contract is that both produce
-**byte-identical** :class:`SimulationResult`\\ s for every strategy,
-scenario and fault/tick interleaving.  This suite pins that contract, plus
-the dirty-set tracking the sweep relies on:
+``DynaSoRe.on_tick`` is the fused column sweep (rotation + utility refresh
++ threshold recompute in one chain walk per dirty position);
+``DynaSoRe._on_tick_reference`` is the per-slot tick it replaced, kept as
+the reference.  The contract is that both produce **byte-identical**
+:class:`SimulationResult`\\ s for every DynaSoRe flavour, scenario and
+fault/tick interleaving; a run takes the reference by binding it over
+``on_tick`` on the strategy instance (:func:`_use_reference_tick`) — there
+is no option.  This suite pins that contract, plus the dirty-set tracking
+the sweep relies on:
 
-* the full strategy × scenario matrix with ``batch_tick`` toggled;
+* the DynaSoRe × scenario matrix, sweep against reference (the other
+  strategies have one tick, so there is nothing to compare);
 * property tests over random interleavings of faults, maintenance ticks and
   replay modes (a no-op post-request hook is attached at random so the tick
   sweep is exercised against both the batch and the per-event kernels);
@@ -37,12 +41,23 @@ from repro.topology.tree import TreeTopology
 from test_batching import _RandomFaultScenario, _observe_per_event, _random_stream
 
 
-def _run_tick_matrix(strategy_key: str, scenario_key: str, batch_tick: bool):
+#: The strategies that have a second tick to compare against.
+DYNASORE_KEYS = [key for key in STRATEGY_KEYS if key.startswith("dynasore_")]
+
+
+def _use_reference_tick(strategy) -> None:
+    """Make every tick of this strategy instance the per-slot reference."""
+    strategy.on_tick = strategy._on_tick_reference
+
+
+def _run_tick_matrix(strategy_key: str, scenario_key: str, reference: bool):
     topology, _ = parity_cluster()
     graph = parity_graph(users=120)
     stream = parity_stream(graph, days=0.25)
     strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
-    config = SimulationConfig(extra_memory_pct=60.0, seed=7, batch_tick=batch_tick)
+    if reference:
+        _use_reference_tick(strategy)
+    config = SimulationConfig(extra_memory_pct=60.0, seed=7)
     simulator = ClusterSimulator(
         topology, graph, strategy, config=config, scenario=SCENARIOS[scenario_key]()
     )
@@ -50,15 +65,15 @@ def _run_tick_matrix(strategy_key: str, scenario_key: str, batch_tick: bool):
 
 
 @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
-@pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
+@pytest.mark.parametrize("strategy_key", DYNASORE_KEYS)
 def test_batched_tick_byte_identical(strategy_key, scenario_key):
     """The fused sweep must not change a single byte of the result."""
-    batched = _run_tick_matrix(strategy_key, scenario_key, batch_tick=True)
-    per_slot = _run_tick_matrix(strategy_key, scenario_key, batch_tick=False)
+    batched = _run_tick_matrix(strategy_key, scenario_key, reference=False)
+    per_slot = _run_tick_matrix(strategy_key, scenario_key, reference=True)
     assert canonical_result_bytes(batched) == canonical_result_bytes(per_slot)
 
 
-def _interleaving_run(seed: int, batch_tick: bool):
+def _interleaving_run(seed: int, reference: bool):
     """Random workload, faults, tick cadence and replay mode; tick toggled."""
     rng = random.Random(seed)
     spec = ClusterSpec(
@@ -71,14 +86,15 @@ def _interleaving_run(seed: int, batch_tick: bool):
     graph = parity_graph(users=80, seed=seed)
     horizon = rng.uniform(4 * HOUR, 30 * HOUR)
     stream = _random_stream(rng, users=80, horizon=horizon)
-    strategy_key = rng.choice(STRATEGY_KEYS)
+    strategy_key = rng.choice(DYNASORE_KEYS)
     strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
+    if reference:
+        _use_reference_tick(strategy)
     config = SimulationConfig(
         extra_memory_pct=rng.choice([40.0, 60.0, 100.0]),
         tick_period=rng.choice([HOUR / 2, HOUR, 2 * HOUR]),
         measure_from=rng.choice([0.0, HOUR]),
         seed=7,
-        batch_tick=batch_tick,
     )
     per_event = rng.random() >= 0.5
     scenario = _RandomFaultScenario(
@@ -97,22 +113,14 @@ def _interleaving_run(seed: int, batch_tick: bool):
 def test_random_tick_interleavings_byte_identical(seed):
     """Faults, tick cadence and replay mode never separate the two ticks.
 
-    Each seed draws a random strategy, workload, fault schedule, tick
-    period and replay mode (batched or per-event); flipping only
-    ``batch_tick`` must leave the result and the traffic snapshot
-    byte-identical.
+    Each seed draws a random DynaSoRe flavour, workload, fault schedule,
+    tick period and replay mode (batched or per-event); swapping only the
+    tick must leave the result and the traffic snapshot byte-identical.
     """
-    result_a, snapshot_a = _interleaving_run(seed, batch_tick=True)
-    result_b, snapshot_b = _interleaving_run(seed, batch_tick=False)
+    result_a, snapshot_a = _interleaving_run(seed, reference=False)
+    result_b, snapshot_b = _interleaving_run(seed, reference=True)
     assert canonical_result_bytes(result_a) == canonical_result_bytes(result_b)
     assert snapshot_a == snapshot_b
-
-
-def test_batch_tick_disabled_matches_default():
-    """``batch_tick=False`` is the reference path and changes nothing."""
-    on = _run_tick_matrix("dynasore_hmetis", "plain", batch_tick=True)
-    off = _run_tick_matrix("dynasore_hmetis", "plain", batch_tick=False)
-    assert canonical_result_bytes(on) == canonical_result_bytes(off)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +222,7 @@ def _placement_fingerprint(strategy):
     )
 
 
-def _negative_utility_course(batch_tick: bool):
+def _negative_utility_course(reference: bool):
     """Drive a replica from creation to negative-utility removal by hand.
 
     A remote reader's traffic replicates an author's view near the reader;
@@ -226,13 +234,13 @@ def _negative_utility_course(batch_tick: bool):
     topology, _ = parity_cluster()
     graph = parity_graph(users=40)
     strategy = build_strategy("dynasore_random", 7, DynaSoReConfig())
+    if reference:
+        _use_reference_tick(strategy)
     simulator = ClusterSimulator(
         topology,
         graph,
         strategy,
-        config=SimulationConfig(
-            extra_memory_pct=200.0, seed=7, batch_tick=batch_tick
-        ),
+        config=SimulationConfig(extra_memory_pct=200.0, seed=7),
     )
     simulator.prepare()
     table = strategy.tables
@@ -268,8 +276,8 @@ def _negative_utility_course(batch_tick: bool):
 
 def test_negative_removal_and_eviction_interact_deterministically():
     """Both tick paths walk the same removal course, tick for tick."""
-    course_batched, final_batched = _negative_utility_course(batch_tick=True)
-    course_reference, final_reference = _negative_utility_course(batch_tick=False)
+    course_batched, final_batched = _negative_utility_course(reference=False)
+    course_reference, final_reference = _negative_utility_course(reference=True)
     assert course_batched == course_reference
     # The decayed replica was actually removed by the negative pass.
     assert final_batched == 1
@@ -324,7 +332,7 @@ def test_audit_mode_prices_through_readonly_views(monkeypatch):
         topology,
         graph,
         strategy,
-        config=SimulationConfig(seed=7, batch_tick=True),
+        config=SimulationConfig(seed=7),
         scenario=SCENARIOS["crash"](),
     )
     assert simulator._check_tables
@@ -340,6 +348,6 @@ def test_audited_batched_tick_matches_unaudited(monkeypatch):
             monkeypatch.setenv("REPRO_CHECK_TABLES", "1")
         else:
             monkeypatch.delenv("REPRO_CHECK_TABLES", raising=False)
-        return _run_tick_matrix("dynasore_metis", "plain", batch_tick=True)
+        return _run_tick_matrix("dynasore_metis", "plain", reference=False)
 
     assert canonical_result_bytes(run(True)) == canonical_result_bytes(run(False))
