@@ -38,7 +38,7 @@ def main() -> None:
     # Run half a day of traffic so DynaSoRe replicates the popular views.
     log = SyntheticWorkloadGenerator(
         graph, SyntheticWorkloadConfig(days=0.5, seed=11)
-    ).generate()
+    ).stream()
     simulator = ClusterSimulator(
         topology,
         graph,

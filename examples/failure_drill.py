@@ -44,8 +44,8 @@ def main() -> None:
 
     log = SyntheticWorkloadGenerator(
         graph, SyntheticWorkloadConfig(days=0.5, seed=11)
-    ).generate()
-    duration = log.requests[-1].timestamp
+    ).stream()
+    duration = log.stats().last_timestamp
 
     scenario = CompositeScenario(
         DiurnalLoadScenario(trough_fraction=0.5),

@@ -18,7 +18,7 @@ from repro import ClusterSpec, SimulationConfig, TreeTopology, facebook_like
 from repro.constants import DAY
 from repro.core.engine import DynaSoRe
 from repro.simulator.engine import ClusterSimulator
-from repro.workload.flash import inject_flash_event, plan_flash_event
+from repro.workload.flash import inject_flash_stream, plan_flash_event
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
@@ -31,12 +31,12 @@ def main() -> None:
     # Two simulated days of background traffic.
     base_log = SyntheticWorkloadGenerator(
         graph, SyntheticWorkloadConfig(days=2.0, seed=7)
-    ).generate()
+    ).stream()
 
     # The flash event: 100 new followers between day 0.5 and day 1.4.
     rng = random.Random(7)
     event = plan_flash_event(graph, rng, followers=100, start_day=0.5, end_day=1.4)
-    log = inject_flash_event(base_log, event, reads_per_follower_per_day=6.0, seed=7)
+    log = inject_flash_stream(base_log, event, reads_per_follower_per_day=6.0, seed=7)
     print(f"user {event.target_user} gains {len(event.new_followers)} followers at day 0.5")
 
     simulator = ClusterSimulator(

@@ -8,12 +8,10 @@ never materialises a million objects.  The example
 1. generates a 1M-event synthetic workload as a stream and measures the
    peak workload memory with ``tracemalloc`` (a few MB — one chunk at a
    time), enforcing a hard budget;
-2. contrasts it with the peak of the legacy object-list path on a small
-   slice, extrapolating what the materialised 1M-event log would cost;
-3. saves the stream to a binary trace file, re-opens it memory-mapped, and
+2. saves the stream to a binary trace file, re-opens it memory-mapped, and
    replays it through the cluster simulator — showing that a saved trace
    replays byte-identically to the generator's stream;
-4. prints end-to-end events/sec for the replay.
+3. prints end-to-end events/sec for the replay.
 
 Run with::
 
@@ -54,8 +52,8 @@ def build_generator(events: int) -> SyntheticWorkloadGenerator:
     )
 
 
-def measure_stream_memory(generator: SyntheticWorkloadGenerator) -> int:
-    """Generate + consume the full stream under tracemalloc; return events."""
+def measure_stream_memory(generator: SyntheticWorkloadGenerator) -> None:
+    """Generate + consume the full stream under tracemalloc."""
     gc.collect()
     tracemalloc.start()
     started = time.perf_counter()
@@ -72,26 +70,9 @@ def measure_stream_memory(generator: SyntheticWorkloadGenerator) -> int:
             f"stream peak {peak / 1e6:.1f} MB exceeded the "
             f"{MEMORY_BUDGET_MB:.0f} MB budget"
         )
-    return events
 
 
-def measure_object_slice(generator: SyntheticWorkloadGenerator, events: int) -> None:
-    """Materialise a small slice the old way and extrapolate to full scale."""
-    slice_events = min(events, 100_000)
-    slice_generator = build_generator(slice_events)
-    gc.collect()
-    tracemalloc.start()
-    log = slice_generator.generate()
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    projected = peak * events / len(log)
-    print(
-        f"object list:  {len(log):>9,} events, peak {peak / 1e6:6.1f} MB "
-        f"-> projected {projected / 1e6:,.0f} MB at {events:,} events"
-    )
-
-
-def replay_from_trace_file(generator: SyntheticWorkloadGenerator, events: int) -> None:
+def replay_from_trace_file(generator: SyntheticWorkloadGenerator) -> None:
     """Save the stream, re-open it memory-mapped, replay both identically."""
 
     def simulator() -> ClusterSimulator:
@@ -133,9 +114,8 @@ def main() -> None:
 
     generator = build_generator(arguments.events)
     print(f"1M-event streaming workload demo ({arguments.events:,} events)\n")
-    events = measure_stream_memory(generator)
-    measure_object_slice(generator, events)
-    replay_from_trace_file(generator, events)
+    measure_stream_memory(generator)
+    replay_from_trace_file(generator)
 
 
 if __name__ == "__main__":

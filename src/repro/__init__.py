@@ -57,10 +57,8 @@ from .workload import (
     NewsActivityTraceGenerator,
     ParetoBurstConfig,
     ParetoBurstWorkloadGenerator,
-    RequestLog,
     SyntheticWorkloadConfig,
     SyntheticWorkloadGenerator,
-    as_stream,
     merge_streams,
     read_trace,
     trace_content_hash,
@@ -81,7 +79,6 @@ __all__ = [
     "EventStream",
     "ParetoBurstConfig",
     "ParetoBurstWorkloadGenerator",
-    "as_stream",
     "merge_streams",
     "read_trace",
     "trace_content_hash",
@@ -104,7 +101,6 @@ __all__ = [
     "NewsActivityTraceGenerator",
     "PlacementStrategy",
     "RandomPlacement",
-    "RequestLog",
     "SimulationConfig",
     "SimulationResult",
     "SocialGraph",

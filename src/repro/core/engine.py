@@ -18,9 +18,7 @@ per-user and per-server chain indexes, plus the
 :class:`~repro.store.tables.StatsTable` columns holding the rotating access
 windows).  The hot paths — request execution, closest-replica resolution,
 least-loaded ranking, the maintenance sweep — walk those columns directly
-with integer replica ids; ``self.servers`` keeps a fleet of
-:class:`~repro.store.server.StorageServer` façades attached to the shared
-table for introspection and tests.  Decision algorithms receive a rebound
+with integer replica ids.  Decision algorithms receive a rebound
 scratch view over the evaluated slot, so Algorithms 1–3 stay expressed in
 the paper's object vocabulary while reading table columns.
 
@@ -43,7 +41,6 @@ from ..config import DynaSoReConfig
 from ..exceptions import ConfigurationError, SimulationError
 from ..persistence.recovery import RecoveryPlan
 from ..socialgraph.graph import SocialGraph
-from ..store.server import StorageServer
 from ..store.tables import (
     NO_SLOT,
     ReplicaHandle,
@@ -197,7 +194,6 @@ class DynaSoRe(PlacementStrategy):
 
         #: Shared struct-of-arrays placement state of the whole fleet.
         self.tables: ReplicaTable | None = None
-        self.servers: list[StorageServer] = []
         self.proxies = ProxyDirectory()
         self.routing: RoutingService | None = None
         self._device_of_position: list[int] = []
@@ -264,18 +260,8 @@ class DynaSoRe(PlacementStrategy):
         self.tables = table
         self._stats_scratch = StatsHandle(table.stats, 0)
         self._replica_scratch = _ScratchReplica(table)
-        self.servers = [
-            StorageServer(
-                server_index=position,
-                capacity=capacity,
-                counter_slots=self.config.counter_slots,
-                counter_period=self.config.counter_period,
-                admission_fill=self.config.admission_fill,
-                eviction_threshold=self.config.eviction_threshold,
-                table=table,
-            )
-            for position, capacity in enumerate(capacities)
-        ]
+        for position, capacity in enumerate(capacities):
+            table.set_capacity(position, capacity)
         self._position_capacity = list(capacities)
         self._down_positions = set()
         self._device_of_position = [server.index for server in self.topology.servers]
@@ -1667,10 +1653,8 @@ class DynaSoRe(PlacementStrategy):
         """
         self.require_bound()
         assert self.accountant is not None and self.topology is not None
-        if self.routing is None or not self.servers:
-            raise SimulationError("the placement has not been deployed yet")
         table = self._require_tables()
-        self._begin_server_down(position, self._down_positions, len(self.servers))
+        self._begin_server_down(position, self._down_positions, table.num_positions)
         self.counters.servers_lost += 1
 
         device_of_position = self._device_of_position

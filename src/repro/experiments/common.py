@@ -28,7 +28,6 @@ from ..socialgraph.graph import SocialGraph
 from ..topology.base import ClusterTopology
 from ..topology.flat import FlatTopology
 from ..topology.tree import TreeTopology
-from ..workload.requests import RequestLog
 from ..workload.stream import EventStream
 from ..workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 from ..workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
@@ -107,16 +106,6 @@ def trace_stream(profile: ExperimentProfile, graph: SocialGraph) -> EventStream:
     return generator.stream()
 
 
-def synthetic_log(profile: ExperimentProfile, graph: SocialGraph) -> RequestLog:
-    """Materialised synthetic request log (legacy object-list adapter)."""
-    return synthetic_stream(profile, graph).materialise()
-
-
-def trace_log(profile: ExperimentProfile, graph: SocialGraph) -> RequestLog:
-    """Materialised trace-like request log (legacy object-list adapter)."""
-    return trace_stream(profile, graph).materialise()
-
-
 def simulation_config(
     profile: ExperimentProfile,
     extra_memory_pct: float,
@@ -178,11 +167,9 @@ __all__ = [
     "graph_spec",
     "simulation_config",
     "strategy_factories",
-    "synthetic_log",
     "synthetic_stream",
     "synthetic_workload_spec",
     "topology_spec",
-    "trace_log",
     "trace_stream",
     "trace_workload_spec",
     "tree_topology_factory",

@@ -42,10 +42,6 @@ def run_materialised(
 ) -> SimulationResult:
     """Execution core shared by :func:`execute_spec` and the legacy
     factory-based :func:`repro.simulator.runner.run_simulation` wrapper.
-
-    ``log`` may be a materialised :class:`~repro.workload.requests.RequestLog`
-    or a chunked :class:`~repro.workload.stream.EventStream`; both replay to
-    byte-identical results.
     """
     from ..simulator.engine import ClusterSimulator
 

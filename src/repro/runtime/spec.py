@@ -43,7 +43,6 @@ from ..workload.models import (
     ParetoBurstConfig,
     ParetoBurstWorkloadGenerator,
 )
-from ..workload.requests import RequestLog
 from ..workload.stream import EventStream
 from ..workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 from ..workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
@@ -251,11 +250,6 @@ class WorkloadSpec:
                     f"{self.content_hash[:12]}…"
                 )
         return read_trace(self.path)
-
-    def build(self, graph: SocialGraph) -> tuple[RequestLog, tuple[int, ...]]:
-        """Materialised adapter over :meth:`build_stream` (compat path)."""
-        stream, tracked = self.build_stream(graph)
-        return stream.materialise(), tracked
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 from ..socialgraph.graph import SocialGraph
 from ..topology.base import ClusterTopology
-from ..workload.requests import RequestLog
-from ..workload.stream import EventStream, as_stream
+from ..workload.stream import EventStream
 from .events import FaultEvent
 
 
@@ -65,27 +64,10 @@ class Scenario(ABC):
     def transform_stream(self, stream: EventStream, context: ScenarioContext) -> EventStream:
         """Reshape the workload stream (identity by default).
 
-        This is the primary transform hook: the simulator stages scenarios
-        at the chunk level, so load scenarios reshape paper-scale workloads
-        without materialising them.  Subclasses that only override the
-        legacy :meth:`transform_log` are still honoured — the stream is
-        materialised, transformed and re-wrapped for them.
+        The simulator stages scenarios at the chunk level, so load scenarios
+        reshape paper-scale workloads without materialising them.
         """
-        if type(self).transform_log is not Scenario.transform_log:
-            return as_stream(self.transform_log(stream.materialise(), context))
         return stream
-
-    def transform_log(self, log: RequestLog, context: ScenarioContext) -> RequestLog:
-        """Reshape a materialised request log (adapter over the stream path).
-
-        Routes to :meth:`transform_stream` only when the subclass actually
-        overrides it; otherwise this is the identity, so a legacy subclass
-        whose ``transform_log`` override delegates to ``super()`` keeps the
-        pre-stream behaviour instead of recursing back into itself.
-        """
-        if type(self).transform_stream is not Scenario.transform_stream:
-            return self.transform_stream(as_stream(log), context).materialise()
-        return log
 
 
 class CompositeScenario(Scenario):

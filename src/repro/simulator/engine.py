@@ -10,10 +10,7 @@ There is **one replay loop** (:meth:`ClusterSimulator._replay`) and it is
 chunk-native: it iterates the typed-array columns of
 :class:`~repro.workload.stream.EventStream` chunks directly, constructing
 no per-event objects; this is how paper-scale runs (tens of millions of
-events) stay within a constant workload memory budget.  A
-:class:`~repro.workload.requests.RequestLog` is an *input adapter*: ``run``
-packs it into chunks with :func:`~repro.workload.stream.as_stream`, so a
-log and a stream of the same events are the same replay.
+events) stay within a constant workload memory budget.
 
 Each chunk is segmented into **runs** of requests bounded by the next fault
 and maintenance-tick timestamps and by edge-mutation events (boundaries are
@@ -74,14 +71,13 @@ from ..socialgraph.graph import SocialGraph
 from ..store.memory import MemoryBudget
 from ..topology.base import ClusterTopology
 from ..traffic.accounting import TrafficAccountant
-from ..workload.requests import Request, RequestLog
+from ..workload.requests import Request
 from ..workload.stream import (
     EventStream,
     KIND_EDGE_ADD,
     KIND_EDGE_REMOVE,
     KIND_READ,
     KIND_WRITE,
-    as_stream,
     request_run_end,
     row_to_request,
 )
@@ -357,7 +353,7 @@ class ClusterSimulator:
         return self.persistent_store
 
     # -------------------------------------------------------------------- run
-    def run(self, workload: "EventStream | RequestLog") -> SimulationResult:
+    def run(self, workload: EventStream) -> SimulationResult:
         """Replay a workload and return the measured result.
 
         The workload must be sorted by timestamp.  Graph mutations are
@@ -366,15 +362,11 @@ class ClusterSimulator:
         of simulated time.  An attached scenario first transforms the
         workload, then its fault events are applied at their timestamps,
         interleaved with the events and maintenance ticks.
-
-        A :class:`RequestLog` is packed into chunks (``as_stream``) and
-        replayed by the same loop as a stream, so both shapes of the same
-        events produce byte-identical results and hook transcripts.
         """
         self.prepare()
         self._next_sample = self.tracking_period
         clock = SimulationClock(tick_period=self.config.tick_period)
-        stream = self._stage_scenario(as_stream(workload))
+        stream = self._stage_scenario(workload)
         executed, first_time, last_time = self._replay(stream, clock)
         return self._finish(clock, executed, first_time, last_time)
 

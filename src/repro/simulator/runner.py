@@ -22,7 +22,6 @@ from ..persistence.backend import PersistentStore
 from ..runtime.executor import run_materialised
 from ..socialgraph.graph import SocialGraph
 from ..topology.base import ClusterTopology
-from ..workload.requests import RequestLog
 from ..workload.stream import EventStream
 from .results import SimulationResult
 
@@ -37,7 +36,7 @@ def run_simulation(
     topology_factory: Callable[[], ClusterTopology],
     graph_factory: Callable[[], SocialGraph],
     strategy_factory: StrategyFactory,
-    log: "RequestLog | EventStream",
+    log: EventStream,
     config: SimulationConfig,
     tracked_views: tuple[int, ...] = (),
     scenario: "Scenario | None" = None,
@@ -47,9 +46,8 @@ def run_simulation(
 
     Topology and graph are rebuilt per run because strategies mutate the
     graph (edge events) and attach state to the topology-derived structures;
-    rebuilding guarantees runs are independent and comparable.  ``log`` may
-    be a materialised request log or a chunked event stream (streams are
-    re-iterable, so the same stream can be passed to several runs).
+    rebuilding guarantees runs are independent and comparable.  ``log`` is
+    re-iterable, so the same stream can be passed to several runs.
     """
     return run_materialised(
         topology_factory(),
@@ -67,7 +65,7 @@ def run_comparison(
     topology_factory: Callable[[], ClusterTopology],
     graph_factory: Callable[[], SocialGraph],
     strategies: Mapping[str, StrategyFactory],
-    log: "RequestLog | EventStream",
+    log: EventStream,
     config: SimulationConfig,
     scenario: "Scenario | None" = None,
     store_factory: Callable[[], PersistentStore] | None = None,

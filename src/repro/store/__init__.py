@@ -1,13 +1,12 @@
 """In-memory store substrate: flat placement tables plus object façades.
 
 Placement state lives in the struct-of-arrays tables of
-:mod:`repro.store.tables`; ``StorageServer``, ``ViewReplica`` and
-``AccessStatistics`` survive as thin, fully compatible façades/objects.
+:mod:`repro.store.tables`; ``ViewReplica``, ``AccessStatistics`` and
+``RotatingCounter`` are the object references the tables are tested against.
 """
 
 from .counters import RotatingCounter
 from .memory import MemoryBudget, budget_for
-from .server import StorageServer
 from .stats import AccessStatistics
 from .tables import (
     NO_SLOT,
@@ -31,7 +30,6 @@ __all__ = [
     "RotatingCounter",
     "StatsHandle",
     "StatsTable",
-    "StorageServer",
     "View",
     "ViewReplica",
     "budget_for",

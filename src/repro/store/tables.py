@@ -52,11 +52,10 @@ indexed by an integer **replica id** (a *slot*):
     bit-for-bit identical to the object path.
 
 The object classes (:class:`~repro.store.view.ViewReplica`,
-:class:`~repro.store.stats.AccessStatistics`,
-:class:`~repro.store.server.StorageServer`) survive as thin façades:
+:class:`~repro.store.stats.AccessStatistics`) are the tables' references:
 :class:`ReplicaHandle`/:class:`StatsHandle` expose the same attribute
-surface reading and writing table columns, so existing tests, the decision
-algorithms in :mod:`repro.core` and user code keep working unchanged.
+surface reading and writing table columns, so the decision algorithms in
+:mod:`repro.core` and their unit tests take either.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ def pick_least_loaded(
 
     With ``capacities`` the key is the memory *utilisation* (``load /
     capacity``; an empty zero-capacity server counts as 0.0, a non-empty one
-    as 1.0 — the historical ``StorageServer.utilisation`` contract);
+    as 1.0);
     without, the key is the absolute load.  ``skip_full`` additionally
     requires a free slot.  This is the single implementation behind the
     engine's recovery/new-user targeting and the static/SPAR baselines'
@@ -506,42 +505,6 @@ class StatsTable:
         self._reads_since_eval[slot] = 0
 
     # ----------------------------------------------- object-path interop
-    def adopt(self, slot: int, stats) -> None:
-        """Load the content of an ``AccessStatistics`` object into ``slot``.
-
-        Used by the ``StorageServer`` façade when callers hand it a
-        pre-built statistics object (the historical ``add_replica(...,
-        stats=...)`` contract).  Copies windows bucket-for-bucket.
-        """
-        for origin, counter in stats._reads.items():
-            node = self._alloc_node(origin, counter._current_period)
-            self._adopt_counter(node, counter)
-            self._link_read_tail(slot, node)
-        writes = stats._writes
-        node = self._alloc_node(NO_SLOT, writes._current_period)
-        self._adopt_counter(node, writes)
-        self._write_node[slot] = node
-        self._reads_since_eval[slot] = stats._reads_since_evaluation
-        self._origins_cache.pop(slot, None)
-
-    def _adopt_counter(self, node: int, counter) -> None:
-        if counter.slots != self.slots or counter.period != self.period:
-            raise StorageError("cannot adopt a counter with a different window")
-        base = node * self.slots
-        for offset, value in enumerate(counter._buckets):
-            self._node_buckets[base + offset] = value
-        self._node_total[node] = counter.total()
-        self._node_period[node] = counter._current_period
-
-    def _link_read_tail(self, slot: int, node: int) -> None:
-        head = self._read_head[slot]
-        if head == NO_SLOT:
-            self._read_head[slot] = node
-            return
-        while self._node_next[head] != NO_SLOT:
-            head = self._node_next[head]
-        self._node_next[head] = node
-
     def export(self, slot: int):
         """Materialise ``slot``'s statistics as a standalone object copy."""
         from .counters import RotatingCounter
@@ -671,23 +634,6 @@ class ReplicaTable:
     def num_positions(self) -> int:
         """Number of storage-server positions the table spans."""
         return len(self._srv_head)
-
-    def add_position(self, capacity: int = 0) -> int:
-        """Append a new storage-server position."""
-        if capacity < 0:
-            raise StorageError("server capacity cannot be negative")
-        self._srv_head.append(NO_SLOT)
-        self._srv_tail.append(NO_SLOT)
-        self._used.append(0)
-        self._capacity.append(capacity)
-        self._admission.append(0.0)
-        self._tick_dirty.append(True)
-        return len(self._srv_head) - 1
-
-    def ensure_position(self, position: int) -> None:
-        """Grow the position axis so ``position`` is addressable."""
-        while position >= len(self._srv_head):
-            self.add_position()
 
     def set_capacity(self, position: int, capacity: int) -> None:
         """Set the nominal capacity of a position (0 while it is down)."""

@@ -1,9 +1,8 @@
 """Workload substrate: columnar event streams, trace files, generators.
 
 The data path is the chunked struct-of-arrays pipeline of
-:mod:`repro.workload.stream`; the object model (:class:`RequestLog` and the
-request dataclasses) remains as a thin adapter for callers that want to
-inspect or hand-build small workloads.
+:mod:`repro.workload.stream`; small workloads are hand-built with
+:meth:`EventStream.from_rows`, and iterating one yields request dataclasses.
 """
 
 from .activity import (
@@ -15,9 +14,7 @@ from .activity import (
 )
 from .flash import (
     FlashEventSpec,
-    flash_event_log,
     flash_event_stream,
-    inject_flash_event,
     inject_flash_stream,
     plan_flash_event,
 )
@@ -28,13 +25,12 @@ from .models import (
     ParetoBurstConfig,
     ParetoBurstWorkloadGenerator,
 )
-from .requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, RequestLog, WriteRequest
+from .requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, WriteRequest
 from .stream import (
     CHUNK_EVENTS,
     EventChunk,
     EventStream,
     StreamStats,
-    as_stream,
     events_per_day,
     merge_streams,
 )
@@ -57,18 +53,14 @@ __all__ = [
     "ParetoBurstWorkloadGenerator",
     "ReadRequest",
     "Request",
-    "RequestLog",
     "StreamStats",
     "SyntheticWorkloadConfig",
     "SyntheticWorkloadGenerator",
     "WriteRequest",
     "activity_for_spec",
     "analytic_activity",
-    "as_stream",
     "events_per_day",
-    "flash_event_log",
     "flash_event_stream",
-    "inject_flash_event",
     "inject_flash_stream",
     "merge_streams",
     "plan_flash_event",

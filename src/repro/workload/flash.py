@@ -9,22 +9,18 @@ existing workload.
 Injection is a *merge of a small mutation stream*: the fragment (edge
 mutations plus the followers' extra reads) is generated eagerly — it is tiny
 compared to the base workload — sorted once, and combined with the base via
-the stable k-way chunk merge.  The legacy object-list path performs the same
-one-shot batch merge over sorted request lists instead of re-sorting the
-union (the old implementation sorted the whole combined log per injection).
+the stable k-way chunk merge.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import merge as _heap_merge
 
 from ..constants import DAY
 from ..exceptions import WorkloadError
 from ..socialgraph.graph import SocialGraph
 from ..socialgraph.mutations import random_new_followers
-from .requests import RequestLog
 from .stream import (
     EventRow,
     EventStream,
@@ -32,7 +28,6 @@ from .stream import (
     KIND_EDGE_REMOVE,
     KIND_READ,
     NO_AUX,
-    as_stream,
     merge_streams,
 )
 
@@ -107,17 +102,8 @@ def flash_event_stream(
     return EventStream.from_rows(flash_event_rows(spec, reads_per_follower_per_day, rng))
 
 
-def flash_event_log(
-    spec: FlashEventSpec,
-    reads_per_follower_per_day: float,
-    rng: random.Random,
-) -> RequestLog:
-    """Request log fragment produced by the flash event (object adapter)."""
-    return flash_event_stream(spec, reads_per_follower_per_day, rng).materialise()
-
-
 def inject_flash_stream(
-    base: "EventStream | RequestLog",
+    base: EventStream,
     spec: FlashEventSpec,
     reads_per_follower_per_day: float = 4.0,
     seed: int = 7,
@@ -125,31 +111,13 @@ def inject_flash_stream(
     """Merge a flash event into a workload stream (lazy, chunk-level)."""
     rng = random.Random(seed)
     extra = flash_event_stream(spec, reads_per_follower_per_day, rng)
-    return merge_streams(as_stream(base), extra)
-
-
-def inject_flash_event(
-    base_log: RequestLog,
-    spec: FlashEventSpec,
-    reads_per_follower_per_day: float = 4.0,
-    seed: int = 7,
-) -> RequestLog:
-    """Merge a flash event into an existing request log (one-shot merge)."""
-    rng = random.Random(seed)
-    extra = flash_event_log(spec, reads_per_follower_per_day, rng)
-    merged = RequestLog()
-    merged.requests = list(
-        _heap_merge(base_log.requests, extra.requests, key=lambda r: r.timestamp)
-    )
-    return merged
+    return merge_streams(base, extra)
 
 
 __all__ = [
     "FlashEventSpec",
-    "flash_event_log",
     "flash_event_rows",
     "flash_event_stream",
-    "inject_flash_event",
     "inject_flash_stream",
     "plan_flash_event",
 ]

@@ -34,8 +34,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from ..exceptions import WorkloadError
-from .requests import RequestLog
-from .stream import EventChunk, EventStream, as_stream
+from .stream import EventChunk, EventStream, ordered_chunks
 
 #: File magic; the trailing digit is the format generation.
 TRACE_MAGIC = b"REPROEV1"
@@ -65,30 +64,32 @@ _ITEMSIZES = (
 )
 
 
-def write_trace(path: str | os.PathLike, events: "EventStream | RequestLog") -> int:
-    """Write a stream (or a request log) to a binary trace file.
+def write_trace(path: str | os.PathLike, stream: EventStream) -> int:
+    """Write a stream to a binary trace file.
 
     Chunks are validated for time order as they are written — a trace file
     is always a well-formed, replayable workload.  Returns the number of
     events written.
     """
-    stream = as_stream(events)
-    total = 0
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    last_timestamp: float | None = None
+    try:
+        total = _write_chunks(tmp, stream)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return total
+
+
+def _write_chunks(tmp: Path, stream: EventStream) -> int:
+    total = 0
     with tmp.open("wb") as handle:
         handle.write(
             _HEADER.pack(TRACE_MAGIC, TRACE_VERSION, _host_flags(), *_ITEMSIZES, 0)
         )
-        for chunk in stream.chunks():
+        for chunk in ordered_chunks(stream.chunks()):
             n = len(chunk)
-            if n == 0:
-                continue
-            chunk.validate()
-            if last_timestamp is not None and chunk.timestamps[0] < last_timestamp:
-                raise WorkloadError("event stream is not sorted across chunks")
-            last_timestamp = chunk.timestamps[n - 1]
             handle.write(_CHUNK_HEADER.pack(n))
             handle.write(chunk.kinds.tobytes())
             handle.write(chunk.timestamps.tobytes())
@@ -100,7 +101,6 @@ def write_trace(path: str | os.PathLike, events: "EventStream | RequestLog") -> 
         handle.write(
             _HEADER.pack(TRACE_MAGIC, TRACE_VERSION, _host_flags(), *_ITEMSIZES, total)
         )
-    os.replace(tmp, target)
     return total
 
 

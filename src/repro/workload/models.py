@@ -30,7 +30,6 @@ from itertools import accumulate
 from ..constants import DAY, HOUR
 from ..exceptions import WorkloadError
 from ..socialgraph.graph import SocialGraph
-from .requests import RequestLog
 from .stream import (
     CHUNK_EVENTS,
     EventChunk,
@@ -117,10 +116,6 @@ class ParetoBurstWorkloadGenerator:
                 yield (kind, now, user, NO_AUX)
 
         return pack_rows(rows(), chunk_size)
-
-    def generate(self) -> RequestLog:
-        """Materialise the stream into a classic object-list request log."""
-        return self.stream().materialise()
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +223,6 @@ class CelebrityReadStormGenerator:
             return EventStream.empty()
         storms = [self._storm_stream(user) for user in self.celebrity_users()]
         return merge_streams(self._background(), *storms, chunk_size=chunk_size)
-
-    def generate(self) -> RequestLog:
-        """Materialise the stream into a classic object-list request log."""
-        return self.stream().materialise()
 
 
 __all__ = [

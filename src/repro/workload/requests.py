@@ -13,11 +13,7 @@ A request log is a time-ordered sequence of events the simulator replays:
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator
-
-from ..exceptions import WorkloadError
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,116 +53,10 @@ class EdgeRemoved:
 Request = ReadRequest | WriteRequest | EdgeAdded | EdgeRemoved
 
 
-@dataclass
-class RequestLog:
-    """A time-ordered sequence of requests plus summary statistics."""
-
-    requests: list[Request] = field(default_factory=list)
-
-    def append(self, request: Request) -> None:
-        """Append a request (must not go back in time)."""
-        if self.requests and request.timestamp < self.requests[-1].timestamp:
-            raise WorkloadError("requests must be appended in non-decreasing time order")
-        self.requests.append(request)
-
-    def extend(self, requests: Iterable[Request]) -> None:
-        """Append many requests (must collectively be time ordered)."""
-        for request in requests:
-            self.append(request)
-
-    def merged_with(self, other: "RequestLog") -> "RequestLog":
-        """Return a new log merging two logs by timestamp (stable).
-
-        Logs built through :meth:`append` are always sorted, so this is a
-        one-shot linear merge (ties keep ``self``'s requests first).  A
-        hand-assigned unsorted log is detected by an O(n) check and falls
-        back to the stable sort the old implementation always performed.
-        """
-        import heapq
-
-        merged = list(
-            heapq.merge(self.requests, other.requests, key=lambda r: r.timestamp)
-        )
-        if any(
-            later.timestamp < earlier.timestamp
-            for earlier, later in zip(merged, merged[1:])
-        ):
-            # Sort the *concatenation*, not the interleave, so ties land in
-            # exactly the order the old always-sort implementation produced.
-            merged = sorted(
-                list(self.requests) + list(other.requests), key=lambda r: r.timestamp
-            )
-        log = RequestLog()
-        log.requests = merged
-        return log
-
-    # --------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self) -> Iterator[Request]:
-        return iter(self.requests)
-
-    def __getitem__(self, index: int) -> Request:
-        return self.requests[index]
-
-    @property
-    def duration(self) -> float:
-        """Time span covered by the log (0 for empty logs)."""
-        if not self.requests:
-            return 0.0
-        return self.requests[-1].timestamp - self.requests[0].timestamp
-
-    @property
-    def read_count(self) -> int:
-        """Number of read requests."""
-        return sum(1 for r in self.requests if isinstance(r, ReadRequest))
-
-    @property
-    def write_count(self) -> int:
-        """Number of write requests."""
-        return sum(1 for r in self.requests if isinstance(r, WriteRequest))
-
-    @property
-    def mutation_count(self) -> int:
-        """Number of graph mutations (edge additions and removals)."""
-        return sum(1 for r in self.requests if isinstance(r, (EdgeAdded, EdgeRemoved)))
-
-    def requests_per_day(self) -> dict[int, dict[str, int]]:
-        """Read/write counts per simulated day (used to reproduce Figure 2)."""
-        from ..constants import DAY
-
-        days: dict[int, dict[str, int]] = {}
-        for request in self.requests:
-            day = int(request.timestamp // DAY)
-            bucket = days.setdefault(day, {"reads": 0, "writes": 0})
-            if isinstance(request, ReadRequest):
-                bucket["reads"] += 1
-            elif isinstance(request, WriteRequest):
-                bucket["writes"] += 1
-        return days
-
-    def slice_time(self, start: float, end: float) -> "RequestLog":
-        """Sub-log with requests whose timestamp lies in ``[start, end)``."""
-        timestamps = [r.timestamp for r in self.requests]
-        lo = bisect.bisect_left(timestamps, start)
-        hi = bisect.bisect_left(timestamps, end)
-        log = RequestLog()
-        log.requests = self.requests[lo:hi]
-        return log
-
-    def validate(self) -> None:
-        """Raise when the log is not sorted by timestamp."""
-        for earlier, later in zip(self.requests, self.requests[1:]):
-            if later.timestamp < earlier.timestamp:
-                raise WorkloadError("request log is not sorted by timestamp")
-
-
 __all__ = [
     "EdgeAdded",
     "EdgeRemoved",
     "ReadRequest",
     "Request",
-    "RequestLog",
     "WriteRequest",
 ]

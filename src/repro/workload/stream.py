@@ -17,9 +17,7 @@ replaces the materialised object list with a *struct-of-arrays* pipeline:
 
 Event rows are ``(kind, timestamp, user, aux)``.  For reads and writes
 ``aux`` is :data:`NO_AUX`; for edge events ``user`` is the follower and
-``aux`` the followee.  The object model (:mod:`repro.workload.requests`)
-stays as a thin adapter: :meth:`EventStream.materialise` builds a classic
-:class:`RequestLog` and :func:`as_stream` wraps one back into chunks.
+``aux`` the followee.  Iteration decodes rows into :mod:`.requests` objects.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 
 from ..constants import DAY
 from ..exceptions import WorkloadError
-from .requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, RequestLog, WriteRequest
+from .requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, WriteRequest
 
 #: Event kind codes (the ``u8`` column).
 KIND_READ = 0
@@ -180,12 +178,6 @@ class EventStream:
         )
 
     # -------------------------------------------------------------- adapters
-    def materialise(self) -> RequestLog:
-        """Build the classic object-list :class:`RequestLog` (compat path)."""
-        log = RequestLog()
-        log.requests = [request for request in self]
-        return log
-
     @staticmethod
     def from_chunks(chunks: Sequence[EventChunk]) -> "EventStream":
         """Stream over already-built chunks (re-iterable, no laziness)."""
@@ -196,8 +188,8 @@ class EventStream:
     def from_rows(
         rows: Iterable[EventRow], chunk_size: int = CHUNK_EVENTS
     ) -> "EventStream":
-        """Eagerly pack rows into chunks (for small, already-sorted sets)."""
-        return EventStream.from_chunks(list(pack_rows(rows, chunk_size)))
+        """Eagerly pack rows into chunks; rows going back in time are rejected."""
+        return EventStream.from_chunks(list(ordered_chunks(pack_rows(rows, chunk_size))))
 
     @staticmethod
     def empty() -> "EventStream":
@@ -207,20 +199,6 @@ class EventStream:
 # ---------------------------------------------------------------------------
 # Row <-> request adapters
 # ---------------------------------------------------------------------------
-def request_to_row(request: Request) -> EventRow:
-    """Encode a request object as an event row."""
-    kind = type(request)
-    if kind is ReadRequest:
-        return (KIND_READ, request.timestamp, request.user, NO_AUX)
-    if kind is WriteRequest:
-        return (KIND_WRITE, request.timestamp, request.user, NO_AUX)
-    if kind is EdgeAdded:
-        return (KIND_EDGE_ADD, request.timestamp, request.follower, request.followee)
-    if kind is EdgeRemoved:
-        return (KIND_EDGE_REMOVE, request.timestamp, request.follower, request.followee)
-    raise WorkloadError(f"unknown request type {kind.__name__}")
-
-
 def row_to_request(kind: int, timestamp: float, user: int, aux: int) -> Request:
     """Decode an event row into a request object."""
     if kind == KIND_READ:
@@ -328,16 +306,15 @@ def request_run_end(kinds: bytes, start: int, end: int) -> int:
     return end
 
 
-def as_stream(events: "RequestLog | EventStream") -> EventStream:
-    """View a request log (or pass an existing stream through) as a stream."""
-    if isinstance(events, EventStream):
-        return events
-    log = events
-
-    def _chunks() -> Iterator[EventChunk]:
-        return pack_rows(request_to_row(request) for request in log.requests)
-
-    return EventStream(_chunks)
+def ordered_chunks(chunks: Iterable[EventChunk]) -> Iterator[EventChunk]:
+    """Yield the non-empty chunks; raise if time goes back in or across them."""
+    last_timestamp = float("-inf")
+    for chunk in filter(len, chunks):
+        chunk.validate()
+        if chunk.timestamps[0] < last_timestamp:
+            raise WorkloadError("event stream is not sorted across chunks")
+        last_timestamp = chunk.timestamps[-1]
+        yield chunk
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +326,7 @@ def merge_streams(
     """Stable k-way merge of time-ordered streams.
 
     Ties keep the events of earlier arguments first (matching the stable
-    sort the object-list path used), and the merge holds only one chunk per
+    sort of their concatenation), and the merge holds only one chunk per
     input in flight — merging a 27M-event base with a small mutation stream
     never materialises either side.
     """
@@ -397,8 +374,7 @@ def allocate_proportionally(total: int, weights: list[float]) -> list[int]:
 def events_per_day(stream: EventStream) -> dict[int, dict[str, int]]:
     """Read/write counts per simulated day, computed chunk-wise.
 
-    Column-level analogue of :meth:`RequestLog.requests_per_day`, used by
-    the Figure 2 experiment without materialising the trace.
+    Used by the Figure 2 experiment without materialising the trace.
     """
     days: dict[int, dict[str, int]] = {}
     for chunk in stream.chunks():
@@ -432,13 +408,12 @@ __all__ = [
     "NO_AUX",
     "StreamStats",
     "allocate_proportionally",
-    "as_stream",
     "events_per_day",
     "request_run_end",
     "merge_streams",
+    "ordered_chunks",
     "pack_columns",
     "pack_rows",
-    "request_to_row",
     "row_to_request",
     "time_ordered_columns",
 ]

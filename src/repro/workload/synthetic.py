@@ -17,8 +17,7 @@ stable argsort and packed into the columnar chunks of
 :mod:`repro.workload.stream`.  Randomness is drawn from
 one dedicated ``random.Random`` per model (writes, reads), each consumed in
 window order — never per chunk — so the emitted events are byte-identical
-regardless of the chunk size used to consume the stream, and identical to
-what :meth:`SyntheticWorkloadGenerator.generate` materialises.
+regardless of the chunk size used to consume the stream.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from itertools import accumulate
 from ..constants import DAY, HOUR, SYNTHETIC_READ_WRITE_RATIO
 from ..exceptions import WorkloadError
 from ..socialgraph.graph import SocialGraph
-from .requests import RequestLog
 from .stream import (
     CHUNK_EVENTS,
     EventChunk,
@@ -164,11 +162,6 @@ class SyntheticWorkloadGenerator:
                 yield time_ordered_columns(kinds, timestamps, users)
 
         return pack_columns(batches(), chunk_size)
-
-    # ---------------------------------------------------------------- logs
-    def generate(self) -> RequestLog:
-        """Materialise the stream into a classic object-list request log."""
-        return self.stream().materialise()
 
 
 __all__ = [

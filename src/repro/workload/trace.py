@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from ..constants import DAY, HOUR
 from ..exceptions import WorkloadError
 from ..socialgraph.graph import SocialGraph
-from .requests import RequestLog
 from .stream import (
     CHUNK_EVENTS,
     EventChunk,
@@ -196,11 +195,6 @@ class NewsActivityTraceGenerator:
                 yield time_ordered_columns(kinds, timestamps, users)
 
         return pack_columns(batches(), chunk_size)
-
-    # ------------------------------------------------------------------ logs
-    def generate(self) -> RequestLog:
-        """Materialise the stream into a classic object-list request log."""
-        return self.stream().materialise()
 
 
 __all__ = [

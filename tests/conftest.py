@@ -2,13 +2,14 @@
 
 The fixtures build small but non-trivial instances of the main objects: a
 tree topology with three levels, a flat topology, a community-structured
-social graph, and a short synthetic request log.  Keeping them here avoids
+social graph, and a short synthetic workload stream.  Keeping them here avoids
 repeating setup code across the ~30 test modules.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import takewhile
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.store.memory import MemoryBudget
 from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
 from repro.traffic.accounting import TrafficAccountant
+from repro.workload.stream import EventStream
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
@@ -64,11 +66,30 @@ def tiny_graph() -> SocialGraph:
 
 @pytest.fixture
 def small_log(small_graph: SocialGraph):
-    """Half-day synthetic request log over the small graph."""
+    """Half-day synthetic request log over the small graph, as a stream."""
     generator = SyntheticWorkloadGenerator(
         small_graph, SyntheticWorkloadConfig(days=0.5, seed=11)
     )
-    return generator.generate()
+    return generator.stream()
+
+
+@pytest.fixture
+def time_prefix():
+    """``time_prefix(stream, end)``: the events of ``stream`` before ``end``."""
+    return lambda stream, end: EventStream.from_rows(
+        takewhile(lambda row: row[1] < end, stream.rows())
+    )
+
+
+@pytest.fixture
+def assert_time_ordered():
+    """``assert_time_ordered(stream)``: timestamps never decrease."""
+
+    def check(stream: EventStream) -> None:
+        timestamps = [timestamp for _, timestamp, _, _ in stream.rows()]
+        assert timestamps == sorted(timestamps)
+
+    return check
 
 
 @pytest.fixture

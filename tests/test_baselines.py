@@ -127,7 +127,7 @@ class TestPaperPartitioningClaim:
         graph = generator(users=800, seed=seed)
         log = SyntheticWorkloadGenerator(
             graph, SyntheticWorkloadConfig(days=0.5, seed=seed)
-        ).generate()
+        ).stream()
         traffic = []
         for strategy_class in (HierarchicalMetisPlacement, MetisPlacement, RandomPlacement):
             simulator = ClusterSimulator(

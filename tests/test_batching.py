@@ -618,8 +618,9 @@ def test_hook_registered_mid_run_is_honoured():
     )
 
 
-def _tracked_mid_run(as_log: bool):
-    """``track_view`` called from the first pre-tick hook of the run."""
+def test_view_tracked_mid_run_is_sampled_from_the_next_event_on():
+    """``track_view`` called from a pre-tick hook mid-run: periodic samples
+    start there, not only the forced one at the end of the run."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=100)
     stream = parity_stream(graph, days=0.25)
@@ -637,17 +638,9 @@ def _tracked_mid_run(as_log: bool):
             tracked_at.append(now)
 
     simulator.add_pre_tick_hook(on_tick)
-    result = simulator.run(stream.materialise() if as_log else stream)
-    return result.tracked_views[target]
-
-
-def test_view_tracked_mid_run_is_sampled_alike_for_stream_and_log():
-    """A view tracked by a pre-tick hook mid-run is sampled from the next
-    event on, whichever shape the workload arrived in."""
-    from_stream = _tracked_mid_run(as_log=False)
-    from_log = _tracked_mid_run(as_log=True)
-    assert len(from_log.replica_counts) > 10  # periodic samples, not just the final one
-    assert from_stream == from_log
+    timeline = simulator.run(stream).tracked_views[target]
+    assert len(timeline.replica_counts) > 10
+    assert timeline.replica_counts[0][0] >= tracked_at[0]
 
 
 def test_tracking_period_set_before_run_is_honoured():
@@ -694,12 +687,9 @@ def test_partitioned_shard_rejects_observers_before_any_event(observer):
 
 
 @pytest.mark.parametrize("scenario_key", ["plain", "crash"])
-@pytest.mark.parametrize("as_log", [False, True])
-def test_empty_workload_still_finishes_the_run(as_log, scenario_key):
+def test_empty_workload_still_finishes_the_run(scenario_key):
     """No event at all: trailing faults are applied, the final tick fires and
-    the result is the all-zero one — for a stream and for a log."""
-    from repro.workload.requests import RequestLog
-
+    the result is the all-zero one."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=60)
     strategy = build_strategy("dynasore_hmetis", 7, DynaSoReConfig())
@@ -712,7 +702,7 @@ def test_empty_workload_still_finishes_the_run(as_log, scenario_key):
     )
     ticks = []
     simulator.add_pre_tick_hook(ticks.append)
-    result = simulator.run(RequestLog() if as_log else EventStream.empty())
+    result = simulator.run(EventStream.empty())
     assert result.requests_executed == 0
     assert result.reads_executed == result.writes_executed == 0
     assert result.duration == 0.0
@@ -727,24 +717,15 @@ def test_empty_workload_still_finishes_the_run(as_log, scenario_key):
         assert ticks == [0.0]
 
 
-def test_log_and_stream_deliver_equal_hook_transcripts():
-    """A ``RequestLog`` is an input adapter over the same loop: post-request
-    hooks see equal request objects (edge events included) in equal order."""
+def test_post_request_hooks_see_every_event_in_stream_order():
+    """Hooks receive the stream's own request objects, edge events included."""
     stream = EventStream.from_rows(_mirror_rows(), chunk_size=_MIRROR_CHUNK)
-    log = stream.materialise()
-    assert log.mutation_count > 0
-
-    def run(workload):
-        simulator = _mirror_simulator("spar")
-        seen = []
-        simulator.add_post_request_hook(seen.append)
-        return simulator.run(workload), seen
-
-    result_log, seen_log = run(log)
-    result_stream, seen_stream = run(stream)
-    assert seen_log == list(log)
-    assert seen_stream == seen_log
-    assert canonical_result_bytes(result_log) == canonical_result_bytes(result_stream)
+    assert stream.stats().mutations > 0
+    simulator = _mirror_simulator("spar")
+    seen = []
+    simulator.add_post_request_hook(seen.append)
+    simulator.run(stream)
+    assert seen == list(stream)
 
 
 def test_check_tables_env_accepts_falsey_spellings(monkeypatch):

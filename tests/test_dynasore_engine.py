@@ -58,10 +58,17 @@ class TestInitialPlacement:
         assert set(locations) == set(small_graph.users)
         assert all(len(devices) == 1 for devices in locations.values())
 
+    def test_table_capacities_are_the_budget_split(self, tree_topology, small_graph):
+        strategy, _ = bind_dynasore(tree_topology, small_graph, extra_memory_pct=30.0)
+        table = strategy.tables
+        assert table.capacities == strategy.budget.per_server_capacity()
+        assert sum(table.capacities) == strategy.memory_capacity()
+        assert table.admission_thresholds == [0.0] * table.num_positions
+
     def test_capacity_respected_at_zero_extra_memory(self, tree_topology, small_graph):
         strategy, _ = bind_dynasore(tree_topology, small_graph, extra_memory_pct=0.0)
-        for server in strategy.servers:
-            assert server.used <= server.capacity
+        table = strategy.tables
+        assert all(used <= cap for used, cap in zip(table.used, table.capacities))
 
     def test_proxies_start_in_view_rack(self, tree_topology, small_graph):
         strategy, _ = bind_dynasore(tree_topology, small_graph)
@@ -99,15 +106,16 @@ class TestExecution:
         assert accountant.message_count > 0
         target = next(iter(small_graph.following(reader)))
         position = strategy.replica_positions(target)[0]
-        replica = strategy.servers[position].replica(target)
-        assert replica.stats.total_reads() >= 1
+        slot = strategy.tables.slot_of(target, position)
+        assert strategy.tables.stats.total_reads(slot) >= 1
 
     def test_write_updates_all_replicas(self, tree_topology, small_graph):
         strategy, accountant = bind_dynasore(tree_topology, small_graph)
         user = small_graph.users[0]
         strategy.execute_write(user, now=10.0)
         for position in strategy.replica_positions(user):
-            assert strategy.servers[position].replica(user).stats.total_writes() >= 1
+            slot = strategy.tables.slot_of(user, position)
+            assert strategy.tables.stats.total_writes(slot) >= 1
 
     def test_hot_remote_view_gets_replicated(self, tree_topology, small_graph):
         strategy, _ = bind_dynasore(tree_topology, small_graph, extra_memory_pct=100.0)
@@ -132,8 +140,8 @@ class TestExecution:
         strategy, _ = bind_dynasore(tree_topology, small_graph, extra_memory_pct=30.0)
         for i, user in enumerate(list(small_graph.users)[:60]):
             strategy.execute_read(user, now=float(i))
-        for server in strategy.servers:
-            assert server.used <= server.capacity
+        table = strategy.tables
+        assert all(used <= cap for used, cap in zip(table.used, table.capacities))
         budget_capacity = strategy.memory_capacity()
         assert strategy.memory_in_use() <= budget_capacity
 
@@ -175,7 +183,7 @@ class TestExecution:
             strategy.execute_read(user, now=float(i))
         strategy.on_tick(HOUR)
         assert strategy._threshold_cache == {}
-        assert all(server.admission_threshold >= 0.0 for server in strategy.servers)
+        assert all(value >= 0.0 for value in strategy.tables.admission_thresholds)
 
     def test_counters_track_decisions(self, tree_topology, small_graph):
         strategy, _ = bind_dynasore(tree_topology, small_graph, extra_memory_pct=100.0)

@@ -24,7 +24,7 @@ from repro.simulator.engine import ClusterSimulator
 from repro.socialgraph.generators import facebook_like
 from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
-from repro.workload.flash import inject_flash_event, plan_flash_event
+from repro.workload.flash import inject_flash_stream, plan_flash_event
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
@@ -36,7 +36,7 @@ def scenario():
     graph = facebook_like(users=250, seed=13)
     log = SyntheticWorkloadGenerator(
         graph, SyntheticWorkloadConfig(days=0.5, seed=13)
-    ).generate()
+    ).stream()
     return graph, log
 
 
@@ -54,7 +54,7 @@ def run_strategy(strategy, graph, log, extra_memory_pct, measure_from=0.0, topol
 class TestEndToEndComparison:
     def test_dynasore_beats_random_and_spar(self, scenario):
         graph, log = scenario
-        cutoff = log.duration / 2
+        cutoff = log.stats().duration / 2
         random_result, _ = run_strategy(RandomPlacement(seed=13), graph, log, 50.0, cutoff)
         spar_result, _ = run_strategy(SparPlacement(seed=13), graph, log, 50.0, cutoff)
         dynasore_result, _ = run_strategy(
@@ -69,8 +69,8 @@ class TestEndToEndComparison:
         _, simulator = run_strategy(DynaSoRe(initializer="random", seed=13), graph, log, 30.0)
         strategy = simulator.strategy
         assert strategy.memory_in_use() <= strategy.memory_capacity()
-        for server in strategy.servers:
-            assert server.used <= server.capacity
+        table = strategy.tables
+        assert all(used <= cap for used, cap in zip(table.used, table.capacities))
 
     def test_every_view_remains_available(self, scenario):
         graph, log = scenario
@@ -81,7 +81,7 @@ class TestEndToEndComparison:
 
     def test_more_memory_means_less_top_traffic(self, scenario):
         graph, log = scenario
-        cutoff = log.duration / 2
+        cutoff = log.stats().duration / 2
         lean, _ = run_strategy(DynaSoRe(initializer="hmetis", seed=13), graph, log, 0.0, cutoff)
         rich, _ = run_strategy(DynaSoRe(initializer="hmetis", seed=13), graph, log, 150.0, cutoff)
         assert rich.top_switch_traffic <= lean.top_switch_traffic * 1.05
@@ -90,7 +90,7 @@ class TestEndToEndComparison:
         graph, log = scenario
         # A flat cluster where, as in the paper, machines hold many views each.
         flat_spec = FlatClusterSpec(machines=20)
-        cutoff = log.duration / 2
+        cutoff = log.stats().duration / 2
         random_result, _ = run_strategy(
             RandomPlacement(seed=13), graph, log, 100.0, cutoff, topology=FlatTopology(flat_spec)
         )
@@ -111,9 +111,9 @@ class TestFlashEventIntegration:
         rng = random.Random(21)
         base = SyntheticWorkloadGenerator(
             graph, SyntheticWorkloadConfig(days=1.0, seed=21)
-        ).generate()
+        ).stream()
         spec = plan_flash_event(graph, rng, followers=80, start_day=0.2, end_day=0.6)
-        log = inject_flash_event(base, spec, reads_per_follower_per_day=6.0, seed=21)
+        log = inject_flash_stream(base, spec, reads_per_follower_per_day=6.0, seed=21)
         simulator = ClusterSimulator(
             TreeTopology(SPEC),
             graph,

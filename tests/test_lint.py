@@ -1,8 +1,12 @@
 """Unused imports in ``src/repro``: stands in for F401 of CI's ``ruff check``,
-which the build container does not have."""
+which the build container does not have.  Plus the check ruff has no rule
+for: the packages' ``__all__`` lists name only things that exist."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -38,3 +42,17 @@ def test_no_unused_imports():
                 if (alias.asname or alias.name).split(".")[0] not in used:
                     unused.append(f"{path.relative_to(SRC)}:{node.lineno} {alias.name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC.parent).parts) for path in SRC.rglob("__init__.py")
+)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_export_list_resolves(package):
+    """Every ``__all__`` entry of a package is importable from it, once."""
+    module = importlib.import_module(package)
+    exported = module.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(module, name)] == []

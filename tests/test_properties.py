@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.utility import estimate_profit
+from repro.exceptions import WorkloadError
 from repro.partitioning.kway import partition_kway
 from repro.partitioning.quality import part_weights, validate_partition
 from repro.socialgraph.graph import SocialGraph
@@ -16,7 +18,7 @@ from repro.store.memory import MemoryBudget
 from repro.store.stats import AccessStatistics
 from repro.topology.tree import TreeTopology
 from repro.config import ClusterSpec
-from repro.workload.requests import ReadRequest, RequestLog, WriteRequest
+from repro.workload.stream import EventStream, KIND_READ, KIND_WRITE, NO_AUX, events_per_day
 
 
 # --------------------------------------------------------------------------- counters
@@ -122,25 +124,30 @@ def test_partition_covers_every_node_and_respects_part_range(edges, parts, seed)
     assert sum(weights) == len(adjacency)
 
 
-# --------------------------------------------------------------------------- request log
+# --------------------------------------------------------------------------- event stream
 @given(
     items=st.lists(
         st.tuples(st.floats(0.0, 1e6), st.booleans(), st.integers(0, 50)), max_size=80
     )
 )
 @settings(max_examples=50, deadline=None)
-def test_request_log_counts_match_contents(items):
-    log = RequestLog()
-    for timestamp, is_read, user in sorted(items, key=lambda item: item[0]):
-        if is_read:
-            log.append(ReadRequest(timestamp, user))
-        else:
-            log.append(WriteRequest(timestamp, user))
-    assert log.read_count + log.write_count == len(log)
-    log.validate()
-    per_day = log.requests_per_day()
-    assert sum(d["reads"] for d in per_day.values()) == log.read_count
-    assert sum(d["writes"] for d in per_day.values()) == log.write_count
+def test_stream_counts_match_contents(items):
+    rows = [
+        (KIND_READ if is_read else KIND_WRITE, timestamp, user, NO_AUX)
+        for timestamp, is_read, user in items
+    ]
+    ordered = sorted(rows, key=lambda row: row[1])
+    if ordered != rows:
+        with pytest.raises(WorkloadError):
+            EventStream.from_rows(rows, chunk_size=16)
+    stream = EventStream.from_rows(ordered, chunk_size=16)
+    assert list(stream.rows()) == ordered
+    stats = stream.stats()
+    assert stats.reads + stats.writes == stats.events == len(items)
+    assert stats.reads == sum(is_read for _, is_read, _ in items)
+    per_day = events_per_day(stream)
+    assert sum(d["reads"] for d in per_day.values()) == stats.reads
+    assert sum(d["writes"] for d in per_day.values()) == stats.writes
 
 
 # --------------------------------------------------------------------------- utility

@@ -84,10 +84,10 @@ class TestSpecs:
             seed=11,
             flash=FlashSpec(followers=10, start_day=0.05, end_day=0.2),
         )
-        log, tracked = workload.build(graph)
+        stream, tracked = workload.build_stream(graph)
         assert len(tracked) == 1
         assert graph.has_user(tracked[0])
-        assert log.mutation_count >= 10
+        assert stream.stats().mutations >= 10
 
     def test_scenario_spec_roundtrip(self):
         spec = ScenarioSpec.of("crash_recover", crash_time=10.0, recover_time=20.0, count=1)

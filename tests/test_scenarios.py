@@ -30,7 +30,8 @@ from repro.scenarios import (
 from repro.scenarios.events import NodeJoin, NodeLeave, ServerCrash, ServerRecovery
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.runner import normalise_results, run_comparison
-from repro.workload.requests import EdgeAdded, EdgeRemoved, RequestLog, WriteRequest
+from repro.workload.requests import EdgeAdded, EdgeRemoved, WriteRequest
+from repro.workload.stream import EventStream
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ def context(tree_topology, small_graph) -> ScenarioContext:
 
 def crash_scenario(log, count=2, graceful=False):
     """Crash ``count`` servers a third of the way in, recover at two thirds."""
-    duration = log.requests[-1].timestamp
+    duration = log.stats().last_timestamp
     return CrashRecoverScenario(
         crash_time=duration / 3.0,
         recover_time=2.0 * duration / 3.0,
@@ -109,31 +110,35 @@ class TestScenarioGenerators:
                 down.discard(event.position)
         assert not down, "every departed node must rejoin by end_time"
 
-    def test_diurnal_keeps_mutations_and_thins_requests(self, context, small_log):
+    def test_diurnal_keeps_mutations_and_thins_requests(
+        self, context, small_log, assert_time_ordered
+    ):
         scenario = DiurnalLoadScenario(trough_fraction=0.2)
-        thinned = scenario.transform_log(small_log, context)
-        assert len(thinned) < len(small_log)
-        assert thinned.mutation_count == small_log.mutation_count
-        thinned.validate()
+        thinned = scenario.transform_stream(small_log, context)
+        assert thinned.stats().events < small_log.stats().events
+        assert thinned.stats().mutations == small_log.stats().mutations
+        assert_time_ordered(thinned)
         # Same seed, same thinning.
-        again = scenario.transform_log(small_log, context)
-        assert again.requests == thinned.requests
+        again = scenario.transform_stream(small_log, context)
+        assert list(again.rows()) == list(thinned.rows())
 
     def test_diurnal_keep_probability_bounds(self):
         scenario = DiurnalLoadScenario(trough_fraction=0.3)
         for t in (0.0, 0.25 * DAY, 0.5 * DAY, 0.9 * DAY):
             assert 0.3 <= scenario.keep_probability(t) <= 1.0
 
-    def test_regional_flash_crowd_injects_edges_and_reads(self, context, small_log):
+    def test_regional_flash_crowd_injects_edges_and_reads(
+        self, context, small_log, assert_time_ordered
+    ):
         scenario = RegionalFlashCrowdScenario(
             start_time=HOUR, end_time=5 * HOUR, targets=2, followers=10
         )
-        log = scenario.transform_log(small_log, context)
+        log = scenario.transform_stream(small_log, context)
         added = [r for r in log if isinstance(r, EdgeAdded)]
         removed = [r for r in log if isinstance(r, EdgeRemoved)]
         assert added and len(added) == len(removed)
-        assert log.read_count > small_log.read_count
-        log.validate()
+        assert log.stats().reads > small_log.stats().reads
+        assert_time_ordered(log)
         specs = scenario.plan(context)
         assert 1 <= len(specs) <= 2
         for spec in specs:
@@ -146,7 +151,8 @@ class TestScenarioGenerators:
         )
         events = composite.fault_events(context)
         assert events == sorted(events, key=lambda e: e.timestamp)
-        assert len(composite.transform_log(small_log, context)) < len(small_log)
+        thinned = composite.transform_stream(small_log, context)
+        assert thinned.stats().events < small_log.stats().events
 
 
 class TestSimulatorFaultCore:
@@ -213,7 +219,7 @@ class TestSimulatorFaultCore:
         simulator.add_post_request_hook(requests.append)
         simulator.run(small_log)
         assert ticks, "pre-tick hooks must fire"
-        assert len(requests) == len(small_log)
+        assert len(requests) == small_log.stats().events
 
     def test_writes_are_mirrored_into_the_store(self, tree_topology, small_graph, small_log):
         store = PersistentStore()
@@ -228,7 +234,7 @@ class TestSimulatorFaultCore:
         writers = {
             r.user for r in small_log if isinstance(r, WriteRequest)
         }
-        assert result.writes_executed == small_log.write_count
+        assert result.writes_executed == small_log.stats().writes
         assert all(store.current_version(user) > 0 for user in writers)
         store.verify_integrity()
 
@@ -306,7 +312,7 @@ class TestCrashRecoveryRoundTrip:
         assert result.unavailable_views == 0
 
     def test_rack_outage_round_trip(self, tree_topology, small_graph, small_log):
-        duration = small_log.requests[-1].timestamp
+        duration = small_log.stats().last_timestamp
         simulator = ClusterSimulator(
             tree_topology,
             small_graph.copy(),
@@ -321,7 +327,7 @@ class TestCrashRecoveryRoundTrip:
         assert all(simulator.server_up)
 
     def test_node_churn_round_trip(self, tree_topology, small_graph, small_log):
-        duration = small_log.requests[-1].timestamp
+        duration = small_log.stats().last_timestamp
         simulator = ClusterSimulator(
             tree_topology,
             small_graph.copy(),
@@ -385,7 +391,7 @@ class TestStrategyEvacuation:
         )
         capacity_before = strategy.memory_capacity()
         strategy.on_server_down(2, now=HOUR)
-        assert strategy.servers[2].capacity == 0
+        assert strategy.tables.capacity_of(2) == 0
         assert strategy.memory_capacity() < capacity_before
         assert not strategy.position_available(2)
         locations = strategy.replica_locations()
@@ -394,6 +400,30 @@ class TestStrategyEvacuation:
         strategy.on_server_up(2, now=2 * HOUR)
         assert strategy.memory_capacity() == capacity_before
         assert strategy.position_available(2)
+
+    def test_dynasore_refuses_faults_before_deployment(self, tree_topology, small_graph):
+        from repro.store.memory import MemoryBudget
+        from repro.traffic.accounting import TrafficAccountant
+
+        strategy = DynaSoRe(initializer="random", seed=5)
+        budget = MemoryBudget(
+            views=small_graph.num_users, extra_memory_pct=0.0, servers=len(tree_topology.servers)
+        )
+        strategy.bind(tree_topology, small_graph, TrafficAccountant(tree_topology), budget, seed=5)
+        with pytest.raises(SimulationError, match="not been deployed"):
+            strategy.on_server_down(0, now=HOUR)
+
+    @pytest.mark.parametrize("position", [-1, 12])
+    def test_dynasore_rejects_positions_outside_the_table(
+        self, tree_topology, small_graph, position
+    ):
+        strategy = self._bound(
+            DynaSoRe(initializer="random", seed=5), tree_topology, small_graph
+        )
+        assert strategy.tables.num_positions == len(tree_topology.servers) == 12
+        with pytest.raises(SimulationError, match="invalid server position"):
+            strategy.on_server_down(position, now=HOUR)
+        assert strategy.counters.servers_lost == 0
 
     def test_base_strategy_refuses_faults(self, tree_topology, small_graph):
         from repro.baselines.base import PlacementStrategy
@@ -422,7 +452,7 @@ class TestNormalisationGuard:
     def test_zero_traffic_baseline_raises(self, tree_topology, small_graph):
         """A Random baseline that recorded nothing must fail loudly, not
         silently normalise everything to zero."""
-        empty_log = RequestLog()
+        empty_log = EventStream.empty()
         results = run_comparison(
             lambda: tree_topology,
             lambda: small_graph.copy(),

@@ -14,7 +14,14 @@ from repro.simulator.engine import ClusterSimulator
 from repro.simulator.runner import normalise_results, run_comparison, run_simulation
 from repro.socialgraph.generators import facebook_like
 from repro.topology.tree import TreeTopology
-from repro.workload.requests import EdgeAdded, EdgeRemoved, ReadRequest, RequestLog, WriteRequest
+from repro.workload.stream import (
+    EventStream,
+    KIND_EDGE_ADD,
+    KIND_EDGE_REMOVE,
+    KIND_READ,
+    KIND_WRITE,
+    NO_AUX,
+)
 
 
 class TestSimulationClock:
@@ -56,16 +63,11 @@ class TestClusterSimulator:
     def scenario(self, cluster_spec):
         graph = facebook_like(users=80, seed=5)
         topology = TreeTopology(cluster_spec)
-        log = RequestLog()
         users = list(graph.users)
-        time = 0.0
-        for i in range(200):
-            time += 30.0
-            user = users[i % len(users)]
-            if i % 5 == 0:
-                log.append(WriteRequest(time, user))
-            else:
-                log.append(ReadRequest(time, user))
+        log = EventStream.from_rows(
+            (KIND_WRITE if i % 5 == 0 else KIND_READ, 30.0 * (i + 1), users[i % len(users)], NO_AUX)
+            for i in range(200)
+        )
         return topology, graph, log
 
     def test_run_counts_requests(self, scenario):
@@ -74,18 +76,22 @@ class TestClusterSimulator:
             topology, graph, RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
         )
         result = simulator.run(log)
-        assert result.requests_executed == len(log)
-        assert result.reads_executed == log.read_count
-        assert result.writes_executed == log.write_count
+        stats = log.stats()
+        assert result.requests_executed == stats.events == 200
+        assert result.reads_executed == stats.reads
+        assert result.writes_executed == stats.writes
         assert result.top_switch_traffic > 0
 
     def test_graph_mutations_are_applied(self, scenario):
         topology, graph, _ = scenario
         users = list(graph.users)
-        log = RequestLog()
-        log.append(EdgeAdded(10.0, users[0], users[5]))
-        log.append(ReadRequest(20.0, users[0]))
-        log.append(EdgeRemoved(30.0, users[0], users[5]))
+        log = EventStream.from_rows(
+            [
+                (KIND_EDGE_ADD, 10.0, users[0], users[5]),
+                (KIND_READ, 20.0, users[0], NO_AUX),
+                (KIND_EDGE_REMOVE, 30.0, users[0], users[5]),
+            ]
+        )
         simulator = ClusterSimulator(
             topology, graph, RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
         )
@@ -118,13 +124,16 @@ class TestClusterSimulator:
         # Start from a clean slate: the reader does not follow the target.
         graph.remove_edge(reader, target)
 
-        log = RequestLog()
-        log.append(ReadRequest(10.0, reader))  # not following yet: no count
-        log.append(EdgeAdded(20.0, reader, target))
-        log.append(ReadRequest(30.0, reader))  # following: counts
-        log.append(ReadRequest(40.0, reader))  # following: counts
-        log.append(EdgeRemoved(50.0, reader, target))
-        log.append(ReadRequest(60.0, reader))  # unfollowed again: no count
+        log = EventStream.from_rows(
+            [
+                (KIND_READ, 10.0, reader, NO_AUX),  # not following yet: no count
+                (KIND_EDGE_ADD, 20.0, reader, target),
+                (KIND_READ, 30.0, reader, NO_AUX),  # following: counts
+                (KIND_READ, 40.0, reader, NO_AUX),  # following: counts
+                (KIND_EDGE_REMOVE, 50.0, reader, target),
+                (KIND_READ, 60.0, reader, NO_AUX),  # unfollowed again: no count
+            ]
+        )
 
         simulator = ClusterSimulator(
             topology, graph, DynaSoRe(initializer="random", seed=1),
@@ -161,7 +170,7 @@ class TestClusterSimulator:
             topology,
             graph.copy(),
             RandomPlacement(seed=1),
-            SimulationConfig(extra_memory_pct=0.0, measure_from=log.duration / 2),
+            SimulationConfig(extra_memory_pct=0.0, measure_from=log.stats().duration / 2),
         ).run(log)
         assert half.top_switch_traffic < full.top_switch_traffic
 
@@ -171,7 +180,7 @@ class TestClusterSimulator:
             topology, graph, RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
         ).run(log)
         summary = result.summary()
-        assert summary["reads"] == log.read_count
+        assert summary["reads"] == log.stats().reads
         series = result.top_switch_series()
         assert sum(series.values()) == pytest.approx(result.top_switch_traffic)
         split = result.top_switch_series(split=True)
@@ -187,17 +196,17 @@ class TestClusterSimulator:
 
 
 class TestRunner:
-    def test_run_comparison_and_normalise(self, ci_profile):
+    def test_run_comparison_and_normalise(self, ci_profile, time_prefix):
         from repro.experiments.common import (
             graph_factory,
             simulation_config,
             strategy_factories,
-            synthetic_log,
+            synthetic_stream,
             tree_topology_factory,
         )
 
         graphs = graph_factory(ci_profile, "twitter")
-        log = synthetic_log(ci_profile, graphs()).slice_time(0.0, 0.2 * DAY)
+        log = time_prefix(synthetic_stream(ci_profile, graphs()), 0.2 * DAY)
         results = run_comparison(
             tree_topology_factory(ci_profile),
             graphs,
@@ -210,7 +219,7 @@ class TestRunner:
         assert normalised["random"] == pytest.approx(1.0)
         assert normalised["hmetis"] <= 1.0
 
-    def test_scenario_run_is_byte_identical_across_runs(self, ci_profile):
+    def test_scenario_run_is_byte_identical_across_runs(self, ci_profile, time_prefix):
         """Same seed + same scenario => byte-identical traffic series.
 
         Regression guard for the scenario subsystem: all scenario
@@ -223,13 +232,13 @@ class TestRunner:
         from repro.experiments.common import (
             graph_factory,
             simulation_config,
-            synthetic_log,
+            synthetic_stream,
             tree_topology_factory,
         )
         from repro.scenarios import CompositeScenario, CrashRecoverScenario, DiurnalLoadScenario
 
         graphs = graph_factory(ci_profile, "twitter")
-        log = synthetic_log(ci_profile, graphs()).slice_time(0.0, 0.3 * DAY)
+        log = time_prefix(synthetic_stream(ci_profile, graphs()), 0.3 * DAY)
         scenario = CompositeScenario(
             DiurnalLoadScenario(trough_fraction=0.5),
             CrashRecoverScenario(
@@ -267,18 +276,18 @@ class TestRunner:
         assert serialise(runs[0]) == serialise(runs[1])
         assert runs[0].fault_records  # the scenario actually fired
 
-    def test_run_simulation_with_tracked_views(self, ci_profile):
+    def test_run_simulation_with_tracked_views(self, ci_profile, time_prefix):
         from repro.experiments.common import (
             graph_factory,
             simulation_config,
-            synthetic_log,
+            synthetic_stream,
             tree_topology_factory,
         )
         from repro.core.engine import DynaSoRe
 
         graphs = graph_factory(ci_profile, "twitter")
         graph = graphs()
-        log = synthetic_log(ci_profile, graph).slice_time(0.0, 0.1 * DAY)
+        log = time_prefix(synthetic_stream(ci_profile, graph), 0.1 * DAY)
         tracked = graph.users[0]
         result = run_simulation(
             tree_topology_factory(ci_profile),

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constants import DEFAULT_ADMISSION_FILL, DEFAULT_EVICTION_THRESHOLD
 from repro.exceptions import CapacityError, StorageError
 from repro.store.counters import RotatingCounter
 from repro.store.memory import MemoryBudget, budget_for
-from repro.store.server import StorageServer
 from repro.store.stats import AccessStatistics
+from repro.store.tables import ReplicaHandle, ReplicaTable, pick_least_loaded
 from repro.store.view import Event, INFINITE_UTILITY, View, ViewReplica
 
 
@@ -153,97 +154,110 @@ class TestView:
         assert replica.effective_utility() == 3.0
 
 
-class TestStorageServer:
-    def make_server(self, capacity: int = 10) -> StorageServer:
-        return StorageServer(server_index=0, capacity=capacity, counter_slots=4, counter_period=10.0)
+class TestReplicaTablePosition:
+    """One storage-server position of a ``ReplicaTable``: capacity,
+    occupancy, admission threshold and eviction order."""
+
+    def make_table(self, capacity: int = 10) -> ReplicaTable:
+        table = ReplicaTable(positions=1)
+        table.set_capacity(0, capacity)
+        return table
+
+    def add(self, table: ReplicaTable, user: int, utility: float | None = None) -> ReplicaHandle:
+        """Allocate at position 0; a ``utility`` makes the replica a
+        non-sole one (finite effective utility)."""
+        replica = ReplicaHandle(table, table.allocate(user, 0))
+        if utility is not None:
+            replica.next_closest_replica = 99
+            replica.utility = utility
+        return replica
 
     def test_add_and_remove(self):
-        server = self.make_server()
-        server.add_replica(1)
-        assert server.has_view(1)
-        assert server.used == 1
-        server.remove_replica(1)
-        assert not server.has_view(1)
+        table = self.make_table()
+        slot = table.allocate(1, 0)
+        assert table.slot_of(1, 0) == slot
+        assert table.used_of(0) == 1
+        table.free(slot)
+        assert table.slot_of(1, 0) is None
+        assert table.used_of(0) == 0
 
-    def test_duplicate_add_rejected(self):
-        server = self.make_server()
-        server.add_replica(1)
-        with pytest.raises(StorageError):
-            server.add_replica(1)
+    def test_slot_of_is_the_duplicate_and_unknown_guard(self):
+        # ``allocate`` stores whatever it is told to; callers ask ``slot_of``
+        # first, which finds a replica at exactly that position or nothing.
+        table = ReplicaTable(positions=2)
+        slot = table.allocate(1, 0)
+        assert table.slot_of(1, 0) == slot
+        assert table.slot_of(1, 1) is None
+        assert table.slot_of(9, 0) is None
+        table.allocate(1, 1)
+        assert table.user_positions(1) == (0, 1)
+        assert table.users_at(0) == [1]
 
-    def test_full_server_rejects_unless_overflow(self):
-        server = self.make_server(capacity=1)
-        server.add_replica(1)
-        with pytest.raises(StorageError):
-            server.add_replica(2)
-        server.add_replica(2, allow_overflow=True)
-        assert server.used == 2
+    def test_allocation_past_capacity_is_counted_not_refused(self):
+        # Admission policy belongs to the callers (initial placement and
+        # recovery overflow on purpose); the table reports the excess.
+        table = self.make_table(capacity=1)
+        self.add(table, 1)
+        self.add(table, 2)
+        assert table.used_of(0) == 2 > table.capacity_of(0)
+        assert table.needs_eviction(0, DEFAULT_EVICTION_THRESHOLD)
+        assert table.excess_replicas(0, DEFAULT_EVICTION_THRESHOLD) == 1
 
-    def test_remove_unknown_rejected(self):
-        server = self.make_server()
-        with pytest.raises(StorageError):
-            server.remove_replica(9)
-
-    def test_utilisation(self):
-        server = self.make_server(capacity=4)
-        server.add_replica(1)
-        server.add_replica(2)
-        assert server.utilisation == pytest.approx(0.5)
-        assert server.free_slots == 2
+    def test_utilisation_ranks_positions(self):
+        table = ReplicaTable(positions=2)
+        table.set_capacity(0, 4)
+        table.set_capacity(1, 4)
+        for user, position in ((1, 0), (2, 0), (3, 1)):
+            table.allocate(user, position)
+        assert table.capacity_of(0) - table.used_of(0) == 2
+        assert pick_least_loaded(table.used, capacities=table.capacities) == 1
 
     def test_admission_threshold_zero_when_not_full(self):
-        server = self.make_server(capacity=10)
+        table = self.make_table(capacity=10)
         for user in range(5):
-            server.add_replica(user)
-        assert server.update_admission_threshold() == 0.0
+            self.add(table, user)
+        assert table.update_admission_threshold(0, DEFAULT_ADMISSION_FILL) == 0.0
 
     def test_admission_threshold_positive_when_nearly_full(self):
-        server = self.make_server(capacity=10)
+        table = self.make_table(capacity=10)
         for user in range(10):
-            replica = server.add_replica(user)
-            replica.next_closest_replica = 99  # not sole, finite utility
-            replica.utility = float(user)
-        threshold = server.update_admission_threshold()
-        assert threshold > 0.0
+            self.add(table, user, utility=float(user))
+        assert table.update_admission_threshold(0, DEFAULT_ADMISSION_FILL) > 0.0
+        assert table.admission_thresholds[0] > 0.0
 
     def test_eviction_candidates_exclude_sole_replicas(self):
-        server = self.make_server(capacity=5)
-        sole = server.add_replica(1)
-        replicated = server.add_replica(2)
-        replicated.next_closest_replica = 7
-        replicated.utility = 1.0
-        candidates = server.eviction_candidates()
-        assert sole not in candidates
-        assert replicated in candidates
+        table = self.make_table(capacity=5)
+        sole = self.add(table, 1)
+        replicated = self.add(table, 2, utility=1.0)
+        assert sole.is_sole_replica
+        assert table.eviction_candidate_slots(0) == [replicated.slot]
 
     def test_eviction_candidates_sorted_by_utility(self):
-        server = self.make_server(capacity=5)
+        table = self.make_table(capacity=5)
         for user, utility in ((1, 5.0), (2, 1.0), (3, 3.0)):
-            replica = server.add_replica(user)
-            replica.next_closest_replica = 9
-            replica.utility = utility
-        users = [r.user for r in server.eviction_candidates()]
+            self.add(table, user, utility=utility)
+        users = [table.user_of(slot) for slot in table.eviction_candidate_slots(0)]
         assert users == [2, 3, 1]
 
     def test_needs_eviction(self):
-        server = self.make_server(capacity=100)
+        table = self.make_table(capacity=100)
         for user in range(100):
-            server.add_replica(user)
-        assert server.needs_eviction()
-        assert server.excess_replicas() == 5
+            self.add(table, user)
+        assert table.needs_eviction(0, DEFAULT_EVICTION_THRESHOLD)
+        assert table.excess_replicas(0, DEFAULT_EVICTION_THRESHOLD) == 5
 
     def test_full_server_always_frees_one_slot(self):
         # Even when 95% of a small capacity rounds up to "full", a full
         # server frees at least one slot so the cluster can keep adapting.
-        server = self.make_server(capacity=10)
+        table = self.make_table(capacity=10)
         for user in range(10):
-            server.add_replica(user)
-        assert server.needs_eviction()
-        assert server.excess_replicas() == 1
+            self.add(table, user)
+        assert table.needs_eviction(0, DEFAULT_EVICTION_THRESHOLD)
+        assert table.excess_replicas(0, DEFAULT_EVICTION_THRESHOLD) == 1
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(StorageError):
-            StorageServer(server_index=0, capacity=-1)
+            self.make_table(capacity=-1)
 
 
 class TestMemoryBudget:

@@ -1,42 +1,33 @@
 """Tests for the columnar event-stream pipeline.
 
-Covers the chunk/stream substrate (adapters, merging, chunk-level queries),
-the seed-stability of the stream-native generators across chunk boundaries,
-and the headline guarantee of the refactor: streaming and materialised
-replay produce byte-identical :class:`SimulationResult`s for every
-registered placement strategy, with and without load scenarios.
+Covers the chunk/stream substrate (hand-built streams and their time-order
+check, merging, chunk-level queries), the seed-stability of the
+stream-native generators across chunk boundaries, the additional workload
+models, and the constant-memory guarantee: consuming a 1M-event stream
+never holds more than a few chunks.
 """
 
 from __future__ import annotations
 
-import pickle
-import random
+import gc
+import tracemalloc
 
 import pytest
 
 from repro.config import SimulationConfig
 from repro.constants import DAY, HOUR
 from repro.exceptions import WorkloadError
-from repro.runtime.spec import STRATEGY_KEYS, WorkloadSpec, build_strategy
-from repro.scenarios import (
-    CompositeScenario,
-    CrashRecoverScenario,
-    DiurnalLoadScenario,
-    RegionalFlashCrowdScenario,
-    Scenario,
-    ScenarioContext,
-)
+from repro.runtime.spec import WorkloadSpec, build_strategy
 from repro.simulator.engine import ClusterSimulator
-from repro.socialgraph.generators import facebook_like
+from repro.socialgraph.generators import dataset_preset, facebook_like, generate_social_graph
 from repro.topology.tree import TreeTopology
-from repro.workload.flash import inject_flash_event, inject_flash_stream, plan_flash_event
 from repro.workload.models import (
     CelebrityReadStormGenerator,
     CelebrityStormConfig,
     ParetoBurstConfig,
     ParetoBurstWorkloadGenerator,
 )
-from repro.workload.requests import EdgeAdded, ReadRequest, RequestLog, WriteRequest
+from repro.workload.requests import EdgeAdded, ReadRequest, WriteRequest
 from repro.workload.stream import (
     EventChunk,
     EventStream,
@@ -45,7 +36,6 @@ from repro.workload.stream import (
     KIND_READ,
     KIND_WRITE,
     allocate_proportionally,
-    as_stream,
     events_per_day,
     merge_streams,
     pack_columns,
@@ -57,18 +47,23 @@ from repro.workload.trace import NewsActivityTraceConfig, NewsActivityTraceGener
 
 
 class TestChunksAndAdapters:
-    def test_chunk_round_trips_request_objects(self):
-        log = RequestLog()
-        log.append(ReadRequest(1.0, 4))
-        log.append(WriteRequest(2.0, 5))
-        log.append(EdgeAdded(3.0, 1, 2))
-        stream = as_stream(log)
-        assert [type(r).__name__ for r in stream] == [
-            "ReadRequest",
-            "WriteRequest",
-            "EdgeAdded",
-        ]
-        assert stream.materialise().requests == log.requests
+    def test_iteration_decodes_rows_into_request_objects(self):
+        rows = [(KIND_READ, 1.0, 4, -1), (KIND_WRITE, 2.0, 5, -1), (KIND_EDGE_ADD, 3.0, 1, 2)]
+        stream = EventStream.from_rows(rows)
+        assert list(stream) == [ReadRequest(1.0, 4), WriteRequest(2.0, 5), EdgeAdded(3.0, 1, 2)]
+        assert list(stream.rows()) == rows
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 100])
+    def test_from_rows_rejects_rows_going_back_in_time(self, chunk_size):
+        """Disorder inside a chunk and across a chunk boundary both raise."""
+        rows = [(KIND_READ, 1.0, 1, -1), (KIND_READ, 5.0, 2, -1), (KIND_WRITE, 3.0, 3, -1)]
+        with pytest.raises(WorkloadError, match="not sorted"):
+            EventStream.from_rows(rows, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 100])
+    def test_from_rows_keeps_equal_timestamps_in_input_order(self, chunk_size):
+        rows = [(KIND_WRITE, 2.0, 9, -1), (KIND_READ, 2.0, 3, -1), (KIND_READ, 2.0, 7, -1)]
+        assert list(EventStream.from_rows(rows, chunk_size=chunk_size).rows()) == rows
 
     def test_pack_rows_respects_chunk_size(self):
         rows = [(KIND_READ, float(i), i, -1) for i in range(10)]
@@ -109,6 +104,7 @@ class TestChunksAndAdapters:
         stats = EventStream.from_rows(rows, chunk_size=4).stats()
         assert (stats.events, stats.reads, stats.writes, stats.mutations) == (6, 3, 1, 2)
         assert (stats.first_timestamp, stats.last_timestamp) == (10.0, 15.0)
+        assert stats.duration == 5.0
 
     def test_chunk_validate_catches_disorder(self):
         chunk = EventChunk()
@@ -117,24 +113,31 @@ class TestChunksAndAdapters:
         with pytest.raises(WorkloadError):
             chunk.validate()
 
-    def test_stats_match_request_log_counts(self):
-        graph = facebook_like(users=100, seed=3)
-        generator = SyntheticWorkloadGenerator(graph, SyntheticWorkloadConfig(days=0.5, seed=3))
-        stream = generator.stream()
-        log = generator.generate()
-        stats = stream.stats()
-        assert stats.events == len(log)
-        assert stats.reads == log.read_count
-        assert stats.writes == log.write_count
-        assert stats.mutations == log.mutation_count
-        assert stats.duration == pytest.approx(log.duration)
+    def test_stats_of_an_empty_stream(self):
+        stats = EventStream.empty().stats()
+        assert (stats.events, stats.duration) == (0, 0.0)
 
-    def test_events_per_day_matches_object_histogram(self):
+    def test_events_per_day_buckets_reads_and_writes(self):
+        rows = [
+            (KIND_READ, 0.5 * DAY, 1, -1),
+            (KIND_EDGE_ADD, 0.6 * DAY, 1, 2),
+            (KIND_WRITE, 1.5 * DAY, 1, -1),
+            (KIND_READ, 1.6 * DAY, 2, -1),
+        ]
+        assert events_per_day(EventStream.from_rows(rows)) == {
+            0: {"reads": 1, "writes": 0},
+            1: {"reads": 1, "writes": 1},
+        }
+
+    def test_events_per_day_totals_match_stream_stats(self):
         graph = facebook_like(users=100, seed=4)
-        generator = NewsActivityTraceGenerator(
+        stream = NewsActivityTraceGenerator(
             graph, NewsActivityTraceConfig(days=2.0, writes_per_user=2.0, seed=4)
-        )
-        assert events_per_day(generator.stream()) == generator.generate().requests_per_day()
+        ).stream()
+        per_day = events_per_day(stream)
+        stats = stream.stats()
+        assert sum(day["reads"] for day in per_day.values()) == stats.reads
+        assert sum(day["writes"] for day in per_day.values()) == stats.writes
 
 
 class TestMerge:
@@ -194,10 +197,6 @@ class TestGeneratorSeedStability:
         reference = list(generator.stream().rows())
         assert list(generator.stream(chunk_size=chunk_size).rows()) == reference
 
-    def test_generate_equals_materialised_stream(self, graph):
-        generator = SyntheticWorkloadGenerator(graph, SyntheticWorkloadConfig(days=0.5, seed=6))
-        assert generator.generate().requests == generator.stream().materialise().requests
-
     def test_streams_are_reiterable(self, graph):
         stream = SyntheticWorkloadGenerator(
             graph, SyntheticWorkloadConfig(days=0.25, seed=7)
@@ -227,154 +226,14 @@ class TestGeneratorSeedStability:
         assert tail_fraction == pytest.approx(expected, abs=0.03)
 
 
-class TestFlashInjection:
-    def test_stream_injection_matches_object_injection(self):
-        graph = facebook_like(users=120, seed=7)
-        base = SyntheticWorkloadGenerator(graph, SyntheticWorkloadConfig(days=3.0, seed=7))
-        spec = plan_flash_event(
-            graph, random.Random(2), followers=10, start_day=1.0, end_day=2.0
-        )
-        via_log = inject_flash_event(base.generate(), spec, 2.0, seed=4)
-        via_stream = inject_flash_stream(base.stream(), spec, 2.0, seed=4).materialise()
-        assert via_log.requests == via_stream.requests
-        via_log.validate()
-
-
-def _equivalence_setup(seed: int = 21):
-    graph = facebook_like(users=90, seed=seed)
-    generator = SyntheticWorkloadGenerator(
-        graph, SyntheticWorkloadConfig(days=0.5, seed=seed)
-    )
-    from repro.config import ClusterSpec
-
-    spec = ClusterSpec(intermediate_switches=2, racks_per_intermediate=2, machines_per_rack=3)
-    return graph, generator, spec
-
-
-def _run(workload, graph, cluster_spec, strategy_key, scenario=None, tracked=()):
+def _run(workload, graph, cluster_spec, strategy_key):
     simulator = ClusterSimulator(
         TreeTopology(cluster_spec),
         graph.copy(),
         build_strategy(strategy_key, seed=21),
         SimulationConfig(extra_memory_pct=50.0, seed=21),
-        scenario=scenario,
     )
-    for user in tracked:
-        simulator.track_view(user)
     return simulator.run(workload)
-
-
-class TestStreamingMaterialisedEquivalence:
-    """Streaming and materialised replay must be byte-identical."""
-
-    @pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
-    def test_equivalent_for_every_strategy(self, strategy_key):
-        graph, generator, cluster = _equivalence_setup()
-        from_stream = _run(generator.stream(), graph, cluster, strategy_key)
-        from_log = _run(generator.generate(), graph, cluster, strategy_key)
-        assert pickle.dumps(from_stream) == pickle.dumps(from_log)
-
-    @pytest.mark.parametrize(
-        "scenario_factory",
-        [
-            lambda: DiurnalLoadScenario(trough_fraction=0.3),
-            lambda: RegionalFlashCrowdScenario(
-                start_time=HOUR, end_time=6 * HOUR, targets=2, followers=8
-            ),
-            lambda: CompositeScenario(
-                DiurnalLoadScenario(trough_fraction=0.5),
-                RegionalFlashCrowdScenario(
-                    start_time=HOUR, end_time=4 * HOUR, targets=1, followers=5
-                ),
-            ),
-            # Fault path: exercises the inlined fault guard and the
-            # persistent-store local refresh of the columnar loop.
-            lambda: CrashRecoverScenario(
-                crash_time=2 * HOUR, recover_time=6 * HOUR, count=1
-            ),
-            lambda: CompositeScenario(
-                DiurnalLoadScenario(trough_fraction=0.5),
-                CrashRecoverScenario(crash_time=3 * HOUR, recover_time=8 * HOUR),
-            ),
-        ],
-    )
-    def test_equivalent_under_load_scenarios(self, scenario_factory):
-        graph, generator, cluster = _equivalence_setup()
-        from_stream = _run(
-            generator.stream(), graph, cluster, "dynasore_random", scenario_factory()
-        )
-        from_log = _run(
-            generator.generate(), graph, cluster, "dynasore_random", scenario_factory()
-        )
-        assert pickle.dumps(from_stream) == pickle.dumps(from_log)
-
-    def test_equivalent_with_tracked_views(self):
-        graph, generator, cluster = _equivalence_setup()
-        tracked = (graph.users[0],)
-        from_stream = _run(generator.stream(), graph, cluster, "dynasore_random", tracked=tracked)
-        from_log = _run(generator.generate(), graph, cluster, "dynasore_random", tracked=tracked)
-        assert pickle.dumps(from_stream) == pickle.dumps(from_log)
-
-    def test_workload_spec_build_paths_agree(self):
-        graph = facebook_like(users=80, seed=5)
-        spec = WorkloadSpec(kind="synthetic", days=0.5, seed=5)
-        stream, tracked_s = spec.build_stream(graph)
-        log, tracked_l = spec.build(graph)
-        assert tracked_s == tracked_l
-        assert stream.materialise().requests == log.requests
-
-    def test_post_request_hooks_see_identical_objects(self):
-        graph, generator, cluster = _equivalence_setup()
-
-        def run_with_hook(workload):
-            simulator = ClusterSimulator(
-                TreeTopology(cluster),
-                graph.copy(),
-                build_strategy("random", seed=21),
-                SimulationConfig(extra_memory_pct=0.0, seed=21),
-            )
-            seen = []
-            simulator.add_post_request_hook(seen.append)
-            simulator.run(workload)
-            return seen
-
-        assert run_with_hook(generator.stream()) == run_with_hook(generator.generate())
-
-
-class TestLegacyScenarioAdapter:
-    def test_legacy_override_may_delegate_to_super(self, tree_topology, small_graph, small_log):
-        """A transform_log override ending in super() must not recurse."""
-
-        class Throttle(Scenario):
-            name = "throttle"
-
-            def transform_log(self, log, context):
-                kept = RequestLog()
-                kept.requests = list(log)[: len(log) // 2]
-                return super().transform_log(kept, context)
-
-        context = ScenarioContext(topology=tree_topology, graph=small_graph, seed=3)
-        out = Throttle().transform_log(small_log, context)
-        assert len(out) == len(small_log) // 2
-        via_stream = Throttle().transform_stream(as_stream(small_log), context)
-        assert via_stream.stats().events == len(out)
-
-    def test_log_only_scenario_still_transforms_streams(self, tree_topology, small_graph):
-        class DropWrites(Scenario):
-            name = "drop-writes"
-
-            def transform_log(self, log, context):
-                kept = RequestLog()
-                kept.requests = [r for r in log if not isinstance(r, WriteRequest)]
-                return kept
-
-        context = ScenarioContext(topology=tree_topology, graph=small_graph, seed=3)
-        stream = SyntheticWorkloadGenerator(
-            small_graph, SyntheticWorkloadConfig(days=0.25, seed=3)
-        ).stream()
-        transformed = DropWrites().transform_stream(stream, context)
-        assert transformed.stats().writes == 0
-        assert transformed.stats().reads == stream.stats().reads
 
 
 class TestNewWorkloadModels:
@@ -382,14 +241,15 @@ class TestNewWorkloadModels:
     def graph(self):
         return facebook_like(users=150, seed=11)
 
-    def test_pareto_burst_is_ordered_and_sized(self, graph):
+    def test_pareto_burst_is_ordered_and_sized(self, graph, assert_time_ordered):
         generator = ParetoBurstWorkloadGenerator(
             graph, ParetoBurstConfig(days=0.5, events_per_user_per_day=4.0, seed=3)
         )
-        log = generator.generate()
-        log.validate()
-        assert len(log) == generator.total_events()
-        assert log.read_count > log.write_count  # read_fraction defaults to 0.8
+        stream = generator.stream()
+        assert_time_ordered(stream)
+        stats = stream.stats()
+        assert stats.events == generator.total_events()
+        assert stats.reads > stats.writes  # read_fraction defaults to 0.8
 
     def test_pareto_burst_is_bursty(self, graph):
         """Heavy-tailed gaps: the largest interarrival dwarfs the median."""
@@ -407,7 +267,7 @@ class TestNewWorkloadModels:
         with pytest.raises(WorkloadError):
             ParetoBurstConfig(read_fraction=1.5)
 
-    def test_celebrity_storm_concentrates_reads_on_followers(self, graph):
+    def test_celebrity_storm_concentrates_reads_on_followers(self, graph, assert_time_ordered):
         config = CelebrityStormConfig(
             days=0.5,
             celebrities=1,
@@ -427,8 +287,7 @@ class TestNewWorkloadModels:
         ]
         follower_reads = sum(1 for row in in_window if row[2] in followers)
         assert follower_reads >= len(followers) * 3
-        stream = generator.stream()
-        stream.materialise().validate()
+        assert_time_ordered(generator.stream())
 
     def test_celebrity_storm_rejects_bad_config(self):
         with pytest.raises(WorkloadError):
@@ -465,9 +324,22 @@ class TestNewWorkloadModels:
             WorkloadSpec(kind="nope", days=1.0, seed=1)
 
 
-class TestDayHistogramStream:
-    def test_requests_per_day_still_works_on_logs(self):
-        log = RequestLog()
-        log.append(ReadRequest(0.5 * DAY, 1))
-        log.append(WriteRequest(1.5 * DAY, 1))
-        assert events_per_day(as_stream(log)) == log.requests_per_day()
+def test_synthetic_stream_peak_memory_stays_under_8_mb():
+    """A 1M-event workload consumed chunk by chunk stays in constant memory.
+
+    3.48 MB measured; a generator or transform that starts holding the whole
+    workload (17 bytes per event in columns, ~100 as objects) breaks 8 MB.
+    """
+    graph = generate_social_graph(dataset_preset("twitter", users=2000), seed=7)
+    generator = SyntheticWorkloadGenerator(
+        graph, SyntheticWorkloadConfig(days=100.0, seed=7)  # 2000 * 5 * 100 = 1M
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        events = sum(len(chunk) for chunk in generator.stream().chunks())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events == 1_000_000
+    assert peak <= 8e6, f"stream peak {peak / 1e6:.2f} MB"

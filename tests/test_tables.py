@@ -342,19 +342,6 @@ def test_stats_table_matches_access_statistics_under_random_ops():
         assert exported.total_writes() == objects[slot].total_writes()
 
 
-def test_stats_adopt_round_trips_an_object():
-    stats = AccessStatistics(slots=4, period=10.0)
-    stats.record_read(2, 3.0)
-    stats.record_read(5, 7.0, amount=2.0)
-    stats.record_write(4.0)
-    stats_table = StatsTable(slots=4, period=10.0)
-    stats_table.append_slot()
-    stats_table.adopt(0, stats)
-    assert stats_table.reads_by_origin(0) == stats.reads_by_origin()
-    assert stats_table.total_writes(0) == stats.total_writes()
-    assert stats_table.reads_since_evaluation(0) == stats.reads_since_last_evaluation()
-
-
 # ---------------------------------------------------------------------------
 # Crash -> evacuate -> restore counter consistency (O(1) counters regression)
 # ---------------------------------------------------------------------------
@@ -362,7 +349,7 @@ def _recounted_state(strategy):
     """Recount occupancy from the authoritative replica locations."""
     locations = strategy.replica_locations()
     total = sum(len(devices) for devices in locations.values())
-    per_position = [0] * len(strategy.servers)
+    per_position = [0] * strategy.tables.num_positions
     for devices in locations.values():
         for device in devices:
             per_position[strategy._position_of_device[device]] += 1
@@ -397,7 +384,7 @@ def test_crash_evacuate_restore_leaves_counters_consistent():
 
     crashed = simulator.available_server_positions()[2]
     simulator.crash_server(crashed, now=1_000_000.0)
-    assert strategy.servers[crashed].capacity == 0
+    assert strategy.tables.capacity_of(crashed) == 0
     assert strategy.tables.used[crashed] == 0
     assert_counters_consistent(strategy)
 
@@ -408,7 +395,7 @@ def test_crash_evacuate_restore_leaves_counters_consistent():
     assert_counters_consistent(strategy)
 
     simulator.restore_server(crashed, now=1_100_000.0)
-    assert strategy.servers[crashed].capacity > 0
+    assert strategy.tables.capacity_of(crashed) > 0
     assert strategy.tables.used[crashed] == 0
     for index, user in enumerate(list(graph.users)[:40]):
         strategy.execute_read(user, now=1_100_100.0 + index)

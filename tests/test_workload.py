@@ -1,4 +1,4 @@
-"""Tests for request logs and the synthetic / trace / flash workload generators."""
+"""Tests for the synthetic / trace / flash workload generators."""
 
 from __future__ import annotations
 
@@ -9,84 +9,10 @@ import pytest
 from repro.constants import DAY
 from repro.exceptions import WorkloadError
 from repro.socialgraph.generators import facebook_like
-from repro.workload.flash import inject_flash_event, plan_flash_event
-from repro.workload.requests import (
-    EdgeAdded,
-    EdgeRemoved,
-    ReadRequest,
-    RequestLog,
-    WriteRequest,
-)
+from repro.workload.flash import inject_flash_stream, plan_flash_event
+from repro.workload.requests import EdgeAdded, EdgeRemoved
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 from repro.workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
-
-
-class TestRequestLog:
-    def test_append_enforces_time_order(self):
-        log = RequestLog()
-        log.append(ReadRequest(10.0, 1))
-        with pytest.raises(WorkloadError):
-            log.append(WriteRequest(5.0, 2))
-
-    def test_counts(self):
-        log = RequestLog()
-        log.append(WriteRequest(1.0, 1))
-        log.append(ReadRequest(2.0, 2))
-        log.append(EdgeAdded(3.0, 1, 2))
-        log.append(EdgeRemoved(4.0, 1, 2))
-        assert log.read_count == 1
-        assert log.write_count == 1
-        assert log.mutation_count == 2
-        assert len(log) == 4
-
-    def test_duration(self):
-        log = RequestLog()
-        log.append(ReadRequest(10.0, 1))
-        log.append(ReadRequest(70.0, 1))
-        assert log.duration == 60.0
-        assert RequestLog().duration == 0.0
-
-    def test_requests_per_day(self):
-        log = RequestLog()
-        log.append(ReadRequest(0.5 * DAY, 1))
-        log.append(WriteRequest(1.5 * DAY, 1))
-        log.append(ReadRequest(1.6 * DAY, 2))
-        per_day = log.requests_per_day()
-        assert per_day[0] == {"reads": 1, "writes": 0}
-        assert per_day[1] == {"reads": 1, "writes": 1}
-
-    def test_merged_with_sorts_unsorted_hand_built_logs(self):
-        a = RequestLog()
-        a.requests = [ReadRequest(5.0, 1), ReadRequest(1.0, 2)]  # hand-built, unsorted
-        b = RequestLog()
-        b.append(WriteRequest(3.0, 3))
-        merged = a.merged_with(b)
-        merged.validate()
-        assert len(merged) == 3
-
-    def test_merged_with_keeps_order(self):
-        a = RequestLog()
-        a.append(ReadRequest(1.0, 1))
-        a.append(ReadRequest(5.0, 1))
-        b = RequestLog()
-        b.append(WriteRequest(3.0, 2))
-        merged = a.merged_with(b)
-        timestamps = [r.timestamp for r in merged]
-        assert timestamps == sorted(timestamps)
-        assert len(merged) == 3
-
-    def test_slice_time(self):
-        log = RequestLog()
-        for t in (1.0, 2.0, 3.0, 4.0):
-            log.append(ReadRequest(t, 1))
-        sliced = log.slice_time(2.0, 4.0)
-        assert [r.timestamp for r in sliced] == [2.0, 3.0]
-
-    def test_validate_detects_disorder(self):
-        log = RequestLog()
-        log.requests = [ReadRequest(5.0, 1), ReadRequest(1.0, 2)]
-        with pytest.raises(WorkloadError):
-            log.validate()
 
 
 class TestSyntheticWorkload:
@@ -98,24 +24,23 @@ class TestSyntheticWorkload:
         generator = SyntheticWorkloadGenerator(
             graph, SyntheticWorkloadConfig(days=1.0, seed=3)
         )
-        log = generator.generate()
-        assert log.write_count == pytest.approx(graph.num_users, rel=0.05)
-        assert log.read_count == pytest.approx(4 * log.write_count, rel=0.05)
+        stats = generator.stream().stats()
+        assert stats.writes == pytest.approx(graph.num_users, rel=0.05)
+        assert stats.reads == pytest.approx(4 * stats.writes, rel=0.05)
 
-    def test_log_is_time_ordered_and_bounded(self, graph):
-        log = SyntheticWorkloadGenerator(
+    def test_log_is_time_ordered_and_bounded(self, graph, assert_time_ordered):
+        stream = SyntheticWorkloadGenerator(
             graph, SyntheticWorkloadConfig(days=2.0, seed=3)
-        ).generate()
-        log.validate()
-        assert all(0.0 <= r.timestamp <= 2.0 * DAY for r in log)
+        ).stream()
+        assert_time_ordered(stream)
+        stats = stream.stats()
+        assert 0.0 <= stats.first_timestamp <= stats.last_timestamp <= 2.0 * DAY
 
     def test_deterministic(self, graph):
         config = SyntheticWorkloadConfig(days=0.5, seed=8)
-        a = SyntheticWorkloadGenerator(graph, config).generate()
-        b = SyntheticWorkloadGenerator(graph, config).generate()
-        assert [(r.timestamp, type(r).__name__, r.user) for r in a] == [
-            (r.timestamp, type(r).__name__, r.user) for r in b
-        ]
+        a = SyntheticWorkloadGenerator(graph, config).stream()
+        b = SyntheticWorkloadGenerator(graph, config).stream()
+        assert list(a.rows()) == list(b.rows())
 
     def test_active_users_read_more(self, graph):
         generator = SyntheticWorkloadGenerator(graph, SyntheticWorkloadConfig(days=1.0, seed=3))
@@ -127,8 +52,8 @@ class TestSyntheticWorkload:
     def test_empty_graph(self):
         from repro.socialgraph.graph import SocialGraph
 
-        log = SyntheticWorkloadGenerator(SocialGraph()).generate()
-        assert len(log) == 0
+        stream = SyntheticWorkloadGenerator(SocialGraph()).stream()
+        assert stream.stats().events == 0
 
     def test_rejects_bad_config(self):
         with pytest.raises(WorkloadError):
@@ -141,16 +66,16 @@ class TestNewsActivityTrace:
         return facebook_like(users=200, seed=4)
 
     def test_trace_is_write_heavy(self, graph):
-        log = NewsActivityTraceGenerator(
+        stats = NewsActivityTraceGenerator(
             graph, NewsActivityTraceConfig(days=3.0, writes_per_user=2.0, seed=5)
-        ).generate()
-        assert log.write_count > log.read_count
+        ).stream().stats()
+        assert stats.writes > stats.reads
 
-    def test_trace_spans_requested_days(self, graph):
+    def test_trace_spans_requested_days(self, graph, assert_time_ordered):
         config = NewsActivityTraceConfig(days=3.0, writes_per_user=2.0, seed=5)
-        log = NewsActivityTraceGenerator(graph, config).generate()
-        log.validate()
-        days_touched = {int(r.timestamp // DAY) for r in log}
+        stream = NewsActivityTraceGenerator(graph, config).stream()
+        assert_time_ordered(stream)
+        days_touched = {int(timestamp // DAY) for _, timestamp, _, _ in stream.rows()}
         assert max(days_touched) <= 2
         assert len(days_touched) >= 2
 
@@ -164,10 +89,9 @@ class TestNewsActivityTrace:
 
     def test_deterministic(self, graph):
         config = NewsActivityTraceConfig(days=1.0, writes_per_user=1.0, seed=9)
-        a = NewsActivityTraceGenerator(graph, config).generate()
-        b = NewsActivityTraceGenerator(graph, config).generate()
-        assert len(a) == len(b)
-        assert [(r.timestamp, r.user) for r in a[:50]] == [(r.timestamp, r.user) for r in b[:50]]
+        a = NewsActivityTraceGenerator(graph, config).stream()
+        b = NewsActivityTraceGenerator(graph, config).stream()
+        assert list(a.rows()) == list(b.rows())
 
     def test_rejects_bad_config(self):
         with pytest.raises(WorkloadError):
@@ -188,19 +112,22 @@ class TestFlashEvents:
         existing = graph.followers(spec.target_user)
         assert existing.isdisjoint(spec.new_followers)
 
-    def test_injected_log_contains_mutations_and_reads(self, graph):
+    def test_injected_log_contains_mutations_and_reads(self, graph, assert_time_ordered):
         rng = random.Random(3)
         base = SyntheticWorkloadGenerator(
             graph, SyntheticWorkloadConfig(days=3.0, seed=3)
-        ).generate()
+        ).stream()
         spec = plan_flash_event(graph, rng, followers=10, start_day=1.0, end_day=2.0)
-        log = inject_flash_event(base, spec, reads_per_follower_per_day=2.0, seed=4)
-        log.validate()
+        log = inject_flash_stream(base, spec, reads_per_follower_per_day=2.0, seed=4)
+        assert_time_ordered(log)
         additions = [r for r in log if isinstance(r, EdgeAdded)]
         removals = [r for r in log if isinstance(r, EdgeRemoved)]
         assert len(additions) == 10
         assert len(removals) == 10
-        assert log.read_count > base.read_count
+        assert {r.timestamp for r in additions} == {spec.start_time}
+        assert {r.timestamp for r in removals} == {spec.end_time}
+        assert all(r.followee == spec.target_user for r in additions + removals)
+        assert log.stats().reads > base.stats().reads
 
     def test_flash_event_times(self, graph):
         rng = random.Random(5)

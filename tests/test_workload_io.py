@@ -11,8 +11,7 @@ from repro.runtime.executor import execute_spec
 from repro.runtime.spec import GraphSpec, RunSpec, TopologySpec, WorkloadSpec
 from repro.socialgraph.generators import facebook_like
 from repro.workload.io import TRACE_MAGIC, read_trace, trace_content_hash, write_trace
-from repro.workload.requests import RequestLog
-from repro.workload.stream import EventStream, KIND_READ, KIND_WRITE
+from repro.workload.stream import EventChunk, EventStream, KIND_EDGE_ADD, KIND_READ, KIND_WRITE
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
@@ -40,20 +39,30 @@ class TestRoundTrip:
         loaded = read_trace(path)
         assert list(loaded.rows()) == list(loaded.rows())
 
-    def test_request_log_round_trips_too(self, tmp_path):
-        from repro.workload.requests import ReadRequest, WriteRequest
-
-        log = RequestLog()
-        log.append(ReadRequest(1.0, 3))
-        log.append(WriteRequest(2.5, 4))
+    def test_hand_built_stream_round_trips(self, tmp_path):
+        rows = [(KIND_READ, 1.0, 3, -1), (KIND_WRITE, 2.5, 4, -1), (KIND_EDGE_ADD, 2.5, 3, 4)]
         path = tmp_path / "log.trace"
-        write_trace(path, log)
-        assert read_trace(path).materialise().requests == log.requests
+        assert write_trace(path, EventStream.from_rows(rows)) == 3
+        assert list(read_trace(path).rows()) == rows
 
     def test_empty_stream_round_trips(self, tmp_path):
         path = tmp_path / "empty.trace"
         assert write_trace(path, EventStream.empty()) == 0
         assert list(read_trace(path).chunks()) == []
+
+    def test_empty_chunks_are_skipped(self, tmp_path):
+        (chunk,) = EventStream.from_rows([(KIND_READ, 1.0, 3, -1)]).chunks()
+        stream = EventStream.from_chunks([EventChunk(), chunk, EventChunk(), chunk])
+        path = tmp_path / "gaps.trace"
+        assert write_trace(path, stream) == 2
+        assert list(read_trace(path).chunks()) == [chunk, chunk]
+
+    def test_unreplaceable_target_leaves_no_temporary_file(self, tmp_path, workload_stream):
+        target = tmp_path / "occupied"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_trace(target, workload_stream)
+        assert [p.name for p in tmp_path.iterdir()] == ["occupied"]
 
     def test_unsorted_stream_is_rejected(self, tmp_path):
         backwards = EventStream.from_rows(
@@ -65,6 +74,24 @@ class TestRoundTrip:
         )
         with pytest.raises(WorkloadError):
             write_trace(tmp_path / "bad.trace", stream)
+
+    @pytest.mark.parametrize("across_chunks", [False, True])
+    def test_failed_write_leaves_no_file_behind(self, tmp_path, workload_stream, across_chunks):
+        """A stream unsorted inside or across chunks fails mid-write: the
+        temporary file is removed and an earlier trace at the path survives."""
+        path = tmp_path / "workload.trace"
+        write_trace(path, workload_stream)
+        before = path.read_bytes()
+        chunks = list(workload_stream.chunks())
+        if across_chunks:
+            chunks.append(chunks[0])
+        else:
+            chunks[-1].timestamps[-1] = 0.0
+        for target in (path, tmp_path / "fresh.trace"):
+            with pytest.raises(WorkloadError, match="not sorted"):
+                write_trace(target, EventStream.from_chunks(chunks))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["workload.trace"]
 
 
 class TestCorruption:
