@@ -21,11 +21,11 @@ strategy — including user subclasses — is batch-dispatchable by
 construction.  Two kernels override
 ``execute_request_batch`` with byte-identical results: DynaSoRe's
 (:mod:`repro.core.engine`, per event — its requests feed back into
-placement) and :class:`FootprintStrategy`'s, which *counts, then
-multiplies*: paper section 4.1 makes Random, METIS and hMETIS static and
+placement) and :class:`FootprintStrategy`'s, which *counts requests and
+settles once*: paper section 4.1 makes Random, METIS and hMETIS static and
 SPAR reactive "to changes of the social graph, not to request traffic", so
 between two such changes a request is a fixed tuple of ``(broker, device)``
-paths that can be tallied at C speed instead of executed.
+paths: requests are tallied at C speed and multiplied into paths on demand.
 ``execute_read`` / ``execute_write`` stay as the per-event reference (and
 the path observed runs take); ``tests/test_batching.py`` holds the
 differential property between the two.
@@ -36,8 +36,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Callable, Sequence
-from itertools import chain
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from ..exceptions import SimulationError
 from ..persistence.recovery import RecoveryPlan
@@ -55,6 +54,15 @@ _WRITE_KINDS = bytes([KIND_WRITE])
 
 #: A request's traffic footprint: one flat path key per roundtrip.
 Footprint = tuple[int, ...]
+
+#: The two request roundtrips.  The footprint kernel books both into the
+#: top-switch series with one count, so they must weigh the same.
+_READ_ROUNDTRIP = (MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE)
+_WRITE_ROUNDTRIP = (MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK)
+if [(k.default_size, k.message_class) for k in _READ_ROUNDTRIP] != [
+    (k.default_size, k.message_class) for k in _WRITE_ROUNDTRIP
+]:
+    raise SimulationError("read and write roundtrips must be accounted alike")
 
 
 class PlacementStrategy(ABC):
@@ -254,23 +262,23 @@ class PlacementStrategy(ABC):
         return min(servers, key=lambda s: (distances[s], s))
 
 
-class _FootprintMemo(dict):
-    """``(kind, user) -> footprint``, built by the strategy on first use.
+class _Memo(dict):
+    """``key -> value``, built by the strategy on first use.
 
     ``dict.__getitem__`` calls :meth:`__missing__` from C, so the kernel's
     ``map(memo.__getitem__, ...)`` stays a C loop that only re-enters Python
-    at a request's first occurrence since its footprint was last dropped.
+    at a key's first occurrence since it was last dropped.
     """
 
     __slots__ = ("_build",)
 
-    def __init__(self, build: Callable[[int, int], Footprint]) -> None:
+    def __init__(self, build: Callable[[Hashable], object]) -> None:
         super().__init__()
         self._build = build
 
-    def __missing__(self, request: tuple[int, int]) -> Footprint:
-        footprint = self[request] = self._build(*request)
-        return footprint
+    def __missing__(self, key: Hashable) -> object:
+        value = self[key] = self._build(key)
+        return value
 
 
 class FootprintStrategy(PlacementStrategy):
@@ -278,9 +286,14 @@ class FootprintStrategy(PlacementStrategy):
 
     Between two such events a request is a fixed *traffic footprint* of its
     issuer — the ``(broker, device)`` path of every roundtrip it causes — so
-    a run of requests is tallied instead of executed: subclasses supply
-    :meth:`footprint` and drop memoised footprints where they go stale;
-    :meth:`execute_request_batch` does the rest.  It is exact because
+    a run of requests is **counted**, not executed: subclasses supply
+    :meth:`footprint` and drop memoised footprints where they go stale
+    (:meth:`_drop_footprints`); :meth:`execute_request_batch` tallies
+    ``(kind, user)`` and books the one per-bucket quantity, the top-switch
+    series; :meth:`_settle` multiplies the tally into per-path counts — when
+    a tallied footprint is dropped and when anything reads the accountant —
+    so a switch path is walked once per settle, not once per hour.  It is
+    exact because
 
     * the tally pulls requests in stream order, so a footprint is built at
       the first occurrence of its ``(kind, user)`` and the lazy placements
@@ -288,20 +301,22 @@ class FootprintStrategy(PlacementStrategy):
       ``execute_write`` do) happen in the per-event order;
     * whatever a memoised footprint read changes only at events that end a
       run — edge mutations (:meth:`on_edge_added`, :meth:`on_edge_removed`)
-      and faults — and the footprints concerned are dropped there.  Placing
-      a *new* user never stales anything: every user a memoised footprint
-      mentions was placed when it was built;
+      and faults — and the footprints concerned are settled, then dropped,
+      there.  Placing a *new* user never stales anything: every user a
+      memoised footprint mentions was placed when it was built;
     * accounting segments are cut with the accountant's own predicate
       (:meth:`~repro.traffic.accounting.RoundtripRun.segment_end`), and all
-      volumes are integer-valued floats, so tally order is immaterial.
+      volumes are integer-valued floats, so per-device totals are plain
+      sums that need no time axis and tally order is immaterial.
 
     Requests are pure measurements here, so the sharded runner may partition
     the request stream (lazy placement only fires for users *outside* the
     initial graph, which the shard workers' closed-universe guard excludes).
 
     Memory: a read footprint holds one pointer per followed edge (the key
-    ints are interned — at most ``2 * stride**2`` distinct objects, shared
-    by all footprints), a write footprint one per replica.
+    ints are interned — at most ``stride**2`` distinct objects, shared by
+    all footprints), a write footprint one per replica; a tallied request
+    adds one counter and one top-crossing count.
     """
 
     shard_requests_pure = True
@@ -311,15 +326,23 @@ class FootprintStrategy(PlacementStrategy):
         #: per-position leaf device / proxy broker columns
         self._device_of_position: list[int] = []
         self._broker_of_position: list[int] = []
-        #: ``(kind, user) -> footprint`` memo
-        self._footprints = _FootprintMemo(self.footprint)
-        #: interned path keys (value is the key itself)
+        #: ``(kind, user) -> footprint`` memo, and how many of a footprint's
+        #: roundtrips cross the top switch (dropped together)
+        self._footprints = _Memo(lambda request: self.footprint(*request))
+        self._top_crossings = _Memo(
+            lambda request: sum(map(self._crosses_top.__getitem__, self._footprints[request]))
+        )
+        #: interned path keys (value is the key itself) and whether each
+        #: path crosses the top switch
         self._path_keys: dict[int, int] = {}
-        #: roundtrip aggregators the tallies are added into; ``None`` until
-        #: the initial placement is built (the kernel then falls back to
-        #: the scalar loop)
-        self._read_run = None
-        self._write_run = None
+        self._crosses_top = _Memo(
+            lambda key: self.accountant.crosses_top(*divmod(key, self._segments.stride))
+        )
+        #: ``(kind, user) -> measured requests`` since the last settle
+        self._tally: Counter[tuple[int, int]] = Counter()
+        #: segment cutter; ``None`` until the initial placement is built
+        #: (the kernel then falls back to the scalar loop)
+        self._segments = None
 
     def _reset_footprints(self) -> None:
         """(Re)build the kernel state; call when initial placement starts."""
@@ -329,14 +352,11 @@ class FootprintStrategy(PlacementStrategy):
             topology.proxy_broker_for_server(device)
             for device in self._device_of_position
         ]
-        self._read_run = self.accountant.roundtrip_run(
-            MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE
-        )
-        self._write_run = self.accountant.roundtrip_run(
-            MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK
-        )
+        self._segments = self.accountant.roundtrip_run(*_READ_ROUNDTRIP)
+        self.accountant.on_settle(self._settle)
         self._path_keys = {}
-        self._footprints.clear()
+        self._crosses_top.clear()
+        self._drop_footprints()
 
     @abstractmethod
     def footprint(self, kind: int, user: int) -> Footprint:
@@ -347,19 +367,10 @@ class FootprintStrategy(PlacementStrategy):
         would place them; a read by a user unknown to the graph is ``()``.
         """
 
-    def _footprint_of(
-        self, kind: int, broker: int, devices: Sequence[int]
-    ) -> Footprint:
-        """Interned keys of roundtrips from ``broker`` to each of ``devices``.
-
-        A read roundtrip is keyed ``broker * stride + device`` (the
-        accountant's flat path key); write keys are offset by ``stride**2``
-        so one tally serves both aggregators.
-        """
-        stride = self._read_run.stride
-        base = broker * stride
-        if kind != KIND_READ:
-            base += stride * stride
+    def _footprint_of(self, broker: int, devices: Sequence[int]) -> Footprint:
+        """Interned keys of roundtrips from ``broker`` to each of ``devices``
+        (``broker * stride + device``, the accountant's flat path key)."""
+        base = broker * self._segments.stride
         keys = [base + device for device in devices]
         return tuple(map(self._path_keys.setdefault, keys, keys))
 
@@ -369,46 +380,72 @@ class FootprintStrategy(PlacementStrategy):
         users: Sequence[int],
         timestamps: Sequence[float],
     ) -> None:
-        """Tally the run's footprints; one multiplied update per path."""
-        read_run = self._read_run
-        write_run = self._write_run
-        if read_run is None:
+        """Count the run's requests; footprints are multiplied at the settle."""
+        segments = self._segments
+        if segments is None:
             super().execute_request_batch(kinds, users, timestamps)
             return
-        footprints = self._footprints
-        write_offset = read_run.stride * read_run.stride
+        accountant = self.accountant
+        muted = accountant.muted
+        measure_from = accountant.measure_from
         start = 0
         end = len(timestamps)
         while start < end:
             # One accounting segment: same warm-up side, same time bucket.
-            cut = read_run.segment_end(timestamps, start, end)
-            tally = Counter(
-                chain.from_iterable(
-                    map(footprints.__getitem__, zip(kinds[start:cut], users[start:cut]))
+            # Both branches touch the footprints in stream order.
+            cut = segments.segment_end(timestamps, start, end)
+            requests = list(zip(kinds[start:cut], users[start:cut]))
+            if muted or timestamps[start] < measure_from:
+                footprints = map(self._footprints.__getitem__, requests)
+                accountant.count_messages(2 * sum(map(len, footprints)))
+            else:
+                accountant.record_top_crossings(
+                    sum(map(self._top_crossings.__getitem__, requests)),
+                    *_READ_ROUNDTRIP,
+                    int(timestamps[start] // accountant.bucket_width),
                 )
-            )
-            read_counts = read_run.counts_for(timestamps[start])
-            write_counts = write_run.counts_for(timestamps[start])
-            for key, count in tally.items():
-                if key < write_offset:
-                    read_counts[key] = read_counts.get(key, 0) + count
-                else:
-                    key -= write_offset
-                    write_counts[key] = write_counts.get(key, 0) + count
+                self._tally.update(requests)
             start = cut
-        read_run.flush()
-        write_run.flush()
+
+    def _settle(self, requests: Iterable[tuple[int, int]] | None = None) -> None:
+        """Multiply the tally of ``requests`` (default: all) into per-path
+        counts and record them; their footprints must still be memoised."""
+        tally = self._tally
+        if not tally:
+            return
+        reads: dict[int, int] = {}
+        writes: dict[int, int] = {}
+        for request in list(tally) if requests is None else requests:
+            count = tally.pop(request, 0)
+            if count:
+                paths = reads if request[0] == KIND_READ else writes
+                for key in self._footprints[request]:
+                    paths[key] = paths.get(key, 0) + count
+        for paths, roundtrip in ((reads, _READ_ROUNDTRIP), (writes, _WRITE_ROUNDTRIP)):
+            if paths:
+                self.accountant.record_roundtrip_batch(paths, *roundtrip, None)
+
+    def _drop_footprints(self, requests: Iterable[tuple[int, int]] | None = None) -> None:
+        """Forget the footprints of ``requests`` (default: all) — after
+        settling what was tallied against them."""
+        self._settle(requests)
+        if requests is None:
+            self._footprints.clear()
+            self._top_crossings.clear()
+        else:
+            for request in requests:
+                self._footprints.pop(request, None)
+                self._top_crossings.pop(request, None)
 
     def on_edge_added(self, follower: int, followee: int, now: float) -> None:
         """Drop the read footprints the new edge stales: the follower's
         (one more target) and the followee's — she may just have become a
         graph user, which turns her ``()`` into a placement."""
-        self._footprints.pop((KIND_READ, follower), None)
-        self._footprints.pop((KIND_READ, followee), None)
+        self._drop_footprints([(KIND_READ, follower), (KIND_READ, followee)])
 
     def on_edge_removed(self, follower: int, followee: int, now: float) -> None:
         """Drop the follower's read footprint (one target fewer)."""
-        self._footprints.pop((KIND_READ, follower), None)
+        self._drop_footprints([(KIND_READ, follower)])
 
 
 class StaticPlacementStrategy(FootprintStrategy):
@@ -492,7 +529,7 @@ class StaticPlacementStrategy(FootprintStrategy):
         assert self.topology is not None and self.accountant is not None
         servers = len(self.topology.servers)
         self._begin_server_down(position, self._down_positions, servers)
-        self._footprints.clear()  # views move: every footprint is stale
+        self._drop_footprints()  # views move: every footprint is stale
 
         plan = RecoveryPlan(crashed_server=position)
         source_device = self.server_device(position)
@@ -563,7 +600,7 @@ class StaticPlacementStrategy(FootprintStrategy):
             targets = [position]
         device_of = self._device_of_position
         return self._footprint_of(
-            kind, self._broker_of_position[position], [device_of[p] for p in targets]
+            self._broker_of_position[position], [device_of[p] for p in targets]
         )
 
     # -------------------------------------------------------- introspection

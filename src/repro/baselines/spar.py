@@ -119,7 +119,7 @@ class SparPlacement(FootprintStrategy):
         if table.used[target] >= table.capacities[target]:
             return False
         table.allocate(followee, target)
-        self._footprints.clear()
+        self._drop_footprints()
         return True
 
     # ------------------------------------------------------------- execution
@@ -175,21 +175,20 @@ class SparPlacement(FootprintStrategy):
         device_of = self._device_of_position
         user_positions = self.tables.user_positions
         if kind != KIND_READ:
-            return self._footprint_of(
-                kind, broker, [device_of[p] for p in user_positions(user)]
-            )
+            return self._footprint_of(broker, [device_of[p] for p in user_positions(user)])
         resolve = self.routing.batch_resolver(broker)
         devices = []
         for target in self.graph.following(user):
             self._master_position(target)
             devices.append(resolve([device_of[p] for p in user_positions(target)]))
-        return self._footprint_of(kind, broker, devices)
+        return self._footprint_of(broker, devices)
 
     # --------------------------------------------------------- graph changes
     def on_edge_added(self, follower: int, followee: int, now: float) -> None:
-        """SPAR reacts to the social graph: try to co-locate the new pair."""
-        super().on_edge_added(follower, followee, now)
-        self._co_locate(follower, followee)
+        """SPAR reacts to the social graph: try to co-locate the new pair
+        (a new replica drops every footprint, the edge's two otherwise)."""
+        if not self._co_locate(follower, followee):
+            super().on_edge_added(follower, followee, now)
 
     # ---------------------------------------------------------------- faults
     def on_server_down(
@@ -241,7 +240,7 @@ class SparPlacement(FootprintStrategy):
             self.accountant.record(
                 source, target_device, MessageKind.REPLICA_COPY, now
             )
-        self._footprints.clear()
+        self._drop_footprints()
         return plan
 
     def on_server_up(self, position: int, now: float) -> None:

@@ -161,6 +161,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(experiment.run_and_render(profile, executor=executor))
         print(f"-- completed in {time.time() - started:.1f}s --\n")
+    cache = executor.cache
+    if cache is not None and cache.unreadable:
+        note = f"{cache.unreadable} unreadable entries in {cache.directory} were recomputed"
+        print(f"warning: {note}", file=sys.stderr)
     return 0
 
 

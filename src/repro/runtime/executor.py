@@ -96,23 +96,31 @@ class ResultCache:
 
     def __init__(self, directory: str | os.PathLike = DEFAULT_CACHE_DIR) -> None:
         self.directory = Path(directory)
+        #: entries :meth:`get` found on disk but could not use
+        self.unreadable = 0
 
     def path_for(self, spec: RunSpec) -> Path:
         """File backing a spec's cached result."""
         return self.directory / f"{spec.cache_key()}.pkl"
 
     def get(self, spec: RunSpec) -> SimulationResult | None:
-        """Cached result of a spec, or None (corrupt entries read as misses)."""
+        """Cached result of a spec, or None.  An entry that exists but is
+        corrupt, truncated or version-skewed reads as a miss and is counted
+        in :attr:`unreadable`."""
         path = self.path_for(spec)
         try:
             with path.open("rb") as handle:
                 payload = pickle.load(handle)
+        except FileNotFoundError:
+            return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return None
-        if not isinstance(payload, dict) or payload.get("key") != spec.cache_key():
-            return None
-        result = payload.get("result")
-        return result if isinstance(result, SimulationResult) else None
+            payload = None
+        if isinstance(payload, dict) and payload.get("key") == spec.cache_key():
+            result = payload.get("result")
+            if isinstance(result, SimulationResult):
+                return result
+        self.unreadable += 1
+        return None
 
     def put(self, spec: RunSpec, result: SimulationResult) -> None:
         """Store a result (best effort: cache failures never fail the run)."""

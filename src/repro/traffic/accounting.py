@@ -26,6 +26,8 @@ Two recording granularities coexist:
   aggregates and applies them with **one multiplied update per distinct
   path**.  All traffic amounts are integer-valued floats, so the multiplied
   updates are bit-for-bit identical to repeating the per-message additions.
+  A kernel may hold its counts back and register a *settle* that applies
+  them before anything reads (:meth:`~TrafficAccountant.on_settle`).
 
 :class:`RoundtripRun` packages the aggregation discipline (bucket segments,
 warm-up separation, flush) so every strategy kernel shares one correct
@@ -57,7 +59,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from ..exceptions import SimulationError
@@ -109,7 +111,12 @@ class TrafficDelta:
 
 
 class TrafficAccountant:
-    """Records message traffic against a cluster topology."""
+    """Records message traffic against a cluster topology.
+
+    Volumes are integer-valued floats: multiplied, deferred and merged
+    updates equal per-message additions only while every column stays below
+    ``2**53``; :meth:`record_roundtrip_batch` raises at that limit.
+    """
 
     def __init__(
         self,
@@ -158,6 +165,9 @@ class TrafficAccountant:
         # not yet applied to the columns (see :meth:`_apply_pending`).
         self._pending: dict[tuple[int, int, MessageKind], int] = {}
         self._pending_bucket = 0
+        # Settles of strategies that hold request tallies back (see
+        # :meth:`on_settle`); run by :meth:`_apply_pending`.
+        self._settles: list[Callable[[], None]] = []
 
     # ----------------------------------------------------------------- muting
     def push_mute(self) -> None:
@@ -257,8 +267,11 @@ class TrafficAccountant:
     def _apply_pending(self) -> None:
         """Apply the write-combined messages: one multiplied update per key.
 
-        Runs when the bucket changes and before anything reads the columns.
+        Runs when the bucket changes and before anything reads the columns
+        or the message count; registered settles run first.
         """
+        for settle in self._settles:
+            settle()
         pending = self._pending
         if not pending:
             return
@@ -387,7 +400,7 @@ class TrafficAccountant:
         counts: dict[int, int],
         request_kind: MessageKind,
         response_kind: MessageKind,
-        bucket: int,
+        bucket: int | None,
     ) -> None:
         """Apply aggregated roundtrips: one multiplied update per path.
 
@@ -396,8 +409,14 @@ class TrafficAccountant:
         crossed it.  All aggregated roundtrips share the same time bucket
         and lie past ``measure_from``; strategy kernels maintain those
         invariants through :class:`RoundtripRun`.
+
+        ``bucket=None`` is the settle of roundtrips that were *admitted*
+        earlier, when they were tallied: :meth:`record_top_crossings` booked
+        their series and mute was decided there, so the columns and the
+        message count are updated regardless of the current mute depth.
+        Raises :class:`SimulationError` once a column reaches ``2**53``.
         """
-        if not counts or self._mute_depth:
+        if not counts or (self._mute_depth and bucket is not None):
             return
         stride = len(self._total)
         kind_info = self._kind_info
@@ -408,7 +427,7 @@ class TrafficAccountant:
         application = self._application
         system = self._system
         top_index = self._top_index
-        messages = 0
+        messages = crossings = 0
         for key, count in counts.items():
             messages += count
             source, destination = divmod(key, stride)
@@ -433,15 +452,36 @@ class TrafficAccountant:
                         response_volume if request_app else request_volume
                     )
             if top_index in path:
-                if request_app:
-                    self._top_series_app[bucket] += request_size * count
-                else:
-                    self._top_series_sys[bucket] += request_size * count
-                if response_app:
-                    self._top_series_app[bucket] += response_size * count
-                else:
-                    self._top_series_sys[bucket] += response_size * count
+                crossings += count
+        if bucket is not None:
+            self.record_top_crossings(crossings, request_kind, response_kind, bucket)
         self._messages += 2 * messages
+        if max(total) >= 2.0**53:  # sums of integer-valued floats are exact below
+            raise SimulationError("a traffic column reached 2**53 and is no longer exact")
+
+    def record_top_crossings(
+        self, crossings: int, request_kind: MessageKind, response_kind: MessageKind, bucket: int
+    ) -> None:
+        """Add ``crossings`` top-switch roundtrips to the series of ``bucket``
+        — the only per-bucket quantity, so a kernel that holds its per-path
+        counts back books it when it tallies (unmuted, past ``measure_from``)
+        and settles the rest with ``record_roundtrip_batch(..., None)``."""
+        if crossings:
+            for kind in (request_kind, response_kind):
+                size, is_application = self._kind_info[kind]
+                series = self._top_series_app if is_application else self._top_series_sys
+                series[bucket] += size * crossings
+
+    def crosses_top(self, source: int, destination: int) -> bool:
+        """Whether a message between two leaves crosses the top switch."""
+        return self._top_index in self._resolve_path(source, destination)
+
+    def on_settle(self, settle: Callable[[], None]) -> None:
+        """Register a strategy's settle — it records what the strategy has
+        tallied and held back — to run before anything reads the columns or
+        :attr:`message_count` and before :meth:`reset`."""
+        if settle not in self._settles:
+            self._settles.append(settle)
 
     def roundtrip_run(
         self, request_kind: MessageKind, response_kind: MessageKind
@@ -459,6 +499,7 @@ class TrafficAccountant:
         the warm-up window before ``measure_from``.  Only traffic volumes are
         filtered by ``measure_from``; counters restart on :meth:`reset`.
         """
+        self._apply_pending()
         return self._messages
 
     def device_traffic(self, device: int) -> float:
@@ -591,14 +632,15 @@ class TrafficAccountant:
         self._messages += delta.messages
 
     def reset(self) -> None:
-        """Clear every counter (used between warm-up and measurement phases)."""
+        """Clear every counter (used between warm-up and measurement phases);
+        held-back work is applied first, so none of it is booked afterwards."""
+        self._apply_pending()
         for i in range(len(self._total)):
             self._total[i] = 0.0
             self._application[i] = 0.0
             self._system[i] = 0.0
         self._top_series_app.clear()
         self._top_series_sys.clear()
-        self._pending.clear()
         self._messages = 0
 
 
@@ -612,9 +654,7 @@ class RoundtripRun:
       per roundtrip.  The method transparently separates warm-up events
       (before ``measure_from`` — message counting only) from measured ones
       and flushes whenever the event's time bucket changes, so every dict
-      it hands out only ever aggregates messages that share one bucket.
-      A kernel that tallies many events at once calls it once per
-      :meth:`segment_end` span instead;
+      it hands out only ever aggregates messages that share one bucket;
     * :meth:`flush` at the end of the run applies whatever is pending.
 
     Timestamps must be non-decreasing (event streams are time ordered).
@@ -669,8 +709,10 @@ class RoundtripRun:
         begins at ``start``: the events :meth:`counts_for` would send to the
         same dict as ``timestamps[start]`` (same warm-up side, same bucket).
 
-        Kernels that tally a whole segment at once cut with this, so they
-        and the per-event path split a run by one predicate.  Usually both
+        A kernel that counts many events at once (the footprint kernel,
+        which books its series with :meth:`TrafficAccountant.record_top_crossings`
+        and never calls :meth:`counts_for`) cuts with this, so it and the
+        per-event path split a run by one predicate.  Usually both
         ends of the span agree and nothing is searched; otherwise a bisect
         *proposes* the cut and :meth:`counts_for`'s own arithmetic, asked
         about both neighbours, decides it — ``(bucket + 1) * width`` and

@@ -40,8 +40,9 @@ from parity import (
     parity_graph,
     parity_stream,
 )
-from repro.config import ClusterSpec, DynaSoReConfig, SimulationConfig
+from repro.config import ClusterSpec, DynaSoReConfig, FlatClusterSpec, SimulationConfig
 from repro.constants import HOUR, MINUTE
+from repro.exceptions import SimulationError
 from repro.partitioning import assign_user_shards
 from repro.persistence.backend import PersistentStore
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
@@ -50,6 +51,7 @@ from repro.scenarios.base import Scenario
 from repro.scenarios.events import NodeLeave, ServerCrash, ServerRecovery
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.shard import ShardContext, _build_owner_map
+from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
 from repro.workload.stream import (
     EventChunk,
@@ -340,23 +342,36 @@ def test_footprint_kernel_matches_per_event_path(strategy_key, seed):
     every few requests, bucket widths that cut inside runs and are not
     float-friendly, a warm-up boundary inside the stream.
 
-    Mutations the 180 cells were checked against:
+    Mutations of the footprint memo the 180 cells were checked against:
 
-    (a) ``on_edge_added`` drops only the follower's read footprint — a
+    (1) ``on_edge_added`` drops only the follower's read footprint — a
         followee new to the graph keeps her ``()`` and her next read does
         not place her: 114 cells differ, while the whole golden matrix passes
         (a prototype of the kernel shipped exactly this bug);
-    (b) a run's reads are tallied before its writes — lazy placement then
-        leaves stream order: 84 cells differ;
-    (c) ``segment_end`` trusts its bisect instead of asking
+    (2) ``segment_end`` trusts its bisect instead of asking
         ``timestamp // width`` about both neighbours of the cut: *no* cell
         differs, by construction — every segment re-derives its bucket
-        from its first timestamp through ``counts_for``, so a cut that
-        comes early (common at ``bucket_width=0.7``) only splits a segment,
-        and one that comes late does not exist in IEEE arithmetic.  What the
-        mutation breaks is the cut positions, which
+        from its first timestamp, so a cut that comes early (common at
+        ``bucket_width=0.7``) only splits a segment, and one that comes
+        late does not exist in IEEE arithmetic.  What the mutation breaks
+        is the cut positions, which
         ``test_traffic.py::test_segment_end_cuts_where_counts_for_switches_dicts``
         pins.
+
+    Mutations of the tally and its settle (requests are counted per run and
+    multiplied into paths only when a footprint is dropped or somebody
+    reads the accountant):
+
+    (a) a footprint is dropped without settling its count first — the
+        settle then multiplies a footprint rebuilt on the *new* placement:
+        180 cells differ;
+    (b) the series is booked with the bucket current at *settle* time
+        instead of the segment's: 180 cells differ;
+    (c) the top-crossing count of a request is kept after its footprint is
+        dropped: 180 cells differ;
+    (d) a segment's reads are touched before its writes — lazy placement
+        then leaves stream order: 84 cells differ (as when footprints, not
+        requests, were tallied).
     """
     batched, batched_snapshot = _footprint_run(strategy_key, seed, batch=True)
     per_event, per_event_snapshot = _footprint_run(strategy_key, seed, batch=False)
@@ -379,18 +394,12 @@ def test_footprints_walk_the_graph_once_per_reader(key):
         return following(user)
 
     graph.following = spy
-    rng = random.Random(3)
     users = list(graph.users)
 
     def replay(start: float) -> set[int]:
-        readers = set()
-        for run in range(40):
-            kinds = bytes(rng.choice([KIND_READ, KIND_READ, KIND_WRITE]) for _ in range(50))
-            run_users = [rng.choice(users) for _ in kinds]
-            times = [start + run * 100.0 + index for index in range(50)]
-            strategy.execute_request_batch(kinds, run_users, times)
-            readers.update(u for k, u in zip(kinds, run_users) if k == KIND_READ)
-        return readers
+        runs = _request_runs(users, seed=3, start=start)
+        _replay_runs(strategy, runs, batch=True)
+        return {u for kinds, us, _ in runs for k, u in zip(kinds, us) if k == KIND_READ}
 
     readers = replay(0.0)
     assert sorted(walked) == sorted(readers)
@@ -409,7 +418,7 @@ def test_footprints_walk_the_graph_once_per_reader(key):
 def test_equal_footprints_share_their_key_objects():
     """Footprint memory stays one pointer per followed edge: path keys are
     interned, so equal keys in different footprints are one ``int`` object
-    (at most ``2 * stride**2`` of them), not one per roundtrip."""
+    (at most ``stride**2`` of them), not one per roundtrip."""
     strategy, simulator = _bound_strategy("random")
     users = list(simulator.graph.users)
     strategy.execute_request_batch(
@@ -420,17 +429,130 @@ def test_equal_footprints_share_their_key_objects():
     by_position: dict[int, list[int]] = {}
     for user, position in strategy.assignment().items():
         by_position.setdefault(position, []).append(user)
-    first, second = next(group for group in by_position.values() if len(group) > 1)[:2]
-    write_a = strategy._footprints[KIND_WRITE, first]
-    write_b = strategy._footprints[KIND_WRITE, second]
-    assert write_a == write_b and write_a[0] > 256  # beyond CPython's small ints
-    assert write_a[0] is write_b[0]
+    shared = 0
+    for first, second, *_ in (g for g in by_position.values() if len(g) > 1):
+        write_a = strategy._footprints[KIND_WRITE, first]
+        write_b = strategy._footprints[KIND_WRITE, second]
+        assert write_a == write_b
+        if write_a[0] > 256:  # beyond CPython's small ints
+            assert write_a[0] is write_b[0]
+            shared += 1
+    assert shared
     objects: dict[int, int] = {}
     for footprint in strategy._footprints.values():
         for key in footprint:
             assert objects.setdefault(key, id(key)) == id(key)
     stride = simulator.accountant.device_count
-    assert len(objects) <= 2 * stride * stride
+    assert len(objects) <= stride * stride
+
+
+def _request_runs(users: list[int], seed: int, start: float = 0.0, runs: int = 40):
+    """``runs`` request runs of 50 events, 100 s apart (the 37th crosses an
+    hour): ``(kinds, users, timestamps)`` columns, two reads per write."""
+    rng = random.Random(seed)
+    columns = []
+    for run in range(runs):
+        kinds = bytes(rng.choice([KIND_READ, KIND_READ, KIND_WRITE]) for _ in range(50))
+        times = [start + run * 100.0 + index for index in range(50)]
+        columns.append((kinds, [rng.choice(users) for _ in kinds], times))
+    return columns
+
+
+def _replay_runs(strategy, runs, batch: bool) -> None:
+    for kinds, users, times in runs:
+        if batch:
+            strategy.execute_request_batch(kinds, users, times)
+            continue
+        for kind, user, now in zip(kinds, users, times):
+            (strategy.execute_read if kind == KIND_READ else strategy.execute_write)(user, now)
+
+
+@pytest.mark.parametrize("key", ["random", "hmetis", "spar"])
+def test_reset_traffic_sees_the_tallies_held_back(key):
+    """Requests tallied before ``reset_traffic`` must not be booked after
+    it: the reset settles, then clears (a reset that only zeroes the
+    columns leaves the first half's counts to land on the second's)."""
+    reports = []
+    for batch in (True, False):
+        strategy, simulator = _bound_strategy(key)
+        runs = _request_runs(list(simulator.graph.users), seed=5)
+        _replay_runs(strategy, runs[:20], batch)
+        simulator.reset_traffic()
+        _replay_runs(strategy, runs[20:], batch)
+        accountant = simulator.accountant
+        reports.append((accountant.snapshot(), accountant.top_switch_series()))
+    assert reports[0] == reports[1]
+    assert reports[0][0].messages > 0
+
+
+@pytest.mark.parametrize("key", ["random", "hmetis", "spar"])
+def test_message_count_between_runs_counts_the_tallies_held_back(key):
+    """``message_count`` settles before it answers: read after every run it
+    equals the per-event count — warm-up messages (the first 20 runs) and
+    machine-local ones (every write on a flat cluster) included."""
+    counts = []
+    for batch in (True, False):
+        strategy, simulator = _bound_strategy(
+            key, FlatTopology(FlatClusterSpec(machines=10)), measure_from=2000.0
+        )
+        seen = []
+        for run in _request_runs(list(simulator.graph.users), seed=9):
+            _replay_runs(strategy, [run], batch)
+            seen.append(simulator.accountant.message_count)
+        counts.append(seen)
+    assert counts[0] == counts[1]
+    assert counts[0] == sorted(counts[0]) and counts[0][0] > 0
+    assert simulator.accountant.top_switch_traffic() > 0
+
+
+@pytest.mark.parametrize("key", ["random", "hmetis", "spar"])
+def test_a_run_settles_once(key):
+    """A work count: 40 request runs with no edge or fault event in between
+    enter the accountant's path walk at most twice in total (one read walk,
+    one write walk — 80 when every run flushed), and an ``EDGE_ADD`` adds
+    at most one settle."""
+    strategy, simulator = _bound_strategy(key)
+    accountant = simulator.accountant
+    graph = simulator.graph
+    users = list(graph.users)
+    walks: list[int] = []
+    record = accountant.record_roundtrip_batch
+
+    def spy(counts, request_kind, response_kind, bucket):
+        if counts:
+            walks.append(len(counts))
+        record(counts, request_kind, response_kind, bucket)
+
+    accountant.record_roundtrip_batch = spy
+    _replay_runs(strategy, _request_runs(users, seed=3), batch=True)
+    assert walks == []
+    assert accountant.top_switch_traffic() > 0
+    assert len(walks) <= 2
+    accountant.snapshot()
+    assert len(walks) <= 2  # nothing left to settle
+
+    _replay_runs(strategy, _request_runs(users, seed=4, start=5000.0), batch=True)
+    follower = users[0]
+    followee = next(u for u in users[1:] if not graph.has_edge(follower, u))
+    graph.add_edge(follower, followee)
+    before = len(walks)
+    strategy.on_edge_added(follower, followee, 9000.0)
+    assert len(walks) - before <= 2
+    _replay_runs(strategy, _request_runs(users, seed=5, start=9000.0), batch=True)
+    accountant.snapshot()
+    assert len(walks) <= 6
+
+
+def test_settle_fails_loudly_past_the_exactness_limit():
+    """Whole-run counts are multiplied in one step; a forged count that
+    would push a column past ``2**53`` raises instead of rounding."""
+    strategy, simulator = _bound_strategy("random")
+    users = list(simulator.graph.users)
+    strategy.execute_request_batch(bytes(len(users)), users, [0.0] * len(users))
+    for request in strategy._tally:
+        strategy._tally[request] = 2**50
+    with pytest.raises(SimulationError, match="2\\*\\*53"):
+        simulator.accountant.top_switch_traffic()
 
 
 def test_post_request_hooks_force_per_event_fallback():
@@ -467,11 +589,13 @@ def test_run_helpers_respect_end_bound():
 # ---------------------------------------------------------------------------
 # Batch-kernel entry points (strategy API level)
 # ---------------------------------------------------------------------------
-def _bound_strategy(key: str):
-    topology, _ = parity_cluster()
+def _bound_strategy(key: str, topology=None, measure_from: float = 0.0):
+    if topology is None:
+        topology, _ = parity_cluster()
     graph = parity_graph(users=60)
     strategy = build_strategy(key, 7, DynaSoReConfig())
-    simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
+    config = SimulationConfig(seed=7, measure_from=measure_from)
+    simulator = ClusterSimulator(topology, graph, strategy, config=config)
     simulator.prepare()
     return strategy, simulator
 
@@ -664,8 +788,6 @@ def test_tracking_period_set_before_run_is_honoured():
 def test_partitioned_shard_rejects_observers_before_any_event(observer):
     """Partitioned workers execute only owned events, so per-event observers
     have nothing exact to observe: fail loudly, before anything runs."""
-    from repro.exceptions import SimulationError
-
     graph = parity_graph(users=_MIRROR_USERS)
     owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
     simulator = _mirror_simulator(

@@ -176,6 +176,49 @@ class TestExecutor:
         assert cache.get(spec) is not None
         assert pickle.dumps(cache.get(spec)) == pickle.dumps(result)
 
+    def test_unreadable_entries_are_counted_misses(self, tmp_path):
+        """Truncated, version-skewed (a class the code no longer has) and
+        foreign payloads read as misses — and are counted, so somebody can
+        be told; a spec that was never cached is a plain miss."""
+        cache = ResultCache(tmp_path)
+        spec = tiny_spec("random")
+        assert cache.get(spec) is None and cache.unreadable == 0
+        RuntimeExecutor(cache=cache).run([spec])
+        path = cache.path_for(spec)
+        whole = path.read_bytes()
+        assert cache.get(spec) is not None and cache.unreadable == 0
+        for count, payload in enumerate(
+            [
+                whole[: len(whole) // 2],
+                b"crepro.simulator.results\nResultOfAnOlderVersion\n.",
+                pickle.dumps({"key": "somebody else's", "result": None}),
+            ],
+            start=1,
+        ):
+            path.write_bytes(payload)
+            assert cache.get(spec) is None
+            assert cache.unreadable == count
+        path.write_bytes(whole)
+        assert cache.get(spec) is not None and cache.unreadable == 3
+
+    def test_cli_reports_unreadable_entries_on_stderr(self, tmp_path, capsys):
+        from repro.cli import main
+
+        arguments = ["run", "figure7", "--profile", "ci", "--cache-dir", str(tmp_path)]
+        assert main(arguments) == 0
+        assert "unreadable" not in capsys.readouterr().err
+        entries = sorted(tmp_path.glob("*.pkl"))
+        assert entries
+        for path in entries:
+            path.write_bytes(path.read_bytes()[:100])
+        assert main(arguments) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "unreadable" in line]
+        assert warnings == [
+            f"warning: {len(entries)} unreadable entries in {tmp_path} were recomputed"
+        ]
+        assert main(arguments) == 0
+        assert "unreadable" not in capsys.readouterr().err
+
     def test_cache_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         RuntimeExecutor(cache=cache).run([tiny_spec("random")])

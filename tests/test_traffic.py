@@ -761,3 +761,123 @@ def test_every_query_sees_write_combined_messages(tree_topology: TreeTopology, q
     accountant.record(a, b, MessageKind.ROUTING_UPDATE, timestamp=0.0)
     accountant.record(a, b, MessageKind.ROUTING_UPDATE, timestamp=1.0)
     assert query(accountant, tree_topology.top_switch.index) == 2
+
+
+# ---------------------------------------------------------------------------
+# Settles: work a strategy tallied and holds back until somebody reads
+# ---------------------------------------------------------------------------
+_READERS = {
+    "device_traffic": lambda accountant, top: accountant.device_traffic(top),
+    "top_switch_traffic": lambda accountant, top: accountant.top_switch_traffic(),
+    "level_traffic": lambda accountant, top: accountant.level_traffic("top"),
+    "level_average_traffic": lambda accountant, top: accountant.level_average_traffic("top"),
+    "snapshot": lambda accountant, top: accountant.snapshot().application_by_device[top],
+    "export_delta": lambda accountant, top: array("d", accountant.export_delta().total)[top],
+    "message_count": lambda accountant, top: accountant.message_count * 10,
+}
+
+
+def _held_back_roundtrips(tree_topology: TreeTopology):
+    """An accountant with three cross-cluster read roundtrips registered as
+    a settle (their series is not booked: that happens at tally time)."""
+    accountant = TrafficAccountant(tree_topology)
+    a, b = tree_topology.servers[0].index, tree_topology.servers[-1].index
+    held = {a * accountant.device_count + b: 3}
+
+    def settle():
+        accountant.record_roundtrip_batch(
+            dict(held), MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE, None
+        )
+        held.clear()
+
+    accountant.on_settle(settle)
+    accountant.on_settle(settle)  # registering twice does not settle twice
+    return accountant, held
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_every_reader_runs_the_registered_settles_first(tree_topology: TreeTopology, reader):
+    accountant, held = _held_back_roundtrips(tree_topology)
+    assert _READERS[reader](accountant, tree_topology.top_switch.index) == 60
+    assert not held
+    assert accountant.top_switch_series() == ({}, {})
+
+
+def test_reset_settles_before_it_clears(tree_topology: TreeTopology):
+    """Held-back work offered before a reset must not be booked after it."""
+    accountant, held = _held_back_roundtrips(tree_topology)
+    accountant.reset()
+    assert not held
+    assert accountant.message_count == 0
+    assert accountant.top_switch_traffic() == 0.0
+
+
+def test_a_settle_applies_even_while_muted(tree_topology: TreeTopology):
+    """``bucket=None`` marks roundtrips admitted when they were tallied:
+    mute was decided then, and only the columns and the count remain."""
+    accountant, held = _held_back_roundtrips(tree_topology)
+    accountant.push_mute()
+    assert accountant.message_count == 6
+    accountant.pop_mute()
+    assert accountant.top_switch_traffic() == 60
+
+
+def test_top_crossings_book_only_the_series(tree_topology: TreeTopology):
+    accountant = TrafficAccountant(tree_topology, bucket_width=100.0)
+    accountant.record_top_crossings(0, MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE, 1)
+    assert accountant.top_switch_series() == ({}, {})
+    accountant.record_top_crossings(4, MessageKind.READ_REQUEST, MessageKind.REPLICA_CONTROL, 2)
+    assert accountant.top_switch_series() == ({2: 40.0}, {2: 4.0})
+    assert accountant.message_count == 0 and accountant.top_switch_traffic() == 0.0
+    a, b = tree_topology.servers[0].index, tree_topology.servers[-1].index
+    assert accountant.crosses_top(a, b) and not accountant.crosses_top(a, a)
+
+
+def test_batch_recording_fails_loudly_at_the_exactness_limit(tree_topology: TreeTopology):
+    """Volumes are integer-valued floats; a multiplied update is exact only
+    below ``2**53`` and the accountant refuses to go past it."""
+    accountant = TrafficAccountant(tree_topology)
+    a, b = tree_topology.servers[0].index, tree_topology.servers[-1].index
+    kinds = (MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE)
+    below = 2**53 // 20  # 12 units short of the limit
+    accountant.record_roundtrip_batch({a * accountant.device_count + b: below}, *kinds, 0)
+    assert accountant.top_switch_traffic() == 20.0 * below
+    with pytest.raises(SimulationError, match="2\\*\\*53"):
+        accountant.record_roundtrip_batch({a * accountant.device_count + b: 1}, *kinds, None)
+
+
+def _placed_random_strategy(tree_topology, small_graph, budget):
+    from repro.baselines.random_placement import RandomPlacement
+
+    accountant = TrafficAccountant(tree_topology, bucket_width=50.0)
+    strategy = RandomPlacement(seed=5)
+    strategy.bind(tree_topology, small_graph, accountant, budget, seed=5)
+    strategy.build_initial_placement()
+    return strategy, accountant
+
+
+def test_mute_is_decided_when_a_tally_is_admitted(tree_topology, small_graph, budget):
+    """A shard worker handles faults under ``push_mute``; the fault drops
+    every footprint, which settles the requests tallied *before* it — they
+    were admitted unmuted and must not vanish into the mute."""
+    users = sorted(small_graph.users)[:40]
+    events = [(index % 3 == 2, user, 7.0 * index) for index, user in enumerate(users * 3)]
+
+    batched, batched_accountant = _placed_random_strategy(tree_topology, small_graph, budget)
+    batched.execute_request_batch(
+        bytes(kind for kind, _, _ in events),
+        [user for _, user, _ in events],
+        [now for _, _, now in events],
+    )
+    per_event, per_event_accountant = _placed_random_strategy(tree_topology, small_graph, budget)
+    for is_write, user, now in events:
+        (per_event.execute_write if is_write else per_event.execute_read)(user, now)
+
+    for strategy, accountant in ((batched, batched_accountant), (per_event, per_event_accountant)):
+        accountant.push_mute()
+        strategy.on_server_down(0, 1000.0)  # drops all footprints, muted
+        strategy.execute_request_batch(bytes(5), users[:5], [1001.0] * 5)  # muted: not counted
+        accountant.pop_mute()
+    assert batched_accountant.snapshot() == per_event_accountant.snapshot()
+    assert batched_accountant.top_switch_series() == per_event_accountant.top_switch_series()
+    assert batched_accountant.message_count > 0
