@@ -6,12 +6,17 @@ Usage::
     python -m repro run figure3c --profile ci
     python -m repro run all --profile laptop --jobs 4
     python -m repro figure7 --no-cache    # shorthand for "run figure7 ..."
+    python -m repro run all --profile laptop --report EXPERIMENTS.md
 
-Every experiment prints the paper-style rows/series to stdout; use shell
-redirection to capture them.  ``--jobs N`` fans each experiment's run grid
-out over N worker processes (results are identical to serial execution);
-completed runs land in an on-disk cache keyed by the run's content hash,
-so re-running an experiment only executes what changed.  ``--no-cache``
+Every experiment prints the paper-style rows/series to stdout, followed by
+the table of claims the paper makes about them (name, paper reference,
+verdict, measured value, bound); the exit status is 1 when any claim
+failed.  ``--report PATH`` also writes figures and claim tables, with the
+commit, profile, seed and machine they were taken on, to one Markdown file
+— how the committed EXPERIMENTS.md is produced.  ``--jobs N`` fans each
+experiment's run grid out over N worker processes (results are identical
+to serial execution); completed runs land in an on-disk cache keyed by the
+run's content hash, so re-running an experiment only executes what changed.  ``--no-cache``
 bypasses the cache; the cache directory and default worker count come from
 the :class:`~repro.config.ExperimentProfile`.  ``--shards K`` parallelises
 *inside* each run instead: the workload is partitioned over K worker
@@ -21,10 +26,15 @@ processes whose merged result is byte-identical to serial replay.
 from __future__ import annotations
 
 import argparse
+import os
+import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from .config import ExperimentProfile
+from .experiments import report
 from .experiments.registry import EXPERIMENTS, get_experiment
 from .runtime.executor import Progress, ResultCache, RuntimeExecutor
 
@@ -85,6 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="result-cache directory (default: the profile's cache_dir)",
     )
+    run_parser.add_argument(
+        "--report",
+        default=None,
+        metavar="PATH",
+        help="also write figures, claim verdicts and provenance to this Markdown file",
+    )
     return parser
 
 
@@ -122,6 +138,48 @@ def build_executor(
     )
 
 
+def provenance(profile: ExperimentProfile) -> dict[str, str]:
+    """Commit, profile, seed and machine a report was taken on.
+
+    The commit is that of the checkout this package was imported from,
+    with ``-dirty`` appended when tracked files differ from it.
+    """
+    try:
+        commit = subprocess.run(
+            ["git", "-C", str(Path(__file__).parent), "describe", "--always", "--dirty",
+             "--abbrev=12", "--exclude=*"],
+            capture_output=True, text=True, check=False,
+        ).stdout.strip() or "unknown"  # fmt: skip
+    except OSError:
+        commit = "unknown"
+    model = "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    cluster = profile.cluster
+    users = ", ".join(f"{name} {count:,}" for name, count in profile.users.items())
+    sweep = ", ".join(f"{point:g}%" for point in profile.memory_sweep)
+    return {
+        "commit": commit,
+        "profile": (
+            f"`{profile.name}`: {cluster.intermediate_switches} x "
+            f"{cluster.racks_per_intermediate} x {cluster.machines_per_rack} tree "
+            f"({profile.flat_machines} machines flat); users {users}; "
+            f"{profile.synthetic_days:g} synthetic and {profile.trace_days:g} trace days; "
+            f"memory sweep {sweep}; {profile.flash_repetitions} flash repetitions"
+        ),
+        "seed": str(profile.seed),
+        "machine": (
+            f"{model}, {os.cpu_count()} CPUs, {platform.system()} {platform.machine()}, "
+            f"Python {platform.python_version()}"
+        ),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the ``dynasore-repro`` command."""
     if argv is None:
@@ -148,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         shard_balance=args.shard_balance,
     )
     identifiers = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    sections = []
+    failed: list[str] = []
     for identifier in identifiers:
         try:
             experiment = get_experiment(identifier)
@@ -159,12 +219,28 @@ def main(argv: list[str] | None = None) -> int:
             f"== {identifier}: {experiment.description} "
             f"(profile={profile.name}, jobs={executor.jobs}) =="
         )
-        print(experiment.run_and_render(profile, executor=executor))
+        result = experiment.run(profile, executor=executor)
+        figure = experiment.renderer(result)
+        claims = experiment.claims(result)
+        print(figure)
+        print(report.render_claims(claims))
         print(f"-- completed in {time.time() - started:.1f}s --\n")
+        sections.append((identifier, experiment.description, figure, claims))
+        failed.extend(f"{identifier}:{claim.name}" for claim in claims if not claim.holds)
     cache = executor.cache
     if cache is not None and cache.unreadable:
         note = f"{cache.unreadable} unreadable entries in {cache.directory} were recomputed"
         print(f"warning: {note}", file=sys.stderr)
+    if args.report is not None:
+        command = (
+            f"python -m repro run {args.experiment} --profile {profile.name} "
+            f"--report {args.report}"
+        )
+        text = report.render_report(command, provenance(profile), sections)
+        Path(args.report).write_text(text + "\n")
+    if failed:
+        print(f"claims failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -174,7 +174,7 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ExperimentProfile:
-    """Scale profile shared by the experiment harness and the benchmarks.
+    """Scale profile of the experiment harness.
 
     The paper's experiments run over millions of users on a 250-machine Java
     simulator; a pure-Python reproduction needs adjustable scale.  A profile
@@ -200,7 +200,7 @@ class ExperimentProfile:
 
     @staticmethod
     def ci() -> "ExperimentProfile":
-        """Tiny profile used by the test-suite and pytest-benchmark targets."""
+        """Tiny profile: what the test-suite runs every experiment's claims at."""
         return ExperimentProfile(
             name="ci",
             cluster=ClusterSpec(

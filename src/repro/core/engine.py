@@ -65,10 +65,6 @@ from .utility import (
     priced_profit,
 )
 
-#: "No expiring window" sentinel of the tick sweep's per-position expiry
-#: tracking (larger than any reachable rotation period index).
-_NEVER_EXPIRES = 1 << 62
-
 #: Signature of an initial-placement function: (graph, topology, seed) -> {user: server position}.
 InitialAssignment = Callable[[SocialGraph, ClusterTopology, int], dict[int, int]]
 
@@ -231,13 +227,10 @@ class DynaSoRe(PlacementStrategy):
         self._origin_memo: dict[int, dict[int, int]] = {}
         self._read_run = None
         self._write_run = None
-        #: batched-tick dirty-set companions (see ``on_tick``):
-        #: the earliest rotation period at which any counter of a position
-        #: drops non-zero history, and whether the last sweep left the
-        #: position with a negative-utility replica (drives the removal
-        #: pass of skipped positions); plus the reusable (origin, reads)
-        #: scratch of the pairwise pricing.
-        self._tick_next_expiry: list[int] = []
+        #: tick-sweep companions (see ``on_tick``): whether the last sweep
+        #: left the position with a negative-utility replica (gates the
+        #: removal pass), and the reusable (origin, reads) scratch of the
+        #: pairwise pricing.
         self._tick_has_negative: list[bool] = []
         self._tick_pairs: list[tuple[int, float]] = []
         self.counters = EngineCounters()
@@ -281,10 +274,6 @@ class DynaSoRe(PlacementStrategy):
             self.proxies.place_both(user, broker)
         self._origin_rank_cache.clear()
         self._origin_memo = {}
-        # Every position starts dirty (expiry 0 = "must sweep"), so the
-        # first batched tick prices the initial placement exactly like the
-        # per-slot reference does.
-        self._tick_next_expiry = [0] * table.num_positions
         self._tick_has_negative = [False] * table.num_positions
         self._tick_pairs = []
         self._read_run = self.accountant.roundtrip_run(
@@ -463,7 +452,6 @@ class DynaSoRe(PlacementStrategy):
         stats = table.stats
         record_read = stats.record_read
         reads_since_eval = stats._reads_since_eval
-        tick_dirty = table._tick_dirty
         check_interval = self.config.replication_check_interval
         for target in targets:
             slot = user_head.get(target, NO_SLOT)
@@ -501,7 +489,6 @@ class DynaSoRe(PlacementStrategy):
 
             origin = origin_of(device, broker)
             record_read(slot, origin, now)
-            tick_dirty[position] = True
 
             if reads_since_eval[slot] >= check_interval:
                 reads_since_eval[slot] = 0
@@ -531,7 +518,6 @@ class DynaSoRe(PlacementStrategy):
         transfers: dict[int, float] = {}
         device_of_position = self._device_of_position
         record_write = table.stats.record_write
-        tick_dirty = table._tick_dirty
         slots = list(table.user_slots(user))
         for slot in slots:
             position = table._server[slot]
@@ -541,7 +527,6 @@ class DynaSoRe(PlacementStrategy):
             )
             transfers[device] = transfers.get(device, 0.0) + 1.0
             record_write(slot, now)
-            tick_dirty[position] = True
 
         if self.config.enable_proxy_migration and transfers:
             best = optimal_proxy_broker(self.topology, transfers, broker)
@@ -638,7 +623,6 @@ class DynaSoRe(PlacementStrategy):
         reads_since_eval = stats._reads_since_eval
         alloc_node = stats._alloc_node
         advance_node = stats._advance_node
-        tick_dirty = table._tick_dirty
         #: scratch: slots of the current write's replica chain
         write_slots: list[int] = []
         KIND_READ_ = KIND_READ
@@ -721,7 +705,6 @@ class DynaSoRe(PlacementStrategy):
                     ] += 1.0
                     total = node_total[node] + 1.0
                     node_total[node] = total
-                    tick_dirty[position] = True
                     cached = origins_cache.get(slot)
                     if cached is not None:
                         if origin in cached:
@@ -833,7 +816,6 @@ class DynaSoRe(PlacementStrategy):
                     key = base + device
                     count = counts.get(key)
                     counts[key] = 1 if count is None else count + 1
-                    tick_dirty[position] = True
                     if proxy_migration:
                         write_slots.append(slot)
                         seen = transfers.get(device)
@@ -1252,12 +1234,6 @@ class DynaSoRe(PlacementStrategy):
         assert self.topology is not None
         table = self.tables
         next_closest = table._next_closest
-        # A next-closest change re-prices every replica of the view at the
-        # next tick (the pointer is Algorithm 1's reference replica).
-        tick_dirty = table._tick_dirty
-        server_column = table._server
-        for slot in slots:
-            tick_dirty[server_column[slot]] = True
         if len(slots) == 1:
             next_closest[slots[0]] = NO_SLOT
         elif len(slots) == 2:
@@ -1359,42 +1335,14 @@ class DynaSoRe(PlacementStrategy):
         thresholds, evict, and run the migration sweep (Algorithm 3) — as
         one fused sweep over the placement and statistics columns.
 
-        One chain walk per *dirty* position does everything the reference
-        tick does in three passes: rotates each replica's counter windows
+        One chain walk per position does everything the reference tick
+        does in three passes: rotates each replica's counter windows
         (the per-node arithmetic of ``StatsTable.advance_pool``), gathers
         the surviving ``(origin, reads)`` pairs straight off the node
         columns, prices the replica with
         :func:`~repro.core.utility.estimate_profit_pairs` (no per-slot dict
         materialisation), and recomputes the admission threshold once the
         chain is done.
-
-        Positions are skipped entirely — no rotation, no pricing, no
-        threshold — when nothing that feeds Algorithm 1 changed since their
-        last sweep:
-
-        * ``ReplicaTable._tick_dirty`` is raised by reads, writes, placement
-          changes (allocate/detach/capacity), next-closest refreshes and
-          write-proxy migrations touching the position;
-        * ``_tick_next_expiry`` bounds the first rotation period at which
-          any counter of the position drops non-zero history.  Until then,
-          deferring the rotation only skips zero-subtractions, so windows,
-          utilities and thresholds are provably unchanged — records landing
-          later advance their node lazily from the stale period with
-          identical results (amounts are non-negative, so the skipped
-          buckets are exactly the zero ones).
-
-        The expiry bound is computed *lazily*: a position swept because it
-        is dirty publishes the trivial bound 0 ("sweep again next tick") and
-        skips the oldest-bucket probes entirely — steady traffic re-dirties
-        it before the bound would ever be consulted, so the probes would be
-        pure waste.  Only a sweep of a *clean* position (one re-priced
-        because its previous bound expired) pays for the exact scan; that
-        is precisely the moment the position may go quiet and the bound
-        starts earning its keep.  Net effect: quiet positions pay one extra
-        no-op sweep on their first silent tick, busy positions never probe
-        buckets at all.  Under-estimating the bound is always safe — it
-        only schedules extra sweeps, and sweeping re-derives every value
-        the reference path would compute.
 
         Unlike the reference path's wholesale ``_origins_cache.clear()``,
         the sweep invalidates the per-slot origin dicts *precisely*: only
@@ -1426,7 +1374,6 @@ class DynaSoRe(PlacementStrategy):
         next_closest = table._next_closest
         utility = table._utility
         user_column = table._user
-        tick_dirty = table._tick_dirty
         read_head = stats._read_head
         write_node = stats._write_node
         node_next = stats._node_next
@@ -1440,28 +1387,13 @@ class DynaSoRe(PlacementStrategy):
         write_broker_of = self.proxies.write_proxy.get
         topology = self.topology
         pairs = self._tick_pairs
-        next_expiry = self._tick_next_expiry
         has_negative = self._tick_has_negative
         num_positions = table.num_positions
-        # Positions added after deployment start dirty, like the initial ones.
-        while len(next_expiry) < num_positions:
-            next_expiry.append(0)
+        # Positions added after deployment join the removal-pass gate.
+        while len(has_negative) < num_positions:
             has_negative.append(False)
 
         for position in range(num_positions):
-            if tick_dirty[position]:
-                tick_dirty[position] = False
-                # Dirty sweep: publish the trivial bound and skip the
-                # oldest-bucket probes (see the docstring).
-                want_expiry = False
-                expiry = 0
-            elif period_index < next_expiry[position]:
-                continue
-            else:
-                # Expiry-triggered sweep of a clean position: compute the
-                # exact bound so it can start skipping ticks.
-                want_expiry = True
-                expiry = _NEVER_EXPIRES
             negative = False
             position_device = device_of_position[position]
             slot = srv_head[position]
@@ -1505,20 +1437,6 @@ class DynaSoRe(PlacementStrategy):
                         node_period[node] = period_index
                     if total > 0.0:
                         pairs.append((node_origin[node], total))
-                        # Oldest surviving bucket bounds the next rotation
-                        # at which this window drops history.  Ages past
-                        # ``period_index`` name periods before the epoch
-                        # (physically zero buckets); skipping them and the
-                        # scan itself once the bound is already minimal
-                        # keeps this probe O(1) amortised.
-                        if want_expiry and expiry > period_index + 1:
-                            base = node * counter_slots
-                            for age in range(min(counter_slots - 1, period_index), -1, -1):
-                                if node_buckets[base + (period_index - age) % counter_slots]:
-                                    drop = period_index - age + counter_slots
-                                    if drop < expiry:
-                                        expiry = drop
-                                    break
                     node = node_next[node]
                 if changed:
                     # Precise invalidation: the cached origin dict only
@@ -1552,14 +1470,6 @@ class DynaSoRe(PlacementStrategy):
                                     node_buckets[index] = 0.0
                                 node_total[wnode] = wtotal
                         node_period[wnode] = period_index
-                    if wtotal > 0.0 and want_expiry and expiry > period_index + 1:
-                        base = wnode * counter_slots
-                        for age in range(min(counter_slots - 1, period_index), -1, -1):
-                            if node_buckets[base + (period_index - age) % counter_slots]:
-                                drop = period_index - age + counter_slots
-                                if drop < expiry:
-                                    expiry = drop
-                                break
                 nearest = next_closest[slot]
                 if nearest == NO_SLOT:
                     utility[slot] = INFINITE_UTILITY
@@ -1576,7 +1486,6 @@ class DynaSoRe(PlacementStrategy):
                     if value < 0.0:
                         negative = True
                 slot = srv_next[slot]
-            next_expiry[position] = expiry
             has_negative[position] = negative
             table.update_admission_threshold(position, admission_fill)
 

@@ -1,5 +1,6 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
+from .claims import Claim
 from .datasets import DatasetRow, PAPER_TABLE1, run_table1
 from .figure2 import DailyActivity, run_figure2, trace_summary
 from .figure3 import (
@@ -17,6 +18,7 @@ from .registry import EXPERIMENTS, Experiment, get_experiment
 from .tables import SwitchTrafficTable, run_table2, run_table3
 
 __all__ = [
+    "Claim",
     "ConvergenceResult",
     "DailyActivity",
     "DatasetRow",

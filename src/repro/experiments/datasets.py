@@ -5,6 +5,9 @@ Facebook and LiveJournal samples.  The reproduction generates scaled
 analogues (see :mod:`repro.socialgraph.generators`); this experiment reports
 both the paper's original numbers and the generated graphs' statistics so
 the scale substitution is explicit.
+
+Expected shape (:func:`dataset_claims`): Twitter is the sparsest graph and
+LiveJournal has the most users, as in the paper's table.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from ..config import ExperimentProfile
 from ..runtime.executor import RuntimeExecutor
 from ..socialgraph.generators import graph_statistics
+from .claims import Claim, compare, ratio
 from .common import DATASETS, graph_spec
 
 #: Numbers reported in the paper's Table 1.
@@ -61,4 +65,21 @@ def run_table1(
     return rows
 
 
-__all__ = ["DatasetRow", "PAPER_TABLE1", "run_table1"]
+def dataset_claims(rows: list[DatasetRow]) -> list[Claim]:
+    """The orderings of Table 1 that the scaled graphs must keep."""
+    ref = "table 1"
+    density = {row.dataset: ratio(row.generated_links, row.generated_users) for row in rows}
+    users = {row.dataset: row.generated_users for row in rows}
+    other_densities = [v for name, v in density.items() if name != "twitter" and v is not None]
+    other_sizes = [count for name, count in users.items() if name != "livejournal"]
+    next_sparsest = min(other_densities, default=None)
+    next_largest = max(other_sizes, default=None)
+    return [
+        compare(
+            "twitter_sparsest", ref, density.get("twitter"), "<", next_sparsest, "links per user"
+        ),
+        compare("livejournal_most_users", ref, users.get("livejournal"), ">=", next_largest),
+    ]
+
+
+__all__ = ["DatasetRow", "PAPER_TABLE1", "dataset_claims", "run_table1"]

@@ -5,6 +5,10 @@ of read and write requests per day (millions of events) and shows that the
 trace is write-heavy with visible day-to-day variation.  This experiment
 generates the synthetic analogue of the trace and reports the same per-day
 series.
+
+Expected shape (:func:`trace_activity_claims`): write-heavy by roughly the
+paper's 17M writes to 9.8M reads, and the busiest day visibly busier than
+the quietest.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from ..config import ExperimentProfile
 from ..runtime.executor import RuntimeExecutor
 from ..workload.stream import events_per_day
+from .claims import Claim, compare, ratio, within
 from .common import graph_spec, trace_workload_spec
 
 
@@ -59,4 +64,17 @@ def trace_summary(series: list[DailyActivity]) -> dict[str, float]:
     }
 
 
-__all__ = ["DailyActivity", "run_figure2", "trace_summary"]
+def trace_activity_claims(series: list[DailyActivity]) -> list[Claim]:
+    """The shapes of Figure 2."""
+    ref = "figure 2, section 4.2"
+    summary = trace_summary(series)
+    writes_per_read = ratio(summary["total_writes"], summary["total_reads"])
+    daily = [day.reads + day.writes for day in series]
+    spread = ratio(max(daily), min(daily)) if daily else None
+    return [
+        within("write_heavy", ref, writes_per_read, 1.2, 2.6),
+        compare("daily_variation", ref, spread, ">", 1.1, "busiest / quietest day"),
+    ]
+
+
+__all__ = ["DailyActivity", "run_figure2", "trace_activity_claims", "trace_summary"]

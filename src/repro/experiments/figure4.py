@@ -5,6 +5,11 @@ graph with 50% extra memory and plots, per day, the top-switch traffic of
 Random, SPAR and DynaSoRe (initialised from Random and from METIS),
 normalised by Random.  The traffic follows the daily request pattern of
 Figure 2, and DynaSoRe stays well below both baselines throughout.
+
+Expected shape (:func:`traffic_over_time_claims`): DynaSoRe from METIS is
+below SPAR and below Random on every day of the trace and clearly below
+Random over the whole run; DynaSoRe from a random placement is no worse
+than the Random baseline it started from.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from ..constants import DAY
 from ..runtime.executor import RuntimeExecutor
 from ..runtime.grid import RunGrid
 from ..simulator.results import SimulationResult
+from .claims import Claim, compare, ratio
 from .common import (
     default_executor,
     graph_spec,
@@ -92,4 +98,31 @@ def run_figure4(
     return result
 
 
-__all__ = ["FIGURE4_STRATEGIES", "TrafficOverTime", "run_figure4"]
+def traffic_over_time_claims(result: TrafficOverTime) -> list[Claim]:
+    """The shapes of Figure 4, day by day and over the whole trace."""
+    ref = "figure 4"
+    claims: list[Claim] = []
+    baseline = result.series.get("random", {})
+    for day in sorted(baseline):
+        dynasore = ratio(result.series.get("dynasore_metis", {}).get(day), baseline[day])
+        spar = ratio(result.series.get("spar", {}).get(day), baseline[day])
+        claims += [
+            compare(f"dynasore_below_spar@day{day}", ref, dynasore, "<", spar, "SPAR"),
+            compare(f"dynasore_below_random@day{day}", ref, dynasore, "<", 1.0, "Random"),
+        ]
+    reference = result.totals.get("random")
+    from_metis = ratio(result.totals.get("dynasore_metis"), reference)
+    from_random = ratio(result.totals.get("dynasore_random"), reference)
+    claims += [
+        compare("dynasore_total_clearly_below_random", ref, from_metis, "<", 0.9),
+        compare("random_init_at_most_random", ref, from_random, "<=", 1.05, "Random + 0.05"),
+    ]
+    return claims
+
+
+__all__ = [
+    "FIGURE4_STRATEGIES",
+    "TrafficOverTime",
+    "run_figure4",
+    "traffic_over_time_claims",
+]

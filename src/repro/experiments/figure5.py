@@ -5,10 +5,11 @@ unfollow.  The paper repeats this 100 times on the Facebook graph with 30%
 extra memory and plots the average number of replicas of the hot view and
 the average number of reads each replica serves per 10 minutes.
 
-Expected shape: the replica count rises from ≈1 after the followers arrive,
-stabilises (the paper converges near 5, one replica per intermediate
-switch), the per-replica read load stays close to the pre-event level, and
-the extra replicas are evicted shortly after the followers leave.
+Expected shape (:func:`flash_event_claims`): the replica count rises from ≈1
+after the followers arrive, stabilises (the paper converges near 5, one
+replica per intermediate switch), the per-replica read load stays close to
+the pre-event level, and the extra replicas are evicted shortly after the
+followers leave.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from ..config import ExperimentProfile
 from ..constants import DAY
 from ..runtime.executor import RuntimeExecutor, execute_spec
 from ..runtime.spec import FlashSpec, RunSpec, WorkloadSpec
+from .claims import Claim, compare, mean, scaled, shifted
 from .common import default_executor, graph_spec, simulation_config, topology_spec
 
 
@@ -27,19 +29,23 @@ class FlashEventOutcome:
     """Averaged replica-count and read-load timelines across repetitions."""
 
     repetitions: int
+    #: days at which the followers arrive and leave
+    start_day: float = 0.0
+    end_day: float = 0.0
     #: day -> average number of replicas of the hot view
     replicas_by_day: dict[float, float] = field(default_factory=dict)
     #: day -> average reads per replica per sampling window
     reads_per_replica_by_day: dict[float, float] = field(default_factory=dict)
 
-    def replicas_during(self, start_day: float, end_day: float) -> float:
-        """Average replica count over a day interval."""
-        values = [
-            value
-            for day, value in self.replicas_by_day.items()
-            if start_day <= day < end_day
-        ]
-        return sum(values) / len(values) if values else 0.0
+    def replicas_during(self, start_day: float, end_day: float) -> float | None:
+        """Average replica count over a day interval (None without a sample)."""
+        return mean(
+            [
+                value
+                for day, value in self.replicas_by_day.items()
+                if start_day <= day < end_day
+            ]
+        )
 
 
 def flash_run_spec(
@@ -159,7 +165,9 @@ def run_figure5(
             bucket = round(day / grid) * grid
             reads_acc.setdefault(bucket, []).append(value)
 
-    outcome = FlashEventOutcome(repetitions=repetitions)
+    outcome = FlashEventOutcome(
+        repetitions=repetitions, start_day=start_day, end_day=end_day
+    )
     outcome.replicas_by_day = {
         day: sum(values) / len(values) for day, values in sorted(replica_acc.items())
     }
@@ -169,4 +177,28 @@ def run_figure5(
     return outcome
 
 
-__all__ = ["FlashEventOutcome", "flash_run_spec", "run_figure5", "run_flash_event_once"]
+def flash_event_claims(outcome: FlashEventOutcome) -> list[Claim]:
+    """The shapes of Figure 5: growth with the followers, decay without them."""
+    ref = "figure 5, section 4.6"
+    timeline = outcome.replicas_by_day
+    start, end = outcome.start_day, outcome.end_day
+    before = outcome.replicas_during(0.0, start)
+    held = outcome.replicas_during(start, end)
+    during = [value for day, value in timeline.items() if start <= day <= end]
+    peak = max(during) if during else None
+    last = timeline[max(timeline)] if timeline else None
+    floor = None if before is None else max(1.5, before)
+    return [
+        compare("replicas_grow", ref, peak, ">=", floor, "1.5 and the pre-event mean"),
+        compare("replicas_held", ref, held, ">=", scaled(before, 0.9), "0.9 x pre-event mean"),
+        compare("replicas_decay", ref, last, "<=", shifted(before, 0.5), "pre-event mean + 0.5"),
+    ]
+
+
+__all__ = [
+    "FlashEventOutcome",
+    "flash_event_claims",
+    "flash_run_spec",
+    "run_figure5",
+    "run_flash_event_once",
+]

@@ -16,6 +16,11 @@ Every strategy replays the *same* workload under the *same* fault stream
   baselines always pay the slow path;
 * availability: after the run every view must have at least one replica
   (``unavailable_views == 0``) and memory must be back within budget.
+
+Expected shape (:func:`crash_recovery_claims`): every strategy ends with no
+view lost and memory within budget; Random recovers nothing from memory;
+DynaSoRe recovers part of the crash from memory and still crosses the top
+switch less than Random.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from ..runtime.grid import RunGrid
 from ..runtime.spec import ScenarioSpec
 from ..simulator.results import FaultRecord, SimulationResult
 from ..simulator.runner import normalise_results
+from .claims import Claim, compare
 from .common import (
     default_executor,
     graph_spec,
@@ -164,9 +170,39 @@ def run_figure7(
     return comparison
 
 
+def crash_recovery_claims(result: CrashRecoveryComparison) -> list[Claim]:
+    """The shapes of the crash-and-recover comparison."""
+    ref = "figure 7 (beyond the paper)"
+
+    def measured(label: str, attribute: str) -> float | None:
+        outcome = result.outcomes.get(label)
+        return None if outcome is None else getattr(outcome, attribute)
+
+    claims: list[Claim] = []
+    for label in FIGURE7_STRATEGIES:
+        lost = measured(label, "unavailable_views")
+        in_use = measured(label, "memory_in_use")
+        capacity = measured(label, "memory_capacity")
+        claims += [
+            compare(f"no_view_lost@{label}", ref, lost, "<=", 0, "views without a replica"),
+            compare(f"memory_within_budget@{label}", ref, in_use, "<=", capacity, "capacity"),
+        ]
+    random = measured("random", "views_recovered_from_memory")
+    dynasore = measured("dynasore_hmetis", "views_recovered_from_memory")
+    traffic = measured("dynasore_hmetis", "normalised_traffic")
+    note = "views recovered from memory"
+    claims += [
+        compare("random_recovers_from_disk_only", ref, random, "<=", 0, note),
+        compare("dynasore_recovers_from_memory", ref, dynasore, ">", 0, note),
+        compare("dynasore_below_random", ref, traffic, "<", 1.0, "Random, recovery included"),
+    ]
+    return claims
+
+
 __all__ = [
     "FIGURE7_STRATEGIES",
     "CrashRecoveryComparison",
     "StrategyFaultOutcome",
+    "crash_recovery_claims",
     "run_figure7",
 ]

@@ -3,10 +3,15 @@
 The experiment modules return structured results; this module renders them
 as the rows/series the paper reports, so the command-line runner and
 EXPERIMENTS.md can show paper-style tables without any plotting dependency.
+:func:`render_claims` renders the verdict table printed under every figure
+and :func:`render_report` assembles EXPERIMENTS.md itself — nothing in it
+depends on the wall clock, so regenerating the file at the same commit on
+the same machine reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
+from .claims import Claim, format_value
 from .datasets import DatasetRow
 from .figure2 import DailyActivity
 from .figure3 import MemorySweepResult
@@ -182,13 +187,88 @@ def render_figure7(result: CrashRecoveryComparison) -> str:
     return "\n".join(lines)
 
 
+_CLAIM_HEADER = ["claim", "paper", "verdict", "measured", "bound"]
+
+
+def _claim_row(claim: Claim) -> list[str]:
+    verdict = "holds" if claim.holds else "FAILS"
+    return [claim.name, claim.paper_ref, verdict, format_value(claim.measured), claim.bound]
+
+
+def render_claims(claims: list[Claim]) -> str:
+    """Render the verdict of every claim about one experiment result."""
+    rows = [_CLAIM_HEADER] + [_claim_row(claim) for claim in claims]
+    widths = [max(len(row[column]) for row in rows) for column in range(len(_CLAIM_HEADER))]
+    failed = sum(not claim.holds for claim in claims)
+    lines = [f"Claims - {len(claims)} checked, {failed} failed"]
+    lines.extend(_format_row(row, widths).rstrip() for row in rows)
+    return "\n".join(lines)
+
+
+def _markdown_table(header: list[str], rows: list[list[str]]) -> list[str]:
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    lines.append("")
+    return lines
+
+
+def render_report(
+    command: str,
+    provenance: dict[str, str],
+    sections: list[tuple[str, str, str, list[Claim]]],
+) -> str:
+    """Assemble EXPERIMENTS.md.
+
+    ``provenance`` is the ordered commit / profile / seed / machine table;
+    every section is ``(identifier, description, rendered figure, claims)``.
+    """
+    checked = sum(len(claims) for _, _, _, claims in sections)
+    failing = [
+        [identifier, *_claim_row(claim)]
+        for identifier, _, _, claims in sections
+        for claim in claims
+        if not claim.holds
+    ]
+    lines = [
+        "# EXPERIMENTS — what this repository reproduces, and how well",
+        "",
+        f"Generated by `{command}`; regenerate it, do not edit it.  Every table",
+        "below is followed by the claims the paper makes about it (defined once,",
+        "next to the experiment's runner in `src/repro/experiments/`), each with",
+        "the value measured in this run and the bound it is held to.  Rows that",
+        "fail are the reproduction's known distance from the paper, not noise:",
+        "runs are deterministic for a fixed seed.",
+        "",
+    ]
+    lines.extend(_markdown_table(["", ""], [[f"**{k}**", v] for k, v in provenance.items()]))
+    lines.extend(
+        [
+            "## Summary",
+            "",
+            f"{checked} claims over {len(sections)} experiments: "
+            f"{checked - len(failing)} hold, {len(failing)} fail.",
+            "",
+        ]
+    )
+    if failing:
+        lines.extend(_markdown_table(["experiment", *_CLAIM_HEADER], failing))
+    for identifier, description, figure, claims in sections:
+        lines.extend([f"## {identifier} — {description}", "", "```text"])
+        lines.extend(line.rstrip() for line in figure.splitlines())
+        lines.extend(["```", ""])
+        lines.extend(_markdown_table(_CLAIM_HEADER, [_claim_row(claim) for claim in claims]))
+    return "\n".join(lines)
+
+
 __all__ = [
+    "render_claims",
     "render_figure2",
     "render_figure3",
     "render_figure4",
     "render_figure5",
     "render_figure6",
     "render_figure7",
+    "render_report",
     "render_switch_table",
     "render_table1",
 ]

@@ -5,9 +5,10 @@ traffic of top, intermediate and rack switches under DynaSoRe (initialised
 from hMETIS) and SPAR, normalised by the corresponding switch traffic under
 the Random baseline.  Table 2 uses 30% extra memory, Table 3 uses 150%.
 
-Expected shape: DynaSoRe's relative traffic is far below SPAR's at every
-level, the reduction is strongest at the top switch, and rack switches
-benefit the least (paper: top ≈ 0.04–0.07 for DynaSoRe at 30%).
+Expected shape (:func:`switch_traffic_claims`): DynaSoRe's relative traffic
+is far below SPAR's at every level, the reduction is strongest at the top
+switch, and rack switches benefit the least (paper: top ≈ 0.04–0.07 for
+DynaSoRe at 30%).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from ..config import ExperimentProfile
 from ..runtime.executor import RuntimeExecutor
 from ..runtime.grid import RunGrid
+from .claims import Claim, compare, shifted
 from .common import (
     DATASETS,
     convergence_cutoff,
@@ -45,6 +47,13 @@ class SwitchTrafficTable:
     def value(self, dataset: str, strategy: str, level: str) -> float:
         """One normalised cell of the table."""
         return self.cells[dataset][(strategy, level)]
+
+    def measured(self, dataset: str, strategy: str, level: str) -> float | None:
+        """One cell, or None when it was not run or Random saw no traffic."""
+        cells = self.cells.get(dataset, {})
+        if not cells.get(("random", level)):
+            return None
+        return cells.get((strategy, level))
 
 
 def run_switch_traffic_table(
@@ -102,10 +111,30 @@ def run_table3(
     return run_switch_traffic_table(profile, 150.0, datasets, executor=executor)
 
 
+def switch_traffic_claims(table: SwitchTrafficTable) -> list[Claim]:
+    """The shapes of Tables 2 and 3, per dataset (all three when none ran)."""
+    ref = f"table {2 if table.extra_memory_pct <= 30.0 else 3}"
+    claims: list[Claim] = []
+    for dataset in sorted(table.cells) or list(DATASETS):
+        for level in LEVELS:
+            name = f"dynasore_at_most_spar@{dataset}/{level}"
+            dynasore = table.measured(dataset, "dynasore_hmetis", level)
+            limit = shifted(table.measured(dataset, "spar", level), 0.05)
+            claims.append(compare(name, ref, dynasore, "<=", limit, "SPAR + 0.05"))
+        top = table.measured(dataset, "dynasore_hmetis", "top")
+        rack = shifted(table.measured(dataset, "dynasore_hmetis", "rack"), 0.05)
+        claims += [
+            compare(f"top_benefits_most@{dataset}", ref, top, "<=", rack, "rack + 0.05"),
+            compare(f"top_clearly_below_random@{dataset}", ref, top, "<", 0.7),
+        ]
+    return claims
+
+
 __all__ = [
     "LEVELS",
     "SwitchTrafficTable",
     "TABLE_STRATEGIES",
+    "switch_traffic_claims",
     "run_switch_traffic_table",
     "run_table2",
     "run_table3",

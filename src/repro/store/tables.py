@@ -614,13 +614,6 @@ class ReplicaTable:
         self._used: list[int] = [0] * positions
         self._capacity: list[int] = [0] * positions
         self._admission: list[float] = [0.0] * positions
-        # Per-position tick-dirty flags: set by every placement or capacity
-        # change here (statistics records and next-closest refreshes mark
-        # through the engine, which knows the touched position), cleared by
-        # the batched maintenance sweep when it re-prices a position.  A
-        # clean position is one whose pricing inputs are untouched since its
-        # last sweep, so the sweep may skip it (see ``DynaSoRe.on_tick``).
-        self._tick_dirty: list[bool] = [True] * positions
         # Reusable scratch heap of the admission-threshold top-k selection.
         self._threshold_scratch: list[float] = []
         self._free_head = NO_SLOT
@@ -640,11 +633,6 @@ class ReplicaTable:
         if capacity < 0:
             raise StorageError("server capacity cannot be negative")
         self._capacity[position] = capacity
-        self._tick_dirty[position] = True
-
-    def mark_tick_dirty(self, position: int) -> None:
-        """Flag a position's pricing inputs as changed since its last sweep."""
-        self._tick_dirty[position] = True
 
     def capacity_of(self, position: int) -> int:
         """Nominal capacity of a position in views."""
@@ -725,7 +713,6 @@ class ReplicaTable:
         self._srv_tail[position] = slot
         self._used[position] += 1
         self._active += 1
-        self._tick_dirty[position] = True
         return slot
 
     def detach(self, slot: int) -> None:
@@ -764,7 +751,6 @@ class ReplicaTable:
         self._srv_next[slot] = NO_SLOT
         self._used[position] -= 1
         self._active -= 1
-        self._tick_dirty[position] = True
 
     def release(self, slot: int) -> None:
         """Recycle a detached slot through the free list."""
@@ -973,7 +959,7 @@ class ReplicaTable:
         sorted replica positions (with the per-slot routing columns) and the
         per-position ``used``/``capacity``/``admission`` counters — but *not*
         slot ids, chain layout or the free list, which are allocation-history
-        artefacts, nor the tick dirty-set, which request traffic raises.
+        artefacts.
         """
         hasher = hashlib.sha256()
         user_next = self._user_next
@@ -1061,8 +1047,6 @@ class ReplicaTable:
             raise StorageError(
                 f"slot leak: {len(free)} free + {len(seen)} live != {total_slots}"
             )
-        if len(self._tick_dirty) != len(self._srv_head):
-            raise StorageError("tick-dirty column out of step with positions")
         # Admission thresholds are never negative (or NaN): the decision
         # kernel's sole-replica elision rests on it.
         for position, threshold in enumerate(self._admission):
@@ -1217,9 +1201,7 @@ class ReplicaHandle:
 
     @utility.setter
     def utility(self, value: float) -> None:
-        table = self.table
-        table._utility[self.slot] = value
-        table._tick_dirty[table._server[self.slot]] = True
+        self.table._utility[self.slot] = value
 
     @property
     def write_proxy_broker(self) -> int | None:
@@ -1228,9 +1210,7 @@ class ReplicaHandle:
 
     @write_proxy_broker.setter
     def write_proxy_broker(self, value: int | None) -> None:
-        table = self.table
-        table._write_proxy[self.slot] = NO_SLOT if value is None else value
-        table._tick_dirty[table._server[self.slot]] = True
+        self.table._write_proxy[self.slot] = NO_SLOT if value is None else value
 
     @property
     def next_closest_replica(self) -> int | None:
@@ -1239,9 +1219,7 @@ class ReplicaHandle:
 
     @next_closest_replica.setter
     def next_closest_replica(self, value: int | None) -> None:
-        table = self.table
-        table._next_closest[self.slot] = NO_SLOT if value is None else value
-        table._tick_dirty[table._server[self.slot]] = True
+        self.table._next_closest[self.slot] = NO_SLOT if value is None else value
 
     @property
     def is_sole_replica(self) -> bool:

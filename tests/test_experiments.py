@@ -1,207 +1,372 @@
-"""Tests for the experiment harness (every figure/table runner and the CLI).
+"""Tests for the experiment harness: the claims decide, this file only reads.
 
-These tests run the experiments at a reduced scale (shorter logs, fewer
-memory points) so the whole suite stays fast; the full CI-profile runs live
-in the benchmark suite.
+Every registered experiment runs **once**, at the ``ci`` profile, in a
+session-scoped fixture; so does one extra cell, figure 3a's own runner on
+the memory points 100 / 150 / 200 % that the ``ci`` sweep stops short of.
+What the paper asserts about each result lives next to its runner
+(``Experiment.claims``); this module holds no tolerance on any figure or
+table value.  It requires the set of claims that do *not* hold to equal
+:data:`KNOWN_DEVIATIONS` exactly, so fixing a deviation and breaking a
+claim both fail here until the table says what is true.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
-from repro.config import ExperimentProfile
-from repro.experiments import report
-from repro.experiments.datasets import PAPER_TABLE1, run_table1
-from repro.experiments.figure2 import run_figure2, trace_summary
-from repro.experiments.figure3 import run_memory_sweep
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_convergence
-from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.experiments.tables import run_switch_traffic_table
+from repro.baselines.base import StaticPlacementStrategy
 from repro.cli import main as cli_main
+from repro.config import ExperimentProfile
+from repro.constants import DAY
+from repro.experiments import figure5 as figure5_module
+from repro.experiments import report
+from repro.experiments.claims import Claim, format_value
+from repro.experiments.common import graph_spec, synthetic_workload_spec
+from repro.experiments.datasets import PAPER_TABLE1
+from repro.experiments.figure3 import MemorySweepResult, memory_sweep_claims, run_figure3a
+from repro.experiments.figure4 import TrafficOverTime
+from repro.experiments.figure5 import FlashEventOutcome, flash_event_claims, run_figure5
+from repro.experiments.figure6 import (
+    ConvergenceResult,
+    ConvergenceSeries,
+    convergence_claims,
+)
+from repro.experiments.figure7 import (
+    CrashRecoveryComparison,
+    crash_recovery_claims,
+    run_figure7,
+)
+from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.tables import SwitchTrafficTable
+from repro.runtime.executor import ResultCache, RuntimeExecutor
+from repro.workload.stream import KIND_READ
+
+#: The extra cell: figure 3a beyond the ``ci`` sweep (which stops at 100 %).
+TWITTER_BEYOND_SWEEP = "figure3a@100-150-200"
+
+#: Every claim that does not hold at the ``ci`` profile (seed 7), with the
+#: ROADMAP item that owns it and the value measured.  Nothing else may fail
+#: and nothing listed may pass: remove an entry in the PR that fixes it.
+KNOWN_DEVIATIONS = {
+    # The sparse Twitter graph from 150 % extra memory up: DynaSoRe gets
+    # worse with memory while SPAR keeps improving (also table 3's column).
+    (TWITTER_BEYOND_SWEEP, "dynasore_below_spar@150"): ("ROADMAP item 3", "0.386"),
+    (TWITTER_BEYOND_SWEEP, "dynasore_below_spar@200"): ("ROADMAP item 3", "0.422"),
+    (TWITTER_BEYOND_SWEEP, "monotone_in_memory"): ("ROADMAP item 3", "0.063"),
+    ("table3", "dynasore_at_most_spar@twitter/top"): ("ROADMAP item 3", "0.386"),
+    ("table3", "dynasore_at_most_spar@twitter/intermediate"): ("ROADMAP item 3", "0.445"),
+    ("table3", "dynasore_at_most_spar@twitter/rack"): ("ROADMAP item 3", "0.946"),
+    # System traffic is flat after the first hour where the paper's decays.
+    ("figure6a", "system_traffic_decays@dynasore_random"): ("ROADMAP item 3", "1.159"),
+    ("figure6a", "system_traffic_decays@dynasore_hmetis"): ("ROADMAP item 3", "0.961"),
+    ("figure6b", "system_traffic_decays@dynasore_random"): ("ROADMAP item 3", "0.896"),
+    ("figure6b", "system_traffic_decays@dynasore_hmetis"): ("ROADMAP item 3", "1.082"),
+}
+
+#: A line every experiment's rendering must contain.
+RENDER_MARKERS = {
+    "table1": "Table 1",
+    "table2": "30% extra memory",
+    "table3": "150% extra memory",
+    "figure2": "Figure 2",
+    "figure3a": "twitter, tree",
+    "figure3b": "livejournal, tree",
+    "figure3c": "facebook, tree",
+    "figure3d": "facebook, flat",
+    "figure4": "Figure 4",
+    "figure5": "Figure 5",
+    "figure6a": "synthetic requests",
+    "figure6b": "real requests",
+    # beyond the paper: crash-and-recover comparison
+    "figure7": "Figure 7",
+}
+
+#: A result of each shape that measured nothing at all.
+EMPTY_RESULTS = {
+    "table1": [],
+    "table2": SwitchTrafficTable(30.0),
+    "table3": SwitchTrafficTable(150.0),
+    "figure2": [],
+    "figure3a": MemorySweepResult("twitter", "tree"),
+    "figure3b": MemorySweepResult("livejournal", "tree"),
+    "figure3c": MemorySweepResult("facebook", "tree"),
+    "figure3d": MemorySweepResult("facebook", "flat"),
+    "figure4": TrafficOverTime("facebook", 50.0),
+    "figure5": FlashEventOutcome(repetitions=0),
+    "figure6a": ConvergenceResult("synthetic", 150.0),
+    "figure6b": ConvergenceResult("real", 150.0),
+    "figure7": CrashRecoveryComparison("facebook", 50.0, 2, 0.0, 0.0),
+}
+
+
+@pytest.fixture(scope="session")
+def ci_run(tmp_path_factory) -> SimpleNamespace:
+    """Every experiment's result and claims at ``ci`` scale, computed once.
+
+    The runs land in a result cache that the command-line tests below
+    share, so ``python -m repro run ...`` replays them without re-running.
+    """
+    profile = ExperimentProfile.ci()
+    cache_dir = tmp_path_factory.mktemp("experiments-cache")
+    executor = RuntimeExecutor(jobs=2, cache=ResultCache(cache_dir))
+    results = {
+        identifier: experiment.run(profile, executor=executor)
+        for identifier, experiment in EXPERIMENTS.items()
+    }
+    claims = {
+        identifier: EXPERIMENTS[identifier].claims(result)
+        for identifier, result in results.items()
+    }
+    beyond = run_figure3a(profile, memory_points=(100.0, 150.0, 200.0), executor=executor)
+    claims[TWITTER_BEYOND_SWEEP] = memory_sweep_claims(beyond)
+    return SimpleNamespace(
+        profile=profile, results=results, claims=claims, cache_dir=str(cache_dir)
+    )
 
 
 @pytest.fixture(scope="module")
 def tiny_profile() -> ExperimentProfile:
-    """Even smaller than the CI profile: used to keep experiment tests fast."""
-    ci = ExperimentProfile.ci()
+    """Smaller than ``ci``: for the tests that must run something again."""
     return dataclasses.replace(
-        ci,
+        ExperimentProfile.ci(),
         users={"twitter": 200, "facebook": 250, "livejournal": 300},
         synthetic_days=0.5,
-        trace_days=1.0,
-        memory_sweep=(0.0, 50.0),
-        flash_repetitions=1,
     )
 
 
-class TestTable1:
-    def test_rows_cover_all_datasets(self, tiny_profile):
-        rows = run_table1(tiny_profile)
+def _by_name(claims: list[Claim]) -> dict[str, Claim]:
+    return {claim.name: claim for claim in claims}
+
+
+# ---------------------------------------------------------------------------
+# The reproduction: what fails is exactly what is known to fail
+# ---------------------------------------------------------------------------
+class TestClaims:
+    def test_failing_claims_are_exactly_the_known_deviations(self, ci_run):
+        failing = {
+            (cell, claim.name): format_value(claim.measured)
+            for cell, claims in ci_run.claims.items()
+            for claim in claims
+            if not claim.holds
+        }
+        known = {key: measured for key, (_, measured) in KNOWN_DEVIATIONS.items()}
+        assert failing == known
+
+    def test_every_experiment_states_claims(self, ci_run):
+        for identifier in EXPERIMENTS:
+            claims = ci_run.claims[identifier]
+            assert claims, identifier
+            names = [claim.name for claim in claims]
+            assert len(names) == len(set(names)), identifier
+            assert all(claim.paper_ref and claim.bound for claim in claims), identifier
+
+    def test_twitter_deviation_states_both_sides(self, ci_run):
+        """The failing rows name the SPAR value DynaSoRe is held against."""
+        claims = _by_name(ci_run.claims[TWITTER_BEYOND_SWEEP])
+        assert claims["dynasore_below_spar@100"].holds
+        assert claims["dynasore_below_spar@150"].bound == "< 0.319 (SPAR)"
+        assert claims["dynasore_below_spar@200"].bound == "< 0.266 (SPAR)"
+
+    def test_sweep_claims_cover_every_memory_point(self, ci_run):
+        names = {claim.name for claim in ci_run.claims["figure3c"]}
+        for memory in ci_run.profile.memory_sweep:
+            assert f"dynasore_below_spar@{memory:g}" in names
+
+    @pytest.mark.parametrize("identifier", sorted(EXPERIMENTS))
+    def test_a_result_that_measured_nothing_fails_every_claim(self, identifier):
+        """No claims function raises on an empty result or lets it pass."""
+        claims = EXPERIMENTS[identifier].claims(EMPTY_RESULTS[identifier])
+        assert claims
+        assert all(not claim.holds and claim.measured is None for claim in claims)
+
+    def test_partial_results_fail_without_raising(self):
+        # One memory point: nothing to be monotone over.
+        one_point = MemorySweepResult("facebook", "tree")
+        one_point.points[0.0] = {"random": 1.0, "spar": 0.9, "dynasore_hmetis": 0.4}
+        one_point.absolute[0.0] = {"random": 10.0, "spar": 9.0, "dynasore_hmetis": 4.0}
+        claims = _by_name(memory_sweep_claims(one_point))
+        assert claims["dynasore_below_spar@0"].holds
+        assert claims["monotone_in_memory"].measured is None
+        assert claims["clear_win_with_memory"].measured is None
+        # A zero-event workload: Random saw no traffic, every ratio is void.
+        silent = MemorySweepResult("facebook", "tree")
+        silent.points[30.0] = {"random": 0.0, "spar": 0.0, "dynasore_hmetis": 0.0}
+        silent.absolute[30.0] = {"random": 0.0, "spar": 0.0, "dynasore_hmetis": 0.0}
+        assert all(
+            not claim.holds and claim.measured is None
+            for claim in memory_sweep_claims(silent)
+        )
+        # A tracked view that was sampled only after the followers arrived.
+        late = FlashEventOutcome(repetitions=1, start_day=2.0, end_day=6.0)
+        late.replicas_by_day = {3.0: 4.0, 7.0: 1.0}
+        assert all(claim.measured is None for claim in flash_event_claims(late))
+        # Strategies missing from a convergence run.
+        partial = ConvergenceResult("synthetic", 150.0)
+        partial.series["dynasore_hmetis"] = ConvergenceSeries("dynasore_hmetis")
+        assert all(claim.measured is None for claim in convergence_claims(partial))
+
+
+# ---------------------------------------------------------------------------
+# Each claim fails for the reason it names
+# ---------------------------------------------------------------------------
+class TestMutations:
+    def test_swapped_labels_fail_the_ordering_claims(self, ci_run):
+        """SPAR and DynaSoRe labels swapped in the figure-3 reducer.
+
+        Recorded: on figure 3c at ``ci`` all 14 claims hold; with the two
+        labels swapped ``dynasore_below_spar@0/@30/@100`` and
+        ``clear_win_with_memory`` fail (as do ``spar_at_most_random`` and
+        the initial-placement claims, which now read the wrong curve) and
+        ``random_is_one`` still holds.
+        """
+        sweep = ci_run.results["figure3c"]
+        assert all(claim.holds for claim in memory_sweep_claims(sweep))
+        swapped = copy.deepcopy(sweep)
+        for values in swapped.points.values():
+            values["spar"], values["dynasore_hmetis"] = values["dynasore_hmetis"], values["spar"]
+        claims = _by_name(memory_sweep_claims(swapped))
+        for memory in ("0", "30", "100"):
+            assert not claims[f"dynasore_below_spar@{memory}"].holds
+            assert claims[f"random_is_one@{memory}"].holds
+        assert not claims["clear_win_with_memory"].holds
+
+    def test_flash_window_past_the_run_fails_growth(self, monkeypatch):
+        """The flash window moved past the end of the run.
+
+        Recorded (``ci`` scale, 80 followers over days 0.25-0.65 of one
+        day, one repetition): the hot view holds 4.3 replicas at day 0.5
+        and ``replicas_grow`` holds; with the followers arriving a day
+        later, after the run's nominal end, it holds 1 replica throughout
+        the stated window and ``replicas_grow`` fails (1 against >= 1.5).
+        """
+        arguments = dict(
+            followers=80, start_day=0.25, end_day=0.65, duration_days=1.0, repetitions=1
+        )
+        profile = ExperimentProfile.ci()
+        honest = _by_name(flash_event_claims(run_figure5(profile, **arguments)))
+        assert honest["replicas_grow"].holds
+
+        flash_spec = figure5_module.FlashSpec
+
+        def after_the_run(followers, start_day, end_day):
+            return flash_spec(followers, start_day + 1.0, end_day + 1.0)
+
+        monkeypatch.setattr(figure5_module, "FlashSpec", after_the_run)
+        mutated = _by_name(flash_event_claims(run_figure5(profile, **arguments)))
+        assert not mutated["replicas_grow"].holds
+
+    def test_flat_series_with_a_bootstrap_spike_fails_decay(self):
+        """A figure-6 series that is flat but for its first hour.
+
+        Recorded: the assertion this claim replaces (mean of the second
+        half <= mean of the first half) passes on this series, 0.020
+        against 0.034, on the strength of hour 0 alone;
+        ``system_traffic_decays`` fails it (last quarter / hours 1-6 = 1
+        against <= 0.8), and ``application_traffic_settles`` still holds.
+        """
+        system = {hour / 24: 0.02 for hour in range(24)}
+        system[0.0] = 0.19
+        application = {hour / 24: (0.25 if hour < 7 else 0.12) for hour in range(24)}
+        days = sorted(system)
+        first = [system[day] for day in days[: len(days) // 2]]
+        second = [system[day] for day in days[len(days) // 2 :]]
+        assert sum(second) / len(second) <= sum(first) / len(first)
+
+        result = ConvergenceResult("synthetic", 150.0)
+        for label in ("dynasore_random", "dynasore_hmetis"):
+            result.series[label] = ConvergenceSeries(label, dict(application), dict(system))
+        claims = _by_name(convergence_claims(result))
+        assert not claims["system_traffic_decays@dynasore_hmetis"].holds
+        assert claims["system_traffic_decays@dynasore_hmetis"].measured == pytest.approx(1.0)
+        assert claims["application_traffic_settles@dynasore_hmetis"].holds
+
+    def test_a_view_dropped_from_recovery_fails_no_view_lost(self, tiny_profile, monkeypatch):
+        """One view dropped from figure 7's recovery plan.
+
+        Strategies re-create a missing view the next time a request
+        touches it, so the dropped view is one that nothing touches after
+        the crash — which takes a sparse graph and a short run to find.
+        Recorded (Random baseline, Twitter-like, 200 users, 0.1 day):
+        unmutated, ``no_view_lost@random`` holds with 0 lost views; with
+        one crashed view neither re-placed nor fetched it fails with 1.
+        """
+        profile = dataclasses.replace(tiny_profile, synthetic_days=0.1)
+        graph = graph_spec(profile, "twitter").build()
+        stream, _ = synthetic_workload_spec(profile).build_stream(graph)
+        crash_time = 0.35 * profile.synthetic_days * DAY
+        touched: set[int] = set()
+        for kind, timestamp, user, _ in stream.rows():
+            if timestamp >= crash_time:
+                touched.add(user)
+                if kind == KIND_READ:
+                    touched.update(graph.following(user))
+
+        def run():
+            result = run_figure7(profile, dataset="twitter", strategies=("random",))
+            return _by_name(crash_recovery_claims(result))
+
+        assert run()["no_view_lost@random"].holds
+
+        evacuate = StaticPlacementStrategy.on_server_down
+        dropped: list[int] = []
+
+        def lossy(self, position, now, graceful=False):
+            plan = evacuate(self, position, now, graceful=graceful)
+            quiet = [user for user in plan.recoverable_from_disk if user not in touched]
+            if quiet and not dropped:
+                dropped.append(quiet[0])
+                plan.recoverable_from_disk.remove(quiet[0])
+                self._load[self._assignment.pop(quiet[0])] -= 1
+            return plan
+
+        monkeypatch.setattr(StaticPlacementStrategy, "on_server_down", lossy)
+        mutated = run()
+        assert dropped
+        assert not mutated["no_view_lost@random"].holds
+        assert mutated["no_view_lost@random"].measured == 1
+
+
+# ---------------------------------------------------------------------------
+# Result objects and rendering
+# ---------------------------------------------------------------------------
+class TestResults:
+    def test_table1_rows_cover_all_datasets(self, ci_run):
+        rows = ci_run.results["table1"]
         assert [row.dataset for row in rows] == ["twitter", "facebook", "livejournal"]
         for row in rows:
-            assert row.generated_users == tiny_profile.users[row.dataset]
+            assert row.generated_users == ci_run.profile.users[row.dataset]
             assert row.generated_links > 0
             assert row.paper_users == PAPER_TABLE1[row.dataset]["users"]
 
-    def test_render(self, tiny_profile):
-        text = report.render_table1(run_table1(tiny_profile))
-        assert "twitter" in text and "facebook" in text
+    def test_sweep_series_accessor(self, ci_run):
+        series = ci_run.results["figure3c"].series("dynasore_hmetis")
+        assert [memory for memory, _ in series] == list(ci_run.profile.memory_sweep)
+
+    @pytest.mark.parametrize("identifier", sorted(EXPERIMENTS))
+    def test_render(self, ci_run, identifier):
+        text = EXPERIMENTS[identifier].renderer(ci_run.results[identifier])
+        assert RENDER_MARKERS[identifier] in text
+
+    def test_render_claims_marks_failures(self, ci_run):
+        text = report.render_claims(ci_run.claims["figure6a"])
+        assert "2 failed" in text.splitlines()[0]
+        failing = [line for line in text.splitlines() if "FAILS" in line]
+        assert [line.split()[0] for line in failing] == [
+            "system_traffic_decays@dynasore_random",
+            "system_traffic_decays@dynasore_hmetis",
+        ]
 
 
-class TestFigure2:
-    def test_trace_is_write_heavy_like_the_paper(self, tiny_profile):
-        series = run_figure2(tiny_profile)
-        summary = trace_summary(series)
-        assert summary["total_writes"] > summary["total_reads"]
-        assert summary["days"] >= 1
-
-    def test_render(self, tiny_profile):
-        text = report.render_figure2(run_figure2(tiny_profile))
-        assert "day" in text
-
-
-class TestFigure3:
-    @pytest.fixture(scope="class")
-    def sweep(self, tiny_profile):
-        return run_memory_sweep(
-            tiny_profile,
-            "facebook",
-            memory_points=(0.0, 100.0),
-            strategies=("random", "spar", "dynasore_hmetis"),
-        )
-
-    def test_random_normalises_to_one(self, sweep):
-        for values in sweep.points.values():
-            assert values["random"] == pytest.approx(1.0)
-
-    def test_dynasore_beats_spar_with_memory(self, sweep):
-        values = sweep.points[100.0]
-        assert values["dynasore_hmetis"] < values["spar"]
-        assert values["spar"] <= 1.05
-
-    def test_more_memory_does_not_hurt_dynasore(self, sweep):
-        assert (
-            sweep.points[100.0]["dynasore_hmetis"]
-            <= sweep.points[0.0]["dynasore_hmetis"] + 0.05
-        )
-
-    def test_series_accessor(self, sweep):
-        series = sweep.series("dynasore_hmetis")
-        assert [memory for memory, _ in series] == [0.0, 100.0]
-
-    def test_render(self, sweep):
-        text = report.render_figure3(sweep)
-        assert "dynasore_hmetis" in text
-
-
-class TestTables23:
-    def test_dynasore_below_spar_at_every_level(self, tiny_profile):
-        table = run_switch_traffic_table(tiny_profile, 100.0, datasets=("facebook",))
-        for level in ("top", "intermediate", "rack"):
-            dynasore = table.value("facebook", "dynasore_hmetis", level)
-            spar = table.value("facebook", "spar", level)
-            assert dynasore <= spar + 0.05
-        assert table.value("facebook", "dynasore_hmetis", "top") < 1.0
-
-    def test_render(self, tiny_profile):
-        table = run_switch_traffic_table(tiny_profile, 100.0, datasets=("facebook",))
-        text = report.render_switch_table(table)
-        assert "facebook" in text
-
-
-class TestFigure4:
-    def test_series_and_totals(self, tiny_profile):
-        result = run_figure4(
-            tiny_profile, extra_memory_pct=50.0, strategies=("random", "dynasore_metis")
-        )
-        totals = result.normalised_totals()
-        assert totals["random"] == pytest.approx(1.0)
-        assert totals["dynasore_metis"] < 1.0
-        series = result.normalised_series()
-        assert series["dynasore_metis"]
-
-    def test_render(self, tiny_profile):
-        result = run_figure4(
-            tiny_profile, extra_memory_pct=50.0, strategies=("random", "dynasore_metis")
-        )
-        assert "Figure 4" in report.render_figure4(result)
-
-
-class TestFigure5:
-    def test_flash_event_grows_replicas(self, tiny_profile):
-        outcome = run_figure5(
-            tiny_profile,
-            followers=40,
-            start_day=0.15,
-            end_day=0.35,
-            duration_days=0.5,
-            repetitions=1,
-        )
-        assert outcome.replicas_by_day
-        before = outcome.replicas_during(0.0, 0.15)
-        during = max(outcome.replicas_by_day.values())
-        assert during >= before
-        assert during >= 1.0
-
-    def test_render(self, tiny_profile):
-        outcome = run_figure5(
-            tiny_profile,
-            followers=20,
-            start_day=0.15,
-            end_day=0.35,
-            duration_days=0.5,
-            repetitions=1,
-        )
-        assert "Figure 5" in report.render_figure5(outcome)
-
-
-class TestFigure6:
-    def test_convergence_series_shape(self, tiny_profile):
-        result = run_convergence(
-            tiny_profile,
-            "synthetic",
-            extra_memory_pct=100.0,
-            strategies=("random", "dynasore_hmetis"),
-        )
-        series = result.series["dynasore_hmetis"]
-        assert series.application
-        # System traffic decays (or at least does not grow) after convergence.
-        first, second = series.system_halves()
-        assert second <= first + 1e-6
-
-    def test_render(self, tiny_profile):
-        result = run_convergence(
-            tiny_profile,
-            "synthetic",
-            extra_memory_pct=100.0,
-            strategies=("random", "dynasore_hmetis"),
-        )
-        assert "Figure 6" in report.render_figure6(result)
-
-
+# ---------------------------------------------------------------------------
+# Registry and command line
+# ---------------------------------------------------------------------------
 class TestRegistryAndCli:
     def test_registry_covers_every_paper_item(self):
-        expected = {
-            "table1",
-            "table2",
-            "table3",
-            "figure2",
-            "figure3a",
-            "figure3b",
-            "figure3c",
-            "figure3d",
-            "figure4",
-            "figure5",
-            "figure6a",
-            "figure6b",
-            # beyond the paper: crash-and-recover comparison
-            "figure7",
-        }
-        assert expected == set(EXPERIMENTS)
+        assert set(EXPERIMENTS) == set(RENDER_MARKERS) == set(EMPTY_RESULTS)
 
     def test_get_experiment_unknown(self):
         with pytest.raises(KeyError):
@@ -215,7 +380,32 @@ class TestRegistryAndCli:
     def test_cli_unknown_experiment(self, capsys):
         assert cli_main(["run", "figure99"]) == 2
 
-    def test_cli_runs_table1(self, capsys):
-        assert cli_main(["run", "table1", "--profile", "ci"]) == 0
+    def test_cli_prints_claims_and_exits_zero_when_all_hold(self, ci_run, capsys):
+        arguments = ["run", "figure3c", "--profile", "ci", "--cache-dir", ci_run.cache_dir]
+        assert cli_main(arguments) == 0
         output = capsys.readouterr().out
-        assert "Table 1" in output
+        assert "Figure 3" in output
+        assert "Claims - 14 checked, 0 failed" in output
+
+    def test_cli_exits_nonzero_and_names_the_failed_claim(self, ci_run, capsys):
+        arguments = ["run", "figure6a", "--profile", "ci", "--cache-dir", ci_run.cache_dir]
+        assert cli_main(arguments) == 1
+        captured = capsys.readouterr()
+        assert "FAILS" in captured.out
+        assert "figure6a:system_traffic_decays@dynasore_random" in captured.err
+
+    def test_cli_report_is_complete_and_reproducible(self, ci_run, tmp_path, capsys):
+        first, second = tmp_path / "first.md", tmp_path / "second.md"
+        base = ["run", "all", "--profile", "ci", "--cache-dir", ci_run.cache_dir, "--report"]
+        assert cli_main([*base, str(first)]) == 1
+        assert cli_main([*base, str(second)]) == 1
+        capsys.readouterr()
+        text = first.read_text()
+        assert text.replace(str(first), "PATH") == second.read_text().replace(str(second), "PATH")
+        for label in ("**commit**", "**profile**", "**seed**", "**machine**"):
+            assert label in text
+        for identifier in EXPERIMENTS:
+            assert f"## {identifier} " in text
+            for claim in ci_run.claims[identifier]:
+                assert f"| {claim.name} | {claim.paper_ref} |" in text
+        assert "completed in" not in text

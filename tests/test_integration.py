@@ -15,7 +15,7 @@ import pytest
 
 from repro.baselines.random_placement import RandomPlacement
 from repro.baselines.spar import SparPlacement
-from repro.config import ClusterSpec, FlatClusterSpec, SimulationConfig
+from repro.config import ClusterSpec, DynaSoReConfig, FlatClusterSpec, SimulationConfig
 from repro.constants import DAY
 from repro.core.engine import DynaSoRe
 from repro.persistence.backend import PersistentStore
@@ -103,6 +103,28 @@ class TestEndToEndComparison:
             topology=FlatTopology(flat_spec),
         )
         assert dynasore_result.top_switch_traffic < random_result.top_switch_traffic
+
+
+class TestAblations:
+    """Each half of the design can be switched off on its own."""
+
+    def test_proxy_migration_off_does_not_improve_traffic(self, scenario):
+        graph, log = scenario
+        full, _ = run_strategy(DynaSoRe(initializer="hmetis", seed=13), graph, log, 50.0)
+        config = DynaSoReConfig(enable_proxy_migration=False)
+        ablated, _ = run_strategy(
+            DynaSoRe(initializer="hmetis", config=config, seed=13), graph, log, 50.0
+        )
+        assert ablated.top_switch_traffic >= full.top_switch_traffic * 0.85
+
+    def test_view_migration_off_still_replicates(self, scenario):
+        graph, log = scenario
+        config = DynaSoReConfig(enable_view_migration=False)
+        result, _ = run_strategy(
+            DynaSoRe(initializer="hmetis", config=config, seed=13), graph, log, 50.0
+        )
+        assert result.replication_factor > 1.0
+        assert result.memory_in_use >= graph.num_users
 
 
 class TestFlashEventIntegration:

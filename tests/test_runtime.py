@@ -260,3 +260,10 @@ class TestDeterminismAcrossBackends:
         payloads = [pickle.dumps(result) for result in serial]
         assert payloads == [pickle.dumps(result) for result in parallel]
         assert payloads == [pickle.dumps(result) for result in cached]
+        # The grid carries the paper's ordering through the executor:
+        # with memory, DynaSoRe crosses the top switch less than Random.
+        traffic = {
+            (spec.strategy, spec.config.extra_memory_pct): result.top_switch_traffic
+            for spec, result in zip(grid.specs, serial)
+        }
+        assert traffic[("dynasore_hmetis", 50.0)] < traffic[("random", 50.0)]

@@ -1,22 +1,21 @@
 """Batched vs per-slot maintenance tick parity (the fused column sweep).
 
 ``DynaSoRe.on_tick`` is the fused column sweep (rotation + utility refresh
-+ threshold recompute in one chain walk per dirty position);
++ threshold recompute in one chain walk per position);
 ``DynaSoRe._on_tick_reference`` is the per-slot tick it replaced, kept as
 the reference.  The contract is that both produce **byte-identical**
 :class:`SimulationResult`\\ s for every DynaSoRe flavour, scenario and
 fault/tick interleaving; a run takes the reference by binding it over
 ``on_tick`` on the strategy instance (:func:`_use_reference_tick`) — there
-is no option.  This suite pins that contract, plus the dirty-set tracking
-the sweep relies on:
+is no option.  This suite pins that contract:
 
 * the DynaSoRe × scenario matrix, sweep against reference (the other
   strategies have one tick, so there is nothing to compare);
 * property tests over random interleavings of faults, maintenance ticks and
   replay modes (a no-op post-request hook is attached at random so the tick
   sweep is exercised against both the batch and the per-event kernels);
-* convergence: positions untouched between ticks are skipped outright (no
-  pricing, no threshold recompute) until a counter window expires;
+* convergence: ticks with no traffic in between leave every utility and
+  admission threshold unchanged;
 * the negative-utility removal pass and the proactive eviction pass
   interact deterministically across both tick paths;
 * the read-only origin views handed out under ``REPRO_CHECK_TABLES=1``
@@ -124,14 +123,15 @@ def test_random_tick_interleavings_byte_identical(seed):
 
 
 # ---------------------------------------------------------------------------
-# Dirty-set tracking: converged positions skip the sweep
+# Quiet ticks: nothing to re-price, nothing moves
 # ---------------------------------------------------------------------------
-def test_converged_positions_skip_sweep():
-    """With no traffic between ticks, the sweep prices nothing at all.
+def test_quiet_ticks_change_nothing():
+    """Ticks with no traffic in between leave utilities and thresholds alone.
 
-    After one sweep every position is clean; until a counter window is due
-    to drop history (24 hours after the last record), subsequent ticks must
-    skip pricing and threshold recomputation entirely.
+    The sweep visits every position on every tick; within one counter
+    window (the workload spans ~2.4 hours, windows hold 24) a quiet tick
+    rotates only zero buckets, so every utility and admission threshold
+    must come out exactly as it went in.
     """
     topology, _ = parity_cluster()
     graph = parity_graph(users=80)
@@ -142,71 +142,13 @@ def test_converged_positions_skip_sweep():
     )
     simulator.run(stream)
 
-    table = strategy.tables
-    # The run's final tick may still evict (evictions re-dirty the touched
-    # positions); one quiet settling tick later the placement is converged.
-    # Dirty sweeps publish the lazy "sweep again next tick" bound, so a
-    # second quiet tick is needed before the exact expiry bounds exist.
+    # The run's final tick may still evict; one quiet settling tick later
+    # the placement is converged.
     strategy.on_tick(strategy._last_tick + HOUR)
-    assert not any(table._tick_dirty)
-    strategy.on_tick(strategy._last_tick + HOUR)
-    assert not any(table._tick_dirty)
-
-    threshold_calls: list[int] = []
-    original = table.update_admission_threshold
-
-    def spy(position, admission_fill):
-        threshold_calls.append(position)
-        return original(position, admission_fill)
-
-    table.update_admission_threshold = spy
-    try:
-        # No position is dirty and no window is near expiry (the workload
-        # spans ~2.4 hours, windows hold 24): the sweep must skip them all.
-        strategy.on_tick(strategy._last_tick + 2 * HOUR)
-    finally:
-        del table.update_admission_threshold
-    assert threshold_calls == []
-    assert not any(table._tick_dirty)
-
-
-def test_sweep_reprices_after_traffic():
-    """A read between ticks re-dirties exactly the touched positions."""
-    topology, _ = parity_cluster()
-    graph = parity_graph(users=80)
-    stream = parity_stream(graph, days=0.1)
-    strategy = build_strategy("dynasore_hmetis", 7, DynaSoReConfig())
-    simulator = ClusterSimulator(
-        topology, graph, strategy, config=SimulationConfig(seed=7)
-    )
-    simulator.run(stream)
-    table = strategy.tables
-    quiet = strategy._last_tick + HOUR
-    strategy.on_tick(quiet)
-    assert not any(table._tick_dirty)
-    reader = next(iter(graph.users))
-    strategy.execute_read(reader, quiet + 60.0)
-    touched = {
-        position for position, dirty in enumerate(table._tick_dirty) if dirty
-    }
-    assert touched
-
-    swept: list[int] = []
-    original = table.update_admission_threshold
-
-    def spy(position, admission_fill):
-        swept.append(position)
-        return original(position, admission_fill)
-
-    table.update_admission_threshold = spy
-    try:
-        strategy.on_tick(quiet + HOUR)
-    finally:
-        del table.update_admission_threshold
-    # Every position the read touched was re-priced; the sweep never
-    # reprices more than the dirty set (the read may cascade into
-    # placement changes, which dirty further positions for the next tick).
-    assert touched <= set(swept)
+    fingerprint = _placement_fingerprint(strategy)
+    for _ in range(3):
+        strategy.on_tick(strategy._last_tick + HOUR)
+        assert _placement_fingerprint(strategy) == fingerprint
 
 
 # ---------------------------------------------------------------------------
