@@ -6,9 +6,10 @@ partition directly.  Each level remembers which coarse node every fine node
 went into so partitions can be projected back during uncoarsening.
 
 Graphs are in *index space* (see :mod:`repro.partitioning.kway`): nodes are
-``0..n-1``, ``rows[i]`` is node ``i``'s neighbour row and ``weights[i]`` its
-weight.  Coarse ids are dense by construction, so every level is again a
-pair of plain lists.
+``0..n-1``, ``rows[i]`` is node ``i``'s neighbour row — a ``(targets,
+weights)`` pair of tuples — and ``weights[i]`` its weight.  Coarse ids are
+dense by construction, so every level is again a pair of plain lists in the
+same row layout.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+#: One node's neighbour row: neighbour positions and edge weights, in step.
+Row = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass
 class CoarseLevel:
     """A coarsened graph plus the mapping back to the finer level."""
 
-    #: rows[coarse node] = {coarse neighbour -> summed edge weight}
-    rows: list[dict[int, int]]
+    #: rows[coarse node] = (coarse neighbours, summed edge weights)
+    rows: list[Row]
     #: node weight — the number of original vertices represented in the
     #: unweighted case, or the summed caller-supplied node weights (e.g.
     #: expected per-user request rates) when coarsening a weighted graph
@@ -35,8 +39,26 @@ class CoarseLevel:
     fine_order: list[int]
 
 
+def _shuffled_range(size: int, rng: random.Random) -> list[int]:
+    """``rng.shuffle(list(range(size)))`` with the same draws: the
+    Fisher–Yates walk ``Random.shuffle`` does, each ``randbelow(i + 1)``
+    taken with ``getrandbits`` as ``Random`` takes it (the bit length of the
+    bound, redrawn while out of range), without a Python call per element.
+    """
+    order = list(range(size))
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, size)):
+        bound = i + 1
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def coarsen_once(
-    rows: Sequence[dict[int, int]],
+    rows: Sequence[Row],
     weights: Sequence[float],
     rng: random.Random,
     max_node_weight: float,
@@ -49,10 +71,11 @@ def coarsen_once(
     of a coarse node so a single community cannot swallow the whole graph.
     Coarse ids are handed out in matching order and each coarse row is
     filled member by member in that order, so row order — and with it every
-    later tie-break — is a function of the shuffle alone.
+    later tie-break — is a function of the shuffle alone.  The members of a
+    coarse node are consecutive in that order, so each coarse row is summed
+    in one dict and frozen into tuples as soon as its last member is in.
     """
-    visit = list(range(len(rows)))
-    rng.shuffle(visit)
+    visit = _shuffled_range(len(rows), rng)
     fine_to_coarse = [-1] * len(rows)
     fine_order: list[int] = []
     coarse = 0
@@ -65,7 +88,7 @@ def coarsen_once(
         best_neighbour = -1
         best_weight = -1
         best_partner_weight = 0.0
-        for neighbour, weight in rows[node].items():
+        for neighbour, weight in zip(*rows[node]):
             if weight < best_weight or fine_to_coarse[neighbour] >= 0:
                 continue
             partner_weight = weights[neighbour]
@@ -80,21 +103,31 @@ def coarsen_once(
             fine_order.append(best_neighbour)
         coarse += 1
 
-    coarse_rows: list[dict[int, int]] = [{} for _ in range(coarse)]
-    coarse_weights: list[float] = [0] * coarse
+    coarse_rows: list[Row] = []
+    coarse_weights: list[float] = []
+    row: dict[int, int] = {}
+    coarse_weight: float = 0
+    coarse = 0
     for fine in fine_order:
-        coarse = fine_to_coarse[fine]
-        coarse_weights[coarse] += weights[fine]
-        row = coarse_rows[coarse]
-        for neighbour, weight in rows[fine].items():
+        if fine_to_coarse[fine] != coarse:
+            coarse_rows.append((tuple(row), tuple(row.values())))
+            coarse_weights.append(coarse_weight)
+            row = {}
+            coarse_weight = 0
+            coarse += 1
+        coarse_weight += weights[fine]
+        for neighbour, weight in zip(*rows[fine]):
             coarse_neighbour = fine_to_coarse[neighbour]
             if coarse_neighbour != coarse:
                 row[coarse_neighbour] = row.get(coarse_neighbour, 0) + weight
+    if fine_order:
+        coarse_rows.append((tuple(row), tuple(row.values())))
+        coarse_weights.append(coarse_weight)
     return CoarseLevel(coarse_rows, coarse_weights, fine_to_coarse, fine_order)
 
 
 def coarsen_to_size(
-    rows: Sequence[dict[int, int]],
+    rows: Sequence[Row],
     weights: Sequence[float],
     target_size: int,
     rng: random.Random,
@@ -122,4 +155,4 @@ def coarsen_to_size(
     return levels
 
 
-__all__ = ["CoarseLevel", "coarsen_once", "coarsen_to_size"]
+__all__ = ["CoarseLevel", "Row", "coarsen_once", "coarsen_to_size"]

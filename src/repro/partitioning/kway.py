@@ -19,6 +19,9 @@ All three phases run in *index space*: one relabelling pass
 (:func:`index_rows`) turns ``node -> {neighbour -> weight}`` into a list of
 rows keyed by position, and from there assignments, node weights and
 matchings are plain lists.  Node ids reappear only in the returned dict.
+Every level stores a row as a ``(targets, weights)`` pair of tuples — 16
+bytes per entry against about 41 for a dict — because the finest rows and
+the coarse levels above them are what sets the partitioner's peak memory.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
 from ..exceptions import PartitioningError
-from .coarsen import coarsen_to_size
+from .coarsen import Row, coarsen_to_size
 from .quality import balance_ratio, edge_cut, validate_partition
 from .refine import rebalance_partition, refine_partition
 
@@ -121,11 +124,18 @@ def _greedy_initial_partition(
     return assignment
 
 
+def _dangling(node: int, neighbour: int) -> PartitioningError:
+    return PartitioningError(
+        f"node {node} lists neighbour {neighbour}, which is not a node of the graph"
+    )
+
+
 def index_rows(
     adjacency: Mapping[int, Mapping[int, int]], nodes: Iterable[int] | None = None
-) -> tuple[list[int], list[dict[int, int]]]:
-    """The relabelling pass: ``(ids, rows)`` with ``rows[i]`` the neighbour
-    row of ``ids[i]`` keyed by *position* instead of node id.
+) -> tuple[list[int], list[Row]]:
+    """The relabelling pass: ``(ids, rows)`` with ``rows[i]`` the
+    ``(targets, weights)`` row of ``ids[i]``, targets by *position* instead
+    of node id.
 
     Positions follow adjacency order and every row keeps its neighbour order,
     so nothing downstream can tell the relabelling happened.  With ``nodes``
@@ -133,32 +143,42 @@ def index_rows(
     leaving the set are dropped); without, the whole graph is indexed and
     checked — a neighbour that is not itself a node, or an edge weight
     that is not positive, fails here rather than deep inside a kernel.
+    A whole graph whose ids already are ``0..n-1`` in order (every
+    generated graph) is its own relabelling: targets are the neighbour ids
+    themselves, range-checked, and no id -> position dict is built.
     """
     if nodes is not None:
         ids = list(nodes)
         index_of = {node: index for index, node in enumerate(ids)}
-        return ids, [
-            {index_of[n]: w for n, w in adjacency[node].items() if n in index_of}
-            for node in ids
-        ]
+        rows: list[Row] = []
+        for node in ids:
+            row = {index_of[n]: w for n, w in adjacency[node].items() if n in index_of}
+            rows.append((tuple(row), tuple(row.values())))
+        return ids, rows
     ids = list(adjacency)
-    index_of = {node: index for index, node in enumerate(ids)}
-    rows: list[dict[int, int]] = []
+    size = len(ids)
+    index_of = None if ids == list(range(size)) else {n: i for i, n in enumerate(ids)}
+    rows = []
     for node, neighbours in adjacency.items():
-        try:
-            rows.append({index_of[n]: w for n, w in neighbours.items()})
-        except KeyError as error:
-            raise PartitioningError(
-                f"node {node} lists neighbour {error.args[0]}, which is not a node of the graph"
-            ) from None
-        if neighbours and min(neighbours.values()) <= 0:
+        if index_of is None:
+            targets = tuple(neighbours)
+            if targets and (min(targets) < 0 or max(targets) >= size):
+                raise _dangling(node, next(n for n in targets if not 0 <= n < size))
+        else:
+            try:
+                targets = tuple(map(index_of.__getitem__, neighbours))
+            except KeyError as error:
+                raise _dangling(node, error.args[0]) from None
+        weights = tuple(neighbours.values())
+        if weights and min(weights) <= 0:
             raise PartitioningError(f"node {node} has an edge of non-positive weight")
+        rows.append((targets, weights))
     return ids, rows
 
 
 def partition_indexed(
     ids: list[int],
-    rows: list[dict[int, int]],
+    rows: list[Row],
     weights: list[float] | None,
     parts: int,
     seed: int,
@@ -196,7 +216,7 @@ def partition_indexed(
     top_rows, top_weights = graphs[-1]
     labels: Sequence[int] = range(len(top_rows)) if levels else ids
     seeded = _greedy_initial_partition(
-        {labels[i]: {labels[n]: w for n, w in row.items()} for i, row in enumerate(top_rows)},
+        {labels[i]: {labels[n]: w for n, w in zip(*row)} for i, row in enumerate(top_rows)},
         dict(zip(labels, top_weights)),
         parts,
         rng,

@@ -7,19 +7,22 @@ the same refinement family METIS uses; a handful of passes is enough to reach
 good cuts on social graphs.
 
 Both kernels work in *index space* (see :mod:`repro.partitioning.kway`):
-``rows[i]`` is node ``i``'s weighted neighbour row, ``part[i]`` its current
-part, ``weights[i]`` its weight.  ``order`` is the order in which the level's
-assignment was built; part weights are summed in that order because float
-node weights make the sum order-dependent and the result must not be.
+``rows[i]`` is node ``i``'s ``(targets, weights)`` neighbour row, ``part[i]``
+its current part, ``weights[i]`` its weight.  ``order`` is the order in which
+the level's assignment was built; part weights are summed in that order
+because float node weights make the sum order-dependent and the result must
+not be.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .coarsen import Row
+
 
 def refine_partition(
-    rows: Sequence[dict[int, int]],
+    rows: Sequence[Row],
     part: list[int],
     order: Sequence[int],
     parts: int,
@@ -53,13 +56,13 @@ def refine_partition(
         node = dirty.find(1)
         while node >= 0:
             dirty[node] = 0
-            neighbours = rows[node]
-            if neighbours:
+            targets, edge_weights = rows[node]
+            if targets:
                 evaluations += 1
                 current = part[node]
                 # Connectivity of the node towards each part it touches.
                 connectivity: dict[int, int] = {}
-                for neighbour, weight in neighbours.items():
+                for neighbour, weight in zip(targets, edge_weights):
                     target = part[neighbour]
                     connectivity[target] = connectivity.get(target, 0) + weight
                 internal = connectivity.get(current, 0)
@@ -81,7 +84,7 @@ def refine_partition(
                     part_weight[best_part] += weights[node]
                     moved += 1
                     dirty[node] = 1  # (b)
-                    for neighbour in neighbours:
+                    for neighbour in targets:
                         dirty[neighbour] = 1  # (a)
                 elif refused:
                     dirty[node] = 1  # (c)
@@ -92,7 +95,7 @@ def refine_partition(
 
 
 def rebalance_partition(
-    rows: Sequence[dict[int, int]],
+    rows: Sequence[Row],
     part: list[int],
     order: Sequence[int],
     parts: int,
@@ -126,7 +129,7 @@ def rebalance_partition(
         def internal_connectivity(node: int) -> int:
             return sum(
                 weight
-                for neighbour, weight in rows[node].items()
+                for neighbour, weight in zip(*rows[node])
                 if part[neighbour] == source
             )
 

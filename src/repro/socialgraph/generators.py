@@ -109,60 +109,88 @@ def generate_social_graph(spec: DatasetSpec, seed: int = 7) -> SocialGraph:
     a time: targets are drawn preferentially by in-degree, biased towards the
     user's own community with probability ``community_bias``.  A fraction
     ``reciprocity`` of edges is reciprocated immediately.
+
+    The edge loop draws with ``getrandbits`` exactly as ``Random.randrange``
+    does (the bit length of the bound, redrawn while the draw is out of
+    range), builds the ``following``/``followers`` sets itself and hands
+    them to :meth:`SocialGraph.from_rows`.  Every endpoint stored is the one
+    ``int`` object of its user, so a graph holds one object per user rather
+    than one per edge endpoint.
     """
     rng = random.Random(seed)
-    graph = SocialGraph(range(spec.users))
     if spec.users < 2:
-        return graph
+        return SocialGraph(range(spec.users))
+    users = spec.users
+    ids = list(range(users))
 
-    communities = max(1, min(spec.communities, spec.users))
-    community_of = [rng.randrange(communities) for _ in range(spec.users)]
+    communities = max(1, min(spec.communities, users))
+    community_of = [rng.randrange(communities) for _ in ids]
     members: list[list[int]] = [[] for _ in range(communities)]
-    for user, community in enumerate(community_of):
+    for user, community in zip(ids, community_of):
         members[community].append(user)
 
     # Repeated-node list implements preferential attachment in O(1) per draw.
-    popular: list[int] = list(range(spec.users))
+    popular: list[int] = list(ids)
     popular_by_community: list[list[int]] = [list(c) for c in members]
 
+    following: list[set[int]] = [set() for _ in ids]
+    followers: list[set[int]] = [set() for _ in ids]
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    user_bits = users.bit_length()
+    community_bias = spec.community_bias
+    reciprocity = spec.reciprocity
     target_edges = spec.expected_edges
     attempts_limit = target_edges * 12
     attempts = 0
-    while graph.num_edges < target_edges and attempts < attempts_limit:
+    edges = 0
+    while edges < target_edges and attempts < attempts_limit:
         attempts += 1
-        follower = rng.randrange(spec.users)
+        draw = getrandbits(user_bits)
+        while draw >= users:
+            draw = getrandbits(user_bits)
+        follower = ids[draw]
         community = community_of[follower]
-        in_community = rng.random() < spec.community_bias and len(members[community]) > 1
-        if in_community:
-            pool = popular_by_community[community]
-        else:
-            pool = popular
-        followee = pool[rng.randrange(len(pool))]
+        in_community = uniform() < community_bias and len(members[community]) > 1
+        pool = popular_by_community[community] if in_community else popular
+        size = len(pool)
+        bits = size.bit_length()
+        draw = getrandbits(bits)
+        while draw >= size:
+            draw = getrandbits(bits)
+        followee = pool[draw]
         if followee == follower:
             continue
-        if graph.add_edge(follower, followee):
-            popular.append(followee)
-            popular_by_community[community_of[followee]].append(followee)
-            if rng.random() < spec.reciprocity and not graph.has_edge(followee, follower):
-                if graph.add_edge(followee, follower):
-                    popular.append(follower)
-                    popular_by_community[community].append(follower)
+        row = following[follower]
+        if followee in row:
+            continue
+        row.add(followee)
+        followers[followee].add(follower)
+        edges += 1
+        popular.append(followee)
+        popular_by_community[community_of[followee]].append(followee)
+        if uniform() < reciprocity and follower not in following[followee]:
+            following[followee].add(follower)
+            followers[follower].add(followee)
+            edges += 1
+            popular.append(follower)
+            popular_by_community[community].append(follower)
 
-    _connect_isolated_users(graph, rng)
-    return graph
+    _connect_isolated_users(ids, following, followers, rng)
+    return SocialGraph.from_rows(ids, following, followers)
 
 
-def _connect_isolated_users(graph: SocialGraph, rng: random.Random) -> None:
+def _connect_isolated_users(
+    ids: list[int], following: list[set[int]], followers: list[set[int]], rng: random.Random
+) -> None:
     """Give every user at least one outgoing edge so reads are never empty."""
-    users = graph.users
-    if len(users) < 2:
-        return
-    for user in users:
-        if graph.out_degree(user) == 0:
+    for user in ids:
+        if not following[user]:
             target = user
             while target == user:
-                target = users[rng.randrange(len(users))]
-            graph.add_edge(user, target)
+                target = ids[rng.randrange(len(ids))]
+            following[user].add(target)
+            followers[target].add(user)
 
 
 def twitter_like(users: int = 5000, seed: int = 7) -> SocialGraph:

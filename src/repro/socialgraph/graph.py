@@ -28,6 +28,28 @@ class SocialGraph:
         for user in users:
             self.add_user(user)
 
+    @classmethod
+    def from_rows(
+        cls,
+        users: Iterable[int],
+        following: Iterable[set[int]],
+        followers: Iterable[set[int]],
+    ) -> "SocialGraph":
+        """Bulk path: a graph that adopts pre-built rows, ``following[i]`` and
+        ``followers[i]`` being the sets of the ``i``-th user.
+
+        The sets are taken over, not copied, so their iteration order is the
+        graph's.  They must be each other's transpose with no self-follow;
+        only the edge totals of both directions are checked.
+        """
+        graph = cls()
+        graph._following = dict(zip(users, following))
+        graph._followers = dict(zip(graph._following, followers))
+        graph._edge_count = sum(map(len, graph._following.values()))
+        if sum(map(len, graph._followers.values())) != graph._edge_count:
+            raise WorkloadError("following and followers rows disagree on the edge count")
+        return graph
+
     # ----------------------------------------------------------------- users
     def add_user(self, user: int) -> bool:
         """Add a user; returns True if the user was not already present."""
@@ -122,9 +144,11 @@ class SocialGraph:
         """
         adjacency: dict[int, dict[int, int]] = {user: {} for user in self._following}
         for follower, followees in self._following.items():
+            row = adjacency[follower]
             for followee in followees:
-                adjacency[follower][followee] = adjacency[follower].get(followee, 0) + 1
-                adjacency[followee][follower] = adjacency[followee].get(follower, 0) + 1
+                row[followee] = row.get(followee, 0) + 1
+                back = adjacency[followee]
+                back[follower] = back.get(follower, 0) + 1
         return adjacency
 
     def degree_sequence(self) -> list[tuple[int, int, int]]:

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.hmetis_placement import hmetis_assignment
 from repro.config import ClusterSpec
 from repro.exceptions import PartitioningError
 from repro.partitioning import kway
-from repro.partitioning.coarsen import coarsen_once, coarsen_to_size
+from repro.partitioning.coarsen import _shuffled_range, coarsen_once, coarsen_to_size
 from repro.partitioning.hierarchical import hierarchical_partition
 from repro.partitioning.kway import (
     index_rows,
@@ -22,6 +24,7 @@ from repro.partitioning.kway import (
 from repro.partitioning.quality import balance_ratio, edge_cut, part_weights, validate_partition
 from repro.partitioning.refine import rebalance_partition, refine_partition
 from repro.socialgraph.generators import facebook_like, livejournal_like
+from repro.topology.tree import TreeTopology
 
 
 def two_cliques(size: int = 8) -> dict[int, dict[int, int]]:
@@ -35,6 +38,16 @@ def two_cliques(size: int = 8) -> dict[int, dict[int, int]]:
     adjacency[0][size] = 1
     adjacency[size][0] = 1
     return adjacency
+
+
+def shifted(adjacency: dict[int, dict[int, int]], offset: int) -> dict[int, dict[int, int]]:
+    """``adjacency`` under ids moved by ``offset``: at 0 the ids stay
+    ``0..n-1`` and the relabelling pass is the identity, otherwise it
+    builds its id -> position dict."""
+    return {
+        node + offset: {neighbour + offset: weight for neighbour, weight in row.items()}
+        for node, row in adjacency.items()
+    }
 
 
 class TestQuality:
@@ -103,6 +116,33 @@ class TestCoarsening:
         assert [coarse.fine_to_coarse[fine] for fine in coarse.fine_order] == sorted(
             coarse.fine_to_coarse
         )
+
+    def test_visit_order_draws_what_random_shuffle_draws(self):
+        for size in (0, 1, 2, 3, 64, 1000, 4097):
+            for seed in (1, 7):
+                expected = list(range(size))
+                random.Random(seed).shuffle(expected)
+                rng = random.Random(seed)
+                assert _shuffled_range(size, rng) == expected
+                # ... and leaves the generator where shuffle leaves it.
+                reference = random.Random(seed)
+                reference.shuffle(list(range(size)))
+                assert rng.random() == reference.random()
+
+    def test_coarse_rows_are_the_summed_member_rows(self):
+        """Every frozen coarse row equals the dict row the contraction sums,
+        entry order included, with all coarse rows built side by side."""
+        graph = facebook_like(users=300, seed=6)
+        rows, weights, _ = indexed(graph.undirected_adjacency())
+        coarse = coarsen_once(rows, weights, random.Random(3), max_node_weight=10)
+        expected: list[dict[int, int]] = [{} for _ in coarse.rows]
+        for fine in coarse.fine_order:
+            owner = coarse.fine_to_coarse[fine]
+            for neighbour, weight in zip(*rows[fine]):
+                target = coarse.fine_to_coarse[neighbour]
+                if target != owner:
+                    expected[owner][target] = expected[owner].get(target, 0) + weight
+        assert coarse.rows == [(tuple(row), tuple(row.values())) for row in expected]
 
     def test_float_node_weights_survive_coarsening(self):
         rows, _, _ = indexed(two_cliques(6))
@@ -179,10 +219,11 @@ def reference_refine(adjacency, assignment, parts, node_weights, max_part_weight
 
 
 def full_sweep_refine(rows, part, order, parts, weights, max_part_weight, passes=4):
-    """``reference_refine`` behind the index-space kernel's signature."""
+    """``reference_refine`` behind the index-space kernel's signature: the
+    ``(targets, weights)`` rows go back to the dict rows it was written for."""
     assignment = {node: part[node] for node in order}
     evaluations = reference_refine(
-        dict(enumerate(rows)),
+        {node: dict(zip(*row)) for node, row in enumerate(rows)},
         assignment,
         parts,
         dict(enumerate(weights)),
@@ -335,6 +376,19 @@ class TestKWay:
         spec = ClusterSpec(intermediate_switches=2, racks_per_intermediate=2, machines_per_rack=3)
         with pytest.raises(PartitioningError, match="neighbour 999"):
             hierarchical_partition(adjacency, spec)
+        # Ids 0..79 with a neighbour one past the end or below zero: the
+        # identity relabelling range-checks what it does not look up.  The
+        # same graph under ids 1000..1079 goes through the dict lookup.
+        for offset in (0, 1000):
+            for neighbour in (80, -1):
+                adjacency = shifted(two_cliques(40), offset)
+                adjacency[3 + offset][neighbour] = 1
+                with pytest.raises(
+                    PartitioningError, match=f"node {3 + offset} lists neighbour {neighbour},"
+                ):
+                    partition_kway(adjacency, parts=2)
+                with pytest.raises(PartitioningError, match=f"neighbour {neighbour},"):
+                    hierarchical_partition(adjacency, spec)
 
     @pytest.mark.parametrize("weight", [0, -2])
     def test_non_positive_edge_weight_fails_in_the_relabelling_pass(self, weight):
@@ -342,6 +396,20 @@ class TestKWay:
         adjacency[5][6] = adjacency[6][5] = weight
         with pytest.raises(PartitioningError, match="non-positive weight"):
             partition_kway(adjacency, parts=2)
+        # Ids 0..n-1 (above) take the identity relabelling; sparse ids the
+        # dict lookup.  Both check every weight.
+        adjacency = shifted(adjacency, 1000)
+        with pytest.raises(PartitioningError, match="node 1005 has an edge of non-positive"):
+            partition_kway(adjacency, parts=2)
+
+    def test_identity_labels_index_like_any_other_labels(self):
+        adjacency = two_cliques(10)
+        ids, rows = index_rows(adjacency)
+        sparse_ids, sparse_rows = index_rows(shifted(adjacency, 1000))
+        assert sparse_ids == [node + 1000 for node in ids]
+        assert sparse_rows == rows
+        sub_rows = index_rows(adjacency, ids[::2])[1]
+        assert sub_rows == index_rows(shifted(adjacency, 1000), sparse_ids[::2])[1]
 
     def test_random_partition_balance(self):
         result = random_partition(list(range(100)), parts=10, seed=2)
@@ -481,3 +549,27 @@ class TestHierarchical:
             assert result.rack_assignment[node] == server // 3
             assert result.intermediate_assignment[node] == server // 6
         assert result.balance == pytest.approx(12.0)
+
+
+def test_hmetis_set_up_stays_under_160_bytes_per_adjacency_entry():
+    """Absolute ceiling on the partitioner's peak, the undirected adjacency
+    included, in bytes per adjacency entry.
+
+    About 129 B/entry measured here with ``(targets, weights)`` tuple rows at
+    every level; rows stored as dicts (a second copy of the adjacency, then
+    every coarse level) cost about 200.  A dict row per node, or coarse rows
+    kept as dicts until the level is done, breaks the ceiling.
+    """
+    graph = livejournal_like(users=2500, seed=7)
+    entries = sum(map(len, graph.undirected_adjacency().values()))
+    topology = TreeTopology(
+        ClusterSpec(intermediate_switches=4, racks_per_intermediate=2, machines_per_rack=4)
+    )
+    tracemalloc.start()
+    try:
+        assignment = hmetis_assignment(graph, topology, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(assignment) == graph.num_users
+    assert peak <= 160 * entries, f"{peak / entries:.0f} bytes per adjacency entry"

@@ -12,6 +12,7 @@ from repro.socialgraph.generators import (
     facebook_like,
     generate_social_graph,
     graph_statistics,
+    livejournal_like,
     twitter_like,
 )
 from repro.socialgraph.graph import SocialGraph
@@ -75,6 +76,20 @@ class TestSocialGraph:
         assert adjacency[1][3] == 1
         assert adjacency[3][1] == 1
 
+    def test_from_rows_adopts_the_sets(self, tiny_graph: SocialGraph):
+        users = list(tiny_graph.users)
+        following = [set(tiny_graph.following(user)) for user in users]
+        followers = [set(tiny_graph.followers(user)) for user in users]
+        graph = SocialGraph.from_rows(users, following, followers)
+        assert sorted(graph.edges()) == sorted(tiny_graph.edges())
+        assert graph.num_edges == tiny_graph.num_edges
+        graph.add_edge(0, 5)
+        assert 5 in following[0] and 0 in followers[5]
+
+    def test_from_rows_rejects_rows_that_disagree(self):
+        with pytest.raises(WorkloadError, match="disagree"):
+            SocialGraph.from_rows([0, 1], [{1}, set()], [set(), set()])
+
     def test_copy_is_independent(self, tiny_graph: SocialGraph):
         clone = tiny_graph.copy()
         clone.add_edge(0, 5)
@@ -102,6 +117,19 @@ class TestGenerators:
         a = facebook_like(users=150, seed=9)
         b = facebook_like(users=150, seed=9)
         assert sorted(a.edges()) == sorted(b.edges())
+
+    def test_every_endpoint_is_its_users_one_int(self):
+        """One ``int`` object per user: every stored endpoint and every
+        adjacency key is the object the user list holds (ids above 256 are
+        not interned by the interpreter)."""
+        graph = livejournal_like(users=700, seed=7)
+        users = graph.users
+        for user in users:
+            assert all(users[other] is other for other in graph.following(user))
+            assert all(users[other] is other for other in graph.followers(user))
+        for node, row in graph.undirected_adjacency().items():
+            assert users[node] is node
+            assert all(users[other] is other for other in row)
 
     def test_different_seeds_differ(self):
         a = facebook_like(users=150, seed=1)
