@@ -28,7 +28,8 @@ between two such changes a request is a fixed tuple of ``(broker, device)``
 paths: requests are tallied at C speed and multiplied into paths on demand.
 ``execute_read`` / ``execute_write`` stay as the per-event reference (and
 the path observed runs take); ``tests/test_batching.py`` holds the
-differential property between the two.
+differential property between the two.  Every kernel rejects a kind column
+holding anything but reads and writes (:func:`require_request_kinds`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import random
 from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Sequence
+from operator import add
 
 from ..exceptions import SimulationError
 from ..persistence.recovery import RecoveryPlan
@@ -63,6 +65,21 @@ if [(k.default_size, k.message_class) for k in _READ_ROUNDTRIP] != [
     (k.default_size, k.message_class) for k in _WRITE_ROUNDTRIP
 ]:
     raise SimulationError("read and write roundtrips must be accounted alike")
+#: The footprint kernel keys a request by ``2 * user + kind``.
+if (KIND_READ, KIND_WRITE) != (0, 1):
+    raise SimulationError("request keys need the read/write kinds to be 0 and 1")
+
+
+def require_request_kinds(kinds: Sequence[int]) -> None:
+    """Reject a request run whose kind column holds anything but
+    :data:`~repro.workload.stream.KIND_READ` / :data:`KIND_WRITE` — a
+    kernel would otherwise run the stray event as a write (one C-speed
+    scan of the column)."""
+    if max(kinds, default=KIND_READ) > KIND_WRITE:
+        raise SimulationError(
+            f"request batch holds event kind {max(kinds)}; only reads "
+            f"({KIND_READ}) and writes ({KIND_WRITE}) can be executed"
+        )
 
 
 class PlacementStrategy(ABC):
@@ -146,8 +163,10 @@ class PlacementStrategy(ABC):
         semantically identical to per-event dispatch for every strategy.
         Columnar strategies override this with a fused kernel that hoists
         state lookups out of the loop and aggregates traffic accounting —
-        still byte-identical, just faster.
+        still byte-identical, just faster.  Any other kind raises
+        :class:`SimulationError` before an event runs.
         """
+        require_request_kinds(kinds)
         execute_read = self.execute_read
         execute_write = self.execute_write
         for kind, user, now in zip(kinds, users, timestamps):
@@ -241,6 +260,21 @@ class PlacementStrategy(ABC):
         """Total view slots in use (equals :meth:`total_replicas`)."""
         return self.total_replicas()
 
+    def has_any_replica(self, user: int) -> bool:
+        """Whether ``user``'s view is stored anywhere.
+
+        The simulator's end-of-run audit asks this for every graph user, and
+        this default materialises :meth:`replica_locations` per call:
+        strategies with many users override it in O(1), as all seven do."""
+        return bool(self.replica_locations().get(user))
+
+    def replication_factor(self) -> float:
+        """Average number of replicas per stored view (0.0 when none is)."""
+        locations = self.replica_locations()
+        if not locations:
+            return 0.0
+        return sum(len(devices) for devices in locations.values()) / len(locations)
+
     # --------------------------------------------------------------- helpers
     def server_device(self, position: int) -> int:
         """Leaf device index of the ``position``-th storage server."""
@@ -289,16 +323,25 @@ class FootprintStrategy(PlacementStrategy):
     a run of requests is **counted**, not executed: subclasses supply
     :meth:`footprint` and drop memoised footprints where they go stale
     (:meth:`_drop_footprints`); :meth:`execute_request_batch` tallies
-    ``(kind, user)`` and books the one per-bucket quantity, the top-switch
+    *request keys* and books the one per-bucket quantity, the top-switch
     series; :meth:`_settle` multiplies the tally into per-path counts — when
     a tallied footprint is dropped and when anything reads the accountant —
-    so a switch path is walked once per settle, not once per hour.  It is
-    exact because
+    so a switch path is walked once per settle, not once per hour.
 
-    * the tally pulls requests in stream order, so a footprint is built at
-      the first occurrence of its ``(kind, user)`` and the lazy placements
-      it triggers (``footprint`` places users exactly as ``execute_read`` /
-      ``execute_write`` do) happen in the per-event order;
+    A request key is the int ``2 * user + kind`` (kinds are 0 and 1; the
+    memo decodes ``key & 1, key >> 1``), built per segment at C speed, so
+    the memo, the top-crossing counts and the tally are dicts over ints.
+    Path keys come from the *key rows* :meth:`_reset_footprints` builds —
+    one list per proxy broker, ``row[device] == broker * stride + device``
+    (the accountant's flat path key), and the same int objects gathered by
+    server position — so every footprint is a C-level gather of shared
+    ints.  It is exact because
+
+    * the tally pulls requests in stream order, in one pass over reads and
+      writes alike, so a footprint is built at the first occurrence of its
+      key and the lazy placements it triggers (``footprint`` places users
+      exactly as ``execute_read`` / ``execute_write`` do) happen in the
+      per-event order;
     * whatever a memoised footprint read changes only at events that end a
       run — edge mutations (:meth:`on_edge_added`, :meth:`on_edge_removed`)
       and faults — and the footprints concerned are settled, then dropped,
@@ -313,10 +356,10 @@ class FootprintStrategy(PlacementStrategy):
     the request stream (lazy placement only fires for users *outside* the
     initial graph, which the shard workers' closed-universe guard excludes).
 
-    Memory: a read footprint holds one pointer per followed edge (the key
-    ints are interned — at most ``stride**2`` distinct objects, shared by
-    all footprints), a write footprint one per replica; a tallied request
-    adds one counter and one top-crossing count.
+    Memory: a read footprint holds one pointer per followed edge and a
+    write footprint one per replica, into the key rows (``brokers * stride``
+    int objects, shared by all footprints); a tallied request adds one
+    counter and one top-crossing count, each keyed by one int.
     """
 
     shard_requests_pure = True
@@ -326,20 +369,22 @@ class FootprintStrategy(PlacementStrategy):
         #: per-position leaf device / proxy broker columns
         self._device_of_position: list[int] = []
         self._broker_of_position: list[int] = []
-        #: ``(kind, user) -> footprint`` memo, and how many of a footprint's
+        #: ``request key -> footprint`` memo, and how many of a footprint's
         #: roundtrips cross the top switch (dropped together)
-        self._footprints = _Memo(lambda request: self.footprint(*request))
+        self._footprints = _Memo(lambda request: self.footprint(request & 1, request >> 1))
         self._top_crossings = _Memo(
             lambda request: sum(map(self._crosses_top.__getitem__, self._footprints[request]))
         )
-        #: interned path keys (value is the key itself) and whether each
-        #: path crosses the top switch
-        self._path_keys: dict[int, int] = {}
+        #: proxy broker -> its key row (the only place path keys are made),
+        #: and per position its proxy broker's row gathered by position
+        self._key_rows: dict[int, list[int]] = {}
+        self._position_key_rows: list[list[int]] = []
+        #: whether each path key crosses the top switch
         self._crosses_top = _Memo(
             lambda key: self.accountant.crosses_top(*divmod(key, self._segments.stride))
         )
-        #: ``(kind, user) -> measured requests`` since the last settle
-        self._tally: Counter[tuple[int, int]] = Counter()
+        #: ``request key -> measured requests`` since the last settle
+        self._tally: Counter[int] = Counter()
         #: segment cutter; ``None`` until the initial placement is built
         #: (the kernel then falls back to the scalar loop)
         self._segments = None
@@ -354,7 +399,16 @@ class FootprintStrategy(PlacementStrategy):
         ]
         self._segments = self.accountant.roundtrip_run(*_READ_ROUNDTRIP)
         self.accountant.on_settle(self._settle)
-        self._path_keys = {}
+        stride = self._segments.stride
+        self._key_rows = {
+            broker: list(range(broker * stride, (broker + 1) * stride))
+            for broker in set(self._broker_of_position)
+        }
+        by_position = {
+            broker: list(map(row.__getitem__, self._device_of_position))
+            for broker, row in self._key_rows.items()
+        }
+        self._position_key_rows = [by_position[broker] for broker in self._broker_of_position]
         self._crosses_top.clear()
         self._drop_footprints()
 
@@ -362,17 +416,17 @@ class FootprintStrategy(PlacementStrategy):
     def footprint(self, kind: int, user: int) -> Footprint:
         """Flat path keys of the roundtrips one request of ``user`` causes.
 
-        Build them with :meth:`_footprint_of`.  Users without a replica are
-        placed lazily, in the order ``execute_read`` / ``execute_write``
-        would place them; a read by a user unknown to the graph is ``()``.
+        Gather them from the key rows — by server position from
+        ``_position_key_rows``, by device with :meth:`_footprint_of`.
+        Users without a replica are placed lazily, in the order
+        ``execute_read`` / ``execute_write`` would place them; a read by a
+        user unknown to the graph is ``()``.
         """
 
-    def _footprint_of(self, broker: int, devices: Sequence[int]) -> Footprint:
-        """Interned keys of roundtrips from ``broker`` to each of ``devices``
-        (``broker * stride + device``, the accountant's flat path key)."""
-        base = broker * self._segments.stride
-        keys = [base + device for device in devices]
-        return tuple(map(self._path_keys.setdefault, keys, keys))
+    def _footprint_of(self, broker: int, devices: Iterable[int]) -> Footprint:
+        """Keys of roundtrips from ``broker`` to each of ``devices``, taken
+        from the broker's key row (``broker * stride + device``)."""
+        return tuple(map(self._key_rows[broker].__getitem__, devices))
 
     def execute_request_batch(
         self,
@@ -385,16 +439,18 @@ class FootprintStrategy(PlacementStrategy):
         if segments is None:
             super().execute_request_batch(kinds, users, timestamps)
             return
+        require_request_kinds(kinds)
         accountant = self.accountant
         muted = accountant.muted
         measure_from = accountant.measure_from
+        double = (2).__mul__
         start = 0
         end = len(timestamps)
         while start < end:
             # One accounting segment: same warm-up side, same time bucket.
             # Both branches touch the footprints in stream order.
             cut = segments.segment_end(timestamps, start, end)
-            requests = list(zip(kinds[start:cut], users[start:cut]))
+            requests = list(map(add, map(double, users[start:cut]), kinds[start:cut]))
             if muted or timestamps[start] < measure_from:
                 footprints = map(self._footprints.__getitem__, requests)
                 accountant.count_messages(2 * sum(map(len, footprints)))
@@ -407,7 +463,7 @@ class FootprintStrategy(PlacementStrategy):
                 self._tally.update(requests)
             start = cut
 
-    def _settle(self, requests: Iterable[tuple[int, int]] | None = None) -> None:
+    def _settle(self, requests: Iterable[int] | None = None) -> None:
         """Multiply the tally of ``requests`` (default: all) into per-path
         counts and record them; their footprints must still be memoised."""
         tally = self._tally
@@ -418,14 +474,14 @@ class FootprintStrategy(PlacementStrategy):
         for request in list(tally) if requests is None else requests:
             count = tally.pop(request, 0)
             if count:
-                paths = reads if request[0] == KIND_READ else writes
+                paths = writes if request & 1 else reads
                 for key in self._footprints[request]:
                     paths[key] = paths.get(key, 0) + count
         for paths, roundtrip in ((reads, _READ_ROUNDTRIP), (writes, _WRITE_ROUNDTRIP)):
             if paths:
                 self.accountant.record_roundtrip_batch(paths, *roundtrip, None)
 
-    def _drop_footprints(self, requests: Iterable[tuple[int, int]] | None = None) -> None:
+    def _drop_footprints(self, requests: Iterable[int] | None = None) -> None:
         """Forget the footprints of ``requests`` (default: all) — after
         settling what was tallied against them."""
         self._settle(requests)
@@ -441,11 +497,11 @@ class FootprintStrategy(PlacementStrategy):
         """Drop the read footprints the new edge stales: the follower's
         (one more target) and the followee's — she may just have become a
         graph user, which turns her ``()`` into a placement."""
-        self._drop_footprints([(KIND_READ, follower), (KIND_READ, followee)])
+        self._drop_footprints([2 * follower + KIND_READ, 2 * followee + KIND_READ])
 
     def on_edge_removed(self, follower: int, followee: int, now: float) -> None:
         """Drop the follower's read footprint (one target fewer)."""
-        self._drop_footprints([(KIND_READ, follower)])
+        self._drop_footprints([2 * follower + KIND_READ])
 
 
 class StaticPlacementStrategy(FootprintStrategy):
@@ -594,14 +650,16 @@ class StaticPlacementStrategy(FootprintStrategy):
         if kind == KIND_READ and not self.graph.has_user(user):
             return ()
         position = self.server_position_of(user)  # the issuer is placed first
-        if kind == KIND_READ:
-            targets = [self.server_position_of(t) for t in self.graph.following(user)]
-        else:
-            targets = [position]
-        device_of = self._device_of_position
-        return self._footprint_of(
-            self._broker_of_position[position], [device_of[p] for p in targets]
-        )
+        row = self._position_key_rows[position]
+        if kind != KIND_READ:
+            return (row[position],)
+        following = self.graph.following(user)
+        try:
+            return tuple(map(row.__getitem__, map(self._assignment.__getitem__, following)))
+        except KeyError:
+            # A followee joined after the initial placement: place every
+            # unassigned one in ``following`` order, as ``execute_read`` does.
+            return tuple(row[self.server_position_of(t)] for t in following)
 
     # -------------------------------------------------------- introspection
     def replica_locations(self) -> dict[int, set[int]]:
@@ -616,6 +674,10 @@ class StaticPlacementStrategy(FootprintStrategy):
     def has_any_replica(self, user: int) -> bool:
         """O(1) availability check used by the simulator's final audit."""
         return user in self._assignment
+
+    def replication_factor(self) -> float:
+        """Exactly one replica per assigned view."""
+        return 1.0 if self._assignment else 0.0
 
     def memory_in_use(self) -> int:
         """One replica per assigned view (O(1), no dict materialisation)."""

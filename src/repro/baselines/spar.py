@@ -171,11 +171,12 @@ class SparPlacement(FootprintStrategy):
         of her own."""
         if kind == KIND_READ and not self.graph.has_user(user):
             return ()
-        broker = self._broker_of_position[self._master_position(user)]
-        device_of = self._device_of_position
+        master = self._master_position(user)
         user_positions = self.tables.user_positions
         if kind != KIND_READ:
-            return self._footprint_of(broker, [device_of[p] for p in user_positions(user)])
+            return tuple(map(self._position_key_rows[master].__getitem__, user_positions(user)))
+        broker = self._broker_of_position[master]
+        device_of = self._device_of_position
         resolve = self.routing.batch_resolver(broker)
         devices = []
         for target in self.graph.following(user):

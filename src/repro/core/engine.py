@@ -33,7 +33,7 @@ from collections.abc import Callable
 
 from dataclasses import dataclass
 
-from ..baselines.base import PlacementStrategy
+from ..baselines.base import PlacementStrategy, require_request_kinds
 from ..baselines.hmetis_placement import hmetis_assignment
 from ..baselines.metis_placement import metis_assignment
 from ..baselines.random_placement import random_assignment
@@ -574,6 +574,7 @@ class DynaSoRe(PlacementStrategy):
             super().execute_request_batch(kinds, users, timestamps)
             return
         self.require_bound()
+        require_request_kinds(kinds)
         topology = self.topology
         graph = self.graph
         has_user = graph.has_user

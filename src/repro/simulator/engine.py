@@ -565,7 +565,7 @@ class ClusterSimulator:
         self._sample_tracked(final_time, force=True)
 
         app_series, sys_series = self.accountant.top_switch_series()
-        replication_factor = self._replication_factor()
+        replication_factor = self.strategy.replication_factor()
         return SimulationResult(
             strategy_name=self.strategy.name,
             extra_memory_pct=self.config.extra_memory_pct,
@@ -704,17 +704,9 @@ class ClusterSimulator:
             hook(tick_time)
 
     def _count_unavailable_views(self) -> int:
-        """Users with no replica anywhere (must be 0 after full recovery).
-
-        Strategies backed by the placement tables answer per-user
-        availability in O(1); the fallback materialises the full location
-        map (custom strategies only).
-        """
-        has_any = getattr(self.strategy, "has_any_replica", None)
-        if has_any is not None:
-            return sum(1 for user in self.graph.users if not has_any(user))
-        locations = self.strategy.replica_locations()
-        return sum(1 for user in self.graph.users if not locations.get(user))
+        """Users with no replica anywhere (must be 0 after full recovery)."""
+        has_any_replica = self.strategy.has_any_replica
+        return sum(1 for user in self.graph.users if not has_any_replica(user))
 
     # ------------------------------------------------------------- tracking
     def _count_tracked_read(self, reader: int) -> None:
@@ -742,12 +734,6 @@ class ClusterSimulator:
             self._tracked_reads[user] = 0
         while self._next_sample <= now:
             self._next_sample += self.tracking_period
-
-    def _replication_factor(self) -> float:
-        locations = self.strategy.replica_locations()
-        if not locations:
-            return 0.0
-        return sum(len(devices) for devices in locations.values()) / len(locations)
 
 
 __all__ = ["ClusterSimulator", "UNOWNED"]

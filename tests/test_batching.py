@@ -40,6 +40,7 @@ from parity import (
     parity_graph,
     parity_stream,
 )
+from repro.baselines.base import PlacementStrategy
 from repro.config import ClusterSpec, DynaSoReConfig, FlatClusterSpec, SimulationConfig
 from repro.constants import HOUR, MINUTE
 from repro.exceptions import SimulationError
@@ -372,6 +373,18 @@ def test_footprint_kernel_matches_per_event_path(strategy_key, seed):
     (d) a segment's reads are touched before its writes — lazy placement
         then leaves stream order: 84 cells differ (as when footprints, not
         requests, were tallied).
+
+    Mutations of the int request keys and the key-row gather:
+
+    (e) the static fallback places a reader's missing followees after
+        looking up the mapped ones: *no* cell differs, by construction —
+        the lookups have no side effect, the missing followees are still
+        placed in ``following()`` order, and a footprint's key order is
+        immaterial to its counts.  Placing them in reverse order instead
+        makes 4 cells differ, and
+        ``test_unassigned_followees_are_placed_in_following_order`` fails;
+    (f) the memo decodes a key as ``(key >> 1, key & 1)``, kind and user
+        swapped: 180 cells differ.
     """
     batched, batched_snapshot = _footprint_run(strategy_key, seed, batch=True)
     per_event, per_event_snapshot = _footprint_run(strategy_key, seed, batch=False)
@@ -415,10 +428,17 @@ def test_footprints_walk_the_graph_once_per_reader(key):
     assert len(walked) == len(set(walked))
 
 
+def _request_key(kind: int, user: int) -> int:
+    """The footprint kernel's int key of one request."""
+    return 2 * user + kind
+
+
 def test_equal_footprints_share_their_key_objects():
     """Footprint memory stays one pointer per followed edge: path keys are
     interned, so equal keys in different footprints are one ``int`` object
-    (at most ``stride**2`` of them), not one per roundtrip."""
+    (at most ``stride**2`` of them), not one per roundtrip.  The memo is
+    keyed by request ints, and every key it holds decodes to a request
+    that was executed."""
     strategy, simulator = _bound_strategy("random")
     users = list(simulator.graph.users)
     strategy.execute_request_batch(
@@ -426,13 +446,16 @@ def test_equal_footprints_share_their_key_objects():
         [user for user in users for _ in range(2)],
         [0.0] * (2 * len(users)),
     )
+    assert set(strategy._footprints) == {
+        _request_key(kind, user) for user in users for kind in (KIND_READ, KIND_WRITE)
+    }
     by_position: dict[int, list[int]] = {}
     for user, position in strategy.assignment().items():
         by_position.setdefault(position, []).append(user)
     shared = 0
     for first, second, *_ in (g for g in by_position.values() if len(g) > 1):
-        write_a = strategy._footprints[KIND_WRITE, first]
-        write_b = strategy._footprints[KIND_WRITE, second]
+        write_a = strategy._footprints[_request_key(KIND_WRITE, first)]
+        write_b = strategy._footprints[_request_key(KIND_WRITE, second)]
         assert write_a == write_b
         if write_a[0] > 256:  # beyond CPython's small ints
             assert write_a[0] is write_b[0]
@@ -444,6 +467,110 @@ def test_equal_footprints_share_their_key_objects():
             assert objects.setdefault(key, id(key)) == id(key)
     stride = simulator.accountant.device_count
     assert len(objects) <= stride * stride
+
+
+def _spy_positions(strategy) -> list[int]:
+    """Record every ``server_position_of`` call of a static strategy."""
+    calls: list[int] = []
+    original = strategy.server_position_of
+
+    def spy(user):
+        calls.append(user)
+        return original(user)
+
+    strategy.server_position_of = spy
+    return calls
+
+
+@pytest.mark.parametrize("key", ["random", "hmetis"])
+def test_read_footprint_of_an_assigned_reader_places_only_the_issuer(key):
+    """A work count: with every followee assigned, the read footprint is a
+    gather over the assignment — ``server_position_of`` runs once, for the
+    issuer, and the footprint still has one key per followee."""
+    strategy, simulator = _bound_strategy(key)
+    graph = simulator.graph
+    reader = max(graph.users, key=lambda user: len(graph.following(user)))
+    calls = _spy_positions(strategy)
+    footprint = strategy._footprints[_request_key(KIND_READ, reader)]
+    assert calls == [reader]
+    assert len(footprint) == len(graph.following(reader)) > 1
+
+
+def test_unassigned_followees_are_placed_in_following_order():
+    """A reader follows two users that joined after the initial placement:
+    building the reader's footprint places them in ``following()`` order — the order
+    ``execute_read`` places them in — and lands them where it does."""
+    placements = []
+    for batch in (True, False):
+        strategy, simulator = _bound_strategy("random")
+        graph = simulator.graph
+        reader = next(iter(graph.users))
+        newcomers = [max(graph.users) + 1, max(graph.users) + 2]
+        for followee in newcomers:
+            graph.add_edge(reader, followee)
+            strategy.on_edge_added(reader, followee, 0.0)
+        order = [user for user in graph.following(reader) if user in newcomers]
+        calls = _spy_positions(strategy)
+        if batch:
+            strategy.execute_request_batch(bytes([KIND_READ]), [reader], [1.0])
+        else:
+            strategy.execute_read(reader, 1.0)
+        placed = [user for user in calls if user in newcomers]
+        assert placed == order
+        placements.append((placed, strategy.assignment(), simulator.accountant.snapshot()))
+    assert placements[0] == placements[1]
+
+
+class _RecordingStrategy(PlacementStrategy):
+    """The base class's scalar loop, recording what it executes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.executed: list[tuple[str, int]] = []
+
+    def build_initial_placement(self) -> None:  # pragma: no cover - unused
+        pass
+
+    def execute_read(self, user, now, targets=None) -> None:
+        self.executed.append(("read", user))
+
+    def execute_write(self, user, now) -> None:
+        self.executed.append(("write", user))
+
+    def replica_locations(self) -> dict[int, set[int]]:
+        return {}
+
+
+def test_base_loop_rejects_stray_kinds():
+    """A non-request kind in the column raises before any event runs (it
+    used to run as a write)."""
+    strategy = _RecordingStrategy()
+    with pytest.raises(SimulationError, match="event kind 2"):
+        strategy.execute_request_batch(
+            bytes([KIND_READ, KIND_WRITE, KIND_EDGE_ADD]), [1, 2, 3], [0.0, 1.0, 2.0]
+        )
+    assert strategy.executed == []
+    strategy.execute_request_batch(bytes([KIND_READ, KIND_WRITE]), [1, 2], [0.0, 1.0])
+    assert strategy.executed == [("read", 1), ("write", 2)]
+    # The default audit answers from ``replica_locations()``.
+    assert strategy.replication_factor() == 0.0
+    assert not strategy.has_any_replica(1)
+
+
+@pytest.mark.parametrize("key", ["hmetis", "spar", "dynasore_hmetis"])
+@pytest.mark.parametrize("stray", [KIND_EDGE_ADD, KIND_EDGE_REMOVE])
+def test_batch_kernels_reject_stray_kinds(key, stray):
+    """The footprint and DynaSoRe kernels refuse a kind column holding an
+    edge event — under ``2 * user + kind`` an ``EDGE_ADD`` of ``u`` would
+    otherwise count as a read by ``u + 1`` — and book nothing."""
+    strategy, simulator = _bound_strategy(key)
+    users = list(simulator.graph.users)[:3]
+    before = simulator.accountant.snapshot()
+    with pytest.raises(SimulationError, match=f"event kind {stray}"):
+        strategy.execute_request_batch(
+            bytes([KIND_READ, stray, KIND_WRITE]), users, [0.0, 1.0, 2.0]
+        )
+    assert simulator.accountant.snapshot() == before
 
 
 def _request_runs(users: list[int], seed: int, start: float = 0.0, runs: int = 40):

@@ -427,6 +427,50 @@ def test_spar_crash_counters_consistent():
     table.check_integrity()
 
 
+def _assert_audit_matches_locations(strategy, graph) -> None:
+    """The O(1) end-of-run figures equal the ones materialised from
+    ``replica_locations()``, exactly as the simulator once computed them."""
+    locations = strategy.replica_locations()
+    expected = (
+        sum(len(devices) for devices in locations.values()) / len(locations)
+        if locations
+        else 0.0
+    )
+    assert strategy.replication_factor() == expected
+    for user in graph.users:
+        assert strategy.has_any_replica(user) == bool(locations.get(user))
+
+
+@pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
+def test_end_of_run_audit_matches_replica_locations(strategy_key):
+    """``replication_factor``/``has_any_replica`` of every strategy, checked
+    mid-crash (from a pre-tick hook) and at the end of a crash-recover run;
+    the result carries the same figures."""
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=120)
+    strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
+    simulator = ClusterSimulator(
+        topology,
+        graph,
+        strategy,
+        config=SimulationConfig(extra_memory_pct=60.0, seed=7),
+        scenario=SCENARIOS["crash"](),
+    )
+    degraded = []
+
+    def audit(now):
+        if not all(simulator.server_up):
+            degraded.append(now)
+            _assert_audit_matches_locations(strategy, graph)
+
+    simulator.add_pre_tick_hook(audit)
+    result = simulator.run(parity_stream(graph, days=0.25))
+    assert degraded
+    _assert_audit_matches_locations(strategy, graph)
+    assert result.replication_factor == strategy.replication_factor()
+    assert result.unavailable_views == 0
+
+
 # ---------------------------------------------------------------------------
 # Maintenance-tick primitives: pool rotation, thresholds, eviction ordering
 # ---------------------------------------------------------------------------
