@@ -49,14 +49,10 @@ from .socialgraph import SocialGraph, facebook_like, livejournal_like, twitter_l
 from .store import MemoryBudget
 from .topology import FlatTopology, TreeTopology
 from .workload import (
-    CelebrityReadStormGenerator,
-    CelebrityStormConfig,
     EventChunk,
     EventStream,
     NewsActivityTraceConfig,
     NewsActivityTraceGenerator,
-    ParetoBurstConfig,
-    ParetoBurstWorkloadGenerator,
     SyntheticWorkloadConfig,
     SyntheticWorkloadGenerator,
     merge_streams,
@@ -68,8 +64,6 @@ from .workload import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "CelebrityReadStormGenerator",
-    "CelebrityStormConfig",
     "ClusterSimulator",
     "ClusterSpec",
     "CompositeScenario",
@@ -77,8 +71,6 @@ __all__ = [
     "DiurnalLoadScenario",
     "EventChunk",
     "EventStream",
-    "ParetoBurstConfig",
-    "ParetoBurstWorkloadGenerator",
     "merge_streams",
     "read_trace",
     "trace_content_hash",

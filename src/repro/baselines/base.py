@@ -566,10 +566,6 @@ class StaticPlacementStrategy(FootprintStrategy):
             raise SimulationError("no storage server is available")
         return position
 
-    def server_loads(self) -> tuple[int, ...]:
-        """Per-position replica counts (O(1) counters, not recomputed)."""
-        return tuple(self._load)
-
     # ---------------------------------------------------------------- faults
     def on_server_down(
         self, position: int, now: float, graceful: bool = False

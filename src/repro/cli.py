@@ -75,16 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--shard-balance",
-        choices=("activity", "population"),
-        default="activity",
-        help=(
-            "what the shard partitioner balances: expected per-user request "
-            "rates (activity, the default — levels the critical-path worker "
-            "on skewed workloads) or plain user count (population)"
-        ),
-    )
-    run_parser.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache",
@@ -120,7 +110,6 @@ def build_executor(
     cache_dir: str | None = None,
     progress_stream=None,
     shards: int = 1,
-    shard_balance: str = "activity",
 ) -> RuntimeExecutor:
     """Executor configured from a profile plus CLI overrides."""
     cache = None
@@ -134,7 +123,6 @@ def build_executor(
         cache=cache,
         progress=progress,
         shards=shards,
-        shard_activity=shard_balance == "activity",
     )
 
 
@@ -203,7 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         progress_stream=sys.stderr,
         shards=args.shards,
-        shard_balance=args.shard_balance,
     )
     identifiers = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     sections = []

@@ -28,10 +28,8 @@ class CoarseLevel:
 
     #: rows[coarse node] = (coarse neighbours, summed edge weights)
     rows: list[Row]
-    #: node weight — the number of original vertices represented in the
-    #: unweighted case, or the summed caller-supplied node weights (e.g.
-    #: expected per-user request rates) when coarsening a weighted graph
-    weights: list[float]
+    #: node weight — the number of original vertices represented
+    weights: list[int]
     #: fine_to_coarse[fine node] = coarse node
     fine_to_coarse: list[int]
     #: fine nodes in matching order (representative, partner, next
@@ -59,9 +57,9 @@ def _shuffled_range(size: int, rng: random.Random) -> list[int]:
 
 def coarsen_once(
     rows: Sequence[Row],
-    weights: Sequence[float],
+    weights: Sequence[int],
     rng: random.Random,
-    max_node_weight: float,
+    max_node_weight: int,
 ) -> CoarseLevel:
     """Contract one heavy-edge matching of the graph.
 
@@ -87,7 +85,7 @@ def coarsen_once(
         node_weight = weights[node]
         best_neighbour = -1
         best_weight = -1
-        best_partner_weight = 0.0
+        best_partner_weight = 0
         for neighbour, weight in zip(*rows[node]):
             if weight < best_weight or fine_to_coarse[neighbour] >= 0:
                 continue
@@ -104,9 +102,9 @@ def coarsen_once(
         coarse += 1
 
     coarse_rows: list[Row] = []
-    coarse_weights: list[float] = []
+    coarse_weights: list[int] = []
     row: dict[int, int] = {}
-    coarse_weight: float = 0
+    coarse_weight = 0
     coarse = 0
     for fine in fine_order:
         if fine_to_coarse[fine] != coarse:
@@ -128,10 +126,10 @@ def coarsen_once(
 
 def coarsen_to_size(
     rows: Sequence[Row],
-    weights: Sequence[float],
+    weights: Sequence[int],
     target_size: int,
     rng: random.Random,
-    max_node_weight: float,
+    max_node_weight: int,
 ) -> list[CoarseLevel]:
     """Repeatedly coarsen until the graph has at most ``target_size`` nodes.
 
@@ -142,8 +140,7 @@ def coarsen_to_size(
 
     Contracted nodes carry the *sum* of the weights they absorb, so every
     coarse level conserves the total weight and the node-weight cap keeps a
-    single heavy community from swallowing the graph regardless of whether
-    weight means "vertices represented" or "expected request rate".
+    single heavy community from swallowing the graph.
     """
     levels: list[CoarseLevel] = []
     while len(rows) > target_size:

@@ -65,7 +65,7 @@ def hierarchical_partition(
 
     def split(part_nodes: set[int] | None, parts: int, part_seed: int) -> dict[int, int]:
         ids, rows = index_rows(adjacency, part_nodes)
-        return partition_indexed(ids, rows, None, parts, part_seed, balance_tolerance)[0]
+        return partition_indexed(ids, rows, parts, part_seed, balance_tolerance)[0]
 
     rng = random.Random(seed)
     intermediate_assignment = split(None, spec.intermediate_switches, seed)

@@ -18,8 +18,9 @@ the paper is "a good static, locality-aware placement").
 All three phases run in *index space*: one relabelling pass
 (:func:`index_rows`) turns ``node -> {neighbour -> weight}`` into a list of
 rows keyed by position, and from there assignments, node weights and
-matchings are plain lists.  Node ids reappear only in the returned dict.
-Every level stores a row as a ``(targets, weights)`` pair of tuples — 16
+matchings are plain lists.  Node weights count the original vertices a
+(coarse) node stands for, so they are always integers.  Node ids reappear
+only in the returned dict.  Every level stores a row as a ``(targets, weights)`` pair of tuples — 16
 bytes per entry against about 41 for a dict — because the finest rows and
 the coarse levels above them are what sets the partitioner's peak memory.
 """
@@ -40,9 +41,8 @@ from .refine import rebalance_partition, refine_partition
 class PartitionResult:
     """Outcome of a k-way partitioning run.
 
-    ``balance`` is the weighted balance ratio when the run was given node
-    weights (heaviest part weight over the ideal per-part weight), the plain
-    population ratio otherwise.
+    ``balance`` is the heaviest part's population over the ideal per-part
+    population.
     """
 
     assignment: dict[int, int]
@@ -75,7 +75,7 @@ class PartitionResult:
 
 def _greedy_initial_partition(
     adjacency: Mapping[int, Mapping[int, int]],
-    node_weights: Mapping[int, float],
+    node_weights: Mapping[int, int],
     parts: int,
     rng: random.Random,
 ) -> dict[int, int]:
@@ -89,7 +89,7 @@ def _greedy_initial_partition(
     total_weight = sum(node_weights.values())
     target = total_weight / parts if parts else total_weight
     assignment: dict[int, int] = {}
-    part_weight = [0.0] * parts
+    part_weight = [0] * parts
 
     nodes_by_degree = sorted(
         adjacency, key=lambda n: sum(adjacency[n].values()), reverse=True
@@ -179,7 +179,6 @@ def index_rows(
 def partition_indexed(
     ids: list[int],
     rows: list[Row],
-    weights: list[float] | None,
     parts: int,
     seed: int,
     balance_tolerance: float = 1.05,
@@ -189,7 +188,7 @@ def partition_indexed(
 
     Returns the ``node id -> part`` assignment — in the order initial
     placement will iterate it — and the number of gain evaluations the
-    refinement kernels performed.  ``weights`` of ``None`` means one per node.
+    refinement kernels performed.
     """
     if parts == 1:
         # A set built from a dict, not from the list: iteration order of a
@@ -202,11 +201,8 @@ def partition_indexed(
     rng = random.Random(seed)
     # 1. Coarsening (weight-conserving: contracted nodes sum their weights).
     coarsen_target = max(parts * 8, 64)
-    if weights is None:
-        weights = [1] * len(ids)
-        max_node_weight: float = max(1, len(ids) // (coarsen_target // 2))
-    else:
-        max_node_weight = max(max(weights), sum(weights) / (coarsen_target // 2))
+    weights = [1] * len(ids)
+    max_node_weight = max(1, len(ids) // (coarsen_target // 2))
     levels = coarsen_to_size(rows, weights, coarsen_target, rng, max_node_weight)
 
     graphs = [(rows, weights), *((level.rows, level.weights) for level in levels)]
@@ -236,7 +232,7 @@ def partition_indexed(
         level_rows, level_weights = graphs[depth]
         limit = (sum(level_weights) / parts) * balance_tolerance
         evaluations += refine_partition(
-            level_rows, part, order, parts, level_weights, limit, refinement_passes
+            level_rows, part, parts, level_weights, limit, refinement_passes
         )
 
     rebalance_partition(rows, part, order, parts, weights, balance_tolerance)
@@ -249,7 +245,6 @@ def partition_kway(
     seed: int = 7,
     balance_tolerance: float = 1.05,
     refinement_passes: int = 4,
-    node_weights: Mapping[int, float] | None = None,
 ) -> PartitionResult:
     """Partition a weighted undirected graph into ``parts`` balanced parts.
 
@@ -268,37 +263,19 @@ def partition_kway(
         Maximum allowed ratio between the heaviest part and the ideal weight.
     refinement_passes:
         Boundary-refinement sweeps applied at every uncoarsening level.
-    node_weights:
-        Optional node weights (e.g. expected per-user request rates).  When
-        given, the *whole* multilevel stack balances weight instead of node
-        count: coarsening sums the weights of contracted nodes, initial
-        partitioning grows regions to the weighted target, and refinement
-        and the final rebalance enforce the tolerance on weighted part
-        mass.  Nodes missing from the mapping weigh 1; an empty or
-        non-positive total falls back to unweighted partitioning.
     """
     if parts < 1:
         raise PartitioningError("parts must be at least 1")
     ids, rows = index_rows(adjacency)
-    if node_weights is not None:
-        node_weights = {node: node_weights.get(node, 1) for node in ids}
-        if sum(node_weights.values()) <= 0 or min(node_weights.values()) < 0:
-            node_weights = None
     assignment, _ = partition_indexed(
-        ids,
-        rows,
-        None if node_weights is None else list(node_weights.values()),
-        parts,
-        seed,
-        balance_tolerance,
-        refinement_passes,
+        ids, rows, parts, seed, balance_tolerance, refinement_passes
     )
     validate_partition(assignment, set(ids), parts)
     return PartitionResult(
         assignment=assignment,
         parts=parts,
         edge_cut=edge_cut(adjacency, assignment),
-        balance=balance_ratio(assignment, parts, node_weights),
+        balance=balance_ratio(assignment, parts),
     )
 
 

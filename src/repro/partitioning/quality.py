@@ -27,38 +27,23 @@ def edge_cut(adjacency: Adjacency, assignment: Mapping[int, int]) -> int:
     return cut
 
 
-def part_weights(
-    assignment: Mapping[int, int],
-    parts: int,
-    node_weights: Mapping[int, float] | None = None,
-) -> list[float]:
-    """Total node weight assigned to each part.
-
-    ``node_weights`` may be integral (vertex counts) or fractional
-    (expected per-user request rates); nodes missing from the mapping
-    weigh 1, so a partial activity profile still covers the whole graph.
-    """
-    weights: list[float] = [0] * parts
+def part_weights(assignment: Mapping[int, int], parts: int) -> list[int]:
+    """Number of nodes assigned to each part."""
+    weights = [0] * parts
     for node, part in assignment.items():
         if part < 0 or part >= parts:
             raise PartitioningError(f"node {node} assigned to invalid part {part}")
-        weights[part] += 1 if node_weights is None else node_weights.get(node, 1)
+        weights[part] += 1
     return weights
 
 
-def balance_ratio(
-    assignment: Mapping[int, int],
-    parts: int,
-    node_weights: Mapping[int, float] | None = None,
-) -> float:
+def balance_ratio(assignment: Mapping[int, int], parts: int) -> float:
     """Maximum part weight divided by the ideal (perfectly balanced) weight.
 
     1.0 means perfectly balanced; METIS-style partitioners typically accept a
-    few percent of imbalance.  With ``node_weights`` this is the *weighted*
-    balance — the load-imbalance figure of an activity-weighted shard
-    assignment (heaviest shard's expected work over the per-shard ideal).
+    few percent of imbalance.
     """
-    weights = part_weights(assignment, parts, node_weights)
+    weights = part_weights(assignment, parts)
     total = sum(weights)
     if total == 0 or parts == 0:
         return 1.0

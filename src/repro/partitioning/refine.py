@@ -8,10 +8,8 @@ good cuts on social graphs.
 
 Both kernels work in *index space* (see :mod:`repro.partitioning.kway`):
 ``rows[i]`` is node ``i``'s ``(targets, weights)`` neighbour row, ``part[i]``
-its current part, ``weights[i]`` its weight.  ``order`` is the order in which
-the level's assignment was built; part weights are summed in that order
-because float node weights make the sum order-dependent and the result must
-not be.
+its current part, ``weights[i]`` its integer weight (the vertices it stands
+for), so part weights are exact sums in any order.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from .coarsen import Row
 def refine_partition(
     rows: Sequence[Row],
     part: list[int],
-    order: Sequence[int],
     parts: int,
-    weights: Sequence[float],
+    weights: Sequence[int],
     max_part_weight: float,
     passes: int = 4,
 ) -> int:
@@ -46,9 +43,9 @@ def refine_partition(
     nothing, and since an evaluation that moves nothing has no side effect,
     skipping it leaves moves, their order and the ``moved`` counts unchanged.
     """
-    part_weight = [0.0] * parts
-    for node in order:
-        part_weight[part[node]] += weights[node]
+    part_weight = [0] * parts
+    for owner, weight in zip(part, weights):
+        part_weight[owner] += weight
     dirty = bytearray(b"\x01") * len(rows)
     evaluations = 0
     for _ in range(passes):
@@ -99,19 +96,19 @@ def rebalance_partition(
     part: list[int],
     order: Sequence[int],
     parts: int,
-    weights: Sequence[float],
+    weights: Sequence[int],
     tolerance: float = 1.05,
 ) -> None:
     """Move nodes out of overweight parts until every part fits the tolerance.
 
     Nodes with the least connectivity to their current part are moved first,
-    into the lightest part, so the edge cut suffers as little as possible.
-    The tolerance bounds *weighted* part mass; each finishing part lands at
-    or below the limit, and a part a move lands in can exceed it by at most
-    one node's weight — so the final heaviest part is bounded by
-    ``ideal·tolerance + max(node weight)``.
+    into the lightest part, so the edge cut suffers as little as possible;
+    ``order`` (the order the assignment was built in) breaks ties among
+    equally connected nodes.  Each finishing part lands at or below the
+    limit, and a part a move lands in can exceed it by at most one node's
+    weight.
     """
-    part_weight = [0.0] * parts
+    part_weight = [0] * parts
     members: list[list[int]] = [[] for _ in range(parts)]
     for node in order:
         part_weight[part[node]] += weights[node]

@@ -5,17 +5,10 @@ The sharded runner (``repro.simulator.shard``) splits one simulation's
 it is exactly the k-way graph-partitioning problem the placement baselines
 already solve: pack tightly-connected users onto the same shard so a worker's
 requests touch a locality-coherent slice of the cluster, and keep shard
-populations balanced so no worker becomes the critical path.
-
-Balanced *populations* are only a proxy for balanced *work*: per-shard CPU
-tracks the number of read/write events a shard owns, and social workloads
-concentrate activity on a few well-connected users.  Passing an activity
-profile (:mod:`repro.workload.activity`) to :func:`assign_user_shards`
-switches the whole multilevel partitioning stack to balancing expected
-request rates, which is what levels the critical-path worker on skewed
-workloads.  The assignment changes, but byte-identity of the simulation
-result is preserved by construction — the sharded runner produces identical
-results for *any* user → shard mapping.
+populations balanced.  Every worker generates the whole stream and replays
+the whole decision plane, so how the owned events are split barely moves the
+critical path; the sharded runner produces identical results for *any*
+user → shard mapping.
 
 The product is a :class:`ShardAssignment` carrying a dense ``bytes`` map
 indexed by user id — shard workers classify a whole :class:`EventChunk`'s
@@ -29,7 +22,6 @@ worker classifies identically.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..exceptions import PartitioningError
@@ -42,13 +34,6 @@ __all__ = ["ShardAssignment", "assign_user_shards"]
 #: locality win at half the prepare cost (the assignment is computed once
 #: per run, but paper-scale graphs have millions of edges).
 _REFINEMENT_PASSES = 2
-
-#: Activity rates are blended with a floor of this fraction of the mean rate
-#: so silent users still carry weight: shard CPU is dominated by events, but
-#: not *entirely* — per-chunk classification and decision-plane replay cost
-#: a little for every user — and a pure-rate weighting would let the
-#: partitioner pile thousands of zero-rate users onto one shard.
-_ACTIVITY_FLOOR_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -66,9 +51,6 @@ class ShardAssignment:
     populations: tuple[int, ...]
     #: edges of the undirected adjacency crossing shards (locality diagnostic)
     edge_cut: int
-    #: expected activity (request rate) per shard under the profile the
-    #: assignment was computed with; ``None`` for population-only assignments
-    weighted_populations: tuple[float, ...] | None = None
 
     def owner_of(self, user: int) -> int:
         """The shard that owns ``user``'s requests."""
@@ -76,53 +58,11 @@ class ShardAssignment:
             return self.shard_map[user]
         return user % self.shards
 
-    @property
-    def weighted_imbalance(self) -> float | None:
-        """Heaviest shard's expected activity over the per-shard ideal.
-
-        This is the projected load-imbalance of the sharded replay's
-        measurement plane — 1.0 means the critical-path worker carries
-        exactly its fair share of expected events.
-        """
-        if self.weighted_populations is None:
-            return None
-        total = sum(self.weighted_populations)
-        if total <= 0 or self.shards == 0:
-            return 1.0
-        return max(self.weighted_populations) * self.shards / total
-
-
-def _activity_weights(
-    activity: object, users: tuple[int, ...] | list[int]
-) -> dict[int, float] | None:
-    """Node weights from an activity profile, floored and validated.
-
-    Accepts an :class:`~repro.workload.activity.ActivityProfile` or any
-    ``user -> rate`` mapping (duck-typed through the ``rates`` attribute).
-    Returns ``None`` when the profile is empty, all-zero or carries negative
-    rates — callers then fall back to population balancing rather than
-    handing the partitioner a degenerate objective.
-    """
-    rates = getattr(activity, "rates", activity)
-    if not isinstance(rates, Mapping) or not rates:
-        return None
-    total = 0.0
-    for user in users:
-        rate = rates.get(user, 0.0)
-        if rate < 0:
-            return None
-        total += rate
-    if total <= 0:
-        return None
-    floor = _ACTIVITY_FLOOR_FRACTION * total / len(users)
-    return {user: rates.get(user, 0.0) + floor for user in users}
-
 
 def assign_user_shards(
     graph: SocialGraph,
     shards: int,
     seed: int = 7,
-    activity: object | None = None,
 ) -> ShardAssignment:
     """Partition the graph's users into ``shards`` balanced locality groups.
 
@@ -130,23 +70,13 @@ def assign_user_shards(
     adjacency (mutual follows weigh double), the same objective the METIS
     baseline optimises for server placement — tightly-coupled users land on
     one shard, so one worker's requests hit a coherent server subset.  The
-    result is deterministic for a given ``(graph, shards, seed, activity)``.
-
-    ``activity`` — an :class:`~repro.workload.activity.ActivityProfile` or a
-    plain ``user -> expected request rate`` mapping — switches the balance
-    objective from user count to expected *work*: the partitioner balances
-    weighted part mass at every level, so a celebrity and her storm of
-    followers no longer land on one critical-path shard just because they
-    are few.  Rates are blended with a small per-user floor (10% of the mean
-    rate) and degenerate profiles (empty, all-zero, negative) fall back to
-    population balancing.
+    result is deterministic for a given ``(graph, shards, seed)``.
     """
     if not 1 <= shards <= 256:
         raise PartitioningError("shards must be between 1 and 256")
     users = graph.users
     if not users:
         raise PartitioningError("cannot shard an empty social graph")
-    node_weights = None if activity is None else _activity_weights(activity, users)
     size = max(users) + 1
     if shards == 1:
         return ShardAssignment(
@@ -154,16 +84,12 @@ def assign_user_shards(
             shard_map=bytes(size),
             populations=(len(users),),
             edge_cut=0,
-            weighted_populations=(
-                None if node_weights is None else (sum(node_weights.values()),)
-            ),
         )
     result = partition_kway(
         graph.undirected_adjacency(),
         shards,
         seed=seed,
         refinement_passes=_REFINEMENT_PASSES,
-        node_weights=node_weights,
     )
     # Dense map: graph users take their computed part, holes (ids the graph
     # skipped) fall back to the same modulo rule ``owner_of`` applies past
@@ -173,16 +99,11 @@ def assign_user_shards(
         assignment.get(user, user % shards) for user in range(size)
     )
     populations = [0] * shards
-    weighted: list[float] | None = None if node_weights is None else [0.0] * shards
     for user in users:
-        shard = shard_map[user]
-        populations[shard] += 1
-        if weighted is not None:
-            weighted[shard] += node_weights[user]
+        populations[shard_map[user]] += 1
     return ShardAssignment(
         shards=shards,
         shard_map=shard_map,
         populations=tuple(populations),
         edge_cut=result.edge_cut,
-        weighted_populations=None if weighted is None else tuple(weighted),
     )

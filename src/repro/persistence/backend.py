@@ -69,10 +69,6 @@ class PersistentStore:
         """True when the user has written at least once."""
         return user in self._views and self._views[user].version > 0
 
-    def known_users(self) -> tuple[int, ...]:
-        """Users with a materialised view."""
-        return tuple(self._views)
-
     def verify_integrity(self) -> None:
         """Check that materialised versions match the write-ahead log."""
         counts: dict[int, int] = {}

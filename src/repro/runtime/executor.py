@@ -196,12 +196,6 @@ class RuntimeExecutor:
         are byte-identical to ``shards=1``, so the cache is shared across
         shard counts.  Composes with ``jobs`` — each pool worker may itself
         fan out — but ``jobs=1`` with ``shards=N`` is the intended pairing.
-    shard_activity:
-        When sharding, balance shards by expected per-user request rates
-        (:mod:`repro.workload.activity`) instead of user count — the
-        default, since it levels the critical-path worker on skewed
-        workloads.  ``False`` restores population-balanced assignment.
-        Like ``shards``, never changes results, only wall time.
     """
 
     def __init__(
@@ -210,7 +204,6 @@ class RuntimeExecutor:
         cache: ResultCache | None = None,
         progress: ProgressCallback | None = None,
         shards: int = 1,
-        shard_activity: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -220,7 +213,6 @@ class RuntimeExecutor:
         self.cache = cache
         self.progress = progress
         self.shards = shards
-        self.shard_activity = shard_activity
 
     # ------------------------------------------------------------------ runs
     def run(self, specs: Sequence[RunSpec]) -> list[SimulationResult]:
@@ -228,12 +220,7 @@ class RuntimeExecutor:
         specs = list(specs)
         if self.shards > 1:
             specs = [
-                spec
-                if spec.shards == self.shards
-                and spec.shard_activity == self.shard_activity
-                else replace(
-                    spec, shards=self.shards, shard_activity=self.shard_activity
-                )
+                spec if spec.shards == self.shards else replace(spec, shards=self.shards)
                 for spec in specs
             ]
         results: list[SimulationResult | None] = [None] * len(specs)

@@ -37,12 +37,6 @@ from ..topology.base import ClusterTopology
 from ..topology.flat import FlatTopology
 from ..topology.tree import TreeTopology
 from ..workload.flash import inject_flash_stream, plan_flash_event
-from ..workload.models import (
-    CelebrityReadStormGenerator,
-    CelebrityStormConfig,
-    ParetoBurstConfig,
-    ParetoBurstWorkloadGenerator,
-)
 from ..workload.stream import EventStream
 from ..workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 from ..workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
@@ -110,14 +104,13 @@ class FlashSpec:
 
 
 #: Workload kinds understood by :class:`WorkloadSpec`.
-WORKLOAD_KINDS = ("synthetic", "trace", "pareto_burst", "celebrity_storm", "file")
+WORKLOAD_KINDS = ("synthetic", "trace", "file")
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Declarative workload: a generated stream (synthetic, trace-like,
-    Pareto-bursty, celebrity read storms) or a binary trace file, optionally
-    with a flash event merged in.
+    """Declarative workload: a generated stream (synthetic or trace-like) or
+    a binary trace file, optionally with a flash event merged in.
 
     Workers rebuild the *stream* from this spec — nothing but the spec
     crosses process boundaries, and replay consumes chunks lazily, so a
@@ -208,14 +201,6 @@ class WorkloadSpec:
         elif self.kind == "trace":
             stream = NewsActivityTraceGenerator(
                 graph, NewsActivityTraceConfig(days=self.days, seed=self.seed, **params)
-            ).stream()
-        elif self.kind == "pareto_burst":
-            stream = ParetoBurstWorkloadGenerator(
-                graph, ParetoBurstConfig(days=self.days, seed=self.seed, **params)
-            ).stream()
-        elif self.kind == "celebrity_storm":
-            stream = CelebrityReadStormGenerator(
-                graph, CelebrityStormConfig(days=self.days, seed=self.seed, **params)
             ).stream()
         else:
             stream = self._load_trace_file()
@@ -355,12 +340,6 @@ class RunSpec:
     #: byte-identical by contract, so results cached under one shard count
     #: are valid under every other.
     shards: int = 1
-    #: Balance shard *activity* (expected per-user request rates from
-    #: :mod:`repro.workload.activity`) instead of shard population when
-    #: partitioning users across shard workers.  Like ``shards``, excluded
-    #: from :meth:`cache_key`: the assignment changes which worker executes
-    #: which event, never the merged result.
-    shard_activity: bool = True
 
     def effective_strategy_seed(self) -> int:
         """Seed used to build the strategy."""

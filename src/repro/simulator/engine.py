@@ -56,7 +56,6 @@ let tests and experiments observe a run without subclassing.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from collections.abc import Callable
 from itertools import compress
@@ -69,6 +68,7 @@ from ..baselines.base import PlacementStrategy
 from ..persistence.backend import PersistentStore
 from ..socialgraph.graph import SocialGraph
 from ..store.memory import MemoryBudget
+from ..store.tables import check_tables_enabled
 from ..topology.base import ClusterTopology
 from ..traffic.accounting import TrafficAccountant
 from ..workload.requests import Request
@@ -237,9 +237,7 @@ class ClusterSimulator:
         #: Opt-in auditing mode: with ``REPRO_CHECK_TABLES=1`` in the
         #: environment, the placement tables of table-backed strategies are
         #: integrity-checked after every maintenance tick and fault burst.
-        self._check_tables = os.environ.get(
-            "REPRO_CHECK_TABLES", ""
-        ).strip().lower() not in ("", "0", "false", "no", "off")
+        self._check_tables = check_tables_enabled()
 
     # ------------------------------------------------------------------ setup
     def prepare(self) -> None:

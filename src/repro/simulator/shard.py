@@ -128,12 +128,6 @@ class ShardMaterials:
     stream_factory: Callable[[object], object]
     config: "SimulationConfig"
     scenario_factory: Callable[[], object] | None = None
-    #: ``activity_factory(graph) -> ActivityProfile | mapping | None`` —
-    #: per-user expected request rates fed to the shard partitioner so it
-    #: balances expected *work* instead of user count.  ``None`` (or a
-    #: factory returning ``None``) keeps population balancing.  Only the
-    #: coordinator calls this; workers never see it.
-    activity_factory: Callable[[object], object] | None = None
 
 
 @dataclass
@@ -185,20 +179,17 @@ class ShardLoadSummary:
     """Expected vs. actual per-shard load of one partitioned run.
 
     Emitted once through the progress callback after the merge, and attached
-    to the :class:`ShardRunReport`, so users can see whether the activity
-    profile predicted where the CPU actually went.  Shares are fractions of
-    the fleet total; imbalances are ``max share x shards`` (1.0 = the
+    to the :class:`ShardRunReport`, so users can see whether the shards'
+    populations predicted where the CPU actually went.  Shares are fractions
+    of the fleet total; imbalances are ``max share x shards`` (1.0 = the
     critical-path worker carries exactly its fair share).
     """
 
     shards: int
-    #: Expected load share per shard — activity-weighted when the partition
-    #: was, population share otherwise.
+    #: Expected load share per shard: its share of the graph's users.
     expected_shares: tuple[float, ...]
     #: Measured CPU-seconds share per shard.
     cpu_shares: tuple[float, ...]
-    #: ``"activity"`` or ``"population"`` — what the partitioner balanced.
-    balanced_by: str
 
     @staticmethod
     def _imbalance(shares: tuple[float, ...]) -> float:
@@ -217,7 +208,7 @@ class ShardLoadSummary:
         expected = "/".join(f"{share:.0%}" for share in self.expected_shares)
         actual = "/".join(f"{share:.0%}" for share in self.cpu_shares)
         return (
-            f"shard load [{self.balanced_by}-balanced]: cpu imbalance "
+            f"shard load [population-balanced]: cpu imbalance "
             f"{self.cpu_imbalance:.2f}x (expected {self.expected_imbalance:.2f}x); "
             f"per-shard cpu {actual} vs expected {expected}"
         )
@@ -567,12 +558,7 @@ def _load_summary(
     assignment: ShardAssignment, outcomes: list[ShardOutcome]
 ) -> "ShardLoadSummary | None":
     """Expected vs. actual load shares of a completed partitioned fleet."""
-    if assignment.weighted_populations is not None:
-        expected_raw: tuple[float, ...] = assignment.weighted_populations
-        balanced_by = "activity"
-    else:
-        expected_raw = tuple(float(p) for p in assignment.populations)
-        balanced_by = "population"
+    expected_raw = tuple(float(p) for p in assignment.populations)
     expected_total = sum(expected_raw)
     cpu_raw = tuple(outcome.cpu_seconds for outcome in outcomes)
     cpu_total = sum(cpu_raw)
@@ -582,7 +568,6 @@ def _load_summary(
         shards=assignment.shards,
         expected_shares=tuple(value / expected_total for value in expected_raw),
         cpu_shares=tuple(value / cpu_total for value in cpu_raw),
-        balanced_by=balanced_by,
     )
 
 
@@ -626,12 +611,7 @@ def run_sharded_detailed(
     if pure and shards <= 255:
         graph = materials.graph_factory()
         topology = materials.topology_factory()
-        activity = (
-            materials.activity_factory(graph)
-            if materials.activity_factory is not None
-            else None
-        )
-        assignment = assign_user_shards(graph, shards, seed=seed, activity=activity)
+        assignment = assign_user_shards(graph, shards, seed=seed)
         owner_map = _build_owner_map(graph, assignment)
         outcomes, fallback_reason = _run_partitioned(
             materials,
@@ -701,13 +681,6 @@ def _spec_stream(workload_spec, graph):
     return stream
 
 
-def _spec_activity(workload_spec, graph):
-    """Activity profile of a spec's workload (module-level: spawn-picklable)."""
-    from ..workload.activity import activity_for_spec
-
-    return activity_for_spec(workload_spec, graph)
-
-
 def materials_from_spec(spec: "RunSpec") -> ShardMaterials:
     """Picklable (spawn-safe) shard materials for a declarative run spec."""
     from functools import partial
@@ -730,11 +703,6 @@ def materials_from_spec(spec: "RunSpec") -> ShardMaterials:
         stream_factory=partial(_spec_stream, spec.workload),
         config=spec.config,
         scenario_factory=spec.scenario.build if spec.scenario is not None else None,
-        activity_factory=(
-            partial(_spec_activity, spec.workload)
-            if getattr(spec, "shard_activity", True)
-            else None
-        ),
     )
 
 

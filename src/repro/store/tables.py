@@ -85,10 +85,12 @@ NO_SLOT = -1
 _UTILITY_KEY = itemgetter(0)
 
 
-def _audit_views_enabled() -> bool:
-    """True when ``REPRO_CHECK_TABLES`` asks for read-only statistics views.
+def check_tables_enabled() -> bool:
+    """True when the ``REPRO_CHECK_TABLES`` environment flag is set.
 
-    The same opt-in flag that enables the simulator's table audits also
+    The one reader of the flag; any value but ``""``, ``0``, ``false``,
+    ``no`` or ``off`` (case-insensitive) turns it on.  It enables the
+    simulator's table audits after every tick and fault burst, and it
     hardens the shared ``reads_by_origin`` cache: query paths then receive
     immutable mapping proxies, so any caller mutating the cache in place —
     the aliasing hazard of handing a live cache dict to the pricing
@@ -235,7 +237,7 @@ class StatsTable:
         self._origins_cache: dict[int, dict[int, float]] = {}
         # Audit mode: serve immutable views of the shared origins cache so
         # read-only-contract violations raise instead of corrupting state.
-        self._readonly_views = _audit_views_enabled()
+        self._readonly_views = check_tables_enabled()
 
     # ------------------------------------------------------------- lifecycle
     def append_slot(self) -> None:

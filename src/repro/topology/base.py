@@ -11,7 +11,6 @@ server.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 
 from .devices import Device
 
@@ -181,31 +180,12 @@ class ClusterTopology(ABC):
         """The root switch of the topology."""
         return self.switches[0]
 
-    def server_indices(self) -> tuple[int, ...]:
-        """Indices of every storage server."""
-        return tuple(server.index for server in self.servers)
-
-    def broker_indices(self) -> tuple[int, ...]:
-        """Indices of every broker."""
-        return tuple(broker.index for broker in self.brokers)
-
     def describe(self) -> str:
         """One-line human readable description of the topology."""
         return (
             f"{type(self).__name__}: {len(self.switches)} switches, "
             f"{len(self.servers)} servers, {len(self.brokers)} brokers"
         )
-
-    def validate_leaf(self, leaf: int, allowed: Sequence[Device]) -> None:
-        """Raise if ``leaf`` is not one of the allowed leaf devices."""
-        from ..exceptions import TopologyError
-
-        if leaf < 0 or leaf >= len(self.devices):
-            raise TopologyError(f"device index {leaf} out of range")
-        if not self.devices[leaf].kind.is_leaf:
-            raise TopologyError(f"device {self.devices[leaf].name} is not a leaf machine")
-        if allowed and self.devices[leaf] not in allowed:
-            raise TopologyError(f"device {self.devices[leaf].name} not allowed here")
 
 
 __all__ = ["ClusterTopology"]

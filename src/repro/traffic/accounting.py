@@ -83,12 +83,6 @@ class TrafficSnapshot:
         """Traffic that crossed the top switch."""
         return self.total_by_level.get("top", 0.0)
 
-    def level_average(self, level: str, device_count: int) -> float:
-        """Average traffic per switch of a level."""
-        if device_count <= 0:
-            return 0.0
-        return self.total_by_level.get(level, 0.0) / device_count
-
 
 @dataclass
 class TrafficDelta:

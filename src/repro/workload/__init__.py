@@ -5,13 +5,6 @@ The data path is the chunked struct-of-arrays pipeline of
 :meth:`EventStream.from_rows`, and iterating one yields request dataclasses.
 """
 
-from .activity import (
-    ActivityProfile,
-    activity_for_spec,
-    analytic_activity,
-    profile_stream,
-    profile_trace,
-)
 from .flash import (
     FlashEventSpec,
     flash_event_stream,
@@ -19,12 +12,6 @@ from .flash import (
     plan_flash_event,
 )
 from .io import read_trace, trace_content_hash, write_trace
-from .models import (
-    CelebrityReadStormGenerator,
-    CelebrityStormConfig,
-    ParetoBurstConfig,
-    ParetoBurstWorkloadGenerator,
-)
 from .requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, WriteRequest
 from .stream import (
     CHUNK_EVENTS,
@@ -38,10 +25,7 @@ from .synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 from .trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
 
 __all__ = [
-    "ActivityProfile",
     "CHUNK_EVENTS",
-    "CelebrityReadStormGenerator",
-    "CelebrityStormConfig",
     "EdgeAdded",
     "EdgeRemoved",
     "EventChunk",
@@ -49,23 +33,17 @@ __all__ = [
     "FlashEventSpec",
     "NewsActivityTraceConfig",
     "NewsActivityTraceGenerator",
-    "ParetoBurstConfig",
-    "ParetoBurstWorkloadGenerator",
     "ReadRequest",
     "Request",
     "StreamStats",
     "SyntheticWorkloadConfig",
     "SyntheticWorkloadGenerator",
     "WriteRequest",
-    "activity_for_spec",
-    "analytic_activity",
     "events_per_day",
     "flash_event_stream",
     "inject_flash_stream",
     "merge_streams",
     "plan_flash_event",
-    "profile_stream",
-    "profile_trace",
     "read_trace",
     "trace_content_hash",
     "write_trace",

@@ -978,9 +978,10 @@ def test_post_request_hooks_see_every_event_in_stream_order():
 
 
 def test_check_tables_env_accepts_falsey_spellings(monkeypatch):
+    """Both consumers of the flag — the simulator's audits and the tables'
+    read-only statistics views — agree on every spelling."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=60)
-    strategy = build_strategy("random", 7, DynaSoReConfig())
     for value, expected in (
         ("1", True),
         ("true", True),
@@ -991,10 +992,13 @@ def test_check_tables_env_accepts_falsey_spellings(monkeypatch):
         ("", False),
     ):
         monkeypatch.setenv("REPRO_CHECK_TABLES", value)
+        strategy = build_strategy("dynasore_random", 7, DynaSoReConfig())
         simulator = ClusterSimulator(
             topology, graph, strategy, config=SimulationConfig(seed=7)
         )
+        simulator.prepare()
         assert simulator._check_tables is expected, value
+        assert strategy.tables.stats._readonly_views is expected, value
 
 
 def test_run_spanning_bucket_boundary_keeps_series_order():

@@ -1,8 +1,8 @@
 """Committed golden partitions (``tests/golden_partitions.json``).
 
 Every digest was generated at the commit *before* the partitioner moved to
-index space, so the file anchors the weighted and unweighted multilevel
-paths, the hierarchical recursion, the shard maps and the degenerate inputs
+index space, so the file anchors the multilevel path, the hierarchical
+recursion, the shard maps and the degenerate inputs
 to behaviour that predates the current kernels — dict order included:
 initial placement iterates the assignment dicts.
 
@@ -23,10 +23,8 @@ import pytest
 
 from repro.config import ClusterSpec
 from repro.partitioning import assign_user_shards, hierarchical_partition, partition_kway
-from repro.runtime.spec import WorkloadSpec
 from repro.socialgraph.generators import facebook_like, livejournal_like, twitter_like
 from repro.socialgraph.graph import SocialGraph
-from repro.workload.activity import ActivityProfile, analytic_activity
 
 GOLDEN_PATH = Path(__file__).parent / "golden_partitions.json"
 
@@ -60,22 +58,8 @@ def _adjacency(kind: str, users: int) -> dict[int, dict[int, int]]:
     return _graph(kind, users).undirected_adjacency()
 
 
-@lru_cache(maxsize=None)
-def _profile(kind: str, users: int) -> ActivityProfile:
-    profile = analytic_activity(_graph(kind, users), WorkloadSpec.of("synthetic", 1.0, 5))
-    assert profile is not None
-    return profile
-
-
-def _node_weights(flavour: str, kind: str, users: int) -> dict[int, float]:
-    if flavour == "activity":
-        return _profile(kind, users).rates
-    rng = random.Random(99)
-    return {node: 0.25 + 4.0 * rng.random() for node in _adjacency(kind, users)}
-
-
-def _kway(adjacency, parts, seed, node_weights=None) -> str:
-    result = partition_kway(adjacency, parts, seed=seed, node_weights=node_weights)
+def _kway(adjacency, parts, seed) -> str:
+    result = partition_kway(adjacency, parts, seed=seed)
     return _digest(list(result.assignment.items()), result.edge_cut, result.balance)
 
 
@@ -90,13 +74,8 @@ def _hierarchical(adjacency, spec, seed) -> str:
     )
 
 
-def _shards(kind, users, shards, activity) -> str:
-    result = assign_user_shards(
-        _graph(kind, users),
-        shards,
-        seed=7,
-        activity=_profile(kind, users) if activity else None,
-    )
+def _shards(kind, users, shards) -> str:
+    result = assign_user_shards(_graph(kind, users), shards, seed=7)
     return _digest(result.shard_map, result.populations, result.edge_cut)
 
 
@@ -134,14 +113,6 @@ def golden_cases() -> Iterator[tuple[str, Callable[[], str]]]:
                         f"kway/{kind}/{users}/parts{parts}/seed{seed}",
                         lambda k=kind, u=users, p=parts, s=seed: _kway(_adjacency(k, u), p, s),
                     )
-                for flavour in ("activity", "random"):
-                    for parts in (2, 4, 8):
-                        yield (
-                            f"weighted-{flavour}/{kind}/{users}/parts{parts}/seed{seed}",
-                            lambda f=flavour, k=kind, u=users, p=parts, s=seed: _kway(
-                                _adjacency(k, u), p, s, _node_weights(f, k, u)
-                            ),
-                        )
                 for name, spec in CLUSTERS.items():
                     yield (
                         f"hierarchical/{kind}/{users}/{name}/seed{seed}",
@@ -151,26 +122,15 @@ def golden_cases() -> Iterator[tuple[str, Callable[[], str]]]:
                     )
         for users in (150, 700, 2500):
             for shards in (2, 4):
-                for activity in (False, True):
-                    balance = "activity" if activity else "population"
-                    yield (
-                        f"shards/{kind}/{users}/shards{shards}/{balance}",
-                        lambda k=kind, u=users, n=shards, a=activity: _shards(k, u, n, a),
-                    )
+                yield (
+                    f"shards/{kind}/{users}/shards{shards}/population",
+                    lambda k=kind, u=users, n=shards: _shards(k, u, n),
+                )
     for kind in GRAPHS:
         for users in (40, 700):
             yield (
                 f"scrambled/{kind}/{users}/kway",
                 lambda k=kind, u=users: _kway(_scrambled(k, u), 4, 7),
-            )
-            yield (
-                f"scrambled/{kind}/{users}/weighted",
-                lambda k=kind, u=users: _kway(
-                    _scrambled(k, u),
-                    4,
-                    7,
-                    {n * 7 + 3: w for n, w in _node_weights("random", k, u).items()},
-                ),
             )
             yield (
                 f"scrambled/{kind}/{users}/hierarchical",

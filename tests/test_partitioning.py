@@ -66,11 +66,6 @@ class TestQuality:
         assignment = {node: 0 if node < 4 else 1 for node in adjacency}
         assert balance_ratio(assignment, 2) == pytest.approx(1.0)
 
-    def test_part_weights_with_node_weights(self):
-        assignment = {1: 0, 2: 1}
-        weights = part_weights(assignment, 2, node_weights={1: 5, 2: 3})
-        assert weights == [5, 3]
-
     def test_validate_partition_detects_missing_nodes(self):
         with pytest.raises(PartitioningError):
             validate_partition({1: 0}, {1, 2}, parts=2)
@@ -144,13 +139,6 @@ class TestCoarsening:
                     expected[owner][target] = expected[owner].get(target, 0) + weight
         assert coarse.rows == [(tuple(row), tuple(row.values())) for row in expected]
 
-    def test_float_node_weights_survive_coarsening(self):
-        rows, _, _ = indexed(two_cliques(6))
-        weights = [0.5 + 0.25 * node for node in range(len(rows))]
-        coarse = coarsen_once(rows, weights, random.Random(1), max_node_weight=100.0)
-        assert sum(coarse.weights) == pytest.approx(sum(weights))
-        assert any(isinstance(weight, float) for weight in coarse.weights)
-
 
 class TestRefinement:
     def test_refine_improves_bad_partition(self):
@@ -158,14 +146,14 @@ class TestRefinement:
         rows, weights, order = indexed(adjacency)
         part = [node % 2 for node in order]
         before = edge_cut(adjacency, dict(enumerate(part)))
-        refine_partition(rows, part, order, 2, weights, max_part_weight=8 * 1.05)
+        refine_partition(rows, part, 2, weights, max_part_weight=8 * 1.05)
         after = edge_cut(adjacency, dict(enumerate(part)))
         assert after <= before
 
     def test_refine_respects_balance(self):
         rows, weights, order = indexed(two_cliques(8))
         part = [node % 2 for node in order]
-        refine_partition(rows, part, order, 2, weights, max_part_weight=9)
+        refine_partition(rows, part, 2, weights, max_part_weight=9)
         assert max(part.count(0), part.count(1)) <= 9
 
     def test_rebalance_fixes_overweight_part(self):
@@ -218,10 +206,10 @@ def reference_refine(adjacency, assignment, parts, node_weights, max_part_weight
     return evaluations
 
 
-def full_sweep_refine(rows, part, order, parts, weights, max_part_weight, passes=4):
+def full_sweep_refine(rows, part, parts, weights, max_part_weight, passes=4):
     """``reference_refine`` behind the index-space kernel's signature: the
     ``(targets, weights)`` rows go back to the dict rows it was written for."""
-    assignment = {node: part[node] for node in order}
+    assignment = dict(enumerate(part))
     evaluations = reference_refine(
         {node: dict(zip(*row)) for node, row in enumerate(rows)},
         assignment,
@@ -252,22 +240,12 @@ def refinement_inputs(draw):
             adjacency[left][right] = weight
             adjacency[right][left] = weight
     parts = draw(st.integers(min_value=2, max_value=4))
-    if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
-    else:
-        weights = draw(
-            st.lists(
-                st.floats(min_value=0.01, max_value=6.0, allow_nan=False),
-                min_size=size,
-                max_size=size,
-            )
-        )
+    weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
     part = draw(st.lists(st.integers(0, parts - 1), min_size=size, max_size=size))
-    order = draw(st.permutations(range(size)))
     # From "no part may grow" to a limit that never binds.
     slack = draw(st.floats(min_value=0.7, max_value=1.6))
     passes = draw(st.integers(min_value=1, max_value=4))
-    return adjacency, weights, parts, part, order, slack, passes
+    return adjacency, weights, parts, part, slack, passes
 
 
 @given(data=refinement_inputs())
@@ -275,12 +253,12 @@ def refinement_inputs(draw):
 def test_worklist_refinement_equals_full_sweep(data):
     """The worklist kernel moves exactly what a full sweep moves — same
     assignment after every pass budget — and never evaluates more nodes."""
-    adjacency, weights, parts, part, order, slack, passes = data
+    adjacency, weights, parts, part, slack, passes = data
     _, rows = index_rows(adjacency)
     limit = max(sum(weights) / parts * slack, max(weights))
     expected = list(part)
-    full = full_sweep_refine(rows, expected, order, parts, weights, limit, passes)
-    evaluations = refine_partition(rows, part, order, parts, weights, limit, passes)
+    full = full_sweep_refine(rows, expected, parts, weights, limit, passes)
+    evaluations = refine_partition(rows, part, parts, weights, limit, passes)
     assert part == expected
     assert evaluations <= full
 
@@ -291,11 +269,11 @@ def test_moved_node_is_evaluated_again():
     — no neighbour of it — then leaves part 2, and the next pass must
     look at node 0 again although none of its neighbours moved."""
     adjacency = {0: {1: 5, 3: 3}, 1: {0: 5, 2: 9}, 2: {1: 9}, 3: {0: 3}, 4: {5: 4}, 5: {4: 4}}
-    rows, weights, order = indexed(adjacency)
+    rows, weights, _ = indexed(adjacency)
     part = [0, 2, 2, 1, 2, 0]
     expected = list(part)
-    full_sweep_refine(rows, expected, order, 3, weights, max_part_weight=3)
-    refine_partition(rows, part, order, 3, weights, max_part_weight=3)
+    full_sweep_refine(rows, expected, 3, weights, max_part_weight=3)
+    refine_partition(rows, part, 3, weights, max_part_weight=3)
     assert part == expected == [2, 2, 2, 1, 0, 0]
 
 
@@ -303,9 +281,9 @@ def test_worklist_skips_two_fifths_of_the_full_sweep(monkeypatch):
     """A count, not a timing: on a 2 000-user graph at 4 parts the multilevel
     run evaluates at most 0.6 x the gains a full sweep per pass would."""
     ids, rows = index_rows(livejournal_like(users=2000, seed=7).undirected_adjacency())
-    assignment, evaluations = partition_indexed(ids, rows, None, 4, seed=7)
+    assignment, evaluations = partition_indexed(ids, rows, 4, seed=7)
     monkeypatch.setattr(kway, "refine_partition", full_sweep_refine)
-    reference, full = partition_indexed(ids, rows, None, 4, seed=7)
+    reference, full = partition_indexed(ids, rows, 4, seed=7)
     assert list(assignment.items()) == list(reference.items())
     assert 0 < evaluations <= 0.6 * full
 
@@ -436,70 +414,6 @@ class TestKWay:
             result.nodes_in_part(2)
         with pytest.raises(PartitioningError):
             result.nodes_in_part(-1)
-
-
-class TestWeightedKWay:
-    """Node-weighted partitioning: the whole stack balances weight."""
-
-    def weighted_graph(self, users: int = 300, seed: int = 7):
-        graph = facebook_like(users=users, seed=seed)
-        adjacency = graph.undirected_adjacency()
-        rng = random.Random(seed)
-        # Heavy-tailed weights: a few nodes carry most of the mass, like
-        # per-user request rates on a social workload.
-        weights = {node: 1.0 + rng.paretovariate(1.3) for node in adjacency}
-        return adjacency, weights
-
-    def test_weighted_partition_balances_weight_not_count(self):
-        adjacency, weights = self.weighted_graph()
-        result = partition_kway(adjacency, parts=4, seed=1, node_weights=weights)
-        assert set(result.assignment) == set(adjacency)
-        weighted = part_weights(result.assignment, 4, node_weights=weights)
-        ideal = sum(weights.values()) / 4
-        # The tolerance bound plus one node's weight (rebalance can overshoot
-        # the lightest part by at most the moved node).
-        assert max(weighted) <= ideal * 1.05 + max(weights.values()) + 1e-9
-        assert result.balance == pytest.approx(
-            balance_ratio(result.assignment, 4, node_weights=weights)
-        )
-
-    def test_weighted_beats_unweighted_on_weighted_balance(self):
-        adjacency, weights = self.weighted_graph(users=400, seed=9)
-        unweighted = partition_kway(adjacency, parts=4, seed=1)
-        weighted = partition_kway(adjacency, parts=4, seed=1, node_weights=weights)
-        assert balance_ratio(
-            weighted.assignment, 4, node_weights=weights
-        ) <= balance_ratio(unweighted.assignment, 4, node_weights=weights)
-
-    def test_default_path_unchanged_by_weight_of_one(self):
-        """All-ones weights must reproduce the unweighted partition exactly:
-        the placement baselines depend on the default path being stable."""
-        graph = facebook_like(users=300, seed=8)
-        adjacency = graph.undirected_adjacency()
-        unweighted = partition_kway(adjacency, parts=4, seed=2)
-        ones = partition_kway(
-            adjacency, parts=4, seed=2, node_weights={n: 1 for n in adjacency}
-        )
-        assert ones.assignment == unweighted.assignment
-
-    def test_degenerate_weights_fall_back_unweighted(self):
-        adjacency = two_cliques(8)
-        zero = partition_kway(
-            adjacency, parts=2, seed=1, node_weights={n: 0.0 for n in adjacency}
-        )
-        plain = partition_kway(adjacency, parts=2, seed=1)
-        assert zero.assignment == plain.assignment
-        negative = partition_kway(
-            adjacency, parts=2, seed=1, node_weights={0: -1.0}
-        )
-        assert negative.assignment == plain.assignment
-
-    def test_missing_nodes_weigh_one(self):
-        adjacency = two_cliques(6)
-        partial = {node: 2.0 for node in range(6)}  # second clique missing
-        result = partition_kway(adjacency, parts=2, seed=1, node_weights=partial)
-        weights = part_weights(result.assignment, 2, node_weights=partial)
-        assert sum(weights) == pytest.approx(6 * 2.0 + 6 * 1.0)
 
 
 class TestHierarchical:

@@ -51,9 +51,6 @@ from repro.simulator.shard import (
     run_sharded,
     run_sharded_detailed,
 )
-from repro.socialgraph.generators import dataset_preset, generate_social_graph
-from repro.workload.activity import activity_for_spec, profile_stream
-from repro.workload.models import CelebrityReadStormGenerator, CelebrityStormConfig
 from repro.workload.stream import KIND_READ, KIND_WRITE, NO_AUX, EventStream
 
 #: Strategies whose request execution never feeds back into placement —
@@ -127,18 +124,15 @@ class TestShardedParity:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity with activity-weighted assignment on a skewed workload
+# Byte-identity on a skewed workload
 # ---------------------------------------------------------------------------
 def skewed_workload() -> WorkloadSpec:
-    """A celebrity read storm: the canonical activity-skewed workload."""
-    return WorkloadSpec.of(
-        "celebrity_storm", days=1.0, seed=5, celebrities=3, reads_per_follower=6.0
-    )
+    """The news-activity trace at its default Pareto tail (``activity_shape``
+    1.3): a few users carry most of the events."""
+    return WorkloadSpec.of("trace", days=1.0, seed=5)
 
 
-def skewed_materials(
-    strategy_key: str, scenario_key: str, activity: bool = True
-) -> ShardMaterials:
+def skewed_materials(strategy_key: str, scenario_key: str) -> ShardMaterials:
     """Shard materials replaying the skewed workload over the parity graph."""
     workload = skewed_workload()
 
@@ -153,99 +147,40 @@ def skewed_materials(
         stream_factory=stream_factory,
         config=SimulationConfig(extra_memory_pct=60.0, seed=7),
         scenario_factory=SCENARIOS[scenario_key],
-        activity_factory=(
-            (lambda graph: activity_for_spec(workload, graph)) if activity else None
-        ),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def skewed_reference_bytes(strategy_key: str, scenario_key: str) -> bytes:
     """Single-process reference of the skewed workload, cached per cell."""
-    report = run_sharded_detailed(
-        skewed_materials(strategy_key, scenario_key, activity=False), 1
-    )
+    report = run_sharded_detailed(skewed_materials(strategy_key, scenario_key), 1)
     return canonical_result_bytes(report.result)
 
 
-class TestWeightedShardedParity:
-    """Activity-weighted assignment changes which worker executes which
-    event — never the merged result.  The skewed workload is exactly where
-    the weighted partition diverges most from the population one, so this
-    matrix is the regression net for the activity-weighted path."""
+class TestSkewedShardedParity:
+    """On a heavy-tailed stream the shards own very unequal shares of the
+    events; the merged result must not notice.  This matrix carries a skewed stream
+    through the 2- and 4-shard partitioned merge."""
 
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     @pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
-    def test_weighted_two_shards_byte_identical(self, strategy_key, scenario_key):
+    def test_skewed_two_shards_byte_identical(self, strategy_key, scenario_key):
         report = run_sharded_detailed(skewed_materials(strategy_key, scenario_key), 2)
         assert canonical_result_bytes(report.result) == skewed_reference_bytes(
             strategy_key, scenario_key
-        ), f"weighted sharded replay diverged for {strategy_key}/{scenario_key}"
+        ), f"skewed sharded replay diverged for {strategy_key}/{scenario_key}"
         expected = "partitioned" if strategy_key in PURE_STRATEGIES else "replicated"
         assert report.mode == expected
 
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     @pytest.mark.parametrize("strategy_key", sorted(PURE_STRATEGIES))
-    def test_weighted_four_shards_byte_identical(self, strategy_key, scenario_key):
+    def test_skewed_four_shards_byte_identical(self, strategy_key, scenario_key):
         report = run_sharded_detailed(skewed_materials(strategy_key, scenario_key), 4)
         assert report.mode == "partitioned"
         assert canonical_result_bytes(report.result) == skewed_reference_bytes(
             strategy_key, scenario_key
-        ), f"weighted 4-shard replay diverged for {strategy_key}/{scenario_key}"
-        assert report.assignment.weighted_populations is not None
+        ), f"skewed 4-shard replay diverged for {strategy_key}/{scenario_key}"
         assert report.load_summary is not None
-        assert report.load_summary.balanced_by == "activity"
-
-    def test_weighted_assignment_lowers_expected_imbalance(self):
-        """On the skewed workload the activity-weighted partition spreads
-        expected events strictly more evenly than the population one."""
-        graph = parity_graph()
-        profile = activity_for_spec(skewed_workload(), graph)
-
-        def expected_imbalance(assignment) -> float:
-            loads = [0.0] * assignment.shards
-            for user, rate in profile.rates.items():
-                loads[assignment.owner_of(user)] += rate
-            return max(loads) * assignment.shards / sum(loads)
-
-        unweighted = assign_user_shards(graph, 4, seed=7)
-        weighted = assign_user_shards(graph, 4, seed=7, activity=profile)
-        assert weighted.shard_map != unweighted.shard_map
-        assert expected_imbalance(weighted) < expected_imbalance(unweighted)
-        assert weighted.weighted_imbalance is not None
-        assert weighted.weighted_imbalance < expected_imbalance(unweighted)
-
-    def test_weighted_assignment_meets_the_balance_tolerance_on_profiled_counts(self):
-        """At a scale where one user is a small share of a shard (3 000
-        users, a 150 000-event celebrity storm, 60 % of it pile-ons on 8
-        hubs), weighting by the stream's *profiled* per-user counts levels
-        the shards' events to the partitioner's 1.05 tolerance — counted,
-        not timed (1.0442 against 1.3009 for population balance)."""
-        users, events, celebrities, storms = 3000, 150_000, 8, 3
-        graph = generate_social_graph(dataset_preset("twitter", users=users), seed=7)
-        audiences = sorted((graph.in_degree(u) for u in graph.users), reverse=True)
-        stream = CelebrityReadStormGenerator(
-            graph,
-            CelebrityStormConfig(
-                days=events * 0.4 / (users * 2.0),
-                seed=7,
-                celebrities=celebrities,
-                storms_per_celebrity=storms,
-                reads_per_follower=events * 0.6 / (storms * sum(audiences[:celebrities])),
-                background_events_per_user_per_day=2.0,
-            ),
-        ).stream()
-        profile = profile_stream(stream)
-
-        def event_imbalance(assignment) -> float:
-            loads = [0.0] * assignment.shards
-            for user, count in profile.rates.items():
-                loads[assignment.owner_of(user)] += count
-            return max(loads) * assignment.shards / sum(loads)
-
-        weighted = event_imbalance(assign_user_shards(graph, 4, seed=7, activity=profile))
-        assert weighted <= 1.05
-        assert weighted < event_imbalance(assign_user_shards(graph, 4, seed=7))
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +358,6 @@ class TestSpecIntegration:
         spec = small_spec()
         assert spec.cache_key() == dataclasses.replace(spec, shards=4).cache_key()
 
-    def test_cache_key_ignores_shard_activity(self):
-        """Like ``shards``, the balance objective only moves work between
-        workers — results (and so cache entries) are shared."""
-        spec = small_spec()
-        assert (
-            spec.cache_key()
-            == dataclasses.replace(spec, shard_activity=False).cache_key()
-        )
-
-    def test_spec_activity_toggle_controls_materials(self):
-        materials = materials_from_spec(small_spec())
-        assert materials.activity_factory is not None
-        profile = materials.activity_factory(parity_graph())
-        assert profile.rates and profile.source == "analytic"
-        opt_out = materials_from_spec(small_spec(shard_activity=False))
-        assert opt_out.activity_factory is None
-
-    def test_executor_population_balancing_is_byte_identical(self):
-        """``shard_activity=False`` (the executor-level opt-out) changes the
-        assignment, never the result."""
-        spec = small_spec()
-        result = RuntimeExecutor(shards=2, shard_activity=False).run([spec])[0]
-        assert canonical_result_bytes(result) == canonical_result_bytes(
-            execute_spec(spec)
-        )
-
     def test_executor_shares_cache_across_shard_counts(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
@@ -475,23 +384,6 @@ class TestSpecIntegration:
 
         args = build_parser().parse_args(["run", "figure3c", "--shards", "4"])
         assert args.shards == 4
-        assert args.shard_balance == "activity"
-
-    def test_cli_shard_balance_flag_reaches_executor(self):
-        from repro.cli import build_executor, build_parser
-        from repro.config import ExperimentProfile
-
-        args = build_parser().parse_args(
-            ["run", "figure3c", "--shards", "2", "--shard-balance", "population"]
-        )
-        executor = build_executor(
-            ExperimentProfile.by_name("ci"),
-            no_cache=True,
-            shards=args.shards,
-            shard_balance=args.shard_balance,
-        )
-        assert executor.shards == 2
-        assert executor.shard_activity is False
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +431,6 @@ class TestHeartbeats:
         assert len(summaries) == 1
         summary = summaries[0]
         assert summary is report.load_summary
-        assert summary.balanced_by == "population"  # no activity_factory here
         assert len(summary.cpu_shares) == 2
         assert abs(sum(summary.cpu_shares) - 1.0) < 1e-9
         assert abs(sum(summary.expected_shares) - 1.0) < 1e-9

@@ -2,8 +2,8 @@
 
 Covers the chunk/stream substrate (hand-built streams and their time-order
 check, merging, chunk-level queries), the seed-stability of the
-stream-native generators across chunk boundaries, the additional workload
-models, and the constant-memory guarantee: consuming a 1M-event stream
+stream-native generators across chunk boundaries, the workload spec's
+kinds, and the constant-memory guarantee: consuming a 1M-event stream
 never holds more than a few chunks.
 """
 
@@ -14,19 +14,10 @@ import tracemalloc
 
 import pytest
 
-from repro.config import SimulationConfig
-from repro.constants import DAY, HOUR
+from repro.constants import DAY
 from repro.exceptions import WorkloadError
-from repro.runtime.spec import WorkloadSpec, build_strategy
-from repro.simulator.engine import ClusterSimulator
+from repro.runtime.spec import WorkloadSpec
 from repro.socialgraph.generators import dataset_preset, facebook_like, generate_social_graph
-from repro.topology.tree import TreeTopology
-from repro.workload.models import (
-    CelebrityReadStormGenerator,
-    CelebrityStormConfig,
-    ParetoBurstConfig,
-    ParetoBurstWorkloadGenerator,
-)
 from repro.workload.requests import EdgeAdded, ReadRequest, WriteRequest
 from repro.workload.stream import (
     EventChunk,
@@ -183,20 +174,6 @@ class TestGeneratorSeedStability:
         reference = list(generator.stream().rows())
         assert list(generator.stream(chunk_size=chunk_size).rows()) == reference
 
-    @pytest.mark.parametrize("chunk_size", [64, 257])
-    def test_pareto_stable_across_chunk_sizes(self, graph, chunk_size):
-        generator = ParetoBurstWorkloadGenerator(graph, ParetoBurstConfig(days=0.5, seed=5))
-        reference = list(generator.stream().rows())
-        assert list(generator.stream(chunk_size=chunk_size).rows()) == reference
-
-    @pytest.mark.parametrize("chunk_size", [64, 257])
-    def test_celebrity_stable_across_chunk_sizes(self, graph, chunk_size):
-        generator = CelebrityReadStormGenerator(
-            graph, CelebrityStormConfig(days=0.5, celebrities=2, seed=5)
-        )
-        reference = list(generator.stream().rows())
-        assert list(generator.stream(chunk_size=chunk_size).rows()) == reference
-
     def test_streams_are_reiterable(self, graph):
         stream = SyntheticWorkloadGenerator(
             graph, SyntheticWorkloadConfig(days=0.25, seed=7)
@@ -226,102 +203,12 @@ class TestGeneratorSeedStability:
         assert tail_fraction == pytest.approx(expected, abs=0.03)
 
 
-def _run(workload, graph, cluster_spec, strategy_key):
-    simulator = ClusterSimulator(
-        TreeTopology(cluster_spec),
-        graph.copy(),
-        build_strategy(strategy_key, seed=21),
-        SimulationConfig(extra_memory_pct=50.0, seed=21),
-    )
-    return simulator.run(workload)
+@pytest.mark.parametrize("kind", ["nope", "pareto_burst", "celebrity_storm"])
+def test_workload_spec_rejects_unknown_kind(kind):
+    from repro.exceptions import ConfigurationError
 
-
-class TestNewWorkloadModels:
-    @pytest.fixture
-    def graph(self):
-        return facebook_like(users=150, seed=11)
-
-    def test_pareto_burst_is_ordered_and_sized(self, graph, assert_time_ordered):
-        generator = ParetoBurstWorkloadGenerator(
-            graph, ParetoBurstConfig(days=0.5, events_per_user_per_day=4.0, seed=3)
-        )
-        stream = generator.stream()
-        assert_time_ordered(stream)
-        stats = stream.stats()
-        assert stats.events == generator.total_events()
-        assert stats.reads > stats.writes  # read_fraction defaults to 0.8
-
-    def test_pareto_burst_is_bursty(self, graph):
-        """Heavy-tailed gaps: the largest interarrival dwarfs the median."""
-        generator = ParetoBurstWorkloadGenerator(
-            graph, ParetoBurstConfig(days=0.5, shape=1.2, seed=3)
-        )
-        times = [row[1] for row in generator.stream().rows()]
-        gaps = sorted(b - a for a, b in zip(times, times[1:]))
-        median = gaps[len(gaps) // 2]
-        assert gaps[-1] > 20 * max(median, 1e-9)
-
-    def test_pareto_rejects_bad_config(self):
-        with pytest.raises(WorkloadError):
-            ParetoBurstConfig(shape=1.0)
-        with pytest.raises(WorkloadError):
-            ParetoBurstConfig(read_fraction=1.5)
-
-    def test_celebrity_storm_concentrates_reads_on_followers(self, graph, assert_time_ordered):
-        config = CelebrityStormConfig(
-            days=0.5,
-            celebrities=1,
-            storms_per_celebrity=1,
-            storm_duration=HOUR,
-            reads_per_follower=4.0,
-            seed=3,
-        )
-        generator = CelebrityReadStormGenerator(graph, config)
-        (celebrity,) = generator.celebrity_users()
-        followers = set(graph.followers(celebrity))
-        (start,) = generator.storm_windows(celebrity)
-        in_window = [
-            row
-            for row in generator.stream().rows()
-            if start <= row[1] <= start + config.storm_duration and row[0] == KIND_READ
-        ]
-        follower_reads = sum(1 for row in in_window if row[2] in followers)
-        assert follower_reads >= len(followers) * 3
-        assert_time_ordered(generator.stream())
-
-    def test_celebrity_storm_rejects_bad_config(self):
-        with pytest.raises(WorkloadError):
-            CelebrityStormConfig(celebrities=0)
-        with pytest.raises(WorkloadError):
-            CelebrityStormConfig(background_read_fraction=1.0)
-
-    def test_models_run_through_the_simulator(self, graph):
-        from repro.config import ClusterSpec
-
-        cluster = ClusterSpec(
-            intermediate_switches=2, racks_per_intermediate=2, machines_per_rack=3
-        )
-        stream = ParetoBurstWorkloadGenerator(
-            graph, ParetoBurstConfig(days=0.25, seed=3)
-        ).stream()
-        result = _run(stream, graph, cluster, "random")
-        assert result.requests_executed == stream.stats().events
-        assert result.top_switch_traffic > 0
-
-    def test_workload_spec_builds_new_kinds(self, graph):
-        pareto = WorkloadSpec.of("pareto_burst", days=0.25, seed=3, shape=1.4)
-        stream, tracked = pareto.build_stream(graph)
-        assert tracked == ()
-        assert stream.stats().events > 0
-        storm = WorkloadSpec.of("celebrity_storm", days=0.25, seed=3, celebrities=2)
-        stream, _ = storm.build_stream(graph)
-        assert stream.stats().events > 0
-
-    def test_workload_spec_rejects_unknown_kind(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            WorkloadSpec(kind="nope", days=1.0, seed=1)
+    with pytest.raises(ConfigurationError):
+        WorkloadSpec(kind=kind, days=1.0, seed=1)
 
 
 def test_synthetic_stream_peak_memory_stays_under_8_mb():
