@@ -6,6 +6,10 @@ recursion, the shard maps and the degenerate inputs
 to behaviour that predates the current kernels — dict order included:
 initial placement iterates the assignment dicts.
 
+Every partition of the graph grid is also checked against the partitioner's
+contract — coverage, balance, tree consistency, a cut below chance — so a
+regenerated digest cannot pin a partition that breaks it.
+
 Regenerate (only when an assignment change is intended and explained):
 ``PYTHONPATH=src python tests/test_partition_goldens.py``.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from collections.abc import Callable, Iterator
 from functools import lru_cache
@@ -22,7 +27,16 @@ from pathlib import Path
 import pytest
 
 from repro.config import ClusterSpec
-from repro.partitioning import assign_user_shards, hierarchical_partition, partition_kway
+from repro.partitioning import (
+    HierarchicalPartitionResult,
+    PartitionResult,
+    ShardAssignment,
+    assign_user_shards,
+    hierarchical_partition,
+    part_weights,
+    partition_kway,
+    random_partition,
+)
 from repro.socialgraph.generators import facebook_like, livejournal_like, twitter_like
 from repro.socialgraph.graph import SocialGraph
 
@@ -31,13 +45,20 @@ GOLDEN_PATH = Path(__file__).parent / "golden_partitions.json"
 GRAPHS = {"twitter": twitter_like, "facebook": facebook_like, "livejournal": livejournal_like}
 USERS = (40, 150, 700, 2500)  # 40: below the coarsening target, no level is built
 SEEDS = (3, 7)
-#: the bench cluster (4 switches x 2 racks x 3 servers) and a 2 x 2 x 2 one
+PARTS = (2, 3, 4, 8, 24)
+SHARD_USERS = (150, 700, 2500)
+SHARDS = (2, 3, 4, 8)
+#: the bench cluster (4 switches x 2 racks x 3 servers), a 2 x 2 x 2 one and
+#: one with odd fan-outs at the top two levels
 CLUSTERS = {
     "4x2x3": ClusterSpec(
         intermediate_switches=4, racks_per_intermediate=2, machines_per_rack=4
     ),
     "2x2x2": ClusterSpec(
         intermediate_switches=2, racks_per_intermediate=2, machines_per_rack=3
+    ),
+    "3x3x2": ClusterSpec(
+        intermediate_switches=3, racks_per_intermediate=3, machines_per_rack=3
     ),
 }
 #: one switch and one server per rack: two of the three levels ask for 1 part
@@ -58,13 +79,15 @@ def _adjacency(kind: str, users: int) -> dict[int, dict[int, int]]:
     return _graph(kind, users).undirected_adjacency()
 
 
-def _kway(adjacency, parts, seed) -> str:
-    result = partition_kway(adjacency, parts, seed=seed)
+def _kway_digest(result: PartitionResult) -> str:
     return _digest(list(result.assignment.items()), result.edge_cut, result.balance)
 
 
-def _hierarchical(adjacency, spec, seed) -> str:
-    result = hierarchical_partition(adjacency, spec, seed=seed)
+def _kway(adjacency, parts, seed) -> str:
+    return _kway_digest(partition_kway(adjacency, parts, seed=seed))
+
+
+def _hierarchical_digest(result: HierarchicalPartitionResult) -> str:
     return _digest(
         list(result.server_assignment.items()),
         list(result.intermediate_assignment.items()),
@@ -74,8 +97,31 @@ def _hierarchical(adjacency, spec, seed) -> str:
     )
 
 
+def _hierarchical(adjacency, spec, seed) -> str:
+    return _hierarchical_digest(hierarchical_partition(adjacency, spec, seed=seed))
+
+
+# The graph grid: one partition per cell, shared by its golden digest and its
+# contract check.
+@lru_cache(maxsize=None)
+def _grid_kway(kind: str, users: int, parts: int, seed: int) -> PartitionResult:
+    return partition_kway(_adjacency(kind, users), parts, seed=seed)
+
+
+@lru_cache(maxsize=None)
+def _grid_hierarchical(
+    kind: str, users: int, cluster: str, seed: int
+) -> HierarchicalPartitionResult:
+    return hierarchical_partition(_adjacency(kind, users), CLUSTERS[cluster], seed=seed)
+
+
+@lru_cache(maxsize=None)
+def _grid_shards(kind: str, users: int, shards: int) -> ShardAssignment:
+    return assign_user_shards(_graph(kind, users), shards, seed=7)
+
+
 def _shards(kind, users, shards) -> str:
-    result = assign_user_shards(_graph(kind, users), shards, seed=7)
+    result = _grid_shards(kind, users, shards)
     return _digest(result.shard_map, result.populations, result.edge_cut)
 
 
@@ -108,20 +154,22 @@ def golden_cases() -> Iterator[tuple[str, Callable[[], str]]]:
     for kind in GRAPHS:
         for users in USERS:
             for seed in SEEDS:
-                for parts in (2, 3, 4, 24):
+                for parts in PARTS:
                     yield (
                         f"kway/{kind}/{users}/parts{parts}/seed{seed}",
-                        lambda k=kind, u=users, p=parts, s=seed: _kway(_adjacency(k, u), p, s),
-                    )
-                for name, spec in CLUSTERS.items():
-                    yield (
-                        f"hierarchical/{kind}/{users}/{name}/seed{seed}",
-                        lambda k=kind, u=users, c=spec, s=seed: _hierarchical(
-                            _adjacency(k, u), c, s
+                        lambda k=kind, u=users, p=parts, s=seed: _kway_digest(
+                            _grid_kway(k, u, p, s)
                         ),
                     )
-        for users in (150, 700, 2500):
-            for shards in (2, 4):
+                for name in CLUSTERS:
+                    yield (
+                        f"hierarchical/{kind}/{users}/{name}/seed{seed}",
+                        lambda k=kind, u=users, c=name, s=seed: _hierarchical_digest(
+                            _grid_hierarchical(k, u, c, s)
+                        ),
+                    )
+        for users in SHARD_USERS:
+            for shards in SHARDS:
                 yield (
                     f"shards/{kind}/{users}/shards{shards}/population",
                     lambda k=kind, u=users, n=shards: _shards(k, u, n),
@@ -175,6 +223,91 @@ def test_golden_file_lists_exactly_the_cases():
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_partition_matches_golden(key):
     assert CASES[key]() == _committed()[key]
+
+
+def _cut(adjacency, assignment) -> int:
+    """Edge cut counted over both directions of every edge, independently of
+    :func:`repro.partitioning.edge_cut`'s one-direction walk."""
+    crossing = sum(
+        weight
+        for node, row in adjacency.items()
+        for neighbour, weight in row.items()
+        if assignment[node] != assignment[neighbour]
+    )
+    assert crossing % 2 == 0
+    return crossing // 2
+
+
+def _chance_cut(adjacency, parts, seed) -> int:
+    return _cut(adjacency, random_partition(list(adjacency), parts, seed=seed).assignment)
+
+
+def _assert_within_tolerance(weights: list[int], parts: int) -> None:
+    """The heaviest part holds at most 5 % over an even split (the default
+    tolerance), or one node over it where 5 % is less than a node."""
+    ideal = sum(weights) / parts
+    assert max(weights) <= max(math.ceil(ideal), ideal * 1.05), weights
+
+
+KWAY_GRID = [(k, u, p, s) for k in GRAPHS for u in USERS for p in PARTS for s in SEEDS]
+HIERARCHICAL_GRID = [(k, u, c, s) for k in GRAPHS for u in USERS for c in CLUSTERS for s in SEEDS]
+SHARD_GRID = [(k, u, n) for k in GRAPHS for u in SHARD_USERS for n in SHARDS]
+
+
+@pytest.mark.parametrize("kind,users,parts,seed", KWAY_GRID)
+def test_kway_partition_keeps_its_contract(kind, users, parts, seed):
+    adjacency = _adjacency(kind, users)
+    result = _grid_kway(kind, users, parts, seed)
+    assert set(result.assignment) == set(adjacency)
+    weights = part_weights(result.assignment, parts)  # raises on a part out of range
+    _assert_within_tolerance(weights, parts)
+    assert result.balance == max(weights) / (len(adjacency) / parts)
+    assert result.edge_cut == _cut(adjacency, result.assignment)
+    # Below two users a part there is no locality left to find.
+    if users >= 2 * parts:
+        assert result.edge_cut < _chance_cut(adjacency, parts, seed)
+
+
+@pytest.mark.parametrize("kind,users,cluster,seed", HIERARCHICAL_GRID)
+def test_hierarchical_partition_keeps_its_contract(kind, users, cluster, seed):
+    spec = CLUSTERS[cluster]
+    adjacency = _adjacency(kind, users)
+    result = _grid_hierarchical(kind, users, cluster, seed)
+    assert (
+        set(result.server_assignment)
+        == set(result.rack_assignment)
+        == set(result.intermediate_assignment)
+        == set(adjacency)
+    )
+    assert result.total_servers == spec.total_servers
+    for node, server in result.server_assignment.items():
+        assert 0 <= server < spec.total_servers
+        rack = result.rack_assignment[node]
+        assert rack == server // spec.servers_per_rack
+        assert result.intermediate_assignment[node] == rack // spec.racks_per_intermediate
+    # The first level is a plain k-way split across the intermediate switches.
+    _assert_within_tolerance(
+        part_weights(result.intermediate_assignment, spec.intermediate_switches),
+        spec.intermediate_switches,
+    )
+    assert result.edge_cut == _cut(adjacency, result.server_assignment)
+    if users >= 2 * spec.total_servers:
+        assert result.edge_cut < _chance_cut(adjacency, spec.total_servers, seed)
+
+
+@pytest.mark.parametrize("kind,users,shards", SHARD_GRID)
+def test_shards_balance_by_population(kind, users, shards):
+    graph = _graph(kind, users)
+    result = _grid_shards(kind, users, shards)
+    assert len(result.shard_map) == max(graph.users) + 1
+    owners = {user: result.owner_of(user) for user in graph.users}
+    assert all(result.shard_map[user] == owner for user, owner in owners.items())
+    populations = part_weights(owners, shards)
+    assert tuple(populations) == result.populations
+    _assert_within_tolerance(populations, shards)
+    adjacency = graph.undirected_adjacency()
+    assert result.edge_cut == _cut(adjacency, owners)
+    assert result.edge_cut < _chance_cut(adjacency, shards, 7)
 
 
 if __name__ == "__main__":
