@@ -39,12 +39,9 @@ from .scenarios import (
     CompositeScenario,
     CrashRecoverScenario,
     DiurnalLoadScenario,
-    NodeChurnScenario,
-    RackOutageScenario,
-    RegionalFlashCrowdScenario,
     Scenario,
 )
-from .simulator import ClusterSimulator, FaultRecord, SimulationResult, run_comparison, run_simulation
+from .simulator import ClusterSimulator, FaultRecord, SimulationResult
 from .socialgraph import SocialGraph, facebook_like, livejournal_like, twitter_like
 from .store import MemoryBudget
 from .topology import FlatTopology, TreeTopology
@@ -82,9 +79,6 @@ __all__ = [
     "FaultRecord",
     "FlatClusterSpec",
     "FlatTopology",
-    "NodeChurnScenario",
-    "RackOutageScenario",
-    "RegionalFlashCrowdScenario",
     "Scenario",
     "HierarchicalMetisPlacement",
     "MemoryBudget",
@@ -102,8 +96,6 @@ __all__ = [
     "TreeTopology",
     "facebook_like",
     "livejournal_like",
-    "run_comparison",
-    "run_simulation",
     "twitter_like",
     "__version__",
 ]

@@ -8,8 +8,8 @@ Three families of configuration live here:
 * :class:`DynaSoReConfig` collects the tunables of the placement algorithm
   (counter slots and period, admission fill factor, eviction threshold).
 * :class:`SimulationConfig` and :class:`ExperimentProfile` control how the
-  trace-driven simulator runs (message sizes, tick period, extra memory,
-  time-bucket width) and at which scale experiments execute.
+  trace-driven simulator runs (extra memory, tick period, time-bucket width,
+  warm-up, seed) and at which scale experiments execute.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .constants import (
-    APPLICATION_MESSAGE_SIZE,
     DEFAULT_ADMISSION_FILL,
     DEFAULT_COUNTER_PERIOD,
     DEFAULT_COUNTER_SLOTS,
     DEFAULT_EVICTION_THRESHOLD,
     HOUR,
-    PROTOCOL_MESSAGE_SIZE,
 )
 from .exceptions import ConfigurationError
 
@@ -108,20 +106,6 @@ class DynaSoReConfig:
     counter_period: float = DEFAULT_COUNTER_PERIOD
     admission_fill: float = DEFAULT_ADMISSION_FILL
     eviction_threshold: float = DEFAULT_EVICTION_THRESHOLD
-    #: Minimum number of replicas kept for every view.  The paper defaults to
-    #: one (durability comes from the persistent store) but section 3.3 notes
-    #: DynaSoRe can be configured to keep several replicas for fast recovery.
-    min_replicas: int = 1
-    #: Evaluate Algorithm 2 (replica creation) at most once every this many
-    #: reads of a given replica.  1 reproduces the paper exactly ("upon
-    #: receiving a request"); larger values trade reactivity for speed.
-    replication_check_interval: int = 1
-    #: Whether read/write proxies migrate towards the data they access
-    #: (paper section 3.2, "Proxy placement").
-    enable_proxy_migration: bool = True
-    #: Whether Algorithm 3 (migration of a replica to a better location) runs
-    #: during the periodic maintenance tick.
-    enable_view_migration: bool = True
 
     def __post_init__(self) -> None:
         if self.counter_slots < 1:
@@ -132,10 +116,11 @@ class DynaSoReConfig:
             raise ConfigurationError("admission_fill must be in (0, 1]")
         if not 0.0 < self.eviction_threshold <= 1.0:
             raise ConfigurationError("eviction_threshold must be in (0, 1]")
-        if self.min_replicas < 1:
-            raise ConfigurationError("min_replicas must be at least 1")
-        if self.replication_check_interval < 1:
-            raise ConfigurationError("replication_check_interval must be at least 1")
+        if self.eviction_threshold < self.admission_fill:
+            # Proactive eviction would empty the admission band every tick.
+            raise ConfigurationError(
+                "eviction_threshold must not be below admission_fill"
+            )
 
 
 @dataclass(frozen=True)
@@ -145,9 +130,6 @@ class SimulationConfig:
     #: Extra memory, in percent of the space needed to store every view once
     #: (paper section 2.3).  0 means capacity exactly matches |V|.
     extra_memory_pct: float = 30.0
-    #: Application message size relative to protocol messages.
-    application_message_size: int = APPLICATION_MESSAGE_SIZE
-    protocol_message_size: int = PROTOCOL_MESSAGE_SIZE
     #: Period of the maintenance tick (counter rotation, threshold update,
     #: eviction sweep).  The paper shifts counters every hour.
     tick_period: float = HOUR
@@ -164,8 +146,6 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.extra_memory_pct < 0:
             raise ConfigurationError("extra_memory_pct cannot be negative")
-        if self.application_message_size <= 0 or self.protocol_message_size <= 0:
-            raise ConfigurationError("message sizes must be positive")
         if self.tick_period <= 0 or self.bucket_width <= 0:
             raise ConfigurationError("tick_period and bucket_width must be positive")
         if self.measure_from < 0:

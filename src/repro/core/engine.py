@@ -449,10 +449,7 @@ class DynaSoRe(PlacementStrategy):
         distance_row = self.topology.distance_row
         record_roundtrip = self.accountant.record_roundtrip
         origin_of = self.topology.origin_of
-        stats = table.stats
-        record_read = stats.record_read
-        reads_since_eval = stats._reads_since_eval
-        check_interval = self.config.replication_check_interval
+        record_read = table.stats.record_read
         for target in targets:
             slot = user_head.get(target, NO_SLOT)
             if slot == NO_SLOT:
@@ -489,12 +486,9 @@ class DynaSoRe(PlacementStrategy):
 
             origin = origin_of(device, broker)
             record_read(slot, origin, now)
+            self._consider_replication(slot, position, now)
 
-            if reads_since_eval[slot] >= check_interval:
-                reads_since_eval[slot] = 0
-                self._consider_replication(slot, position, now)
-
-        if self.config.enable_proxy_migration and transfers:
+        if transfers:
             best = optimal_proxy_broker(self.topology, transfers, broker)
             if best != broker:
                 self.accountant.record(broker, best, MessageKind.PROXY_MIGRATION, now)
@@ -528,7 +522,7 @@ class DynaSoRe(PlacementStrategy):
             transfers[device] = transfers.get(device, 0.0) + 1.0
             record_write(slot, now)
 
-        if self.config.enable_proxy_migration and transfers:
+        if transfers:
             best = optimal_proxy_broker(self.topology, transfers, broker)
             if best != broker:
                 # Migrating a write proxy notifies every replica of the view.
@@ -581,9 +575,6 @@ class DynaSoRe(PlacementStrategy):
         following = graph.following
         table = self.tables
         stats = table.stats
-        config = self.config
-        check_interval = config.replication_check_interval
-        proxy_migration = config.enable_proxy_migration
         accountant = self.accountant
         write_run = self._write_run
         read_counts_for = read_run.counts_for
@@ -599,7 +590,6 @@ class DynaSoRe(PlacementStrategy):
         ensure_user = self._ensure_user
         decide_with_candidates = self._decide_with_candidates
         counters = self.counters
-        enable_view_migration = config.enable_view_migration
         least_loaded_server_under = self.least_loaded_server_under
         remove_replica = self._remove_replica
         reads_by_origin = stats.reads_by_origin
@@ -621,7 +611,6 @@ class DynaSoRe(PlacementStrategy):
         counter_slots = stats.slots
         counter_period = stats.period
         origins_cache = stats._origins_cache
-        reads_since_eval = stats._reads_since_eval
         alloc_node = stats._alloc_node
         advance_node = stats._advance_node
         #: scratch: slots of the current write's replica chain
@@ -681,9 +670,8 @@ class DynaSoRe(PlacementStrategy):
                     key = base + device
                     count = counts.get(key)
                     counts[key] = 1 if count is None else count + 1
-                    if proxy_migration:
-                        seen = transfers.get(device)
-                        transfers[device] = 1.0 if seen is None else seen + 1.0
+                    seen = transfers.get(device)
+                    transfers[device] = 1.0 if seen is None else seen + 1.0
                     origin = origins.get(device)
                     if origin is None:
                         origin = origins[device] = origin_of(device, broker)
@@ -712,80 +700,70 @@ class DynaSoRe(PlacementStrategy):
                             cached[origin] = total
                         else:
                             del origins_cache[slot]
-                    evals = reads_since_eval[slot] + 1
-                    if evals >= check_interval:
-                        reads_since_eval[slot] = 0
-                        # Inlined candidate resolution of Algorithms 2+3.
-                        # The common steady-state case — no origin offers a
-                        # placement candidate because the view already sits
-                        # where its readers are — short-circuits: creation
-                        # is impossible and migration reduces to the
-                        # stay-or-remove check, which for a sole replica is
-                        # unconditionally "stay" (the discarded profit is
-                        # never computed).  With candidates, the fused
-                        # decision method prices the prebuilt list.
-                        origins_d = origins_cache.get(slot)
-                        if origins_d is None:
-                            origins_d = reads_by_origin(slot)
-                        eval_candidates.clear()
-                        for read_origin in origins_d:
-                            # Inlined rank-cache hit path of
-                            # ``least_loaded_server_under``.
-                            ranked = origin_rank_cache.get(read_origin)
-                            if ranked is None:
-                                found = least_loaded_server_under(read_origin, target)
-                            else:
-                                found = None
-                                for ranked_position in ranked:
-                                    if ranked_position in down_positions:
-                                        continue
-                                    chain = user_head[target]
-                                    while (
-                                        chain != NO_SLOT
-                                        and server_column[chain] != ranked_position
-                                    ):
-                                        chain = user_next[chain]
-                                    if chain == NO_SLOT:
-                                        found = ranked_position
-                                        break
-                            if found is None:
-                                continue
-                            found_device = device_of_position[found]
-                            if found_device != device:
-                                eval_candidates.append(
-                                    (read_origin, found, found_device)
-                                )
-                        if eval_candidates:
-                            decide_with_candidates(
-                                slot, position, now, target, origins_d, eval_candidates
-                            )
-                        elif enable_view_migration:
-                            next_closest = next_closest_column[slot]
-                            if next_closest != NO_SLOT:
-                                # Zero-write fast path: the clamp in the
-                                # profit estimate guarantees the read term
-                                # is never negative, so a view with no
-                                # priced write cost can never price below
-                                # zero — the stay-or-remove check is
-                                # "stay" without pricing anything.
-                                stats_node = write_node[slot]
-                                if (
-                                    stats_node != NO_SLOT
-                                    and node_total[stats_node] > 0.0
-                                    and write_proxy.get(target) is not None
-                                ):
-                                    stay_profit = estimate_profit_values(
-                                        topology,
-                                        origins_d,
-                                        node_total[stats_node],
-                                        device,
-                                        next_closest,
-                                        write_proxy.get(target),
-                                    )
-                                    if stay_profit < 0:
-                                        remove_replica(target, position, now)
+                    # Inlined candidate resolution of Algorithms 2+3.
+                    # The common steady-state case — no origin offers a
+                    # placement candidate because the view already sits
+                    # where its readers are — short-circuits: creation
+                    # is impossible and migration reduces to the
+                    # stay-or-remove check, which for a sole replica is
+                    # unconditionally "stay" (the discarded profit is
+                    # never computed).  With candidates, the fused
+                    # decision method prices the prebuilt list.
+                    origins_d = origins_cache.get(slot)
+                    if origins_d is None:
+                        origins_d = reads_by_origin(slot)
+                    eval_candidates.clear()
+                    for read_origin in origins_d:
+                        # Inlined rank-cache hit path of
+                        # ``least_loaded_server_under``.
+                        ranked = origin_rank_cache.get(read_origin)
+                        if ranked is None:
+                            found = least_loaded_server_under(read_origin, target)
+                        else:
+                            found = None
+                            for ranked_position in ranked:
+                                if ranked_position in down_positions:
+                                    continue
+                                chain = user_head[target]
+                                while chain != NO_SLOT and server_column[chain] != ranked_position:
+                                    chain = user_next[chain]
+                                if chain == NO_SLOT:
+                                    found = ranked_position
+                                    break
+                        if found is None:
+                            continue
+                        found_device = device_of_position[found]
+                        if found_device != device:
+                            eval_candidates.append((read_origin, found, found_device))
+                    if eval_candidates:
+                        decide_with_candidates(
+                            slot, position, now, target, origins_d, eval_candidates
+                        )
                     else:
-                        reads_since_eval[slot] = evals
+                        next_closest = next_closest_column[slot]
+                        if next_closest != NO_SLOT:
+                            # Zero-write fast path: the clamp in the
+                            # profit estimate guarantees the read term
+                            # is never negative, so a view with no
+                            # priced write cost can never price below
+                            # zero — the stay-or-remove check is
+                            # "stay" without pricing anything.
+                            stats_node = write_node[slot]
+                            if (
+                                stats_node != NO_SLOT
+                                and node_total[stats_node] > 0.0
+                                and write_proxy.get(target) is not None
+                            ):
+                                stay_profit = estimate_profit_values(
+                                    topology,
+                                    origins_d,
+                                    node_total[stats_node],
+                                    device,
+                                    next_closest,
+                                    write_proxy.get(target),
+                                )
+                                if stay_profit < 0:
+                                    remove_replica(target, position, now)
                 if transfers:
                     best = optimal_proxy_broker(topology, transfers, broker)
                     if best != broker:
@@ -817,10 +795,9 @@ class DynaSoRe(PlacementStrategy):
                     key = base + device
                     count = counts.get(key)
                     counts[key] = 1 if count is None else count + 1
-                    if proxy_migration:
-                        write_slots.append(slot)
-                        seen = transfers.get(device)
-                        transfers[device] = 1.0 if seen is None else seen + 1.0
+                    write_slots.append(slot)
+                    seen = transfers.get(device)
+                    transfers[device] = 1.0 if seen is None else seen + 1.0
                     # Inlined ``StatsTable.record_write`` on the node columns.
                     node = write_node[slot]
                     if node == NO_SLOT:
@@ -895,8 +872,7 @@ class DynaSoRe(PlacementStrategy):
                 incoming_profit=decision.profit,
             )
             return
-        if self.config.enable_view_migration:
-            self._consider_migration(replica, position, now, candidates=candidates, memo=memo)
+        self._consider_migration(replica, position, now, candidates=candidates, memo=memo)
 
     def _consider_migration(
         self,
@@ -1021,7 +997,7 @@ class DynaSoRe(PlacementStrategy):
         # cannot act (see the docstring); Algorithm 2's pricing state is
         # dead by now, so the scratch containers are recycled.
         reference = table._next_closest[slot]
-        if reference == NO_SLOT or not self.config.enable_view_migration:
+        if reference == NO_SLOT:
             return
         profits.clear()
         nearest, priced_writes, write_distances = build_pricing(
@@ -1157,7 +1133,6 @@ class DynaSoRe(PlacementStrategy):
         writes = stats.total_writes(source_slot)
         if writes:
             stats.record_write(new_slot, now, writes)
-        stats.mark_evaluated(new_slot)
 
     def _make_room(self, target_position: int, incoming_profit: float, now: float) -> bool:
         """Evict the least useful replica of a full server if it is less
@@ -1178,7 +1153,7 @@ class DynaSoRe(PlacementStrategy):
         assert self.accountant is not None and self.routing is not None
         device = self._device_of_position[position]
         slots, devices = self._replica_chain(user)
-        if device not in devices or len(slots) <= self.config.min_replicas:
+        if device not in devices or len(slots) <= 1:
             return False
         index = devices.index(device)
         self.tables.free(slots.pop(index))
@@ -1507,8 +1482,7 @@ class DynaSoRe(PlacementStrategy):
         # removals only detach slots (utilities and effective utilities of
         # the survivors can only move towards +inf when a sibling leaves),
         # so a position whose sweep saw no negative utility cannot grow one
-        # by the time this pass runs.  Refused removals (min_replicas) keep
-        # the flag raised and are retried next tick, like the reference.
+        # by the time this pass runs.
         for position in range(num_positions):
             if not has_negative[position]:
                 continue

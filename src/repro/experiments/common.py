@@ -6,31 +6,14 @@ the set of strategies evaluated by the paper (Random, METIS, hMETIS, SPAR,
 DynaSoRe from several initial placements).  This module translates an
 :class:`~repro.config.ExperimentProfile` into the *declarative* spec layer
 (:mod:`repro.runtime.spec`) that the figure/table modules expand into run
-grids, and keeps the older imperative factory helpers used by
-:func:`~repro.simulator.runner.run_simulation` and a handful of tests.
+grids.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from ..baselines.base import PlacementStrategy
-from ..config import ExperimentProfile, FlatClusterSpec, SimulationConfig
+from ..config import ExperimentProfile, SimulationConfig
 from ..runtime.executor import RuntimeExecutor
-from ..runtime.spec import (
-    GraphSpec,
-    TopologySpec,
-    WorkloadSpec,
-    build_strategy,
-)
-from ..socialgraph.generators import dataset_preset, generate_social_graph
-from ..socialgraph.graph import SocialGraph
-from ..topology.base import ClusterTopology
-from ..topology.flat import FlatTopology
-from ..topology.tree import TreeTopology
-from ..workload.stream import EventStream
-from ..workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
-from ..workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
+from ..runtime.spec import GraphSpec, TopologySpec, WorkloadSpec
 
 #: Names of the social graphs used by the paper's evaluation.
 DATASETS = ("twitter", "facebook", "livejournal")
@@ -69,43 +52,6 @@ def trace_workload_spec(profile: ExperimentProfile) -> WorkloadSpec:
     return WorkloadSpec(kind="trace", days=profile.trace_days, seed=profile.seed)
 
 
-def tree_topology_factory(profile: ExperimentProfile) -> Callable[[], ClusterTopology]:
-    """Factory building the profile's tree topology."""
-    return lambda: TreeTopology(profile.cluster)
-
-
-def flat_topology_factory(profile: ExperimentProfile) -> Callable[[], ClusterTopology]:
-    """Factory building the profile's flat topology (section 4.5)."""
-    return lambda: FlatTopology(FlatClusterSpec(machines=profile.flat_machines))
-
-
-def graph_factory(
-    profile: ExperimentProfile, dataset: str
-) -> Callable[[], SocialGraph]:
-    """Factory building the scaled analogue of one paper dataset."""
-    users = profile.users[dataset]
-    spec = dataset_preset(dataset, users=users)
-    return lambda: generate_social_graph(spec, seed=profile.seed)
-
-
-def synthetic_stream(profile: ExperimentProfile, graph: SocialGraph) -> EventStream:
-    """Synthetic workload stream for a graph (paper section 4.2)."""
-    generator = SyntheticWorkloadGenerator(
-        graph,
-        SyntheticWorkloadConfig(days=profile.synthetic_days, seed=profile.seed),
-    )
-    return generator.stream()
-
-
-def trace_stream(profile: ExperimentProfile, graph: SocialGraph) -> EventStream:
-    """Yahoo!-News-Activity-like workload stream (paper section 4.2)."""
-    generator = NewsActivityTraceGenerator(
-        graph,
-        NewsActivityTraceConfig(days=profile.trace_days, seed=profile.seed),
-    )
-    return generator.stream()
-
-
 def simulation_config(
     profile: ExperimentProfile,
     extra_memory_pct: float,
@@ -134,43 +80,12 @@ def convergence_cutoff(profile: ExperimentProfile) -> float:
     return profile.synthetic_days * DAY / 2.0
 
 
-def dynasore_config():
-    """DynaSoRe tunables used by the experiments (the paper defaults)."""
-    from ..config import DynaSoReConfig
-
-    return DynaSoReConfig()
-
-
-def strategy_factories(
-    profile: ExperimentProfile, include: tuple[str, ...] | None = None
-) -> dict[str, Callable[[], PlacementStrategy]]:
-    """Factories of every strategy evaluated in the paper.
-
-    Keys: ``random``, ``metis``, ``hmetis``, ``spar``, ``dynasore_random``,
-    ``dynasore_metis``, ``dynasore_hmetis`` (the runtime's strategy
-    registry).  ``include`` restricts the returned mapping while preserving
-    this ordering.
-    """
-    from ..runtime.spec import STRATEGY_KEYS
-
-    seed = profile.seed
-    keys = STRATEGY_KEYS if include is None else include
-    return {key: (lambda key=key: build_strategy(key, seed)) for key in keys}
-
-
 __all__ = [
     "DATASETS",
     "default_executor",
-    "dynasore_config",
-    "flat_topology_factory",
-    "graph_factory",
     "graph_spec",
     "simulation_config",
-    "strategy_factories",
-    "synthetic_stream",
     "synthetic_workload_spec",
     "topology_spec",
-    "trace_stream",
     "trace_workload_spec",
-    "tree_topology_factory",
 ]

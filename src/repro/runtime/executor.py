@@ -23,39 +23,12 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ..simulator.engine import ClusterSimulator
 from ..simulator.results import SimulationResult
 from .spec import RunSpec, build_strategy
 
 #: Default location of the on-disk result cache (relative to the CWD).
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-def run_materialised(
-    topology,
-    graph,
-    strategy,
-    log,
-    config,
-    tracked_views: Sequence[int] = (),
-    scenario=None,
-    persistent_store=None,
-) -> SimulationResult:
-    """Execution core shared by :func:`execute_spec` and the legacy
-    factory-based :func:`repro.simulator.runner.run_simulation` wrapper.
-    """
-    from ..simulator.engine import ClusterSimulator
-
-    simulator = ClusterSimulator(
-        topology,
-        graph,
-        strategy,
-        config,
-        scenario=scenario,
-        persistent_store=persistent_store,
-    )
-    for user in tracked_views:
-        simulator.track_view(user)
-    return simulator.run(log)
 
 
 def execute_spec(spec: RunSpec, shard_progress=None) -> SimulationResult:
@@ -84,11 +57,13 @@ def execute_spec(spec: RunSpec, shard_progress=None) -> SimulationResult:
         spec.strategy, spec.effective_strategy_seed(), spec.dynasore_config
     )
     scenario = spec.scenario.build() if spec.scenario is not None else None
-    tracked = list(workload_tracked)
-    tracked.extend(user for user in spec.tracked_views if user not in workload_tracked)
-    return run_materialised(
-        topology, graph, strategy, stream, spec.config, tracked, scenario
-    )
+    simulator = ClusterSimulator(topology, graph, strategy, spec.config, scenario=scenario)
+    for user in workload_tracked:
+        simulator.track_view(user)
+    for user in spec.tracked_views:
+        if user not in workload_tracked:
+            simulator.track_view(user)
+    return simulator.run(stream)
 
 
 class ResultCache:
@@ -373,5 +348,4 @@ __all__ = [
     "ResultCache",
     "RuntimeExecutor",
     "execute_spec",
-    "run_materialised",
 ]

@@ -251,19 +251,12 @@ class ScenarioSpec:
 
     def build(self):
         """Materialise the scenario object."""
-        from ..scenarios.faults import (
-            CrashRecoverScenario,
-            NodeChurnScenario,
-            RackOutageScenario,
-        )
-        from ..scenarios.load import DiurnalLoadScenario, RegionalFlashCrowdScenario
+        from ..scenarios.faults import CrashRecoverScenario
+        from ..scenarios.load import DiurnalLoadScenario
 
         builders = {
             "crash_recover": CrashRecoverScenario,
-            "rack_outage": RackOutageScenario,
-            "node_churn": NodeChurnScenario,
             "diurnal_load": DiurnalLoadScenario,
-            "regional_flash_crowd": RegionalFlashCrowdScenario,
         }
         builder = builders.get(self.kind)
         if builder is None:

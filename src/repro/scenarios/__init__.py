@@ -1,21 +1,19 @@
-"""Failure and churn scenarios for the cluster simulator.
+"""Failure and load scenarios for the cluster simulator.
 
 This package turns the simulator from a benign trace replayer into a fault
-harness: scenarios inject server crashes with WAL-driven recovery, rack
-outages, elastic node churn, diurnal load modulation and regional flash
-crowds into any :class:`~repro.simulator.engine.ClusterSimulator` run, for
-any placement strategy.
+harness: scenarios inject server crashes with WAL-driven recovery, graceful
+drains and diurnal load modulation into any
+:class:`~repro.simulator.engine.ClusterSimulator` run, for any placement
+strategy.
 
 The pieces:
 
 * :mod:`repro.scenarios.events` — the fault-event primitives applied by the
-  simulator (crash, recovery, graceful leave/join);
+  simulator (crash, graceful leave, recovery);
 * :mod:`repro.scenarios.base` — the :class:`Scenario` interface, the
   deterministic :class:`ScenarioContext`, and scenario composition;
-* :mod:`repro.scenarios.faults` — crash/recover, rack-outage and
-  node-churn generators;
-* :mod:`repro.scenarios.load` — diurnal thinning and regional multi-target
-  flash crowds.
+* :mod:`repro.scenarios.faults` — the crash/recover generator;
+* :mod:`repro.scenarios.load` — diurnal thinning.
 
 Quick example::
 
@@ -30,20 +28,16 @@ Quick example::
 """
 
 from .base import CompositeScenario, Scenario, ScenarioContext
-from .events import FaultEvent, NodeJoin, NodeLeave, ServerCrash, ServerRecovery
-from .faults import CrashRecoverScenario, NodeChurnScenario, RackOutageScenario
-from .load import DiurnalLoadScenario, RegionalFlashCrowdScenario
+from .events import FaultEvent, NodeLeave, ServerCrash, ServerRecovery
+from .faults import CrashRecoverScenario
+from .load import DiurnalLoadScenario
 
 __all__ = [
     "CompositeScenario",
     "CrashRecoverScenario",
     "DiurnalLoadScenario",
     "FaultEvent",
-    "NodeChurnScenario",
-    "NodeJoin",
     "NodeLeave",
-    "RackOutageScenario",
-    "RegionalFlashCrowdScenario",
     "Scenario",
     "ScenarioContext",
     "ServerCrash",

@@ -5,10 +5,10 @@ run, independently of the placement strategy being evaluated.  It
 contributes two things:
 
 * a stream of :class:`~repro.scenarios.events.FaultEvent` objects (server
-  crashes and recoveries, node churn) that the simulator applies in
-  simulated time, and
-* a request-log transformation (diurnal load modulation, flash crowds) that
-  reshapes the workload before the run starts.
+  crashes, drains and recoveries) that the simulator applies in simulated
+  time, and
+* a request-log transformation (diurnal load modulation) that reshapes the
+  workload before the run starts.
 
 Both are derived deterministically from a :class:`ScenarioContext`, so the
 same seed always produces the same scenario — a hard requirement for the

@@ -2,9 +2,9 @@
 
 A *fault event* is one timestamped change of the cluster's infrastructure:
 a storage server crashing (its in-memory views are lost and must be
-recovered), a server coming back, or a node gracefully leaving/joining the
-cluster (elastic capacity — a drain copies its views out before shutdown).
-Scenario generators (:mod:`repro.scenarios.faults`) emit streams of these
+recovered), a node gracefully leaving the cluster (a drain copies its views
+out before shutdown), or a crashed or drained server coming back.  The
+scenario generator (:mod:`repro.scenarios.faults`) emits streams of these
 events; the cluster simulator interleaves them with the request log and
 applies each one at its simulated timestamp.
 
@@ -72,14 +72,4 @@ class NodeLeave(FaultEvent):
         simulator.drain_server(self.position, self.timestamp)
 
 
-@dataclass(frozen=True)
-class NodeJoin(FaultEvent):
-    """A drained (or crashed) node rejoins the cluster, adding capacity back."""
-
-    position: int = 0
-
-    def apply(self, simulator: "ClusterSimulator") -> None:
-        simulator.restore_server(self.position, self.timestamp)
-
-
-__all__ = ["FaultEvent", "NodeJoin", "NodeLeave", "ServerCrash", "ServerRecovery"]
+__all__ = ["FaultEvent", "NodeLeave", "ServerCrash", "ServerRecovery"]

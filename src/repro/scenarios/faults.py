@@ -1,32 +1,18 @@
-"""Infrastructure-fault scenario generators.
+"""Infrastructure-fault scenario generator.
 
-Three families of faults, all expressed as streams of
-:class:`~repro.scenarios.events.FaultEvent`:
-
-* :class:`CrashRecoverScenario` — one or more servers crash at a given time
-  and (optionally) come back later, exercising WAL-driven recovery;
-* :class:`RackOutageScenario` — every server under one rack switch goes
-  down at once (a switch or power failure), modelling correlated failures;
-* :class:`NodeChurnScenario` — random graceful leaves and rejoins over an
-  interval, modelling elastic capacity.
-
-Every generator draws its random choices from the scenario context's
-seeded generator, so a given seed always yields the same fault stream.
+:class:`CrashRecoverScenario` expresses server faults as a stream of
+:class:`~repro.scenarios.events.FaultEvent`: one or more servers crash (or
+drain gracefully) at a given time and optionally come back later,
+exercising WAL-driven recovery.  Unpinned servers are drawn from the
+scenario context's seeded generator, so a given seed always yields the same
+fault stream.
 """
 
 from __future__ import annotations
 
 from ..exceptions import SimulationError
 from .base import Scenario, ScenarioContext
-from .events import FaultEvent, NodeJoin, NodeLeave, ServerCrash, ServerRecovery
-
-
-def _position_of_device(context: ScenarioContext) -> dict[int, int]:
-    """Map leaf device index -> storage-server position."""
-    return {
-        server.index: position
-        for position, server in enumerate(context.topology.servers)
-    }
+from .events import FaultEvent, NodeLeave, ServerCrash, ServerRecovery
 
 
 class CrashRecoverScenario(Scenario):
@@ -85,122 +71,4 @@ class CrashRecoverScenario(Scenario):
         return events
 
 
-class RackOutageScenario(Scenario):
-    """Every storage server under one rack switch fails simultaneously.
-
-    ``rack_switch`` pins the failing rack (a switch index whose level is
-    ``"rack"``); when omitted one rack is drawn from the seed.  The outage
-    is correlated — all servers drop at ``start_time`` and all return at
-    ``end_time`` (or never, when ``end_time`` is None).  Requires a tree
-    topology; flat clusters have no rack switches.
-    """
-
-    name = "rack-outage"
-
-    def __init__(
-        self,
-        start_time: float,
-        end_time: float | None = None,
-        rack_switch: int | None = None,
-    ) -> None:
-        if end_time is not None and end_time <= start_time:
-            raise SimulationError("the outage must end after it starts")
-        self.start_time = start_time
-        self.end_time = end_time
-        self.rack_switch = rack_switch
-
-    def fault_events(self, context: ScenarioContext) -> list[FaultEvent]:
-        topology = context.topology
-        racks = [
-            switch.index
-            for switch in topology.switches
-            if topology.level_of(switch.index) == "rack"
-        ]
-        if not racks:
-            raise SimulationError(
-                "rack outages need a topology with rack switches (tree, not flat)"
-            )
-        if self.rack_switch is not None:
-            if self.rack_switch not in racks:
-                raise SimulationError(f"{self.rack_switch} is not a rack switch")
-            rack = self.rack_switch
-        else:
-            rack = context.rng(self.name).choice(sorted(racks))
-        position_of = _position_of_device(context)
-        positions = sorted(
-            position_of[device]
-            for device in topology.servers_under(rack)
-            if device in position_of
-        )
-        if len(positions) >= len(topology.servers):
-            raise SimulationError("a rack outage may not take down every server")
-        events: list[FaultEvent] = [
-            ServerCrash(self.start_time, position) for position in positions
-        ]
-        if self.end_time is not None:
-            events.extend(
-                ServerRecovery(self.end_time, position) for position in positions
-            )
-        return events
-
-
-class NodeChurnScenario(Scenario):
-    """Random node leaves and rejoins over ``[start_time, end_time]``.
-
-    ``changes`` state transitions are spread uniformly over the interval.
-    At each step a node either leaves (gracefully by default, abruptly with
-    ``graceful=False``) or a previously departed node rejoins; at most
-    ``max_concurrent_down`` nodes are ever down at once, and every departed
-    node rejoins at ``end_time`` so the cluster always ends at full
-    capacity.
-    """
-
-    name = "node-churn"
-
-    def __init__(
-        self,
-        start_time: float,
-        end_time: float,
-        changes: int = 6,
-        max_concurrent_down: int = 1,
-        graceful: bool = True,
-    ) -> None:
-        if end_time <= start_time:
-            raise SimulationError("churn must end after it starts")
-        if changes < 1:
-            raise SimulationError("churn needs at least one change")
-        if max_concurrent_down < 1:
-            raise SimulationError("max_concurrent_down must be at least 1")
-        self.start_time = start_time
-        self.end_time = end_time
-        self.changes = changes
-        self.max_concurrent_down = max_concurrent_down
-        self.graceful = graceful
-
-    def fault_events(self, context: ScenarioContext) -> list[FaultEvent]:
-        servers = len(context.topology.servers)
-        concurrent_cap = min(self.max_concurrent_down, servers - 1)
-        rng = context.rng(f"{self.name}:{self.changes}")
-        times = sorted(
-            rng.uniform(self.start_time, self.end_time) for _ in range(self.changes)
-        )
-        down_class = NodeLeave if self.graceful else ServerCrash
-        events: list[FaultEvent] = []
-        down: list[int] = []
-        for when in times:
-            rejoin = down and (len(down) >= concurrent_cap or rng.random() < 0.5)
-            if rejoin:
-                position = down.pop(rng.randrange(len(down)))
-                events.append(NodeJoin(when, position))
-            else:
-                candidates = [p for p in range(servers) if p not in down]
-                position = candidates[rng.randrange(len(candidates))]
-                down.append(position)
-                events.append(down_class(when, position))
-        # The cluster ends at full strength: everyone still away rejoins.
-        for position in sorted(down):
-            events.append(NodeJoin(self.end_time, position))
-        return events
-
-
-__all__ = ["CrashRecoverScenario", "NodeChurnScenario", "RackOutageScenario"]
+__all__ = ["CrashRecoverScenario"]

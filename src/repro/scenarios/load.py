@@ -1,19 +1,12 @@
-"""Load-dynamics scenarios: diurnal modulation and regional flash crowds.
+"""Load-dynamics scenario: diurnal modulation.
 
-Unlike the fault scenarios these do not inject infrastructure events — they
-reshape the *workload* before the run starts, as chunk-level transforms on
-the columnar event stream (a paper-scale workload is never materialised):
-
-* :class:`DiurnalLoadScenario` thins the request stream with a sinusoidal
-  day/night profile, so off-peak hours carry less traffic (social workloads
-  are strongly diurnal; adaptation must not thrash when load ebbs);
-* :class:`RegionalFlashCrowdScenario` injects several simultaneous flash
-  events whose new followers are drawn from one contiguous region of the
-  user space, concentrating the extra read load in a part of the cluster
-  (the paper's Figure 5 studies a single global flash event; the regional
-  multi-target variant is the harder case for replica placement).  The
-  small flash fragments are merged into the base stream by the stable
-  k-way chunk merge.
+Unlike the fault scenario, :class:`DiurnalLoadScenario` injects no
+infrastructure events — it thins the request stream with a sinusoidal
+day/night profile before the run starts, as a chunk-level transform on the
+columnar event stream (a paper-scale workload is never materialised), so
+off-peak hours carry less traffic (social workloads are strongly diurnal;
+adaptation must not thrash when load ebbs).  The paper's flash event is a
+workload option (:mod:`repro.workload.flash`), not a scenario.
 """
 
 from __future__ import annotations
@@ -23,13 +16,7 @@ from collections.abc import Iterator
 
 from ..constants import DAY
 from ..exceptions import SimulationError
-from ..workload.flash import FlashEventSpec, flash_event_stream
-from ..workload.stream import (
-    EventChunk,
-    EventStream,
-    KIND_WRITE,
-    merge_streams,
-)
+from ..workload.stream import EventChunk, EventStream, KIND_WRITE
 from .base import Scenario, ScenarioContext
 
 
@@ -84,81 +71,4 @@ class DiurnalLoadScenario(Scenario):
         return EventStream(_chunks)
 
 
-class RegionalFlashCrowdScenario(Scenario):
-    """Several simultaneous flash crowds from one region of the user space.
-
-    ``targets`` users each gain ``followers`` new followers at
-    ``start_time``; the followers unfollow at ``end_time`` and actively
-    read their feeds in between.  All followers of one event are drawn from
-    a contiguous window of the (community-ordered) user list, so the extra
-    read load originates from one neighbourhood of the social graph rather
-    than uniformly — the regional hot spot the adaptive placement must
-    absorb.
-    """
-
-    name = "regional-flash"
-
-    def __init__(
-        self,
-        start_time: float,
-        end_time: float,
-        targets: int = 3,
-        followers: int = 50,
-        reads_per_follower_per_day: float = 4.0,
-    ) -> None:
-        if end_time <= start_time:
-            raise SimulationError("the flash crowd must end after it starts")
-        if targets < 1 or followers < 1:
-            raise SimulationError("targets and followers must be positive")
-        self.start_time = start_time
-        self.end_time = end_time
-        self.targets = targets
-        self.followers = followers
-        self.reads_per_follower_per_day = reads_per_follower_per_day
-
-    def plan(self, context: ScenarioContext) -> list[FlashEventSpec]:
-        """The flash events this scenario will inject (deterministic)."""
-        rng = context.rng(f"{self.name}:{self.targets}")
-        users = context.graph.users
-        if len(users) < 2:
-            raise SimulationError("a flash crowd needs at least two users")
-        window = min(len(users), max(2 * self.followers, 20))
-        specs: list[FlashEventSpec] = []
-        for _ in range(self.targets):
-            target = users[rng.randrange(len(users))]
-            anchor = rng.randrange(len(users))
-            region = [users[(anchor + offset) % len(users)] for offset in range(window)]
-            existing = context.graph.followers(target)
-            candidates = [
-                user for user in region if user != target and user not in existing
-            ]
-            rng.shuffle(candidates)
-            chosen = tuple(candidates[: self.followers])
-            if not chosen:
-                continue
-            specs.append(
-                FlashEventSpec(
-                    target_user=target,
-                    new_followers=chosen,
-                    start_time=self.start_time,
-                    end_time=self.end_time,
-                )
-            )
-        return specs
-
-    def transform_stream(self, stream: EventStream, context: ScenarioContext) -> EventStream:
-        def _chunks() -> Iterator[EventChunk]:
-            # Fragments are planned and built per pass with freshly seeded
-            # RNGs (specs are tiny next to the base workload), then merged
-            # lazily into the base stream.
-            rng = context.rng(f"{self.name}:reads")
-            fragments = [
-                flash_event_stream(spec, self.reads_per_follower_per_day, rng)
-                for spec in self.plan(context)
-            ]
-            return merge_streams(stream, *fragments).chunks()
-
-        return EventStream(_chunks)
-
-
-__all__ = ["DiurnalLoadScenario", "RegionalFlashCrowdScenario"]
+__all__ = ["DiurnalLoadScenario"]

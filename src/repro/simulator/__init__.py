@@ -3,7 +3,7 @@
 from .clock import SimulationClock
 from .engine import ClusterSimulator
 from .results import FaultRecord, ReplicaTimeline, SimulationResult
-from .runner import StrategyFactory, normalise_results, run_comparison, run_simulation
+from .runner import normalise_results
 from .shard import (
     ShardHeartbeat,
     ShardLoadSummary,
@@ -25,12 +25,9 @@ __all__ = [
     "ShardRunReport",
     "SimulationClock",
     "SimulationResult",
-    "StrategyFactory",
     "materials_from_spec",
     "normalise_results",
-    "run_comparison",
     "run_sharded",
     "run_sharded_detailed",
     "run_spec_sharded",
-    "run_simulation",
 ]

@@ -39,7 +39,7 @@ fork of it:
 
 On top of the benign replay the simulator hosts the *scenario* layer
 (:mod:`repro.scenarios`): an attached scenario may reshape the workload
-(diurnal load, flash crowds — chunk-level stream transforms) and inject
+(diurnal load — a chunk-level stream transform) and inject
 infrastructure faults — server crashes, graceful drains, rejoins — which
 the simulator applies at their simulated timestamps, interleaved with
 maintenance ticks.  The simulator keeps the authoritative server up/down
@@ -622,7 +622,7 @@ class ClusterSimulator:
         self._next_fault = 0
         # Abrupt crashes recover sole replicas from the WAL-backed store, so
         # writes must be mirrored from t=0.  Pure load scenarios and
-        # graceful-only churn never touch the store — don't pay for one.
+        # graceful-only drains never touch the store — don't pay for one.
         from ..scenarios.events import ServerCrash
 
         if self.persistent_store is None and any(

@@ -26,7 +26,6 @@ class AccessStatistics:
         "period",
         "_reads",
         "_writes",
-        "_reads_since_evaluation",
         "_origins_cache",
     )
 
@@ -39,7 +38,6 @@ class AccessStatistics:
         self.period = period
         self._reads: dict[int, RotatingCounter] = {}
         self._writes = RotatingCounter(slots, period)
-        self._reads_since_evaluation = 0
         # Cached result of ``reads_by_origin``; invalidated by reads,
         # rotations and clears.  Algorithms 1–3 query the same statistics
         # several times per evaluated request, so the cache removes the
@@ -54,7 +52,6 @@ class AccessStatistics:
             counter = RotatingCounter(self.slots, self.period, start_time=timestamp)
             self._reads[origin] = counter
         counter.record(timestamp, amount)
-        self._reads_since_evaluation += 1
         self._origins_cache = None
 
     def record_write(self, timestamp: float, amount: float = 1.0) -> None:
@@ -105,27 +102,17 @@ class AccessStatistics:
         counter = self._reads.get(origin)
         return counter.total() if counter is not None else 0.0
 
-    def reads_since_last_evaluation(self) -> int:
-        """Number of reads recorded since the evaluation marker was reset."""
-        return self._reads_since_evaluation
-
-    def mark_evaluated(self) -> None:
-        """Reset the evaluation marker (after running Algorithm 2)."""
-        self._reads_since_evaluation = 0
-
     def copy(self) -> "AccessStatistics":
         """Deep copy of the statistics (used when replicating a view)."""
         clone = AccessStatistics(self.slots, self.period)
         clone._reads = {origin: counter.copy() for origin, counter in self._reads.items()}
         clone._writes = self._writes.copy()
-        clone._reads_since_evaluation = self._reads_since_evaluation
         return clone
 
     def clear(self) -> None:
         """Forget every recorded access (used after migrating a replica)."""
         self._reads.clear()
         self._writes = RotatingCounter(self.slots, self.period)
-        self._reads_since_evaluation = 0
         self._origins_cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

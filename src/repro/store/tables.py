@@ -184,7 +184,6 @@ class StatsTable:
         "period",
         "_read_head",
         "_write_node",
-        "_reads_since_eval",
         "_node_origin",
         "_node_next",
         "_node_period",
@@ -214,7 +213,6 @@ class StatsTable:
         # event, and list indexing avoids re-boxing the value every access.
         self._read_head: list[int] = []
         self._write_node: list[int] = []
-        self._reads_since_eval: list[int] = []
         # Counter-node pool: one row per rotating window.  The bucket matrix
         # is an ``array('d')`` — it is the bulk of the statistics memory
         # (``slots`` doubles per window) and is only touched on rotation.
@@ -244,7 +242,6 @@ class StatsTable:
         """Grow the per-slot columns by one fresh row."""
         self._read_head.append(NO_SLOT)
         self._write_node.append(NO_SLOT)
-        self._reads_since_eval.append(0)
 
     def reset_slot(self, slot: int) -> None:
         """Return a slot's counter nodes to the pool and zero its state."""
@@ -259,7 +256,6 @@ class StatsTable:
         if write_node != NO_SLOT:
             self._free_node(write_node)
             self._write_node[slot] = NO_SLOT
-        self._reads_since_eval[slot] = 0
         self._origins_cache.pop(slot, None)
 
     def move_slot(self, source: int, target: int) -> None:
@@ -273,10 +269,8 @@ class StatsTable:
             raise StorageError("cannot move statistics onto a used slot")
         self._read_head[target] = self._read_head[source]
         self._write_node[target] = self._write_node[source]
-        self._reads_since_eval[target] = self._reads_since_eval[source]
         self._read_head[source] = NO_SLOT
         self._write_node[source] = NO_SLOT
-        self._reads_since_eval[source] = 0
         self._origins_cache.pop(source, None)
         self._origins_cache.pop(target, None)
 
@@ -371,7 +365,6 @@ class StatsTable:
             self._advance_node(node, period_index)
         self._node_buckets[node * self.slots + nperiod[node] % self.slots] += amount
         self._node_total[node] += amount
-        self._reads_since_eval[slot] += 1
         # Keep the cached origins dict live instead of rebuilding it on the
         # next query: a read only changes its own origin's total, and only
         # an origin already present keeps its position in first-record
@@ -498,14 +491,6 @@ class StatsTable:
             node = self._node_next[node]
         return 0.0
 
-    def reads_since_evaluation(self, slot: int) -> int:
-        """Reads recorded since the evaluation marker was reset."""
-        return self._reads_since_eval[slot]
-
-    def mark_evaluated(self, slot: int) -> None:
-        """Reset the evaluation marker (after running Algorithm 2)."""
-        self._reads_since_eval[slot] = 0
-
     # ----------------------------------------------- object-path interop
     def export(self, slot: int):
         """Materialise ``slot``'s statistics as a standalone object copy."""
@@ -520,7 +505,6 @@ class StatsTable:
         write_node = self._write_node[slot]
         if write_node != NO_SLOT:
             stats._writes = self._export_counter(write_node, RotatingCounter)
-        stats._reads_since_evaluation = self._reads_since_eval[slot]
         return stats
 
     def _export_counter(self, node: int, counter_class):
@@ -538,8 +522,7 @@ class StatsTable:
         The sharded runner's cross-worker consistency audit: workers that
         replayed the same decision-plane history must produce equal digests.
         Covers, per slot, the read counters keyed by origin (period, total,
-        bucket windows), the write counter and the since-evaluation count —
-        but *not* node ids or free-list layout, which depend on allocation
+        bucket windows) and the write counter — but *not* node ids or free-list layout, which depend on allocation
         history rather than logical content.
         """
         hasher = hashlib.sha256()
@@ -571,7 +554,7 @@ class StatsTable:
                     tuple(buckets[base : base + slots]),
                 )
             hasher.update(
-                repr((slot, self._reads_since_eval[slot], reads, writes)).encode()
+                repr((slot, reads, writes)).encode()
             )
         return hasher.hexdigest()
 
@@ -1136,12 +1119,6 @@ class StatsHandle:
 
     def reads_from(self, origin: int) -> float:
         return self.table.reads_from(self.slot, origin)
-
-    def reads_since_last_evaluation(self) -> int:
-        return self.table.reads_since_evaluation(self.slot)
-
-    def mark_evaluated(self) -> None:
-        self.table.mark_evaluated(self.slot)
 
     def copy(self):
         """Standalone ``AccessStatistics`` deep copy of this slot's windows."""

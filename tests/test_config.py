@@ -65,30 +65,40 @@ class TestDynaSoReConfig:
         assert config.counter_period == 3600.0
         assert config.admission_fill == pytest.approx(0.90)
         assert config.eviction_threshold == pytest.approx(0.95)
-        assert config.min_replicas == 1
 
     def test_rejects_bad_counter_slots(self):
         with pytest.raises(ConfigurationError):
             DynaSoReConfig(counter_slots=0)
 
-    def test_rejects_bad_admission_fill(self):
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"admission_fill": 1.5},
+            # Eviction below the admission band would empty it every tick.
+            {"admission_fill": 0.9, "eviction_threshold": 0.85},
+        ],
+        ids=["above_one", "above_eviction"],
+    )
+    def test_rejects_bad_admission_fill(self, fields):
         with pytest.raises(ConfigurationError):
-            DynaSoReConfig(admission_fill=1.5)
+            DynaSoReConfig(**fields)
 
-    def test_rejects_zero_min_replicas(self):
-        with pytest.raises(ConfigurationError):
-            DynaSoReConfig(min_replicas=0)
+    def test_accepts_eviction_at_admission_fill(self):
+        config = DynaSoReConfig(admission_fill=0.8, eviction_threshold=0.8)
+        assert config.eviction_threshold == config.admission_fill
 
-    def test_rejects_zero_check_interval(self):
+    def test_rejects_bad_counter_period(self):
         with pytest.raises(ConfigurationError):
-            DynaSoReConfig(replication_check_interval=0)
+            DynaSoReConfig(counter_period=0.0)
+
+    def test_rejects_bad_eviction_threshold(self):
+        with pytest.raises(ConfigurationError):
+            DynaSoReConfig(eviction_threshold=1.5)
 
 
 class TestSimulationConfig:
     def test_defaults(self):
         config = SimulationConfig()
-        assert config.application_message_size == 10
-        assert config.protocol_message_size == 1
         assert config.tick_period == 3600.0
 
     def test_rejects_negative_memory(self):

@@ -94,8 +94,9 @@ class TestSpecs:
         scenario = spec.build()
         assert isinstance(scenario, CrashRecoverScenario)
         assert scenario.crash_time == 10.0
-        with pytest.raises(ConfigurationError):
-            ScenarioSpec.of("volcano").build()
+        for kind in ("volcano", "rack_outage", "node_churn", "regional_flash_crowd"):
+            with pytest.raises(ConfigurationError):
+                ScenarioSpec.of(kind).build()
 
     def test_build_strategy_registry(self):
         assert build_strategy("spar", seed=1).name == "spar"

@@ -22,15 +22,12 @@ from repro.scenarios import (
     CompositeScenario,
     CrashRecoverScenario,
     DiurnalLoadScenario,
-    NodeChurnScenario,
-    RackOutageScenario,
-    RegionalFlashCrowdScenario,
     ScenarioContext,
 )
-from repro.scenarios.events import NodeJoin, NodeLeave, ServerCrash, ServerRecovery
+from repro.scenarios.events import ServerCrash, ServerRecovery
 from repro.simulator.engine import ClusterSimulator
-from repro.simulator.runner import normalise_results, run_comparison
-from repro.workload.requests import EdgeAdded, EdgeRemoved, WriteRequest
+from repro.simulator.runner import normalise_results
+from repro.workload.requests import WriteRequest
 from repro.workload.stream import EventStream
 
 
@@ -71,45 +68,6 @@ class TestScenarioGenerators:
         with pytest.raises(SimulationError):
             CrashRecoverScenario(crash_time=HOUR, count=0)
 
-    def test_rack_outage_targets_exactly_one_rack(self, context):
-        scenario = RackOutageScenario(start_time=HOUR, end_time=2 * HOUR)
-        events = scenario.fault_events(context)
-        crashed = {e.position for e in events if isinstance(e, ServerCrash)}
-        topology = context.topology
-        racks = {
-            topology.rack_of(topology.servers[position].index) for position in crashed
-        }
-        assert len(racks) == 1
-        # Every server of that rack is down, none from other racks.
-        (rack,) = racks
-        expected = {
-            position
-            for position, server in enumerate(topology.servers)
-            if topology.rack_of(server.index) == rack
-        }
-        assert crashed == expected
-
-    def test_rack_outage_requires_rack_switches(self, flat_topology, small_graph):
-        context = ScenarioContext(topology=flat_topology, graph=small_graph, seed=7)
-        with pytest.raises(SimulationError):
-            RackOutageScenario(start_time=HOUR).fault_events(context)
-
-    def test_node_churn_rejoins_everyone_and_bounds_concurrency(self, context):
-        scenario = NodeChurnScenario(
-            start_time=0.0, end_time=DAY, changes=9, max_concurrent_down=2
-        )
-        events = scenario.fault_events(context)
-        down: set[int] = set()
-        for event in events:
-            if isinstance(event, (NodeLeave, ServerCrash)):
-                assert event.position not in down
-                down.add(event.position)
-                assert len(down) <= 2
-            elif isinstance(event, (NodeJoin, ServerRecovery)):
-                assert event.position in down
-                down.discard(event.position)
-        assert not down, "every departed node must rejoin by end_time"
-
     def test_diurnal_keeps_mutations_and_thins_requests(
         self, context, small_log, assert_time_ordered
     ):
@@ -126,23 +84,6 @@ class TestScenarioGenerators:
         scenario = DiurnalLoadScenario(trough_fraction=0.3)
         for t in (0.0, 0.25 * DAY, 0.5 * DAY, 0.9 * DAY):
             assert 0.3 <= scenario.keep_probability(t) <= 1.0
-
-    def test_regional_flash_crowd_injects_edges_and_reads(
-        self, context, small_log, assert_time_ordered
-    ):
-        scenario = RegionalFlashCrowdScenario(
-            start_time=HOUR, end_time=5 * HOUR, targets=2, followers=10
-        )
-        log = scenario.transform_stream(small_log, context)
-        added = [r for r in log if isinstance(r, EdgeAdded)]
-        removed = [r for r in log if isinstance(r, EdgeRemoved)]
-        assert added and len(added) == len(removed)
-        assert log.stats().reads > small_log.stats().reads
-        assert_time_ordered(log)
-        specs = scenario.plan(context)
-        assert 1 <= len(specs) <= 2
-        for spec in specs:
-            assert spec.target_user not in spec.new_followers
 
     def test_composite_merges_events_in_time_order(self, context, small_log):
         composite = CompositeScenario(
@@ -243,16 +184,24 @@ class TestCrashRecoveryRoundTrip:
     """The acceptance property: mid-run crash, full recovery, budget kept."""
 
     @pytest.mark.parametrize(
-        "strategy_factory",
+        "strategy_factory, count, graceful",
         [
-            lambda: DynaSoRe(initializer="hmetis", seed=11),
-            lambda: RandomPlacement(seed=11),
-            lambda: SparPlacement(seed=11),
+            pytest.param(factory, count, graceful, id=name + suffix)
+            for count, graceful, suffix in (
+                (2, False, ""),
+                # One rack's worth of the small tree (3 servers) down at once.
+                (3, False, "-count3"),
+                (2, True, "-graceful"),
+            )
+            for name, factory in (
+                ("dynasore", lambda: DynaSoRe(initializer="hmetis", seed=11)),
+                ("random", lambda: RandomPlacement(seed=11)),
+                ("spar", lambda: SparPlacement(seed=11)),
+            )
         ],
-        ids=["dynasore", "random", "spar"],
     )
     def test_crash_recovery_round_trip(
-        self, tree_topology, small_graph, small_log, strategy_factory
+        self, tree_topology, small_graph, small_log, strategy_factory, count, graceful
     ):
         graph = small_graph.copy()
         simulator = ClusterSimulator(
@@ -260,13 +209,13 @@ class TestCrashRecoveryRoundTrip:
             graph,
             strategy_factory(),
             SimulationConfig(extra_memory_pct=100.0, seed=11),
-            scenario=crash_scenario(small_log, count=2),
+            scenario=crash_scenario(small_log, count=count, graceful=graceful),
         )
         result = simulator.run(small_log)
 
-        crashes = [r for r in result.fault_records if r.kind == "crash"]
+        downs = [r for r in result.fault_records if r.kind == ("drain" if graceful else "crash")]
         restores = [r for r in result.fault_records if r.kind == "restore"]
-        assert len(crashes) == 2 and len(restores) == 2
+        assert len(downs) == count and len(restores) == count
         # Every view survived: nothing permanently lost ...
         assert result.unavailable_views == 0
         locations = simulator.strategy.replica_locations()
@@ -275,8 +224,10 @@ class TestCrashRecoveryRoundTrip:
         assert all(simulator.server_up)
         # ... and memory ended within budget.
         assert result.memory_in_use <= simulator.budget.total_capacity
-        # The WAL store is consistent with what was written during the run.
-        simulator.persistent_store.verify_integrity()
+        # The WAL store is consistent with what was written during the run
+        # (drains alone never create one).
+        if not graceful:
+            simulator.persistent_store.verify_integrity()
 
     def test_graceful_drain_never_touches_the_disk(
         self, tree_topology, small_graph, small_log
@@ -310,41 +261,6 @@ class TestCrashRecoveryRoundTrip:
         (crash,) = [r for r in result.fault_records if r.kind == "crash"]
         assert crash.views_from_memory > 0
         assert result.unavailable_views == 0
-
-    def test_rack_outage_round_trip(self, tree_topology, small_graph, small_log):
-        duration = small_log.stats().last_timestamp
-        simulator = ClusterSimulator(
-            tree_topology,
-            small_graph.copy(),
-            DynaSoRe(initializer="random", seed=11),
-            SimulationConfig(extra_memory_pct=100.0, seed=11),
-            scenario=RackOutageScenario(
-                start_time=duration / 4.0, end_time=duration / 2.0
-            ),
-        )
-        result = simulator.run(small_log)
-        assert result.unavailable_views == 0
-        assert all(simulator.server_up)
-
-    def test_node_churn_round_trip(self, tree_topology, small_graph, small_log):
-        duration = small_log.stats().last_timestamp
-        simulator = ClusterSimulator(
-            tree_topology,
-            small_graph.copy(),
-            DynaSoRe(initializer="random", seed=11),
-            SimulationConfig(extra_memory_pct=100.0, seed=11),
-            scenario=NodeChurnScenario(
-                start_time=duration * 0.1,
-                end_time=duration * 0.9,
-                changes=6,
-                max_concurrent_down=2,
-            ),
-        )
-        result = simulator.run(small_log)
-        assert result.unavailable_views == 0
-        assert all(simulator.server_up)
-        assert result.memory_in_use <= simulator.budget.total_capacity
-
 
 class TestStrategyEvacuation:
     """Direct unit coverage of the per-strategy fault handlers."""
@@ -452,17 +368,18 @@ class TestNormalisationGuard:
     def test_zero_traffic_baseline_raises(self, tree_topology, small_graph):
         """A Random baseline that recorded nothing must fail loudly, not
         silently normalise everything to zero."""
-        empty_log = EventStream.empty()
-        results = run_comparison(
-            lambda: tree_topology,
-            lambda: small_graph.copy(),
-            {
-                "random": lambda: RandomPlacement(seed=1),
-                "spar": lambda: SparPlacement(seed=1),
-            },
-            empty_log,
-            SimulationConfig(extra_memory_pct=0.0, seed=1),
-        )
+        results = {
+            label: ClusterSimulator(
+                tree_topology,
+                small_graph.copy(),
+                strategy,
+                SimulationConfig(extra_memory_pct=0.0, seed=1),
+            ).run(EventStream.empty())
+            for label, strategy in (
+                ("random", RandomPlacement(seed=1)),
+                ("spar", SparPlacement(seed=1)),
+            )
+        }
         with pytest.raises(SimulationError, match="no top-switch traffic"):
             normalise_results(results)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.random_placement import RandomPlacement
@@ -9,9 +11,17 @@ from repro.config import SimulationConfig
 from repro.constants import DAY, HOUR
 from repro.core.engine import DynaSoRe
 from repro.exceptions import SimulationError
+from repro.experiments.common import (
+    graph_spec,
+    simulation_config,
+    synthetic_workload_spec,
+    topology_spec,
+)
+from repro.runtime.executor import execute_spec
+from repro.runtime.spec import RunSpec, WorkloadSpec
 from repro.simulator.clock import SimulationClock
 from repro.simulator.engine import ClusterSimulator
-from repro.simulator.runner import normalise_results, run_comparison, run_simulation
+from repro.simulator.runner import normalise_results
 from repro.socialgraph.generators import facebook_like
 from repro.topology.tree import TreeTopology
 from repro.workload.stream import (
@@ -196,25 +206,17 @@ class TestClusterSimulator:
 
 
 class TestRunner:
-    def test_run_comparison_and_normalise(self, ci_profile, time_prefix):
-        from repro.experiments.common import (
-            graph_factory,
-            simulation_config,
-            strategy_factories,
-            synthetic_stream,
-            tree_topology_factory,
-        )
-
-        graphs = graph_factory(ci_profile, "twitter")
-        log = time_prefix(synthetic_stream(ci_profile, graphs()), 0.2 * DAY)
-        results = run_comparison(
-            tree_topology_factory(ci_profile),
-            graphs,
-            strategy_factories(ci_profile, include=("random", "hmetis")),
-            log,
+    def test_run_comparison_and_normalise(self, ci_profile):
+        spec = RunSpec(
+            topology_spec(ci_profile),
+            graph_spec(ci_profile, "twitter"),
+            WorkloadSpec(kind="synthetic", days=0.2, seed=ci_profile.seed),
+            "random",
             simulation_config(ci_profile, 0.0),
         )
-        assert set(results) == {"random", "hmetis"}
+        results = {
+            key: execute_spec(replace(spec, strategy=key)) for key in ("random", "hmetis")
+        }
         normalised = normalise_results(results)
         assert normalised["random"] == pytest.approx(1.0)
         assert normalised["hmetis"] <= 1.0
@@ -228,23 +230,27 @@ class TestRunner:
         """
         import json
 
-        from repro.core.engine import DynaSoRe
-        from repro.experiments.common import (
-            graph_factory,
-            simulation_config,
-            synthetic_stream,
-            tree_topology_factory,
-        )
         from repro.scenarios import CompositeScenario, CrashRecoverScenario, DiurnalLoadScenario
 
-        graphs = graph_factory(ci_profile, "twitter")
-        log = time_prefix(synthetic_stream(ci_profile, graphs()), 0.3 * DAY)
+        graphs = graph_spec(ci_profile, "twitter")
+        stream, _ = synthetic_workload_spec(ci_profile).build_stream(graphs.build())
+        log = time_prefix(stream, 0.3 * DAY)
         scenario = CompositeScenario(
             DiurnalLoadScenario(trough_fraction=0.5),
             CrashRecoverScenario(
                 crash_time=0.1 * DAY, recover_time=0.2 * DAY, count=2
             ),
         )
+
+        def run():
+            # Fresh topology and graph per run: strategies mutate the graph.
+            return ClusterSimulator(
+                topology_spec(ci_profile).build(),
+                graphs.build(),
+                DynaSoRe(initializer="random", seed=ci_profile.seed),
+                simulation_config(ci_profile, 50.0),
+                scenario=scenario,
+            ).run(log)
 
         def serialise(result):
             return json.dumps(
@@ -262,39 +268,22 @@ class TestRunner:
                 sort_keys=True,
             )
 
-        runs = [
-            run_simulation(
-                tree_topology_factory(ci_profile),
-                graphs,
-                lambda: DynaSoRe(initializer="random", seed=ci_profile.seed),
-                log,
-                simulation_config(ci_profile, 50.0),
-                scenario=scenario,
-            )
-            for _ in range(2)
-        ]
+        runs = [run() for _ in range(2)]
         assert serialise(runs[0]) == serialise(runs[1])
         assert runs[0].fault_records  # the scenario actually fired
 
-    def test_run_simulation_with_tracked_views(self, ci_profile, time_prefix):
-        from repro.experiments.common import (
-            graph_factory,
-            simulation_config,
-            synthetic_stream,
-            tree_topology_factory,
-        )
-        from repro.core.engine import DynaSoRe
-
-        graphs = graph_factory(ci_profile, "twitter")
-        graph = graphs()
-        log = time_prefix(synthetic_stream(ci_profile, graph), 0.1 * DAY)
-        tracked = graph.users[0]
-        result = run_simulation(
-            tree_topology_factory(ci_profile),
-            graphs,
-            lambda: DynaSoRe(initializer="random", seed=1),
-            log,
-            simulation_config(ci_profile, 50.0),
-            tracked_views=(tracked,),
+    def test_run_simulation_with_tracked_views(self, ci_profile):
+        graphs = graph_spec(ci_profile, "twitter")
+        tracked = graphs.build().users[0]
+        result = execute_spec(
+            RunSpec(
+                topology_spec(ci_profile),
+                graphs,
+                WorkloadSpec(kind="synthetic", days=0.1, seed=ci_profile.seed),
+                "dynasore_random",
+                simulation_config(ci_profile, 50.0),
+                strategy_seed=1,
+                tracked_views=(tracked,),
+            )
         )
         assert tracked in result.tracked_views

@@ -90,14 +90,6 @@ class TestAccessStatistics:
         assert stats.total_reads() == 0.0
         assert stats.reads_by_origin() == {}
 
-    def test_evaluation_marker(self):
-        stats = AccessStatistics()
-        stats.record_read(1, 0.0)
-        stats.record_read(1, 1.0)
-        assert stats.reads_since_last_evaluation() == 2
-        stats.mark_evaluated()
-        assert stats.reads_since_last_evaluation() == 0
-
     def test_copy(self):
         stats = AccessStatistics(slots=4, period=10.0)
         stats.record_read(3, 0.0)

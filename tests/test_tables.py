@@ -26,21 +26,32 @@ each cell was replayed through both worlds and recorded only after
 none differed.  The object world and its 21-cell twin comparison
 (``test_byte_identical_with_seed_object_path``, all at 60 % memory with the
 default config) were deleted in the same change; the ``A/*/mem60`` row is
-those 21 cells.
+those 21 cells.  Matrix B's other four configurations (``min_replicas=2``,
+``check_interval=3``, ``no_proxy_migration``, ``no_view_migration``; 48
+cells) went later with the config fields they switched; the 108 digests of
+matrix A and of ``counter_slots=6``/``fill=0.5,evict=0.8`` are the
+harvested ones, unchanged.  The other four configurations of matrix B
+(``counter_slots=1``, ``counter_slots=4,period=1800``,
+``fill=0.8,evict=0.8``, ``evict=1.0``; 48 cells) were recorded from the
+table world when they were added, with no object world left to compare
+against: they pin the remaining paper parameters, ``counter_period``
+included, against regressions rather than against the seed.
 
 **What the file catches.**  Failing cells per mutant, as *A's 84 / the
 deleted 21-cell suite run at its last commit against the same mutant / B's
-36 ``tracked0`` / B's 36 ``tracked2``*:
+36 ``tracked0`` / B's 36 ``tracked2``*.  Measured on the 156-cell file;
+every cell a mutant failed on the 108-cell file still fails:
 
 * ``update_admission_threshold`` keeps the infinite threshold on a
-  sole-replica boundary (no collapse to 0.0): 6 / **0** / 6 / 6;
-* ``eviction_candidate_slots`` sorts on ``(utility, slot)``: 29 / 9 / 35 / 35;
+  sole-replica boundary (no collapse to 0.0): 6 / **0** / 8 / 8;
+* ``eviction_candidate_slots`` sorts on ``(utility, slot)``: 29 / 9 / 36 / 36;
 * ``_decide_with_candidates``, Algorithm 2 admits at ``profit >=
-  threshold`` (batch kernel only): 0 / 0 / 33 / 0;
+  threshold`` (batch kernel only): 0 / 0 / 25 / 0;
 * ``_decide_with_candidates``, Algorithm 3 removes at ``best_profit <= 0``
-  (batch kernel only): 0 / 0 / 7 / 0;
+  (batch kernel only): 0 / 0 / 13 / 0, six of them ``fill=0.8,evict=0.8``
+  and five ``fill=0.5,evict=0.8``;
 * ``core/replication.py``, Algorithm 2 admits at ``profit >= threshold``
-  (per-event reference only): 20 / 8 / 0 / 33.
+  (per-event reference only): 20 / 8 / 0 / 25.
 
 Every cell the old suite failed is failed by its ``A/*/mem60`` successor,
 and the two halves of matrix B pin different code.
@@ -87,14 +98,19 @@ GOLDEN_PATH = Path(__file__).parent / "golden_tables.json"
 #: admission thresholds and eviction decide; 60 was the old parity matrix.
 MEMORY_PCTS = (0, 30, 60, 150)
 
-#: Matrix B: one non-default ``DynaSoReConfig`` per branch it switches.
+#: Matrix B: non-default values of the four paper parameters.  Every entry
+#: yields 12 digests unlike the default's and every other entry's.
 DYNASORE_CONFIGS = {
-    "min_replicas=2": DynaSoReConfig(min_replicas=2),
-    "check_interval=3": DynaSoReConfig(replication_check_interval=3),
-    "no_proxy_migration": DynaSoReConfig(enable_proxy_migration=False),
-    "no_view_migration": DynaSoReConfig(enable_view_migration=False),
     "counter_slots=6": DynaSoReConfig(counter_slots=6),
     "fill=0.5,evict=0.8": DynaSoReConfig(admission_fill=0.5, eviction_threshold=0.8),
+    # A one-hour read window: counters expire within the half-day run.
+    "counter_slots=1": DynaSoReConfig(counter_slots=1),
+    # Half-hour slots, a two-hour window (the default window outlives the run).
+    "counter_slots=4,period=1800": DynaSoReConfig(counter_slots=4, counter_period=1800.0),
+    # An empty admission band: the least eviction threshold validation admits.
+    "fill=0.8,evict=0.8": DynaSoReConfig(admission_fill=0.8, eviction_threshold=0.8),
+    # No proactive eviction below a full server.
+    "evict=1.0": DynaSoReConfig(eviction_threshold=1.0),
 }
 
 
@@ -224,7 +240,6 @@ def test_free_list_recycles_slots():
     assert table.stats.total_reads(reused) == 0.0
     assert table.stats.total_writes(reused) == 0.0
     assert table.stats.reads_by_origin(reused) == {}
-    assert table.stats.reads_since_evaluation(reused) == 0
     assert table.position_of(reused) == 0
     assert table.user_of(reused) == 3
     assert table.slot_of(2, 1) == second
