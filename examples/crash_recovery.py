@@ -5,8 +5,8 @@ persisted in a write-ahead log before it reaches the cache, so a crashed
 server's views can always be rebuilt — quickly from surviving in-memory
 replicas when the view was replicated, otherwise from the persistent store.
 The example runs some traffic so DynaSoRe creates replicas, crashes the most
-loaded server, plans the recovery, and reports how much of the lost data was
-still available in memory.
+loaded server through the simulator, and reports how much of the lost data
+was still available in memory.
 
 Run with::
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro import ClusterSpec, SimulationConfig, TreeTopology, facebook_like
 from repro.core.engine import DynaSoRe
 from repro.persistence.backend import PersistentStore
-from repro.persistence.recovery import execute_recovery, plan_recovery
 from repro.persistence.wal import WriteAheadLog
 from repro.simulator.engine import ClusterSimulator
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
@@ -44,32 +43,27 @@ def main() -> None:
         graph,
         DynaSoRe(initializer="hmetis", seed=11),
         SimulationConfig(extra_memory_pct=100.0, seed=11),
+        persistent_store=persistent,
     )
     simulator.run(log)
     strategy = simulator.strategy
 
-    locations = {user: set(devices) for user, devices in strategy.replica_locations().items()}
-    load = {}
-    for devices in locations.values():
-        for device in devices:
-            load[device] = load.get(device, 0) + 1
-    crashed = max(load, key=load.get)
-    print(f"crashing server {topology.devices[crashed].name} holding {load[crashed]} views")
+    used = strategy.tables.used
+    crashed = max(range(len(used)), key=used.__getitem__)
+    held = used[crashed]
+    name = topology.devices[topology.servers[crashed].index].name
+    print(f"crashing server {name} holding {held} views")
 
-    plan = plan_recovery(crashed, locations)
-    print(f"views lost                      : {plan.total_views}")
-    print(f"recoverable from other replicas : {len(plan.recoverable_from_memory)}")
-    print(f"recoverable from disk only      : {len(plan.recoverable_from_disk)}")
-    print(f"in-memory recovery fraction     : {plan.memory_recovery_fraction:.0%}")
+    record = simulator.crash_server(crashed, now=log.stats().last_timestamp)
+    print(f"views lost                      : {record.total_views}")
+    print(f"recovered from other replicas   : {record.views_from_memory}")
+    print(f"recovered from disk only        : {record.views_from_disk}")
+    print(f"in-memory recovery fraction     : {record.views_from_memory / record.total_views:.0%}")
 
-    survivors = [s.index for s in topology.servers if s.index != crashed]
-    targets = {
-        user: survivors[i % len(survivors)]
-        for i, user in enumerate(plan.recoverable_from_memory + plan.recoverable_from_disk)
-    }
-    recovered = execute_recovery(plan, locations, targets, persistent)
-    print(f"recovered views                 : {len(recovered)}")
-    assert all(crashed not in devices for devices in locations.values())
+    assert record.total_views == held
+    assert strategy.tables.used[crashed] == 0
+    assert all(strategy.has_any_replica(user) for user in graph.users)
+    persistent.verify_integrity()
     print("every view is available again; no data was lost.")
 
 

@@ -1,7 +1,7 @@
 """Failure drill: crashes, churn and load dynamics through the scenario layer.
 
-Where ``examples/crash_recovery.py`` stages a single crash by hand (plan,
-choose targets, execute), this drill exercises the same machinery through
+Where ``examples/crash_recovery.py`` crashes one server after the run with
+``ClusterSimulator.crash_server``, this drill schedules its faults through
 the :mod:`repro.scenarios` subsystem: a composed scenario thins the load
 with a day/night cycle, crashes two servers mid-run, drains a third
 gracefully and brings everyone back — all in simulated time, with writes

@@ -281,20 +281,6 @@ class PlacementStrategy(ABC):
         assert self.topology is not None
         return self.topology.servers[position].index
 
-    def closest_replica(self, broker: int, servers: set[int] | tuple[int, ...]) -> int:
-        """Replica closest to ``broker`` (lowest common ancestor rule).
-
-        Ties are broken with the server identifier, as in the paper's routing
-        policy.
-        """
-        assert self.topology is not None
-        if not servers:
-            raise SimulationError("cannot route to a view with no replica")
-        if len(servers) == 1:
-            return next(iter(servers))
-        distances = self.topology.distance_row(broker)
-        return min(servers, key=lambda s: (distances[s], s))
-
 
 class _Memo(dict):
     """``key -> value``, built by the strategy on first use.

@@ -149,7 +149,7 @@ class SparPlacement(FootprintStrategy):
         for target in targets:
             self._master_position(target)
             replicas = {self.server_device(p) for p in table.user_positions(target)}
-            server = self.closest_replica(broker, replicas)
+            server = self.routing.closest_replica(broker, replicas)
             self.accountant.record_roundtrip(
                 broker, server, MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE, now
             )

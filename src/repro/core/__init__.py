@@ -6,7 +6,7 @@ from .migration import MigrationAction, MigrationDecision, evaluate_replica_migr
 from .proxies import ProxyDirectory, optimal_proxy_broker
 from .replication import ReplicationDecision, evaluate_replica_creation
 from .routing import RoutingService
-from .utility import estimate_profit, replica_utility
+from .utility import estimate_profit
 
 __all__ = [
     "DynaSoRe",
@@ -22,5 +22,4 @@ __all__ = [
     "evaluate_replica_migration",
     "fit_assignment_to_capacity",
     "optimal_proxy_broker",
-    "replica_utility",
 ]

@@ -55,15 +55,9 @@ from ..traffic.messages import MessageKind
 from ..workload.stream import KIND_READ
 from .migration import MigrationAction, evaluate_replica_migration
 from .proxies import ProxyDirectory, optimal_proxy_broker
-from .replication import EvaluationMemo, evaluate_replica_creation
+from .replication import EvaluationMemo, evaluate_replica_creation, origin_candidates
 from .routing import RoutingService
-from .utility import (
-    build_pricing,
-    estimate_profit,
-    estimate_profit_pairs,
-    estimate_profit_values,
-    priced_profit,
-)
+from .utility import build_pricing, estimate_profit, priced_profit
 
 #: Signature of an initial-placement function: (graph, topology, seed) -> {user: server position}.
 InitialAssignment = Callable[[SocialGraph, ClusterTopology, int], dict[int, int]]
@@ -210,9 +204,6 @@ class DynaSoRe(PlacementStrategy):
         self._down_positions: set[int] = set()
         #: nominal capacity of each position (restored when a server rejoins)
         self._position_capacity: list[int] = []
-        #: reusable stats view for the utility sweep (avoids one allocation
-        #: per replica per tick)
-        self._stats_scratch: StatsHandle | None = None
         #: reusable replica view for Algorithm 2/3 evaluations
         self._replica_scratch: _ScratchReplica | None = None
         #: recycled scratch containers of the fused (batch-path) decision
@@ -251,7 +242,6 @@ class DynaSoRe(PlacementStrategy):
             counter_period=self.config.counter_period,
         )
         self.tables = table
-        self._stats_scratch = StatsHandle(table.stats, 0)
         self._replica_scratch = _ScratchReplica(table)
         for position, capacity in enumerate(capacities):
             table.set_capacity(position, capacity)
@@ -754,9 +744,9 @@ class DynaSoRe(PlacementStrategy):
                                 and node_total[stats_node] > 0.0
                                 and write_proxy.get(target) is not None
                             ):
-                                stay_profit = estimate_profit_values(
+                                stay_profit = estimate_profit(
                                     topology,
-                                    origins_d,
+                                    origins_d.items(),
                                     node_total[stats_node],
                                     device,
                                     next_closest,
@@ -834,25 +824,15 @@ class DynaSoRe(PlacementStrategy):
         replica = self._replica_scratch.bind(slot)
         replica_device = self._device_of_position[position]
         # Both algorithms price the same per-origin candidates; resolve them
-        # once (nothing changes placement between the two evaluations), on
-        # the slot's origin dict directly.  No availability filter is
-        # needed: ``least_loaded_server_under`` never returns a position
-        # from the down set.
-        user = self.tables._user[slot]
-        least_loaded_server_under = self.least_loaded_server_under
-        device_of_position = self._device_of_position
-        candidates: list[tuple[int, int, int]] = []
-        for origin in self.tables.stats.reads_by_origin(slot):
-            candidate_position = least_loaded_server_under(origin, user)
-            if candidate_position is None:
-                continue
-            candidate_device = device_of_position[candidate_position]
-            if candidate_device == replica_device:
-                continue
-            candidates.append((origin, candidate_position, candidate_device))
+        # once (nothing changes placement between the two evaluations).  No
+        # availability filter is needed: ``least_loaded_server_under`` never
+        # returns a position from the down set.
+        candidates = origin_candidates(
+            replica, replica_device, self.least_loaded_server_under, self.device_of_position
+        )
         # Algorithm 3 falls back to the replica's own server as reference
         # when the replica is sole — the same reference Algorithm 2 prices
-        # against — so the memo lets it reuse the estimator and prices.
+        # against — so the memo lets it reuse the reference pricing and prices.
         memo = EvaluationMemo()
         decision = evaluate_replica_creation(
             self.topology,
@@ -960,7 +940,7 @@ class DynaSoRe(PlacementStrategy):
         profits.clear()
         nearest, priced_writes, write_distances = build_pricing(
             topology,
-            origins,
+            origins.items(),
             stats.total_writes(slot),
             replica_device,
             write_broker,
@@ -1002,7 +982,7 @@ class DynaSoRe(PlacementStrategy):
         profits.clear()
         nearest, priced_writes, write_distances = build_pricing(
             topology,
-            origins,
+            origins.items(),
             stats.total_writes(slot),
             reference,
             write_broker,
@@ -1218,19 +1198,9 @@ class DynaSoRe(PlacementStrategy):
             next_closest[slots[0]] = devices[1]
             next_closest[slots[1]] = devices[0]
         else:
-            distance_row = self.topology.distance_row
+            routing_next_closest = self.routing.next_closest
             for slot, device in zip(slots, devices):
-                distances = distance_row(device)
-                best_distance = best_device = float("inf")
-                for other in devices:
-                    if other != device:
-                        distance = distances[other]
-                        if distance < best_distance or (
-                            distance == best_distance and other < best_device
-                        ):
-                            best_distance = distance
-                            best_device = other
-                next_closest[slot] = best_device
+                next_closest[slot] = routing_next_closest(device, devices)
 
     # =====================================================================
     # Maintenance tick
@@ -1275,9 +1245,9 @@ class DynaSoRe(PlacementStrategy):
                     utility[slot] = INFINITE_UTILITY
                 else:
                     node = write_node[slot]
-                    utility[slot] = estimate_profit_values(
+                    utility[slot] = estimate_profit(
                         topology,
-                        origins_of(slot),
+                        origins_of(slot).items(),
                         node_total[node] if node != NO_SLOT else 0.0,
                         device_of_position[server_column[slot]],
                         nearest,
@@ -1312,13 +1282,14 @@ class DynaSoRe(PlacementStrategy):
         one fused sweep over the placement and statistics columns.
 
         One chain walk per position does everything the reference tick
-        does in three passes: rotates each replica's counter windows
-        (the per-node arithmetic of ``StatsTable.advance_pool``), gathers
-        the surviving ``(origin, reads)`` pairs straight off the node
-        columns, prices the replica with
-        :func:`~repro.core.utility.estimate_profit_pairs` (no per-slot dict
-        materialisation), and recomputes the admission threshold once the
-        chain is done.
+        does in three passes: rotates each replica's counter windows (the
+        read windows inline, because the sweep tracks whether a rotation
+        dropped anything; the write window through
+        ``StatsTable._advance_node``), gathers the surviving ``(origin,
+        reads)`` pairs straight off the node columns, prices the replica
+        with :func:`~repro.core.utility.estimate_profit` over those pairs
+        (no per-slot dict materialisation), and recomputes the admission
+        threshold once the chain is done.
 
         Unlike the reference path's wholesale ``_origins_cache.clear()``,
         the sweep invalidates the per-slot origin dicts *precisely*: only
@@ -1358,6 +1329,7 @@ class DynaSoRe(PlacementStrategy):
         node_total = stats._node_total
         node_buckets = stats._node_buckets
         zero_window = stats._zero_window
+        advance_node = stats._advance_node
         origins_cache = stats._origins_cache
         device_of_position = self._device_of_position
         write_broker_of = self.proxies.write_proxy.get
@@ -1381,8 +1353,8 @@ class DynaSoRe(PlacementStrategy):
                     total = node_total[node]
                     current = node_period[node]
                     if current < period_index:
-                        # Inlined ``advance_pool`` per-node rotation; a zero
-                        # window total means every bucket is already zero.
+                        # Inlined ``StatsTable._advance_node``; a zero window
+                        # total means every bucket is already zero.
                         if total:
                             base = node * counter_slots
                             elapsed = period_index - current
@@ -1422,35 +1394,13 @@ class DynaSoRe(PlacementStrategy):
                 wtotal = 0.0
                 wnode = write_node[slot]
                 if wnode != NO_SLOT:
+                    advance_node(wnode, period_index)
                     wtotal = node_total[wnode]
-                    current = node_period[wnode]
-                    if current < period_index:
-                        if wtotal:
-                            base = wnode * counter_slots
-                            elapsed = period_index - current
-                            if elapsed == 1:
-                                index = base + period_index % counter_slots
-                                dropped = node_buckets[index]
-                                if dropped:
-                                    node_buckets[index] = 0.0
-                                    wtotal -= dropped
-                                    node_total[wnode] = wtotal
-                            elif elapsed >= counter_slots:
-                                node_buckets[base : base + counter_slots] = zero_window
-                                node_total[wnode] = 0.0
-                                wtotal = 0.0
-                            else:
-                                for step in range(1, elapsed + 1):
-                                    index = base + (current + step) % counter_slots
-                                    wtotal -= node_buckets[index]
-                                    node_buckets[index] = 0.0
-                                node_total[wnode] = wtotal
-                        node_period[wnode] = period_index
                 nearest = next_closest[slot]
                 if nearest == NO_SLOT:
                     utility[slot] = INFINITE_UTILITY
                 else:
-                    value = estimate_profit_pairs(
+                    value = estimate_profit(
                         topology,
                         pairs,
                         wtotal,
@@ -1502,11 +1452,11 @@ class DynaSoRe(PlacementStrategy):
         if next_closest == NO_SLOT:
             table._utility[slot] = INFINITE_UTILITY
             return
-        scratch = self._stats_scratch
-        scratch.slot = slot
+        stats = table.stats
         table._utility[slot] = estimate_profit(
             self.topology,
-            scratch,
+            stats.reads_by_origin(slot).items(),
+            stats.total_writes(slot),
             self._device_of_position[table._server[slot]],
             next_closest,
             self.proxies.write_broker(table._user[slot]),

@@ -10,8 +10,8 @@ cost outweighs its read benefit).
 
 For a **sole** replica the reference falls back to the replica's own server,
 which is exactly Algorithm 2's reference: passing Algorithm 2's
-:class:`~repro.core.replication.EvaluationMemo` then reuses its estimator
-and per-device prices instead of re-pricing every candidate.
+:class:`~repro.core.replication.EvaluationMemo` then reuses its reference
+pricing and per-device prices instead of re-pricing every candidate.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..topology.base import ClusterTopology
-from .replication import EvaluationMemo
-from .utility import estimate_profit, profit_estimator
+from .replication import EvaluationMemo, origin_candidates, reference_pricing
+from .utility import estimate_profit, priced_profit
 
 
 class MigrationAction(str, Enum):
@@ -67,8 +67,6 @@ def evaluate_replica_migration(
     sole replicas — see the module docstring).
     """
     if candidates is None:
-        from .replication import origin_candidates
-
         candidates = origin_candidates(
             replica,
             replica_device,
@@ -84,33 +82,37 @@ def evaluate_replica_migration(
         # No placement candidate: only the stay-vs-remove decision remains,
         # priced with a single direct profit estimate (the common case — a
         # view whose readers are already served from the best region).
-        if shared is not None and shared.estimator is not None:
-            stay_profit = shared.estimator(replica_device)
-        else:
-            stay_profit = estimate_profit(
-                topology, replica.stats, replica_device, reference, write_broker
-            )
+        stats = replica.stats
+        stay_profit = estimate_profit(
+            topology,
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
+            replica_device,
+            reference,
+            write_broker,
+        )
         if stay_profit < 0 and not sole_replica:
             return MigrationDecision(action=MigrationAction.REMOVE, profit=stay_profit)
         return MigrationDecision(action=MigrationAction.STAY, profit=stay_profit)
 
     if shared is not None:
-        estimate = shared.estimator
-        if estimate is None:
-            estimate = profit_estimator(topology, replica.stats, reference, write_broker)
-            shared.estimator = estimate
+        if shared.pricing is None:
+            shared.pricing = reference_pricing(
+                topology, replica.stats, reference, write_broker
+            )
+        pricing = shared.pricing
         profits = shared.profits
     else:
-        estimate = profit_estimator(topology, replica.stats, reference, write_broker)
+        pricing = reference_pricing(topology, replica.stats, reference, write_broker)
         profits = {}
     best_position: int | None = None
-    best_profit = estimate(replica_device)
+    best_profit = priced_profit(*pricing, replica_device)
     stay_profit = best_profit
 
     for origin, candidate_position, candidate_device in candidates:
         profit = profits.get(candidate_device)
         if profit is None:
-            profit = estimate(candidate_device)
+            profit = priced_profit(*pricing, candidate_device)
             profits[candidate_device] = profit
         threshold = admission_threshold_under(origin)
         if profit > best_profit and profit > threshold:

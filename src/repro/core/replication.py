@@ -9,7 +9,7 @@ zero, the server asks the view's write proxy to create the replica there.
 ``replica`` is duck-typed (``.user``/``.stats``): the engine passes a
 rebound table view over the replica's slot, tests may pass a plain
 :class:`~repro.store.view.ViewReplica`.  An :class:`EvaluationMemo` lets the
-engine share the profit estimator and the per-device prices with the
+engine share the reference pricing and the per-device prices with the
 sole-replica case of Algorithm 3, which uses the same reference replica —
 without it every evaluated read priced the identical candidates twice.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..topology.base import ClusterTopology
-from .utility import profit_estimator
+from .utility import build_pricing, priced_profit
 
 
 class EvaluationMemo:
@@ -31,12 +31,32 @@ class EvaluationMemo:
     replica's own server — exactly Algorithm 2's reference).
     """
 
-    __slots__ = ("estimator", "profits")
+    __slots__ = ("pricing", "profits")
 
     def __init__(self) -> None:
-        self.estimator = None
+        #: :func:`reference_pricing` of the shared reference, built lazily
+        self.pricing: tuple | None = None
         #: candidate device -> profit, filled lazily
         self.profits: dict[int, float] = {}
+
+
+def reference_pricing(
+    topology: ClusterTopology, stats, reference_server: int, write_broker: int | None
+) -> tuple:
+    """:func:`~repro.core.utility.build_pricing` state of a view's statistics
+    against one reference, as the leading arguments of
+    :func:`~repro.core.utility.priced_profit`:
+    ``priced_profit(*pricing, candidate_server)``."""
+    triples: list = []
+    nearest, priced_writes, write_distances = build_pricing(
+        topology,
+        stats.reads_by_origin().items(),
+        stats.total_writes(),
+        reference_server,
+        write_broker,
+        triples,
+    )
+    return topology, triples, nearest, priced_writes, write_distances, reference_server
 
 
 @dataclass(frozen=True)
@@ -129,8 +149,8 @@ def evaluate_replica_creation(
         Optional precomputed result of :func:`origin_candidates`; when
         omitted it is computed here.
     memo:
-        Optional :class:`EvaluationMemo` that captures the estimator and
-        per-device profits for reuse by a same-reference Algorithm 3 run.
+        Optional :class:`EvaluationMemo` that captures the reference pricing
+        and per-device profits for reuse by a same-reference Algorithm 3 run.
     """
     if candidates is None:
         candidates = origin_candidates(
@@ -142,18 +162,18 @@ def evaluate_replica_creation(
         )
     best_profit = 0.0
     best_position: int | None = None
-    estimate = memo.estimator if memo is not None else None
+    pricing = memo.pricing if memo is not None else None
     profits: dict[int, float] = memo.profits if memo is not None else {}
     for origin, candidate_position, candidate_device in candidates:
         profit = profits.get(candidate_device)
         if profit is None:
-            if estimate is None:
-                estimate = profit_estimator(
+            if pricing is None:
+                pricing = reference_pricing(
                     topology, replica.stats, replica_device, write_broker
                 )
                 if memo is not None:
-                    memo.estimator = estimate
-            profit = estimate(candidate_device)
+                    memo.pricing = pricing
+            profit = priced_profit(*pricing, candidate_device)
             profits[candidate_device] = profit
         threshold = admission_threshold_under(origin)
         if profit > threshold and profit > best_profit:
@@ -167,4 +187,5 @@ __all__ = [
     "ReplicationDecision",
     "evaluate_replica_creation",
     "origin_candidates",
+    "reference_pricing",
 ]

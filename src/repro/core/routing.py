@@ -62,14 +62,6 @@ class RoutingService:
             return next(iter(replica_devices))
         return _closest(self.topology.distance_row(broker), replica_devices)
 
-    def routing_table_for(self, broker: int, replica_map: dict[int, set[int]]) -> dict[int, int]:
-        """Full routing table of one broker (used by tests and the API layer)."""
-        return {
-            user: self.closest_replica(broker, devices)
-            for user, devices in replica_map.items()
-            if devices
-        }
-
     # ----------------------------------------------------- batch resolution
     def batch_resolver(self, broker: int):
         """Closest-replica resolver with the broker's distance row hoisted.

@@ -13,12 +13,16 @@ date:
 ``cost`` counts the switches a message traverses; origins are the coarse
 sub-tree labels recorded by the access statistics.
 
-``stats`` is duck-typed: both the standalone
-:class:`~repro.store.stats.AccessStatistics` objects and the table-backed
-:class:`~repro.store.tables.StatsHandle` views satisfy the two queries used
-here (``reads_by_origin``/``total_writes``).  The amortised estimator
-pre-resolves the per-origin reference costs once, because the table-backed
-engine prices many candidate servers against the same reference replica.
+The estimate comes in two forms that compute bit-for-bit equal profits
+(same per-origin accumulation order, same cost-row fallback, same clamp):
+
+* :func:`estimate_profit` prices one candidate against one reference.  The
+  maintenance tick prices each replica exactly once, and routing its sweep
+  through the amortised form measured slower.
+* :func:`build_pricing` resolves the reference side once and
+  :func:`priced_profit` then prices each candidate against it, because
+  Algorithms 2 and 3 price many candidate servers against the same
+  reference replica.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from ..topology.base import ClusterTopology
 
 def estimate_profit(
     topology: ClusterTopology,
-    stats,
+    pairs,
+    writes: float,
     candidate_server: int,
     reference_server: int,
     write_broker: int | None,
@@ -39,8 +44,12 @@ def estimate_profit(
     ----------
     topology:
         Cluster topology providing switch costs.
-    stats:
-        Access statistics of the view (reads by origin plus writes).
+    pairs:
+        Sized iterable of ``(origin, reads)`` in first-record order: a
+        ``reads_by_origin()`` dict's ``.items()``, or the maintenance
+        sweep's scratch list gathered straight off the statistics columns.
+    writes:
+        Window write total of the view.
     candidate_server:
         Leaf device index of the server whose benefit is being estimated.
     reference_server:
@@ -51,37 +60,13 @@ def estimate_profit(
         Leaf device index of the broker hosting the view's write proxy, or
         ``None`` when the view has never been written (write cost is then 0).
     """
-    return estimate_profit_values(
-        topology,
-        stats.reads_by_origin(),
-        stats.total_writes(),
-        candidate_server,
-        reference_server,
-        write_broker,
-    )
-
-
-def estimate_profit_values(
-    topology: ClusterTopology,
-    reads_by_origin: dict[int, float],
-    writes: float,
-    candidate_server: int,
-    reference_server: int,
-    write_broker: int | None,
-) -> float:
-    """:func:`estimate_profit` on primitive inputs.
-
-    The table-backed engine's maintenance sweep resolves the origin dict and
-    the write total straight from the statistics columns, so the pricing
-    needs no statistics view at all.
-    """
     server_read_cost = 0.0
     nearest_read_cost = 0.0
-    if reads_by_origin:
+    if pairs:
         candidate_costs = topology.cost_row(candidate_server)
         reference_costs = topology.cost_row(reference_server)
         cost_from_origin = topology.cost_from_origin
-        for origin, reads in reads_by_origin.items():
+        for origin, reads in pairs:
             candidate_cost = candidate_costs[origin]
             reference_cost = reference_costs[origin]
             if candidate_cost is None or reference_cost is None:
@@ -107,78 +92,28 @@ def estimate_profit_values(
     return nearest_read_cost - server_read_cost - server_write_cost
 
 
-def estimate_profit_pairs(
-    topology: ClusterTopology,
-    pairs: list,
-    writes: float,
-    candidate_server: int,
-    reference_server: int,
-    write_broker: int | None,
-) -> float:
-    """:func:`estimate_profit_values` over ``(origin, reads)`` pairs.
-
-    The batched maintenance sweep prices every replica of a position
-    straight off the statistics columns: it gathers each replica's
-    first-record-order origin chain into a reusable ``pairs`` scratch list
-    and prices it here, with no per-slot dict materialisation.  The loop
-    body is the same as :func:`estimate_profit_values` — same per-origin
-    order (the origins cache is built in chain order, so iterating the
-    chain and iterating the dict accumulate identical float sequences),
-    same cost-row fallback, same deterministic-routing clamp — so the two
-    produce bit-for-bit equal profits; like :func:`build_pricing` /
-    :func:`priced_profit`, the non-``None`` cost-row entries are the cached
-    ``cost_from_origin`` values, keeping every accumulation path exact.
-    """
-    server_read_cost = 0.0
-    nearest_read_cost = 0.0
-    if pairs:
-        candidate_costs = topology.cost_row(candidate_server)
-        reference_costs = topology.cost_row(reference_server)
-        cost_from_origin = topology.cost_from_origin
-        for origin, reads in pairs:
-            candidate_cost = candidate_costs[origin]
-            reference_cost = reference_costs[origin]
-            if candidate_cost is None or reference_cost is None:
-                candidate_cost = cost_from_origin(origin, candidate_server)
-                reference_cost = cost_from_origin(origin, reference_server)
-            # Deterministic-routing clamp, exactly as estimate_profit_values.
-            if candidate_cost < reference_cost:
-                server_read_cost += reads * candidate_cost
-            else:
-                server_read_cost += reads * reference_cost
-            nearest_read_cost += reads * reference_cost
-    if writes and write_broker is not None:
-        server_write_cost = writes * topology.distance_row(write_broker)[candidate_server]
-    else:
-        server_write_cost = 0.0
-    return nearest_read_cost - server_read_cost - server_write_cost
-
-
 def build_pricing(
     topology: ClusterTopology,
-    reads_by_origin: dict[int, float],
+    pairs,
     writes: float,
     reference_server: int,
     write_broker: int | None,
     triples: list,
 ) -> tuple[float, float, list | None]:
-    """Resolve the reference-side pricing state of :func:`profit_estimator`.
+    """Resolve the reference side of :func:`estimate_profit` once.
 
-    The allocation-free twin of the estimator's setup phase: fills the
+    Takes the same ``pairs`` as :func:`estimate_profit`, fills the
     caller-supplied ``triples`` scratch list with ``(origin, reads,
     reference_cost)`` rows (``None`` cost marks slow-path origins) and
-    returns ``(nearest_read_cost, priced_writes, write_distances)``.
-    Together with :func:`priced_profit` it computes bit-for-bit the same
-    profits as the closure-based estimator — the batched decision kernel
-    uses the pair to avoid one closure and one list allocation per
-    evaluated read.
+    returns ``(nearest_read_cost, priced_writes, write_distances)`` for
+    :func:`priced_profit`.
     """
     triples.clear()
     nearest_read_cost = 0.0
-    if reads_by_origin:
+    if pairs:
         reference_costs = topology.cost_row(reference_server)
         cost_from_origin = topology.cost_from_origin
-        for origin, reads in reads_by_origin.items():
+        for origin, reads in pairs:
             reference_cost = reference_costs[origin]
             if reference_cost is None:
                 nearest_read_cost += reads * cost_from_origin(origin, reference_server)
@@ -202,9 +137,8 @@ def priced_profit(
 ) -> float:
     """One candidate evaluation over :func:`build_pricing` state.
 
-    Mirrors the estimator closure of :func:`profit_estimator` exactly,
-    including the deterministic-routing clamp and the per-origin
-    accumulation order, so the computed floats are identical.
+    Equals :func:`estimate_profit` on the pairs the state was built from,
+    float for float.
     """
     server_read_cost = 0.0
     if triples:
@@ -226,91 +160,4 @@ def priced_profit(
     return nearest_read_cost - server_read_cost - server_write_cost
 
 
-def profit_estimator(
-    topology: ClusterTopology,
-    stats,
-    reference_server: int,
-    write_broker: int | None,
-):
-    """Amortised form of :func:`estimate_profit` for a fixed reference.
-
-    Algorithms 2 and 3 price many candidate servers against the *same*
-    reference replica and the *same* access statistics; the reference read
-    cost and the per-origin ``(origin, reads, reference cost)`` triples are
-    resolved once.  Returns a callable ``candidate_server -> profit``.
-    """
-    reads_by_origin = stats.reads_by_origin()
-    nearest_read_cost = 0.0
-    # (origin, reads, reference_cost) with the reference cost pre-resolved;
-    # a None reference cost marks origins that need the slow-path lookup.
-    triples: list[tuple[int, float, int | None]] = []
-    if reads_by_origin:
-        reference_costs = topology.cost_row(reference_server)
-        cost_from_origin = topology.cost_from_origin
-        for origin, reads in reads_by_origin.items():
-            reference_cost = reference_costs[origin]
-            if reference_cost is None:
-                reference_cost = cost_from_origin(origin, reference_server)
-                nearest_read_cost += reads * reference_cost
-                triples.append((origin, reads, None))
-            else:
-                nearest_read_cost += reads * reference_cost
-                triples.append((origin, reads, reference_cost))
-    writes = stats.total_writes()
-    priced_writes = writes if write_broker is not None else 0.0
-    write_distances = (
-        topology.distance_row(write_broker) if priced_writes else None
-    )
-    cost_row = topology.cost_row
-    cost_from_origin = topology.cost_from_origin
-
-    def estimate(candidate_server: int) -> float:
-        server_read_cost = 0.0
-        if triples:
-            candidate_costs = cost_row(candidate_server)
-            for origin, reads, reference_cost in triples:
-                candidate_cost = candidate_costs[origin]
-                if candidate_cost is None or reference_cost is None:
-                    candidate_cost = cost_from_origin(origin, candidate_server)
-                    reference_cost = cost_from_origin(origin, reference_server)
-                # Same clamp as estimate_profit: reads only move to the
-                # candidate when it is closer (deterministic routing).
-                if candidate_cost < reference_cost:
-                    server_read_cost += reads * candidate_cost
-                else:
-                    server_read_cost += reads * reference_cost
-        if write_distances is not None:
-            server_write_cost = priced_writes * write_distances[candidate_server]
-        else:
-            server_write_cost = 0.0
-        return nearest_read_cost - server_read_cost - server_write_cost
-
-    return estimate
-
-
-def replica_utility(
-    topology: ClusterTopology,
-    stats,
-    server: int,
-    next_closest_replica: int | None,
-    write_broker: int | None,
-) -> float:
-    """Utility of an *existing* replica (paper: impact of storing the view).
-
-    When the replica is the only copy in the system the caller treats the
-    utility as infinite (the replica cannot be evicted); this function is
-    only meaningful when ``next_closest_replica`` exists.
-    """
-    reference = next_closest_replica if next_closest_replica is not None else server
-    return estimate_profit(topology, stats, server, reference, write_broker)
-
-
-__all__ = [
-    "build_pricing",
-    "estimate_profit",
-    "estimate_profit_pairs",
-    "estimate_profit_values",
-    "priced_profit",
-    "profit_estimator",
-    "replica_utility",
-]
+__all__ = ["build_pricing", "estimate_profit", "priced_profit"]

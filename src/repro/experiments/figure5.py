@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..config import ExperimentProfile
 from ..constants import DAY
-from ..runtime.executor import RuntimeExecutor, execute_spec
+from ..runtime.executor import RuntimeExecutor
 from ..runtime.spec import FlashSpec, RunSpec, WorkloadSpec
 from .claims import Claim, compare, mean, scaled, shifted
 from .common import default_executor, graph_spec, simulation_config, topology_spec
@@ -77,32 +77,6 @@ def flash_run_spec(
         config=simulation_config(profile, extra_memory_pct),
         strategy_seed=seed,
     )
-
-
-def run_flash_event_once(
-    profile: ExperimentProfile,
-    dataset: str,
-    extra_memory_pct: float,
-    followers: int,
-    start_day: float,
-    end_day: float,
-    duration_days: float,
-    seed: int,
-) -> tuple[dict[float, float], dict[float, float]]:
-    """One repetition: returns (replica count by day, reads/replica by day)."""
-    result = execute_spec(
-        flash_run_spec(
-            profile,
-            dataset,
-            extra_memory_pct,
-            followers,
-            start_day,
-            end_day,
-            duration_days,
-            seed,
-        )
-    )
-    return _flash_timelines(result)
 
 
 def _flash_timelines(result) -> tuple[dict[float, float], dict[float, float]]:
@@ -200,5 +174,4 @@ __all__ = [
     "flash_event_claims",
     "flash_run_spec",
     "run_figure5",
-    "run_flash_event_once",
 ]

@@ -2,7 +2,6 @@
 
 from .hierarchical import (
     HierarchicalPartitionResult,
-    flat_partition_for_spec,
     hierarchical_partition,
 )
 from .kway import PartitionResult, partition_kway, random_partition
@@ -16,7 +15,6 @@ __all__ = [
     "assign_user_shards",
     "balance_ratio",
     "edge_cut",
-    "flat_partition_for_spec",
     "hierarchical_partition",
     "part_weights",
     "partition_kway",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..config import ClusterSpec
 from ..exceptions import PartitioningError
-from .kway import PartitionResult, index_rows, partition_indexed, partition_kway
+from .kway import index_rows, partition_indexed
 from .quality import balance_ratio, edge_cut
 
 
@@ -101,17 +101,7 @@ def hierarchical_partition(
     )
 
 
-def flat_partition_for_spec(
-    adjacency: Mapping[int, Mapping[int, int]],
-    spec: ClusterSpec,
-    seed: int = 7,
-) -> PartitionResult:
-    """Flat METIS-style partition with one part per server of ``spec``."""
-    return partition_kway(adjacency, spec.total_servers, seed=seed)
-
-
 __all__ = [
     "HierarchicalPartitionResult",
-    "flat_partition_for_spec",
     "hierarchical_partition",
 ]

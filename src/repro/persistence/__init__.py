@@ -1,7 +1,7 @@
 """Durability substrate: write-ahead log, persistent store and recovery."""
 
 from .backend import PersistentStore
-from .recovery import RecoveryPlan, execute_recovery, plan_recovery
+from .recovery import RecoveryPlan
 from .wal import LogRecord, WriteAheadLog
 
 __all__ = [
@@ -9,6 +9,4 @@ __all__ = [
     "PersistentStore",
     "RecoveryPlan",
     "WriteAheadLog",
-    "execute_recovery",
-    "plan_recovery",
 ]

@@ -7,17 +7,16 @@ When a DynaSoRe server crashes, its views can be recovered in two ways:
 * views whose only replica was on the crashed server must be fetched from the
   persistent store (slow path).
 
-This module implements the recovery planner and executor used by the
-fault-tolerance example and tests.  It operates on the same replica-location
-map the placement strategies maintain.
+Every strategy's ``on_server_down`` reports that split as a
+:class:`RecoveryPlan`; :meth:`ClusterSimulator.crash_server
+<repro.simulator.engine.ClusterSimulator.crash_server>` then fetches the
+slow-path views from the persistent store and records the split as a
+``FaultRecord``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from ..exceptions import PersistenceError
-from .backend import PersistentStore
 
 
 @dataclass
@@ -43,57 +42,4 @@ class RecoveryPlan:
         return len(self.recoverable_from_memory) / self.total_views
 
 
-def plan_recovery(
-    crashed_server: int,
-    replica_locations: dict[int, set[int]],
-) -> RecoveryPlan:
-    """Build a recovery plan from the current replica-location map.
-
-    ``replica_locations`` maps each user to the set of servers storing her
-    view (including the crashed one).
-    """
-    plan = RecoveryPlan(crashed_server=crashed_server)
-    for user, servers in replica_locations.items():
-        if crashed_server not in servers:
-            continue
-        survivors = servers - {crashed_server}
-        if survivors:
-            plan.recoverable_from_memory.append(user)
-        else:
-            plan.recoverable_from_disk.append(user)
-    return plan
-
-
-def execute_recovery(
-    plan: RecoveryPlan,
-    replica_locations: dict[int, set[int]],
-    target_servers: dict[int, int],
-    persistent_store: PersistentStore | None = None,
-) -> dict[int, int]:
-    """Apply a recovery plan to the replica-location map.
-
-    ``target_servers`` maps each lost view to the server that will host its
-    recovered replica.  Views recovered from disk require a persistent store.
-    Returns the mapping of recovered views to their new servers.
-    """
-    recovered: dict[int, int] = {}
-    for user in plan.recoverable_from_memory + plan.recoverable_from_disk:
-        if user not in target_servers:
-            raise PersistenceError(f"no target server chosen for view {user}")
-    for user in plan.recoverable_from_disk:
-        if persistent_store is None:
-            raise PersistenceError(
-                "views with a single replica require the persistent store to recover"
-            )
-        # Touch the persistent store so the fetch is exercised (and would be
-        # counted by callers interested in recovery traffic).
-        persistent_store.fetch_view(user)
-    for user in plan.recoverable_from_memory + plan.recoverable_from_disk:
-        servers = replica_locations.setdefault(user, set())
-        servers.discard(plan.crashed_server)
-        servers.add(target_servers[user])
-        recovered[user] = target_servers[user]
-    return recovered
-
-
-__all__ = ["RecoveryPlan", "execute_recovery", "plan_recovery"]
+__all__ = ["RecoveryPlan"]

@@ -10,7 +10,7 @@ results for the figure-specific post-processing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from ..config import SimulationConfig
@@ -120,12 +120,4 @@ class GridResult:
         return {spec.strategy: result for spec, result in self.select(**criteria)}
 
 
-def iter_strategy_results(
-    grid_result: GridResult,
-) -> Iterable[tuple[str, SimulationResult]]:
-    """Convenience iterator over ``(strategy, result)`` pairs."""
-    for spec, result in grid_result.items():
-        yield spec.strategy, result
-
-
-__all__ = ["GridResult", "RunGrid", "iter_strategy_results"]
+__all__ = ["GridResult", "RunGrid"]

@@ -76,10 +76,6 @@ class RotatingCounter:
         """Average accesses per period over the window."""
         return self.total() / self.slots
 
-    def current_bucket(self) -> float:
-        """Value of the bucket currently being filled."""
-        return self._buckets[self._current_period % self.slots]
-
     def is_empty(self) -> bool:
         """True when no access is recorded in the window."""
         return all(value == 0.0 for value in self._buckets)

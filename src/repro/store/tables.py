@@ -313,20 +313,22 @@ class StatsTable:
         current = self._node_period[node]
         if period_index <= current:
             return
-        slots = self.slots
-        base = node * slots
-        buckets = self._node_buckets
-        elapsed = period_index - current
-        if elapsed >= slots:
-            if self._node_total[node]:
-                buckets[base : base + slots] = self._zero_window
-                self._node_total[node] = 0.0
-        else:
-            total = self._node_total[node]
-            for step in range(1, elapsed + 1):
-                index = base + (current + step) % slots
-                total -= buckets[index]
-                buckets[index] = 0.0
+        total = self._node_total[node]
+        # Amounts are non-negative, so a zero window total means every
+        # bucket is already zero — only the period needs stamping.
+        if total:
+            slots = self.slots
+            base = node * slots
+            elapsed = period_index - current
+            if elapsed >= slots:
+                self._node_buckets[base : base + slots] = self._zero_window
+                total = 0.0
+            else:
+                buckets = self._node_buckets
+                for step in range(1, elapsed + 1):
+                    index = base + (current + step) % slots
+                    total -= buckets[index]
+                    buckets[index] = 0.0
             self._node_total[node] = total
         self._node_period[node] = period_index
 
@@ -358,13 +360,7 @@ class StatsTable:
                 self._read_head[slot] = node
             else:
                 nnext[last] = node
-        # Inlined ``RotatingCounter.record`` (one call per simulated read).
-        nperiod = self._node_period
-        period_index = int(timestamp // self.period)
-        if period_index > nperiod[node]:
-            self._advance_node(node, period_index)
-        self._node_buckets[node * self.slots + nperiod[node] % self.slots] += amount
-        self._node_total[node] += amount
+        self._record(node, timestamp, amount)
         # Keep the cached origins dict live instead of rebuilding it on the
         # next query: a read only changes its own origin's total, and only
         # an origin already present keeps its position in first-record
@@ -409,34 +405,11 @@ class StatsTable:
         reuse, so even stamping them here would be wasted work.
         """
         period_index = int(timestamp // self.period)
-        slots = self.slots
-        nperiod = self._node_period
-        ntotal = self._node_total
-        buckets = self._node_buckets
         nalloc = self._node_alloc
-        zero_window = self._zero_window
-        for node in range(len(nperiod)):
-            if not nalloc[node]:
-                continue
-            current = nperiod[node]
-            if current >= period_index:
-                continue
-            total = ntotal[node]
-            # Amounts are non-negative, so a zero window total means every
-            # bucket is already zero — only the period needs stamping.
-            if total:
-                base = node * slots
-                elapsed = period_index - current
-                if elapsed >= slots:
-                    buckets[base : base + slots] = zero_window
-                    ntotal[node] = 0.0
-                else:
-                    for step in range(1, elapsed + 1):
-                        index = base + (current + step) % slots
-                        total -= buckets[index]
-                        buckets[index] = 0.0
-                    ntotal[node] = total
-            nperiod[node] = period_index
+        advance = self._advance_node
+        for node in range(len(nalloc)):
+            if nalloc[node]:
+                advance(node, period_index)
         self._origins_cache.clear()
 
     # -------------------------------------------------------------- queries

@@ -10,7 +10,7 @@ from test_dynasore_engine import bind_dynasore
 
 from repro.config import ClusterSpec, FlatClusterSpec
 from repro.core.routing import RoutingService
-from repro.core.utility import estimate_profit, replica_utility
+from repro.core.utility import estimate_profit
 from repro.exceptions import RoutingError
 from repro.socialgraph.graph import SocialGraph
 from repro.store.stats import AccessStatistics
@@ -46,7 +46,8 @@ class TestEstimateProfit:
             stats.record_read(layout["inter_b"], float(i))
         profit = estimate_profit(
             tree_topology,
-            stats,
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
             candidate_server=layout["server_b"],
             reference_server=layout["server_a"],
             write_broker=layout["broker_a"],
@@ -62,7 +63,8 @@ class TestEstimateProfit:
             stats.record_write(float(i))
         profit = estimate_profit(
             tree_topology,
-            stats,
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
             candidate_server=layout["server_b"],
             reference_server=layout["server_a"],
             write_broker=layout["broker_a"],
@@ -78,7 +80,8 @@ class TestEstimateProfit:
             stats.record_read(layout["rack_a"], float(i))  # local reads in A
         profit = estimate_profit(
             tree_topology,
-            stats,
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
             candidate_server=layout["server_b"],
             reference_server=layout["server_a"],
             write_broker=None,
@@ -90,7 +93,8 @@ class TestEstimateProfit:
         stats.record_write(0.0)
         profit = estimate_profit(
             tree_topology,
-            stats,
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
             candidate_server=layout["server_b"],
             reference_server=layout["server_a"],
             write_broker=layout["broker_a"],
@@ -102,35 +106,39 @@ class TestEstimateProfit:
         stats.record_write(0.0)
         profit = estimate_profit(
             tree_topology,
-            stats,
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
             candidate_server=layout["server_b"],
             reference_server=layout["server_a"],
             write_broker=None,
         )
         assert profit == pytest.approx(0.0)
 
-    def test_replica_utility_matches_estimate(self, tree_topology, layout):
+    def test_utility_of_existing_replica(self, tree_topology, layout):
+        """An existing replica is priced against its next-closest sibling."""
         stats = AccessStatistics()
         for i in range(4):
             stats.record_read(layout["rack_a"], float(i))
-        utility = replica_utility(
+        utility = estimate_profit(
             tree_topology,
-            stats,
-            server=layout["server_a"],
-            next_closest_replica=layout["server_b"],
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
+            candidate_server=layout["server_a"],
+            reference_server=layout["server_b"],
             write_broker=layout["broker_a"],
         )
         # Losing the local replica would push 4 reads from cost 1 to cost 5.
         assert utility == pytest.approx(16.0)
 
-    def test_sole_replica_utility_without_reference(self, tree_topology, layout):
+    def test_pricing_a_server_against_itself_saves_nothing(self, tree_topology, layout):
         stats = AccessStatistics()
         stats.record_read(layout["rack_a"], 0.0)
-        utility = replica_utility(
+        utility = estimate_profit(
             tree_topology,
-            stats,
-            server=layout["server_a"],
-            next_closest_replica=None,
+            stats.reads_by_origin().items(),
+            stats.total_writes(),
+            candidate_server=layout["server_a"],
+            reference_server=layout["server_a"],
             write_broker=layout["broker_a"],
         )
         assert utility <= 0.0  # no alternative replica → no measurable gain
@@ -170,13 +178,6 @@ class TestRoutingService:
         devices = {layout["server_a"], layout["server_b"]}
         assert routing.next_closest(layout["server_a"], devices) == layout["server_b"]
         assert routing.next_closest(layout["server_a"], {layout["server_a"]}) is None
-
-    def test_routing_table_for(self, tree_topology, layout):
-        routing = RoutingService(tree_topology)
-        replica_map = {1: {layout["server_a"]}, 2: {layout["server_b"]}}
-        table = routing.routing_table_for(layout["broker_a"], replica_map)
-        assert table[1] == layout["server_a"]
-        assert table[2] == layout["server_b"]
 
     def test_preferring_brokers_needs_a_sibling(self, tree_topology, layout):
         """The mask fold starts from "every broker": with no other replica it

@@ -18,8 +18,6 @@ from repro.baselines.spar import SparPlacement
 from repro.config import ClusterSpec, FlatClusterSpec, SimulationConfig
 from repro.constants import DAY
 from repro.core.engine import DynaSoRe
-from repro.persistence.backend import PersistentStore
-from repro.persistence.recovery import execute_recovery, plan_recovery
 from repro.simulator.engine import ClusterSimulator
 from repro.socialgraph.generators import facebook_like
 from repro.topology.flat import FlatTopology
@@ -157,23 +155,15 @@ class TestCrashRecoveryIntegration:
         graph, log = scenario
         _, simulator = run_strategy(DynaSoRe(initializer="hmetis", seed=13), graph, log, 100.0)
         strategy = simulator.strategy
-        locations = {user: set(devs) for user, devs in strategy.replica_locations().items()}
+        users = list(simulator.graph.users)
+        crashed = strategy.replica_positions(users[0])[0]
+        held = strategy.tables.used[crashed]
 
-        persistent = PersistentStore()
-        for user in graph.users:
-            persistent.process_write(user, 0.0, b"event")
-
-        crashed = next(iter(next(iter(locations.values()))))
-        plan = plan_recovery(crashed, locations)
-        survivors = [d.index for d in simulator.topology.servers if d.index != crashed]
-        targets = {
-            user: survivors[i % len(survivors)]
-            for i, user in enumerate(plan.recoverable_from_memory + plan.recoverable_from_disk)
-        }
-        recovered = execute_recovery(plan, locations, targets, persistent)
-        assert set(recovered) == set(
-            plan.recoverable_from_memory + plan.recoverable_from_disk
-        )
-        assert all(crashed not in devices for devices in locations.values())
+        record = simulator.crash_server(crashed, now=log.stats().last_timestamp)
+        assert record.kind == "crash"
+        assert record.total_views == held
+        assert strategy.tables.used[crashed] == 0
+        assert all(strategy.has_any_replica(user) for user in users)
+        assert all(crashed not in strategy.replica_positions(user) for user in users)
         # With 100% extra memory a good share of views had surviving replicas.
-        assert plan.memory_recovery_fraction > 0.2
+        assert record.views_from_memory / record.total_views > 0.2

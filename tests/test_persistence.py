@@ -1,4 +1,4 @@
-"""Tests for the write-ahead log, persistent store and recovery planner."""
+"""Tests for the write-ahead log, persistent store and recovery plan."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import PersistenceError
 from repro.persistence.backend import PersistentStore
-from repro.persistence.recovery import execute_recovery, plan_recovery
+from repro.persistence.recovery import RecoveryPlan
 from repro.persistence.wal import LogRecord, WriteAheadLog
 
 
@@ -106,40 +106,12 @@ class TestPersistentStore:
             store.verify_integrity()
 
 
-class TestRecovery:
-    def test_plan_splits_memory_and_disk(self):
-        locations = {1: {10, 11}, 2: {10}, 3: {12}}
-        plan = plan_recovery(crashed_server=10, replica_locations=locations)
-        assert set(plan.recoverable_from_memory) == {1}
-        assert set(plan.recoverable_from_disk) == {2}
-        assert plan.total_views == 2
-        assert 0.0 < plan.memory_recovery_fraction < 1.0
-
-    def test_execute_recovery_updates_locations(self):
-        locations = {1: {10, 11}, 2: {10}}
-        plan = plan_recovery(10, locations)
-        store = PersistentStore()
-        recovered = execute_recovery(
-            plan, locations, target_servers={1: 13, 2: 14}, persistent_store=store
-        )
-        assert recovered == {1: 13, 2: 14}
-        assert 10 not in locations[1] and 13 in locations[1]
-        assert locations[2] == {14}
-
-    def test_disk_recovery_requires_persistent_store(self):
-        locations = {2: {10}}
-        plan = plan_recovery(10, locations)
-        with pytest.raises(PersistenceError):
-            execute_recovery(plan, locations, target_servers={2: 11}, persistent_store=None)
-
-    def test_missing_target_raises(self):
-        locations = {1: {10, 11}}
-        plan = plan_recovery(10, locations)
-        with pytest.raises(PersistenceError):
-            execute_recovery(plan, locations, target_servers={}, persistent_store=None)
-
-    def test_unaffected_server_has_empty_plan(self):
-        locations = {1: {11}, 2: {12}}
-        plan = plan_recovery(10, locations)
-        assert plan.total_views == 0
-        assert plan.memory_recovery_fraction == 1.0
+def test_recovery_plan_split():
+    plan = RecoveryPlan(
+        crashed_server=10, recoverable_from_memory=[1, 3, 4], recoverable_from_disk=[2]
+    )
+    assert plan.total_views == 4
+    assert plan.memory_recovery_fraction == 0.75
+    empty = RecoveryPlan(crashed_server=10)
+    assert empty.total_views == 0
+    assert empty.memory_recovery_fraction == 1.0

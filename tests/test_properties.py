@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.utility import estimate_profit
+from repro.core.utility import build_pricing, estimate_profit, priced_profit
 from repro.exceptions import WorkloadError
 from repro.partitioning.kway import partition_kway
 from repro.partitioning.quality import part_weights, validate_partition
@@ -16,8 +16,9 @@ from repro.socialgraph.graph import SocialGraph
 from repro.store.counters import RotatingCounter
 from repro.store.memory import MemoryBudget
 from repro.store.stats import AccessStatistics
+from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
-from repro.config import ClusterSpec
+from repro.config import ClusterSpec, FlatClusterSpec
 from repro.workload.stream import EventStream, KIND_READ, KIND_WRITE, NO_AUX, events_per_day
 
 
@@ -179,9 +180,51 @@ def test_estimate_profit_bounded_by_read_volume(read_counts, writes, data):
     if writes:
         stats.record_write(0.0, writes)
     broker = _topology.brokers[0].index
-    profit = estimate_profit(_topology, stats, server_b, server_a, broker)
+    profit = estimate_profit(
+        _topology, stats.reads_by_origin().items(), stats.total_writes(), server_b, server_a, broker
+    )
     assert profit <= 4 * total_reads + 1e-9
     assert profit >= -5 * writes - 1e-9
+
+
+_PRICING_TOPOLOGIES = {
+    "tree": _topology,
+    "flat": FlatTopology(FlatClusterSpec(machines=8)),
+}
+
+
+@given(kind=st.sampled_from(sorted(_PRICING_TOPOLOGIES)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_shot_and_amortised_profit_are_equal(kind, data):
+    """Algorithm 1's two forms — ``estimate_profit`` and ``priced_profit``
+    over ``build_pricing`` state — return the same float, bit for bit, on
+    any pairs: zero writes, no write proxy and a candidate priced against
+    itself included."""
+    topology = _PRICING_TOPOLOGIES[kind]
+    origins = topology.origin_labels()
+    servers = [server.index for server in topology.servers]
+    chosen = data.draw(st.lists(st.sampled_from(origins), unique=True, max_size=len(origins)))
+    reads = st.one_of(
+        st.integers(1, 10_000).map(float),
+        st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False),
+    )
+    pairs = [(origin, data.draw(reads)) for origin in chosen]
+    writes = data.draw(st.sampled_from([0.0, 1.0, 7.0, 2.5e3]))
+    write_broker = data.draw(
+        st.one_of(st.none(), st.sampled_from([broker.index for broker in topology.brokers]))
+    )
+    reference = data.draw(st.sampled_from(servers))
+    candidate = data.draw(st.one_of(st.just(reference), st.sampled_from(servers)))
+
+    one_shot = estimate_profit(topology, pairs, writes, candidate, reference, write_broker)
+    triples: list = []
+    state = build_pricing(topology, pairs, writes, reference, write_broker, triples)
+    amortised = priced_profit(topology, triples, *state, reference, candidate)
+    assert one_shot == amortised
+    # A dict's items view is the other accepted form of ``pairs``.
+    assert estimate_profit(
+        topology, dict(pairs).items(), writes, candidate, reference, write_broker
+    ) == one_shot
 
 
 # ------------------------------------------------------------------ churn
