@@ -1,13 +1,17 @@
-"""Tests for the write-ahead log, persistent store and recovery plan."""
+"""Tests for the write-ahead log, persistent store and crash recovery."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.config import SimulationConfig
+from repro.constants import DAY
+from repro.core.engine import DynaSoRe
 from repro.exceptions import PersistenceError
 from repro.persistence.backend import PersistentStore
 from repro.persistence.recovery import RecoveryPlan
 from repro.persistence.wal import LogRecord, WriteAheadLog
+from repro.simulator.engine import ClusterSimulator
 
 
 class TestWriteAheadLog:
@@ -115,3 +119,92 @@ def test_recovery_plan_split():
     empty = RecoveryPlan(crashed_server=10)
     assert empty.total_views == 0
     assert empty.memory_recovery_fraction == 1.0
+
+
+class _CountingStore(PersistentStore):
+    """Persistent store that remembers which views were fetched from it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fetched: list[int] = []
+
+    def fetch_view(self, user):
+        self.fetched.append(user)
+        return super().fetch_view(user)
+
+
+class TestRecovery:
+    """Crash recovery of a DynaSoRe cluster through ``crash_server``."""
+
+    @pytest.fixture
+    def simulator(self, tree_topology, small_graph, small_log):
+        simulator = ClusterSimulator(
+            tree_topology,
+            small_graph.copy(),
+            DynaSoRe(initializer="random", seed=5),
+            SimulationConfig(extra_memory_pct=100.0, seed=5),
+        )
+        simulator.run(small_log)
+        return simulator
+
+    @staticmethod
+    def holdings(simulator, position):
+        """Users on ``position`` with another replica, and those held only there."""
+        replicated, sole = set(), set()
+        for user in simulator.graph.users:
+            positions = simulator.strategy.replica_positions(user)
+            if position in positions:
+                (replicated if len(positions) > 1 else sole).add(user)
+        return replicated, sole
+
+    def mixed_position(self, simulator):
+        """The server holding the most replicated and sole views at once."""
+        position = max(
+            simulator.available_server_positions(),
+            key=lambda p: min(len(part) for part in self.holdings(simulator, p)),
+        )
+        replicated, sole = self.holdings(simulator, position)
+        assert replicated and sole
+        return position, replicated, sole
+
+    def test_plan_splits_memory_and_disk(self, simulator):
+        crashed, replicated, sole = self.mixed_position(simulator)
+        record = simulator.crash_server(crashed, now=DAY)
+        assert record.views_from_memory == len(replicated)
+        assert record.views_from_disk == len(sole)
+        assert 0.0 < record.views_from_memory / record.total_views < 1.0
+
+    def test_execute_recovery_updates_locations(self, simulator):
+        crashed, replicated, sole = self.mixed_position(simulator)
+        strategy = simulator.strategy
+        before = {user: strategy.replica_positions(user) for user in replicated}
+        simulator.crash_server(crashed, now=DAY)
+        for user in replicated:
+            assert set(strategy.replica_positions(user)) == set(before[user]) - {crashed}
+        survivors = set(simulator.available_server_positions())
+        for user in sole:
+            positions = strategy.replica_positions(user)
+            assert len(positions) == 1 and positions[0] in survivors
+        assert strategy.tables.used[crashed] == 0
+
+    def test_disk_recovery_reads_persistent_store(self, simulator):
+        crashed, _, sole = self.mixed_position(simulator)
+        store = _CountingStore()
+        simulator.persistent_store = store
+        simulator.crash_server(crashed, now=DAY)
+        assert sorted(store.fetched) == sorted(sole)
+
+    def test_drain_recovers_everything_from_memory(self, simulator):
+        drained, replicated, sole = self.mixed_position(simulator)
+        record = simulator.drain_server(drained, now=DAY)
+        assert record.kind == "drain"
+        assert record.views_from_disk == 0
+        assert record.views_from_memory == len(replicated) + len(sole)
+        assert simulator.persistent_store is None
+
+    def test_unaffected_server_has_empty_plan(self, simulator):
+        crashed, _, _ = self.mixed_position(simulator)
+        simulator.crash_server(crashed, now=DAY)
+        simulator.restore_server(crashed, now=DAY + 1.0)  # rejoins empty
+        record = simulator.crash_server(crashed, now=DAY + 2.0)
+        assert record.total_views == 0
