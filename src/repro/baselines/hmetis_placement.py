@@ -13,22 +13,23 @@ flat-topology figure.
 
 from __future__ import annotations
 
-from ..partitioning.hierarchical import hierarchical_partition
-from ..partitioning.kway import partition_kway
+from ..partitioning.hierarchical import hierarchical_assignment
+from ..partitioning.kway import index_rows
 from ..socialgraph.graph import SocialGraph
 from ..topology.base import ClusterTopology
 from ..topology.tree import TreeTopology
 from .base import StaticPlacementStrategy
+from .metis_placement import metis_assignment
 
 
 def hmetis_assignment(graph: SocialGraph, topology: ClusterTopology, seed: int = 7) -> dict[int, int]:
     """Hierarchy-aware partitioning assignment (one part per server)."""
-    adjacency = graph.undirected_adjacency()
-    if isinstance(topology, TreeTopology):
-        result = hierarchical_partition(adjacency, topology.spec, seed=seed)
-        return result.server_assignment
-    flat = partition_kway(adjacency, len(topology.servers), seed=seed)
-    return flat.assignment
+    if not isinstance(topology, TreeTopology):
+        return metis_assignment(graph, topology, seed=seed)
+    # Indexed once, with no name on the adjacency dict: it is freed before
+    # the first coarse level is built.
+    ids, rows = index_rows(graph.undirected_adjacency())
+    return hierarchical_assignment(ids, rows, topology.spec, seed)[0]
 
 
 class HierarchicalMetisPlacement(StaticPlacementStrategy):

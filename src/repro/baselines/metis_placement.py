@@ -9,7 +9,8 @@ replicates.
 
 from __future__ import annotations
 
-from ..partitioning.kway import partition_kway
+from ..partitioning.kway import index_rows, partition_indexed
+from ..partitioning.quality import validate_partition
 from ..socialgraph.graph import SocialGraph
 from ..topology.base import ClusterTopology
 from .base import StaticPlacementStrategy
@@ -20,11 +21,13 @@ def metis_assignment(graph: SocialGraph, topology: ClusterTopology, seed: int = 
 
     The parts are mapped to servers in part order, which mirrors the paper's
     "randomly assign each partition to a server": part identity carries no
-    topology information either way.
+    topology information either way.  Indexed as in ``hmetis_assignment``.
     """
-    adjacency = graph.undirected_adjacency()
-    result = partition_kway(adjacency, len(topology.servers), seed=seed)
-    return result.assignment
+    ids, rows = index_rows(graph.undirected_adjacency())
+    parts = len(topology.servers)
+    assignment, _ = partition_indexed(ids, rows, parts, seed)
+    validate_partition(assignment, set(ids), parts)
+    return assignment
 
 
 class MetisPlacement(StaticPlacementStrategy):

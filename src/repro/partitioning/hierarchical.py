@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from ..config import ClusterSpec
 from ..exceptions import PartitioningError
-from .kway import index_rows, partition_indexed
+from .coarsen import Row
+from .kway import index_rows, partition_indexed, subgraph_cutter
 from .quality import balance_ratio, edge_cut
 
 
@@ -38,37 +39,25 @@ class HierarchicalPartitionResult:
     balance: float
 
 
-def hierarchical_partition(
-    adjacency: Mapping[int, Mapping[int, int]],
+def hierarchical_assignment(
+    ids: list[int],
+    rows: list[Row],
     spec: ClusterSpec,
     seed: int = 7,
     balance_tolerance: float = 1.05,
-) -> HierarchicalPartitionResult:
-    """Recursively partition a graph over the cluster tree described by ``spec``.
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """The ``(server, intermediate, rack)`` assignments of an indexed graph
+    (:func:`~repro.partitioning.kway.index_rows`) over the tree of ``spec``:
+    level 1 splits the graph across intermediate switches, level 2 each part
+    across the racks of its switch, level 3 each rack part across the rack's
+    servers.  Sub-graphs are cut from the top rows over the part's id set."""
+    cut = subgraph_cutter(ids, rows)
 
-    Level 1 splits the graph across intermediate switches, level 2 splits
-    each of those parts across the racks of the switch, level 3 splits each
-    rack part across the rack's servers.  Every sub-graph is indexed straight
-    from the node set of its part; only the final assignment is measured
-    (edge cut, balance) and checked for coverage.
-    """
-    nodes = set(adjacency)
-    if not nodes:
-        return HierarchicalPartitionResult(
-            server_assignment={},
-            intermediate_assignment={},
-            rack_assignment={},
-            total_servers=spec.total_servers,
-            edge_cut=0,
-            balance=1.0,
-        )
-
-    def split(part_nodes: set[int] | None, parts: int, part_seed: int) -> dict[int, int]:
-        ids, rows = index_rows(adjacency, part_nodes)
-        return partition_indexed(ids, rows, parts, part_seed, balance_tolerance)[0]
+    def split(graph: tuple[list[int], list[Row]], parts: int, part_seed: int) -> dict[int, int]:
+        return partition_indexed(*graph, parts, part_seed, balance_tolerance)[0]
 
     rng = random.Random(seed)
-    intermediate_assignment = split(None, spec.intermediate_switches, seed)
+    intermediate_assignment = split((ids, rows), spec.intermediate_switches, seed)
     rack_assignment: dict[int, int] = {}
     server_assignment: dict[int, int] = {}
 
@@ -76,7 +65,7 @@ def hierarchical_partition(
         inter_nodes = {n for n, p in intermediate_assignment.items() if p == inter_index}
         if not inter_nodes:
             continue
-        racks = split(inter_nodes, spec.racks_per_intermediate, rng.randrange(1 << 30))
+        racks = split(cut(inter_nodes), spec.racks_per_intermediate, rng.randrange(1 << 30))
         for rack_index in range(spec.racks_per_intermediate):
             global_rack = inter_index * spec.racks_per_intermediate + rack_index
             rack_nodes = {n for n, p in racks.items() if p == rack_index}
@@ -84,24 +73,34 @@ def hierarchical_partition(
                 rack_assignment[node] = global_rack
             if not rack_nodes:
                 continue
-            servers = split(rack_nodes, spec.servers_per_rack, rng.randrange(1 << 30))
+            servers = split(cut(rack_nodes), spec.servers_per_rack, rng.randrange(1 << 30))
             for node, server_index in servers.items():
                 server_assignment[node] = global_rack * spec.servers_per_rack + server_index
+    return server_assignment, intermediate_assignment, rack_assignment
 
-    if set(server_assignment) != nodes:
+
+def hierarchical_partition(
+    adjacency: Mapping[int, Mapping[int, int]],
+    spec: ClusterSpec,
+    seed: int = 7,
+    balance_tolerance: float = 1.05,
+) -> HierarchicalPartitionResult:
+    """:func:`hierarchical_assignment` of a ``node -> {neighbour -> weight}``
+    graph, with only the final assignment measured (edge cut, balance) and
+    checked for coverage."""
+    server, intermediate, rack = hierarchical_assignment(
+        *index_rows(adjacency), spec, seed, balance_tolerance
+    )
+    if set(server) != set(adjacency):
         raise PartitioningError("hierarchical partition failed to cover every node")
-
+    total = spec.total_servers
     return HierarchicalPartitionResult(
-        server_assignment=server_assignment,
-        intermediate_assignment=intermediate_assignment,
-        rack_assignment=rack_assignment,
-        total_servers=spec.total_servers,
-        edge_cut=edge_cut(adjacency, server_assignment),
-        balance=balance_ratio(server_assignment, spec.total_servers),
+        server, intermediate, rack, total, edge_cut(adjacency, server), balance_ratio(server, total)
     )
 
 
 __all__ = [
     "HierarchicalPartitionResult",
+    "hierarchical_assignment",
     "hierarchical_partition",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from ..exceptions import PartitioningError
 from .coarsen import Row, coarsen_to_size
@@ -130,35 +130,23 @@ def _dangling(node: int, neighbour: int) -> PartitioningError:
     )
 
 
-def index_rows(
-    adjacency: Mapping[int, Mapping[int, int]], nodes: Iterable[int] | None = None
-) -> tuple[list[int], list[Row]]:
+def index_rows(adjacency: Mapping[int, Mapping[int, int]]) -> tuple[list[int], list[Row]]:
     """The relabelling pass: ``(ids, rows)`` with ``rows[i]`` the
     ``(targets, weights)`` row of ``ids[i]``, targets by *position* instead
     of node id.
 
     Positions follow adjacency order and every row keeps its neighbour order,
-    so nothing downstream can tell the relabelling happened.  With ``nodes``
-    the result is the sub-graph they induce, in their iteration order (edges
-    leaving the set are dropped); without, the whole graph is indexed and
-    checked — a neighbour that is not itself a node, or an edge weight
-    that is not positive, fails here rather than deep inside a kernel.
-    A whole graph whose ids already are ``0..n-1`` in order (every
+    so nothing downstream can tell the relabelling happened.  The whole graph
+    is checked as it is indexed — a neighbour that is not itself a node, or
+    an edge weight that is not positive, fails here rather than deep inside
+    a kernel.  A graph whose ids already are ``0..n-1`` in order (every
     generated graph) is its own relabelling: targets are the neighbour ids
     themselves, range-checked, and no id -> position dict is built.
     """
-    if nodes is not None:
-        ids = list(nodes)
-        index_of = {node: index for index, node in enumerate(ids)}
-        rows: list[Row] = []
-        for node in ids:
-            row = {index_of[n]: w for n, w in adjacency[node].items() if n in index_of}
-            rows.append((tuple(row), tuple(row.values())))
-        return ids, rows
     ids = list(adjacency)
     size = len(ids)
     index_of = None if ids == list(range(size)) else {n: i for i, n in enumerate(ids)}
-    rows = []
+    rows: list[Row] = []
     for node, neighbours in adjacency.items():
         if index_of is None:
             targets = tuple(neighbours)
@@ -174,6 +162,31 @@ def index_rows(
             raise PartitioningError(f"node {node} has an edge of non-positive weight")
         rows.append((targets, weights))
     return ids, rows
+
+
+def subgraph_cutter(
+    ids: list[int], rows: list[Row]
+) -> Callable[[Iterable[int]], tuple[list[int], list[Row]]]:
+    """``cut(nodes)``: the ``(ids, rows)`` of the sub-graph ``nodes`` induce,
+    in their iteration order, rows in the parent's neighbour order.  Every cut
+    reuses one position -> local index list (``-1``: not in the set)."""
+    index_of = None if ids == list(range(len(ids))) else {n: i for i, n in enumerate(ids)}
+    local = [-1] * len(rows)
+
+    def cut(nodes: Iterable[int]) -> tuple[list[int], list[Row]]:
+        sub_ids = list(nodes)
+        positions = sub_ids if index_of is None else [index_of[n] for n in sub_ids]
+        for index, position in enumerate(positions):
+            local[position] = index
+        sub_rows: list[Row] = []
+        for position in positions:
+            kept = [(i, w) for n, w in zip(*rows[position]) if (i := local[n]) >= 0]
+            sub_rows.append(tuple(zip(*kept)) if kept else ((), ()))
+        for position in positions:
+            local[position] = -1
+        return sub_ids, sub_rows
+
+    return cut
 
 
 def partition_indexed(

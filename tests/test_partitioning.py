@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.hmetis_placement import hmetis_assignment
-from repro.config import ClusterSpec
+from repro.baselines.metis_placement import metis_assignment
+from repro.config import ClusterSpec, FlatClusterSpec
 from repro.exceptions import PartitioningError
 from repro.partitioning import kway
 from repro.partitioning.coarsen import _shuffled_range, coarsen_once, coarsen_to_size
@@ -20,10 +21,13 @@ from repro.partitioning.kway import (
     partition_indexed,
     partition_kway,
     random_partition,
+    subgraph_cutter,
 )
 from repro.partitioning.quality import balance_ratio, edge_cut, part_weights, validate_partition
 from repro.partitioning.refine import rebalance_partition, refine_partition
-from repro.socialgraph.generators import facebook_like, livejournal_like
+from repro.socialgraph.generators import facebook_like, livejournal_like, twitter_like
+from repro.socialgraph.graph import SocialGraph
+from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
 
 
@@ -288,6 +292,52 @@ def test_worklist_skips_two_fifths_of_the_full_sweep(monkeypatch):
     assert 0 < evaluations <= 0.6 * full
 
 
+def reference_induced_rows(adjacency, nodes):
+    """The dict-based sub-graph indexing the cutter replaced, verbatim: the
+    rows ``nodes`` induce, in their iteration order, read from the
+    adjacency dict."""
+    ids = list(nodes)
+    index_of = {node: index for index, node in enumerate(ids)}
+    rows = []
+    for node in ids:
+        row = {index_of[n]: w for n, w in adjacency[node].items() if n in index_of}
+        rows.append((tuple(row), tuple(row.values())))
+    return ids, rows
+
+
+@st.composite
+def induced_subgraph_inputs(draw):
+    size = draw(st.integers(min_value=1, max_value=30))
+    adjacency: dict[int, dict[int, int]] = {node: {} for node in range(size)}
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1), st.integers(1, 5)),
+            max_size=size * 3,
+        )
+    )
+    for left, right, weight in edges:
+        if left != right:
+            adjacency[left][right] = adjacency[right][left] = weight
+    # Dense ids take the identity relabelling; shifted ones the dict.
+    adjacency = shifted(adjacency, draw(st.sampled_from([0, 1000])))
+    subsets = draw(
+        st.lists(st.sets(st.sampled_from(sorted(adjacency))), min_size=1, max_size=4)
+    )
+    return adjacency, subsets
+
+
+@given(data=induced_subgraph_inputs())
+@settings(max_examples=300, deadline=None)
+def test_cut_sub_rows_equal_the_dict_reference(data):
+    """A sub-graph cut from the parent's rows is the one indexed from the
+    adjacency dict — ids, row order and entry order — cut after cut from
+    one cutter, isolated nodes and edgeless subsets included."""
+    adjacency, subsets = data
+    cut = subgraph_cutter(*index_rows(adjacency))
+    for nodes in subsets:
+        assert cut(nodes) == reference_induced_rows(adjacency, nodes)
+
+
 class TestKWay:
     def test_partition_covers_all_nodes(self):
         graph = facebook_like(users=300, seed=7)
@@ -386,8 +436,6 @@ class TestKWay:
         sparse_ids, sparse_rows = index_rows(shifted(adjacency, 1000))
         assert sparse_ids == [node + 1000 for node in ids]
         assert sparse_rows == rows
-        sub_rows = index_rows(adjacency, ids[::2])[1]
-        assert sub_rows == index_rows(shifted(adjacency, 1000), sparse_ids[::2])[1]
 
     def test_random_partition_balance(self):
         result = random_partition(list(range(100)), parts=10, seed=2)
@@ -465,25 +513,75 @@ class TestHierarchical:
         assert result.balance == pytest.approx(12.0)
 
 
-def test_hmetis_set_up_stays_under_160_bytes_per_adjacency_entry():
-    """Absolute ceiling on the partitioner's peak, the undirected adjacency
-    included, in bytes per adjacency entry.
+def shifted_graph(graph: SocialGraph, offset: int) -> SocialGraph:
+    """``graph`` under user ids moved by ``offset``."""
+    moved = SocialGraph(user + offset for user in graph.users)
+    for follower, followee in graph.edges():
+        moved.add_edge(follower + offset, followee + offset)
+    return moved
 
-    About 129 B/entry measured here with ``(targets, weights)`` tuple rows at
-    every level; rows stored as dicts (a second copy of the adjacency, then
-    every coarse level) cost about 200.  A dict row per node, or coarse rows
-    kept as dicts until the level is done, breaks the ceiling.
-    """
+
+ORDER_GRAPHS = {
+    "twitter": lambda: twitter_like(users=600, seed=3),
+    "facebook": lambda: facebook_like(users=600, seed=3),
+    "livejournal": lambda: livejournal_like(users=600, seed=3),
+    "shifted": lambda: shifted_graph(facebook_like(users=400, seed=4), 1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_GRAPHS))
+def test_placement_entry_points_return_the_public_partition_in_order(name):
+    """Initial placement iterates the assignment dict, so the index-once
+    placement helpers must return the public partitioners' assignments in
+    the same order, not just with the same contents."""
+    graph = ORDER_GRAPHS[name]()
+    spec = ClusterSpec(intermediate_switches=3, racks_per_intermediate=2, machines_per_rack=4)
+    tree, flat = TreeTopology(spec), FlatTopology(FlatClusterSpec(machines=10))
+    hierarchical = hierarchical_partition(graph.undirected_adjacency(), spec, seed=7)
+    assert list(hmetis_assignment(graph, tree, seed=7).items()) == list(
+        hierarchical.server_assignment.items()
+    )
+    for topology in (tree, flat):
+        expected = partition_kway(graph.undirected_adjacency(), len(topology.servers), seed=7)
+        assert list(metis_assignment(graph, topology, seed=7).items()) == list(
+            expected.assignment.items()
+        )
+    assert hmetis_assignment(graph, flat, seed=7) == metis_assignment(graph, flat, seed=7)
+
+
+def assignment_peak_per_entry(assign):
+    """``tracemalloc`` peak of ``assign(graph, topology, seed=7)`` on a
+    2 500-user LiveJournal-like graph and a 24-server tree, the undirected
+    adjacency included, in bytes per adjacency entry."""
     graph = livejournal_like(users=2500, seed=7)
-    entries = sum(map(len, graph.undirected_adjacency().values()))
     topology = TreeTopology(
         ClusterSpec(intermediate_switches=4, racks_per_intermediate=2, machines_per_rack=4)
     )
+    entries = sum(map(len, graph.undirected_adjacency().values()))
     tracemalloc.start()
     try:
-        assignment = hmetis_assignment(graph, topology, seed=7)
+        assignment = assign(graph, topology, seed=7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(assignment) == graph.num_users
-    assert peak <= 160 * entries, f"{peak / entries:.0f} bytes per adjacency entry"
+    return peak / entries
+
+
+def test_hmetis_set_up_stays_under_100_bytes_per_adjacency_entry():
+    """Absolute ceiling on the hierarchical partitioner's peak.
+
+    About 87 B/entry measured with ``(targets, weights)`` tuple rows at
+    every level and the adjacency dict freed once it is indexed; keeping
+    the dict alive through the top split (sub-splits indexed from it)
+    costs about 129, and rows stored as dicts about 200.
+    """
+    per_entry = assignment_peak_per_entry(hmetis_assignment)
+    assert per_entry <= 100, f"{per_entry:.0f} bytes per adjacency entry"
+
+
+def test_metis_assignment_memory_ceiling():
+    """The flat partitioner's peak: about 77 B/entry with the adjacency dict
+    freed once it is indexed, about 120 with it alive through coarsening."""
+    per_entry = assignment_peak_per_entry(metis_assignment)
+    assert per_entry <= 95, f"{per_entry:.0f} bytes per adjacency entry"
