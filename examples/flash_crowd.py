@@ -3,7 +3,9 @@
 This is the paper's Figure 5 scenario (section 4.6): at a point in time a
 user gains a burst of random followers who start reading her view from all
 over the cluster; later they unfollow.  The example tracks how DynaSoRe
-grows and then evicts replicas of the hot view, and prints the timeline.
+grows and then evicts replicas of the hot view, prints the timeline and
+checks its shape: one replica before the event, more during it, fewer again
+at the end.
 
 Run with::
 
@@ -57,10 +59,19 @@ def main() -> None:
         marker = "  <- flash event active" if event.start_time <= time <= event.end_time else ""
         print(f"  {time / DAY:4.2f}   {count:8d}   {reads:13.2f}{marker}")
 
+    before = {count for time, count in timeline.replica_counts if time < event.start_time}
+    during = [
+        count
+        for time, count in timeline.replica_counts
+        if event.start_time <= time <= event.end_time
+    ]
     peak = max(count for _, count in timeline.replica_counts)
     final = timeline.replica_counts[-1][1]
     print(f"\npeak replicas during the event : {peak}")
     print(f"replicas at the end of the run : {final}")
+    assert before == {1}, f"replicas before the event: {sorted(before)}"
+    assert max(during) == peak > 1, "the replica peak falls outside the event"
+    assert final < peak, "the hot view kept its peak replication after the event"
 
 
 if __name__ == "__main__":

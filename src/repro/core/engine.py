@@ -18,9 +18,9 @@ per-user and per-server chain indexes, plus the
 :class:`~repro.store.tables.StatsTable` columns holding the rotating access
 windows).  The hot paths — request execution, closest-replica resolution,
 least-loaded ranking, the maintenance sweep — walk those columns directly
-with integer replica ids.  Decision algorithms receive a rebound
-scratch view over the evaluated slot, so Algorithms 1–3 stay expressed in
-the paper's object vocabulary while reading table columns.
+with integer replica ids.  Algorithms 1–3 receive plain values read off
+those columns: a slot's ``reads_by_origin()`` mapping, its window write
+total and device indexes.
 
 The engine implements the same :class:`~repro.baselines.base.PlacementStrategy`
 interface as the baselines, so the trace-driven simulator can run them
@@ -43,9 +43,7 @@ from ..persistence.recovery import RecoveryPlan
 from ..socialgraph.graph import SocialGraph
 from ..store.tables import (
     NO_SLOT,
-    ReplicaHandle,
     ReplicaTable,
-    StatsHandle,
     pick_least_loaded,
     rank_by_utilisation,
 )
@@ -55,35 +53,12 @@ from ..traffic.messages import MessageKind
 from ..workload.stream import KIND_READ
 from .migration import MigrationAction, evaluate_replica_migration
 from .proxies import ProxyDirectory, optimal_proxy_broker
-from .replication import EvaluationMemo, evaluate_replica_creation, origin_candidates
+from .replication import evaluate_replica_creation, origin_candidates
 from .routing import RoutingService
-from .utility import build_pricing, estimate_profit, priced_profit
+from .utility import estimate_profit
 
 #: Signature of an initial-placement function: (graph, topology, seed) -> {user: server position}.
 InitialAssignment = Callable[[SocialGraph, ClusterTopology, int], dict[int, int]]
-
-
-class _ScratchReplica(ReplicaHandle):
-    """Reusable ``ViewReplica``-compatible view bound to one slot at a time.
-
-    The engine evaluates Algorithms 2 and 3 thousands of times per second;
-    rebinding one scratch view avoids a handle allocation per evaluation,
-    and the slot-level ``stats`` attribute shadows the base property so the
-    statistics view is not re-created on every access.  Never escapes the
-    engine: decisions carry plain integers, and the scratch is rebound
-    before every use.
-    """
-
-    __slots__ = ("stats",)
-
-    def __init__(self, table: ReplicaTable) -> None:
-        super().__init__(table, 0)
-        self.stats = StatsHandle(table.stats, 0)
-
-    def bind(self, slot: int) -> "_ScratchReplica":
-        self.slot = slot
-        self.stats.slot = slot
-        return self
 
 
 #: Named initial placements accepted by :class:`DynaSoRe`.
@@ -204,13 +179,10 @@ class DynaSoRe(PlacementStrategy):
         self._down_positions: set[int] = set()
         #: nominal capacity of each position (restored when a server rejoins)
         self._position_capacity: list[int] = []
-        #: reusable replica view for Algorithm 2/3 evaluations
-        self._replica_scratch: _ScratchReplica | None = None
         #: recycled scratch containers of the fused (batch-path) decision
         #: kernel — Algorithms 2 and 3 run once per evaluated read, and
         #: reusing these avoids per-evaluation allocations
         self._eval_candidates: list[tuple[int, int, int]] = []
-        self._eval_triples: list = []
         self._eval_profits: dict[int, float] = {}
         #: batch-kernel state: origin memo (broker -> device -> origin
         #: label), a pure topology function, never cleared; run-local
@@ -242,7 +214,6 @@ class DynaSoRe(PlacementStrategy):
             counter_period=self.config.counter_period,
         )
         self.tables = table
-        self._replica_scratch = _ScratchReplica(table)
         for position, capacity in enumerate(capacities):
             table.set_capacity(position, capacity)
         self._position_capacity = list(capacities)
@@ -821,74 +792,71 @@ class DynaSoRe(PlacementStrategy):
         """Run Algorithm 2 for a replica; fall back to Algorithm 3 when no
         replica can be created (paper: "When no replicas can be created, the
         server attempts to migrate the view to a more appropriate location")."""
-        replica = self._replica_scratch.bind(slot)
+        table = self.tables
+        stats = table.stats
+        user = table._user[slot]
+        origins = stats.reads_by_origin(slot)
+        writes = stats.total_writes(slot)
         replica_device = self._device_of_position[position]
+        write_broker = self.proxies.write_broker(user)
         # Both algorithms price the same per-origin candidates; resolve them
         # once (nothing changes placement between the two evaluations).  No
         # availability filter is needed: ``least_loaded_server_under`` never
         # returns a position from the down set.
         candidates = origin_candidates(
-            replica, replica_device, self.least_loaded_server_under, self.device_of_position
+            user, origins, replica_device, self.least_loaded_server_under,
+            self.device_of_position,
         )
         # Algorithm 3 falls back to the replica's own server as reference
         # when the replica is sole — the same reference Algorithm 2 prices
-        # against — so the memo lets it reuse the reference pricing and prices.
-        memo = EvaluationMemo()
+        # against — so it reuses Algorithm 2's per-device prices.
+        profits: dict[int, float] = {}
         decision = evaluate_replica_creation(
             self.topology,
-            replica,
+            user,
+            origins,
+            writes,
             replica_device,
-            self.proxies.write_broker(replica.user),
+            write_broker,
             self.least_loaded_server_under,
             self.admission_threshold_under,
             self.device_of_position,
-            position_available=self.position_available,
             candidates=candidates,
-            memo=memo,
+            profits=profits,
         )
         if decision.should_replicate and decision.target_position is not None:
             self._create_replica(
-                replica.user, decision.target_position, now, requesting_position=position,
+                user, decision.target_position, now, requesting_position=position,
                 incoming_profit=decision.profit,
             )
             return
-        self._consider_migration(replica, position, now, candidates=candidates, memo=memo)
-
-    def _consider_migration(
-        self,
-        replica: _ScratchReplica,
-        position: int,
-        now: float,
-        candidates: list[tuple[int, int, int]] | None = None,
-        memo: EvaluationMemo | None = None,
-    ) -> None:
-        """Run Algorithm 3 for a replica and apply its decision."""
-        next_device = replica.next_closest_replica
+        next_device = table._next_closest[slot]
         decision = evaluate_replica_migration(
             self.topology,
-            replica,
-            self._device_of_position[position],
-            next_device,
-            self.proxies.write_broker(replica.user),
+            user,
+            origins,
+            writes,
+            replica_device,
+            None if next_device == NO_SLOT else next_device,
+            write_broker,
             self.least_loaded_server_under,
             self.admission_threshold_under,
             self.device_of_position,
-            position_available=self.position_available,
             candidates=candidates,
-            memo=memo,
+            profits=profits,
         )
         if decision.action is MigrationAction.REMOVE:
-            self._remove_replica(replica.user, position, now)
+            self._remove_replica(user, position, now)
         elif decision.action is MigrationAction.MOVE and decision.target_position is not None:
             created = self._create_replica(
-                replica.user,
+                user,
                 decision.target_position,
                 now,
                 requesting_position=position,
                 incoming_profit=decision.profit,
             )
             if created:
-                self._remove_replica(replica.user, position, now)
+                self._remove_replica(user, position, now)
                 self.counters.replicas_migrated += 1
 
     def _decide_with_candidates(
@@ -902,16 +870,16 @@ class DynaSoRe(PlacementStrategy):
     ) -> None:
         """Fused Algorithms 2+3 of the batch kernel (allocation-free).
 
-        Behaviourally identical to :meth:`_consider_replication` — the same
-        pricing arithmetic in the same per-origin order and the same
-        decision application — but running on recycled scratch containers
-        with no closure, memo-object or decision-object allocation per
-        evaluation.  The caller (the request kernel) has already resolved
-        the per-origin ``candidates`` (non-empty) and handles the
-        no-candidate cases inline;
-        the per-event path keeps the shared :mod:`~repro.core.replication`
-        / :mod:`~repro.core.migration` implementations, which the parity
-        suite holds byte-identical to this kernel.
+        Behaviourally identical to :meth:`_consider_replication` — each
+        distinct candidate device priced once with
+        :func:`~repro.core.utility.estimate_profit`, in the same per-origin
+        order, and the same decision application — but with no closure or
+        decision-object allocation per evaluation.  The caller (the request
+        kernel) has already resolved the per-origin ``candidates``
+        (non-empty) and handles the no-candidate cases inline; the per-event
+        path keeps the shared :mod:`~repro.core.replication` /
+        :mod:`~repro.core.migration` implementations, which the parity suite
+        holds byte-identical to this kernel.
 
         Once Algorithm 2 has declined, Algorithm 3 is skipped for a sole
         replica, because it cannot act there:
@@ -933,32 +901,18 @@ class DynaSoRe(PlacementStrategy):
         write_broker = self.proxies.write_proxy.get(user)
 
         # Algorithm 2: price a new replica against the current server.
+        pairs = origins.items()
+        writes = stats.total_writes(slot)
         best_profit = 0.0
         best_position = None
-        triples = self._eval_triples
         profits = self._eval_profits
         profits.clear()
-        nearest, priced_writes, write_distances = build_pricing(
-            topology,
-            origins.items(),
-            stats.total_writes(slot),
-            replica_device,
-            write_broker,
-            triples,
-        )
         for origin, candidate_position, candidate_device in candidates:
             profit = profits.get(candidate_device)
             if profit is None:
-                profit = priced_profit(
-                    topology,
-                    triples,
-                    nearest,
-                    priced_writes,
-                    write_distances,
-                    replica_device,
-                    candidate_device,
+                profit = profits[candidate_device] = estimate_profit(
+                    topology, pairs, writes, candidate_device, replica_device, write_broker
                 )
-                profits[candidate_device] = profit
             threshold = admission_threshold_under(origin)
             if profit > threshold and profit > best_profit:
                 best_position = candidate_position
@@ -974,44 +928,21 @@ class DynaSoRe(PlacementStrategy):
             return
         # Algorithm 3: migrate (or remove) this replica, priced against the
         # server of its next-closest sibling.  A sole replica has none and
-        # cannot act (see the docstring); Algorithm 2's pricing state is
-        # dead by now, so the scratch containers are recycled.
+        # cannot act (see the docstring).
         reference = table._next_closest[slot]
         if reference == NO_SLOT:
             return
         profits.clear()
-        nearest, priced_writes, write_distances = build_pricing(
-            topology,
-            origins.items(),
-            stats.total_writes(slot),
-            reference,
-            write_broker,
-            triples,
+        best_profit = stay_profit = estimate_profit(
+            topology, pairs, writes, replica_device, reference, write_broker
         )
-        stay_profit = priced_profit(
-            topology,
-            triples,
-            nearest,
-            priced_writes,
-            write_distances,
-            reference,
-            replica_device,
-        )
-        best_profit = stay_profit
         best_position = None
         for origin, candidate_position, candidate_device in candidates:
             profit = profits.get(candidate_device)
             if profit is None:
-                profit = priced_profit(
-                    topology,
-                    triples,
-                    nearest,
-                    priced_writes,
-                    write_distances,
-                    reference,
-                    candidate_device,
+                profit = profits[candidate_device] = estimate_profit(
+                    topology, pairs, writes, candidate_device, reference, write_broker
                 )
-                profits[candidate_device] = profit
             threshold = admission_threshold_under(origin)
             if profit > best_profit and profit > threshold:
                 best_position = candidate_position

@@ -9,9 +9,9 @@ when even the best profit is negative — remove it altogether (its update
 cost outweighs its read benefit).
 
 For a **sole** replica the reference falls back to the replica's own server,
-which is exactly Algorithm 2's reference: passing Algorithm 2's
-:class:`~repro.core.replication.EvaluationMemo` then reuses its reference
-pricing and per-device prices instead of re-pricing every candidate.
+which is exactly Algorithm 2's reference: passing the ``profits`` dict that
+:func:`~repro.core.replication.evaluate_replica_creation` filled then reuses
+its per-device prices instead of re-pricing every candidate.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..topology.base import ClusterTopology
-from .replication import EvaluationMemo, origin_candidates, reference_pricing
-from .utility import estimate_profit, priced_profit
+from .replication import origin_candidates
+from .utility import estimate_profit
 
 
 class MigrationAction(str, Enum):
@@ -43,77 +43,55 @@ class MigrationDecision:
 
 def evaluate_replica_migration(
     topology: ClusterTopology,
-    replica,
+    user: int,
+    origins,
+    writes: float,
     replica_device: int,
     next_closest_device: int | None,
     write_broker: int | None,
     least_loaded_server_under,
     admission_threshold_under,
     device_of_position,
-    position_available=None,
     candidates: list[tuple[int, int, int]] | None = None,
-    memo: EvaluationMemo | None = None,
+    profits: dict[int, float] | None = None,
 ) -> MigrationDecision:
     """Run Algorithm 3 for one replica.
 
+    ``user``, ``origins``, ``writes``, ``replica_device``, ``write_broker``
+    and the callables are those of
+    :func:`~repro.core.replication.evaluate_replica_creation`.
     ``next_closest_device`` is the location of the next-closest replica of
     the same view (None when this is the sole replica, in which case the
     replica is compared against itself and can never be removed).
-    ``position_available`` optionally filters candidate targets (the
-    engine's server up/down mask), so a migration never lands on a server
-    that left the cluster.  ``candidates`` optionally supplies the
-    precomputed :func:`~repro.core.replication.origin_candidates` list, and
-    ``memo`` a same-reference Algorithm 2 pricing memo (only consulted for
-    sole replicas — see the module docstring).
+    ``candidates`` optionally supplies the precomputed
+    :func:`~repro.core.replication.origin_candidates` list, and ``profits``
+    Algorithm 2's per-device prices (only consulted for sole replicas — see
+    the module docstring).
     """
     if candidates is None:
         candidates = origin_candidates(
-            replica,
+            user,
+            origins,
             replica_device,
             least_loaded_server_under,
             device_of_position,
-            position_available,
         )
     sole_replica = next_closest_device is None
     reference = replica_device if sole_replica else next_closest_device
-    shared = memo if (sole_replica and memo is not None) else None
-
-    if not candidates:
-        # No placement candidate: only the stay-vs-remove decision remains,
-        # priced with a single direct profit estimate (the common case — a
-        # view whose readers are already served from the best region).
-        stats = replica.stats
-        stay_profit = estimate_profit(
-            topology,
-            stats.reads_by_origin().items(),
-            stats.total_writes(),
-            replica_device,
-            reference,
-            write_broker,
-        )
-        if stay_profit < 0 and not sole_replica:
-            return MigrationDecision(action=MigrationAction.REMOVE, profit=stay_profit)
-        return MigrationDecision(action=MigrationAction.STAY, profit=stay_profit)
-
-    if shared is not None:
-        if shared.pricing is None:
-            shared.pricing = reference_pricing(
-                topology, replica.stats, reference, write_broker
-            )
-        pricing = shared.pricing
-        profits = shared.profits
-    else:
-        pricing = reference_pricing(topology, replica.stats, reference, write_broker)
+    if profits is None or not sole_replica:
         profits = {}
+    pairs = origins.items()
     best_position: int | None = None
-    best_profit = priced_profit(*pricing, replica_device)
-    stay_profit = best_profit
+    best_profit = stay_profit = estimate_profit(
+        topology, pairs, writes, replica_device, reference, write_broker
+    )
 
     for origin, candidate_position, candidate_device in candidates:
         profit = profits.get(candidate_device)
         if profit is None:
-            profit = priced_profit(*pricing, candidate_device)
-            profits[candidate_device] = profit
+            profit = profits[candidate_device] = estimate_profit(
+                topology, pairs, writes, candidate_device, reference, write_broker
+            )
         threshold = admission_threshold_under(origin)
         if profit > best_profit and profit > threshold:
             best_position = candidate_position

@@ -13,16 +13,10 @@ date:
 ``cost`` counts the switches a message traverses; origins are the coarse
 sub-tree labels recorded by the access statistics.
 
-The estimate comes in two forms that compute bit-for-bit equal profits
-(same per-origin accumulation order, same cost-row fallback, same clamp):
-
-* :func:`estimate_profit` prices one candidate against one reference.  The
-  maintenance tick prices each replica exactly once, and routing its sweep
-  through the amortised form measured slower.
-* :func:`build_pricing` resolves the reference side once and
-  :func:`priced_profit` then prices each candidate against it, because
-  Algorithms 2 and 3 price many candidate servers against the same
-  reference replica.
+One function, :func:`estimate_profit`, prices every decision: the
+maintenance tick prices each replica once, and Algorithms 2 and 3 (the
+per-event reference and the request kernel alike) price each distinct
+candidate server against one reference replica.
 """
 
 from __future__ import annotations
@@ -92,72 +86,4 @@ def estimate_profit(
     return nearest_read_cost - server_read_cost - server_write_cost
 
 
-def build_pricing(
-    topology: ClusterTopology,
-    pairs,
-    writes: float,
-    reference_server: int,
-    write_broker: int | None,
-    triples: list,
-) -> tuple[float, float, list | None]:
-    """Resolve the reference side of :func:`estimate_profit` once.
-
-    Takes the same ``pairs`` as :func:`estimate_profit`, fills the
-    caller-supplied ``triples`` scratch list with ``(origin, reads,
-    reference_cost)`` rows (``None`` cost marks slow-path origins) and
-    returns ``(nearest_read_cost, priced_writes, write_distances)`` for
-    :func:`priced_profit`.
-    """
-    triples.clear()
-    nearest_read_cost = 0.0
-    if pairs:
-        reference_costs = topology.cost_row(reference_server)
-        cost_from_origin = topology.cost_from_origin
-        for origin, reads in pairs:
-            reference_cost = reference_costs[origin]
-            if reference_cost is None:
-                nearest_read_cost += reads * cost_from_origin(origin, reference_server)
-                triples.append((origin, reads, None))
-            else:
-                nearest_read_cost += reads * reference_cost
-                triples.append((origin, reads, reference_cost))
-    priced_writes = writes if write_broker is not None else 0.0
-    write_distances = topology.distance_row(write_broker) if priced_writes else None
-    return nearest_read_cost, priced_writes, write_distances
-
-
-def priced_profit(
-    topology: ClusterTopology,
-    triples: list,
-    nearest_read_cost: float,
-    priced_writes: float,
-    write_distances,
-    reference_server: int,
-    candidate_server: int,
-) -> float:
-    """One candidate evaluation over :func:`build_pricing` state.
-
-    Equals :func:`estimate_profit` on the pairs the state was built from,
-    float for float.
-    """
-    server_read_cost = 0.0
-    if triples:
-        candidate_costs = topology.cost_row(candidate_server)
-        cost_from_origin = topology.cost_from_origin
-        for origin, reads, reference_cost in triples:
-            candidate_cost = candidate_costs[origin]
-            if candidate_cost is None or reference_cost is None:
-                candidate_cost = cost_from_origin(origin, candidate_server)
-                reference_cost = cost_from_origin(origin, reference_server)
-            if candidate_cost < reference_cost:
-                server_read_cost += reads * candidate_cost
-            else:
-                server_read_cost += reads * reference_cost
-    if write_distances is not None:
-        server_write_cost = priced_writes * write_distances[candidate_server]
-    else:
-        server_write_cost = 0.0
-    return nearest_read_cost - server_read_cost - server_write_cost
-
-
-__all__ = ["build_pricing", "estimate_profit", "priced_profit"]
+__all__ = ["estimate_profit"]

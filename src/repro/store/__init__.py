@@ -1,4 +1,4 @@
-"""In-memory store substrate: flat placement tables plus object façades.
+"""In-memory store substrate: flat placement tables and their object oracles.
 
 Placement state lives in the struct-of-arrays tables of
 :mod:`repro.store.tables`; ``ViewReplica``, ``AccessStatistics`` and
@@ -10,9 +10,7 @@ from .memory import MemoryBudget, budget_for
 from .stats import AccessStatistics
 from .tables import (
     NO_SLOT,
-    ReplicaHandle,
     ReplicaTable,
-    StatsHandle,
     StatsTable,
     pick_least_loaded,
     rank_by_utilisation,
@@ -25,10 +23,8 @@ __all__ = [
     "INFINITE_UTILITY",
     "MemoryBudget",
     "NO_SLOT",
-    "ReplicaHandle",
     "ReplicaTable",
     "RotatingCounter",
-    "StatsHandle",
     "StatsTable",
     "View",
     "ViewReplica",

@@ -52,10 +52,10 @@ indexed by an integer **replica id** (a *slot*):
     bit-for-bit identical to the object path.
 
 The object classes (:class:`~repro.store.view.ViewReplica`,
-:class:`~repro.store.stats.AccessStatistics`) are the tables' references:
-:class:`ReplicaHandle`/:class:`StatsHandle` expose the same attribute
-surface reading and writing table columns, so the decision algorithms in
-:mod:`repro.core` and their unit tests take either.
+:class:`~repro.store.stats.AccessStatistics`) are the tables' references,
+kept as test oracles.  The decision algorithms in :mod:`repro.core` take
+the plain values they read (``reads_by_origin(slot)``,
+``total_writes(slot)``, device indexes).
 """
 
 from __future__ import annotations
@@ -1041,154 +1041,9 @@ class ReplicaTable:
                 )
 
 
-# ---------------------------------------------------------------------------
-# Handles: the object façade over table slots
-# ---------------------------------------------------------------------------
-class StatsHandle:
-    """``AccessStatistics``-compatible view of one slot's statistics columns."""
-
-    __slots__ = ("table", "slot")
-
-    def __init__(self, table: StatsTable, slot: int) -> None:
-        self.table = table
-        self.slot = slot
-
-    @property
-    def slots(self) -> int:
-        return self.table.slots
-
-    @property
-    def period(self) -> float:
-        return self.table.period
-
-    def record_read(self, origin: int, timestamp: float, amount: float = 1.0) -> None:
-        self.table.record_read(self.slot, origin, timestamp, amount)
-
-    def record_write(self, timestamp: float, amount: float = 1.0) -> None:
-        self.table.record_write(self.slot, timestamp, amount)
-
-    def advance(self, timestamp: float) -> None:
-        self.table.advance_slot(self.slot, timestamp)
-
-    def reads_by_origin(self) -> dict[int, float]:
-        # Fast path: Algorithms 1-3 query the same slot several times per
-        # evaluated request, so serve cache hits without a second hop.  In
-        # audit mode the table wraps results in an immutable proxy, so the
-        # raw-dict shortcut must not bypass it.
-        table = self.table
-        if not table._readonly_views:
-            cached = table._origins_cache.get(self.slot)
-            if cached is not None:
-                return cached
-        return table.reads_by_origin(self.slot)
-
-    def total_reads(self) -> float:
-        return self.table.total_reads(self.slot)
-
-    def total_writes(self) -> float:
-        table = self.table
-        node = table._write_node[self.slot]
-        return table._node_total[node] if node != NO_SLOT else 0.0
-
-    def reads_from(self, origin: int) -> float:
-        return self.table.reads_from(self.slot, origin)
-
-    def copy(self):
-        """Standalone ``AccessStatistics`` deep copy of this slot's windows."""
-        return self.table.export(self.slot)
-
-    def clear(self) -> None:
-        self.table.reset_slot(self.slot)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StatsHandle(slot={self.slot}, reads={self.total_reads():.0f}, "
-            f"writes={self.total_writes():.0f})"
-        )
-
-
-class ReplicaHandle:
-    """``ViewReplica``-compatible view of one replica slot.
-
-    Attribute reads and writes go straight to the table columns, so code
-    written against the object model (the decision algorithms, tests, user
-    code) keeps working on table-backed state.
-    """
-
-    __slots__ = ("table", "slot")
-
-    def __init__(self, table: ReplicaTable, slot: int) -> None:
-        self.table = table
-        self.slot = slot
-
-    # Identity: two handles to the same slot of the same table are equal.
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ReplicaHandle)
-            and other.table is self.table
-            and other.slot == self.slot
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.table), self.slot))
-
-    @property
-    def user(self) -> int:
-        return self.table._user[self.slot]
-
-    @property
-    def server(self) -> int:
-        return self.table._server[self.slot]
-
-    @property
-    def stats(self) -> StatsHandle:
-        stats = self.table.stats
-        if stats is None:
-            raise StorageError("this table does not track statistics")
-        return StatsHandle(stats, self.slot)
-
-    @property
-    def utility(self) -> float:
-        return self.table._utility[self.slot]
-
-    @utility.setter
-    def utility(self, value: float) -> None:
-        self.table._utility[self.slot] = value
-
-    @property
-    def write_proxy_broker(self) -> int | None:
-        value = self.table._write_proxy[self.slot]
-        return None if value == NO_SLOT else value
-
-    @write_proxy_broker.setter
-    def write_proxy_broker(self, value: int | None) -> None:
-        self.table._write_proxy[self.slot] = NO_SLOT if value is None else value
-
-    @property
-    def next_closest_replica(self) -> int | None:
-        value = self.table._next_closest[self.slot]
-        return None if value == NO_SLOT else value
-
-    @next_closest_replica.setter
-    def next_closest_replica(self, value: int | None) -> None:
-        self.table._next_closest[self.slot] = NO_SLOT if value is None else value
-
-    @property
-    def is_sole_replica(self) -> bool:
-        return self.table._next_closest[self.slot] == NO_SLOT
-
-    def effective_utility(self) -> float:
-        return self.table.effective_utility(self.slot)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReplicaHandle(slot={self.slot}, user={self.user}, server={self.server})"
-
-
 __all__ = [
     "NO_SLOT",
-    "ReplicaHandle",
     "ReplicaTable",
-    "StatsHandle",
     "StatsTable",
     "pick_least_loaded",
     "rank_by_utilisation",

@@ -134,7 +134,9 @@ def read_trace(path: str | os.PathLike) -> EventStream:
 
     The header is validated eagerly (so a corrupt file fails at open time,
     not mid-replay); chunk payloads are memory-mapped and copied into typed
-    arrays one chunk at a time per iteration.
+    arrays one chunk at a time per iteration, and pass the ordering rule of
+    :func:`write_trace` (:func:`~repro.workload.stream.ordered_chunks`), so
+    a body with a timestamp out of order or NaN raises when iterated.
     """
     source = Path(path)
     # Eager validation: read and check the header once up front.
@@ -180,7 +182,7 @@ def read_trace(path: str | os.PathLike) -> EventStream:
                 finally:
                     view.release()
 
-    return EventStream(_chunks)
+    return EventStream(lambda: ordered_chunks(_chunks()))
 
 
 def trace_content_hash(path: str | os.PathLike) -> str:

@@ -26,6 +26,8 @@ import heapq
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 
 from ..constants import DAY
 from ..exceptions import WorkloadError
@@ -99,10 +101,10 @@ class EventChunk:
         lengths = {len(self.kinds), len(self.timestamps), len(self.users), len(self.aux)}
         if len(lengths) != 1:
             raise WorkloadError("event chunk columns have diverging lengths")
+        # ``<=`` is False against NaN, so a NaN timestamp fails too.
         timestamps = self.timestamps
-        for i in range(1, len(timestamps)):
-            if timestamps[i] < timestamps[i - 1]:
-                raise WorkloadError("event chunk is not sorted by timestamp")
+        if not all(map(le, timestamps, islice(timestamps, 1, None))):
+            raise WorkloadError("event chunk is not sorted by timestamp")
 
 
 @dataclass(frozen=True)
@@ -307,11 +309,12 @@ def request_run_end(kinds: bytes, start: int, end: int) -> int:
 
 
 def ordered_chunks(chunks: Iterable[EventChunk]) -> Iterator[EventChunk]:
-    """Yield the non-empty chunks; raise if time goes back in or across them."""
+    """Yield the non-empty chunks; raise if time goes back in or across them
+    (a NaN timestamp counts as out of order)."""
     last_timestamp = float("-inf")
     for chunk in filter(len, chunks):
         chunk.validate()
-        if chunk.timestamps[0] < last_timestamp:
+        if not chunk.timestamps[0] >= last_timestamp:
             raise WorkloadError("event stream is not sorted across chunks")
         last_timestamp = chunk.timestamps[-1]
         yield chunk

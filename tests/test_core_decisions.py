@@ -12,7 +12,6 @@ from repro.core.migration import MigrationAction, evaluate_replica_migration
 from repro.core.proxies import ProxyDirectory, optimal_proxy_broker
 from repro.core.replication import evaluate_replica_creation
 from repro.store.stats import AccessStatistics
-from repro.store.view import ViewReplica
 from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
 
@@ -62,13 +61,14 @@ class TestReplicaCreation:
         stats = AccessStatistics()
         for i in range(20):
             stats.record_read(layout["inter_b"], float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
         least_loaded, threshold, device_of, positions = make_helpers(
             tree_topology, layout["server_b"]
         )
         decision = evaluate_replica_creation(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             layout["broker_a"],
             least_loaded,
@@ -83,11 +83,12 @@ class TestReplicaCreation:
         stats = AccessStatistics()
         for i in range(20):
             stats.record_read(layout["rack_a"], float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
         least_loaded, threshold, device_of, _ = make_helpers(tree_topology, layout["server_b"])
         decision = evaluate_replica_creation(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             layout["broker_a"],
             least_loaded,
@@ -100,13 +101,14 @@ class TestReplicaCreation:
         stats = AccessStatistics()
         for i in range(3):
             stats.record_read(layout["inter_b"], float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
         least_loaded, threshold, device_of, _ = make_helpers(
             tree_topology, layout["server_b"], threshold=100.0
         )
         decision = evaluate_replica_creation(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             layout["broker_a"],
             least_loaded,
@@ -121,11 +123,12 @@ class TestReplicaCreation:
             stats.record_read(layout["inter_b"], float(i))
         for i in range(10):
             stats.record_write(float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
         least_loaded, threshold, device_of, _ = make_helpers(tree_topology, layout["server_b"])
         decision = evaluate_replica_creation(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             layout["broker_a"],
             least_loaded,
@@ -138,14 +141,15 @@ class TestReplicaCreation:
         stats = AccessStatistics()
         for i in range(20):
             stats.record_read(layout["inter_b"], float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
 
         def no_server(origin: int, user: int):
             return None
 
         decision = evaluate_replica_creation(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             layout["broker_a"],
             no_server,
@@ -160,11 +164,12 @@ class TestReplicaMigration:
         stats = AccessStatistics()
         for i in range(30):
             stats.record_read(layout["inter_b"], float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
         least_loaded, threshold, device_of, _ = make_helpers(tree_topology, layout["server_b"])
         decision = evaluate_replica_migration(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             None,  # sole replica
             layout["broker_a"],
@@ -179,11 +184,12 @@ class TestReplicaMigration:
         stats = AccessStatistics()
         for i in range(30):
             stats.record_read(layout["rack_a"], float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
         least_loaded, threshold, device_of, _ = make_helpers(tree_topology, layout["server_b"])
         decision = evaluate_replica_migration(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             None,
             layout["broker_a"],
@@ -197,13 +203,12 @@ class TestReplicaMigration:
         stats = AccessStatistics()
         for i in range(5):
             stats.record_write(float(i))  # only writes, no reads
-        replica = ViewReplica(
-            user=1, server=0, stats=stats, next_closest_replica=layout["server_b"]
-        )
         least_loaded, threshold, device_of, _ = make_helpers(tree_topology, layout["server_b"])
         decision = evaluate_replica_migration(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             layout["server_b"],
             layout["broker_a"],
@@ -217,11 +222,12 @@ class TestReplicaMigration:
         stats = AccessStatistics()
         for i in range(5):
             stats.record_write(float(i))
-        replica = ViewReplica(user=1, server=0, stats=stats)
         least_loaded, threshold, device_of, _ = make_helpers(tree_topology, layout["server_b"])
         decision = evaluate_replica_migration(
             tree_topology,
-            replica,
+            1,
+            stats.reads_by_origin(),
+            stats.total_writes(),
             layout["server_a"],
             None,
             layout["broker_a"],
@@ -266,7 +272,6 @@ def test_declined_creation_on_a_sole_replica_implies_stay(data):
     writes = data.draw(st.integers(0, 40), label="writes")
     if writes:
         stats.record_write(1.0, amount=float(writes))
-    replica = ViewReplica(user=1, server=0, stats=stats)
     write_broker = data.draw(
         st.sampled_from([broker.index for broker in topology.brokers]),
         label="write broker",
@@ -287,15 +292,16 @@ def test_declined_creation_on_a_sole_replica_implies_stay(data):
     }
     helpers = (None, thresholds.__getitem__, servers.__getitem__)
 
+    origins = stats.reads_by_origin()
     creation = evaluate_replica_creation(
-        topology, replica, replica_device, write_broker, *helpers,
-        candidates=candidates,
+        topology, 1, origins, stats.total_writes(), replica_device, write_broker,
+        *helpers, candidates=candidates,
     )
     if creation.should_replicate:
         return
     migration = evaluate_replica_migration(
-        topology, replica, replica_device, None, write_broker, *helpers,
-        candidates=candidates,
+        topology, 1, origins, stats.total_writes(), replica_device, None, write_broker,
+        *helpers, candidates=candidates,
     )
     assert migration.action is MigrationAction.STAY
 

@@ -14,7 +14,7 @@ from repro.core.utility import estimate_profit
 from repro.exceptions import RoutingError
 from repro.socialgraph.graph import SocialGraph
 from repro.store.stats import AccessStatistics
-from repro.store.tables import ReplicaHandle
+from repro.store.tables import NO_SLOT
 from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
 from repro.traffic.messages import MessageKind
@@ -267,8 +267,9 @@ def test_placement_changes_match_the_routing_reference(kind, data):
         ]
         for slot in table.user_slots(_VIEW):
             own = strategy.device_of_position(table.position_of(slot))
-            assert ReplicaHandle(table, slot).next_closest_replica == reference.next_closest(
-                own, after
+            next_closest = table._next_closest[slot]
+            assert (None if next_closest == NO_SLOT else next_closest) == (
+                reference.next_closest(own, after)
             )
 
 

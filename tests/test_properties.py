@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.utility import build_pricing, estimate_profit, priced_profit
+from repro.core.utility import estimate_profit
 from repro.exceptions import WorkloadError
 from repro.partitioning.kway import partition_kway
 from repro.partitioning.quality import part_weights, validate_partition
@@ -195,10 +195,11 @@ _PRICING_TOPOLOGIES = {
 
 @given(kind=st.sampled_from(sorted(_PRICING_TOPOLOGIES)), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_one_shot_and_amortised_profit_are_equal(kind, data):
-    """Algorithm 1's two forms — ``estimate_profit`` and ``priced_profit``
-    over ``build_pricing`` state — return the same float, bit for bit, on
-    any pairs: zero writes, no write proxy and a candidate priced against
+def test_estimate_profit_prices_pairs_and_items_alike(kind, data):
+    """``estimate_profit`` returns the same float, bit for bit, whether its
+    ``pairs`` come as a list of ``(origin, reads)`` (the tick's scratch
+    list) or as a ``reads_by_origin()`` dict's items view (Algorithms 2
+    and 3): zero writes, no write proxy and a candidate priced against
     itself included."""
     topology = _PRICING_TOPOLOGIES[kind]
     origins = topology.origin_labels()
@@ -216,15 +217,10 @@ def test_one_shot_and_amortised_profit_are_equal(kind, data):
     reference = data.draw(st.sampled_from(servers))
     candidate = data.draw(st.one_of(st.just(reference), st.sampled_from(servers)))
 
-    one_shot = estimate_profit(topology, pairs, writes, candidate, reference, write_broker)
-    triples: list = []
-    state = build_pricing(topology, pairs, writes, reference, write_broker, triples)
-    amortised = priced_profit(topology, triples, *state, reference, candidate)
-    assert one_shot == amortised
-    # A dict's items view is the other accepted form of ``pairs``.
+    from_list = estimate_profit(topology, pairs, writes, candidate, reference, write_broker)
     assert estimate_profit(
         topology, dict(pairs).items(), writes, candidate, reference, write_broker
-    ) == one_shot
+    ) == from_list
 
 
 # ------------------------------------------------------------------ churn

@@ -10,7 +10,7 @@ from repro.exceptions import CapacityError, StorageError
 from repro.store.counters import RotatingCounter
 from repro.store.memory import MemoryBudget, budget_for
 from repro.store.stats import AccessStatistics
-from repro.store.tables import ReplicaHandle, ReplicaTable, pick_least_loaded
+from repro.store.tables import NO_SLOT, ReplicaTable, pick_least_loaded
 from repro.store.view import Event, INFINITE_UTILITY, View, ViewReplica
 
 
@@ -155,14 +155,14 @@ class TestReplicaTablePosition:
         table.set_capacity(0, capacity)
         return table
 
-    def add(self, table: ReplicaTable, user: int, utility: float | None = None) -> ReplicaHandle:
-        """Allocate at position 0; a ``utility`` makes the replica a
-        non-sole one (finite effective utility)."""
-        replica = ReplicaHandle(table, table.allocate(user, 0))
+    def add(self, table: ReplicaTable, user: int, utility: float | None = None) -> int:
+        """Allocate at position 0 and return the slot; a ``utility`` makes
+        the replica a non-sole one (finite effective utility)."""
+        slot = table.allocate(user, 0)
         if utility is not None:
-            replica.next_closest_replica = 99
-            replica.utility = utility
-        return replica
+            table._next_closest[slot] = 99
+            table._utility[slot] = utility
+        return slot
 
     def test_add_and_remove(self):
         table = self.make_table()
@@ -221,8 +221,8 @@ class TestReplicaTablePosition:
         table = self.make_table(capacity=5)
         sole = self.add(table, 1)
         replicated = self.add(table, 2, utility=1.0)
-        assert sole.is_sole_replica
-        assert table.eviction_candidate_slots(0) == [replicated.slot]
+        assert table._next_closest[sole] == NO_SLOT
+        assert table.eviction_candidate_slots(0) == [replicated]
 
     def test_eviction_candidates_sorted_by_utility(self):
         table = self.make_table(capacity=5)

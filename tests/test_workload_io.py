@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from array import array
 
 import pytest
 
@@ -138,6 +139,28 @@ class TestCorruption:
         path.write_bytes(raw[: len(raw) - 64])
         with pytest.raises(WorkloadError, match="truncated"):
             list(read_trace(path).chunks())
+
+    @pytest.mark.parametrize(
+        ("old", "new"),
+        [(3.0, 10.0), (6.0, 0.5), (3.0, float("nan"))],
+        ids=["within-chunk", "across-chunks", "nan"],
+    )
+    def test_corrupt_body_timestamp_raises_when_iterated(self, tmp_path, old, new):
+        """The header survives, so the file opens; the body fails the same
+        ordering rule ``write_trace`` applies once the stream is iterated."""
+        first, second = (
+            EventStream.from_rows([(KIND_READ, float(t), 1, -1) for t in span]).chunks()
+            for span in (range(1, 6), range(6, 11))
+        )
+        path = tmp_path / "body.trace"
+        write_trace(path, EventStream.from_chunks([*first, *second]))
+        raw = path.read_bytes()
+        before, after = array("d", [old]).tobytes(), array("d", [new]).tobytes()
+        assert raw.count(before) == 1
+        path.write_bytes(raw.replace(before, after))
+        stream = read_trace(path)
+        with pytest.raises(WorkloadError, match="not sorted"):
+            list(stream.chunks())
 
 
 class TestContentHash:
