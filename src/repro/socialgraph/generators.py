@@ -112,10 +112,12 @@ def generate_social_graph(spec: DatasetSpec, seed: int = 7) -> SocialGraph:
 
     The edge loop draws with ``getrandbits`` exactly as ``Random.randrange``
     does (the bit length of the bound, redrawn while the draw is out of
-    range), builds the ``following``/``followers`` sets itself and hands
-    them to :meth:`SocialGraph.from_rows`.  Every endpoint stored is the one
-    ``int`` object of its user, so a graph holds one object per user rather
-    than one per edge endpoint.
+    range), appends to the ``following``/``followers`` rows itself, in the
+    order the set-per-row graph added to its sets, and hands them to
+    :meth:`SocialGraph.from_rows`.  An edge is looked up in the shorter of
+    the follower's out-row and the followee's in-row.  Every endpoint
+    stored is the one ``int`` object of its user, so a graph holds one
+    object per user rather than one per edge endpoint.
     """
     rng = random.Random(seed)
     if spec.users < 2:
@@ -133,8 +135,8 @@ def generate_social_graph(spec: DatasetSpec, seed: int = 7) -> SocialGraph:
     popular: list[int] = list(ids)
     popular_by_community: list[list[int]] = [list(c) for c in members]
 
-    following: list[set[int]] = [set() for _ in ids]
-    followers: list[set[int]] = [set() for _ in ids]
+    following: list[list[int]] = [[] for _ in ids]
+    followers: list[list[int]] = [[] for _ in ids]
     getrandbits = rng.getrandbits
     uniform = rng.random
     user_bits = users.bit_length()
@@ -161,27 +163,33 @@ def generate_social_graph(spec: DatasetSpec, seed: int = 7) -> SocialGraph:
         followee = pool[draw]
         if followee == follower:
             continue
-        row = following[follower]
-        if followee in row:
+        out_row = following[follower]
+        in_row = followers[followee]
+        if followee in out_row if len(out_row) <= len(in_row) else follower in in_row:
             continue
-        row.add(followee)
-        followers[followee].add(follower)
+        out_row.append(followee)
+        in_row.append(follower)
         edges += 1
         popular.append(followee)
         popular_by_community[community_of[followee]].append(followee)
-        if uniform() < reciprocity and follower not in following[followee]:
-            following[followee].add(follower)
-            followers[follower].add(followee)
-            edges += 1
-            popular.append(follower)
-            popular_by_community[community].append(follower)
+        if uniform() >= reciprocity:
+            continue
+        back_out = following[followee]
+        back_in = followers[follower]
+        if follower in back_out if len(back_out) <= len(back_in) else followee in back_in:
+            continue
+        back_out.append(follower)
+        back_in.append(followee)
+        edges += 1
+        popular.append(follower)
+        popular_by_community[community].append(follower)
 
     _connect_isolated_users(ids, following, followers, rng)
     return SocialGraph.from_rows(ids, following, followers)
 
 
 def _connect_isolated_users(
-    ids: list[int], following: list[set[int]], followers: list[set[int]], rng: random.Random
+    ids: list[int], following: list[list[int]], followers: list[list[int]], rng: random.Random
 ) -> None:
     """Give every user at least one outgoing edge so reads are never empty."""
     for user in ids:
@@ -189,8 +197,8 @@ def _connect_isolated_users(
             target = user
             while target == user:
                 target = ids[rng.randrange(len(ids))]
-            following[user].add(target)
-            followers[target].add(user)
+            following[user].append(target)
+            followers[target].append(user)
 
 
 def twitter_like(users: int = 5000, seed: int = 7) -> SocialGraph:

@@ -9,6 +9,17 @@ she follows (``following``) and the set of users following her
 * read target lists come from ``following``;
 * activity models use in- and out-degrees (Huberman et al., section 4.2);
 * flash events add *followers* to a user (section 4.6).
+
+A row is kept as the ``list`` of its users in insertion order rather than
+as a ``set``: a list costs one pointer per entry where a set table costs
+two words per slot and keeps at least two fifths of its slots empty.  The set a row
+stands for is rebuilt, ``set(row)``, wherever its order is observed.  A
+CPython set's table, and so its iteration order, is a function of the
+sequence of insertions and deletions made into it, and ``set(row)`` makes
+the insertions of the list in the same order, so every order the graph
+shows is the one the set would have shown.  A deletion leaves a dummy slot
+that shapes later insertions and a list cannot replay it, so a row's first
+:meth:`SocialGraph.remove_edge` turns it into that set for good.
 """
 
 from __future__ import annotations
@@ -17,13 +28,34 @@ from collections.abc import Iterable, Iterator
 
 from ..exceptions import WorkloadError
 
+#: A follow row: its users in insertion order, or its set once it lost one.
+Row = list[int] | set[int]
+
+
+def _as_set(row: Row) -> set[int]:
+    """The set a row stands for, iterating in that set's order."""
+    return row if type(row) is set else set(row)
+
+
+def _linked(out_row: Row, in_row: Row, follower: int, followee: int) -> bool:
+    """Edge membership tested on the shorter of the follower's out-row and
+    the followee's in-row, which are each other's transpose."""
+    if len(out_row) <= len(in_row):
+        return followee in out_row
+    return follower in in_row
+
 
 class SocialGraph:
-    """Mutable directed social graph with integer user identifiers."""
+    """Mutable directed social graph with integer user identifiers.
+
+    ``following`` and ``followers`` rows are lists in insertion order until
+    an edge is removed from them, then sets (see the module docstring);
+    every query answers as the set-per-row graph did, in the same order.
+    """
 
     def __init__(self, users: Iterable[int] = ()) -> None:
-        self._following: dict[int, set[int]] = {}
-        self._followers: dict[int, set[int]] = {}
+        self._following: dict[int, Row] = {}
+        self._followers: dict[int, Row] = {}
         self._edge_count = 0
         for user in users:
             self.add_user(user)
@@ -32,15 +64,17 @@ class SocialGraph:
     def from_rows(
         cls,
         users: Iterable[int],
-        following: Iterable[set[int]],
-        followers: Iterable[set[int]],
+        following: Iterable[Row],
+        followers: Iterable[Row],
     ) -> "SocialGraph":
         """Bulk path: a graph that adopts pre-built rows, ``following[i]`` and
-        ``followers[i]`` being the sets of the ``i``-th user.
+        ``followers[i]`` being the rows of the ``i``-th user.
 
-        The sets are taken over, not copied, so their iteration order is the
-        graph's.  They must be each other's transpose with no self-follow;
-        only the edge totals of both directions are checked.
+        A row is a list of users in insertion order (or a set).  Rows are
+        taken over, not copied, so the set a list rebuilds (or the set
+        itself) gives the graph's iteration order.  They must be each
+        other's transpose with no self-follow and no repeated entry; only
+        the edge totals of both directions are checked.
         """
         graph = cls()
         graph._following = dict(zip(users, following))
@@ -55,8 +89,8 @@ class SocialGraph:
         """Add a user; returns True if the user was not already present."""
         if user in self._following:
             return False
-        self._following[user] = set()
-        self._followers[user] = set()
+        self._following[user] = []
+        self._followers[user] = []
         return True
 
     def has_user(self, user: int) -> bool:
@@ -89,36 +123,53 @@ class SocialGraph:
             raise WorkloadError("self-follow edges are not allowed")
         self.add_user(follower)
         self.add_user(followee)
-        if followee in self._following[follower]:
+        out_row = self._following[follower]
+        in_row = self._followers[followee]
+        if _linked(out_row, in_row, follower, followee):
             return False
-        self._following[follower].add(followee)
-        self._followers[followee].add(follower)
+        if type(out_row) is set:
+            out_row.add(followee)
+        else:
+            out_row.append(followee)
+        if type(in_row) is set:
+            in_row.add(follower)
+        else:
+            in_row.append(follower)
         self._edge_count += 1
         return True
 
     def remove_edge(self, follower: int, followee: int) -> bool:
-        """Remove a follow edge; returns True when the edge existed."""
-        if follower not in self._following or followee not in self._following[follower]:
+        """Remove a follow edge; returns True when the edge existed.
+
+        Both rows become sets from here on (see the module docstring).
+        """
+        if not self.has_edge(follower, followee):
             return False
-        self._following[follower].discard(followee)
-        self._followers[followee].discard(follower)
+        out_row = self._following[follower] = _as_set(self._following[follower])
+        out_row.discard(followee)
+        in_row = self._followers[followee] = _as_set(self._followers[followee])
+        in_row.discard(follower)
         self._edge_count -= 1
         return True
 
     def has_edge(self, follower: int, followee: int) -> bool:
         """True when ``follower`` follows ``followee``."""
-        return follower in self._following and followee in self._following[follower]
+        out_row = self._following.get(follower)
+        in_row = self._followers.get(followee)
+        if out_row is None or in_row is None:
+            return False
+        return _linked(out_row, in_row, follower, followee)
 
     # --------------------------------------------------------------- queries
     def following(self, user: int) -> frozenset[int]:
         """Users that ``user`` follows (her read targets)."""
         self._require_user(user)
-        return frozenset(self._following[user])
+        return frozenset(_as_set(self._following[user]))
 
     def followers(self, user: int) -> frozenset[int]:
         """Users following ``user`` (the consumers of her view)."""
         self._require_user(user)
-        return frozenset(self._followers[user])
+        return frozenset(_as_set(self._followers[user]))
 
     def out_degree(self, user: int) -> int:
         """Number of users ``user`` follows."""
@@ -133,7 +184,7 @@ class SocialGraph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over every directed edge as ``(follower, followee)``."""
         for follower, followees in self._following.items():
-            for followee in followees:
+            for followee in _as_set(followees):
                 yield follower, followee
 
     def undirected_adjacency(self) -> dict[int, dict[int, int]]:
@@ -145,7 +196,7 @@ class SocialGraph:
         adjacency: dict[int, dict[int, int]] = {user: {} for user in self._following}
         for follower, followees in self._following.items():
             row = adjacency[follower]
-            for followee in followees:
+            for followee in _as_set(followees):
                 row[followee] = row.get(followee, 0) + 1
                 back = adjacency[followee]
                 back[follower] = back.get(follower, 0) + 1
@@ -159,11 +210,16 @@ class SocialGraph:
         ]
 
     def copy(self) -> "SocialGraph":
-        """Deep copy of the graph."""
+        """Deep copy of the graph, its rows appended edge by edge in
+        :meth:`edges` order (so a set row comes back as a list)."""
         clone = SocialGraph(self._following)
+        clone_followers = clone._followers
         for follower, followees in self._following.items():
-            for followee in followees:
-                clone.add_edge(follower, followee)
+            out_row = clone._following[follower]
+            for followee in _as_set(followees):
+                out_row.append(followee)
+                clone_followers[followee].append(follower)
+        clone._edge_count = self._edge_count
         return clone
 
     def _require_user(self, user: int) -> None:

@@ -39,6 +39,9 @@ KIND_WRITE = 1
 KIND_EDGE_ADD = 2
 KIND_EDGE_REMOVE = 3
 
+#: The four kind codes as bytes, for :meth:`EventChunk.validate`.
+_EVENT_KINDS = bytes((KIND_READ, KIND_WRITE, KIND_EDGE_ADD, KIND_EDGE_REMOVE))
+
 #: ``aux`` value of events that carry no second user (reads and writes).
 NO_AUX = -1
 
@@ -97,10 +100,15 @@ class EventChunk:
             yield row_to_request(kind, timestamp, user, aux)
 
     def validate(self) -> None:
-        """Raise when the chunk is internally inconsistent or unordered."""
+        """Raise when the chunk is internally inconsistent or unordered, or
+        holds a kind byte outside the four event kinds."""
         lengths = {len(self.kinds), len(self.timestamps), len(self.users), len(self.aux)}
         if len(lengths) != 1:
             raise WorkloadError("event chunk columns have diverging lengths")
+        # Deleting the known kinds leaves the unknown ones, at C speed.
+        unknown = self.kinds.tobytes().translate(None, _EVENT_KINDS)
+        if unknown:
+            raise WorkloadError(f"event chunk holds unknown event kind {unknown[0]}")
         # ``<=`` is False against NaN, so a NaN timestamp fails too.
         timestamps = self.timestamps
         if not all(map(le, timestamps, islice(timestamps, 1, None))):

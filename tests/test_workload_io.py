@@ -162,6 +162,20 @@ class TestCorruption:
         with pytest.raises(WorkloadError, match="not sorted"):
             list(stream.chunks())
 
+    def test_corrupt_body_kind_raises_when_iterated(self, tmp_path):
+        """A kind byte outside the four event kinds fails when the body is
+        read, not later inside a strategy's request kernel."""
+        kinds = bytes([KIND_WRITE, KIND_WRITE, KIND_READ, KIND_WRITE, KIND_WRITE])
+        rows = [(kind, float(t), 1, -1) for t, kind in enumerate(kinds)]
+        path = tmp_path / "kind.trace"
+        write_trace(path, EventStream.from_rows(rows))
+        raw = path.read_bytes()
+        assert raw.count(kinds) == 1
+        path.write_bytes(raw.replace(kinds, kinds[:2] + bytes([9]) + kinds[3:]))
+        stream = read_trace(path)
+        with pytest.raises(WorkloadError, match="unknown event kind 9"):
+            list(stream.chunks())
+
 
 class TestContentHash:
     def test_hash_tracks_content_not_name(self, tmp_path, workload_stream):
