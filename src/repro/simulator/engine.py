@@ -12,22 +12,26 @@ chunk-native: it iterates the typed-array columns of
 no per-event objects; this is how paper-scale runs (tens of millions of
 events) stay within a constant workload memory budget.
 
-Each chunk is segmented into **runs** of requests bounded by the next fault
-and maintenance-tick timestamps and by edge-mutation events (boundaries are
-found at C speed — a timestamp bisect plus byte scans per run).  A run of
-one event is dispatched through the strategy's ``execute_read`` /
-``execute_write``, a longer one through its ``execute_request_batch``
-kernel.  Observation and durability sit *beside* that dispatch, not in a
-fork of it:
+Each chunk is segmented into **runs** of requests bounded by the next fault,
+maintenance-tick and tracked-view sample timestamps and by edge-mutation
+events (boundaries are found at C speed — a timestamp bisect plus byte
+scans per run).  A run of one event is dispatched through the strategy's
+``execute_read`` / ``execute_write``, a longer one through its
+``execute_request_batch`` kernel.  Observation and durability sit *beside*
+that dispatch, not in a fork of it:
 
-* **the run-length rule** — where a run starts, if any post-request hook or
-  tracked view is registered *at that moment* (including ones a pre-tick
-  hook registered mid-run), the run is cut to one event: tracked views are
-  sampled and their reads counted, and the hooks fire after the event (edge
-  events included).  An observed run therefore drives the per-event strategy
-  methods and an unobserved one the batch kernels; both drive the identical
+* **the run-length rule** — where a run starts, if any post-request hook is
+  registered *at that moment* (including one a pre-tick hook registered
+  mid-run), the run is cut to one event and the hooks fire after it (edge
+  events included).  A hooked run therefore drives the per-event strategy
+  methods and an unhooked one the batch kernels; both drive the identical
   sequence of strategy state transitions, so the results are byte-identical
   (pinned by ``tests/golden_digests.json``);
+* **tracked-view sampling** — the next sample instant of the tracked views
+  (every :data:`TRACKING_PERIOD`) is one more run boundary, like a tick: the
+  views are sampled where the first run at or after it starts, and each
+  run's reads by their followers are counted once per run
+  (:meth:`ClusterSimulator._count_tracked_reads`);
 * **the durability mirror** — an attached persistent store does not reshape
   the runs: the writes of each run are logged into it in stream order just
   before the run is dispatched (:func:`_mirror_writes`), which leaves the
@@ -94,6 +98,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: open-universe violation and falls back to replicated execution, so the
 #: sentinel bounds partitioned runs to 255 shards.
 UNOWNED = 0xFF
+
+#: Sampling period of tracked views (the paper samples every 10 minutes).
+TRACKING_PERIOD = 10 * MINUTE
+
+#: Kind byte -> 1 for reads, 0 otherwise (a ``bytes.translate`` table).
+_READ_MASK = bytes(1 if kind == KIND_READ else 0 for kind in range(256))
 
 
 def _mirror_writes(
@@ -203,8 +213,6 @@ class ClusterSimulator:
         self._post_request_hooks: list[Callable[[Request], None]] = []
         #: Views whose replica count is sampled over time (flash events).
         self._tracked_views: dict[int, ReplicaTimeline] = {}
-        #: Sampling period of tracked views (the paper samples every 10 min).
-        self.tracking_period: float = 10 * MINUTE
         #: Read counts of tracked views since the previous sample.
         self._tracked_reads: dict[int, int] = {}
         #: Follower sets of tracked views, maintained incrementally on edge
@@ -212,8 +220,8 @@ class ClusterSimulator:
         #: O(tracked x following) scan of the reader's adjacency.
         self._tracked_followers: dict[int, set[int]] = {}
         #: Time of the next tracked-view sample; every run restarts it from
-        #: ``tracking_period``, so setting the period before ``run`` works.
-        self._next_sample: float = self.tracking_period
+        #: :data:`TRACKING_PERIOD`.
+        self._next_sample: float = TRACKING_PERIOD
         self._reads_executed = 0
         self._writes_executed = 0
         #: Sharded-replay context (``repro.simulator.shard``): ownership map
@@ -362,7 +370,7 @@ class ClusterSimulator:
         interleaved with the events and maintenance ticks.
         """
         self.prepare()
-        self._next_sample = self.tracking_period
+        self._next_sample = TRACKING_PERIOD
         clock = SimulationClock(tick_period=self.config.tick_period)
         stream = self._stage_scenario(workload)
         executed, first_time, last_time = self._replay(stream, clock)
@@ -374,19 +382,22 @@ class ClusterSimulator:
         """The replay loop: segment each chunk into runs and dispatch them.
 
         Before every run, faults and maintenance ticks due at its first
-        timestamp are applied.  A run is then the longest span of read/write
-        events that reaches neither the next fault/tick timestamp (one
-        bisect on the timestamp column) nor an edge-mutation event (two
-        C-speed byte scans).  While a persistent store is active the run's
-        writes are mirrored into it first (:func:`_mirror_writes`); a run of
-        one event goes to ``execute_read``/``execute_write``, a longer one
-        to the ``execute_request_batch`` kernel.  Edge mutations are applied
+        timestamp are applied and, once a sample instant is reached, the
+        tracked views are sampled.  A run is then the longest span of
+        read/write events that reaches neither the next fault, tick or
+        sample timestamp (one bisect on the timestamp column) nor an
+        edge-mutation event (two C-speed byte scans).  While a persistent
+        store is active the run's writes are mirrored into it first
+        (:func:`_mirror_writes`); a run of one event goes to
+        ``execute_read``/``execute_write``, a longer one to the
+        ``execute_request_batch`` kernel.  Edge mutations are applied
         per event — they re-shape the graph the next run executes against.
 
         **Observation** is the run-length rule of the module docstring,
         evaluated here where each run starts — after the faults and ticks due
-        at that event, so an observer a pre-tick hook registers mid-run takes
-        effect from the very next event.
+        at that event, so a hook or tracked view a pre-tick hook registers
+        mid-run takes effect from the very next event.  The reads of a run
+        are counted for the tracked views once, after its dispatch.
 
         **Partitioned shard replay** is the same loop with a per-chunk
         ownership selector (:func:`_owned_selector`).  The decision plane is
@@ -413,8 +424,9 @@ class ClusterSimulator:
         if context is not None and context.partitioned:
             if post_hooks or tracked:
                 raise SimulationError(
-                    "partitioned shard replay cannot observe per event: no "
-                    "post-request hooks, no tracked views"
+                    "partitioned shard replay cannot observe its events: no "
+                    "post-request hooks, no tracked views (per-shard read "
+                    "counts are not merged)"
                 )
             # owner byte -> selector byte (1 = owned by this shard).
             selector_table = bytes(
@@ -453,19 +465,18 @@ class ClusterSimulator:
                 if timestamp >= next_tick:
                     self._advance_ticks(clock, timestamp)
                     next_tick = clock.pending_tick()
-                kind = kinds[index]
-                observed = bool(post_hooks or tracked)
-                if tracked:
+                if tracked and timestamp >= self._next_sample:
                     self._sample_tracked(timestamp)
+                kind = kinds[index]
                 if kind == KIND_READ or kind == KIND_WRITE:
-                    if observed:
+                    if post_hooks:
                         end = index + 1
-                        if tracked and kind == KIND_READ:
-                            self._count_tracked_read(users[index])
                     else:
                         boundary = (
                             next_fault_time if next_fault_time < next_tick else next_tick
                         )
+                        if tracked and self._next_sample < boundary:
+                            boundary = self._next_sample
                         end = (
                             bisect_left(times, boundary, index + 1, n)
                             if times[n - 1] >= boundary
@@ -502,6 +513,8 @@ class ClusterSimulator:
                         run_reads = run_kinds.count(KIND_READ)
                         reads += run_reads
                         writes += owned - run_reads
+                    if tracked:
+                        self._count_tracked_reads(kinds, users, index, end)
                 else:
                     # Decision-plane event: every worker applies it (the
                     # graph and placement must stay replicated) but only the
@@ -520,7 +533,7 @@ class ClusterSimulator:
                     finally:
                         if muted:
                             accountant.pop_mute()
-                if observed and post_hooks:
+                if post_hooks:
                     request = row_to_request(kind, timestamp, users[index], aux[index])
                     for hook in post_hooks:
                         hook(request)
@@ -560,7 +573,8 @@ class ClusterSimulator:
         finally:
             if mute:
                 self.accountant.pop_mute()
-        self._sample_tracked(final_time, force=True)
+        if self._tracked_views:
+            self._sample_tracked(final_time)
 
         app_series, sys_series = self.accountant.top_switch_series()
         replication_factor = self.strategy.replication_factor()
@@ -707,22 +721,21 @@ class ClusterSimulator:
         return sum(1 for user in self.graph.users if not has_any_replica(user))
 
     # ------------------------------------------------------------- tracking
-    def _count_tracked_read(self, reader: int) -> None:
-        """Count reads that touch tracked views (reader follows the target).
+    def _count_tracked_reads(self, kinds: bytes, users, start: int, end: int) -> None:
+        """Count the reads of the run ``[start, end)`` that touch tracked
+        views (the reader follows the view's owner).
 
-        Uses the incrementally maintained follower sets, so the per-read
-        cost is one membership check per tracked view instead of a scan of
-        the reader's full following list.
+        Once per run and at C speed: the read mask picks the readers out of
+        the run, then one membership test per reader against each tracked
+        view's follower set, which edge events keep current.
         """
+        readers = list(compress(users[start:end], kinds[start:end].translate(_READ_MASK)))
+        tracked_reads = self._tracked_reads
         for user, followers in self._tracked_followers.items():
-            if reader in followers:
-                self._tracked_reads[user] += 1
+            tracked_reads[user] += sum(map(followers.__contains__, readers))
 
-    def _sample_tracked(self, now: float, force: bool = False) -> None:
-        if not self._tracked_views:
-            return
-        if not force and now < self._next_sample:
-            return
+    def _sample_tracked(self, now: float) -> None:
+        """Sample every tracked view at ``now`` and schedule the next sample."""
         for user, timeline in self._tracked_views.items():
             count = self.strategy.replica_count(user)
             timeline.replica_counts.append((now, count))
@@ -731,7 +744,7 @@ class ClusterSimulator:
             timeline.reads_per_replica.append((now, per_replica))
             self._tracked_reads[user] = 0
         while self._next_sample <= now:
-            self._next_sample += self.tracking_period
+            self._next_sample += TRACKING_PERIOD
 
 
-__all__ = ["ClusterSimulator", "UNOWNED"]
+__all__ = ["ClusterSimulator", "TRACKING_PERIOD", "UNOWNED"]

@@ -670,14 +670,17 @@ def run_sharded(
 # ---------------------------------------------------------------------------
 # RunSpec integration
 # ---------------------------------------------------------------------------
+_TRACKED_VIEWS_REFUSED = (
+    "sharded replay cannot sample tracked views (per-shard read counts are "
+    "not merged); run with shards=1"
+)
+
+
 def _spec_stream(workload_spec, graph):
     """Build a spec's stream, rejecting workloads that must track views."""
     stream, tracked = workload_spec.build_stream(graph)
     if tracked:
-        raise SimulationError(
-            "sharded replay cannot sample tracked views (flash workloads "
-            "are observed event by event); run with shards=1"
-        )
+        raise SimulationError(_TRACKED_VIEWS_REFUSED)
     return stream
 
 
@@ -688,9 +691,7 @@ def materials_from_spec(spec: "RunSpec") -> ShardMaterials:
     from ..runtime.spec import build_strategy
 
     if spec.tracked_views:
-        raise SimulationError(
-            "sharded replay cannot sample tracked views; run with shards=1"
-        )
+        raise SimulationError(_TRACKED_VIEWS_REFUSED)
     return ShardMaterials(
         topology_factory=spec.topology.build,
         graph_factory=spec.graph.build,

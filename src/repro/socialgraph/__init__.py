@@ -11,16 +11,13 @@ from .generators import (
 )
 from .graph import SocialGraph
 from .io import load_edge_list, save_edge_list
-from .mutations import EdgeMutation, apply_mutation, flash_event_mutations, random_new_followers
+from .mutations import random_new_followers
 
 __all__ = [
     "DatasetSpec",
-    "EdgeMutation",
     "SocialGraph",
-    "apply_mutation",
     "dataset_preset",
     "facebook_like",
-    "flash_event_mutations",
     "generate_social_graph",
     "graph_statistics",
     "livejournal_like",

@@ -3,26 +3,16 @@
 The paper stresses that social networks evolve continuously and that
 DynaSoRe adapts transparently (section 3.3, "Managing the social network");
 the flash-event experiment (section 4.6) adds 100 random followers to a user
-and removes them five days later.  These helpers produce the edge mutations
-that the workload generators interleave with read/write requests.
+and removes them five days later.  :func:`random_new_followers` picks those
+followers; :mod:`repro.workload.flash` turns them into edge-event rows of
+the workload stream.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .graph import SocialGraph
-
-
-@dataclass(frozen=True)
-class EdgeMutation:
-    """A timestamped follow/unfollow event."""
-
-    timestamp: float
-    follower: int
-    followee: int
-    add: bool
 
 
 def random_new_followers(
@@ -46,31 +36,4 @@ def random_new_followers(
     return [(user, target_user) for user in candidates[:count]]
 
 
-def flash_event_mutations(
-    graph: SocialGraph,
-    target_user: int,
-    new_followers: int,
-    start_time: float,
-    end_time: float,
-    rng: random.Random,
-) -> list[EdgeMutation]:
-    """Mutations for one flash event: followers added at ``start_time`` and
-    removed at ``end_time`` (paper section 4.6)."""
-    pairs = random_new_followers(graph, target_user, new_followers, rng)
-    additions = [
-        EdgeMutation(timestamp=start_time, follower=f, followee=t, add=True) for f, t in pairs
-    ]
-    removals = [
-        EdgeMutation(timestamp=end_time, follower=f, followee=t, add=False) for f, t in pairs
-    ]
-    return additions + removals
-
-
-def apply_mutation(graph: SocialGraph, mutation: EdgeMutation) -> bool:
-    """Apply a single mutation to the graph; returns True when it changed."""
-    if mutation.add:
-        return graph.add_edge(mutation.follower, mutation.followee)
-    return graph.remove_edge(mutation.follower, mutation.followee)
-
-
-__all__ = ["EdgeMutation", "apply_mutation", "flash_event_mutations", "random_new_followers"]
+__all__ = ["random_new_followers"]

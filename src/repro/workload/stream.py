@@ -100,15 +100,28 @@ class EventChunk:
             yield row_to_request(kind, timestamp, user, aux)
 
     def validate(self) -> None:
-        """Raise when the chunk is internally inconsistent or unordered, or
-        holds a kind byte outside the four event kinds."""
+        """Raise when the chunk is internally inconsistent or unordered,
+        holds a kind byte outside the four event kinds, or an edge event
+        with no followee (a negative ``aux``)."""
         lengths = {len(self.kinds), len(self.timestamps), len(self.users), len(self.aux)}
         if len(lengths) != 1:
             raise WorkloadError("event chunk columns have diverging lengths")
+        kinds = self.kinds.tobytes()
         # Deleting the known kinds leaves the unknown ones, at C speed.
-        unknown = self.kinds.tobytes().translate(None, _EVENT_KINDS)
+        unknown = kinds.translate(None, _EVENT_KINDS)
         if unknown:
             raise WorkloadError(f"event chunk holds unknown event kind {unknown[0]}")
+        # Edge events are rare: visit only them.
+        aux = self.aux
+        for edge_kind in (KIND_EDGE_ADD, KIND_EDGE_REMOVE):
+            position = kinds.find(edge_kind)
+            while position != -1:
+                if aux[position] < 0:
+                    raise WorkloadError(
+                        f"edge event at index {position} has no followee "
+                        f"(aux {aux[position]})"
+                    )
+                position = kinds.find(edge_kind, position + 1)
         # ``<=`` is False against NaN, so a NaN timestamp fails too.
         timestamps = self.timestamps
         if not all(map(le, timestamps, islice(timestamps, 1, None))):

@@ -6,6 +6,12 @@ batch/tick/shard parity suites replay, and canonicalises
 :class:`~repro.simulator.results.SimulationResult`\\ s into bytes and digests
 so they can assert **byte-identical** outcomes.  Kept outside the test
 modules so every suite builds the exact same cluster, graph and stream.
+
+A run reaches the per-event reference (``execute_read``/``execute_write``)
+only under a post-request hook, which cuts every run to one event
+(:func:`observe_per_event`); tracked views are sampled at run boundaries
+and do not change the path.  :func:`spy_batch_calls` proves which path a
+run took.
 """
 
 from __future__ import annotations
@@ -61,6 +67,26 @@ def parity_stream(graph, days: float = 0.5, seed: int = 7):
     return SyntheticWorkloadGenerator(graph, config).stream()
 
 
+def observe_per_event(simulator: ClusterSimulator) -> None:
+    """Attach a no-op post-request hook: every run is cut to one event, so
+    the replay drives the per-event strategy methods — the reference the
+    batch kernels are compared against."""
+    simulator.add_post_request_hook(lambda request: None)
+
+
+def spy_batch_calls(strategy) -> list[int]:
+    """Record the length of every ``execute_request_batch`` call."""
+    calls: list[int] = []
+    original = strategy.execute_request_batch
+
+    def spy(kinds, users, timestamps):
+        calls.append(len(users))
+        return original(kinds, users, timestamps)
+
+    strategy.execute_request_batch = spy
+    return calls
+
+
 def run_strategy(
     strategy_key: str,
     scenario_key: str,
@@ -69,12 +95,15 @@ def run_strategy(
     extra_memory_pct: float = 60.0,
     tracked: int = 2,
     dynasore: DynaSoReConfig | None = None,
+    per_event: bool | None = None,
 ):
     """One simulation run of the parity matrix; returns a SimulationResult.
 
-    ``tracked`` views cut every run to one event, so ``tracked > 0`` replays
-    through ``execute_read``/``execute_write`` and ``tracked=0`` through the
-    ``execute_request_batch`` kernels.
+    ``per_event`` replays through ``execute_read``/``execute_write`` under
+    :func:`observe_per_event`, otherwise the run goes through the
+    ``execute_request_batch`` kernels.  It defaults to ``tracked > 0``, the
+    path each committed golden of ``tests/golden_tables.json`` was recorded
+    on (tracked views once cut every run to one event).
     """
     topology, _ = parity_cluster()
     graph = parity_graph(users=users)
@@ -88,6 +117,10 @@ def run_strategy(
         config=config,
         scenario=SCENARIOS[scenario_key](),
     )
+    if per_event is None:
+        per_event = tracked > 0
+    if per_event:
+        observe_per_event(simulator)
     for user in list(graph.users)[:tracked]:
         simulator.track_view(user)
     return simulator.run(stream)

@@ -1,14 +1,15 @@
 """Batch-kernel vs per-event-kernel replay parity (the run dispatch layer).
 
 The simulator's replay loop segments event streams into request runs: an
-unobserved run drives the strategies' fused ``execute_request_batch``
-kernels, while any post-request hook or tracked view cuts every run to one
-event and so drives the per-event ``execute_read``/``execute_write``
-methods (the run-length rule).  The contract is that both are
-**byte-identical** — same :class:`SimulationResult`, same
-:class:`TrafficSnapshot` — for every strategy, scenario and observation
-mode.  The reference half of each comparison is the same run observed by a
-no-op post-request hook (:func:`_observe_per_event`).  This suite pins:
+unhooked run drives the strategies' fused ``execute_request_batch``
+kernels, while any post-request hook cuts every run to one event and so
+drives the per-event ``execute_read``/``execute_write`` methods (the
+run-length rule).  Tracked views only add their sample instants to the run
+boundaries.  The contract is that both paths are **byte-identical** — same
+:class:`SimulationResult`, same :class:`TrafficSnapshot` — for every
+strategy, scenario and observation mode.  The reference half of each
+comparison is the same run observed by a no-op post-request hook
+(:func:`parity.observe_per_event`).  This suite pins:
 
 * the full strategy × scenario matrix, both halves also checked against
   committed golden digests and spied on, so they provably exercise
@@ -36,9 +37,11 @@ from parity import (
     SCENARIOS,
     canonical_result_bytes,
     golden_digest,
+    observe_per_event,
     parity_cluster,
     parity_graph,
     parity_stream,
+    spy_batch_calls,
 )
 from repro.baselines.base import PlacementStrategy
 from repro.config import ClusterSpec, DynaSoReConfig, FlatClusterSpec, SimulationConfig
@@ -50,7 +53,7 @@ from repro.runtime.spec import STRATEGY_KEYS, build_strategy
 from repro.scenarios import CrashRecoverScenario
 from repro.scenarios.base import Scenario
 from repro.scenarios.events import NodeLeave, ServerCrash, ServerRecovery
-from repro.simulator.engine import ClusterSimulator
+from repro.simulator.engine import TRACKING_PERIOD, ClusterSimulator
 from repro.simulator.shard import ShardContext, _build_owner_map
 from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
@@ -65,27 +68,7 @@ from repro.workload.stream import (
 )
 
 
-def _observe_per_event(simulator: ClusterSimulator) -> None:
-    """Attach a no-op post-request hook: every run is cut to one event, so
-    the replay drives the per-event strategy methods — the reference the
-    batch kernels are compared against."""
-    simulator.add_post_request_hook(lambda request: None)
-
-
-def _spy_batch_calls(strategy) -> list[int]:
-    """Record the length of every ``execute_request_batch`` call."""
-    calls: list[int] = []
-    original = strategy.execute_request_batch
-
-    def spy(kinds, users, timestamps):
-        calls.append(len(users))
-        return original(kinds, users, timestamps)
-
-    strategy.execute_request_batch = spy
-    return calls
-
-
-def _run_matrix(strategy_key: str, scenario_key: str, batch: bool, tracked: int = 0):
+def _run_matrix(strategy_key: str, scenario_key: str, batch: bool):
     """One matrix cell; returns the result and the batch-kernel call sizes."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=120)
@@ -96,10 +79,8 @@ def _run_matrix(strategy_key: str, scenario_key: str, batch: bool, tracked: int 
         topology, graph, strategy, config=config, scenario=SCENARIOS[scenario_key]()
     )
     if not batch:
-        _observe_per_event(simulator)
-    for user in list(graph.users)[:tracked]:
-        simulator.track_view(user)
-    batch_calls = _spy_batch_calls(strategy)
+        observe_per_event(simulator)
+    batch_calls = spy_batch_calls(strategy)
     return simulator.run(stream), batch_calls
 
 
@@ -137,7 +118,7 @@ def test_batched_replay_actually_batches():
     simulator = ClusterSimulator(
         topology, graph, strategy, config=SimulationConfig(seed=7)
     )
-    calls = _spy_batch_calls(strategy)
+    calls = spy_batch_calls(strategy)
     simulator.run(stream)
     # The parity workload sprinkles edge-churn events, so runs are bounded;
     # what matters is that multi-event runs reach the kernel at all.
@@ -243,7 +224,7 @@ def _interleaving_run(seed: int, batch: bool):
         topology, graph, strategy, config=config, scenario=scenario
     )
     if not batch:
-        _observe_per_event(simulator)
+        observe_per_event(simulator)
     hook_log: list[tuple] = []
     if rng.random() < 0.4:
         for user in list(graph.users)[: rng.randint(1, 3)]:
@@ -266,8 +247,10 @@ def test_random_interleavings_byte_identical(seed):
     Each seed draws a random strategy, workload (reads/writes/edge churn),
     fault schedule, tick/bucket configuration and observer set; the run and
     its no-op-hooked twin must produce byte-identical results, byte-identical
-    traffic snapshots and identical hook transcripts (a drawn observer cuts
-    the runs on both sides, which is part of the contract under test).
+    traffic snapshots and identical hook transcripts.  A drawn post-request
+    hook cuts the runs on both sides; drawn tracked views only bound them at
+    their sample instants, so a seed that tracks views but draws no hook
+    compares sampling from the batch kernels against the per-event one.
     """
     result_a, snapshot_a, hooks_a = _interleaving_run(seed, batch=True)
     result_b, snapshot_b, hooks_b = _interleaving_run(seed, batch=False)
@@ -331,7 +314,7 @@ def _footprint_run(strategy_key: str, seed: int, batch: bool):
         config=config,
     )
     if not batch:
-        _observe_per_event(simulator)
+        observe_per_event(simulator)
     return simulator.run(stream), simulator.accountant.snapshot()
 
 
@@ -691,7 +674,7 @@ def test_post_request_hooks_force_per_event_fallback():
     simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
     seen = []
     simulator.add_post_request_hook(lambda request: seen.append(request))
-    batch_calls = _spy_batch_calls(strategy)
+    batch_calls = spy_batch_calls(strategy)
     result = simulator.run(stream)
     assert not batch_calls
     assert len(seen) == result.requests_executed
@@ -843,7 +826,7 @@ def test_hook_registered_mid_run_is_honoured():
             topology, graph, strategy, config=SimulationConfig(seed=7)
         )
         if not batch:
-            _observe_per_event(simulator)
+            observe_per_event(simulator)
         seen: list[tuple[str, float]] = []
 
         def late_hook(request):
@@ -894,21 +877,34 @@ def test_view_tracked_mid_run_is_sampled_from_the_next_event_on():
     assert timeline.replica_counts[0][0] >= tracked_at[0]
 
 
-def test_tracking_period_set_before_run_is_honoured():
-    """``tracking_period`` is public: the first sample of a run lands one
-    period in, not one default (10-minute) period in."""
+def test_sample_instants_bound_the_runs():
+    """Tracked views are sampled once per ``TRACKING_PERIOD``, at the first
+    event at or after each instant, without cutting runs to one event: the
+    batch kernel runs multi-event runs, none of which crosses an instant."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=60)
     users = list(graph.users)
-    rows = [(KIND_READ, 3.0 * index, users[index % len(users)], -1) for index in range(400)]
+    rows = [(KIND_READ, 7.0 * index, users[index % len(users)], -1) for index in range(1200)]
     strategy = build_strategy("random", 7, DynaSoReConfig())
     simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
     simulator.track_view(users[0])
-    simulator.tracking_period = 60.0
+    runs: list[list[float]] = []
+    original = strategy.execute_request_batch
+
+    def spy(kinds, run_users, timestamps):
+        runs.append(list(timestamps))
+        return original(kinds, run_users, timestamps)
+
+    strategy.execute_request_batch = spy
     result = simulator.run(EventStream.from_rows(rows))
     samples = [now for now, _ in result.tracked_views[users[0]].replica_counts]
-    assert 60.0 <= samples[0] < 120.0
-    assert len(samples) >= 19  # one per minute of the 1 197 s stream
+    times = [row[1] for row in rows]
+    # One sample per period of the 8 393 s stream, plus the final one.
+    instants = range(int(TRACKING_PERIOD), int(times[-1]), int(TRACKING_PERIOD))
+    assert samples == [next(t for t in times if t >= at) for at in instants] + [times[-1]]
+    assert max(map(len, runs)) > 1
+    for timestamps in runs:
+        assert timestamps[0] // TRACKING_PERIOD == timestamps[-1] // TRACKING_PERIOD
 
 
 @pytest.mark.parametrize("observer", ["hook", "tracked_view"])
@@ -1029,7 +1025,7 @@ def test_run_spanning_bucket_boundary_keeps_series_order():
             ),
         )
         if not batch:
-            _observe_per_event(simulator)
+            observe_per_event(simulator)
         return simulator.run(stream)
 
     batched = run(True)
@@ -1173,7 +1169,7 @@ def test_store_appearing_mid_run_mirrors_only_later_writes():
     def run(batch: bool):
         simulator = _mirror_simulator("random")
         if not batch:
-            _observe_per_event(simulator)
+            observe_per_event(simulator)
 
         def crash(now):
             if now == crash_tick:

@@ -21,11 +21,7 @@ from repro.socialgraph.generators import (
 )
 from repro.socialgraph.graph import SocialGraph
 from repro.socialgraph.io import load_edge_list, save_edge_list
-from repro.socialgraph.mutations import (
-    apply_mutation,
-    flash_event_mutations,
-    random_new_followers,
-)
+from repro.socialgraph.mutations import random_new_followers
 
 
 class SetSocialGraph:
@@ -421,24 +417,3 @@ class TestMutations:
         followers = {f for f, _ in pairs}
         assert 2 not in followers
         assert followers.isdisjoint(tiny_graph.followers(2))
-
-    def test_flash_event_mutations_symmetry(self, tiny_graph: SocialGraph, rng: random.Random):
-        mutations = flash_event_mutations(
-            tiny_graph, target_user=5, new_followers=3, start_time=10.0, end_time=20.0, rng=rng
-        )
-        additions = [m for m in mutations if m.add]
-        removals = [m for m in mutations if not m.add]
-        assert len(additions) == len(removals)
-        assert {(m.follower, m.followee) for m in additions} == {
-            (m.follower, m.followee) for m in removals
-        }
-
-    def test_apply_mutation(self, tiny_graph: SocialGraph, rng: random.Random):
-        mutations = flash_event_mutations(
-            tiny_graph, target_user=5, new_followers=2, start_time=0.0, end_time=1.0, rng=rng
-        )
-        additions = [m for m in mutations if m.add]
-        for mutation in additions:
-            assert apply_mutation(tiny_graph, mutation)
-        for mutation in additions:
-            assert not apply_mutation(tiny_graph, mutation)

@@ -26,6 +26,7 @@ from repro.workload.stream import (
     KIND_EDGE_REMOVE,
     KIND_READ,
     KIND_WRITE,
+    NO_AUX,
     allocate_proportionally,
     events_per_day,
     merge_streams,
@@ -55,6 +56,14 @@ class TestChunksAndAdapters:
     def test_from_rows_keeps_equal_timestamps_in_input_order(self, chunk_size):
         rows = [(KIND_WRITE, 2.0, 9, -1), (KIND_READ, 2.0, 3, -1), (KIND_READ, 2.0, 7, -1)]
         assert list(EventStream.from_rows(rows, chunk_size=chunk_size).rows()) == rows
+
+    @pytest.mark.parametrize("followee", [NO_AUX, -7])
+    @pytest.mark.parametrize("kind", [KIND_EDGE_ADD, KIND_EDGE_REMOVE])
+    def test_from_rows_rejects_an_edge_event_with_no_followee(self, kind, followee):
+        """A negative followee would reach the graph as a phantom user."""
+        rows = [(KIND_READ, 1.0, 2, NO_AUX), (KIND_EDGE_ADD, 1.5, 3, 4), (kind, 2.0, 3, followee)]
+        with pytest.raises(WorkloadError, match="index 2 has no followee"):
+            EventStream.from_rows(rows)
 
     def test_pack_rows_respects_chunk_size(self):
         rows = [(KIND_READ, float(i), i, -1) for i in range(10)]

@@ -9,7 +9,9 @@ Three layers of protection for the one world of placement state
   {0, 30, 60, 150} % through the per-event path, matrix B is six
   non-default ``DynaSoReConfig``\\ s x {dynasore_hmetis, dynasore_random} x
   the three scenarios, through the per-event path (``tracked2``) and
-  through the batch kernel (``tracked0``).
+  through the batch kernel (``tracked0``).  The 120 cells that track two
+  views (A and ``tracked2``) are replayed once more through the batch
+  kernel, against the same digests: tracked views do not cut runs.
 * **Properties** — random create/remove/migrate churn against a dict/set
   reference model, with free-list reuse and chain-index integrity audited
   after every step, plus a windows-arithmetic equivalence check of
@@ -72,6 +74,7 @@ from pathlib import Path
 
 import pytest
 
+import parity
 from parity import (
     SCENARIOS,
     STRATEGY_KEYS,
@@ -80,6 +83,7 @@ from parity import (
     parity_graph,
     parity_stream,
     run_strategy,
+    spy_batch_calls,
 )
 from repro.config import DynaSoReConfig, SimulationConfig
 from repro.exceptions import StorageError
@@ -142,6 +146,29 @@ def test_golden_file_lists_exactly_the_cases():
 def test_result_matches_committed_golden(key):
     """Same workload, same ``SimulationResult`` as the digest in the tree."""
     assert golden_digest(run_strategy(**CASES[key])) == _committed()[key], key
+
+
+#: The committed cells that track two views (matrix A and B's ``tracked2``).
+TRACKED_CASES = sorted(key for key in CASES if not key.endswith("/tracked0"))
+
+
+@pytest.mark.parametrize("key", TRACKED_CASES)
+def test_tracked_cell_matches_committed_golden_through_batch_kernels(key, monkeypatch):
+    """Tracked views do not cut runs: a cell recorded through the per-event
+    reference gives the same digest with no hook, and the spy proves the
+    batch kernel ran multi-event runs."""
+    spied: list[list[int]] = []
+
+    def build_spied(*args):
+        strategy = build_strategy(*args)
+        spied.append(spy_batch_calls(strategy))
+        return strategy
+
+    monkeypatch.setattr(parity, "build_strategy", build_spied)
+    result = run_strategy(**CASES[key], per_event=False)
+    assert golden_digest(result) == _committed()[key], key
+    (calls,) = spied
+    assert max(calls, default=0) > 1
 
 
 def test_parity_runs_exercise_dynamic_placement():

@@ -29,7 +29,14 @@ import random
 
 import pytest
 
-from parity import SCENARIOS, canonical_result_bytes, parity_cluster, parity_graph, parity_stream
+from parity import (
+    SCENARIOS,
+    canonical_result_bytes,
+    observe_per_event,
+    parity_cluster,
+    parity_graph,
+    parity_stream,
+)
 from repro.config import ClusterSpec, DynaSoReConfig, SimulationConfig
 from repro.constants import HOUR
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
@@ -37,7 +44,7 @@ from repro.simulator.engine import ClusterSimulator
 from repro.store.tables import NO_SLOT
 from repro.topology.tree import TreeTopology
 
-from test_batching import _RandomFaultScenario, _observe_per_event, _random_stream
+from test_batching import _RandomFaultScenario, _random_stream
 
 
 #: The strategies that have a second tick to compare against.
@@ -103,7 +110,7 @@ def _interleaving_run(seed: int, reference: bool):
         topology, graph, strategy, config=config, scenario=scenario
     )
     if per_event:
-        _observe_per_event(simulator)
+        observe_per_event(simulator)
     result = simulator.run(stream)
     return result, simulator.accountant.snapshot()
 

@@ -176,6 +176,20 @@ class TestCorruption:
         with pytest.raises(WorkloadError, match="unknown event kind 9"):
             list(stream.chunks())
 
+    def test_corrupt_body_followee_raises_when_iterated(self, tmp_path):
+        """An edge event whose followee turned negative fails when the body
+        is read, before replay could add it to the graph as a user."""
+        rows = [(KIND_READ, 1.0, 1, -1), (KIND_EDGE_ADD, 2.0, 1, 12345), (KIND_READ, 3.0, 1, -1)]
+        path = tmp_path / "followee.trace"
+        write_trace(path, EventStream.from_rows(rows))
+        raw = path.read_bytes()
+        before, after = array("i", [12345]).tobytes(), array("i", [-1]).tobytes()
+        assert raw.count(before) == 1
+        path.write_bytes(raw.replace(before, after))
+        stream = read_trace(path)
+        with pytest.raises(WorkloadError, match="no followee"):
+            list(stream.chunks())
+
 
 class TestContentHash:
     def test_hash_tracks_content_not_name(self, tmp_path, workload_stream):
