@@ -96,7 +96,7 @@ class PlacementStrategy(ABC):
     #: traffic is byte-identical to the single-process run.  ``False`` (the
     #: safe default) means reads/writes feed back into placement decisions —
     #: DynaSoRe's per-replica statistics and Algorithms 2/3 — so the sharded
-    #: runner degrades to replicated execution for exactness.
+    #: runner refuses the strategy.
     shard_requests_pure: bool = False
 
     def __init__(self) -> None:

@@ -18,9 +18,8 @@ experiment's run grid out over N worker processes (results are identical
 to serial execution); completed runs land in an on-disk cache keyed by the
 run's content hash, so re-running an experiment only executes what changed.  ``--no-cache``
 bypasses the cache; the cache directory and default worker count come from
-the :class:`~repro.config.ExperimentProfile`.  ``--shards K`` parallelises
-*inside* each run instead: the workload is partitioned over K worker
-processes whose merged result is byte-identical to serial replay.
+the :class:`~repro.config.ExperimentProfile`.  Each run replays in one
+process; ``--jobs`` is the only parallelism.
 """
 
 from __future__ import annotations
@@ -65,16 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for run grids (default: the profile's jobs)",
     )
     run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help=(
-            "replay each run across K shard worker processes "
-            "(byte-identical to serial replay; default: 1)"
-        ),
-    )
-    run_parser.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache",
@@ -109,7 +98,6 @@ def build_executor(
     no_cache: bool = False,
     cache_dir: str | None = None,
     progress_stream=None,
-    shards: int = 1,
 ) -> RuntimeExecutor:
     """Executor configured from a profile plus CLI overrides."""
     cache = None
@@ -122,7 +110,6 @@ def build_executor(
         jobs=jobs if jobs is not None else profile.jobs,
         cache=cache,
         progress=progress,
-        shards=shards,
     )
 
 
@@ -177,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = ["run", *argv]
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
     if args.command == "list":
         for identifier, experiment in sorted(EXPERIMENTS.items()):
@@ -190,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         no_cache=args.no_cache,
         cache_dir=args.cache_dir,
         progress_stream=sys.stderr,
-        shards=args.shards,
     )
     identifiers = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     sections = []

@@ -42,11 +42,3 @@ class PersistenceError(ReproError):
 
 class SimulationError(ReproError):
     """Raised when the simulator is asked to run an inconsistent scenario."""
-
-
-class ShardFallbackError(SimulationError):
-    """Raised when a partitioned shard worker detects an event outside the
-    closed user universe (an edge endpoint or write target unknown to the
-    initial graph).  The guard fires *before* the offending event executes,
-    so no shard state has diverged; the coordinator catches this and
-    restarts the run in replicated mode."""

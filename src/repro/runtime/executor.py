@@ -20,7 +20,7 @@ import pickle
 import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..simulator.engine import ClusterSimulator
@@ -31,25 +31,16 @@ from .spec import RunSpec, build_strategy
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
-def execute_spec(spec: RunSpec, shard_progress=None) -> SimulationResult:
+def execute_spec(spec: RunSpec) -> SimulationResult:
     """Run one spec from scratch and return its result.
 
     Everything is rebuilt from the spec (topology, graph, stream, strategy),
     so runs are independent and deterministic in the spec's seeds — the
     property that makes both caching and process-level parallelism safe.
     The workload is consumed as a lazy chunk stream: a worker never holds
-    more than one chunk of events in memory.
-
-    A spec with ``shards > 1`` replays through the sharded engine
-    (:func:`repro.simulator.shard.run_spec_sharded`) — byte-identical to the
-    single-process path by contract, so both routes share one cache entry.
-    ``shard_progress`` (optional) receives the workers'
-    :class:`~repro.simulator.shard.ShardHeartbeat` liveness reports.
+    more than one chunk of events in memory.  Every run replays in this
+    one process; grids parallelise across runs (:class:`RuntimeExecutor`).
     """
-    if spec.shards > 1:
-        from ..simulator.shard import run_spec_sharded
-
-        return run_spec_sharded(spec, spec.shards, progress=shard_progress)
     topology = spec.topology.build()
     graph = spec.graph.build()
     stream, workload_tracked = spec.workload.build_stream(graph)
@@ -88,7 +79,7 @@ class ResultCache:
                 payload = pickle.load(handle)
         except FileNotFoundError:
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:  # noqa: BLE001 - any unloadable entry is a miss
             payload = None
         if isinstance(payload, dict) and payload.get("key") == spec.cache_key():
             result = payload.get("result")
@@ -132,18 +123,14 @@ class Progress:
     elapsed: float
     #: Estimated seconds remaining (None until one run has finished live).
     eta: float | None
-    #: Optional free-text detail — e.g. a per-shard heartbeat line while a
-    #: sharded run is in flight.
-    note: str | None = None
 
     def describe(self) -> str:
         """Human-readable one-liner for progress displays."""
         eta = f", eta {self.eta:.0f}s" if self.eta is not None else ""
         cached = f" ({self.cached} cached)" if self.cached else ""
-        note = f" — {self.note}" if self.note else ""
         return (
             f"{self.completed}/{self.total} runs{cached}, "
-            f"{self.elapsed:.0f}s elapsed{eta}{note}"
+            f"{self.elapsed:.0f}s elapsed{eta}"
         )
 
 
@@ -163,14 +150,7 @@ class RuntimeExecutor:
         live result is written back.
     progress:
         Optional callback invoked with a :class:`Progress` after every
-        completed run, and (serial backend only) whenever a shard worker
-        of an in-flight sharded run reports a heartbeat.
-    shards:
-        Intra-run parallelism: rewrite every spec to replay across this many
-        shard worker processes (see :mod:`repro.simulator.shard`).  Results
-        are byte-identical to ``shards=1``, so the cache is shared across
-        shard counts.  Composes with ``jobs`` — each pool worker may itself
-        fan out — but ``jobs=1`` with ``shards=N`` is the intended pairing.
+        completed run.
     """
 
     def __init__(
@@ -178,26 +158,17 @@ class RuntimeExecutor:
         jobs: int = 1,
         cache: ResultCache | None = None,
         progress: ProgressCallback | None = None,
-        shards: int = 1,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
         self.jobs = jobs
         self.cache = cache
         self.progress = progress
-        self.shards = shards
 
     # ------------------------------------------------------------------ runs
     def run(self, specs: Sequence[RunSpec]) -> list[SimulationResult]:
         """Execute every spec and return results in spec order."""
         specs = list(specs)
-        if self.shards > 1:
-            specs = [
-                spec if spec.shards == self.shards else replace(spec, shards=self.shards)
-                for spec in specs
-            ]
         results: list[SimulationResult | None] = [None] * len(specs)
         started = time.perf_counter()
         cached = 0
@@ -239,12 +210,7 @@ class RuntimeExecutor:
         live_time = 0.0
         for index in pending:
             t0 = time.perf_counter()
-            result = execute_spec(
-                specs[index],
-                shard_progress=self._shard_heartbeat(
-                    len(specs) - len(pending) + live_done, len(specs), cached, started
-                ),
-            )
+            result = execute_spec(specs[index])
             live_time += time.perf_counter() - t0
             live_done += 1
             results[index] = result
@@ -291,29 +257,6 @@ class RuntimeExecutor:
                     )
 
     # -------------------------------------------------------------- progress
-    def _shard_heartbeat(self, completed, total, cached, started):
-        """Adapter turning shard worker heartbeats into :class:`Progress`.
-
-        Returns None when no progress callback is installed so the shard
-        coordinator skips heartbeat plumbing entirely.
-        """
-        if self.progress is None:
-            return None
-
-        def forward(beat) -> None:
-            self.progress(
-                Progress(
-                    completed=completed,
-                    total=total,
-                    cached=cached,
-                    elapsed=time.perf_counter() - started,
-                    eta=None,
-                    note=beat.describe(),
-                )
-            )
-
-        return forward
-
     def _report(
         self,
         completed: int,

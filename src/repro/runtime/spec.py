@@ -327,12 +327,6 @@ class RunSpec:
     #: Extra views whose replica counts are sampled during the run, on top
     #: of any view the workload itself asks to track (flash targets).
     tracked_views: tuple[int, ...] = ()
-    #: Intra-run parallelism: replay this spec across ``shards`` worker
-    #: processes (:mod:`repro.simulator.shard`).  Deliberately **excluded**
-    #: from :meth:`cache_key` — sharded and single-process replay are
-    #: byte-identical by contract, so results cached under one shard count
-    #: are valid under every other.
-    shards: int = 1
 
     def effective_strategy_seed(self) -> int:
         """Seed used to build the strategy."""

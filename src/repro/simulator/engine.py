@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING
 
 from ..config import SimulationConfig
 from ..constants import MINUTE
-from ..exceptions import ShardFallbackError, SimulationError
+from ..exceptions import SimulationError
 from ..baselines.base import PlacementStrategy
 from ..persistence.backend import PersistentStore
 from ..socialgraph.graph import SocialGraph
@@ -95,8 +95,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Owner-map byte marking a user id outside the initial social graph.
 #: Partitioned replay treats any event touching such a user as an
-#: open-universe violation and falls back to replicated execution, so the
-#: sentinel bounds partitioned runs to 255 shards.
+#: open-universe violation and fails the run, so the sentinel bounds
+#: partitioned runs to 255 shards.
 UNOWNED = 0xFF
 
 #: Sampling period of tracked views (the paper samples every 10 minutes).
@@ -148,25 +148,25 @@ def _owned_selector(
     different order.  The guard is per chunk and C-speed — unknown owners
     surface as the :data:`UNOWNED` sentinel in the owner bytes, edge
     endpoints are checked with ``bytes.find`` loops over the rare edge
-    kinds — and raises :class:`ShardFallbackError` *before* any event of
-    the offending chunk executes, so the coordinator can restart in
-    replicated mode from unchanged inputs.  A 256-byte ``translate`` then
-    turns the per-event owner bytes into the selector.
+    kinds — and raises :class:`SimulationError` *before* any event of
+    the offending chunk executes, which fails the whole sharded run.  A
+    256-byte ``translate`` then turns the per-event owner bytes into the
+    selector.
     """
     try:
         owners = bytes(map(owner_map.__getitem__, users))
     except IndexError:
-        raise ShardFallbackError(
+        raise SimulationError(
             "event references a user id beyond the initial graph"
         ) from None
     if owners.find(UNOWNED) != -1:
-        raise ShardFallbackError("event references a user outside the initial graph")
+        raise SimulationError("event references a user outside the initial graph")
     for edge_kind in (KIND_EDGE_ADD, KIND_EDGE_REMOVE):
         position = kinds.find(edge_kind)
         while position != -1:
             endpoint = aux[position]
             if not 0 <= endpoint < len(owner_map) or owner_map[endpoint] == UNOWNED:
-                raise ShardFallbackError(
+                raise SimulationError(
                     "edge event endpoint outside the initial graph"
                 )
             position = kinds.find(edge_kind, position + 1)
@@ -224,23 +224,16 @@ class ClusterSimulator:
         self._next_sample: float = TRACKING_PERIOD
         self._reads_executed = 0
         self._writes_executed = 0
-        #: Sharded-replay context (``repro.simulator.shard``): ownership map
-        #: for partitioned request execution plus the worker's heartbeat.
+        #: Sharded-replay context (``repro.simulator.shard``): the ownership
+        #: map of partitioned request execution.
         self._shard_context = shard_context
-        #: Per-chunk progress callback ``(events_done, sim_time)``, so
-        #: replicated-mode shard workers report liveness like partitioned ones.
-        self._chunk_callback = (
-            shard_context.heartbeat if shard_context is not None else None
-        )
         #: In a partitioned run every worker replays the full system-event
         #: stream (faults, ticks, edge mutations) to keep placement state
         #: replicated, but only shard 0 may *account* for it — the others
         #: mute the accountant around those sections so the merged traffic
         #: counts each system message exactly once.
         self._shard_system_mute = (
-            shard_context is not None
-            and shard_context.partitioned
-            and shard_context.shard_id != 0
+            shard_context is not None and shard_context.shard_id != 0
         )
         #: Opt-in auditing mode: with ``REPRO_CHECK_TABLES=1`` in the
         #: environment, the placement tables of table-backed strategies are
@@ -421,7 +414,7 @@ class ClusterSimulator:
         tracked = self._tracked_views
         context = self._shard_context
         selector_table = None
-        if context is not None and context.partitioned:
+        if context is not None:
             if post_hooks or tracked:
                 raise SimulationError(
                     "partitioned shard replay cannot observe its events: no "
@@ -540,8 +533,6 @@ class ClusterSimulator:
                 index = end
             executed += n
             last_time = times[n - 1]
-            if self._chunk_callback is not None:
-                self._chunk_callback(executed, last_time)
         self._reads_executed = reads
         self._writes_executed = writes
         return executed, first_time, last_time

@@ -915,9 +915,7 @@ def test_partitioned_shard_rejects_observers_before_any_event(observer):
     owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
     simulator = _mirror_simulator(
         "spar",
-        shard_context=ShardContext(
-            shard_id=0, shards=2, partitioned=True, owner_map=owner_map
-        ),
+        shard_context=ShardContext(shard_id=0, shards=2, owner_map=owner_map),
     )
     if observer == "hook":
         simulator.add_post_request_hook(lambda request: None)
@@ -1133,8 +1131,9 @@ def test_wal_follows_the_write_subsequence(strategy_key):
 @pytest.mark.parametrize("strategy_key", ["spar", "random"])
 def test_partitioned_wal_holds_the_owned_writes(strategy_key):
     """shards=2: each worker's WAL is its owned slice of the write
-    subsequence (DynaSoRe is not ``shard_requests_pure``: sharded runs of it
-    replay replicated, through the single-process loop tested above)."""
+    subsequence (DynaSoRe is not ``shard_requests_pure``: the sharded runner
+    refuses it, so it replays only through the single-process loop tested
+    above)."""
     rows = _mirror_rows()
     assignment = assign_user_shards(parity_graph(users=_MIRROR_USERS), 2)
     owner_map = _build_owner_map(parity_graph(users=_MIRROR_USERS), assignment)
@@ -1145,9 +1144,7 @@ def test_partitioned_wal_holds_the_owned_writes(strategy_key):
             strategy_key,
             scenario=_crash_scenario(),
             persistent_store=store,
-            shard_context=ShardContext(
-                shard_id=shard_id, shards=2, partitioned=True, owner_map=owner_map
-            ),
+            shard_context=ShardContext(shard_id=shard_id, shards=2, owner_map=owner_map),
         )
         crashes = _watch_crashes(simulator, store)
         simulator.run(EventStream.from_rows(rows, chunk_size=_MIRROR_CHUNK))

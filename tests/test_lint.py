@@ -1,9 +1,13 @@
 """Unused imports in ``src/repro``: stands in for F401 of CI's ``ruff check``,
-which the build container does not have.  Plus the check ruff has no rule
-for: the packages' ``__all__`` lists name only things that exist."""
+which the build container does not have.  Plus the checks ruff has no rule
+for: the packages' ``__all__`` lists name only things that exist, and the
+sharded runner stays out of what the library, the CLI and the runtime load."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,21 @@ def test_export_list_resolves(package):
     exported = module.__all__
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+def test_sharded_runner_is_not_imported_by_the_public_surface():
+    """Only the benchmark's two-shard block and the shard tests load
+    ``repro.simulator.shard``; importing the package, the CLI, the runtime
+    or the simulator package must not pull it in."""
+    probe = (
+        "import sys, repro, repro.cli, repro.runtime, repro.simulator; "
+        "print('repro.simulator.shard' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert completed.stdout.strip() == "False"

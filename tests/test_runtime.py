@@ -178,8 +178,8 @@ class TestExecutor:
         assert pickle.dumps(cache.get(spec)) == pickle.dumps(result)
 
     def test_unreadable_entries_are_counted_misses(self, tmp_path):
-        """Truncated, version-skewed (a class the code no longer has) and
-        foreign payloads read as misses — and are counted, so somebody can
+        """Truncated, version-skewed (a class or module the code no longer
+        has), malformed and foreign payloads read as misses — and are counted, so somebody can
         be told; a spec that was never cached is a plain miss."""
         cache = ResultCache(tmp_path)
         spec = tiny_spec("random")
@@ -193,6 +193,9 @@ class TestExecutor:
                 whole[: len(whole) // 2],
                 b"crepro.simulator.results\nResultOfAnOlderVersion\n.",
                 pickle.dumps({"key": "somebody else's", "result": None}),
+                b"crepro.legacy.tables\nReplicaTable\n.",  # a module that is gone
+                b"I12x\n.",  # a malformed int opcode
+                b"X\x02\x00\x00\x00\xff\xfe.",  # invalid UTF-8 in a string
             ],
             start=1,
         ):
@@ -200,7 +203,17 @@ class TestExecutor:
             assert cache.get(spec) is None
             assert cache.unreadable == count
         path.write_bytes(whole)
-        assert cache.get(spec) is not None and cache.unreadable == 3
+        assert cache.get(spec) is not None and cache.unreadable == 6
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_cli_rejects_jobs_below_one(self, jobs, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "figure7", "--profile", "ci", "--no-cache", "--jobs", jobs])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--jobs must be at least 1" in err
 
     def test_cli_reports_unreadable_entries_on_stderr(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,13 +1,13 @@
-"""Sharded multi-process replay: byte-identity, fallbacks, and plumbing.
+"""Sharded multi-process replay: byte-identity, refusals, and plumbing.
 
-The contract under test is *exactness*: for every strategy and scenario of
-the golden parity matrix, replaying through ``shards`` worker processes
-must produce a :class:`~repro.simulator.results.SimulationResult` that is
-**byte-identical** to the single-process batched path — partitioned
-execution for the pure strategies, transparent replicated fallback for the
-rest.  The suite also pins the fallback reasons, the closed-universe guard,
-the partitioner entry point, the ``RunSpec``/executor integration (one
-cache entry across shard counts) and the heartbeat protocol.
+The contract under test is *exactness*: for every pure strategy
+(``shard_requests_pure``) and scenario of the golden parity matrix,
+replaying through ``shards`` partitioned worker processes must produce a
+:class:`~repro.simulator.results.SimulationResult` that is
+**byte-identical** to the single-process path.  Every other strategy is
+refused before any worker starts.  The suite also pins the closed-universe
+guard, the partitioner entry point, the placement digests and the fields
+the benchmark's two-shard block reads.
 
 CI's sharded parity job selects the crash scenario with ``-k crash``; keep
 scenario names inside the test ids.
@@ -15,7 +15,6 @@ scenario names inside the test ids.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import pytest
@@ -29,9 +28,9 @@ from parity import (
     run_strategy,
 )
 from repro.config import DynaSoReConfig, SimulationConfig
-from repro.exceptions import ShardFallbackError, SimulationError
+from repro.exceptions import SimulationError
 from repro.partitioning import assign_user_shards
-from repro.runtime.executor import Progress, ResultCache, RuntimeExecutor, execute_spec
+from repro.runtime.executor import execute_spec
 from repro.runtime.spec import (
     STRATEGY_KEYS,
     GraphSpec,
@@ -40,15 +39,14 @@ from repro.runtime.spec import (
     WorkloadSpec,
     build_strategy,
 )
+from repro.simulator import shard
+from repro.simulator.engine import ClusterSimulator
 from repro.simulator.shard import (
-    ShardHeartbeat,
-    ShardLoadSummary,
     ShardMaterials,
     _build_owner_map,
     _execute_shard,
     materials_from_spec,
     placement_digest,
-    run_sharded,
     run_sharded_detailed,
 )
 from repro.workload.stream import KIND_READ, KIND_WRITE, NO_AUX, EventStream
@@ -70,6 +68,33 @@ def parity_materials(strategy_key: str, scenario_key: str) -> ShardMaterials:
     )
 
 
+def single_process_bytes(materials: ShardMaterials) -> bytes:
+    """Canonical bytes of the materials replayed in this process."""
+    graph = materials.graph_factory()
+    simulator = ClusterSimulator(
+        materials.topology_factory(),
+        graph,
+        materials.strategy_factory(),
+        config=materials.config,
+        scenario=materials.scenario_factory(),
+    )
+    return canonical_result_bytes(simulator.run(materials.stream_factory(graph)))
+
+
+def forbid_workers(monkeypatch) -> None:
+    """Fail the test if the coordinator gets as far as starting a worker."""
+
+    def refuse():
+        raise AssertionError("a shard worker was started")
+
+    monkeypatch.setattr(shard, "_mp_context", refuse)
+
+
+def assert_refused(materials: ShardMaterials, shards: int, match: str) -> None:
+    with pytest.raises(SimulationError, match=match):
+        run_sharded_detailed(materials, shards)
+
+
 # ---------------------------------------------------------------------------
 # Byte-identity across the full parity matrix
 # ---------------------------------------------------------------------------
@@ -78,48 +103,39 @@ class TestShardedParity:
 
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     @pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
-    def test_two_shards_byte_identical(self, strategy_key, scenario_key):
-        report = run_sharded_detailed(parity_materials(strategy_key, scenario_key), 2)
+    def test_two_shards_byte_identical(self, strategy_key, scenario_key, monkeypatch):
+        materials = parity_materials(strategy_key, scenario_key)
+        if strategy_key not in PURE_STRATEGIES:
+            forbid_workers(monkeypatch)
+            assert_refused(materials, 2, "shard_requests_pure")
+            return
+        report = run_sharded_detailed(materials, 2)
         reference = run_strategy(strategy_key, scenario_key, tracked=0)
         assert canonical_result_bytes(report.result) == canonical_result_bytes(
             reference
         ), f"sharded replay diverged for {strategy_key}/{scenario_key}"
-        expected = "partitioned" if strategy_key in PURE_STRATEGIES else "replicated"
-        assert report.mode == expected
 
     def test_four_shards_byte_identical(self):
         report = run_sharded_detailed(parity_materials("spar", "crash"), 4)
         reference = run_strategy("spar", "crash", tracked=0)
-        assert report.mode == "partitioned"
         assert len(report.outcomes) == 4
         assert canonical_result_bytes(report.result) == canonical_result_bytes(
             reference
         )
 
-    def test_one_shard_runs_in_process(self):
-        report = run_sharded_detailed(parity_materials("random", "plain"), 1)
-        reference = run_strategy("random", "plain", tracked=0)
-        assert report.mode == "single"
-        assert report.fallback_reason is None
-        assert canonical_result_bytes(report.result) == canonical_result_bytes(
-            reference
-        )
-
-    def test_wave_scheduling_changes_nothing(self):
-        """Workers never wait on each other, so running the fleet one
-        process at a time (max_workers=1) is byte-identical."""
-        waves = run_sharded(parity_materials("spar", "plain"), 3, max_workers=1)
-        at_once = run_sharded(parity_materials("spar", "plain"), 3)
-        assert canonical_result_bytes(waves) == canonical_result_bytes(at_once)
+    def test_one_shard_is_a_one_worker_fleet(self):
+        materials = parity_materials("random", "plain")
+        report = run_sharded_detailed(materials, 1)
+        assert [outcome.shard_id for outcome in report.outcomes] == [0]
+        assert set(report.assignment.shard_map) == {0}
+        assert canonical_result_bytes(report.result) == single_process_bytes(materials)
 
     def test_partitioned_workers_agree_on_placement(self):
         """The replicated-decision-plane audit: every worker ends with the
         same placement digest, and the merge records the assignment."""
         report = run_sharded_detailed(parity_materials("metis", "diurnal"), 2)
-        assert report.mode == "partitioned"
         digests = {outcome.digest for outcome in report.outcomes}
         assert len(digests) == 1 and None not in digests
-        assert report.assignment is not None
         assert report.assignment.shards == 2
 
 
@@ -153,8 +169,7 @@ def skewed_materials(strategy_key: str, scenario_key: str) -> ShardMaterials:
 @functools.lru_cache(maxsize=None)
 def skewed_reference_bytes(strategy_key: str, scenario_key: str) -> bytes:
     """Single-process reference of the skewed workload, cached per cell."""
-    report = run_sharded_detailed(skewed_materials(strategy_key, scenario_key), 1)
-    return canonical_result_bytes(report.result)
+    return single_process_bytes(skewed_materials(strategy_key, scenario_key))
 
 
 class TestSkewedShardedParity:
@@ -164,19 +179,21 @@ class TestSkewedShardedParity:
 
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     @pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
-    def test_skewed_two_shards_byte_identical(self, strategy_key, scenario_key):
-        report = run_sharded_detailed(skewed_materials(strategy_key, scenario_key), 2)
+    def test_skewed_two_shards_byte_identical(self, strategy_key, scenario_key, monkeypatch):
+        materials = skewed_materials(strategy_key, scenario_key)
+        if strategy_key not in PURE_STRATEGIES:
+            forbid_workers(monkeypatch)
+            assert_refused(materials, 2, "shard_requests_pure")
+            return
+        report = run_sharded_detailed(materials, 2)
         assert canonical_result_bytes(report.result) == skewed_reference_bytes(
             strategy_key, scenario_key
         ), f"skewed sharded replay diverged for {strategy_key}/{scenario_key}"
-        expected = "partitioned" if strategy_key in PURE_STRATEGIES else "replicated"
-        assert report.mode == expected
 
     @pytest.mark.parametrize("scenario_key", sorted(SCENARIOS))
     @pytest.mark.parametrize("strategy_key", sorted(PURE_STRATEGIES))
     def test_skewed_four_shards_byte_identical(self, strategy_key, scenario_key):
         report = run_sharded_detailed(skewed_materials(strategy_key, scenario_key), 4)
-        assert report.mode == "partitioned"
         assert canonical_result_bytes(report.result) == skewed_reference_bytes(
             strategy_key, scenario_key
         ), f"skewed 4-shard replay diverged for {strategy_key}/{scenario_key}"
@@ -184,18 +201,18 @@ class TestSkewedShardedParity:
 
 
 # ---------------------------------------------------------------------------
-# Fallback semantics
+# Refusals and the closed-universe guard
 # ---------------------------------------------------------------------------
-class TestReplicatedFallback:
-    def test_impure_strategy_reports_reason(self):
-        report = run_sharded_detailed(parity_materials("dynasore_metis", "plain"), 2)
-        assert report.mode == "replicated"
-        assert "shard_requests_pure" in report.fallback_reason
+class TestRefusals:
+    def test_impure_strategy_reports_reason(self, monkeypatch):
+        forbid_workers(monkeypatch)
+        materials = parity_materials("dynasore_metis", "plain")
+        assert_refused(materials, 2, r"'dynasore\[metis\]' feeds requests back")
 
-    def test_open_universe_triggers_guard_then_replicated(self):
+    def test_open_universe_guard_fails_the_run(self):
         """An event touching a user outside the initial graph makes a worker
-        raise ShardFallbackError *before* executing the chunk; the
-        coordinator restarts replicated and still matches serial replay."""
+        raise *before* executing the chunk; the coordinator terminates the
+        fleet and the guard's reason reaches the caller."""
         materials = parity_materials("random", "plain")
         base_stream = materials.stream_factory
 
@@ -211,27 +228,24 @@ class TestReplicatedFallback:
             return merge_streams(prefix, base_stream(graph))
 
         materials.stream_factory = with_alien
-        report = run_sharded_detailed(materials, 2)
-        assert report.mode == "replicated"
-        assert "initial graph" in report.fallback_reason
-        reference = run_sharded(materials, 1)
-        assert canonical_result_bytes(report.result) == canonical_result_bytes(
-            reference
+        with pytest.raises(SimulationError, match="shard worker . failed") as caught:
+            run_sharded_detailed(materials, 2)
+        assert "SimulationError: event references a user id beyond the initial graph" in str(
+            caught.value
         )
 
     def test_guard_raises_before_any_event_executes(self):
         """Unit-level: a partitioned worker whose owner map cannot resolve
-        the chunk's users fails with ShardFallbackError."""
+        the chunk's users fails with SimulationError."""
         materials = parity_materials("random", "plain")
-        with pytest.raises(ShardFallbackError):
-            _execute_shard(0, 2, True, b"", materials)
+        with pytest.raises(SimulationError, match="beyond the initial graph"):
+            _execute_shard(0, 2, b"", materials)
 
-    def test_shard_count_validation(self):
+    def test_shard_count_validation(self, monkeypatch):
+        forbid_workers(monkeypatch)
         materials = parity_materials("random", "plain")
-        with pytest.raises(SimulationError):
-            run_sharded_detailed(materials, 0)
-        with pytest.raises(SimulationError):
-            run_sharded_detailed(materials, 2, max_workers=0)
+        for shards in (0, 256):
+            assert_refused(materials, shards, r"shards must be in 1\.\.255")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +313,9 @@ class TestPlacementDigest:
         results = []
         for _ in range(2):
             materials = parity_materials("spar", "plain")
-            outcome = _execute_shard(0, 1, False, b"", materials)
+            graph = materials.graph_factory()
+            owner_map = _build_owner_map(graph, assign_user_shards(graph, 1))
+            outcome = _execute_shard(0, 1, owner_map, materials)
             results.append(placement_digest_from(materials, outcome))
         assert results[0] == results[1]
         assert results[0] is not None
@@ -311,8 +327,6 @@ class TestPlacementDigest:
             strategy = materials.strategy_factory()
             topology = materials.topology_factory()
             graph = materials.graph_factory()
-            from repro.simulator.engine import ClusterSimulator
-
             simulator = ClusterSimulator(topology, graph, strategy, materials.config)
             simulator.run(materials.stream_factory(graph))
             digests.add(placement_digest(strategy))
@@ -325,16 +339,15 @@ def placement_digest_from(materials, outcome) -> str | None:
     strategy = materials.strategy_factory()
     topology = materials.topology_factory()
     graph = materials.graph_factory()
-    from repro.simulator.engine import ClusterSimulator
-
     simulator = ClusterSimulator(topology, graph, strategy, materials.config)
     result = simulator.run(materials.stream_factory(graph))
     assert canonical_result_bytes(result) == canonical_result_bytes(outcome.result)
+    assert placement_digest(strategy) == outcome.digest
     return placement_digest(strategy)
 
 
 # ---------------------------------------------------------------------------
-# RunSpec / executor / CLI integration
+# RunSpec materials and the report the benchmark reads
 # ---------------------------------------------------------------------------
 def small_spec(**overrides) -> RunSpec:
     base = dict(
@@ -348,98 +361,34 @@ def small_spec(**overrides) -> RunSpec:
 
 
 class TestSpecIntegration:
-    def test_execute_spec_routes_shards(self):
+    def test_materials_from_spec_match_execute_spec(self):
+        """The benchmark's call: a spec's materials over two shards give the
+        bytes of ``execute_spec``, and the report carries what it reads."""
         spec = small_spec()
-        single = execute_spec(spec)
-        sharded = execute_spec(dataclasses.replace(spec, shards=2))
-        assert canonical_result_bytes(sharded) == canonical_result_bytes(single)
-
-    def test_cache_key_ignores_shards(self):
-        spec = small_spec()
-        assert spec.cache_key() == dataclasses.replace(spec, shards=4).cache_key()
-
-    def test_executor_shares_cache_across_shard_counts(self, tmp_path):
-        spec = small_spec()
-        cache = ResultCache(tmp_path / "cache")
-        serial = RuntimeExecutor(cache=cache).run([spec])[0]
-        seen: list[Progress] = []
-        sharded_executor = RuntimeExecutor(
-            cache=cache, shards=2, progress=seen.append
+        report = run_sharded_detailed(materials_from_spec(spec), shards=2, seed=7)
+        assert canonical_result_bytes(report.result) == canonical_result_bytes(
+            execute_spec(spec)
         )
-        sharded = sharded_executor.run([spec])[0]
-        assert canonical_result_bytes(sharded) == canonical_result_bytes(serial)
-        assert seen[-1].cached == 1  # second run was a pure cache hit
-
-    def test_executor_validates_shards(self):
-        with pytest.raises(ValueError):
-            RuntimeExecutor(shards=0)
+        assert all(outcome.wall_seconds > 0 for outcome in report.outcomes)
+        assert report.critical_path_cpu_seconds == max(
+            outcome.cpu_seconds for outcome in report.outcomes
+        )
+        assert report.load_summary.cpu_imbalance >= 1.0
 
     def test_materials_from_spec_rejects_tracked_views(self):
         spec = small_spec(tracked_views=(3,))
         with pytest.raises(SimulationError):
             materials_from_spec(spec)
 
-    def test_cli_exposes_shards_flag(self):
-        from repro.cli import build_parser
 
-        args = build_parser().parse_args(["run", "figure3c", "--shards", "4"])
-        assert args.shards == 4
-
-
-# ---------------------------------------------------------------------------
-# Heartbeats
-# ---------------------------------------------------------------------------
-class TestHeartbeats:
-    def test_single_mode_emits_heartbeats(self):
-        beats = []
-        run_sharded_detailed(
-            parity_materials("random", "plain"),
-            1,
-            progress=beats.append,
-            heartbeat_interval=0.0,
-            horizon=43200.0,
-        )
-        assert beats
-        first = beats[0]
-        assert first.mode == "single"
-        assert "shard 1/1" in first.describe()
-        assert any(beat.eta_seconds is not None for beat in beats)
-
-    def test_partitioned_workers_emit_heartbeats(self):
-        beats = []
-        report = run_sharded_detailed(
-            parity_materials("spar", "plain"),
-            2,
-            progress=beats.append,
-            heartbeat_interval=0.0,
-        )
-        assert report.mode == "partitioned"
-        heartbeats = [beat for beat in beats if isinstance(beat, ShardHeartbeat)]
-        assert {beat.shard_id for beat in heartbeats} <= {0, 1}
-        assert all(beat.mode == "partitioned" for beat in heartbeats)
-        assert heartbeats, "workers never reported"
-
-    def test_partitioned_run_emits_load_summary(self):
-        """After the merge, the coordinator reports expected vs. actual
-        per-shard load through the same progress channel."""
-        beats = []
-        report = run_sharded_detailed(
-            parity_materials("spar", "plain"), 2, progress=beats.append
-        )
-        assert report.mode == "partitioned"
-        summaries = [beat for beat in beats if isinstance(beat, ShardLoadSummary)]
-        assert len(summaries) == 1
-        summary = summaries[0]
-        assert summary is report.load_summary
+class TestLoadSummary:
+    def test_report_carries_load_summary(self):
+        """After the merge the report holds expected vs. actual per-shard
+        load shares."""
+        report = run_sharded_detailed(parity_materials("spar", "plain"), 2)
+        summary = report.load_summary
+        assert summary.shards == 2
         assert len(summary.cpu_shares) == 2
         assert abs(sum(summary.cpu_shares) - 1.0) < 1e-9
         assert abs(sum(summary.expected_shares) - 1.0) < 1e-9
         assert summary.cpu_imbalance >= 1.0
-        line = summary.describe()
-        assert "population-balanced" in line and "cpu imbalance" in line
-
-    def test_progress_note_rendering(self):
-        progress = Progress(
-            completed=1, total=2, cached=0, elapsed=3.0, eta=None, note="shard 1/2"
-        )
-        assert progress.describe().endswith("— shard 1/2")
