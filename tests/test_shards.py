@@ -6,8 +6,9 @@ replaying through ``shards`` partitioned worker processes must produce a
 :class:`~repro.simulator.results.SimulationResult` that is
 **byte-identical** to the single-process path.  Every other strategy is
 refused before any worker starts.  The suite also pins the closed-universe
-guard, the partitioner entry point, the placement digests and the fields
-the benchmark's two-shard block reads.
+guard, the partitioner entry point, the placement digests, the fields
+the benchmark's two-shard block reads, and that the spec, the executor and
+the command line take no shard count.
 
 CI's sharded parity job selects the crash scenario with ``-k crash``; keep
 scenario names inside the test ids.
@@ -15,6 +16,7 @@ scenario names inside the test ids.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import pytest
@@ -30,7 +32,7 @@ from parity import (
 from repro.config import DynaSoReConfig, SimulationConfig
 from repro.exceptions import SimulationError
 from repro.partitioning import assign_user_shards
-from repro.runtime.executor import execute_spec
+from repro.runtime.executor import RuntimeExecutor, execute_spec
 from repro.runtime.spec import (
     STRATEGY_KEYS,
     GraphSpec,
@@ -123,8 +125,9 @@ class TestShardedParity:
             reference
         )
 
-    def test_one_shard_is_a_one_worker_fleet(self):
-        materials = parity_materials("random", "plain")
+    @pytest.mark.parametrize("strategy_key", sorted(PURE_STRATEGIES))
+    def test_one_shard_is_a_one_worker_fleet(self, strategy_key):
+        materials = parity_materials(strategy_key, "plain")
         report = run_sharded_detailed(materials, 1)
         assert [outcome.shard_id for outcome in report.outcomes] == [0]
         assert set(report.assignment.shard_map) == {0}
@@ -209,7 +212,15 @@ class TestRefusals:
         materials = parity_materials("dynasore_metis", "plain")
         assert_refused(materials, 2, r"'dynasore\[metis\]' feeds requests back")
 
-    def test_open_universe_guard_fails_the_run(self):
+    def test_impure_strategy_refused_at_one_shard(self, monkeypatch):
+        """One shard is a one-worker fleet too, not an in-process fallback:
+        an impure strategy is refused there as well."""
+        forbid_workers(monkeypatch)
+        materials = parity_materials("dynasore_metis", "plain")
+        assert_refused(materials, 1, "shard_requests_pure")
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_open_universe_guard_fails_the_run(self, shards):
         """An event touching a user outside the initial graph makes a worker
         raise *before* executing the chunk; the coordinator terminates the
         fleet and the guard's reason reaches the caller."""
@@ -229,7 +240,7 @@ class TestRefusals:
 
         materials.stream_factory = with_alien
         with pytest.raises(SimulationError, match="shard worker . failed") as caught:
-            run_sharded_detailed(materials, 2)
+            run_sharded_detailed(materials, shards)
         assert "SimulationError: event references a user id beyond the initial graph" in str(
             caught.value
         )
@@ -379,6 +390,28 @@ class TestSpecIntegration:
         spec = small_spec(tracked_views=(3,))
         with pytest.raises(SimulationError):
             materials_from_spec(spec)
+
+
+class TestLaunchSurface:
+    """Nothing outside the benchmark and these tests starts a sharded run:
+    the spec, the executor and the command line take no shard count."""
+
+    def test_run_spec_has_no_shard_count(self):
+        assert "shards" not in {field.name for field in dataclasses.fields(RunSpec)}
+        with pytest.raises(TypeError):
+            small_spec(shards=2)
+
+    def test_executor_takes_no_shard_count(self):
+        with pytest.raises(TypeError):
+            RuntimeExecutor(shards=2)
+
+    def test_cli_rejects_shards_flag(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["run", "figure3c", "--shards", "4"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
 
 
 class TestLoadSummary:
