@@ -571,7 +571,6 @@ class DynaSoRe(PlacementStrategy):
         node_buckets = stats._node_buckets
         counter_slots = stats.slots
         counter_period = stats.period
-        origins_cache = stats._origins_cache
         alloc_node = stats._alloc_node
         advance_node = stats._advance_node
         #: scratch: slots of the current write's replica chain
@@ -653,14 +652,7 @@ class DynaSoRe(PlacementStrategy):
                     node_buckets[
                         node * counter_slots + node_period[node] % counter_slots
                     ] += 1.0
-                    total = node_total[node] + 1.0
-                    node_total[node] = total
-                    cached = origins_cache.get(slot)
-                    if cached is not None:
-                        if origin in cached:
-                            cached[origin] = total
-                        else:
-                            del origins_cache[slot]
+                    node_total[node] += 1.0
                     # Inlined candidate resolution of Algorithms 2+3.
                     # The common steady-state case — no origin offers a
                     # placement candidate because the view already sits
@@ -670,9 +662,7 @@ class DynaSoRe(PlacementStrategy):
                     # unconditionally "stay" (the discarded profit is
                     # never computed).  With candidates, the fused
                     # decision method prices the prebuilt list.
-                    origins_d = origins_cache.get(slot)
-                    if origins_d is None:
-                        origins_d = reads_by_origin(slot)
+                    origins_d = reads_by_origin(slot)
                     eval_candidates.clear()
                     for read_origin in origins_d:
                         # Inlined rank-cache hit path of
@@ -1214,23 +1204,18 @@ class DynaSoRe(PlacementStrategy):
 
         One chain walk per position does everything the reference tick
         does in three passes: rotates each replica's counter windows (the
-        read windows inline, because the sweep tracks whether a rotation
-        dropped anything; the write window through
-        ``StatsTable._advance_node``), gathers the surviving ``(origin,
-        reads)`` pairs straight off the node columns, prices the replica
-        with :func:`~repro.core.utility.estimate_profit` over those pairs
-        (no per-slot dict materialisation), and recomputes the admission
-        threshold once the chain is done.
+        read windows with ``StatsTable._advance_node``'s arithmetic
+        inlined — a call per read node made the sweep 17–20 % slower —
+        the write window through ``_advance_node`` itself), gathers the
+        surviving ``(origin, reads)`` pairs straight off the node columns,
+        prices the replica with :func:`~repro.core.utility.estimate_profit`
+        over those pairs (no per-slot dict materialisation), and recomputes
+        the admission threshold once the chain is done.
 
-        Unlike the reference path's wholesale ``_origins_cache.clear()``,
-        the sweep invalidates the per-slot origin dicts *precisely*: only
-        when a rotation actually changed a read window.  Untouched dicts
-        stay value- and order-identical to a rebuild (first-record chain
-        order), so the decision kernel keeps reading them without a
-        rebuild.  The eviction pass is unchanged (its ``needs_eviction``
-        gate is O(1)); the negative-utility pass only scans positions whose
-        last sweep actually produced a negative utility (eviction removals
-        can only *raise* effective utilities, never create negatives).
+        The eviction pass is unchanged (its ``needs_eviction`` gate is
+        O(1)); the negative-utility pass only scans positions whose last
+        sweep actually produced a negative utility (eviction removals can
+        only *raise* effective utilities, never create negatives).
 
         Byte-identical to :meth:`_on_tick_reference` by construction: same
         per-origin accumulation order, same rotation arithmetic, same
@@ -1261,7 +1246,6 @@ class DynaSoRe(PlacementStrategy):
         node_buckets = stats._node_buckets
         zero_window = stats._zero_window
         advance_node = stats._advance_node
-        origins_cache = stats._origins_cache
         device_of_position = self._device_of_position
         write_broker_of = self.proxies.write_proxy.get
         topology = self.topology
@@ -1278,7 +1262,6 @@ class DynaSoRe(PlacementStrategy):
             slot = srv_head[position]
             while slot != NO_SLOT:
                 pairs.clear()
-                changed = False
                 node = read_head[slot]
                 while node != NO_SLOT:
                     total = node_total[node]
@@ -1298,30 +1281,20 @@ class DynaSoRe(PlacementStrategy):
                                     node_buckets[index] = 0.0
                                     total -= dropped
                                     node_total[node] = total
-                                    changed = True
                             elif elapsed >= counter_slots:
                                 node_buckets[base : base + counter_slots] = zero_window
                                 node_total[node] = 0.0
                                 total = 0.0
-                                changed = True
                             else:
-                                before = total
                                 for step in range(1, elapsed + 1):
                                     index = base + (current + step) % counter_slots
                                     total -= node_buckets[index]
                                     node_buckets[index] = 0.0
                                 node_total[node] = total
-                                if total != before:
-                                    changed = True
                         node_period[node] = period_index
                     if total > 0.0:
                         pairs.append((node_origin[node], total))
                     node = node_next[node]
-                if changed:
-                    # Precise invalidation: the cached origin dict only
-                    # mirrors read-window totals, so it survives rotations
-                    # that drop nothing.
-                    origins_cache.pop(slot, None)
                 wtotal = 0.0
                 wnode = write_node[slot]
                 if wnode != NO_SLOT:

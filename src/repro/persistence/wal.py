@@ -6,11 +6,19 @@ make the broker/proxy configuration recoverable.  This module implements the
 same contract: append-only records, sequence numbers, replay from a given
 sequence number, and optional on-disk persistence so recovery can be
 exercised end to end in the examples and tests.
+
+The log keeps its records as columns — ``array`` columns for the sequence
+numbers, timestamps and users, lists of the (shared) kind and payload
+strings — and builds :class:`LogRecord` objects only on the way out.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,7 +68,12 @@ class WriteAheadLog:
     """Append-only durable log with sequence numbers and replay."""
 
     def __init__(self, path: str | Path | None = None) -> None:
-        self._records: list[LogRecord] = []
+        # One entry per record in every column; sequences strictly increase.
+        self._sequences = array("q")
+        self._timestamps = array("d")
+        self._users = array("q")
+        self._kinds: list[str] = []
+        self._payloads: list[str] = []
         self._path = Path(path) if path is not None else None
         self._next_sequence = 0
         if self._path is not None and self._path.exists():
@@ -69,31 +82,54 @@ class WriteAheadLog:
     # -------------------------------------------------------------- appending
     def append(self, kind: str, user: int, timestamp: float, payload: str = "") -> LogRecord:
         """Durably append a record and return it."""
-        record = LogRecord(
-            sequence=self._next_sequence,
-            timestamp=timestamp,
-            kind=kind,
-            user=user,
-            payload=payload,
-        )
-        self._records.append(record)
-        self._next_sequence += 1
+        record = LogRecord(self._next_sequence, timestamp, kind, user, payload)
+        self._push(record)
         if self._path is not None:
             with self._path.open("a", encoding="utf-8") as handle:
                 handle.write(record.to_json() + "\n")
         return record
 
+    def _push(self, record: LogRecord) -> None:
+        self._sequences.append(record.sequence)
+        self._timestamps.append(record.timestamp)
+        self._users.append(record.user)
+        # Every record of a kind shares one string, loaded ones included.
+        self._kinds.append(sys.intern(record.kind))
+        self._payloads.append(record.payload)
+        self._next_sequence = record.sequence + 1
+
     # ---------------------------------------------------------------- replay
     def replay(self, from_sequence: int = 0) -> list[LogRecord]:
         """Records with sequence number ≥ ``from_sequence``, in order."""
-        return [record for record in self._records if record.sequence >= from_sequence]
+        start = bisect_left(self._sequences, from_sequence)
+        return [
+            LogRecord(sequence, timestamp, kind, user, payload)
+            for sequence, timestamp, kind, user, payload in zip(
+                self._sequences[start:],
+                self._timestamps[start:],
+                self._kinds[start:],
+                self._users[start:],
+                self._payloads[start:],
+            )
+        ]
+
+    def scan(self, kind: str) -> Iterator[tuple[int, float, str]]:
+        """``(user, timestamp, payload)`` of every record of ``kind``, in order.
+
+        Reads the columns directly: no :class:`LogRecord` is built.
+        """
+        for record_kind, user, timestamp, payload in zip(
+            self._kinds, self._users, self._timestamps, self._payloads
+        ):
+            if record_kind == kind:
+                yield user, timestamp, payload
 
     def last_sequence(self) -> int:
         """Sequence number of the most recent record, -1 when empty."""
         return self._next_sequence - 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._sequences)
 
     def truncate(self, up_to_sequence: int) -> int:
         """Drop records with sequence < ``up_to_sequence`` (checkpointing).
@@ -101,25 +137,29 @@ class WriteAheadLog:
         Returns the number of records dropped.  The on-disk file, if any, is
         rewritten to match.
         """
-        before = len(self._records)
-        self._records = [r for r in self._records if r.sequence >= up_to_sequence]
+        dropped = bisect_left(self._sequences, up_to_sequence)
+        for column in (self._sequences, self._timestamps, self._users, self._kinds, self._payloads):
+            del column[:dropped]
         if self._path is not None:
             with self._path.open("w", encoding="utf-8") as handle:
-                for record in self._records:
+                for record in self.replay():
                     handle.write(record.to_json() + "\n")
-        return before - len(self._records)
+        return dropped
 
     def _load(self) -> None:
         assert self._path is not None
         with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 stripped = line.strip()
                 if not stripped:
                     continue
                 record = LogRecord.from_json(stripped)
-                self._records.append(record)
-        if self._records:
-            self._next_sequence = self._records[-1].sequence + 1
+                if self._sequences and record.sequence <= self._sequences[-1]:
+                    raise PersistenceError(
+                        f"{self._path}:{number}: sequence {record.sequence} does not "
+                        f"follow {self._sequences[-1]}"
+                    )
+                self._push(record)
 
 
 __all__ = ["LogRecord", "WriteAheadLog"]

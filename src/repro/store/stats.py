@@ -74,10 +74,8 @@ class AccessStatistics:
         invalidation (reads, rotations, clears), and the decision
         kernels memoise on its identity, so aliasing bugs surface far
         from their cause.  The array-backed twin
-        (:meth:`repro.store.tables.StatsTable.reads_by_origin`) enforces
-        the same contract with a :class:`types.MappingProxyType` view
-        when ``REPRO_CHECK_TABLES=1``; this object path keeps the plain
-        dict for speed but callers must honour the identical rule.
+        (:meth:`repro.store.tables.StatsTable.reads_by_origin`) has no
+        cache and returns a fresh dict on every call.
         """
         cached = self._origins_cache
         if cached is None:

@@ -67,7 +67,6 @@ import os
 from array import array
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
-from types import MappingProxyType
 
 from ..constants import DEFAULT_COUNTER_PERIOD, DEFAULT_COUNTER_SLOTS
 from ..exceptions import StorageError
@@ -90,11 +89,7 @@ def check_tables_enabled() -> bool:
 
     The one reader of the flag; any value but ``""``, ``0``, ``false``,
     ``no`` or ``off`` (case-insensitive) turns it on.  It enables the
-    simulator's table audits after every tick and fault burst, and it
-    hardens the shared ``reads_by_origin`` cache: query paths then receive
-    immutable mapping proxies, so any caller mutating the cache in place —
-    the aliasing hazard of handing a live cache dict to the pricing
-    functions — fails loudly instead of corrupting the statistics.
+    simulator's table audits after every tick and fault burst.
     """
     return os.environ.get("REPRO_CHECK_TABLES", "").strip().lower() not in (
         "",
@@ -193,8 +188,6 @@ class StatsTable:
         "_node_alloc",
         "_node_free",
         "_node_count",
-        "_origins_cache",
-        "_readonly_views",
     )
 
     def __init__(
@@ -229,13 +222,6 @@ class StatsTable:
         self._node_alloc = bytearray()
         self._node_free = NO_SLOT
         self._node_count = 0
-        # slot -> {origin: window total > 0} in first-record order, built
-        # lazily and invalidated by reads, rotations and resets (the same
-        # cache discipline AccessStatistics uses).
-        self._origins_cache: dict[int, dict[int, float]] = {}
-        # Audit mode: serve immutable views of the shared origins cache so
-        # read-only-contract violations raise instead of corrupting state.
-        self._readonly_views = check_tables_enabled()
 
     # ------------------------------------------------------------- lifecycle
     def append_slot(self) -> None:
@@ -256,7 +242,6 @@ class StatsTable:
         if write_node != NO_SLOT:
             self._free_node(write_node)
             self._write_node[slot] = NO_SLOT
-        self._origins_cache.pop(slot, None)
 
     def move_slot(self, source: int, target: int) -> None:
         """Transfer all statistics of ``source`` onto the fresh ``target``.
@@ -271,8 +256,6 @@ class StatsTable:
         self._write_node[target] = self._write_node[source]
         self._read_head[source] = NO_SLOT
         self._write_node[source] = NO_SLOT
-        self._origins_cache.pop(source, None)
-        self._origins_cache.pop(target, None)
 
     # ----------------------------------------------------------- node pool
     def _alloc_node(self, origin: int, period_index: int) -> int:
@@ -361,16 +344,6 @@ class StatsTable:
             else:
                 nnext[last] = node
         self._record(node, timestamp, amount)
-        # Keep the cached origins dict live instead of rebuilding it on the
-        # next query: a read only changes its own origin's total, and only
-        # an origin already present keeps its position in first-record
-        # order (a newly visible origin forces a rebuild).
-        cached = self._origins_cache.get(slot)
-        if cached is not None:
-            if origin in cached:
-                cached[origin] = self._node_total[node]
-            else:
-                del self._origins_cache[slot]
 
     def record_write(self, slot: int, timestamp: float, amount: float = 1.0) -> None:
         """Record a write (writes always come from the view's write proxy)."""
@@ -393,7 +366,6 @@ class StatsTable:
         write_node = self._write_node[slot]
         if write_node != NO_SLOT:
             self._advance_node(write_node, period_index)
-        self._origins_cache.pop(slot, None)
 
     def advance_pool(self, timestamp: float) -> None:
         """Column sweep: rotate **every** window in the pool to ``timestamp``.
@@ -410,36 +382,25 @@ class StatsTable:
         for node in range(len(nalloc)):
             if nalloc[node]:
                 advance(node, period_index)
-        self._origins_cache.clear()
 
     # -------------------------------------------------------------- queries
     def reads_by_origin(self, slot: int) -> dict[int, float]:
         """Window read totals keyed by origin, in first-record order.
 
-        The returned dict is a shared cache — treat it as read-only.  The
-        cache owner (:meth:`record_read` and the engine's fused kernels)
-        updates it in place through the raw ``_origins_cache`` dicts; every
-        *query* path goes through here, so with ``REPRO_CHECK_TABLES``
-        enabled the result is wrapped in an immutable mapping proxy and any
-        caller violating the read-only contract raises a ``TypeError``
-        instead of silently corrupting the statistics.
+        A fresh dict on every call, built off the node columns (origins
+        whose window is empty are left out); callers may keep or mutate it.
         """
-        cached = self._origins_cache.get(slot)
-        if cached is None:
-            cached = {}
-            node = self._read_head[slot]
-            nnext = self._node_next
-            norigin = self._node_origin
-            ntotal = self._node_total
-            while node != NO_SLOT:
-                total = ntotal[node]
-                if total > 0:
-                    cached[norigin[node]] = total
-                node = nnext[node]
-            self._origins_cache[slot] = cached
-        if self._readonly_views:
-            return MappingProxyType(cached)
-        return cached
+        origins: dict[int, float] = {}
+        node = self._read_head[slot]
+        nnext = self._node_next
+        norigin = self._node_origin
+        ntotal = self._node_total
+        while node != NO_SLOT:
+            total = ntotal[node]
+            if total > 0:
+                origins[norigin[node]] = total
+            node = nnext[node]
+        return origins
 
     def total_reads(self, slot: int) -> float:
         """Total window reads of ``slot``, all origins combined."""

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import doctest
+
 import pytest
+
+import repro
 
 from repro.baselines.random_placement import RandomPlacement
 from repro.config import ClusterSpec
@@ -98,3 +102,8 @@ class TestDynaSoReStore:
         reader = next(u for u in store.graph.users if store.graph.out_degree(u) >= 1)
         views = store.read(reader)
         assert all(view.version == 0 for view in views.values())
+
+
+def test_package_quickstart_runs():
+    """The quickstart in the package docstring is the only doctest."""
+    assert doctest.testmod(repro) == doctest.TestResults(failed=0, attempted=6)

@@ -972,8 +972,8 @@ def test_post_request_hooks_see_every_event_in_stream_order():
 
 
 def test_check_tables_env_accepts_falsey_spellings(monkeypatch):
-    """Both consumers of the flag — the simulator's audits and the tables'
-    read-only statistics views — agree on every spelling."""
+    """The flag's one consumer, the simulator's audits, reads every
+    spelling the same way."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=60)
     for value, expected in (
@@ -992,7 +992,6 @@ def test_check_tables_env_accepts_falsey_spellings(monkeypatch):
         )
         simulator.prepare()
         assert simulator._check_tables is expected, value
-        assert strategy.tables.stats._readonly_views is expected, value
 
 
 def test_run_spanning_bucket_boundary_keeps_series_order():

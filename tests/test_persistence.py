@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SimulationConfig
 from repro.constants import DAY
@@ -12,6 +18,7 @@ from repro.persistence.backend import PersistentStore
 from repro.persistence.recovery import RecoveryPlan
 from repro.persistence.wal import LogRecord, WriteAheadLog
 from repro.simulator.engine import ClusterSimulator
+from repro.store.view import Event, View
 
 
 class TestWriteAheadLog:
@@ -50,6 +57,17 @@ class TestWriteAheadLog:
         assert dropped == 2
         assert [r.sequence for r in wal.replay()] == [2, 3]
         assert [r.sequence for r in WriteAheadLog(path).replay()] == [2, 3]
+
+    def test_load_refuses_sequences_that_do_not_increase(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text(
+            "".join(
+                LogRecord(sequence, float(sequence), "write", 1).to_json() + "\n"
+                for sequence in (0, 2, 1)
+            )
+        )
+        with pytest.raises(PersistenceError, match=r"wal\.jsonl:3: sequence 1"):
+            WriteAheadLog(path)
 
     def test_corrupt_record_raises(self):
         with pytest.raises(PersistenceError):
@@ -105,9 +123,148 @@ class TestPersistentStore:
         store.process_write(1, 0.0)
         store.verify_integrity()
         # Corrupt the materialised state on purpose.
-        store._views[1].version = 99
+        store._versions[1] = 99
         with pytest.raises(PersistenceError):
             store.verify_integrity()
+
+    def test_rebuild_keeps_payloads_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        payloads = [b"\xff\x00caf\xc3\xa9", "café".encode(), b""]
+        store = PersistentStore(WriteAheadLog(path))
+        for timestamp, payload in enumerate(payloads):
+            store.process_write(1, float(timestamp), payload)
+        # Payloads that are valid UTF-8 are logged as that text.
+        assert [record.payload for record in WriteAheadLog(path).replay()][1:] == ["café", ""]
+        recovered = PersistentStore(WriteAheadLog(path))
+        recovered.verify_integrity()
+        assert [event.payload for event in recovered.fetch_view(1).events] == [
+            event.payload for event in store.fetch_view(1).events
+        ]
+        assert recovered.fetch_view(1).events[-1].payload == payloads[0]
+
+    def test_mirrored_writes_stay_small(self):
+        """A mirrored write costs at most 120 B of log and store state."""
+        writes, users = 50_000, 5_000
+        tracemalloc.start()
+        try:
+            store = PersistentStore()
+            before = tracemalloc.get_traced_memory()[0]
+            for position in range(writes):
+                store.process_write(position % users, float(position))
+            per_write = (tracemalloc.get_traced_memory()[0] - before) / writes
+        finally:
+            tracemalloc.stop()
+        assert len(store.wal) == writes
+        assert per_write <= 120, per_write
+
+
+class _ReferenceLog:
+    """Object model of the log: a list of records, the next sequence number."""
+
+    def __init__(self) -> None:
+        self.records: list[LogRecord] = []
+        self.next_sequence = 0
+
+    def append(self, kind, user, timestamp, payload):
+        self.records.append(LogRecord(self.next_sequence, timestamp, kind, user, payload))
+        self.next_sequence += 1
+
+    def truncate(self, up_to_sequence):
+        kept = [record for record in self.records if record.sequence >= up_to_sequence]
+        dropped = len(self.records) - len(kept)
+        self.records = kept
+        return dropped
+
+    def reload(self):
+        """What a restart reads back from disk (a log truncated to nothing
+        starts again at sequence 0)."""
+        self.next_sequence = self.records[-1].sequence + 1 if self.records else 0
+
+
+class _ReferenceStore:
+    """Object model of the store: one :class:`View` per user, rebuilt from
+    the log's writes, every write appended through :meth:`View.append`."""
+
+    def __init__(self, log: _ReferenceLog, max_events: int | None) -> None:
+        self.max_events = max_events
+        self.views: dict[int, View] = {}
+        for record in log.records:
+            if record.kind == "write":
+                self.apply(
+                    record.user, record.timestamp, record.payload.encode(errors="surrogateescape")
+                )
+
+    def apply(self, user, timestamp, payload):
+        view = self.views.setdefault(user, View(user=user, max_events=self.max_events))
+        view.append(Event(producer=user, timestamp=timestamp, payload=payload))
+
+    def fetch_view(self, user):
+        view = self.views.get(user)
+        return view.copy() if view is not None else View(user=user, max_events=self.max_events)
+
+
+_USERS = st.integers(0, 3)
+_TIMES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_KINDS = st.sampled_from(["write", "config"])
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _KINDS, _USERS, _TIMES, st.text(max_size=4)),
+        st.tuples(st.just("truncate"), st.integers(-1, 12)),
+        st.tuples(st.just("write"), _USERS, _TIMES, st.binary(max_size=4)),
+        st.tuples(st.just("fetch"), _USERS),
+        st.tuples(st.just("reload")),
+    ),
+    max_size=30,
+)
+
+
+def _view_state(view: View):
+    return view.user, view.version, view.max_events, [
+        (event.producer, event.timestamp, event.payload) for event in view.events
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_STEPS, max_events=st.sampled_from([1, 2, 3, 4, None]))
+def test_columnar_log_and_store_match_the_object_model(steps, max_events):
+    """Random appends, truncations, writes, fetches and restarts from disk:
+    the columnar log and store answer exactly as the object model does."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "wal.jsonl"
+        store = PersistentStore(WriteAheadLog(path), max_events_per_view=max_events)
+        log = _ReferenceLog()
+        reference = _ReferenceStore(log, max_events)
+        for step in steps:
+            if step[0] == "append":
+                _, kind, user, timestamp, payload = step
+                record = store.wal.append(kind, user, timestamp, payload)
+                log.append(kind, user, timestamp, payload)
+                assert record == log.records[-1]
+            elif step[0] == "truncate":
+                assert store.wal.truncate(step[1]) == log.truncate(step[1])
+            elif step[0] == "write":
+                _, user, timestamp, payload = step
+                reference.apply(user, timestamp, payload)
+                log.append("write", user, timestamp, payload.decode(errors="surrogateescape"))
+                version = store.process_write(user, timestamp, payload)
+                assert version == reference.views[user].version
+            elif step[0] == "fetch":
+                assert _view_state(store.fetch_view(step[1])) == _view_state(
+                    reference.fetch_view(step[1])
+                )
+            else:
+                store = PersistentStore(WriteAheadLog(path), max_events_per_view=max_events)
+                log.reload()
+                reference = _ReferenceStore(log, max_events)
+            assert store.wal.replay() == log.records
+            assert len(store.wal) == len(log.records)
+            assert store.wal.last_sequence() == log.next_sequence - 1
+        for user in range(4):
+            assert _view_state(store.fetch_view(user)) == _view_state(reference.fetch_view(user))
+            assert store.current_version(user) == (
+                reference.views[user].version if user in reference.views else 0
+            )
+            assert store.has_view(user) == (user in reference.views)
 
 
 def test_recovery_plan_split():

@@ -18,9 +18,9 @@ is no option.  This suite pins that contract:
   admission threshold unchanged;
 * the negative-utility removal pass and the proactive eviction pass
   interact deterministically across both tick paths;
-* the read-only origin views handed out under ``REPRO_CHECK_TABLES=1``
-  (the shared ``_origins_cache`` dict must not leak mutable on the pricing
-  path), and a full audited run through the batched sweep.
+* ``reads_by_origin`` hands out an independent dict per call, and a full
+  run audited under ``REPRO_CHECK_TABLES=1`` through the batched sweep is
+  byte-identical to an unaudited one.
 """
 
 from __future__ import annotations
@@ -234,44 +234,29 @@ def test_negative_removal_and_eviction_interact_deterministically():
 
 
 # ---------------------------------------------------------------------------
-# Read-only origin views under REPRO_CHECK_TABLES (shared-cache aliasing)
+# Origin dicts and audited runs (REPRO_CHECK_TABLES)
 # ---------------------------------------------------------------------------
-def test_audit_mode_serves_readonly_origin_views(monkeypatch):
-    from types import MappingProxyType
-
+def test_reads_by_origin_returns_an_independent_dict():
+    """Each call builds a fresh dict: mutating one changes nothing else."""
     from repro.store.tables import ReplicaTable
 
-    monkeypatch.setenv("REPRO_CHECK_TABLES", "1")
-    table = ReplicaTable(positions=2)
+    table = ReplicaTable(positions=1)
     slot = table.allocate(1, 0)
     table.stats.record_read(slot, origin=3, timestamp=0.0)
     table.stats.record_read(slot, origin=5, timestamp=10.0)
-    view = table.stats.reads_by_origin(slot)
-    assert isinstance(view, MappingProxyType)
-    assert dict(view) == {3: 1.0, 5: 1.0}
-    with pytest.raises(TypeError):
-        view[3] = 99.0
-    # The underlying cache stays writable for its owner (the record path).
-    table.stats.record_read(slot, origin=3, timestamp=20.0)
-    assert dict(table.stats.reads_by_origin(slot)) == {3: 2.0, 5: 1.0}
-
-
-def test_default_mode_serves_raw_cache_dict(monkeypatch):
-    from repro.store.tables import ReplicaTable
-
-    monkeypatch.delenv("REPRO_CHECK_TABLES", raising=False)
-    table = ReplicaTable(positions=1)
-    slot = table.allocate(1, 0)
-    table.stats.record_read(slot, origin=2, timestamp=0.0)
-    view = table.stats.reads_by_origin(slot)
-    assert isinstance(view, dict)
-    # Shared cache: same object on the next query (the decision kernel
-    # reads it in place).
-    assert table.stats.reads_by_origin(slot) is view
+    first = table.stats.reads_by_origin(slot)
+    first[3] = 99.0
+    first[7] = 1.0
+    del first[5]
+    second = table.stats.reads_by_origin(slot)
+    assert second is not first
+    assert list(second.items()) == [(3, 1.0), (5, 1.0)]
+    assert table.stats.reads_from(slot, 3) == 1.0
+    assert table.stats.total_reads(slot) == 2.0
 
 
 def test_audit_mode_prices_through_readonly_views(monkeypatch):
-    """Algorithm 1 works unchanged on the immutable origin views."""
+    """A crash run completes with the table audits on."""
     monkeypatch.setenv("REPRO_CHECK_TABLES", "1")
     topology, _ = parity_cluster()
     graph = parity_graph(users=80)
@@ -290,7 +275,7 @@ def test_audit_mode_prices_through_readonly_views(monkeypatch):
 
 
 def test_audited_batched_tick_matches_unaudited(monkeypatch):
-    """The audit views are observation-only: results stay byte-identical."""
+    """The audits are observation-only: results stay byte-identical."""
 
     def run(audit: bool):
         if audit:
