@@ -26,8 +26,8 @@ settles once*: paper section 4.1 makes Random, METIS and hMETIS static and
 SPAR reactive "to changes of the social graph, not to request traffic", so
 between two such changes a request is a fixed tuple of ``(broker, device)``
 paths: requests are tallied at C speed and multiplied into paths on demand.
-``execute_read`` / ``execute_write`` stay as the per-event reference (and
-the path observed runs take); ``tests/test_batching.py`` holds the
+``execute_read`` / ``execute_write`` stay as the per-event reference, which
+the base-class loop reaches; ``tests/test_batching.py`` holds the
 differential property between the two.  Every kernel rejects a kind column
 holding anything but reads and writes (:func:`require_request_kinds`).
 """

@@ -4,17 +4,20 @@ The paper relies on a high-performance disk-based write-ahead log (such as
 BookKeeper) to persist writes before they reach the in-memory store and to
 make the broker/proxy configuration recoverable.  This module implements the
 same contract: append-only records, sequence numbers, replay from a given
-sequence number, and optional on-disk persistence so recovery can be
-exercised end to end in the examples and tests.
+sequence number, and optional on-disk persistence (each append is flushed
+and ``fsync``-ed before it returns) so recovery can be exercised end to end
+in the tests.
 
 The log keeps its records as columns — ``array`` columns for the sequence
 numbers, timestamps and users, lists of the (shared) kind and payload
-strings — and builds :class:`LogRecord` objects only on the way out.
+strings — and builds :class:`LogRecord` objects only on the way out: to
+the file, or to :meth:`WriteAheadLog.replay`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from array import array
 from bisect import bisect_left
@@ -80,23 +83,33 @@ class WriteAheadLog:
             self._load()
 
     # -------------------------------------------------------------- appending
-    def append(self, kind: str, user: int, timestamp: float, payload: str = "") -> LogRecord:
-        """Durably append a record and return it."""
-        record = LogRecord(self._next_sequence, timestamp, kind, user, payload)
-        self._push(record)
+    def append(self, kind: str, user: int, timestamp: float, payload: str = "") -> int:
+        """Durably append a record and return its sequence number.
+
+        With a path, the record reaches stable storage (written, flushed and
+        ``fsync``-ed) before it joins the in-memory columns; without one, no
+        :class:`LogRecord` is built.
+        """
+        sequence = self._next_sequence
         if self._path is not None:
+            record = LogRecord(sequence, timestamp, kind, user, payload)
             with self._path.open("a", encoding="utf-8") as handle:
                 handle.write(record.to_json() + "\n")
-        return record
+                handle.flush()
+                os.fsync(handle.fileno())
+        self._push(sequence, timestamp, kind, user, payload)
+        return sequence
 
-    def _push(self, record: LogRecord) -> None:
-        self._sequences.append(record.sequence)
-        self._timestamps.append(record.timestamp)
-        self._users.append(record.user)
+    def _push(
+        self, sequence: int, timestamp: float, kind: str, user: int, payload: str
+    ) -> None:
+        self._sequences.append(sequence)
+        self._timestamps.append(timestamp)
+        self._users.append(user)
         # Every record of a kind shares one string, loaded ones included.
-        self._kinds.append(sys.intern(record.kind))
-        self._payloads.append(record.payload)
-        self._next_sequence = record.sequence + 1
+        self._kinds.append(sys.intern(kind))
+        self._payloads.append(payload)
+        self._next_sequence = sequence + 1
 
     # ---------------------------------------------------------------- replay
     def replay(self, from_sequence: int = 0) -> list[LogRecord]:
@@ -131,21 +144,6 @@ class WriteAheadLog:
     def __len__(self) -> int:
         return len(self._sequences)
 
-    def truncate(self, up_to_sequence: int) -> int:
-        """Drop records with sequence < ``up_to_sequence`` (checkpointing).
-
-        Returns the number of records dropped.  The on-disk file, if any, is
-        rewritten to match.
-        """
-        dropped = bisect_left(self._sequences, up_to_sequence)
-        for column in (self._sequences, self._timestamps, self._users, self._kinds, self._payloads):
-            del column[:dropped]
-        if self._path is not None:
-            with self._path.open("w", encoding="utf-8") as handle:
-                for record in self.replay():
-                    handle.write(record.to_json() + "\n")
-        return dropped
-
     def _load(self) -> None:
         assert self._path is not None
         with self._path.open("r", encoding="utf-8") as handle:
@@ -159,7 +157,9 @@ class WriteAheadLog:
                         f"{self._path}:{number}: sequence {record.sequence} does not "
                         f"follow {self._sequences[-1]}"
                     )
-                self._push(record)
+                self._push(
+                    record.sequence, record.timestamp, record.kind, record.user, record.payload
+                )
 
 
 __all__ = ["LogRecord", "WriteAheadLog"]

@@ -197,13 +197,6 @@ class RuntimeExecutor:
             raise RuntimeError(f"runs {missing} produced no result")
         return results
 
-    def run_labelled(
-        self, labelled: Sequence[tuple[str, RunSpec]]
-    ) -> dict[str, SimulationResult]:
-        """Execute labelled specs; returns ``{label: result}`` in order."""
-        results = self.run([spec for _, spec in labelled])
-        return {label: result for (label, _), result in zip(labelled, results)}
-
     # -------------------------------------------------------------- backends
     def _run_serial(self, specs, results, pending, cached, started) -> None:
         live_done = 0

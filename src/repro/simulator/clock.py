@@ -8,7 +8,7 @@ due.
 
 from __future__ import annotations
 
-from ..constants import DAY, HOUR
+from ..constants import HOUR
 from ..exceptions import SimulationError
 
 
@@ -26,11 +26,6 @@ class SimulationClock:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def current_day(self) -> float:
-        """Current simulated time in days."""
-        return self._now / DAY
 
     def advance_to(self, timestamp: float) -> list[float]:
         """Advance the clock to ``timestamp``.

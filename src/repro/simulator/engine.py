@@ -15,18 +15,10 @@ events) stay within a constant workload memory budget.
 Each chunk is segmented into **runs** of requests bounded by the next fault,
 maintenance-tick and tracked-view sample timestamps and by edge-mutation
 events (boundaries are found at C speed — a timestamp bisect plus byte
-scans per run).  A run of one event is dispatched through the strategy's
-``execute_read`` / ``execute_write``, a longer one through its
-``execute_request_batch`` kernel.  Observation and durability sit *beside*
-that dispatch, not in a fork of it:
+scans per run).  Every run, one event long or longer, is dispatched through
+the strategy's ``execute_request_batch`` kernel.  Observation and durability
+sit *beside* that dispatch, not in a fork of it:
 
-* **the run-length rule** — where a run starts, if any post-request hook is
-  registered *at that moment* (including one a pre-tick hook registered
-  mid-run), the run is cut to one event and the hooks fire after it (edge
-  events included).  A hooked run therefore drives the per-event strategy
-  methods and an unhooked one the batch kernels; both drive the identical
-  sequence of strategy state transitions, so the results are byte-identical
-  (pinned by ``tests/golden_digests.json``);
 * **tracked-view sampling** — the next sample instant of the tracked views
   (every :data:`TRACKING_PERIOD`) is one more run boundary, like a tick: the
   views are sampled where the first run at or after it starts, and each
@@ -53,8 +45,8 @@ persistence layer: writes are mirrored into a
 views whose only replica died are re-fetched from that store in simulated
 time (WAL-driven recovery, paper sections 2.2 and 3.3).
 
-Instrumentation hooks (``add_pre_tick_hook`` / ``add_post_request_hook``)
-let tests and experiments observe a run without subclassing.
+A pre-tick hook (``add_pre_tick_hook``) lets tests and experiments observe
+the run before every maintenance tick without subclassing.
 """
 
 from __future__ import annotations
@@ -75,7 +67,6 @@ from ..store.memory import MemoryBudget
 from ..store.tables import check_tables_enabled
 from ..topology.base import ClusterTopology
 from ..traffic.accounting import TrafficAccountant
-from ..workload.requests import Request
 from ..workload.stream import (
     EventStream,
     KIND_EDGE_ADD,
@@ -83,7 +74,6 @@ from ..workload.stream import (
     KIND_READ,
     KIND_WRITE,
     request_run_end,
-    row_to_request,
 )
 from .clock import SimulationClock
 from .results import FaultRecord, ReplicaTimeline, SimulationResult
@@ -174,7 +164,7 @@ def _owned_selector(
 
 
 class ClusterSimulator:
-    """Replays a workload (stream or request log) against one strategy."""
+    """Replays an event stream against one strategy."""
 
     def __init__(
         self,
@@ -210,7 +200,6 @@ class ClusterSimulator:
         self._fault_events: list["FaultEvent"] = []
         self._next_fault = 0
         self._pre_tick_hooks: list[Callable[[float], None]] = []
-        self._post_request_hooks: list[Callable[[Request], None]] = []
         #: Views whose replica count is sampled over time (flash events).
         self._tracked_views: dict[int, ReplicaTimeline] = {}
         #: Read counts of tracked views since the previous sample.
@@ -276,15 +265,6 @@ class ClusterSimulator:
     def add_pre_tick_hook(self, hook: Callable[[float], None]) -> None:
         """Run ``hook(tick_time)`` before every maintenance tick."""
         self._pre_tick_hooks.append(hook)
-
-    def add_post_request_hook(self, hook: Callable[[Request], None]) -> None:
-        """Run ``hook(request)`` after every executed event (edges included).
-
-        The request object is constructed on demand from the event's columns
-        (only while at least one hook is registered); while any hook is
-        registered the replay dispatches event by event.
-        """
-        self._post_request_hooks.append(hook)
 
     # ----------------------------------------------------------------- faults
     def available_server_positions(self) -> tuple[int, ...]:
@@ -381,16 +361,14 @@ class ClusterSimulator:
         sample timestamp (one bisect on the timestamp column) nor an
         edge-mutation event (two C-speed byte scans).  While a persistent
         store is active the run's writes are mirrored into it first
-        (:func:`_mirror_writes`); a run of one event goes to
-        ``execute_read``/``execute_write``, a longer one to the
-        ``execute_request_batch`` kernel.  Edge mutations are applied
+        (:func:`_mirror_writes`); then the run, whatever its length, goes to
+        the ``execute_request_batch`` kernel.  Edge mutations are applied
         per event — they re-shape the graph the next run executes against.
 
-        **Observation** is the run-length rule of the module docstring,
-        evaluated here where each run starts — after the faults and ticks due
-        at that event, so a hook or tracked view a pre-tick hook registers
-        mid-run takes effect from the very next event.  The reads of a run
-        are counted for the tracked views once, after its dispatch.
+        **Tracked views** are sampled where each run starts — after the
+        faults and ticks due at that event, so a view a pre-tick hook starts
+        tracking mid-run is sampled from the very next run on.  The reads of a
+        run are counted for the tracked views once, after its dispatch.
 
         **Partitioned shard replay** is the same loop with a per-chunk
         ownership selector (:func:`_owned_selector`).  The decision plane is
@@ -405,21 +383,16 @@ class ClusterSimulator:
         ``shard_requests_pure`` (the coordinator checks) and on a closed
         user universe (the selector's guard).
         """
-        strategy = self.strategy
-        execute_read = strategy.execute_read
-        execute_write = strategy.execute_write
-        execute_request_batch = strategy.execute_request_batch
+        execute_request_batch = self.strategy.execute_request_batch
         accountant = self.accountant
-        post_hooks = self._post_request_hooks
         tracked = self._tracked_views
         context = self._shard_context
         selector_table = None
         if context is not None:
-            if post_hooks or tracked:
+            if tracked:
                 raise SimulationError(
-                    "partitioned shard replay cannot observe its events: no "
-                    "post-request hooks, no tracked views (per-shard read "
-                    "counts are not merged)"
+                    "partitioned shard replay cannot track views (per-shard "
+                    "read counts are not merged)"
                 )
             # owner byte -> selector byte (1 = owned by this shard).
             selector_table = bytes(
@@ -462,38 +435,27 @@ class ClusterSimulator:
                     self._sample_tracked(timestamp)
                 kind = kinds[index]
                 if kind == KIND_READ or kind == KIND_WRITE:
-                    if post_hooks:
-                        end = index + 1
-                    else:
-                        boundary = (
-                            next_fault_time if next_fault_time < next_tick else next_tick
-                        )
-                        if tracked and self._next_sample < boundary:
-                            boundary = self._next_sample
-                        end = (
-                            bisect_left(times, boundary, index + 1, n)
-                            if times[n - 1] >= boundary
-                            else n
-                        )
-                        end = request_run_end(kinds, index, end)
+                    boundary = (
+                        next_fault_time if next_fault_time < next_tick else next_tick
+                    )
+                    if tracked and self._next_sample < boundary:
+                        boundary = self._next_sample
+                    end = (
+                        bisect_left(times, boundary, index + 1, n)
+                        if times[n - 1] >= boundary
+                        else n
+                    )
+                    end = request_run_end(kinds, index, end)
                     span = end - index
                     owned = span if selector is None else selector.count(1, index, end)
-                    # Faults, ticks and hooks may have created the store.
+                    # Faults, ticks and pre-tick hooks may have created the store.
                     store = self.persistent_store
                     if store is not None and owned:
                         # Non-owned writes are skipped entirely — the store
                         # only backs crash recovery, whose fetch of a
                         # never-written view is side-effect-free.
                         _mirror_writes(store, kinds, users, times, index, end, selector)
-                    if owned == 1:
-                        position = index if span == 1 else selector.find(1, index, end)
-                        if kinds[position] == KIND_READ:
-                            execute_read(users[position], times[position])
-                            reads += 1
-                        else:
-                            execute_write(users[position], times[position])
-                            writes += 1
-                    elif owned:
+                    if owned:
                         run_kinds = kinds[index:end]
                         run_users = users[index:end]
                         run_times = times[index:end]
@@ -526,10 +488,6 @@ class ClusterSimulator:
                     finally:
                         if muted:
                             accountant.pop_mute()
-                if post_hooks:
-                    request = row_to_request(kind, timestamp, users[index], aux[index])
-                    for hook in post_hooks:
-                        hook(request)
                 index = end
             executed += n
             last_time = times[n - 1]

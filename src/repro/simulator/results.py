@@ -84,18 +84,6 @@ class SimulationResult:
         """Total traffic recorded at one switch level."""
         return self.snapshot.total_by_level.get(level, 0.0)
 
-    def normalised_against(self, baseline: "SimulationResult") -> dict[str, float]:
-        """Per-level traffic of this run divided by a baseline run's traffic.
-
-        This is the normalisation the paper uses everywhere (traffic relative
-        to the Random baseline).
-        """
-        ratios: dict[str, float] = {}
-        for level, value in self.snapshot.total_by_level.items():
-            reference = baseline.snapshot.total_by_level.get(level, 0.0)
-            ratios[level] = value / reference if reference > 0 else 0.0
-        return ratios
-
     def top_switch_series(self, split: bool = False):
         """Time series of top-switch traffic per bucket.
 

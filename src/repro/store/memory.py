@@ -41,22 +41,11 @@ class MemoryBudget:
         """Total number of view slots in the cluster."""
         return int(round(self.views * (1.0 + self.extra_memory_pct / 100.0)))
 
-    @property
-    def replication_headroom(self) -> int:
-        """Number of extra view slots available for replication."""
-        return self.total_capacity - self.views
-
     def per_server_capacity(self) -> list[int]:
         """Capacity of each server (even split, remainder to the first ones)."""
         base = self.total_capacity // self.servers
         remainder = self.total_capacity % self.servers
         return [base + (1 if i < remainder else 0) for i in range(self.servers)]
-
-    def average_replication_factor(self) -> float:
-        """Average number of replicas per view if all memory were used."""
-        if self.views == 0:
-            return 0.0
-        return self.total_capacity / self.views
 
 
 def budget_for(views: int, extra_memory_pct: float, servers: int) -> MemoryBudget:

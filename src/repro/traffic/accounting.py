@@ -18,7 +18,7 @@ Two recording granularities coexist:
   path and by protocol messages (replica control and copies, routing
   updates, proxy migrations).  DynaSoRe issues several of those per
   placement change, so :meth:`~TrafficAccountant.record` write-combines
-  default-size messages per ``(source, destination, kind)`` and time bucket
+  messages per ``(source, destination, kind)`` and time bucket
   and applies them lazily — before the bucket changes or a query reads;
 * the batch entry points (:meth:`~TrafficAccountant.record_batch` /
   :meth:`~TrafficAccountant.record_roundtrip_batch`) used by the chunk-native
@@ -208,7 +208,6 @@ class TrafficAccountant:
         destination: int,
         kind: MessageKind,
         timestamp: float,
-        size: int | None = None,
     ) -> int:
         """Record one message and return the number of switches it crossed.
 
@@ -217,10 +216,11 @@ class TrafficAccountant:
         window (``timestamp < measure_from``); only the *traffic* of warm-up
         messages is discarded.  While muted, nothing is counted at all.
 
-        Default-size messages are write-combined: they only bump a per
-        ``(source, destination, kind)`` count for their time bucket, and the
-        switch path is walked once per key — with the count multiplied in —
-        when the bucket changes or a query needs the columns.  Volumes are
+        A message weighs its kind's default size.  Messages are
+        write-combined: they only bump a per ``(source, destination, kind)``
+        count for their time bucket, and the switch path is walked once per
+        key — with the count multiplied in — when the bucket changes or a
+        query needs the columns.  Volumes are
         integer-valued floats, so the sums are exact in any order.
         """
         if self._mute_depth:
@@ -232,9 +232,6 @@ class TrafficAccountant:
         if not path:
             return 0
         bucket = int(timestamp // self.bucket_width)
-        if size is not None:
-            self._add_volume(path, kind, size, bucket)
-            return len(path)
         if bucket != self._pending_bucket:
             self._apply_pending()
             self._pending_bucket = bucket
@@ -526,13 +523,6 @@ class TrafficAccountant:
         """
         self._apply_pending()
         return sum(self._total[idx] for idx, lvl in self._level.items() if lvl == level)
-
-    def level_average_traffic(self, level: str) -> float:
-        """Average traffic per switch of a level (Tables 2 and 3)."""
-        devices = [idx for idx, lvl in self._level.items() if lvl == level]
-        if not devices:
-            return 0.0
-        return self.level_traffic(level) / len(devices)
 
     def snapshot(self) -> TrafficSnapshot:
         """Produce an immutable summary of everything recorded so far."""

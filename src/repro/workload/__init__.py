@@ -2,7 +2,8 @@
 
 The data path is the chunked struct-of-arrays pipeline of
 :mod:`repro.workload.stream`; small workloads are hand-built with
-:meth:`EventStream.from_rows`, and iterating one yields request dataclasses.
+:meth:`EventStream.from_rows` and read back event by event with
+:meth:`EventStream.rows`.
 """
 
 from .flash import (
@@ -12,7 +13,6 @@ from .flash import (
     plan_flash_event,
 )
 from .io import read_trace, trace_content_hash, write_trace
-from .requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, WriteRequest
 from .stream import (
     CHUNK_EVENTS,
     EventChunk,
@@ -26,19 +26,14 @@ from .trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
 
 __all__ = [
     "CHUNK_EVENTS",
-    "EdgeAdded",
-    "EdgeRemoved",
     "EventChunk",
     "EventStream",
     "FlashEventSpec",
     "NewsActivityTraceConfig",
     "NewsActivityTraceGenerator",
-    "ReadRequest",
-    "Request",
     "StreamStats",
     "SyntheticWorkloadConfig",
     "SyntheticWorkloadGenerator",
-    "WriteRequest",
     "events_per_day",
     "flash_event_stream",
     "inject_flash_stream",

@@ -17,7 +17,8 @@ replaces the materialised object list with a *struct-of-arrays* pipeline:
 
 Event rows are ``(kind, timestamp, user, aux)``.  For reads and writes
 ``aux`` is :data:`NO_AUX`; for edge events ``user`` is the follower and
-``aux`` the followee.  Iteration decodes rows into :mod:`.requests` objects.
+``aux`` the followee; :meth:`EventStream.rows` is the per-event view of a
+stream.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from operator import le
 
 from ..constants import DAY
 from ..exceptions import WorkloadError
-from .requests import EdgeAdded, EdgeRemoved, ReadRequest, Request, WriteRequest
 
 #: Event kind codes (the ``u8`` column).
 KIND_READ = 0
@@ -93,11 +93,6 @@ class EventChunk:
     def rows(self) -> Iterator[EventRow]:
         """Iterate the chunk as ``(kind, timestamp, user, aux)`` tuples."""
         return zip(self.kinds, self.timestamps, self.users, self.aux)
-
-    def requests(self) -> Iterator[Request]:
-        """Iterate the chunk as request objects (the adapter path)."""
-        for kind, timestamp, user, aux in self.rows():
-            yield row_to_request(kind, timestamp, user, aux)
 
     def validate(self) -> None:
         """Raise when the chunk is internally inconsistent or unordered,
@@ -168,11 +163,6 @@ class EventStream:
         for chunk in self.chunks():
             yield from chunk.rows()
 
-    def __iter__(self) -> Iterator[Request]:
-        """Iterate events as request objects (convenience adapter)."""
-        for chunk in self.chunks():
-            yield from chunk.requests()
-
     # ------------------------------------------------------------- summaries
     def stats(self) -> StreamStats:
         """Count events per kind and record the covered time span."""
@@ -220,21 +210,8 @@ class EventStream:
 
 
 # ---------------------------------------------------------------------------
-# Row <-> request adapters
+# Packing, run segmentation and ordering
 # ---------------------------------------------------------------------------
-def row_to_request(kind: int, timestamp: float, user: int, aux: int) -> Request:
-    """Decode an event row into a request object."""
-    if kind == KIND_READ:
-        return ReadRequest(timestamp, user)
-    if kind == KIND_WRITE:
-        return WriteRequest(timestamp, user)
-    if kind == KIND_EDGE_ADD:
-        return EdgeAdded(timestamp, user, aux)
-    if kind == KIND_EDGE_REMOVE:
-        return EdgeRemoved(timestamp, user, aux)
-    raise WorkloadError(f"unknown event kind {kind}")
-
-
 def pack_rows(
     rows: Iterable[EventRow], chunk_size: int = CHUNK_EVENTS
 ) -> Iterator[EventChunk]:
@@ -438,6 +415,5 @@ __all__ = [
     "ordered_chunks",
     "pack_columns",
     "pack_rows",
-    "row_to_request",
     "time_ordered_columns",
 ]

@@ -7,11 +7,12 @@ batch/tick/shard parity suites replay, and canonicalises
 so they can assert **byte-identical** outcomes.  Kept outside the test
 modules so every suite builds the exact same cluster, graph and stream.
 
-A run reaches the per-event reference (``execute_read``/``execute_write``)
-only under a post-request hook, which cuts every run to one event
-(:func:`observe_per_event`); tracked views are sampled at run boundaries
-and do not change the path.  :func:`spy_batch_calls` proves which path a
-run took.
+The replay hands every request run to the strategy's
+``execute_request_batch``.  :func:`observe_per_event` shadows that method
+with the base-class loop over ``execute_read``/``execute_write`` — the
+per-event reference; tracked views are sampled at run boundaries and do not
+change the path.  :func:`spy_batch_calls` and :func:`spy_scalar_calls`
+prove which path a run took.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import json
 import pickle
 
+from repro.baselines.base import PlacementStrategy
 from repro.config import ClusterSpec, DynaSoReConfig, SimulationConfig
 from repro.constants import HOUR
 
@@ -68,10 +70,15 @@ def parity_stream(graph, days: float = 0.5, seed: int = 7):
 
 
 def observe_per_event(simulator: ClusterSimulator) -> None:
-    """Attach a no-op post-request hook: every run is cut to one event, so
-    the replay drives the per-event strategy methods — the reference the
-    batch kernels are compared against."""
-    simulator.add_post_request_hook(lambda request: None)
+    """Shadow the strategy's ``execute_request_batch`` with the base-class
+    loop over ``execute_read``/``execute_write``, so the replay drives the
+    per-event strategy methods — the reference the batch kernels are
+    compared against.  Call it before :func:`spy_batch_calls`, which then
+    wraps the shadowing loop."""
+    strategy = simulator.strategy
+    strategy.execute_request_batch = PlacementStrategy.execute_request_batch.__get__(
+        strategy
+    )
 
 
 def spy_batch_calls(strategy) -> list[int]:
@@ -84,6 +91,25 @@ def spy_batch_calls(strategy) -> list[int]:
         return original(kinds, users, timestamps)
 
     strategy.execute_request_batch = spy
+    return calls
+
+
+def spy_scalar_calls(strategy) -> list[str]:
+    """Record the kind (``"read"``/``"write"``) of every ``execute_read`` /
+    ``execute_write`` call, in order."""
+    calls: list[str] = []
+    read, write = strategy.execute_read, strategy.execute_write
+
+    def spy_read(user, now, targets=None):
+        calls.append("read")
+        return read(user, now, targets)
+
+    def spy_write(user, now):
+        calls.append("write")
+        return write(user, now)
+
+    strategy.execute_read = spy_read
+    strategy.execute_write = spy_write
     return calls
 
 

@@ -1,23 +1,23 @@
 """Batch-kernel vs per-event-kernel replay parity (the run dispatch layer).
 
-The simulator's replay loop segments event streams into request runs: an
-unhooked run drives the strategies' fused ``execute_request_batch``
-kernels, while any post-request hook cuts every run to one event and so
-drives the per-event ``execute_read``/``execute_write`` methods (the
-run-length rule).  Tracked views only add their sample instants to the run
-boundaries.  The contract is that both paths are **byte-identical** — same
-:class:`SimulationResult`, same :class:`TrafficSnapshot` — for every
-strategy, scenario and observation mode.  The reference half of each
-comparison is the same run observed by a no-op post-request hook
-(:func:`parity.observe_per_event`).  This suite pins:
+The simulator's replay loop segments event streams into request runs and
+hands every run, one event long or longer, to the strategy's
+``execute_request_batch``.  Tracked views only add their sample instants to
+the run boundaries.  The reference half of each comparison shadows that
+method with the base-class loop over the per-event
+``execute_read``/``execute_write`` methods
+(:func:`parity.observe_per_event`).  The contract is that the fused kernels
+and that loop are **byte-identical** — same :class:`SimulationResult`, same
+:class:`TrafficSnapshot` — for every strategy, scenario and observation
+mode.  This suite pins:
 
 * the full strategy × scenario matrix, both halves also checked against
   committed golden digests and spied on, so they provably exercise
   different kernels;
 * property tests over random interleavings of faults, maintenance ticks,
-  tracked-view sampling and post-request hooks;
-* the single loop's edges: observers registered mid-run, log vs stream
-  hook transcripts, empty workloads, the partitioned-shard observer guard;
+  tracked-view sampling and pre-tick hooks;
+* the single loop's edges: views tracked mid-run, one-event runs, empty
+  workloads, the partitioned-shard observer guard;
 * unit coverage of the run segmentation helpers and of the batch kernels'
   fallback paths;
 * the durability mirror: with a persistent store attached, the WAL holds the
@@ -42,6 +42,7 @@ from parity import (
     parity_graph,
     parity_stream,
     spy_batch_calls,
+    spy_scalar_calls,
 )
 from repro.baselines.base import PlacementStrategy
 from repro.config import ClusterSpec, DynaSoReConfig, FlatClusterSpec, SimulationConfig
@@ -69,7 +70,9 @@ from repro.workload.stream import (
 
 
 def _run_matrix(strategy_key: str, scenario_key: str, batch: bool):
-    """One matrix cell; returns the result and the batch-kernel call sizes."""
+    """One matrix cell; returns the result, the ``execute_request_batch``
+    call sizes, the scalar calls and the calls that reached the strategy
+    class's own kernel."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=120)
     stream = parity_stream(graph, days=0.25)
@@ -78,10 +81,21 @@ def _run_matrix(strategy_key: str, scenario_key: str, batch: bool):
     simulator = ClusterSimulator(
         topology, graph, strategy, config=config, scenario=SCENARIOS[scenario_key]()
     )
-    if not batch:
-        observe_per_event(simulator)
-    batch_calls = spy_batch_calls(strategy)
-    return simulator.run(stream), batch_calls
+    own_kernel_calls: list[int] = []
+    own_kernel = type(strategy).execute_request_batch
+
+    def spy_own_kernel(self, kinds, users, timestamps):
+        own_kernel_calls.append(len(users))
+        return own_kernel(self, kinds, users, timestamps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(strategy), "execute_request_batch", spy_own_kernel)
+        scalar_calls = spy_scalar_calls(strategy)
+        if not batch:
+            observe_per_event(simulator)
+        batch_calls = spy_batch_calls(strategy)
+        result = simulator.run(stream)
+    return result, batch_calls, scalar_calls, own_kernel_calls
 
 
 #: Committed result digests of the matrix below (``golden_digest`` of each
@@ -97,12 +111,24 @@ GOLDEN_DIGESTS = json.loads(
 def test_batched_replay_byte_identical(strategy_key, scenario_key):
     """Batched dispatch must not change a single byte of the result — and
     neither half may drift from the committed golden digest.  The spies
-    prove the halves differ in the kernels they drive: multi-event batch
-    calls un-hooked, no batch call at all under the no-op hook."""
-    batched, batched_calls = _run_matrix(strategy_key, scenario_key, batch=True)
-    per_event, per_event_calls = _run_matrix(strategy_key, scenario_key, batch=False)
+    prove the halves differ in the kernels they drive: the batched half
+    reaches the strategy's own kernel with multi-event runs and never a
+    scalar method; the per-event half reaches ``execute_read`` /
+    ``execute_write`` once per request and never the strategy's own
+    kernel."""
+    batched, batched_calls, batched_scalars, batched_own = _run_matrix(
+        strategy_key, scenario_key, batch=True
+    )
+    per_event, per_event_calls, per_event_scalars, per_event_own = _run_matrix(
+        strategy_key, scenario_key, batch=False
+    )
     assert batched_calls and max(batched_calls) > 10
-    assert not per_event_calls
+    assert batched_own == batched_calls
+    assert not batched_scalars
+    requests = per_event.reads_executed + per_event.writes_executed
+    assert not per_event_own
+    assert sum(per_event_calls) == len(per_event_scalars) == requests
+    assert per_event_scalars.count("read") == per_event.reads_executed
     assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
     expected = GOLDEN_DIGESTS[f"{strategy_key}/{scenario_key}"]
     assert golden_digest(batched) == expected
@@ -126,7 +152,7 @@ def test_batched_replay_actually_batches():
 
 
 # ---------------------------------------------------------------------------
-# Random interleavings: faults x ticks x sampling x hooks
+# Random interleavings: faults x ticks x sampling x pre-tick hooks
 # ---------------------------------------------------------------------------
 class _RandomFaultScenario(Scenario):
     """Random crash/drain/restore schedule over a fixed horizon."""
@@ -230,10 +256,6 @@ def _interleaving_run(seed: int, batch: bool):
         for user in list(graph.users)[: rng.randint(1, 3)]:
             simulator.track_view(user)
     if rng.random() < 0.4:
-        simulator.add_post_request_hook(
-            lambda request: hook_log.append((type(request).__name__, request.timestamp))
-        )
-    if rng.random() < 0.4:
         simulator.add_pre_tick_hook(lambda now: hook_log.append(("tick", now)))
     result = simulator.run(stream)
     snapshot = simulator.accountant.snapshot()
@@ -242,15 +264,16 @@ def _interleaving_run(seed: int, batch: bool):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_interleavings_byte_identical(seed):
-    """Faults, ticks, sampling and hooks interleave identically on both paths.
+    """Faults, ticks, sampling and pre-tick hooks interleave identically on
+    both paths.
 
     Each seed draws a random strategy, workload (reads/writes/edge churn),
-    fault schedule, tick/bucket configuration and observer set; the run and
-    its no-op-hooked twin must produce byte-identical results, byte-identical
-    traffic snapshots and identical hook transcripts.  A drawn post-request
-    hook cuts the runs on both sides; drawn tracked views only bound them at
-    their sample instants, so a seed that tracks views but draws no hook
-    compares sampling from the batch kernels against the per-event one.
+    fault schedule, tick/bucket configuration and observer set; the run
+    through the fused kernels and its per-event twin must produce
+    byte-identical results, byte-identical traffic snapshots and identical
+    pre-tick hook transcripts.  Drawn tracked views only bound the runs at
+    their sample instants, so a seed that tracks views compares sampling
+    from the batch kernels against the per-event one.
     """
     result_a, snapshot_a, hooks_a = _interleaving_run(seed, batch=True)
     result_b, snapshot_b, hooks_b = _interleaving_run(seed, batch=False)
@@ -665,19 +688,35 @@ def test_settle_fails_loudly_past_the_exactness_limit():
         simulator.accountant.top_switch_traffic()
 
 
-def test_post_request_hooks_force_per_event_fallback():
-    """With a hook attached, every event goes through the scalar methods."""
+@pytest.mark.parametrize("key", ["random", "dynasore_hmetis"])
+def test_one_event_run_reaches_the_batch_kernel(key):
+    """A request between two edge events is a run of one event; it goes to
+    ``execute_request_batch`` like every longer run, never to a scalar
+    method."""
     topology, _ = parity_cluster()
     graph = parity_graph(users=60)
-    stream = parity_stream(graph, days=0.1)
-    strategy = build_strategy("random", 7, DynaSoReConfig())
+    users = list(graph.users)
+    follower = users[0]
+    followee = next(
+        user for user in users[1:] if not graph.has_edge(follower, user)
+    )
+    rows = [
+        (KIND_READ, 1.0, follower, -1),
+        (KIND_WRITE, 2.0, followee, -1),
+        (KIND_EDGE_ADD, 3.0, follower, followee),
+        (KIND_READ, 4.0, follower, -1),
+        (KIND_EDGE_REMOVE, 5.0, follower, followee),
+        (KIND_WRITE, 6.0, followee, -1),
+        (KIND_READ, 7.0, follower, -1),
+    ]
+    strategy = build_strategy(key, 7, DynaSoReConfig())
     simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
-    seen = []
-    simulator.add_post_request_hook(lambda request: seen.append(request))
+    scalar_calls = spy_scalar_calls(strategy)
     batch_calls = spy_batch_calls(strategy)
-    result = simulator.run(stream)
-    assert not batch_calls
-    assert len(seen) == result.requests_executed
+    result = simulator.run(EventStream.from_rows(rows))
+    assert batch_calls == [2, 1, 2]
+    assert not scalar_calls
+    assert (result.reads_executed, result.writes_executed) == (3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -813,45 +852,6 @@ def test_routing_batch_resolver_rejects_empty():
         resolve(())
 
 
-def test_hook_registered_mid_run_is_honoured():
-    """A post-request hook registered by a pre-tick hook mid-run fires for
-    every subsequent request, exactly as in a run observed from the start."""
-
-    def run(batch: bool):
-        topology, _ = parity_cluster()
-        graph = parity_graph(users=100)
-        stream = parity_stream(graph, days=0.25)
-        strategy = build_strategy("random", 7, DynaSoReConfig())
-        simulator = ClusterSimulator(
-            topology, graph, strategy, config=SimulationConfig(seed=7)
-        )
-        if not batch:
-            observe_per_event(simulator)
-        seen: list[tuple[str, float]] = []
-
-        def late_hook(request):
-            seen.append((type(request).__name__, request.timestamp))
-
-        registered = []
-
-        def on_tick(now):
-            if not registered:
-                simulator.add_post_request_hook(late_hook)
-                registered.append(now)
-
-        simulator.add_pre_tick_hook(on_tick)
-        result = simulator.run(stream)
-        return result, seen
-
-    result_batched, seen_batched = run(True)
-    result_per_event, seen_per_event = run(False)
-    assert seen_batched  # the hook did observe the tail of the run
-    assert seen_batched == seen_per_event
-    assert canonical_result_bytes(result_batched) == canonical_result_bytes(
-        result_per_event
-    )
-
-
 def test_view_tracked_mid_run_is_sampled_from_the_next_event_on():
     """``track_view`` called from a pre-tick hook mid-run: periodic samples
     start there, not only the forced one at the end of the run."""
@@ -907,20 +907,17 @@ def test_sample_instants_bound_the_runs():
         assert timestamps[0] // TRACKING_PERIOD == timestamps[-1] // TRACKING_PERIOD
 
 
-@pytest.mark.parametrize("observer", ["hook", "tracked_view"])
-def test_partitioned_shard_rejects_observers_before_any_event(observer):
-    """Partitioned workers execute only owned events, so per-event observers
-    have nothing exact to observe: fail loudly, before anything runs."""
+def test_partitioned_shard_rejects_observers_before_any_event():
+    """Partitioned workers execute only owned events, so a tracked view's
+    read counts would cover one shard only: fail loudly, before anything
+    runs."""
     graph = parity_graph(users=_MIRROR_USERS)
     owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
     simulator = _mirror_simulator(
         "spar",
         shard_context=ShardContext(shard_id=0, shards=2, owner_map=owner_map),
     )
-    if observer == "hook":
-        simulator.add_post_request_hook(lambda request: None)
-    else:
-        simulator.track_view(0)
+    simulator.track_view(0)
     calls = []
     for name in ("execute_request_batch", "execute_read", "execute_write", "on_tick"):
         setattr(simulator.strategy, name, lambda *args: calls.append(args))
@@ -958,17 +955,6 @@ def test_empty_workload_still_finishes_the_run(scenario_key):
     else:
         assert result.fault_records == []
         assert ticks == [0.0]
-
-
-def test_post_request_hooks_see_every_event_in_stream_order():
-    """Hooks receive the stream's own request objects, edge events included."""
-    stream = EventStream.from_rows(_mirror_rows(), chunk_size=_MIRROR_CHUNK)
-    assert stream.stats().mutations > 0
-    simulator = _mirror_simulator("spar")
-    seen = []
-    simulator.add_post_request_hook(seen.append)
-    simulator.run(stream)
-    assert seen == list(stream)
 
 
 def test_check_tables_env_accepts_falsey_spellings(monkeypatch):

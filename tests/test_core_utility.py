@@ -222,9 +222,9 @@ def _deploy_single_view(topology):
     messages = []
     record = accountant.record
 
-    def logging_record(source, destination, kind, timestamp, size=None):
+    def logging_record(source, destination, kind, timestamp):
         messages.append((source, destination, kind))
-        return record(source, destination, kind, timestamp, size)
+        return record(source, destination, kind, timestamp)
 
     accountant.record = logging_record
     return strategy, messages

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +15,7 @@ from repro.config import SimulationConfig
 from repro.constants import DAY
 from repro.core.engine import DynaSoRe
 from repro.exceptions import PersistenceError
+from repro.persistence import wal as wal_module
 from repro.persistence.backend import PersistentStore
 from repro.persistence.recovery import RecoveryPlan
 from repro.persistence.wal import LogRecord, WriteAheadLog
@@ -26,8 +28,7 @@ class TestWriteAheadLog:
         wal = WriteAheadLog()
         first = wal.append("write", user=1, timestamp=0.0)
         second = wal.append("write", user=2, timestamp=1.0)
-        assert first.sequence == 0
-        assert second.sequence == 1
+        assert (first, second) == (0, 1)
         assert wal.last_sequence() == 1
         assert len(wal) == 2
 
@@ -48,15 +49,43 @@ class TestWriteAheadLog:
         reloaded.append("write", user=2, timestamp=1.0)
         assert reloaded.last_sequence() == 1
 
-    def test_truncate(self, tmp_path):
+    def test_path_backed_appends_are_fsynced_once_each(self, tmp_path, monkeypatch):
+        """Each append reaches stable storage before it returns: one
+        ``os.fsync`` per record, on the log's own file."""
+        fsync = os.fsync
+        synced: list[int] = []
+
+        def counting_fsync(descriptor):
+            synced.append(len(path.read_bytes().splitlines()))
+            fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path)
-        for user in range(4):
+        for user in range(5):
             wal.append("write", user=user, timestamp=float(user))
-        dropped = wal.truncate(up_to_sequence=2)
-        assert dropped == 2
-        assert [r.sequence for r in wal.replay()] == [2, 3]
-        assert [r.sequence for r in WriteAheadLog(path).replay()] == [2, 3]
+        store = PersistentStore(WriteAheadLog(path))
+        store.process_write(9, 5.0, b"x")
+        # The n-th fsync finds the n-th record already written and flushed.
+        assert synced == [1, 2, 3, 4, 5, 6]
+
+    def test_appends_without_a_path_build_no_record(self, monkeypatch):
+        """A mirrored write only fills the log's columns: over 1 000 writes
+        to a store with no file, no :class:`LogRecord` is constructed."""
+        built: list[LogRecord] = []
+
+        class CountingRecord(LogRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(wal_module, "LogRecord", CountingRecord)
+        store = PersistentStore()
+        for position in range(1000):
+            store.process_write(position % 17, float(position))
+        assert len(store.wal) == 1000
+        assert not built
+        assert len(store.wal.replay(from_sequence=998)) == len(built) == 2
 
     def test_load_refuses_sequences_that_do_not_increase(self, tmp_path):
         path = tmp_path / "wal.jsonl"
@@ -169,17 +198,6 @@ class _ReferenceLog:
         self.records.append(LogRecord(self.next_sequence, timestamp, kind, user, payload))
         self.next_sequence += 1
 
-    def truncate(self, up_to_sequence):
-        kept = [record for record in self.records if record.sequence >= up_to_sequence]
-        dropped = len(self.records) - len(kept)
-        self.records = kept
-        return dropped
-
-    def reload(self):
-        """What a restart reads back from disk (a log truncated to nothing
-        starts again at sequence 0)."""
-        self.next_sequence = self.records[-1].sequence + 1 if self.records else 0
-
 
 class _ReferenceStore:
     """Object model of the store: one :class:`View` per user, rebuilt from
@@ -209,7 +227,6 @@ _KINDS = st.sampled_from(["write", "config"])
 _STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("append"), _KINDS, _USERS, _TIMES, st.text(max_size=4)),
-        st.tuples(st.just("truncate"), st.integers(-1, 12)),
         st.tuples(st.just("write"), _USERS, _TIMES, st.binary(max_size=4)),
         st.tuples(st.just("fetch"), _USERS),
         st.tuples(st.just("reload")),
@@ -227,8 +244,8 @@ def _view_state(view: View):
 @settings(max_examples=150, deadline=None)
 @given(steps=_STEPS, max_events=st.sampled_from([1, 2, 3, 4, None]))
 def test_columnar_log_and_store_match_the_object_model(steps, max_events):
-    """Random appends, truncations, writes, fetches and restarts from disk:
-    the columnar log and store answer exactly as the object model does."""
+    """Random appends, writes, fetches and restarts from disk: the columnar
+    log and store answer exactly as the object model does."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "wal.jsonl"
         store = PersistentStore(WriteAheadLog(path), max_events_per_view=max_events)
@@ -237,11 +254,9 @@ def test_columnar_log_and_store_match_the_object_model(steps, max_events):
         for step in steps:
             if step[0] == "append":
                 _, kind, user, timestamp, payload = step
-                record = store.wal.append(kind, user, timestamp, payload)
+                sequence = store.wal.append(kind, user, timestamp, payload)
                 log.append(kind, user, timestamp, payload)
-                assert record == log.records[-1]
-            elif step[0] == "truncate":
-                assert store.wal.truncate(step[1]) == log.truncate(step[1])
+                assert sequence == log.records[-1].sequence
             elif step[0] == "write":
                 _, user, timestamp, payload = step
                 reference.apply(user, timestamp, payload)
@@ -253,8 +268,8 @@ def test_columnar_log_and_store_match_the_object_model(steps, max_events):
                     reference.fetch_view(step[1])
                 )
             else:
+                # A restart reads the whole log back from disk.
                 store = PersistentStore(WriteAheadLog(path), max_events_per_view=max_events)
-                log.reload()
                 reference = _ReferenceStore(log, max_events)
             assert store.wal.replay() == log.records
             assert len(store.wal) == len(log.records)

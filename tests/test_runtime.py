@@ -239,11 +239,6 @@ class TestExecutor:
         assert cache.clear() == 1
         assert cache.get(tiny_spec("random")) is None
 
-    def test_run_labelled(self):
-        labelled = [("a", tiny_spec("random")), ("b", tiny_spec("spar"))]
-        results = RuntimeExecutor().run_labelled(labelled)
-        assert list(results) == ["a", "b"]
-
     def test_progress_reports_completion(self):
         seen = []
         executor = RuntimeExecutor(progress=seen.append)

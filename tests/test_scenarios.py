@@ -1,7 +1,7 @@
 """Tests for the failure & churn scenario subsystem.
 
 Covers the scenario event model, the simulator's fault application (mask,
-hooks, WAL-driven recovery), the per-strategy evacuation logic, and the
+pre-tick hooks, WAL-driven recovery), the per-strategy evacuation logic, and the
 crash → recovery round-trip acceptance property: a seeded run with a
 mid-run server crash ends with every view available and memory within
 budget.
@@ -27,8 +27,7 @@ from repro.scenarios import (
 from repro.scenarios.events import ServerCrash, ServerRecovery
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.runner import normalise_results
-from repro.workload.requests import WriteRequest
-from repro.workload.stream import EventStream
+from repro.workload.stream import KIND_WRITE, EventStream
 
 
 @pytest.fixture
@@ -155,12 +154,9 @@ class TestSimulatorFaultCore:
             SimulationConfig(extra_memory_pct=0.0, seed=1),
         )
         ticks: list[float] = []
-        requests: list[object] = []
         simulator.add_pre_tick_hook(ticks.append)
-        simulator.add_post_request_hook(requests.append)
         simulator.run(small_log)
         assert ticks, "pre-tick hooks must fire"
-        assert len(requests) == small_log.stats().events
 
     def test_writes_are_mirrored_into_the_store(self, tree_topology, small_graph, small_log):
         store = PersistentStore()
@@ -172,9 +168,7 @@ class TestSimulatorFaultCore:
             persistent_store=store,
         )
         result = simulator.run(small_log)
-        writers = {
-            r.user for r in small_log if isinstance(r, WriteRequest)
-        }
+        writers = {user for kind, _, user, _ in small_log.rows() if kind == KIND_WRITE}
         assert result.writes_executed == small_log.stats().writes
         assert all(store.current_version(user) > 0 for user in writers)
         store.verify_integrity()

@@ -52,11 +52,6 @@ class TestSimulationClock:
         assert clock.advance_to(HOUR) == []
         assert clock.now == HOUR * 3
 
-    def test_current_day(self):
-        clock = SimulationClock()
-        clock.advance_to(1.5 * DAY)
-        assert clock.current_day == pytest.approx(1.5)
-
     def test_invalid_tick_period(self):
         with pytest.raises(SimulationError):
             SimulationClock(tick_period=0.0)
@@ -195,14 +190,6 @@ class TestClusterSimulator:
         assert sum(series.values()) == pytest.approx(result.top_switch_traffic)
         split = result.top_switch_series(split=True)
         assert all(len(pair) == 2 for pair in split.values())
-
-    def test_normalised_against(self, scenario):
-        topology, graph, log = scenario
-        random_result = ClusterSimulator(
-            topology, graph.copy(), RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
-        ).run(log)
-        ratios = random_result.normalised_against(random_result)
-        assert ratios["top"] == pytest.approx(1.0)
 
 
 class TestRunner:

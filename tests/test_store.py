@@ -256,8 +256,6 @@ class TestMemoryBudget:
     def test_total_capacity(self):
         budget = MemoryBudget(views=100, extra_memory_pct=30.0, servers=4)
         assert budget.total_capacity == 130
-        assert budget.replication_headroom == 30
-        assert budget.average_replication_factor() == pytest.approx(1.3)
 
     def test_per_server_split_is_exact(self):
         budget = MemoryBudget(views=100, extra_memory_pct=30.0, servers=7)

@@ -155,8 +155,8 @@ TRACKED_CASES = sorted(key for key in CASES if not key.endswith("/tracked0"))
 @pytest.mark.parametrize("key", TRACKED_CASES)
 def test_tracked_cell_matches_committed_golden_through_batch_kernels(key, monkeypatch):
     """Tracked views do not cut runs: a cell recorded through the per-event
-    reference gives the same digest with no hook, and the spy proves the
-    batch kernel ran multi-event runs."""
+    reference gives the same digest through the strategy's own kernel, and
+    the spy proves that kernel ran multi-event runs."""
     spied: list[list[int]] = []
 
     def build_spied(*args):

@@ -12,8 +12,9 @@ is no option.  This suite pins that contract:
 * the DynaSoRe × scenario matrix, sweep against reference (the other
   strategies have one tick, so there is nothing to compare);
 * property tests over random interleavings of faults, maintenance ticks and
-  replay modes (a no-op post-request hook is attached at random so the tick
-  sweep is exercised against both the batch and the per-event kernels);
+  replay modes (the per-event reference loop is bound at random, so the
+  tick sweep is exercised against both the batch and the per-event
+  kernels);
 * convergence: ticks with no traffic in between leave every utility and
   admission threshold unchanged;
 * the negative-utility removal pass and the proactive eviction pass

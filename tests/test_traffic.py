@@ -99,13 +99,6 @@ class TestTrafficAccountant:
         assert crossed == 0
         assert accountant.top_switch_traffic() == 0
 
-    def test_explicit_size_overrides_default(self, tree_topology: TreeTopology):
-        accountant = TrafficAccountant(tree_topology)
-        rack = tree_topology.rack_switches[0]
-        servers = tree_topology.servers_in_rack(rack)
-        accountant.record(servers[0], servers[1], MessageKind.READ_REQUEST, timestamp=0.0, size=3)
-        assert accountant.level_traffic("rack") == 3
-
     def test_measure_from_skips_warmup(self, tree_topology: TreeTopology):
         accountant = TrafficAccountant(tree_topology, measure_from=1000.0)
         a = tree_topology.servers[0].index
@@ -123,17 +116,6 @@ class TestTrafficAccountant:
         accountant.reset()
         assert accountant.top_switch_traffic() == 0
         assert accountant.message_count == 0
-
-    def test_level_average_traffic(self, tree_topology: TreeTopology):
-        accountant = TrafficAccountant(tree_topology)
-        a = tree_topology.servers[0].index
-        b = tree_topology.servers[-1].index
-        accountant.record(a, b, MessageKind.READ_REQUEST, timestamp=0.0)
-        spec = tree_topology.spec
-        assert accountant.level_average_traffic("top") == 10
-        assert accountant.level_average_traffic("intermediate") == pytest.approx(
-            20 / spec.intermediate_switches
-        )
 
     def test_rejects_bad_bucket_width(self, tree_topology: TreeTopology):
         with pytest.raises(SimulationError):
@@ -250,7 +232,6 @@ class TestDeviceTrafficContract:
         b = tree_topology.servers[-1].index
         accountant.record(a, b, MessageKind.READ_REQUEST, 0.0)
         assert accountant.level_traffic("no-such-level") == 0.0
-        assert accountant.level_average_traffic("no-such-level") == 0.0
         assert accountant.level_traffic("top") > 0.0
 
 
@@ -539,7 +520,7 @@ class _PerMessageAccountant:
         self.messages = 0
         self.mute_depth = 0
 
-    def offer(self, source, destination, kind, timestamp=None, bucket=None, size=None):
+    def offer(self, source, destination, kind, timestamp=None, bucket=None):
         """One message; ``bucket`` instead of ``timestamp`` for the batch API,
         whose callers vouch the message lies past the warm-up window."""
         if self.mute_depth:
@@ -549,7 +530,7 @@ class _PerMessageAccountant:
             if timestamp < _MEASURE_FROM:
                 return
             bucket = int(timestamp // _BUCKET_WIDTH)
-        size = kind.default_size if size is None else size
+        size = kind.default_size
         application = kind.message_class is MessageClass.APPLICATION
         split = self.application if application else self.system
         for switch in _TREE.path_between(source, destination):
@@ -616,14 +597,13 @@ _kind = st.sampled_from(list(MessageKind))
 _timestamp = st.sampled_from([0.0, 4.9, 5.0, 9.9, 10.0, 17.0, 20.0, 29.9, 31.0])
 _bucket = st.integers(0, 3)
 _count = st.integers(0, 4)
-_default_record = st.tuples(st.just("record"), _leaf, _leaf, _kind, _timestamp, st.none())
+_record = st.tuples(st.just("record"), _leaf, _leaf, _kind, _timestamp)
 _operation = st.one_of(
-    # Default-size records three times over: the write-combined path is the
-    # one under test, the rest is what it must interleave with.
-    _default_record,
-    _default_record,
-    _default_record,
-    st.tuples(st.just("record"), _leaf, _leaf, _kind, _timestamp, st.integers(1, 7)),
+    # Records three times over: the write-combined path is the one under
+    # test, the rest is what it must interleave with.
+    _record,
+    _record,
+    _record,
     st.tuples(st.just("roundtrip"), _leaf, _leaf, _kind, _kind, _timestamp),
     st.one_of(
         st.tuples(st.just("record_batch"), _leaf, _leaf, _kind, _count, _bucket),
@@ -639,7 +619,7 @@ _operation = st.one_of(
     st.tuples(st.sampled_from(["push_mute", "pop_mute", "reset", "merge_own_delta"])),
     st.tuples(
         st.sampled_from(
-            ["device_traffic", "top_switch_traffic", "level_traffic", "level_average_traffic"]
+            ["device_traffic", "top_switch_traffic", "level_traffic"]
         )
     ),
     st.tuples(st.sampled_from(sorted(_REPORT_CHECKS))),
@@ -659,11 +639,11 @@ def test_write_combined_recording_matches_per_message_reference(operations):
     top = _TREE.top_switch.index
     for name, *arguments in operations:
         if name == "record":
-            source, destination, kind, timestamp, size = arguments
-            crossed = accountant.record(source, destination, kind, timestamp, size)
+            source, destination, kind, timestamp = arguments
+            crossed = accountant.record(source, destination, kind, timestamp)
             offered = reference.mute_depth == 0 and timestamp >= _MEASURE_FROM
             assert crossed == (len(_TREE.path_between(source, destination)) if offered else 0)
-            reference.offer(source, destination, kind, timestamp, size=size)
+            reference.offer(source, destination, kind, timestamp)
         elif name == "roundtrip":
             source, destination, request, response, timestamp = arguments
             accountant.record_roundtrip(source, destination, request, response, timestamp)
@@ -711,11 +691,6 @@ def test_write_combined_recording_matches_per_message_reference(operations):
             assert accountant.top_switch_traffic() == reference.total[top]
         elif name == "level_traffic":
             assert accountant.level_traffic("rack") == reference.level_traffic("rack")
-        elif name == "level_average_traffic":
-            racks = len(_TREE.rack_switches)
-            assert accountant.level_average_traffic("rack") == (
-                reference.level_traffic("rack") / racks
-            )
         else:
             _REPORT_CHECKS[name](accountant, reference)
     for check in _REPORT_CHECKS.values():
@@ -739,7 +714,6 @@ def test_reset_drops_pending_messages(tree_topology: TreeTopology):
         lambda accountant, top: accountant.device_traffic(top),
         lambda accountant, top: accountant.top_switch_traffic(),
         lambda accountant, top: accountant.level_traffic("top"),
-        lambda accountant, top: accountant.level_average_traffic("top"),
         lambda accountant, top: accountant.snapshot().system_by_device[top],
         lambda accountant, top: accountant.top_switch_series()[1][0],
         lambda accountant, top: accountant.export_delta().top_series_sys[0],
@@ -748,7 +722,6 @@ def test_reset_drops_pending_messages(tree_topology: TreeTopology):
         "device_traffic",
         "top_switch_traffic",
         "level_traffic",
-        "level_average_traffic",
         "snapshot",
         "top_switch_series",
         "export_delta",
@@ -770,7 +743,6 @@ _READERS = {
     "device_traffic": lambda accountant, top: accountant.device_traffic(top),
     "top_switch_traffic": lambda accountant, top: accountant.top_switch_traffic(),
     "level_traffic": lambda accountant, top: accountant.level_traffic("top"),
-    "level_average_traffic": lambda accountant, top: accountant.level_average_traffic("top"),
     "snapshot": lambda accountant, top: accountant.snapshot().application_by_device[top],
     "export_delta": lambda accountant, top: array("d", accountant.export_delta().total)[top],
     "message_count": lambda accountant, top: accountant.message_count * 10,

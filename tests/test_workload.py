@@ -10,7 +10,7 @@ from repro.constants import DAY
 from repro.exceptions import WorkloadError
 from repro.socialgraph.generators import facebook_like
 from repro.workload.flash import inject_flash_stream, plan_flash_event
-from repro.workload.requests import EdgeAdded, EdgeRemoved
+from repro.workload.stream import KIND_EDGE_ADD, KIND_EDGE_REMOVE
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 from repro.workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
 
@@ -120,13 +120,13 @@ class TestFlashEvents:
         spec = plan_flash_event(graph, rng, followers=10, start_day=1.0, end_day=2.0)
         log = inject_flash_stream(base, spec, reads_per_follower_per_day=2.0, seed=4)
         assert_time_ordered(log)
-        additions = [r for r in log if isinstance(r, EdgeAdded)]
-        removals = [r for r in log if isinstance(r, EdgeRemoved)]
+        additions = [row for row in log.rows() if row[0] == KIND_EDGE_ADD]
+        removals = [row for row in log.rows() if row[0] == KIND_EDGE_REMOVE]
         assert len(additions) == 10
         assert len(removals) == 10
-        assert {r.timestamp for r in additions} == {spec.start_time}
-        assert {r.timestamp for r in removals} == {spec.end_time}
-        assert all(r.followee == spec.target_user for r in additions + removals)
+        assert {timestamp for _, timestamp, _, _ in additions} == {spec.start_time}
+        assert {timestamp for _, timestamp, _, _ in removals} == {spec.end_time}
+        assert all(followee == spec.target_user for *_, followee in additions + removals)
         assert log.stats().reads > base.stats().reads
 
     def test_flash_event_times(self, graph):
