@@ -688,7 +688,7 @@ def test_settle_fails_loudly_past_the_exactness_limit():
         simulator.accountant.top_switch_traffic()
 
 
-@pytest.mark.parametrize("key", ["random", "dynasore_hmetis"])
+@pytest.mark.parametrize("key", STRATEGY_KEYS)
 def test_one_event_run_reaches_the_batch_kernel(key):
     """A request between two edge events is a run of one event; it goes to
     ``execute_request_batch`` like every longer run, never to a scalar
@@ -907,17 +907,19 @@ def test_sample_instants_bound_the_runs():
         assert timestamps[0] // TRACKING_PERIOD == timestamps[-1] // TRACKING_PERIOD
 
 
-def test_partitioned_shard_rejects_observers_before_any_event():
+@pytest.mark.parametrize("observer", ["tracked_view", "foreign_tracked_view"])
+def test_partitioned_shard_rejects_observers_before_any_event(observer):
     """Partitioned workers execute only owned events, so a tracked view's
     read counts would cover one shard only: fail loudly, before anything
-    runs."""
+    runs — whether this shard or another one owns the tracked user."""
     graph = parity_graph(users=_MIRROR_USERS)
     owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
     simulator = _mirror_simulator(
         "spar",
         shard_context=ShardContext(shard_id=0, shards=2, owner_map=owner_map),
     )
-    simulator.track_view(0)
+    owner = 0 if observer == "tracked_view" else 1
+    simulator.track_view(next(user for user in graph.users if owner_map[user] == owner))
     calls = []
     for name in ("execute_request_batch", "execute_read", "execute_write", "on_tick"):
         setattr(simulator.strategy, name, lambda *args: calls.append(args))
@@ -955,6 +957,46 @@ def test_empty_workload_still_finishes_the_run(scenario_key):
     else:
         assert result.fault_records == []
         assert ticks == [0.0]
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batched", "per_event"])
+def test_every_request_is_executed_once_in_stream_order(batch):
+    """Across chunk boundaries and edge events, the requests the strategy
+    executes — through its own kernel or through the per-event reference —
+    are the stream's reads and writes, each once, in stream order."""
+    rows = _mirror_rows()
+    stream = EventStream.from_rows(rows, chunk_size=_MIRROR_CHUNK)
+    assert stream.stats().mutations > 0
+    simulator = _mirror_simulator("spar")
+    strategy = simulator.strategy
+    seen: list[tuple[int, int, float]] = []
+    if batch:
+        kernel = strategy.execute_request_batch
+
+        def spy_kernel(kinds, users, timestamps):
+            seen.extend(zip(kinds, users, timestamps))
+            return kernel(kinds, users, timestamps)
+
+        strategy.execute_request_batch = spy_kernel
+    else:
+        read, write = strategy.execute_read, strategy.execute_write
+
+        def spy_read(user, now, targets=None):
+            seen.append((KIND_READ, user, now))
+            return read(user, now, targets)
+
+        def spy_write(user, now):
+            seen.append((KIND_WRITE, user, now))
+            return write(user, now)
+
+        strategy.execute_read, strategy.execute_write = spy_read, spy_write
+        observe_per_event(simulator)
+    simulator.run(stream)
+    assert seen == [
+        (kind, user, timestamp)
+        for kind, timestamp, user, _ in stream.rows()
+        if kind in (KIND_READ, KIND_WRITE)
+    ]
 
 
 def test_check_tables_env_accepts_falsey_spellings(monkeypatch):

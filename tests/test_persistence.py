@@ -49,6 +49,17 @@ class TestWriteAheadLog:
         reloaded.append("write", user=2, timestamp=1.0)
         assert reloaded.last_sequence() == 1
 
+    def test_reopened_log_continues_the_sequence_numbers(self, tmp_path):
+        """``append`` returns the number the record is stored under, and a
+        log reopened from its file carries on where the file ends."""
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path)
+        assert [wal.append("write", user, float(user)) for user in range(3)] == [0, 1, 2]
+        reopened = WriteAheadLog(path)
+        assert reopened.last_sequence() == 2
+        assert reopened.append("config", 0, 3.0, payload="p") == 3
+        assert [record.sequence for record in WriteAheadLog(path).replay()] == [0, 1, 2, 3]
+
     def test_path_backed_appends_are_fsynced_once_each(self, tmp_path, monkeypatch):
         """Each append reaches stable storage before it returns: one
         ``os.fsync`` per record, on the log's own file."""
