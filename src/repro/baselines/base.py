@@ -13,10 +13,9 @@ on the broker of the rack hosting the view).
 Request execution is **batch-first**: the simulator segments event streams
 into runs of requests (reads and writes, bounded by graph mutations, faults
 and maintenance ticks) and hands whole runs to
-:meth:`PlacementStrategy.execute_request_batch`; pure runs can also be
-dispatched through :meth:`~PlacementStrategy.execute_read_batch` /
-:meth:`~PlacementStrategy.execute_write_batch`.  The base class implements
-all three as per-event loops over the scalar entry points, so every
+:meth:`PlacementStrategy.execute_request_batch`; read-only runs can also be
+dispatched through :meth:`~PlacementStrategy.execute_read_batch`.  The base
+class implements both as per-event loops over the scalar entry points, so every
 strategy — including user subclasses — is batch-dispatchable by
 construction.  Two kernels override
 ``execute_request_batch`` with byte-identical results: DynaSoRe's
@@ -50,9 +49,8 @@ from ..traffic.accounting import TrafficAccountant
 from ..traffic.messages import MessageKind
 from ..workload.stream import KIND_READ, KIND_WRITE
 
-#: One-byte kind columns the pure-run wrappers tile to the run length.
+#: One-byte kind column the read-run wrapper tiles to the run length.
 _READ_KINDS = bytes([KIND_READ])
-_WRITE_KINDS = bytes([KIND_WRITE])
 
 #: A request's traffic footprint: one flat path key per roundtrip.
 Footprint = tuple[int, ...]
@@ -93,7 +91,10 @@ class PlacementStrategy(ABC):
     #: strategies may have their request stream partitioned across shard
     #: workers: each worker replays every system event (keeping placement
     #: replicated and identical) but only its owned requests, and the merged
-    #: traffic is byte-identical to the single-process run.  ``False`` (the
+    #: traffic is byte-identical to the single-process run.  Only shard 0
+    #: keeps the single messages of :meth:`TrafficAccountant.record`, so a
+    #: pure strategy calls ``record`` from system events alone (the four
+    #: here: from ``on_server_down`` only).  ``False`` (the
     #: safe default) means reads/writes feed back into placement decisions —
     #: DynaSoRe's per-replica statistics and Algorithms 2/3 — so the sharded
     #: runner refuses the strategy.
@@ -180,12 +181,6 @@ class PlacementStrategy(ABC):
     ) -> None:
         """Execute a time-ordered run of read requests (one-kind batch)."""
         self.execute_request_batch(_READ_KINDS * len(users), users, timestamps)
-
-    def execute_write_batch(
-        self, users: Sequence[int], timestamps: Sequence[float]
-    ) -> None:
-        """Execute a time-ordered run of write requests (one-kind batch)."""
-        self.execute_request_batch(_WRITE_KINDS * len(users), users, timestamps)
 
     def on_tick(self, now: float) -> None:
         """Periodic maintenance hook (counter rotation, thresholds, eviction)."""
@@ -427,7 +422,6 @@ class FootprintStrategy(PlacementStrategy):
             return
         require_request_kinds(kinds)
         accountant = self.accountant
-        muted = accountant.muted
         measure_from = accountant.measure_from
         double = (2).__mul__
         start = 0
@@ -437,7 +431,7 @@ class FootprintStrategy(PlacementStrategy):
             # Both branches touch the footprints in stream order.
             cut = segments.segment_end(timestamps, start, end)
             requests = list(map(add, map(double, users[start:cut]), kinds[start:cut]))
-            if muted or timestamps[start] < measure_from:
+            if timestamps[start] < measure_from:
                 footprints = map(self._footprints.__getitem__, requests)
                 accountant.count_messages(2 * sum(map(len, footprints)))
             else:

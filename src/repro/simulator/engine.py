@@ -27,11 +27,7 @@ sit *beside* that dispatch, not in a fork of it:
 * **the durability mirror** — an attached persistent store does not reshape
   the runs: the writes of each run are logged into it in stream order just
   before the run is dispatched (:func:`_mirror_writes`), which leaves the
-  identical store wherever anything can read it;
-* **partitioned shard replay** — the same loop with a per-chunk ownership
-  selector (:func:`_owned_selector`): fully-owned runs take the common
-  dispatch, partly-owned runs are gathered down to the owned events, and
-  edge events owned elsewhere are applied with the accountant muted.
+  identical store wherever anything can read it.
 
 On top of the benign replay the simulator hosts the *scenario* layer
 (:mod:`repro.scenarios`): an attached scenario may reshape the workload
@@ -81,13 +77,6 @@ from .results import FaultRecord, ReplicaTimeline, SimulationResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.base import Scenario
     from ..scenarios.events import FaultEvent
-    from .shard import ShardContext
-
-#: Owner-map byte marking a user id outside the initial social graph.
-#: Partitioned replay treats any event touching such a user as an
-#: open-universe violation and fails the run, so the sentinel bounds
-#: partitioned runs to 255 shards.
-UNOWNED = 0xFF
 
 #: Sampling period of tracked views (the paper samples every 10 minutes).
 TRACKING_PERIOD = 10 * MINUTE
@@ -103,15 +92,13 @@ def _mirror_writes(
     times,
     start: int,
     end: int,
-    selector: bytes | None = None,
 ) -> None:
     """Log the writes of the run ``[start, end)`` into the WAL-backed store.
 
     The durability mirror of the replay loop: writes are found with
     ``bytes.find`` on the kind column and logged in stream order *before*
     the run is dispatched (log first, the order
-    :meth:`PersistentStore.process_write` documents).  A shard ``selector``
-    (1 = owned) restricts the mirror to the writes this worker executes.
+    :meth:`PersistentStore.process_write` documents).
 
     Mirroring ahead of the run is exact: the store is written only here and
     read only by crash recovery, by pre-tick hooks and after the run — and
@@ -122,45 +109,8 @@ def _mirror_writes(
     process_write = store.process_write
     position = kinds.find(KIND_WRITE, start, end)
     while position != -1:
-        if selector is None or selector[position]:
-            process_write(users[position], times[position])
+        process_write(users[position], times[position])
         position = kinds.find(KIND_WRITE, position + 1, end)
-
-
-def _owned_selector(
-    owner_map: bytes, selector_table: bytes, kinds: bytes, users, aux
-) -> bytes:
-    """Ownership selector of one chunk (1 = owned by this shard), guarded.
-
-    Partitioned replay is exact only over a **closed user universe**: an
-    event touching a user outside the initial graph could trigger lazy
-    placement, which partitioned request streams would replay in a
-    different order.  The guard is per chunk and C-speed — unknown owners
-    surface as the :data:`UNOWNED` sentinel in the owner bytes, edge
-    endpoints are checked with ``bytes.find`` loops over the rare edge
-    kinds — and raises :class:`SimulationError` *before* any event of
-    the offending chunk executes, which fails the whole sharded run.  A
-    256-byte ``translate`` then turns the per-event owner bytes into the
-    selector.
-    """
-    try:
-        owners = bytes(map(owner_map.__getitem__, users))
-    except IndexError:
-        raise SimulationError(
-            "event references a user id beyond the initial graph"
-        ) from None
-    if owners.find(UNOWNED) != -1:
-        raise SimulationError("event references a user outside the initial graph")
-    for edge_kind in (KIND_EDGE_ADD, KIND_EDGE_REMOVE):
-        position = kinds.find(edge_kind)
-        while position != -1:
-            endpoint = aux[position]
-            if not 0 <= endpoint < len(owner_map) or owner_map[endpoint] == UNOWNED:
-                raise SimulationError(
-                    "edge event endpoint outside the initial graph"
-                )
-            position = kinds.find(edge_kind, position + 1)
-    return owners.translate(selector_table)
 
 
 class ClusterSimulator:
@@ -174,7 +124,6 @@ class ClusterSimulator:
         config: SimulationConfig | None = None,
         scenario: "Scenario | None" = None,
         persistent_store: PersistentStore | None = None,
-        shard_context: "ShardContext | None" = None,
     ) -> None:
         self.topology = topology
         self.graph = graph
@@ -213,17 +162,6 @@ class ClusterSimulator:
         self._next_sample: float = TRACKING_PERIOD
         self._reads_executed = 0
         self._writes_executed = 0
-        #: Sharded-replay context (``repro.simulator.shard``): the ownership
-        #: map of partitioned request execution.
-        self._shard_context = shard_context
-        #: In a partitioned run every worker replays the full system-event
-        #: stream (faults, ticks, edge mutations) to keep placement state
-        #: replicated, but only shard 0 may *account* for it — the others
-        #: mute the accountant around those sections so the merged traffic
-        #: counts each system message exactly once.
-        self._shard_system_mute = (
-            shard_context is not None and shard_context.shard_id != 0
-        )
         #: Opt-in auditing mode: with ``REPRO_CHECK_TABLES=1`` in the
         #: environment, the placement tables of table-backed strategies are
         #: integrity-checked after every maintenance tick and fault burst.
@@ -234,19 +172,10 @@ class ClusterSimulator:
         """Bind the strategy to the cluster and build the initial placement."""
         if self._prepared:
             return
-        if self._shard_system_mute:
-            # Initial placement is deterministic construction, not traffic,
-            # but mute it anyway on non-primary shards: a strategy that did
-            # record here would otherwise be counted once per worker.
-            self.accountant.push_mute()
-        try:
-            self.strategy.bind(
-                self.topology, self.graph, self.accountant, self.budget, seed=self.config.seed
-            )
-            self.strategy.build_initial_placement()
-        finally:
-            if self._shard_system_mute:
-                self.accountant.pop_mute()
+        self.strategy.bind(
+            self.topology, self.graph, self.accountant, self.budget, seed=self.config.seed
+        )
+        self.strategy.build_initial_placement()
         self._prepared = True
 
     def track_view(self, user: int) -> None:
@@ -369,36 +298,9 @@ class ClusterSimulator:
         faults and ticks due at that event, so a view a pre-tick hook starts
         tracking mid-run is sampled from the very next run on.  The reads of a
         run are counted for the tracked views once, after its dispatch.
-
-        **Partitioned shard replay** is the same loop with a per-chunk
-        ownership selector (:func:`_owned_selector`).  The decision plane is
-        *replicated*: every worker applies every edge mutation, fault burst
-        and maintenance tick, so placement state evolves identically in all
-        workers (the coordinator audits this with placement digests).  The
-        measurement plane is *partitioned*: fully-owned runs take the common
-        dispatch, partly-owned runs are gathered down to the owned events
-        with ``itertools.compress``, runs with no owned event are skipped,
-        and an edge event whose follower another shard owns is applied with
-        the accountant muted.  Exactness rests on the strategy being
-        ``shard_requests_pure`` (the coordinator checks) and on a closed
-        user universe (the selector's guard).
         """
         execute_request_batch = self.strategy.execute_request_batch
-        accountant = self.accountant
         tracked = self._tracked_views
-        context = self._shard_context
-        selector_table = None
-        if context is not None:
-            if tracked:
-                raise SimulationError(
-                    "partitioned shard replay cannot track views (per-shard "
-                    "read counts are not merged)"
-                )
-            # owner byte -> selector byte (1 = owned by this shard).
-            selector_table = bytes(
-                1 if value == context.shard_id else 0 for value in range(256)
-            )
-        selector = None
         next_fault_time = self._next_fault_time()
         next_tick = clock.pending_tick()
 
@@ -417,10 +319,6 @@ class ClusterSimulator:
             kinds = chunk.kinds.tobytes()
             users = chunk.users
             aux = chunk.aux
-            if selector_table is not None:
-                selector = _owned_selector(
-                    context.owner_map, selector_table, kinds, users, aux
-                )
             index = 0
             while index < n:
                 timestamp = times[index]
@@ -446,48 +344,25 @@ class ClusterSimulator:
                         else n
                     )
                     end = request_run_end(kinds, index, end)
-                    span = end - index
-                    owned = span if selector is None else selector.count(1, index, end)
                     # Faults, ticks and pre-tick hooks may have created the store.
                     store = self.persistent_store
-                    if store is not None and owned:
-                        # Non-owned writes are skipped entirely — the store
-                        # only backs crash recovery, whose fetch of a
-                        # never-written view is side-effect-free.
-                        _mirror_writes(store, kinds, users, times, index, end, selector)
-                    if owned:
-                        run_kinds = kinds[index:end]
-                        run_users = users[index:end]
-                        run_times = times[index:end]
-                        if owned < span:
-                            run_selector = selector[index:end]
-                            run_kinds = bytes(compress(run_kinds, run_selector))
-                            run_users = list(compress(run_users, run_selector))
-                            run_times = list(compress(run_times, run_selector))
-                        execute_request_batch(run_kinds, run_users, run_times)
-                        run_reads = run_kinds.count(KIND_READ)
-                        reads += run_reads
-                        writes += owned - run_reads
+                    if store is not None:
+                        _mirror_writes(store, kinds, users, times, index, end)
+                    run_kinds = kinds[index:end]
+                    execute_request_batch(run_kinds, users[index:end], times[index:end])
+                    run_reads = run_kinds.count(KIND_READ)
+                    reads += run_reads
+                    writes += end - index - run_reads
                     if tracked:
                         self._count_tracked_reads(kinds, users, index, end)
                 else:
-                    # Decision-plane event: every worker applies it (the
-                    # graph and placement must stay replicated) but only the
-                    # follower's owner shard accounts for any traffic.
                     end = index + 1
-                    muted = selector is not None and not selector[index]
-                    if muted:
-                        accountant.push_mute()
-                    try:
-                        if kind == KIND_EDGE_ADD:
-                            self._edge_added(timestamp, users[index], aux[index])
-                        elif kind == KIND_EDGE_REMOVE:
-                            self._edge_removed(timestamp, users[index], aux[index])
-                        else:  # pragma: no cover - defensive
-                            raise SimulationError(f"unknown event kind {kind}")
-                    finally:
-                        if muted:
-                            accountant.pop_mute()
+                    if kind == KIND_EDGE_ADD:
+                        self._edge_added(timestamp, users[index], aux[index])
+                    elif kind == KIND_EDGE_REMOVE:
+                        self._edge_removed(timestamp, users[index], aux[index])
+                    else:  # pragma: no cover - defensive
+                        raise SimulationError(f"unknown event kind {kind}")
                 index = end
             executed += n
             last_time = times[n - 1]
@@ -512,16 +387,8 @@ class ClusterSimulator:
             final_time = max(final_time, last_fault)
 
         # Final maintenance tick and sample so end-of-run state is captured.
-        # System traffic, like every tick's, belongs to shard 0 alone.
-        mute = self._shard_system_mute
-        if mute:
-            self.accountant.push_mute()
-        try:
-            self._fire_pre_tick(final_time)
-            self.strategy.on_tick(final_time)
-        finally:
-            if mute:
-                self.accountant.pop_mute()
+        self._fire_pre_tick(final_time)
+        self.strategy.on_tick(final_time)
         if self._tracked_views:
             self._sample_tracked(final_time)
 
@@ -604,45 +471,26 @@ class ClusterSimulator:
 
         Maintenance ticks due before a fault fire first, so the ordering of
         ticks, faults and requests follows simulated time exactly.
-
-        On non-primary shards of a partitioned run the whole burst executes
-        muted: the fault still reshapes placement (replicated decision
-        plane) but its traffic — replica copies, recovery fetches — is
-        accounted by shard 0 alone.
         """
-        mute = self._shard_system_mute
-        if mute:
-            self.accountant.push_mute()
-        try:
-            applied = False
-            while (
-                self._next_fault < len(self._fault_events)
-                and self._fault_events[self._next_fault].timestamp <= until
-            ):
-                event = self._fault_events[self._next_fault]
-                self._next_fault += 1
-                self._advance_ticks(clock, event.timestamp)
-                event.apply(self)
-                applied = True
-        finally:
-            if mute:
-                self.accountant.pop_mute()
+        applied = False
+        while (
+            self._next_fault < len(self._fault_events)
+            and self._fault_events[self._next_fault].timestamp <= until
+        ):
+            event = self._fault_events[self._next_fault]
+            self._next_fault += 1
+            self._advance_ticks(clock, event.timestamp)
+            event.apply(self)
+            applied = True
         if applied and self._check_tables:
             self._audit_placement_tables()
 
     def _advance_ticks(self, clock: SimulationClock, until: float) -> None:
-        mute = self._shard_system_mute
-        if mute:
-            self.accountant.push_mute()
-        try:
-            ticked = False
-            for tick_time in clock.advance_to(until):
-                self._fire_pre_tick(tick_time)
-                self.strategy.on_tick(tick_time)
-                ticked = True
-        finally:
-            if mute:
-                self.accountant.pop_mute()
+        ticked = False
+        for tick_time in clock.advance_to(until):
+            self._fire_pre_tick(tick_time)
+            self.strategy.on_tick(tick_time)
+            ticked = True
         if ticked and self._check_tables:
             self._audit_placement_tables()
 
@@ -696,4 +544,4 @@ class ClusterSimulator:
             self._next_sample += TRACKING_PERIOD
 
 
-__all__ = ["ClusterSimulator", "TRACKING_PERIOD", "UNOWNED"]
+__all__ = ["ClusterSimulator", "TRACKING_PERIOD"]

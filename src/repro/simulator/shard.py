@@ -16,11 +16,15 @@ protocol is needed — the resolution of any read is locally computable in
 every worker, and the coordinator audits the invariant with placement
 digests).  The measurement plane is *partitioned*: users are assigned to
 shards by the k-way graph partitioner
-(:func:`repro.partitioning.assign_user_shards`), and each worker executes
-only the read/write events its shard owns, muting the accountant around
-non-owned system events so the merged traffic counts every message exactly
-once.  All traffic volumes are integer-valued floats, so summing per-shard
-delta columns is exact.
+(:func:`repro.partitioning.assign_user_shards`), and each worker's stream
+goes through a :class:`ShardFilter`, a scenario that keeps every edge event
+and only the read/write events its shard owns.  The system events' own
+traffic is the fault traffic pure strategies record as single messages
+(:meth:`~repro.traffic.accounting.TrafficAccountant.record`); every worker
+but shard 0 drops those, so the merged traffic counts every message exactly
+once.  The simulator, the accountant and the strategy kernels know nothing
+of shards.  All traffic volumes are integer-valued floats, so summing
+per-shard delta columns is exact.
 
 Partitioning is exact only for strategies whose requests never feed back
 into placement (``shard_requests_pure``: the static baselines and SPAR).
@@ -30,8 +34,8 @@ worker of the statistics the others accumulated; the coordinator refuses
 such a strategy before any worker starts.  Partitioning is also only sound
 over a **closed user universe** — every event must reference users of the
 initial graph, otherwise lazy placement could fire
-request-order-dependently.  Workers guard this per chunk at C speed and
-raise :class:`~repro.exceptions.SimulationError` *before* the offending
+request-order-dependently.  The filter guards this per chunk at C speed and
+raises :class:`~repro.exceptions.SimulationError` *before* the offending
 chunk executes; the whole run then fails with the guard's reason.
 
 Nothing in the experiment runtime or the command line starts a sharded
@@ -46,15 +50,19 @@ import hashlib
 import multiprocessing
 import time
 import traceback
-from collections.abc import Callable
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from itertools import compress
 from queue import Empty
 from typing import TYPE_CHECKING
 
 from ..exceptions import SimulationError
 from ..partitioning.sharding import ShardAssignment, assign_user_shards
+from ..scenarios.base import CompositeScenario, Scenario, ScenarioContext
 from ..traffic.accounting import TrafficAccountant, TrafficDelta
-from .engine import UNOWNED, ClusterSimulator
+from ..workload.stream import KIND_EDGE_ADD, KIND_EDGE_REMOVE, EventChunk, EventStream
+from .engine import ClusterSimulator
 from .results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,7 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.spec import RunSpec
 
 __all__ = [
-    "ShardContext",
+    "UNOWNED",
+    "ShardFilter",
     "ShardLoadSummary",
     "ShardMaterials",
     "ShardOutcome",
@@ -73,22 +82,102 @@ __all__ = [
 ]
 
 
+#: Owner-map byte marking a user id outside the initial social graph.
+#: Any event touching such a user fails the partitioned run, so the
+#: sentinel bounds partitioned runs to 255 shards.
+UNOWNED = 0xFF
+
+
 # ---------------------------------------------------------------------------
 # Worker-side data shapes
 # ---------------------------------------------------------------------------
-@dataclass
-class ShardContext:
-    """What one worker's simulator needs to know about the sharded run.
+class ShardFilter(Scenario):
+    """One worker's share of the stream: every edge event and the requests
+    its shard owns, in stream order.
 
     ``owner_map`` is a dense ``bytes`` indexed by user id whose values are
-    shard ids; the :data:`~repro.simulator.engine.UNOWNED` sentinel marks
-    ids outside the initial social graph (the partitioned loop's
-    closed-universe guard).
+    shard ids, with :data:`UNOWNED` in every hole.  Composed *after* the
+    run's own scenario: diurnal thinning draws its random numbers once per
+    request in stream order, so it must see the whole stream.
+
+    Per chunk, at C speed and before any event of the chunk runs, the filter
+    enforces the **closed user universe**: an event touching a user outside
+    the initial graph could trigger lazy placement, which partitioned
+    request streams would replay in a different order, so it raises
+    :class:`SimulationError`.  Unknown owners surface as the sentinel in the
+    owner bytes; edge endpoints are checked with ``bytes.find`` loops over
+    the rare edge kinds.  A 256-byte ``translate`` turns the owner bytes
+    into the selector.
+
+    Every pass also tallies the unfiltered stream's event count and first
+    and last timestamps: the merged result's ``requests_executed`` and
+    ``duration``.
     """
 
-    shard_id: int
-    shards: int
-    owner_map: bytes = b""
+    name = "shard"
+
+    def __init__(self, shard_id: int, owner_map: bytes) -> None:
+        self.owner_map = owner_map
+        #: owner byte -> selector byte (1 = owned by this shard)
+        self._selector_table = bytes(
+            1 if value == shard_id else 0 for value in range(256)
+        )
+        self.events = 0
+        self.first_timestamp = 0.0
+        self.last_timestamp = 0.0
+
+    def transform_stream(self, stream: EventStream, context: ScenarioContext) -> EventStream:
+        def _chunks() -> Iterator[EventChunk]:
+            self.events = 0
+            self.first_timestamp = self.last_timestamp = 0.0
+            for chunk in stream.chunks():
+                n = len(chunk)
+                if n == 0:
+                    continue
+                selector = self._selector(chunk)
+                times = chunk.timestamps
+                if not self.events:
+                    self.first_timestamp = times[0]
+                self.events += n
+                self.last_timestamp = times[n - 1]
+                kept = selector.count(1)
+                if kept == n:
+                    yield chunk
+                elif kept:
+                    yield EventChunk(
+                        array("B", compress(chunk.kinds, selector)),
+                        array("d", compress(times, selector)),
+                        array("I", compress(chunk.users, selector)),
+                        array("i", compress(chunk.aux, selector)),
+                    )
+
+        return EventStream(_chunks)
+
+    def _selector(self, chunk: EventChunk) -> bytearray:
+        """The chunk's selector (1 = kept), after the closed-universe guard."""
+        owner_map = self.owner_map
+        try:
+            owners = bytes(map(owner_map.__getitem__, chunk.users))
+        except IndexError:
+            raise SimulationError(
+                "event references a user id beyond the initial graph"
+            ) from None
+        if owners.find(UNOWNED) != -1:
+            raise SimulationError("event references a user outside the initial graph")
+        selector = bytearray(owners.translate(self._selector_table))
+        kinds = chunk.kinds.tobytes()
+        aux = chunk.aux
+        for edge_kind in (KIND_EDGE_ADD, KIND_EDGE_REMOVE):
+            position = kinds.find(edge_kind)
+            while position != -1:
+                endpoint = aux[position]
+                if not 0 <= endpoint < len(owner_map) or owner_map[endpoint] == UNOWNED:
+                    raise SimulationError(
+                        "edge event endpoint outside the initial graph"
+                    )
+                selector[position] = 1
+                position = kinds.find(edge_kind, position + 1)
+        return selector
 
 
 @dataclass
@@ -129,6 +218,11 @@ class ShardOutcome:
     #: Placement-state digest for the cross-worker consistency audit
     #: (``None`` when the strategy exposes no digestible placement state).
     digest: str | None
+    #: Event count and first/last timestamps of the unfiltered stream
+    #: (the :class:`ShardFilter`'s tally).
+    events: int = 0
+    first_timestamp: float = 0.0
+    last_timestamp: float = 0.0
     #: CPU seconds this worker's process spent — the per-shard cost behind
     #: :attr:`ShardRunReport.critical_path_cpu_seconds`.
     cpu_seconds: float = 0.0
@@ -209,16 +303,22 @@ def placement_digest(strategy) -> str | None:
 
 def _execute_shard(
     shard_id: int,
-    shards: int,
     owner_map: bytes,
     materials: ShardMaterials,
 ) -> ShardOutcome:
-    """Build one shard's simulation from the materials and replay it."""
+    """Build one shard's simulation from the materials and replay it.
+
+    The simulator gets no hooks and no tracked views.  On every shard but
+    0 its accountant drops single messages: ``shard_requests_pure``
+    strategies record those for fault traffic alone, which every worker
+    replays and shard 0 counts.
+    """
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     graph = materials.graph_factory()
     topology = materials.topology_factory()
     strategy = materials.strategy_factory()
+    shard_filter = ShardFilter(shard_id, owner_map)
     scenario = (
         materials.scenario_factory() if materials.scenario_factory is not None else None
     )
@@ -228,15 +328,19 @@ def _execute_shard(
         graph,
         strategy,
         config=materials.config,
-        scenario=scenario,
-        shard_context=ShardContext(shard_id=shard_id, shards=shards, owner_map=owner_map),
+        scenario=shard_filter if scenario is None else CompositeScenario(scenario, shard_filter),
     )
+    if shard_id:
+        simulator.accountant.record = lambda *message: 0
     result = simulator.run(stream)
     return ShardOutcome(
         shard_id=shard_id,
         result=result,
         delta=simulator.accountant.export_delta(),
         digest=placement_digest(strategy),
+        events=shard_filter.events,
+        first_timestamp=shard_filter.first_timestamp,
+        last_timestamp=shard_filter.last_timestamp,
         cpu_seconds=time.process_time() - cpu_start,
         wall_seconds=time.perf_counter() - wall_start,
     )
@@ -245,7 +349,6 @@ def _execute_shard(
 def _shard_worker(
     channel,
     shard_id: int,
-    shards: int,
     owner_map: bytes,
     materials: ShardMaterials,
 ) -> None:
@@ -256,7 +359,7 @@ def _shard_worker(
     ``("error", shard_id, traceback)``.
     """
     try:
-        outcome = _execute_shard(shard_id, shards, owner_map, materials)
+        outcome = _execute_shard(shard_id, owner_map, materials)
         channel.put(("done", shard_id, outcome))
     except BaseException:  # noqa: BLE001 - relayed to the coordinator
         channel.put(("error", shard_id, traceback.format_exc()))
@@ -276,7 +379,7 @@ def _mp_context():
 def _build_owner_map(graph, assignment: ShardAssignment) -> bytes:
     """Dense owner bytes with the :data:`UNOWNED` sentinel in every hole.
 
-    The engine's closed-universe guard keys off the sentinel: any event
+    The filter's closed-universe guard keys off the sentinel: any event
     touching a user id the initial graph never contained must fail the run,
     *including* ids inside the map's range that the graph simply skipped.
     """
@@ -303,7 +406,7 @@ def _run_partitioned(
         for shard_id in range(shards):
             process = context.Process(
                 target=_shard_worker,
-                args=(channel, shard_id, shards, owner_map, materials),
+                args=(channel, shard_id, owner_map, materials),
                 daemon=True,
             )
             process.start()
@@ -346,9 +449,10 @@ def _merge_partitioned(
 ) -> SimulationResult:
     """Exact merge of the workers' partial results.
 
-    Shard 0's result supplies every replicated field (all workers iterate
-    the full event stream and hold identical placement state): executed
-    counts and duration, replication factor, memory in use, fault records,
+    Shard 0 supplies every replicated field (all workers apply the same
+    system events and hold identical placement state): the executed count
+    and duration its filter tallied over the unfiltered stream, and from
+    its result the replication factor, memory in use, fault records and
     unavailable views.  The partitioned fields are summed: owned read/write
     counts, and the traffic delta columns merged through a fresh
     coordinator accountant — whose ``snapshot()``/``top_switch_series()``
@@ -369,9 +473,13 @@ def _merge_partitioned(
     for outcome in outcomes:
         accountant.merge_delta(outcome.delta)
     application_series, system_series = accountant.top_switch_series()
-    base = outcomes[0].result
+    primary = outcomes[0]
     return replace(
-        base,
+        primary.result,
+        duration=(
+            primary.last_timestamp - primary.first_timestamp if primary.events else 0.0
+        ),
+        requests_executed=primary.events,
         reads_executed=sum(o.result.reads_executed for o in outcomes),
         writes_executed=sum(o.result.writes_executed for o in outcomes),
         snapshot=accountant.snapshot(),

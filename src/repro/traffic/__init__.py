@@ -1,10 +1,9 @@
 """Traffic measurement substrate (switch-level message accounting)."""
 
 from .accounting import TrafficAccountant, TrafficDelta, TrafficSnapshot
-from .messages import Message, MessageClass, MessageKind
+from .messages import MessageClass, MessageKind
 
 __all__ = [
-    "Message",
     "MessageClass",
     "MessageKind",
     "TrafficAccountant",

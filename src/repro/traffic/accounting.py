@@ -33,18 +33,12 @@ Two recording granularities coexist:
 warm-up separation, flush) so every strategy kernel shares one correct
 implementation.
 
-Two further facilities exist for the sharded replay engine:
-
-* a depth-counted **mute** (:meth:`~TrafficAccountant.push_mute` /
-  :meth:`~TrafficAccountant.pop_mute`): while muted, every recording entry
-  point is a no-op — traffic *and* message counters.  Shard workers replay
-  system events (fault bursts, ticks, edge mutations) on every shard to keep
-  placement state identical, but only the owning shard may account for them;
-* a **delta** protocol (:meth:`~TrafficAccountant.export_delta` /
-  :meth:`~TrafficAccountant.merge_delta`): a picklable column snapshot the
-  coordinator sums into a fresh accountant.  All volumes are integer-valued
-  floats, so summing per-shard deltas is bit-for-bit identical to recording
-  the same messages in one process, in any order or grouping.
+The sharded replay runner sums its workers' traffic through a **delta**
+protocol (:meth:`~TrafficAccountant.export_delta` /
+:meth:`~TrafficAccountant.merge_delta`): a picklable column snapshot the
+coordinator adds into a fresh accountant.  All volumes are integer-valued
+floats, so summing per-shard deltas is bit-for-bit identical to recording
+the same messages in one process, in any order or grouping.
 
 Per-device totals live in flat ``array('d')`` columns indexed by device id.
 The out-of-range contract is explicit: :meth:`~TrafficAccountant.device_traffic`
@@ -138,11 +132,6 @@ class TrafficAccountant:
         self._top_series_app: dict[int, float] = defaultdict(float)
         self._top_series_sys: dict[int, float] = defaultdict(float)
         self._messages = 0
-        # Depth-counted mute: >0 means every recording entry point is a
-        # no-op (shard workers replay non-owned system events silently).
-        # A depth counter rather than a flag because mute sections nest —
-        # ``_apply_due_faults`` runs ``_advance_ticks`` inside its own guard.
-        self._mute_depth = 0
         # Hot-path state: per-source rows of preresolved switch paths (shared
         # tuple-of-indices arrays served by the topology) and the top-switch
         # index, so ``record`` runs on plain list lookups.
@@ -162,26 +151,6 @@ class TrafficAccountant:
         # Settles of strategies that hold request tallies back (see
         # :meth:`on_settle`); run by :meth:`_apply_pending`.
         self._settles: list[Callable[[], None]] = []
-
-    # ----------------------------------------------------------------- muting
-    def push_mute(self) -> None:
-        """Enter a muted section: recording entry points become no-ops.
-
-        Mute sections nest; traffic resumes when every :meth:`push_mute`
-        has been matched by a :meth:`pop_mute`.
-        """
-        self._mute_depth += 1
-
-    def pop_mute(self) -> None:
-        """Leave the innermost muted section."""
-        if self._mute_depth <= 0:
-            raise SimulationError("pop_mute without matching push_mute")
-        self._mute_depth -= 1
-
-    @property
-    def muted(self) -> bool:
-        """Whether recording is currently suppressed."""
-        return self._mute_depth > 0
 
     # ------------------------------------------------------------- recording
     def _resolve_path(self, source: int, destination: int) -> tuple[int, ...]:
@@ -214,7 +183,7 @@ class TrafficAccountant:
         Every offered message counts towards :attr:`message_count` — both
         machine-local messages (empty path) and messages inside the warm-up
         window (``timestamp < measure_from``); only the *traffic* of warm-up
-        messages is discarded.  While muted, nothing is counted at all.
+        messages is discarded.
 
         A message weighs its kind's default size.  Messages are
         write-combined: they only bump a per ``(source, destination, kind)``
@@ -223,8 +192,6 @@ class TrafficAccountant:
         query needs the columns.  Volumes are
         integer-valued floats, so the sums are exact in any order.
         """
-        if self._mute_depth:
-            return 0
         self._messages += 1
         if timestamp < self.measure_from:
             return 0
@@ -287,8 +254,6 @@ class TrafficAccountant:
         Both directions traverse the same switches, so the path is resolved
         once and both message sizes are applied in a single pass.
         """
-        if self._mute_depth:
-            return 0
         self._messages += 2
         if timestamp < self.measure_from:
             return 0
@@ -354,8 +319,6 @@ class TrafficAccountant:
         """
         if count < 0:
             raise SimulationError("message count cannot be negative")
-        if self._mute_depth:
-            return
         self._messages += count
 
     def record_batch(
@@ -377,8 +340,6 @@ class TrafficAccountant:
             if count == 0:
                 return 0
             raise SimulationError("message count cannot be negative")
-        if self._mute_depth:
-            return 0
         self._messages += count
         path = self._resolve_path(source, destination)
         if not path:
@@ -401,13 +362,12 @@ class TrafficAccountant:
         and lie past ``measure_from``; strategy kernels maintain those
         invariants through :class:`RoundtripRun`.
 
-        ``bucket=None`` is the settle of roundtrips that were *admitted*
-        earlier, when they were tallied: :meth:`record_top_crossings` booked
-        their series and mute was decided there, so the columns and the
-        message count are updated regardless of the current mute depth.
+        ``bucket=None`` is the settle of roundtrips tallied earlier, whose
+        series :meth:`record_top_crossings` booked when they were tallied:
+        only the columns and the message count are updated.
         Raises :class:`SimulationError` once a column reaches ``2**53``.
         """
-        if not counts or (self._mute_depth and bucket is not None):
+        if not counts:
             return
         stride = len(self._total)
         kind_info = self._kind_info
@@ -455,7 +415,7 @@ class TrafficAccountant:
     ) -> None:
         """Add ``crossings`` top-switch roundtrips to the series of ``bucket``
         — the only per-bucket quantity, so a kernel that holds its per-path
-        counts back books it when it tallies (unmuted, past ``measure_from``)
+        counts back books it when it tallies (past ``measure_from``)
         and settles the rest with ``record_roundtrip_batch(..., None)``."""
         if crossings:
             for kind in (request_kind, response_kind):

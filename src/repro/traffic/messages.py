@@ -9,7 +9,6 @@ below so the accountant can keep the two series separate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from ..constants import APPLICATION_MESSAGE_SIZE, PROTOCOL_MESSAGE_SIZE
@@ -73,20 +72,4 @@ _DATA_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Message:
-    """A single point-to-point message between two leaf machines."""
-
-    source: int
-    destination: int
-    kind: MessageKind
-    size: int
-    timestamp: float
-
-    @property
-    def message_class(self) -> MessageClass:
-        """Accounting class of this message."""
-        return self.kind.message_class
-
-
-__all__ = ["Message", "MessageClass", "MessageKind"]
+__all__ = ["MessageClass", "MessageKind"]

@@ -52,10 +52,10 @@ from repro.partitioning import assign_user_shards
 from repro.persistence.backend import PersistentStore
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
 from repro.scenarios import CrashRecoverScenario
-from repro.scenarios.base import Scenario
+from repro.scenarios.base import CompositeScenario, Scenario
 from repro.scenarios.events import NodeLeave, ServerCrash, ServerRecovery
 from repro.simulator.engine import TRACKING_PERIOD, ClusterSimulator
-from repro.simulator.shard import ShardContext, _build_owner_map
+from repro.simulator.shard import ShardFilter, _build_owner_map
 from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
 from repro.workload.stream import (
@@ -751,17 +751,14 @@ def _bound_strategy(key: str, topology=None, measure_from: float = 0.0):
 
 @pytest.mark.parametrize("key", ["random", "spar", "dynasore_random"])
 def test_pure_run_wrappers_match_scalar_calls(key):
-    """``execute_read_batch``/``execute_write_batch`` equal scalar loops."""
+    """``execute_read_batch`` equals the scalar loop."""
     strategy_a, sim_a = _bound_strategy(key)
     strategy_b, sim_b = _bound_strategy(key)
     users = [user for user in list(sim_a.graph.users)[:12]]
     times = [float(i) * MINUTE for i in range(len(users))]
     strategy_a.execute_read_batch(users, times)
-    strategy_a.execute_write_batch(users, times)
     for user, now in zip(users, times):
         strategy_b.execute_read(user, now)
-    for user, now in zip(users, times):
-        strategy_b.execute_write(user, now)
     assert sim_a.accountant.snapshot() == sim_b.accountant.snapshot()
 
 
@@ -905,27 +902,6 @@ def test_sample_instants_bound_the_runs():
     assert max(map(len, runs)) > 1
     for timestamps in runs:
         assert timestamps[0] // TRACKING_PERIOD == timestamps[-1] // TRACKING_PERIOD
-
-
-@pytest.mark.parametrize("observer", ["tracked_view", "foreign_tracked_view"])
-def test_partitioned_shard_rejects_observers_before_any_event(observer):
-    """Partitioned workers execute only owned events, so a tracked view's
-    read counts would cover one shard only: fail loudly, before anything
-    runs — whether this shard or another one owns the tracked user."""
-    graph = parity_graph(users=_MIRROR_USERS)
-    owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
-    simulator = _mirror_simulator(
-        "spar",
-        shard_context=ShardContext(shard_id=0, shards=2, owner_map=owner_map),
-    )
-    owner = 0 if observer == "tracked_view" else 1
-    simulator.track_view(next(user for user in graph.users if owner_map[user] == owner))
-    calls = []
-    for name in ("execute_request_batch", "execute_read", "execute_write", "on_tick"):
-        setattr(simulator.strategy, name, lambda *args: calls.append(args))
-    with pytest.raises(SimulationError, match="partitioned"):
-        simulator.run(EventStream.from_rows(_mirror_rows()))
-    assert not calls
 
 
 @pytest.mark.parametrize("scenario_key", ["plain", "crash"])
@@ -1157,10 +1133,10 @@ def test_wal_follows_the_write_subsequence(strategy_key):
 
 @pytest.mark.parametrize("strategy_key", ["spar", "random"])
 def test_partitioned_wal_holds_the_owned_writes(strategy_key):
-    """shards=2: each worker's WAL is its owned slice of the write
-    subsequence (DynaSoRe is not ``shard_requests_pure``: the sharded runner
-    refuses it, so it replays only through the single-process loop tested
-    above)."""
+    """shards=2: behind each worker's stream filter, its WAL is its owned
+    slice of the write subsequence (DynaSoRe is not ``shard_requests_pure``:
+    the sharded runner refuses it, so it replays only through the
+    single-process loop tested above)."""
     rows = _mirror_rows()
     assignment = assign_user_shards(parity_graph(users=_MIRROR_USERS), 2)
     owner_map = _build_owner_map(parity_graph(users=_MIRROR_USERS), assignment)
@@ -1169,9 +1145,8 @@ def test_partitioned_wal_holds_the_owned_writes(strategy_key):
         store = PersistentStore()
         simulator = _mirror_simulator(
             strategy_key,
-            scenario=_crash_scenario(),
+            scenario=CompositeScenario(_crash_scenario(), ShardFilter(shard_id, owner_map)),
             persistent_store=store,
-            shard_context=ShardContext(shard_id=shard_id, shards=2, owner_map=owner_map),
         )
         crashes = _watch_crashes(simulator, store)
         simulator.run(EventStream.from_rows(rows, chunk_size=_MIRROR_CHUNK))

@@ -5,19 +5,19 @@ The contract under test is *exactness*: for every pure strategy
 replaying through ``shards`` partitioned worker processes must produce a
 :class:`~repro.simulator.results.SimulationResult` that is
 **byte-identical** to the single-process path.  Every other strategy is
-refused before any worker starts.  The suite also pins the closed-universe
-guard, the partitioner entry point, the placement digests, the fields
-the benchmark's two-shard block reads, and that the spec, the executor and
-the command line take no shard count.
-
-CI's sharded parity job selects the crash scenario with ``-k crash``; keep
-scenario names inside the test ids.
+refused before any worker starts.  The suite also pins the workers' stream
+filter and closed-universe guard, the invariant the dropped single
+messages rest on, the partitioner entry point, the placement digests, the
+fields the benchmark's two-shard block reads, and that the spec, the
+executor, the command line and the simulator take no shard count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
+import random
 
 import pytest
 
@@ -32,6 +32,7 @@ from parity import (
 from repro.config import DynaSoReConfig, SimulationConfig
 from repro.exceptions import SimulationError
 from repro.partitioning import assign_user_shards
+from repro.scenarios.base import CompositeScenario, ScenarioContext
 from repro.runtime.executor import RuntimeExecutor, execute_spec
 from repro.runtime.spec import (
     STRATEGY_KEYS,
@@ -44,6 +45,8 @@ from repro.runtime.spec import (
 from repro.simulator import shard
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.shard import (
+    UNOWNED,
+    ShardFilter,
     ShardMaterials,
     _build_owner_map,
     _execute_shard,
@@ -51,7 +54,16 @@ from repro.simulator.shard import (
     placement_digest,
     run_sharded_detailed,
 )
-from repro.workload.stream import KIND_READ, KIND_WRITE, NO_AUX, EventStream
+from repro.traffic.accounting import TrafficAccountant
+from repro.workload.stream import (
+    KIND_EDGE_ADD,
+    KIND_EDGE_REMOVE,
+    KIND_READ,
+    KIND_WRITE,
+    NO_AUX,
+    EventStream,
+    merge_streams,
+)
 
 #: Strategies whose request execution never feeds back into placement —
 #: exactly the set the engine may partition (``shard_requests_pure``).
@@ -68,6 +80,22 @@ def parity_materials(strategy_key: str, scenario_key: str) -> ShardMaterials:
         config=SimulationConfig(extra_memory_pct=60.0, seed=7),
         scenario_factory=SCENARIOS[scenario_key],
     )
+
+
+def churned_stream(graph) -> EventStream:
+    """The parity stream plus 60 follow edges added and 20 of them removed
+    again over its half day (the synthetic generator emits no graph churn)."""
+    rng = random.Random(3)
+    users = sorted(graph.users)
+    rows = []
+    for index in range(60):
+        follower, followee = rng.sample(users, 2)
+        added = 600.0 * index + rng.uniform(1.0, 500.0)
+        rows.append((KIND_EDGE_ADD, added, follower, followee))
+        if index % 3 == 0:
+            rows.append((KIND_EDGE_REMOVE, added + 3_000.0, follower, followee))
+    rows.sort(key=lambda row: row[1])
+    return merge_streams(parity_stream(graph), EventStream.from_rows(rows))
 
 
 def single_process_bytes(materials: ShardMaterials) -> bytes:
@@ -131,6 +159,19 @@ class TestShardedParity:
         report = run_sharded_detailed(materials, 1)
         assert [outcome.shard_id for outcome in report.outcomes] == [0]
         assert set(report.assignment.shard_map) == {0}
+        assert canonical_result_bytes(report.result) == single_process_bytes(materials)
+
+    @pytest.mark.parametrize("scenario_key", ["plain", "crash"])
+    @pytest.mark.parametrize("strategy_key", ["random", "spar"])
+    def test_edge_churn_two_shards_byte_identical(self, strategy_key, scenario_key):
+        """Every worker applies every edge event: they settle the requests
+        each worker tallied, and SPAR, given the room, co-locates on them."""
+        materials = dataclasses.replace(
+            parity_materials(strategy_key, scenario_key),
+            stream_factory=churned_stream,
+            config=SimulationConfig(extra_memory_pct=1000.0, seed=7),
+        )
+        report = run_sharded_detailed(materials, 2)
         assert canonical_result_bytes(report.result) == single_process_bytes(materials)
 
     def test_partitioned_workers_agree_on_placement(self):
@@ -234,8 +275,6 @@ class TestRefusals:
                 (KIND_READ, 60.0, alien, NO_AUX),
             ]
             prefix = EventStream.from_rows(rows)
-            from repro.workload.stream import merge_streams
-
             return merge_streams(prefix, base_stream(graph))
 
         materials.stream_factory = with_alien
@@ -250,7 +289,7 @@ class TestRefusals:
         the chunk's users fails with SimulationError."""
         materials = parity_materials("random", "plain")
         with pytest.raises(SimulationError, match="beyond the initial graph"):
-            _execute_shard(0, 2, b"", materials)
+            _execute_shard(0, b"", materials)
 
     def test_shard_count_validation(self, monkeypatch):
         forbid_workers(monkeypatch)
@@ -303,8 +342,6 @@ class TestUserSharding:
             assign_user_shards(graph, 257)
 
     def test_owner_map_marks_holes_unowned(self):
-        from repro.simulator.engine import UNOWNED
-
         graph = parity_graph()
         assignment = assign_user_shards(graph, 2)
         owner_map = _build_owner_map(graph, assignment)
@@ -317,6 +354,93 @@ class TestUserSharding:
 
 
 # ---------------------------------------------------------------------------
+# The workers' stream filter and the single messages they drop
+# ---------------------------------------------------------------------------
+class TestShardFilter:
+    @pytest.mark.parametrize("scenario_key", ["plain", "diurnal"])
+    def test_two_shards_split_the_requests_and_keep_every_edge(self, scenario_key):
+        """Behind the run's own scenario, each shard keeps every edge event
+        and exactly its own requests, in stream order; together the shards
+        keep every request once, and each tallies the whole stream."""
+        topology, _ = parity_cluster()
+        graph = parity_graph()
+        context = ScenarioContext(topology=topology, graph=graph, seed=7)
+        scenario = SCENARIOS[scenario_key]()
+        stream = churned_stream(graph)
+        if scenario is not None:
+            stream = scenario.transform_stream(stream, context)
+        rows = list(stream.rows())
+        owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
+        assert any(row[0] > KIND_WRITE for row in rows)
+        kept_requests = []
+        for shard_id in range(2):
+            shard_filter = ShardFilter(shard_id, owner_map)
+            filtered = (
+                shard_filter
+                if scenario is None
+                else CompositeScenario(SCENARIOS[scenario_key](), shard_filter)
+            ).transform_stream(churned_stream(graph), context)
+            kept = list(filtered.rows())
+            assert kept == [
+                row for row in rows if row[0] > KIND_WRITE or owner_map[row[2]] == shard_id
+            ]
+            requests = [row for row in kept if row[0] <= KIND_WRITE]
+            assert requests
+            kept_requests += requests
+            assert (shard_filter.events, shard_filter.first_timestamp) == (len(rows), rows[0][1])
+            assert shard_filter.last_timestamp == rows[-1][1]
+        assert sorted(kept_requests) == sorted(row for row in rows if row[0] <= KIND_WRITE)
+
+
+class TestRecordDrop:
+    """Every worker but shard 0 drops ``TrafficAccountant.record``.  That is
+    exact only while a pure strategy records single messages for the fault
+    traffic every worker replays, and for nothing else."""
+
+    @pytest.mark.parametrize("strategy_key", sorted(PURE_STRATEGIES))
+    def test_record_is_called_only_inside_on_server_down(self, strategy_key):
+        topology, _ = parity_cluster()
+        graph = parity_graph()
+        strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
+        simulator = ClusterSimulator(
+            topology,
+            graph,
+            strategy,
+            config=SimulationConfig(extra_memory_pct=60.0, seed=7),
+            scenario=SCENARIOS["crash"](),
+        )
+        depth = []
+        on_server_down = strategy.on_server_down
+
+        def spy_server_down(*args, **kwargs):
+            depth.append(None)
+            try:
+                return on_server_down(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        calls = []
+        record = simulator.accountant.record
+
+        def spy_record(*message):
+            calls.append(bool(depth))
+            return record(*message)
+
+        strategy.on_server_down = spy_server_down
+        simulator.accountant.record = spy_record
+        simulator.run(parity_stream(graph))
+        assert calls and all(calls)
+
+
+def test_simulator_and_accountant_know_nothing_of_shards():
+    """The shard runner partitions the stream itself: the simulator takes no
+    shard context and the accountant has no mute."""
+    assert "shard_context" not in inspect.signature(ClusterSimulator).parameters
+    for name in ("push_mute", "pop_mute", "muted"):
+        assert not hasattr(TrafficAccountant, name)
+
+
+# ---------------------------------------------------------------------------
 # Placement digests
 # ---------------------------------------------------------------------------
 class TestPlacementDigest:
@@ -326,7 +450,7 @@ class TestPlacementDigest:
             materials = parity_materials("spar", "plain")
             graph = materials.graph_factory()
             owner_map = _build_owner_map(graph, assign_user_shards(graph, 1))
-            outcome = _execute_shard(0, 1, owner_map, materials)
+            outcome = _execute_shard(0, owner_map, materials)
             results.append(placement_digest_from(materials, outcome))
         assert results[0] == results[1]
         assert results[0] is not None

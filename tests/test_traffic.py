@@ -387,56 +387,6 @@ class TestRoundtripRun:
         assert accountant.message_count == 4
 
 
-class TestMute:
-    """The depth-counted mute used by shard workers for non-owned events."""
-
-    def test_mute_silences_every_entry_point(self, tree_topology: TreeTopology):
-        accountant = TrafficAccountant(tree_topology)
-        a = tree_topology.servers[0].index
-        b = tree_topology.servers[-1].index
-        accountant.push_mute()
-        assert accountant.muted
-        assert accountant.record(a, b, MessageKind.READ_REQUEST, 0.0) == 0
-        assert (
-            accountant.record_roundtrip(
-                a, b, MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE, 0.0
-            )
-            == 0
-        )
-        accountant.count_messages(5)
-        assert accountant.record_batch(a, b, MessageKind.WRITE_UPDATE, 3, 0) == 0
-        accountant.record_roundtrip_batch(
-            {a * accountant.device_count + b: 2},
-            MessageKind.READ_REQUEST,
-            MessageKind.READ_RESPONSE,
-            0,
-        )
-        assert accountant.message_count == 0
-        assert accountant.top_switch_traffic() == 0.0
-        accountant.pop_mute()
-        assert not accountant.muted
-        accountant.record(a, b, MessageKind.READ_REQUEST, 0.0)
-        assert accountant.message_count == 1
-
-    def test_mute_nests(self, tree_topology: TreeTopology):
-        accountant = TrafficAccountant(tree_topology)
-        a = tree_topology.servers[0].index
-        b = tree_topology.servers[-1].index
-        accountant.push_mute()
-        accountant.push_mute()
-        accountant.pop_mute()
-        assert accountant.muted  # still one level deep
-        accountant.record(a, b, MessageKind.READ_REQUEST, 0.0)
-        assert accountant.message_count == 0
-        accountant.pop_mute()
-        assert not accountant.muted
-
-    def test_unmatched_pop_raises(self, tree_topology: TreeTopology):
-        accountant = TrafficAccountant(tree_topology)
-        with pytest.raises(SimulationError):
-            accountant.pop_mute()
-
-
 class TestTrafficDelta:
     """The export/merge protocol the shard coordinator sums workers with."""
 
@@ -518,13 +468,10 @@ class _PerMessageAccountant:
         self.system = [0.0] * devices
         self.series = {True: {}, False: {}}
         self.messages = 0
-        self.mute_depth = 0
 
     def offer(self, source, destination, kind, timestamp=None, bucket=None):
         """One message; ``bucket`` instead of ``timestamp`` for the batch API,
         whose callers vouch the message lies past the warm-up window."""
-        if self.mute_depth:
-            return
         self.messages += 1
         if bucket is None:
             if timestamp < _MEASURE_FROM:
@@ -541,9 +488,7 @@ class _PerMessageAccountant:
                 series[bucket] = series.get(bucket, 0.0) + size
 
     def reset(self) -> None:
-        mute_depth = self.mute_depth
         self.__init__()
-        self.mute_depth = mute_depth
 
     def level_traffic(self, level: str) -> float:
         return sum(
@@ -616,7 +561,7 @@ _operation = st.one_of(
         ),
         st.tuples(st.just("count_messages"), _count),
     ),
-    st.tuples(st.sampled_from(["push_mute", "pop_mute", "reset", "merge_own_delta"])),
+    st.tuples(st.sampled_from(["reset", "merge_own_delta"])),
     st.tuples(
         st.sampled_from(
             ["device_traffic", "top_switch_traffic", "level_traffic"]
@@ -629,7 +574,7 @@ _operation = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(operations=st.lists(_operation, min_size=5, max_size=40))
 def test_write_combined_recording_matches_per_message_reference(operations):
-    """Any interleaving of the recording entry points, mutes, bucket
+    """Any interleaving of the recording entry points, resets, bucket
     crossings and queries reports what per-message accounting reports."""
     accountant = TrafficAccountant(
         _TREE, bucket_width=_BUCKET_WIDTH, measure_from=_MEASURE_FROM
@@ -641,7 +586,7 @@ def test_write_combined_recording_matches_per_message_reference(operations):
         if name == "record":
             source, destination, kind, timestamp = arguments
             crossed = accountant.record(source, destination, kind, timestamp)
-            offered = reference.mute_depth == 0 and timestamp >= _MEASURE_FROM
+            offered = timestamp >= _MEASURE_FROM
             assert crossed == (len(_TREE.path_between(source, destination)) if offered else 0)
             reference.offer(source, destination, kind, timestamp)
         elif name == "roundtrip":
@@ -664,15 +609,7 @@ def test_write_combined_recording_matches_per_message_reference(operations):
                     reference.offer(destination, source, response, bucket=bucket)
         elif name == "count_messages":
             accountant.count_messages(arguments[0])
-            if not reference.mute_depth:
-                reference.messages += arguments[0]
-        elif name == "push_mute":
-            accountant.push_mute()
-            reference.mute_depth += 1
-        elif name == "pop_mute":
-            if reference.mute_depth:
-                accountant.pop_mute()
-                reference.mute_depth -= 1
+            reference.messages += arguments[0]
         elif name == "reset":
             accountant.reset()
             reference.reset()
@@ -784,16 +721,6 @@ def test_reset_settles_before_it_clears(tree_topology: TreeTopology):
     assert accountant.top_switch_traffic() == 0.0
 
 
-def test_a_settle_applies_even_while_muted(tree_topology: TreeTopology):
-    """``bucket=None`` marks roundtrips admitted when they were tallied:
-    mute was decided then, and only the columns and the count remain."""
-    accountant, held = _held_back_roundtrips(tree_topology)
-    accountant.push_mute()
-    assert accountant.message_count == 6
-    accountant.pop_mute()
-    assert accountant.top_switch_traffic() == 60
-
-
 def test_top_crossings_book_only_the_series(tree_topology: TreeTopology):
     accountant = TrafficAccountant(tree_topology, bucket_width=100.0)
     accountant.record_top_crossings(0, MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE, 1)
@@ -828,10 +755,10 @@ def _placed_random_strategy(tree_topology, small_graph, budget):
     return strategy, accountant
 
 
-def test_mute_is_decided_when_a_tally_is_admitted(tree_topology, small_graph, budget):
-    """A shard worker handles faults under ``push_mute``; the fault drops
-    every footprint, which settles the requests tallied *before* it — they
-    were admitted unmuted and must not vanish into the mute."""
+def test_a_fault_settles_the_requests_tallied_before_it(tree_topology, small_graph, budget):
+    """A fault moves views and drops every footprint; the requests tallied
+    *before* it are settled first, on the paths they took then — exactly
+    what per-event execution booked — and later requests take the new ones."""
     users = sorted(small_graph.users)[:40]
     events = [(index % 3 == 2, user, 7.0 * index) for index, user in enumerate(users * 3)]
 
@@ -845,11 +772,12 @@ def test_mute_is_decided_when_a_tally_is_admitted(tree_topology, small_graph, bu
     for is_write, user, now in events:
         (per_event.execute_write if is_write else per_event.execute_read)(user, now)
 
-    for strategy, accountant in ((batched, batched_accountant), (per_event, per_event_accountant)):
-        accountant.push_mute()
-        strategy.on_server_down(0, 1000.0)  # drops all footprints, muted
-        strategy.execute_request_batch(bytes(5), users[:5], [1001.0] * 5)  # muted: not counted
-        accountant.pop_mute()
+    for strategy in (batched, per_event):
+        strategy.on_server_down(0, 1000.0)
+    assert not batched._tally
+    batched.execute_request_batch(bytes(5), users[:5], [1001.0] * 5)
+    for user in users[:5]:
+        per_event.execute_read(user, 1001.0)
     assert batched_accountant.snapshot() == per_event_accountant.snapshot()
     assert batched_accountant.top_switch_series() == per_event_accountant.top_switch_series()
     assert batched_accountant.message_count > 0
