@@ -1138,6 +1138,7 @@ class DynaSoRe(PlacementStrategy):
         self._threshold_cache.clear()
 
         table = self._require_tables()
+        table.stats.check_window_range()
         # Counter rotation is one flat sweep over the statistics columns;
         # the utility refresh then walks each position's chain (Algorithm 1
         # per replica) before its admission threshold is recomputed.  Sole
@@ -1228,6 +1229,9 @@ class DynaSoRe(PlacementStrategy):
 
         table = self._require_tables()
         stats = table.stats
+        # The float32 windows' exactness bound, checked once per tick (the
+        # end-of-run tick included) instead of once per recorded event.
+        stats.check_window_range()
         admission_fill = self.config.admission_fill
         period_index = int(now // stats.period)
         counter_slots = stats.slots

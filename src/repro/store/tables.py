@@ -51,6 +51,15 @@ indexed by an integer **replica id** (a *slot*):
     :class:`~repro.store.counters.RotatingCounter`, so window totals are
     bit-for-bit identical to the object path.
 
+    The buckets are ``array('f')``: 4 bytes a slot, 96 per 24-slot window.
+    That is exact because every recorded amount is an integral count (the
+    kernels add 1.0; seeding copies window totals) and float32 holds every
+    integer below ``2**24``; no bucket exceeds its node's total, so keeping
+    totals below that bound keeps every bucket exact.  ``_record`` refuses
+    a fractional or negative amount, and :meth:`StatsTable.check_window_range`
+    (run by every DynaSoRe tick, the end-of-run one included) raises once a
+    total reaches the bound.  The totals stay doubles.
+
 The object classes (:class:`~repro.store.view.ViewReplica`,
 :class:`~repro.store.stats.AccessStatistics`) are the tables' references,
 kept as test oracles.  The decision algorithms in :mod:`repro.core` take
@@ -73,6 +82,10 @@ from ..exceptions import StorageError
 
 #: Utility of a replica that must never be evicted (sole replica).
 _INF = math.inf
+
+#: First integer float32 cannot hold exactly: window totals must stay below
+#: it for the ``array('f')`` buckets to be exact.
+WINDOW_LIMIT = 2.0**24
 
 #: Sentinel for "no slot / no node / no value" in the int64 link columns.
 NO_SLOT = -1
@@ -207,15 +220,16 @@ class StatsTable:
         self._read_head: list[int] = []
         self._write_node: list[int] = []
         # Counter-node pool: one row per rotating window.  The bucket matrix
-        # is an ``array('d')`` — it is the bulk of the statistics memory
-        # (``slots`` doubles per window) and is only touched on rotation.
+        # is an ``array('f')`` — it is the bulk of the statistics memory
+        # (``slots`` floats per window) and holds integral counts below
+        # ``WINDOW_LIMIT``, which float32 stores exactly (module docstring).
         self._node_origin: list[int] = []
         self._node_next: list[int] = []
         self._node_period: list[int] = []
         self._node_total: list[float] = []
-        self._node_buckets = array("d")
+        self._node_buckets = array("f")
         #: one all-zero window, slice-assigned over a node's buckets to clear them
-        self._zero_window = array("d", bytes(8 * slots))
+        self._zero_window = array("f", bytes(4 * slots))
         # Allocation bitmap of the node pool: pool sweeps must skip free
         # nodes (their windows are zeroed, and ``_alloc_node`` re-stamps the
         # period on reuse, so touching them is pure waste).
@@ -316,7 +330,15 @@ class StatsTable:
         self._node_period[node] = period_index
 
     def _record(self, node: int, timestamp: float, amount: float) -> None:
-        """Port of ``RotatingCounter.record`` on the flat columns."""
+        """Port of ``RotatingCounter.record`` on the flat columns.
+
+        Only non-negative integral amounts are accepted: the float32
+        buckets are exact for counts alone (module docstring).
+        """
+        if not (amount >= 0 and amount % 1 == 0):
+            raise StorageError(
+                f"window amounts must be non-negative integers, got {amount!r}"
+            )
         period_index = int(timestamp // self.period)
         if period_index > self._node_period[node]:
             self._advance_node(node, period_index)
@@ -382,6 +404,20 @@ class StatsTable:
         for node in range(len(nalloc)):
             if nalloc[node]:
                 advance(node, period_index)
+
+    def check_window_range(self) -> None:
+        """Raise once any window total reaches :data:`WINDOW_LIMIT`.
+
+        Past that bound the float32 buckets would round; one C-level
+        ``max`` over the totals covers every bucket (no bucket exceeds its
+        node's total).
+        """
+        totals = self._node_total
+        if totals and max(totals) >= WINDOW_LIMIT:
+            raise StorageError(
+                f"a statistics window total reached {max(totals):.0f}; the "
+                f"float32 buckets are exact only below {WINDOW_LIMIT:.0f}"
+            )
 
     # -------------------------------------------------------------- queries
     def reads_by_origin(self, slot: int) -> dict[int, float]:
@@ -906,7 +942,7 @@ class ReplicaTable:
 
     # ------------------------------------------------------------- integrity
     def check_integrity(self) -> None:
-        """Validate the chain indexes, counters and free list.
+        """Validate the chain indexes, counters, free list and statistics pool.
 
         Raises :class:`~repro.exceptions.StorageError` on the first
         inconsistency; used by the property tests to audit random churn.
@@ -976,9 +1012,13 @@ class ReplicaTable:
         # Statistics node pool: the free list and the allocation bitmap must
         # partition the pool, and free nodes must hold zeroed windows (the
         # invariant the batched tick sweep and ``advance_pool`` rely on to
-        # skip them).
+        # skip them).  Live windows must sum to their totals, and the totals
+        # stay below ``WINDOW_LIMIT`` (the float32 buckets' exactness rule).
         stats = self.stats
         if stats is not None:
+            slots = stats.slots
+            buckets = stats._node_buckets
+            zero_window = stats._zero_window
             free_nodes: set[int] = set()
             node = stats._node_free
             while node != NO_SLOT:
@@ -988,8 +1028,26 @@ class ReplicaTable:
                     raise StorageError(f"free node {node} flagged as allocated")
                 if stats._node_total[node] != 0.0:
                     raise StorageError(f"free node {node} holds a nonzero total")
+                base = node * slots
+                if buckets[base : base + slots] != zero_window:
+                    raise StorageError(f"free node {node} holds a nonzero window")
                 free_nodes.add(node)
                 node = stats._node_next[node]
+            for node, allocated_flag in enumerate(stats._node_alloc):
+                if not allocated_flag:
+                    continue
+                total = stats._node_total[node]
+                base = node * slots
+                window = sum(buckets[base : base + slots])
+                if window != total:
+                    raise StorageError(
+                        f"node {node} total {total} != window sum {window}"
+                    )
+                if total >= WINDOW_LIMIT:
+                    raise StorageError(
+                        f"node {node} total {total} reached the float32 "
+                        f"window limit {WINDOW_LIMIT:.0f}"
+                    )
             allocated = sum(stats._node_alloc)
             if allocated != stats._node_count:
                 raise StorageError(

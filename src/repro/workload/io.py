@@ -2,10 +2,10 @@
 
 Generated workloads can be saved once and replayed many times: a trace file
 stores the columnar chunks of an :class:`~repro.workload.stream.EventStream`
-verbatim, so reading is a sequence of bulk ``frombytes`` fills with no
-per-event decoding.  Files are memory-mapped on read and consumed one chunk
-at a time, keeping a paper-scale replay within a small, constant workload
-memory budget.
+verbatim, so reading is a sequence of bulk ``array.fromfile`` reads with
+no per-event decoding.  A pass reads the file through its handle one chunk
+at a time and holds only that chunk, keeping a paper-scale replay within a
+small, constant workload memory budget.
 
 Format (header integers little-endian; column payloads are raw native-order
 array bytes, recorded by a byte-order flag and checked on read):
@@ -25,7 +25,6 @@ disk can be content-addressed into the experiment runtime's result cache
 from __future__ import annotations
 
 import hashlib
-import mmap
 import os
 import struct
 import sys
@@ -62,6 +61,9 @@ _ITEMSIZES = (
     array("I").itemsize,
     array("i").itemsize,
 )
+
+#: Payload bytes of one event (its four column items).
+_EVENT_BYTES = sum(_ITEMSIZES)
 
 
 def write_trace(path: str | os.PathLike, stream: EventStream) -> int:
@@ -104,11 +106,11 @@ def _write_chunks(tmp: Path, stream: EventStream) -> int:
     return total
 
 
-def _read_header(view: memoryview, path: Path) -> int:
+def _read_header(header: bytes, path: Path) -> int:
     """Validate the header; returns the recorded event count."""
-    if len(view) < _HEADER.size:
+    if len(header) < _HEADER.size:
         raise WorkloadError(f"trace file {path} is truncated (no header)")
-    magic, version, flags, *itemsizes, events = _HEADER.unpack_from(view, 0)
+    magic, version, flags, *itemsizes, events = _HEADER.unpack_from(header, 0)
     if magic != TRACE_MAGIC:
         raise WorkloadError(f"{path} is not a trace file (bad magic {magic!r})")
     if version != TRACE_VERSION:
@@ -133,54 +135,57 @@ def read_trace(path: str | os.PathLike) -> EventStream:
     """Open a trace file as a lazy, re-iterable event stream.
 
     The header is validated eagerly (so a corrupt file fails at open time,
-    not mid-replay); chunk payloads are memory-mapped and copied into typed
-    arrays one chunk at a time per iteration, and pass the ordering rule of
-    :func:`write_trace` (:func:`~repro.workload.stream.ordered_chunks`), so
-    a body with a timestamp out of order or NaN raises when iterated.
+    not mid-replay).  Each pass opens the file and reads one chunk at a
+    time, its four columns straight from the handle into typed arrays
+    (``array.fromfile``), so a pass holds one chunk of the trace, never the
+    whole file.  Chunk counts are checked against the file's size before
+    anything is read; a file truncated after opening — before or during a
+    pass — raises :class:`~repro.exceptions.WorkloadError`.  Chunks pass
+    the ordering rule of :func:`write_trace`
+    (:func:`~repro.workload.stream.ordered_chunks`), so a body with a
+    timestamp out of order or NaN raises when iterated.
     """
     source = Path(path)
     # Eager validation: read and check the header once up front.
     with source.open("rb") as handle:
-        _read_header(memoryview(handle.read(_HEADER.size)), source)
+        _read_header(handle.read(_HEADER.size), source)
 
     def _chunks() -> Iterator[EventChunk]:
         with source.open("rb") as handle:
-            with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-                view = memoryview(mapped)
+            size = os.fstat(handle.fileno()).st_size
+            expected = _read_header(handle.read(_HEADER.size), source)
+            offset = _HEADER.size
+            seen = 0
+            while offset < size:
+                header = handle.read(_CHUNK_HEADER.size)
+                if len(header) < _CHUNK_HEADER.size:
+                    raise WorkloadError(
+                        f"trace file {source} is truncated mid chunk header"
+                    )
+                (n,) = _CHUNK_HEADER.unpack(header)
+                offset += _CHUNK_HEADER.size + n * _EVENT_BYTES
+                if offset > size:
+                    raise WorkloadError(
+                        f"trace file {source} is truncated mid chunk payload"
+                    )
+                chunk = EventChunk()
                 try:
-                    expected = _read_header(view, source)
-                    offset = _HEADER.size
-                    seen = 0
-                    size = len(view)
-                    while offset < size:
-                        if size - offset < _CHUNK_HEADER.size:
-                            raise WorkloadError(
-                                f"trace file {source} is truncated mid chunk header"
-                            )
-                        (n,) = _CHUNK_HEADER.unpack_from(view, offset)
-                        offset += _CHUNK_HEADER.size
-                        payload = n * sum(_ITEMSIZES)
-                        if size - offset < payload:
-                            raise WorkloadError(
-                                f"trace file {source} is truncated mid chunk payload"
-                            )
-                        chunk = EventChunk()
-                        for column, itemsize in zip(
-                            (chunk.kinds, chunk.timestamps, chunk.users, chunk.aux),
-                            _ITEMSIZES,
-                        ):
-                            width = n * itemsize
-                            column.frombytes(view[offset : offset + width])
-                            offset += width
-                        seen += n
-                        yield chunk
-                    if seen != expected:
-                        raise WorkloadError(
-                            f"trace file {source} records {expected} events "
-                            f"but contains {seen}"
-                        )
-                finally:
-                    view.release()
+                    for column in (chunk.kinds, chunk.timestamps, chunk.users, chunk.aux):
+                        column.fromfile(handle, n)
+                except (EOFError, ValueError):
+                    # The file shrank after the size check above: ``fromfile``
+                    # raises EOFError on a short read, or ValueError when the
+                    # short read is not a whole number of items.
+                    raise WorkloadError(
+                        f"trace file {source} is truncated mid chunk payload"
+                    ) from None
+                seen += n
+                yield chunk
+            if seen != expected:
+                raise WorkloadError(
+                    f"trace file {source} records {expected} events "
+                    f"but contains {seen}"
+                )
 
     return EventStream(lambda: ordered_chunks(_chunks()))
 

@@ -146,9 +146,109 @@ def test_batched_replay_actually_batches():
     )
     calls = spy_batch_calls(strategy)
     simulator.run(stream)
-    # The parity workload sprinkles edge-churn events, so runs are bounded;
-    # what matters is that multi-event runs reach the kernel at all.
+    # Ticks, samples and faults bound the runs; what matters is that
+    # multi-event runs reach the kernel at all.
     assert calls and max(calls) > 10
+
+
+# ---------------------------------------------------------------------------
+# Edge churn: the parity stream has no edge events, this one interleaves them
+# ---------------------------------------------------------------------------
+#: Extra memory of the edge-churn runs: enough free slots that SPAR
+#: co-locates on added edges.  At 60 % and at 300 % its initial placement
+#: fills every slot; at 1,000 % it places 836 replicas and the stream's
+#: added edges bring that to 859.
+EDGE_CHURN_MEMORY_PCT = 1000.0
+
+
+def _edge_churn_rows(graph) -> list[tuple[int, float, int, int]]:
+    """Six hours of reads and writes (one every 10 s) with a follow edge
+    added every 3 minutes and every other one removed 40 minutes later."""
+    rng = random.Random(11)
+    users = sorted(graph.users)
+    rows = [
+        (KIND_READ if rng.random() < 0.8 else KIND_WRITE, 10.0 * step, rng.choice(users), -1)
+        for step in range(6 * 360)
+    ]
+    added: set[tuple[int, int]] = set()
+    for index in range(120):
+        while True:
+            follower, followee = rng.sample(users, 2)
+            if not graph.has_edge(follower, followee) and (follower, followee) not in added:
+                break
+        added.add((follower, followee))
+        at = 180.0 * index + 2.5
+        rows.append((KIND_EDGE_ADD, at, follower, followee))
+        if index % 2 == 0:
+            rows.append((KIND_EDGE_REMOVE, at + 2_400.0, follower, followee))
+    rows.sort(key=lambda row: row[1])
+    return rows
+
+
+def _run_edge_churn(strategy_key: str, scenario_key: str, batch: bool):
+    """One edge-churn run; returns the result, the ``(kind, follower,
+    followee)`` edge calls the strategy saw and its replica count at each."""
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=120)
+    stream = EventStream.from_rows(_edge_churn_rows(graph), chunk_size=1000)
+    strategy = build_strategy(strategy_key, 7, DynaSoReConfig())
+    simulator = ClusterSimulator(
+        topology,
+        graph,
+        strategy,
+        config=SimulationConfig(extra_memory_pct=EDGE_CHURN_MEMORY_PCT, seed=7),
+        scenario=SCENARIOS[scenario_key](),
+    )
+    edges: list[tuple[int, int, int]] = []
+    replicas: list[int] = []
+    added, removed = strategy.on_edge_added, strategy.on_edge_removed
+
+    def spy_added(follower, followee, now):
+        edges.append((KIND_EDGE_ADD, follower, followee))
+        replicas.append(strategy.memory_in_use())
+        return added(follower, followee, now)
+
+    def spy_removed(follower, followee, now):
+        edges.append((KIND_EDGE_REMOVE, follower, followee))
+        replicas.append(strategy.memory_in_use())
+        return removed(follower, followee, now)
+
+    strategy.on_edge_added, strategy.on_edge_removed = spy_added, spy_removed
+    if not batch:
+        observe_per_event(simulator)
+    calls = spy_batch_calls(strategy)
+    result = simulator.run(stream)
+    replicas.append(strategy.memory_in_use())
+    expected_edges = [
+        (kind, follower, followee)
+        for kind, _, follower, followee in stream.rows()
+        if kind in (KIND_EDGE_ADD, KIND_EDGE_REMOVE)
+    ]
+    assert edges == expected_edges
+    assert {kind for kind, _, _ in edges} == {KIND_EDGE_ADD, KIND_EDGE_REMOVE}
+    return result, calls, replicas
+
+
+@pytest.mark.parametrize("scenario_key", ["plain", "crash"])
+@pytest.mark.parametrize("strategy_key", STRATEGY_KEYS)
+def test_edge_churn_batch_and_per_event_byte_identical(strategy_key, scenario_key):
+    """A stream interleaving follow-edge adds and removes with requests:
+    every strategy's batch kernel and the per-event reference give the same
+    result, and both deliver every edge event to the strategy, in order."""
+    batched, batched_calls, batched_replicas = _run_edge_churn(
+        strategy_key, scenario_key, batch=True
+    )
+    per_event, _, per_event_replicas = _run_edge_churn(
+        strategy_key, scenario_key, batch=False
+    )
+    assert max(batched_calls) > 10
+    assert golden_digest(batched) == golden_digest(per_event)
+    assert canonical_result_bytes(batched) == canonical_result_bytes(per_event)
+    assert batched_replicas == per_event_replicas
+    if strategy_key == "spar":
+        # SPAR moves replicas on edges alone: at this memory setting the
+        # added edges find free slots on their followers' servers.
+        assert len(set(batched_replicas)) > 1
 
 
 # ---------------------------------------------------------------------------

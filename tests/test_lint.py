@@ -78,3 +78,20 @@ def test_sharded_runner_is_not_imported_by_the_public_surface():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
     assert completed.stdout.strip() == "False"
+
+
+def test_nothing_in_src_maps_a_file():
+    """Trace files are read through their handle one chunk at a time; a
+    memory mapping would keep every page of a replayed file resident."""
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "mmap" for module in modules):
+                importers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert importers == []

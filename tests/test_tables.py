@@ -65,6 +65,7 @@ fidelity fix under ROADMAP item 2 — in a change that does nothing else):
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
@@ -671,6 +672,117 @@ def test_eviction_candidates_sort_on_utility_first():
     ordered = [table.user_of(slot) for slot in table.eviction_candidate_slots(0)]
     assert ordered == [21, 22, 20]
 
+
+# ---------------------------------------------------------------------------
+# Float32 statistics windows: integral amounts below 2**24 only
+# ---------------------------------------------------------------------------
+#: The first integer float32 cannot hold exactly; window totals stay below it.
+WINDOW_LIMIT = 2.0**24
+
+
+@pytest.mark.parametrize("amount", [0.5, 2.25, -1.0, float("nan"), float("inf")])
+def test_fractional_or_negative_amounts_are_refused(amount):
+    """Float32 buckets are exact for counts alone, so nothing else goes in."""
+    stats = StatsTable(slots=4, period=10.0)
+    stats.append_slot()
+    with pytest.raises(StorageError, match="non-negative integers"):
+        stats.record_read(0, origin=3, timestamp=1.0, amount=amount)
+    with pytest.raises(StorageError, match="non-negative integers"):
+        stats.record_write(0, timestamp=1.0, amount=amount)
+    stats.record_read(0, origin=3, timestamp=1.0, amount=3)
+    stats.record_write(0, timestamp=1.0, amount=2.0)
+    assert stats.total_reads(0) == 3.0
+    assert stats.total_writes(0) == 2.0
+
+
+def test_windows_are_exact_up_to_the_float32_limit():
+    stats = StatsTable(slots=4, period=10.0)
+    stats.append_slot()
+    stats.record_write(0, timestamp=1.0, amount=WINDOW_LIMIT - 2)
+    stats.record_write(0, timestamp=2.0)
+    assert stats.total_writes(0) == WINDOW_LIMIT - 1
+    assert list(stats._node_buckets[:4]) == [WINDOW_LIMIT - 1, 0.0, 0.0, 0.0]
+    stats.check_window_range()
+    stats.record_write(0, timestamp=3.0)
+    with pytest.raises(StorageError, match="exact only below 16777216"):
+        stats.check_window_range()
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["sweep", "reference"])
+def test_window_total_at_the_limit_raises_at_the_next_tick(reference):
+    """Both DynaSoRe ticks (the end-of-run one included) refuse a total
+    that float32 buckets can no longer hold exactly."""
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=40)
+    strategy = build_strategy("dynasore_random", 7, DynaSoReConfig())
+    if reference:
+        strategy.on_tick = strategy._on_tick_reference
+    simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
+    simulator.prepare()
+    stats = strategy.tables.stats
+    slot = strategy.tables.user_slots(next(iter(graph.users)))[0]
+    stats.record_write(slot, timestamp=10.0, amount=WINDOW_LIMIT - 1)
+    strategy.on_tick(3600.0)
+    stats.record_write(slot, timestamp=20.0)
+    with pytest.raises(StorageError, match="window total reached 16777216"):
+        strategy.on_tick(3600.0)
+
+
+def test_window_bucket_slot_costs_four_bytes():
+    """96 B per 24-slot window (``array('f')``), not the 192 of doubles."""
+    nodes = 20_000
+    stats = StatsTable(slots=24, period=3600.0)
+    source, first = inspect.getsourcelines(StatsTable._alloc_node)
+    (offset,) = [
+        index for index, line in enumerate(source) if "_node_buckets.extend" in line
+    ]
+    tracemalloc.start()
+    try:
+        for slot in range(nodes):
+            stats.append_slot()
+            stats.record_write(slot, timestamp=0.0)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    (bucket_stat,) = [
+        stat
+        for stat in snapshot.statistics("lineno")
+        if stat.traceback[0].filename == inspect.getsourcefile(StatsTable)
+        and stat.traceback[0].lineno == first + offset
+    ]
+    assert stats._node_count == nodes
+    # ``array`` over-allocates by 1/16 on growth.
+    assert 96 * nodes <= bucket_stat.size <= 96 * nodes * 17 // 16 + 64
+
+
+def test_check_integrity_audits_the_statistics_pool():
+    """Live windows sum to their totals below the limit; free ones are zero."""
+    def fresh():
+        table = ReplicaTable(positions=1, counter_slots=4, counter_period=10.0)
+        live = table.allocate(1, 0)
+        table.stats.record_read(live, origin=3, timestamp=1.0, amount=2)
+        freed = table.allocate(2, 0)
+        table.stats.record_write(freed, timestamp=1.0)
+        table.free(freed)
+        table.check_integrity()
+        stats = table.stats
+        return table, stats, stats._read_head[live], stats._node_free
+
+    table, stats, live_node, _ = fresh()
+    stats._node_buckets[live_node * 4 + 1] = 1.0
+    with pytest.raises(StorageError, match="window sum"):
+        table.check_integrity()
+
+    table, stats, _, free_node = fresh()
+    stats._node_buckets[free_node * 4] = 1.0
+    with pytest.raises(StorageError, match="nonzero window"):
+        table.check_integrity()
+
+    table, stats, live_node, _ = fresh()
+    stats._node_total[live_node] = WINDOW_LIMIT
+    stats._node_buckets[live_node * 4] = WINDOW_LIMIT
+    with pytest.raises(StorageError, match="float32 window limit"):
+        table.check_integrity()
 
 if __name__ == "__main__":
     digests = {key: golden_digest(run_strategy(**kwargs)) for key, kwargs in CASES.items()}

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import re
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +17,14 @@ from repro.runtime.executor import execute_spec
 from repro.runtime.spec import GraphSpec, RunSpec, TopologySpec, WorkloadSpec
 from repro.socialgraph.generators import facebook_like
 from repro.workload.io import TRACE_MAGIC, read_trace, trace_content_hash, write_trace
-from repro.workload.stream import EventChunk, EventStream, KIND_EDGE_ADD, KIND_READ, KIND_WRITE
+from repro.workload.stream import (
+    CHUNK_EVENTS,
+    EventChunk,
+    EventStream,
+    KIND_EDGE_ADD,
+    KIND_READ,
+    KIND_WRITE,
+)
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
@@ -189,6 +201,125 @@ class TestCorruption:
         stream = read_trace(path)
         with pytest.raises(WorkloadError, match="no followee"):
             list(stream.chunks())
+
+
+#: Bytes of one event in a trace body (kind u8, timestamp f64, user u32, aux i32).
+EVENT_BYTES = 1 + 8 + 4 + 4
+#: Bytes of the file header and of a chunk header.
+HEADER_BYTES = 24
+CHUNK_HEADER_BYTES = 4
+
+
+def four_chunk_stream() -> EventStream:
+    """Four chunks of 200 reads each, timestamps 0..799."""
+    rows = [(KIND_READ, float(t), t % 13, -1) for t in range(800)]
+    return EventStream.from_rows(rows, chunk_size=200)
+
+
+def chunk_ends(stream: EventStream) -> list[int]:
+    """File offsets where each chunk record of ``stream``'s trace ends."""
+    ends = []
+    offset = HEADER_BYTES
+    for chunk in stream.chunks():
+        offset += CHUNK_HEADER_BYTES + len(chunk) * EVENT_BYTES
+        ends.append(offset)
+    return ends
+
+
+class TestTruncationAfterOpen:
+    """``read_trace`` validates the header eagerly and reads the body on
+    each pass: a file that shrinks afterwards must fail with a
+    ``WorkloadError`` naming it, never an ``EOFError`` or a crash."""
+
+    @pytest.mark.parametrize(
+        "cut",
+        ["inside-header", "mid-chunk-header", "mid-payload", "chunk-boundary"],
+    )
+    def test_truncated_before_iteration(self, tmp_path, cut):
+        written = four_chunk_stream()
+        path = tmp_path / "shrunk.trace"
+        write_trace(path, written)
+        stream = read_trace(path)
+        first_end = chunk_ends(written)[0]
+        size = {
+            "inside-header": HEADER_BYTES - 3,
+            "mid-chunk-header": first_end + 2,
+            "mid-payload": first_end + CHUNK_HEADER_BYTES + 100,
+            "chunk-boundary": first_end,
+        }[cut]
+        os.truncate(path, size)
+        with pytest.raises(WorkloadError, match=re.escape(str(path))):
+            list(stream.chunks())
+
+    @pytest.mark.parametrize("cut", ["chunk-boundary", "mid-payload"])
+    def test_truncated_during_iteration(self, tmp_path, cut):
+        written = four_chunk_stream()
+        path = tmp_path / "shrinking.trace"
+        write_trace(path, written)
+        ends = chunk_ends(written)
+        assert len(ends) == 4 and ends[-1] == path.stat().st_size
+        chunks = read_trace(path).chunks()
+        next(chunks)
+        # The pass already sized the file; the reads must notice it shrank.
+        size = ends[0] if cut == "chunk-boundary" else ends[1] - 10
+        os.truncate(path, size)
+        with pytest.raises(WorkloadError, match=re.escape(str(path))):
+            list(chunks)
+
+
+#: Iterates a trace in a fresh interpreter and prints how far the pass
+#: raised the process's peak RSS, in bytes.  The peak is ``VmHWM``, the
+#: high-water mark of this image's memory: ``ru_maxrss`` would start at the
+#: forking test process's peak, which survives ``exec``.
+RSS_PROBE = """
+import sys
+from repro.workload.io import read_trace
+
+def peak_rss():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+stream = read_trace(sys.argv[1])
+before = peak_rss()
+events = sum(map(len, stream.chunks()))
+print(events, peak_rss() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_trace_pass_holds_chunks_not_the_file(tmp_path):
+    """A pass over a 5 MB trace raises the peak RSS by less than two
+    chunks' worth of columns: the reader holds the chunk it is on, never
+    every page of the file."""
+    events = 300_000
+    chunks = []
+    for start in range(0, events, CHUNK_EVENTS):
+        n = min(CHUNK_EVENTS, events - start)
+        chunks.append(
+            EventChunk(
+                array("B", bytes(n)),
+                array("d", range(start, start + n)),
+                array("I", [index % 997 for index in range(n)]),
+                array("i", [-1]) * n,
+            )
+        )
+    path = tmp_path / "large.trace"
+    assert write_trace(path, EventStream.from_chunks(chunks)) == events
+    assert path.stat().st_size >= 5_000_000
+    del chunks
+    completed = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    read, growth = map(int, completed.stdout.split())
+    assert read == events
+    assert growth < 2 * CHUNK_EVENTS * EVENT_BYTES
 
 
 class TestContentHash:
