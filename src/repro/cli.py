@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -117,8 +115,12 @@ def provenance(profile: ExperimentProfile) -> dict[str, str]:
     """Commit, profile, seed and machine a report was taken on.
 
     The commit is that of the checkout this package was imported from,
-    with ``-dirty`` appended when tracked files differ from it.
+    with ``-dirty`` appended when tracked files differ from it.  Only
+    ``--report`` asks for it, so ``subprocess`` and ``platform`` load here.
     """
+    import platform
+    import subprocess
+
     try:
         commit = subprocess.run(
             ["git", "-C", str(Path(__file__).parent), "describe", "--always", "--dirty",

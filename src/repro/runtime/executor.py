@@ -11,17 +11,24 @@ content hash, and reports progress/ETA through a callback.  Results are
 returned in spec order regardless of completion order, and every run is
 seeded from its spec alone, so serial and parallel execution produce
 identical results.
+
+The process pool is imported where it is started (``_run_parallel``):
+``concurrent.futures`` pulls in ``multiprocessing``, ``socket`` and
+``pickle``, ≈ 2.2 MiB that a process running specs in-process never needs.
+Cache entries are JSON, so reading one never imports ``pickle`` either.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
+import sys
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import Any, get_args, get_origin, get_type_hints
 
 from ..simulator.engine import ClusterSimulator
 from ..simulator.results import SimulationResult
@@ -58,7 +65,14 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
 
 
 class ResultCache:
-    """On-disk cache of simulation results keyed by spec content hash."""
+    """On-disk cache of simulation results keyed by spec content hash.
+
+    An entry is ``<key>.json``: ``{"key": <cache key>, "result":
+    asdict(result)}``.  Dict keys keep the result's own insertion order
+    (device dicts iterate in set order, levels in topology order, tracked
+    views in tracking order), so the rebuilt result pickles to the same
+    bytes as the live one.  Loading an entry parses JSON and never runs code.
+    """
 
     def __init__(self, directory: str | os.PathLike = DEFAULT_CACHE_DIR) -> None:
         self.directory = Path(directory)
@@ -67,24 +81,25 @@ class ResultCache:
 
     def path_for(self, spec: RunSpec) -> Path:
         """File backing a spec's cached result."""
-        return self.directory / f"{spec.cache_key()}.pkl"
+        return self.directory / f"{spec.cache_key()}.json"
 
     def get(self, spec: RunSpec) -> SimulationResult | None:
-        """Cached result of a spec, or None.  An entry that exists but is
-        corrupt, truncated or version-skewed reads as a miss and is counted
-        in :attr:`unreadable`."""
-        path = self.path_for(spec)
+        """Cached result of a spec, or None.  An entry that exists but does
+        not rebuild exactly — truncated, not JSON, another spec's, a missing
+        or extra field, a value of the wrong type — reads as a miss and is
+        counted in :attr:`unreadable`."""
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
+            payload = json.loads(self.path_for(spec).read_bytes())
+            if (
+                type(payload) is dict
+                and payload.keys() == {"key", "result"}
+                and payload["key"] == spec.cache_key()
+            ):
+                return _rebuild(SimulationResult, payload["result"])
         except FileNotFoundError:
             return None
-        except Exception:  # noqa: BLE001 - any unloadable entry is a miss
-            payload = None
-        if isinstance(payload, dict) and payload.get("key") == spec.cache_key():
-            result = payload.get("result")
-            if isinstance(result, SimulationResult):
-                return result
+        except (OSError, ValueError, RecursionError):  # unreadable, not JSON, no result
+            pass
         self.unreadable += 1
         return None
 
@@ -94,23 +109,77 @@ class ResultCache:
             self.directory.mkdir(parents=True, exist_ok=True)
             path = self.path_for(spec)
             tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump({"key": spec.cache_key(), "result": result}, handle)
+            tmp.write_text(json.dumps({"key": spec.cache_key(), "result": asdict(result)}))
             os.replace(tmp, path)
         except OSError:
             pass
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number of files removed."""
+        """Delete every cache entry (and any ``.pkl`` entry an older version
+        wrote); returns the number of files removed."""
         removed = 0
         if self.directory.is_dir():
-            for path in self.directory.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+            for pattern in ("*.json", "*.pkl"):
+                for path in self.directory.glob(pattern):
+                    try:
+                        path.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
         return removed
+
+
+@cache
+def _field_types(kind: type) -> dict[str, Any]:
+    hints = get_type_hints(kind)
+    return {field.name: hints[field.name] for field in fields(kind)}
+
+
+def _rebuild(kind: Any, value: Any) -> Any:
+    """``value`` as parsed from JSON, rebuilt as an instance of ``kind``.
+
+    Raises :class:`ValueError` unless it rebuilds exactly: every dataclass
+    field present and no other, int dict keys written as ints, tuples of
+    the declared length and every leaf of the declared type (an int stands
+    for a float, as it does in Python; a bool stands for neither).  Strings
+    are interned, as the literals they were built from are.
+    """
+    if is_dataclass(kind):
+        types = _field_types(kind)
+        if type(value) is not dict or value.keys() != types.keys():
+            raise ValueError(f"{kind.__name__} fields do not match")
+        return kind(**{name: _rebuild(types[name], value[name]) for name in types})
+    origin = get_origin(kind)
+    if origin is dict:
+        key_type, item_type = get_args(kind)
+        if type(value) is not dict:
+            raise ValueError("expected an object")
+        return {
+            _rebuild_key(key_type, key): _rebuild(item_type, item)
+            for key, item in value.items()
+        }
+    if origin is list:
+        (item_type,) = get_args(kind)
+        if type(value) is not list:
+            raise ValueError("expected an array")
+        return [_rebuild(item_type, item) for item in value]
+    if origin is tuple:
+        item_types = get_args(kind)
+        if type(value) is not list or len(value) != len(item_types):
+            raise ValueError(f"expected an array of {len(item_types)}")
+        return tuple(map(_rebuild, item_types, value))
+    if type(value) is kind or (kind is float and type(value) is int):
+        return sys.intern(value) if kind is str else value
+    raise ValueError(f"expected {kind.__name__}, got {type(value).__name__}")
+
+
+def _rebuild_key(kind: type, key: str) -> Any:
+    if kind is str:
+        return sys.intern(key)
+    number = int(key)
+    if str(number) != key:
+        raise ValueError(f"{key!r} is not an int key")
+    return number
 
 
 @dataclass(frozen=True)
@@ -220,6 +289,8 @@ class RuntimeExecutor:
             )
 
     def _run_parallel(self, specs, results, pending, cached, started) -> None:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         live_done = 0
         live_time = 0.0
         workers = min(self.jobs, len(pending))

@@ -42,19 +42,21 @@ Nothing in the experiment runtime or the command line starts a sharded
 run: experiments replay each run in one process and parallelise across
 runs (``--jobs``).  The runner is reached from the benchmark's two-shard
 block (``bench/driver.py``) and from the tests.
+
+The process machinery (``multiprocessing``, ``queue``, ``traceback``) is
+imported inside the functions that start, drain or report from a worker, so
+a process that imports this module but never starts a fleet — every
+benchmark round does — does not pay for it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import time
-import traceback
 from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from itertools import compress
-from queue import Empty
 from typing import TYPE_CHECKING
 
 from ..exceptions import SimulationError
@@ -66,6 +68,8 @@ from .engine import ClusterSimulator
 from .results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing import Process
+
     from ..config import SimulationConfig
     from ..runtime.spec import RunSpec
 
@@ -362,6 +366,8 @@ def _shard_worker(
         outcome = _execute_shard(shard_id, owner_map, materials)
         channel.put(("done", shard_id, outcome))
     except BaseException:  # noqa: BLE001 - relayed to the coordinator
+        import traceback
+
         channel.put(("error", shard_id, traceback.format_exc()))
 
 
@@ -370,6 +376,8 @@ def _shard_worker(
 # ---------------------------------------------------------------------------
 def _mp_context():
     """Prefer ``fork`` (factories may be closures; no re-import cost)."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -398,9 +406,11 @@ def _run_partitioned(
     Any worker error — the closed-universe guard included — terminates the
     fleet and raises :class:`SimulationError` carrying its traceback.
     """
+    from queue import Empty
+
     context = _mp_context()
     channel = context.Queue()
-    running: dict[int, multiprocessing.Process] = {}
+    running: dict[int, Process] = {}
     outcomes: dict[int, ShardOutcome] = {}
     try:
         for shard_id in range(shards):

@@ -1,7 +1,8 @@
 """Unused imports in ``src/repro``: stands in for F401 of CI's ``ruff check``,
 which the build container does not have.  Plus the checks ruff has no rule
 for: the packages' ``__all__`` lists name only things that exist, and the
-sharded runner stays out of what the library, the CLI and the runtime load."""
+sharded runner and the process machinery stay out of what the library, the
+CLI and the runtime load."""
 
 import ast
 import importlib
@@ -78,6 +79,49 @@ def test_sharded_runner_is_not_imported_by_the_public_surface():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
     assert completed.stdout.strip() == "False"
+
+
+#: Modules of the public surface, and the process machinery none of them
+#: may load at import time: a process that never starts a worker would pay
+#: ≈ 2.2 MiB of peak RSS for it.
+SURFACE = (
+    "repro",
+    "repro.cli",
+    "repro.runtime",
+    "repro.runtime.executor",
+    "repro.simulator",
+    "repro.simulator.shard",
+)
+PROCESS_MACHINERY = (
+    "multiprocessing",
+    "concurrent.futures",
+    "pickle",
+    "queue",
+    "subprocess",
+    "socket",
+    "platform",
+)
+
+
+def test_process_machinery_is_imported_only_where_a_process_starts():
+    """The pool, the worker fleet and the report's provenance import their
+    machinery when they run; importing the surface loads none of it.  The
+    probe compares against the same interpreter's own start-up modules."""
+    probe = (
+        "import importlib, sys; before = set(sys.modules); "
+        f"[importlib.import_module(name) for name in {SURFACE!r}]; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    loaded = set(completed.stdout.split())
+    assert "repro.simulator.shard" in loaded
+    assert sorted(loaded.intersection(PROCESS_MACHINERY)) == []
 
 
 def test_nothing_in_src_maps_a_file():

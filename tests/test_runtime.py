@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -171,39 +173,112 @@ class TestExecutor:
         cache = ResultCache(tmp_path)
         spec = tiny_spec("random")
         cache.path_for(spec).parent.mkdir(parents=True, exist_ok=True)
-        cache.path_for(spec).write_bytes(b"not a pickle")
+        cache.path_for(spec).write_bytes(b"not json")
         assert cache.get(spec) is None
         result = RuntimeExecutor(cache=cache).run([spec])[0]
         assert cache.get(spec) is not None
         assert pickle.dumps(cache.get(spec)) == pickle.dumps(result)
 
-    def test_unreadable_entries_are_counted_misses(self, tmp_path):
-        """Truncated, version-skewed (a class or module the code no longer
-        has), malformed and foreign payloads read as misses — and are counted, so somebody can
-        be told; a spec that was never cached is a plain miss."""
+    def test_entries_are_json_of_the_result(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = tiny_spec("random")
+        spec = tiny_spec("spar")
+        result = RuntimeExecutor(cache=cache).run([spec])[0]
+        path = cache.path_for(spec)
+        assert path.name == f"{spec.cache_key()}.json"
+        assert json.loads(path.read_text()) == json.loads(
+            json.dumps({"key": spec.cache_key(), "result": asdict(result)})
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tiny_spec(
+                "dynasore_hmetis",
+                scenario=ScenarioSpec.of(
+                    "crash_recover", crash_time=600.0, recover_time=6000.0, count=2
+                ),
+            ),
+            RunSpec(
+                topology=TopologySpec.tree(TINY_CLUSTER),
+                graph=GraphSpec(dataset="twitter", users=150, seed=3),
+                workload=WorkloadSpec(
+                    kind="synthetic",
+                    days=0.2,
+                    seed=11,
+                    flash=FlashSpec(followers=10, start_day=0.05, end_day=0.15),
+                ),
+                strategy="dynasore_random",
+                config=SimulationConfig(extra_memory_pct=50.0, seed=5),
+                tracked_views=(7,),
+            ),
+        ],
+        ids=["crash_recover", "tracked_flash"],
+    )
+    def test_cached_result_pickles_like_the_live_one(self, tmp_path, spec):
+        """Fault records, tracked-view timelines, int-keyed series and the
+        dicts' insertion order all survive the JSON round trip."""
+        live = execute_spec(spec)
+        if spec.scenario is not None:
+            assert [r.kind for r in live.fault_records] == ["crash", "crash", "restore", "restore"]
+        else:
+            assert len(live.tracked_views) == 2
+        cache = ResultCache(tmp_path)
+        cache.put(spec, live)
+        cached = cache.get(spec)
+        assert cache.unreadable == 0
+        assert pickle.dumps(cached) == pickle.dumps(live)
+
+    def test_unreadable_entries_are_counted_misses(self, tmp_path):
+        """Truncated, non-JSON, foreign and malformed entries (a missing or
+        extra field, a value of the wrong type) read as misses — and are
+        counted, so somebody can be told; a spec that was never cached is a
+        plain miss."""
+        cache = ResultCache(tmp_path)
+        spec = tiny_spec(
+            "random", scenario=ScenarioSpec.of("crash_recover", crash_time=600.0, count=1)
+        )
         assert cache.get(spec) is None and cache.unreadable == 0
         RuntimeExecutor(cache=cache).run([spec])
         path = cache.path_for(spec)
         whole = path.read_bytes()
+        entry = json.loads(whole)
         assert cache.get(spec) is not None and cache.unreadable == 0
-        for count, payload in enumerate(
-            [
-                whole[: len(whole) // 2],
-                b"crepro.simulator.results\nResultOfAnOlderVersion\n.",
-                pickle.dumps({"key": "somebody else's", "result": None}),
-                b"crepro.legacy.tables\nReplicaTable\n.",  # a module that is gone
-                b"I12x\n.",  # a malformed int opcode
-                b"X\x02\x00\x00\x00\xff\xfe.",  # invalid UTF-8 in a string
-            ],
-            start=1,
-        ):
+
+        def edited(change):
+            copy = json.loads(whole)
+            change(copy)
+            return json.dumps(copy).encode()
+
+        corruptions = [
+            whole[: len(whole) // 2],
+            pickle.dumps({"key": spec.cache_key(), "result": cache.get(spec)}),
+            b"\xff\xfe not text",
+            b"[]",
+            json.dumps({"key": "somebody else's", "result": entry["result"]}).encode(),
+            edited(lambda e: e.update(extra=1)),
+            edited(lambda e: e["result"].pop("duration")),
+            edited(lambda e: e["result"].update(version=2)),
+            edited(lambda e: e["result"]["snapshot"].pop("messages")),
+            edited(lambda e: e["result"].update(duration="1.0")),
+            edited(lambda e: e["result"].update(requests_executed=1.5)),
+            edited(lambda e: e["result"].update(reads_executed=True)),
+            edited(lambda e: e["result"].update(top_series_system={"one": 1.0})),
+            edited(lambda e: e["result"].update(top_series_system={"01": 1.0})),
+            edited(lambda e: e["result"]["fault_records"][0].update(kind=None)),
+            edited(lambda e: e["result"].update(fault_records={})),
+            edited(
+                lambda e: e["result"].update(
+                    tracked_views={"3": {"user": 3, "replica_counts": [[0.0]],
+                                         "reads_per_replica": []}}
+                )
+            ),
+        ]
+        for count, payload in enumerate(corruptions, start=1):
             path.write_bytes(payload)
             assert cache.get(spec) is None
             assert cache.unreadable == count
         path.write_bytes(whole)
-        assert cache.get(spec) is not None and cache.unreadable == 6
+        assert cache.get(spec) is not None and cache.unreadable == len(corruptions)
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_cli_rejects_jobs_below_one(self, jobs, capsys):
@@ -221,8 +296,8 @@ class TestExecutor:
         arguments = ["run", "figure7", "--profile", "ci", "--cache-dir", str(tmp_path)]
         assert main(arguments) == 0
         assert "unreadable" not in capsys.readouterr().err
-        entries = sorted(tmp_path.glob("*.pkl"))
-        assert entries
+        entries = sorted(tmp_path.glob("*.json"))
+        assert entries and sorted(tmp_path.iterdir()) == entries
         for path in entries:
             path.write_bytes(path.read_bytes()[:100])
         assert main(arguments) == 0
@@ -236,7 +311,9 @@ class TestExecutor:
     def test_cache_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         RuntimeExecutor(cache=cache).run([tiny_spec("random")])
-        assert cache.clear() == 1
+        (tmp_path / f"{tiny_spec('spar').cache_key()}.pkl").write_bytes(b"an older entry")
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
         assert cache.get(tiny_spec("random")) is None
 
     def test_progress_reports_completion(self):

@@ -13,11 +13,21 @@ import pytest
 
 from repro.baselines.random_placement import RandomPlacement
 from repro.baselines.spar import SparPlacement
-from repro.config import SimulationConfig
+from repro.config import ClusterSpec, SimulationConfig
 from repro.constants import DAY, HOUR
 from repro.core.engine import DynaSoRe
 from repro.exceptions import SimulationError
 from repro.persistence.backend import PersistentStore
+from repro.runtime import (
+    STRATEGY_KEYS,
+    GraphSpec,
+    RunSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    build_strategy,
+    execute_spec,
+)
 from repro.scenarios import (
     CompositeScenario,
     CrashRecoverScenario,
@@ -27,6 +37,7 @@ from repro.scenarios import (
 from repro.scenarios.events import ServerCrash, ServerRecovery
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.runner import normalise_results
+from repro.workload.io import write_trace
 from repro.workload.stream import KIND_WRITE, EventStream
 
 
@@ -380,3 +391,74 @@ class TestNormalisationGuard:
     def test_missing_baseline_raises(self):
         with pytest.raises(SimulationError, match="not among the results"):
             normalise_results({}, baseline_label="random")
+
+
+SINGLE_SERVER = TopologySpec.tree(ClusterSpec(1, 1, 2, 1))
+TWITTER_100 = GraphSpec(dataset="twitter", users=100, seed=3)
+
+
+class TestDegenerateRuns:
+    """A cluster of one server, and a workload of no events, run through
+    every strategy like any other."""
+
+    @pytest.mark.parametrize("strategy", STRATEGY_KEYS)
+    def test_single_server_replays_a_day(self, strategy):
+        spec = RunSpec(
+            topology=SINGLE_SERVER,
+            graph=TWITTER_100,
+            workload=WorkloadSpec(kind="synthetic", days=1.0, seed=11),
+            strategy=strategy,
+            config=SimulationConfig(extra_memory_pct=50.0, seed=5),
+        )
+        assert len(SINGLE_SERVER.build().servers) == 1
+        result = execute_spec(spec)
+        assert result.requests_executed > 0
+        assert result.unavailable_views == 0
+
+    @pytest.mark.parametrize("strategy", STRATEGY_KEYS)
+    def test_single_server_crash_is_refused_before_any_request(self, strategy):
+        topology = SINGLE_SERVER.build()
+        graph = TWITTER_100.build()
+        stream, _ = WorkloadSpec(kind="synthetic", days=1.0, seed=11).build_stream(graph)
+        placement = build_strategy(strategy, 5)
+        batches = []
+        placement.execute_request_batch = lambda *args: batches.append(args)
+        simulator = ClusterSimulator(
+            topology,
+            graph,
+            placement,
+            SimulationConfig(extra_memory_pct=50.0, seed=5),
+            scenario=CrashRecoverScenario(crash_time=HOUR, count=1),
+        )
+        with pytest.raises(SimulationError, match="at least one must survive"):
+            simulator.run(stream)
+        assert batches == []
+
+    @pytest.mark.parametrize("scenario", [None, "crash_recover", "diurnal_load"])
+    @pytest.mark.parametrize("strategy", STRATEGY_KEYS)
+    def test_empty_trace_file_runs_to_an_empty_result(self, tmp_path, strategy, scenario):
+        path = tmp_path / "empty.trace"
+        assert write_trace(path, EventStream.empty()) == 0
+        scenarios = {
+            None: None,
+            "crash_recover": ScenarioSpec.of(
+                "crash_recover", crash_time=HOUR, recover_time=2 * HOUR, count=1
+            ),
+            "diurnal_load": ScenarioSpec.of("diurnal_load"),
+        }
+        result = execute_spec(
+            RunSpec(
+                topology=TopologySpec.tree(ClusterSpec(2, 2, 4, 1)),
+                graph=GraphSpec(dataset="facebook", users=120, seed=3),
+                workload=WorkloadSpec.from_file(path),
+                strategy=strategy,
+                config=SimulationConfig(extra_memory_pct=50.0, seed=5),
+                scenario=scenarios[scenario],
+            )
+        )
+        assert result.requests_executed == 0
+        assert result.duration == 0.0
+        assert result.unavailable_views == 0
+        # Faults past the end of the workload still happen (``_finish``).
+        expected = ["crash", "restore"] if scenario == "crash_recover" else []
+        assert [record.kind for record in result.fault_records] == expected
