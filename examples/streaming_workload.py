@@ -8,8 +8,8 @@ never materialises a million objects.  The example
 1. generates a 1M-event synthetic workload as a stream and measures the
    peak workload memory with ``tracemalloc`` (a few MB — one chunk at a
    time), enforcing a hard budget;
-2. saves the stream to a binary trace file, re-opens it memory-mapped, and
-   replays it through the cluster simulator — showing that a saved trace
+2. saves the stream to a binary trace file, reads it back chunk by chunk,
+   and replays it through the cluster simulator — showing that a saved trace
    replays byte-identically to the generator's stream;
 3. prints end-to-end events/sec for the replay.
 
@@ -73,7 +73,7 @@ def measure_stream_memory(generator: SyntheticWorkloadGenerator) -> None:
 
 
 def replay_from_trace_file(generator: SyntheticWorkloadGenerator) -> None:
-    """Save the stream, re-open it memory-mapped, replay both identically."""
+    """Save the stream, read it back chunk by chunk, replay both identically."""
 
     def simulator() -> ClusterSimulator:
         return ClusterSimulator(
@@ -97,7 +97,7 @@ def replay_from_trace_file(generator: SyntheticWorkloadGenerator) -> None:
         print(
             f"replay:       {from_file.requests_executed:,} events in "
             f"{elapsed:.1f}s = {from_file.requests_executed / elapsed:,.0f} events/s "
-            f"(memory-mapped trace)"
+            f"(trace read chunk by chunk)"
         )
 
         from_stream = simulator().run(generator.stream())

@@ -7,19 +7,37 @@ went into so partitions can be projected back during uncoarsening.
 
 Graphs are in *index space* (see :mod:`repro.partitioning.kway`): nodes are
 ``0..n-1``, ``rows[i]`` is node ``i``'s neighbour row — a ``(targets,
-weights)`` pair of tuples — and ``weights[i]`` its weight.  Coarse ids are
-dense by construction, so every level is again a pair of plain lists in the
-same row layout.
+weights)`` pair — and ``weights[i]`` its weight.  A row's targets are a
+tuple; its edge weights go through :func:`pack_weights`, which keeps them
+as ``bytes`` when every weight is an int in ``0..255`` and as a tuple
+otherwise.  Either reads back the same ints, so the kernels iterate and sum
+a row without knowing which it holds.  Coarse ids are dense by
+construction, so every level is again a pair of plain lists in the same
+row layout.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 #: One node's neighbour row: neighbour positions and edge weights, in step.
-Row = tuple[tuple[int, ...], tuple[int, ...]]
+Row = tuple[tuple[int, ...], bytes | tuple[int, ...]]
+
+
+def pack_weights(weights: Collection[int]) -> bytes | tuple[int, ...]:
+    """A row's edge weights as ``bytes`` — 1 byte a weight instead of an
+    8-byte pointer — when every one is an int in ``0..255``, else as a
+    tuple.  Iterating either yields the same ints (``bytes`` yields the
+    interpreter's cached small ints, unboxed for free).  ``weights`` must
+    be a collection that iterates again, never a generator: one half
+    consumed by a failed ``bytes()`` would lose weights in the fallback.
+    """
+    try:
+        return bytes(weights)
+    except (TypeError, ValueError):
+        return tuple(weights)
 
 
 @dataclass
@@ -71,7 +89,7 @@ def coarsen_once(
     filled member by member in that order, so row order — and with it every
     later tie-break — is a function of the shuffle alone.  The members of a
     coarse node are consecutive in that order, so each coarse row is summed
-    in one dict and frozen into tuples as soon as its last member is in.
+    in one dict and frozen into a row as soon as its last member is in.
     """
     visit = _shuffled_range(len(rows), rng)
     fine_to_coarse = [-1] * len(rows)
@@ -108,7 +126,7 @@ def coarsen_once(
     coarse = 0
     for fine in fine_order:
         if fine_to_coarse[fine] != coarse:
-            coarse_rows.append((tuple(row), tuple(row.values())))
+            coarse_rows.append((tuple(row), pack_weights(row.values())))
             coarse_weights.append(coarse_weight)
             row = {}
             coarse_weight = 0
@@ -119,7 +137,7 @@ def coarsen_once(
             if coarse_neighbour != coarse:
                 row[coarse_neighbour] = row.get(coarse_neighbour, 0) + weight
     if fine_order:
-        coarse_rows.append((tuple(row), tuple(row.values())))
+        coarse_rows.append((tuple(row), pack_weights(row.values())))
         coarse_weights.append(coarse_weight)
     return CoarseLevel(coarse_rows, coarse_weights, fine_to_coarse, fine_order)
 
@@ -152,4 +170,4 @@ def coarsen_to_size(
     return levels
 
 
-__all__ = ["CoarseLevel", "Row", "coarsen_once", "coarsen_to_size"]
+__all__ = ["CoarseLevel", "Row", "coarsen_once", "coarsen_to_size", "pack_weights"]

@@ -20,19 +20,23 @@ All three phases run in *index space*: one relabelling pass
 rows keyed by position, and from there assignments, node weights and
 matchings are plain lists.  Node weights count the original vertices a
 (coarse) node stands for, so they are always integers.  Node ids reappear
-only in the returned dict.  Every level stores a row as a ``(targets, weights)`` pair of tuples — 16
-bytes per entry against about 41 for a dict — because the finest rows and
-the coarse levels above them are what sets the partitioner's peak memory.
+only in the returned dict.  Every level stores a row as a ``(targets,
+weights)`` pair — a tuple of targets and the weights packed into ``bytes``
+when they all fit a byte (:func:`~repro.partitioning.coarsen.pack_weights`),
+9 bytes per entry against 16 with a tuple of weights and about 41 for a
+dict — because the finest rows and the coarse levels above them are what
+sets the partitioner's peak memory.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from ..exceptions import PartitioningError
-from .coarsen import Row, coarsen_to_size
+from .coarsen import Row, coarsen_to_size, pack_weights
 from .quality import balance_ratio, edge_cut, validate_partition
 from .refine import rebalance_partition, refine_partition
 
@@ -138,10 +142,11 @@ def index_rows(adjacency: Mapping[int, Mapping[int, int]]) -> tuple[list[int], l
     Positions follow adjacency order and every row keeps its neighbour order,
     so nothing downstream can tell the relabelling happened.  The whole graph
     is checked as it is indexed — a neighbour that is not itself a node, or
-    an edge weight that is not positive, fails here rather than deep inside
-    a kernel.  A graph whose ids already are ``0..n-1`` in order (every
-    generated graph) is its own relabelling: targets are the neighbour ids
-    themselves, range-checked, and no id -> position dict is built.
+    an edge weight that is not positive and finite, fails here rather than
+    deep inside a kernel.  A graph whose ids already are ``0..n-1`` in
+    order (every generated graph) is its own relabelling: targets are the
+    neighbour ids themselves, range-checked, and no id -> position dict is
+    built.
     """
     ids = list(adjacency)
     size = len(ids)
@@ -157,9 +162,13 @@ def index_rows(adjacency: Mapping[int, Mapping[int, int]]) -> tuple[list[int], l
                 targets = tuple(map(index_of.__getitem__, neighbours))
             except KeyError as error:
                 raise _dangling(node, error.args[0]) from None
-        weights = tuple(neighbours.values())
+        weights = pack_weights(neighbours.values())
         if weights and min(weights) <= 0:
             raise PartitioningError(f"node {node} has an edge of non-positive weight")
+        # A packed row holds ints 1..255; only the tuple fallback can hold
+        # a NaN (which ``min`` passes over) or an infinity.
+        if type(weights) is tuple and not all(-math.inf < w < math.inf for w in weights):
+            raise PartitioningError(f"node {node} has an edge of non-finite weight")
         rows.append((targets, weights))
     return ids, rows
 
@@ -181,7 +190,8 @@ def subgraph_cutter(
         sub_rows: list[Row] = []
         for position in positions:
             kept = [(i, w) for n, w in zip(*rows[position]) if (i := local[n]) >= 0]
-            sub_rows.append(tuple(zip(*kept)) if kept else ((), ()))
+            targets, weights = zip(*kept) if kept else ((), ())
+            sub_rows.append((targets, pack_weights(weights)))
         for position in positions:
             local[position] = -1
         return sub_ids, sub_rows
@@ -266,8 +276,8 @@ def partition_kway(
     adjacency:
         Symmetric adjacency mapping ``node -> {neighbour -> weight}``.  Every
         node must appear as a key (isolated nodes map to an empty dict) and
-        every edge weight must be positive; :class:`PartitioningError`
-        otherwise.
+        every edge weight must be positive and finite;
+        :class:`PartitioningError` otherwise.
     parts:
         Number of parts (servers, racks, or intermediate-switch sub-trees).
     seed:

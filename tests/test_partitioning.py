@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,13 @@ from repro.baselines.hmetis_placement import hmetis_assignment
 from repro.baselines.metis_placement import metis_assignment
 from repro.config import ClusterSpec, FlatClusterSpec
 from repro.exceptions import PartitioningError
-from repro.partitioning import kway
-from repro.partitioning.coarsen import _shuffled_range, coarsen_once, coarsen_to_size
+from repro.partitioning import coarsen, kway
+from repro.partitioning.coarsen import (
+    _shuffled_range,
+    coarsen_once,
+    coarsen_to_size,
+    pack_weights,
+)
 from repro.partitioning.hierarchical import hierarchical_partition
 from repro.partitioning.kway import (
     index_rows,
@@ -79,6 +86,12 @@ class TestQuality:
             validate_partition({1: 5}, {1}, parts=2)
 
 
+def by_value(rows):
+    """``rows`` with every weight sequence as a tuple: a packed (``bytes``)
+    row and a tuple row of the same ints compare equal."""
+    return [(targets, tuple(weights)) for targets, weights in rows]
+
+
 def indexed(adjacency):
     """Index-space rows of a test graph plus unit weights and identity order."""
     _, rows = index_rows(adjacency)
@@ -141,7 +154,26 @@ class TestCoarsening:
                 target = coarse.fine_to_coarse[neighbour]
                 if target != owner:
                     expected[owner][target] = expected[owner].get(target, 0) + weight
-        assert coarse.rows == [(tuple(row), tuple(row.values())) for row in expected]
+        assert by_value(coarse.rows) == [(tuple(row), tuple(row.values())) for row in expected]
+
+
+class TestPackWeights:
+    def test_byte_sized_ints_pack_into_bytes(self):
+        packed = pack_weights((1, 0, 255, 2))
+        assert type(packed) is bytes
+        assert tuple(packed) == (1, 0, 255, 2)
+        assert pack_weights(()) == b""
+
+    @pytest.mark.parametrize("weights", [(1, 256), (3, -1), (1, 0.5), (2.0,)])
+    def test_other_weights_stay_a_tuple_of_the_same_values(self, weights):
+        packed = pack_weights(weights)
+        assert type(packed) is tuple
+        assert packed == weights
+
+    def test_a_failed_packing_loses_no_weight(self):
+        """``bytes()`` fails at the third value, after reading two; the
+        fallback iterates the view again from the start."""
+        assert pack_weights({1: 2, 5: 7, 3: 300, 4: 1}.values()) == (2, 7, 300, 1)
 
 
 class TestRefinement:
@@ -335,7 +367,8 @@ def test_cut_sub_rows_equal_the_dict_reference(data):
     adjacency, subsets = data
     cut = subgraph_cutter(*index_rows(adjacency))
     for nodes in subsets:
-        assert cut(nodes) == reference_induced_rows(adjacency, nodes)
+        sub_ids, sub_rows = cut(nodes)
+        assert (sub_ids, by_value(sub_rows)) == reference_induced_rows(adjacency, nodes)
 
 
 class TestKWay:
@@ -418,17 +451,34 @@ class TestKWay:
                 with pytest.raises(PartitioningError, match=f"neighbour {neighbour},"):
                     hierarchical_partition(adjacency, spec)
 
-    @pytest.mark.parametrize("weight", [0, -2])
+    @pytest.mark.parametrize("weight", [0, -2, -math.inf])
     def test_non_positive_edge_weight_fails_in_the_relabelling_pass(self, weight):
         adjacency = two_cliques(40)
         adjacency[5][6] = adjacency[6][5] = weight
         with pytest.raises(PartitioningError, match="non-positive weight"):
             partition_kway(adjacency, parts=2)
+        spec = ClusterSpec(intermediate_switches=2, racks_per_intermediate=2, machines_per_rack=3)
+        with pytest.raises(PartitioningError, match="node 5 has an edge of non-positive"):
+            hierarchical_partition(adjacency, spec)
         # Ids 0..n-1 (above) take the identity relabelling; sparse ids the
         # dict lookup.  Both check every weight.
         adjacency = shifted(adjacency, 1000)
         with pytest.raises(PartitioningError, match="node 1005 has an edge of non-positive"):
             partition_kway(adjacency, parts=2)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_edge_weight_fails_in_the_relabelling_pass(self, weight):
+        """``min`` passes over a NaN and an infinity is positive, so the
+        tuple rows that can hold either are checked for finiteness."""
+        spec = ClusterSpec(intermediate_switches=2, racks_per_intermediate=2, machines_per_rack=3)
+        for offset in (0, 1000):
+            adjacency = shifted(two_cliques(40), offset)
+            adjacency[5 + offset][6 + offset] = adjacency[6 + offset][5 + offset] = weight
+            message = f"node {5 + offset} has an edge of non-finite weight"
+            with pytest.raises(PartitioningError, match=message):
+                partition_kway(adjacency, parts=2)
+            with pytest.raises(PartitioningError, match=message):
+                hierarchical_partition(adjacency, spec)
 
     def test_identity_labels_index_like_any_other_labels(self):
         adjacency = two_cliques(10)
@@ -549,6 +599,51 @@ def test_placement_entry_points_return_the_public_partition_in_order(name):
     assert hmetis_assignment(graph, flat, seed=7) == metis_assignment(graph, flat, seed=7)
 
 
+def scaled(graph: SocialGraph, factor: float) -> dict[int, dict[int, float]]:
+    """``graph``'s undirected adjacency with every edge weight times ``factor``."""
+    return {
+        node: {neighbour: weight * factor for neighbour, weight in row.items()}
+        for node, row in graph.undirected_adjacency().items()
+    }
+
+
+LAYOUT_GRAPHS = {
+    # Weights 1 and 2: every finest row packs into bytes.
+    "livejournal": lambda: livejournal_like(users=2500, seed=7).undirected_adjacency(),
+    # Weights 300 and 600: every row of every level stays a tuple.
+    "heavy": lambda: scaled(livejournal_like(users=1000, seed=5), 300),
+    # Weights 0.75 and 1.5: floats never pack.
+    "float": lambda: scaled(livejournal_like(users=1000, seed=5), 0.75),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_GRAPHS))
+def test_packed_and_tuple_rows_partition_alike(name, monkeypatch):
+    """A row's weights read back the same from ``bytes`` as from a tuple, so
+    all four entry points return the same assignment, in the same order,
+    with packing switched off."""
+    adjacency = LAYOUT_GRAPHS[name]()
+    graph = SimpleNamespace(undirected_adjacency=lambda: adjacency)
+    spec = ClusterSpec(intermediate_switches=4, racks_per_intermediate=2, machines_per_rack=4)
+    tree = TreeTopology(spec)
+
+    def assignments():
+        return [
+            list(partition_kway(adjacency, parts=8, seed=7).assignment.items()),
+            list(hierarchical_partition(adjacency, spec, seed=7).server_assignment.items()),
+            list(hmetis_assignment(graph, tree, seed=7).items()),
+            list(metis_assignment(graph, tree, seed=7).items()),
+        ]
+
+    layouts = {type(weights) for targets, weights in index_rows(adjacency)[1] if targets}
+    assert layouts == ({bytes} if name == "livejournal" else {tuple})
+    packed = assignments()
+    monkeypatch.setattr(coarsen, "pack_weights", tuple)
+    monkeypatch.setattr(kway, "pack_weights", tuple)
+    assert {type(weights) for _, weights in index_rows(adjacency)[1]} == {tuple}
+    assert assignments() == packed
+
+
 def assignment_peak_per_entry(assign):
     """``tracemalloc`` peak of ``assign(graph, topology, seed=7)`` on a
     2 500-user LiveJournal-like graph and a 24-server tree, the undirected
@@ -568,20 +663,22 @@ def assignment_peak_per_entry(assign):
     return peak / entries
 
 
-def test_hmetis_set_up_stays_under_100_bytes_per_adjacency_entry():
+def test_hmetis_set_up_stays_under_70_bytes_per_adjacency_entry():
     """Absolute ceiling on the hierarchical partitioner's peak.
 
-    About 87 B/entry measured with ``(targets, weights)`` tuple rows at
-    every level and the adjacency dict freed once it is indexed; keeping
-    the dict alive through the top split (sub-splits indexed from it)
-    costs about 129, and rows stored as dicts about 200.
+    About 59 B/entry measured with ``(targets, weights)`` rows whose
+    weights are packed into ``bytes`` at every level they fit, and the
+    adjacency dict freed once it is indexed; weights as tuples cost about
+    84, keeping the dict alive through the top split (sub-splits indexed
+    from it) about 129, and rows stored as dicts about 200.
     """
     per_entry = assignment_peak_per_entry(hmetis_assignment)
-    assert per_entry <= 100, f"{per_entry:.0f} bytes per adjacency entry"
+    assert per_entry <= 70, f"{per_entry:.0f} bytes per adjacency entry"
 
 
 def test_metis_assignment_memory_ceiling():
-    """The flat partitioner's peak: about 77 B/entry with the adjacency dict
-    freed once it is indexed, about 120 with it alive through coarsening."""
+    """The flat partitioner's peak: about 57 B/entry with byte-packed
+    weights and the adjacency dict freed once it is indexed, about 77 with
+    tuple weights, about 120 with the dict alive through coarsening."""
     per_entry = assignment_peak_per_entry(metis_assignment)
-    assert per_entry <= 95, f"{per_entry:.0f} bytes per adjacency entry"
+    assert per_entry <= 68, f"{per_entry:.0f} bytes per adjacency entry"
