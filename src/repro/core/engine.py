@@ -231,7 +231,7 @@ class DynaSoRe(PlacementStrategy):
         for user, position in assignment.items():
             device = self._device_of_position[position]
             broker = self.topology.proxy_broker_for_server(device)
-            table.allocate(user, position, write_proxy_broker=broker)
+            table.allocate(user, position)
             self.proxies.place_both(user, broker)
         self._origin_rank_cache.clear()
         self._origin_memo = {}
@@ -373,7 +373,7 @@ class DynaSoRe(PlacementStrategy):
             raise SimulationError("no storage server is available")
         device = self._device_of_position[position]
         broker = self.topology.proxy_broker_for_server(device)
-        table.allocate(user, position, write_proxy_broker=broker)
+        table.allocate(user, position)
         self.proxies.place_both(user, broker)
         self._invalidate_ranks(position)
 
@@ -487,11 +487,9 @@ class DynaSoRe(PlacementStrategy):
             best = optimal_proxy_broker(self.topology, transfers, broker)
             if best != broker:
                 # Migrating a write proxy notifies every replica of the view.
-                write_proxy = table._write_proxy
                 for slot in slots:
                     device = device_of_position[table._server[slot]]
                     self.accountant.record(broker, device, MessageKind.PROXY_MIGRATION, now)
-                    write_proxy[slot] = best
                 self.proxies.write_proxy[user] = best
                 self.counters.write_proxy_migrations += 1
 
@@ -561,7 +559,6 @@ class DynaSoRe(PlacementStrategy):
         user_next = table._user_next
         server_column = table._server
         next_closest_column = table._next_closest
-        write_proxy_column = table._write_proxy
         read_head = stats._read_head
         write_node = stats._write_node
         node_next = stats._node_next
@@ -769,7 +766,6 @@ class DynaSoRe(PlacementStrategy):
                             accountant.record(
                                 broker, device, MessageKind.PROXY_MIGRATION, now
                             )
-                            write_proxy_column[slot] = best
                         write_proxy[user] = best
                         counters.write_proxy_migrations += 1
         read_run.flush()
@@ -995,7 +991,7 @@ class DynaSoRe(PlacementStrategy):
         record(source_device, target_device, MessageKind.REPLICA_COPY, now)
 
         source_slot = slots[devices.index(source_device)]
-        new_slot = table.allocate(user, target_position, write_proxy_broker=write_broker)
+        new_slot = table.allocate(user, target_position)
         self._seed_statistics(source_slot, new_slot, source_device, target_device, now)
         self._invalidate_ranks(target_position)
         # The brokers that now route to the new replica: those preferring it
@@ -1405,7 +1401,6 @@ class DynaSoRe(PlacementStrategy):
         doomed = table.position_slots(position)
         for slot in doomed:
             user = table._user[slot]
-            write_proxy = table._write_proxy[slot]
             write_broker = self.proxies.write_broker(user)
             table.detach(slot)
             survivors, survivor_devices = self._replica_chain(user)
@@ -1437,11 +1432,7 @@ class DynaSoRe(PlacementStrategy):
                     else self.topology.proxy_broker_for_server(target_device)
                 )
             self.accountant.record(source, target_device, MessageKind.REPLICA_COPY, now)
-            new_slot = table.allocate(
-                user,
-                target,
-                write_proxy_broker=None if write_proxy == NO_SLOT else write_proxy,
-            )
+            new_slot = table.allocate(user, target)
             if graceful:
                 # A drained replica keeps its access history.
                 table.stats.move_slot(slot, new_slot)

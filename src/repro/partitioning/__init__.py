@@ -6,13 +6,10 @@ from .hierarchical import (
 )
 from .kway import PartitionResult, partition_kway, random_partition
 from .quality import balance_ratio, edge_cut, part_weights, validate_partition
-from .sharding import ShardAssignment, assign_user_shards
 
 __all__ = [
     "HierarchicalPartitionResult",
     "PartitionResult",
-    "ShardAssignment",
-    "assign_user_shards",
     "balance_ratio",
     "edge_cut",
     "hierarchical_partition",

@@ -44,7 +44,6 @@ def hierarchical_assignment(
     rows: list[Row],
     spec: ClusterSpec,
     seed: int = 7,
-    balance_tolerance: float = 1.05,
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
     """The ``(server, intermediate, rack)`` assignments of an indexed graph
     (:func:`~repro.partitioning.kway.index_rows`) over the tree of ``spec``:
@@ -54,7 +53,7 @@ def hierarchical_assignment(
     cut = subgraph_cutter(ids, rows)
 
     def split(graph: tuple[list[int], list[Row]], parts: int, part_seed: int) -> dict[int, int]:
-        return partition_indexed(*graph, parts, part_seed, balance_tolerance)[0]
+        return partition_indexed(*graph, parts, part_seed)[0]
 
     rng = random.Random(seed)
     intermediate_assignment = split((ids, rows), spec.intermediate_switches, seed)
@@ -83,14 +82,11 @@ def hierarchical_partition(
     adjacency: Mapping[int, Mapping[int, int]],
     spec: ClusterSpec,
     seed: int = 7,
-    balance_tolerance: float = 1.05,
 ) -> HierarchicalPartitionResult:
     """:func:`hierarchical_assignment` of a ``node -> {neighbour -> weight}``
     graph, with only the final assignment measured (edge cut, balance) and
     checked for coverage."""
-    server, intermediate, rack = hierarchical_assignment(
-        *index_rows(adjacency), spec, seed, balance_tolerance
-    )
+    server, intermediate, rack = hierarchical_assignment(*index_rows(adjacency), spec, seed)
     if set(server) != set(adjacency):
         raise PartitioningError("hierarchical partition failed to cover every node")
     total = spec.total_servers

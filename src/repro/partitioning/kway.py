@@ -40,6 +40,11 @@ from .coarsen import Row, coarsen_to_size, pack_weights
 from .quality import balance_ratio, edge_cut, validate_partition
 from .refine import rebalance_partition, refine_partition
 
+#: Largest allowed ratio between the heaviest part and the ideal weight.
+_BALANCE_TOLERANCE = 1.05
+#: Boundary-refinement sweeps applied at every uncoarsening level.
+_REFINEMENT_PASSES = 4
+
 
 @dataclass(frozen=True)
 class PartitionResult:
@@ -204,8 +209,6 @@ def partition_indexed(
     rows: list[Row],
     parts: int,
     seed: int,
-    balance_tolerance: float = 1.05,
-    refinement_passes: int = 4,
 ) -> tuple[dict[int, int], int]:
     """Multilevel k-way partition of an indexed graph (see :func:`index_rows`).
 
@@ -253,12 +256,12 @@ def partition_indexed(
             part = [part[coarse] for coarse in levels[depth].fine_to_coarse]
             order = levels[depth].fine_order
         level_rows, level_weights = graphs[depth]
-        limit = (sum(level_weights) / parts) * balance_tolerance
+        limit = (sum(level_weights) / parts) * _BALANCE_TOLERANCE
         evaluations += refine_partition(
-            level_rows, part, parts, level_weights, limit, refinement_passes
+            level_rows, part, parts, level_weights, limit, _REFINEMENT_PASSES
         )
 
-    rebalance_partition(rows, part, order, parts, weights, balance_tolerance)
+    rebalance_partition(rows, part, order, parts, weights, _BALANCE_TOLERANCE)
     return {ids[index]: part[index] for index in order}, evaluations
 
 
@@ -266,8 +269,6 @@ def partition_kway(
     adjacency: Mapping[int, Mapping[int, int]],
     parts: int,
     seed: int = 7,
-    balance_tolerance: float = 1.05,
-    refinement_passes: int = 4,
 ) -> PartitionResult:
     """Partition a weighted undirected graph into ``parts`` balanced parts.
 
@@ -282,17 +283,11 @@ def partition_kway(
         Number of parts (servers, racks, or intermediate-switch sub-trees).
     seed:
         Random seed controlling matching order and tie breaking.
-    balance_tolerance:
-        Maximum allowed ratio between the heaviest part and the ideal weight.
-    refinement_passes:
-        Boundary-refinement sweeps applied at every uncoarsening level.
     """
     if parts < 1:
         raise PartitioningError("parts must be at least 1")
     ids, rows = index_rows(adjacency)
-    assignment, _ = partition_indexed(
-        ids, rows, parts, seed, balance_tolerance, refinement_passes
-    )
+    assignment, _ = partition_indexed(ids, rows, parts, seed)
     validate_partition(assignment, set(ids), parts)
     return PartitionResult(
         assignment=assignment,

@@ -14,15 +14,17 @@ every worker applies every edge mutation, fault burst and maintenance tick,
 so placement state evolves identically everywhere (no cross-shard read
 protocol is needed — the resolution of any read is locally computable in
 every worker, and the coordinator audits the invariant with placement
-digests).  The measurement plane is *partitioned*: users are assigned to
-shards by the k-way graph partitioner
-(:func:`repro.partitioning.assign_user_shards`), and each worker's stream
-goes through a :class:`ShardFilter`, a scenario that keeps every edge event
-and only the read/write events its shard owns.  The system events' own
-traffic is the fault traffic pure strategies record as single messages
-(:meth:`~repro.traffic.accounting.TrafficAccountant.record`); every worker
-but shard 0 drops those, so the merged traffic counts every message exactly
-once.  The simulator, the accountant and the strategy kernels know nothing
+digests).  The measurement plane is *partitioned*: shard ``user % shards``
+owns a user's requests, and each worker's stream goes through a
+:class:`ShardFilter`, a scenario that keeps every edge event and only the
+read/write events its shard owns.  The merged result is the same for any
+user → shard map, and every worker generates the whole stream and replays
+the whole decision plane, so how the owned events are split barely moves
+the critical path: ownership by id costs nothing to build.  The system
+events' own traffic is the fault traffic pure strategies record as single
+messages (:meth:`~repro.traffic.accounting.TrafficAccountant.record`);
+every worker but shard 0 drops those, so the merged traffic counts every
+message exactly once.  The simulator, the accountant and the strategy kernels know nothing
 of shards.  All traffic volumes are integer-valued floats, so summing
 per-shard delta columns is exact.
 
@@ -60,7 +62,6 @@ from itertools import compress
 from typing import TYPE_CHECKING
 
 from ..exceptions import SimulationError
-from ..partitioning.sharding import ShardAssignment, assign_user_shards
 from ..scenarios.base import CompositeScenario, Scenario, ScenarioContext
 from ..traffic.accounting import TrafficAccountant, TrafficDelta
 from ..workload.stream import KIND_EDGE_ADD, KIND_EDGE_REMOVE, EventChunk, EventStream
@@ -235,15 +236,10 @@ class ShardOutcome:
 
 @dataclass
 class ShardLoadSummary:
-    """Expected vs. actual per-shard load of one partitioned run.
-
-    Shares are fractions of the fleet total.
-    """
+    """Measured per-shard load of one partitioned run."""
 
     shards: int
-    #: Expected load share per shard: its share of the graph's users.
-    expected_shares: tuple[float, ...]
-    #: Measured CPU-seconds share per shard.
+    #: CPU-seconds share per shard, as fractions of the fleet total.
     cpu_shares: tuple[float, ...]
 
     @property
@@ -261,10 +257,7 @@ class ShardRunReport:
     shards: int
     #: One outcome per worker, in shard order.
     outcomes: list[ShardOutcome]
-    #: The user → shard assignment the workers replayed.
-    assignment: ShardAssignment
-    #: Expected vs. actual per-shard load (``None`` when no CPU time was
-    #: measured).
+    #: Measured per-shard load (``None`` when no CPU time was measured).
     load_summary: ShardLoadSummary | None = None
 
     @property
@@ -384,17 +377,18 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _build_owner_map(graph, assignment: ShardAssignment) -> bytes:
-    """Dense owner bytes with the :data:`UNOWNED` sentinel in every hole.
+def _build_owner_map(graph, shards: int) -> bytes:
+    """Dense owner bytes: ``user % shards`` for every user of the initial
+    graph, the :data:`UNOWNED` sentinel in every hole.
 
     The filter's closed-universe guard keys off the sentinel: any event
     touching a user id the initial graph never contained must fail the run,
     *including* ids inside the map's range that the graph simply skipped.
     """
-    owner_map = bytearray([UNOWNED] * len(assignment.shard_map))
-    shard_map = assignment.shard_map
-    for user in graph.users:
-        owner_map[user] = shard_map[user]
+    users = graph.users
+    owner_map = bytearray([UNOWNED]) * (max(users, default=-1) + 1)
+    for user in users:
+        owner_map[user] = user % shards
     return bytes(owner_map)
 
 
@@ -498,19 +492,14 @@ def _merge_partitioned(
     )
 
 
-def _load_summary(
-    assignment: ShardAssignment, outcomes: list[ShardOutcome]
-) -> "ShardLoadSummary | None":
-    """Expected vs. actual load shares of a completed fleet."""
-    expected_raw = tuple(float(p) for p in assignment.populations)
-    expected_total = sum(expected_raw)
+def _load_summary(outcomes: list[ShardOutcome]) -> "ShardLoadSummary | None":
+    """Measured load shares of a completed fleet."""
     cpu_raw = tuple(outcome.cpu_seconds for outcome in outcomes)
     cpu_total = sum(cpu_raw)
-    if expected_total <= 0 or cpu_total <= 0:
+    if cpu_total <= 0:
         return None
     return ShardLoadSummary(
-        shards=assignment.shards,
-        expected_shares=tuple(value / expected_total for value in expected_raw),
+        shards=len(outcomes),
         cpu_shares=tuple(value / cpu_total for value in cpu_raw),
     )
 
@@ -523,12 +512,16 @@ def run_sharded_detailed(
 ) -> ShardRunReport:
     """Replay one simulation across ``shards`` partitioned workers.
 
-    ``seed`` drives the user → shard partitioner; ``shards=1`` is a
-    one-worker fleet.  Raises :class:`SimulationError` before any worker
-    starts when ``shards`` is outside ``1..255`` (the :data:`UNOWNED`
-    sentinel takes the last owner byte) or the strategy is not
-    ``shard_requests_pure``, and after terminating the fleet when any
-    worker fails (the closed-universe guard included).
+    ``shards=1`` is a one-worker fleet.  ``seed`` is unused (shards own
+    users by id); it stays only because the benchmark's two-shard block
+    (``bench/driver.py``) passes it, and leaves with that block (ROADMAP
+    item 1).
+
+    Raises :class:`SimulationError` before any worker starts when
+    ``shards`` is outside ``1..255`` (the :data:`UNOWNED` sentinel takes the
+    last owner byte) or the strategy is not ``shard_requests_pure``, and
+    after terminating the fleet when any worker fails (the closed-universe
+    guard included).
     """
     if not 1 <= shards <= UNOWNED:
         raise SimulationError(f"shards must be in 1..{UNOWNED}, got {shards}")
@@ -538,17 +531,15 @@ def run_sharded_detailed(
             f"strategy {probe.name!r} feeds requests back into placement "
             "(shard_requests_pure=False); partitioned replay would not be exact"
         )
-    graph = materials.graph_factory()
-    assignment = assign_user_shards(graph, shards, seed=seed)
-    outcomes = _run_partitioned(materials, shards, _build_owner_map(graph, assignment))
+    owner_map = _build_owner_map(materials.graph_factory(), shards)
+    outcomes = _run_partitioned(materials, shards, owner_map)
     return ShardRunReport(
         result=_merge_partitioned(
             outcomes, materials.topology_factory(), materials.config
         ),
         shards=shards,
         outcomes=outcomes,
-        assignment=assignment,
-        load_summary=_load_summary(assignment, outcomes),
+        load_summary=_load_summary(outcomes),
     )
 
 

@@ -14,7 +14,6 @@ indexed by an integer **replica id** (a *slot*):
     ``_user``        int64       user whose view this replica stores
     ``_server``      int64       storage-server *position* hosting it (-1 = free)
     ``_utility``     float64     cached utility (Algorithm 1), ``inf`` when sole
-    ``_write_proxy`` int64       broker device of the view's write proxy (-1 = none)
     ``_next_closest``int64       device of the next-closest sibling replica (-1 = sole)
     ``_user_next``   int64       next slot of the *same user* (also the free list)
     ``_srv_prev``    int64       previous slot in the *same position's* chain
@@ -537,7 +536,8 @@ class ReplicaTable:
 
     See the module docstring for the column layout and the replica-id
     contract.  ``with_stats=False`` builds a table without the statistics
-    columns (SPAR and the static baselines track placement only).
+    columns (SPAR tracks placement only; the static baselines keep an
+    assignment dict instead of a table).
     """
 
     def __init__(
@@ -555,7 +555,6 @@ class ReplicaTable:
         self._user: list[int] = []
         self._server: list[int] = []
         self._utility: list[float] = []
-        self._write_proxy: list[int] = []
         self._next_closest: list[int] = []
         self._user_next: list[int] = []  # doubles as the free-list link
         self._srv_prev: list[int] = []
@@ -618,9 +617,7 @@ class ReplicaTable:
         return self._active
 
     # ------------------------------------------------------------ allocation
-    def allocate(
-        self, user: int, position: int, write_proxy_broker: int | None = None
-    ) -> int:
+    def allocate(self, user: int, position: int) -> int:
         """Create a replica of ``user``'s view at ``position``; returns its slot.
 
         Capacity is *not* enforced here — admission policy belongs to the
@@ -632,7 +629,6 @@ class ReplicaTable:
             self._user[slot] = user
             self._server[slot] = position
             self._utility[slot] = 0.0
-            self._write_proxy[slot] = NO_SLOT if write_proxy_broker is None else write_proxy_broker
             self._next_closest[slot] = NO_SLOT
             self._user_next[slot] = NO_SLOT
         else:
@@ -640,9 +636,6 @@ class ReplicaTable:
             self._user.append(user)
             self._server.append(position)
             self._utility.append(0.0)
-            self._write_proxy.append(
-                NO_SLOT if write_proxy_broker is None else write_proxy_broker
-            )
             self._next_closest.append(NO_SLOT)
             self._user_next.append(NO_SLOT)
             self._srv_prev.append(NO_SLOT)
@@ -847,11 +840,11 @@ class ReplicaTable:
         # Boundary on a sole replica: the infinite threshold collapses to
         # 0.0 (admit everything).  Nobody endorsed that reading of paper
         # section 3.2; it is what the seed implementation did, and it is a
-        # candidate fidelity defect kept for ROADMAP item 2.  What pins it:
-        # ``test_admission_threshold_boundary_semantics`` (both branches)
-        # and, in tests/golden_tables.json, the mem0/mem30 DynaSoRe crash
-        # cells and the ``fill=0.5,evict=0.8`` cells — no default-config
-        # cell at 60 % extra memory or above reaches it.
+        # candidate fidelity defect kept for ROADMAP item 3, step 3b.  What
+        # pins it: ``test_admission_threshold_boundary_semantics`` (both
+        # branches) and, in tests/golden_tables.json, the mem0/mem30
+        # DynaSoRe crash cells and the ``fill=0.5,evict=0.8`` cells — no
+        # default-config cell at 60 % extra memory or above reaches it.
         value = 0.0 if threshold == _INF else max(0.0, threshold)
         self._admission[position] = value
         return value
@@ -926,7 +919,6 @@ class ReplicaTable:
                     (
                         self._server[slot],
                         self._utility[slot],
-                        self._write_proxy[slot],
                         self._next_closest[slot],
                     )
                 )

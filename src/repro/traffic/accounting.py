@@ -43,9 +43,8 @@ the same messages in one process, in any order or grouping.
 Per-device totals live in flat ``array('d')`` columns indexed by device id.
 The out-of-range contract is explicit: :meth:`~TrafficAccountant.device_traffic`
 raises :class:`~repro.exceptions.SimulationError` for indices outside the
-topology (it used to raise ``IndexError`` for large indices but silently
-*wrap* for negative ones), while the level queries return 0.0 for levels no
-switch belongs to (a level name is a label, not an index).
+topology, negative ones included, while the level queries return 0.0 for
+levels no switch belongs to (a level name is a label, not an index).
 """
 
 from __future__ import annotations
@@ -457,11 +456,10 @@ class TrafficAccountant:
         """Total traffic recorded at a device.
 
         The out-of-range contract is explicit: a device index outside the
-        bound topology raises :class:`~repro.exceptions.SimulationError`.
-        (The dict-era behaviour was inconsistent — large indices raised
-        ``IndexError`` while negative ones silently wrapped around to a real
-        device's counter.)  Level queries, by contrast, return 0.0 for
-        levels no switch belongs to: a level is a label, not an index.
+        bound topology, negative or too large, raises
+        :class:`~repro.exceptions.SimulationError`.  Level queries, by
+        contrast, return 0.0 for levels no switch belongs to: a level is a
+        label, not an index.
         """
         if not 0 <= device < len(self._total):
             raise SimulationError(

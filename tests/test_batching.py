@@ -48,7 +48,6 @@ from repro.baselines.base import PlacementStrategy
 from repro.config import ClusterSpec, DynaSoReConfig, FlatClusterSpec, SimulationConfig
 from repro.constants import HOUR, MINUTE
 from repro.exceptions import SimulationError
-from repro.partitioning import assign_user_shards
 from repro.persistence.backend import PersistentStore
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
 from repro.scenarios import CrashRecoverScenario
@@ -1238,8 +1237,7 @@ def test_partitioned_wal_holds_the_owned_writes(strategy_key):
     the sharded runner refuses it, so it replays only through the
     single-process loop tested above)."""
     rows = _mirror_rows()
-    assignment = assign_user_shards(parity_graph(users=_MIRROR_USERS), 2)
-    owner_map = _build_owner_map(parity_graph(users=_MIRROR_USERS), assignment)
+    owner_map = _build_owner_map(parity_graph(users=_MIRROR_USERS), 2)
     logged = 0
     for shard_id in range(2):
         store = PersistentStore()

@@ -2,8 +2,7 @@
 
 Every digest was generated at the commit *before* the partitioner moved to
 index space, so the file anchors the multilevel path, the hierarchical
-recursion, the shard maps and the degenerate inputs
-to behaviour that predates the current kernels — dict order included:
+recursion and the degenerate inputs to behaviour that predates the current kernels — dict order included:
 initial placement iterates the assignment dicts.
 
 Every partition of the graph grid is also checked against the partitioner's
@@ -30,8 +29,6 @@ from repro.config import ClusterSpec
 from repro.partitioning import (
     HierarchicalPartitionResult,
     PartitionResult,
-    ShardAssignment,
-    assign_user_shards,
     hierarchical_partition,
     part_weights,
     partition_kway,
@@ -46,8 +43,6 @@ GRAPHS = {"twitter": twitter_like, "facebook": facebook_like, "livejournal": liv
 USERS = (40, 150, 700, 2500)  # 40: below the coarsening target, no level is built
 SEEDS = (3, 7)
 PARTS = (2, 3, 4, 8, 24)
-SHARD_USERS = (150, 700, 2500)
-SHARDS = (2, 3, 4, 8)
 #: the bench cluster (4 switches x 2 racks x 3 servers), a 2 x 2 x 2 one and
 #: one with odd fan-outs at the top two levels
 CLUSTERS = {
@@ -115,16 +110,6 @@ def _grid_hierarchical(
     return hierarchical_partition(_adjacency(kind, users), CLUSTERS[cluster], seed=seed)
 
 
-@lru_cache(maxsize=None)
-def _grid_shards(kind: str, users: int, shards: int) -> ShardAssignment:
-    return assign_user_shards(_graph(kind, users), shards, seed=7)
-
-
-def _shards(kind, users, shards) -> str:
-    result = _grid_shards(kind, users, shards)
-    return _digest(result.shard_map, result.populations, result.edge_cut)
-
-
 def _star(leaves: int) -> dict[int, dict[int, int]]:
     adjacency: dict[int, dict[int, int]] = {0: {}}
     for leaf in range(1, leaves + 1):
@@ -168,12 +153,6 @@ def golden_cases() -> Iterator[tuple[str, Callable[[], str]]]:
                             _grid_hierarchical(k, u, c, s)
                         ),
                     )
-        for users in SHARD_USERS:
-            for shards in SHARDS:
-                yield (
-                    f"shards/{kind}/{users}/shards{shards}/population",
-                    lambda k=kind, u=users, n=shards: _shards(k, u, n),
-                )
     for kind in GRAPHS:
         for users in (40, 700):
             yield (
@@ -251,7 +230,6 @@ def _assert_within_tolerance(weights: list[int], parts: int) -> None:
 
 KWAY_GRID = [(k, u, p, s) for k in GRAPHS for u in USERS for p in PARTS for s in SEEDS]
 HIERARCHICAL_GRID = [(k, u, c, s) for k in GRAPHS for u in USERS for c in CLUSTERS for s in SEEDS]
-SHARD_GRID = [(k, u, n) for k in GRAPHS for u in SHARD_USERS for n in SHARDS]
 
 
 @pytest.mark.parametrize("kind,users,parts,seed", KWAY_GRID)
@@ -293,21 +271,6 @@ def test_hierarchical_partition_keeps_its_contract(kind, users, cluster, seed):
     assert result.edge_cut == _cut(adjacency, result.server_assignment)
     if users >= 2 * spec.total_servers:
         assert result.edge_cut < _chance_cut(adjacency, spec.total_servers, seed)
-
-
-@pytest.mark.parametrize("kind,users,shards", SHARD_GRID)
-def test_shards_balance_by_population(kind, users, shards):
-    graph = _graph(kind, users)
-    result = _grid_shards(kind, users, shards)
-    assert len(result.shard_map) == max(graph.users) + 1
-    owners = {user: result.owner_of(user) for user in graph.users}
-    assert all(result.shard_map[user] == owner for user, owner in owners.items())
-    populations = part_weights(owners, shards)
-    assert tuple(populations) == result.populations
-    _assert_within_tolerance(populations, shards)
-    adjacency = graph.undirected_adjacency()
-    assert result.edge_cut == _cut(adjacency, owners)
-    assert result.edge_cut < _chance_cut(adjacency, shards, 7)
 
 
 if __name__ == "__main__":

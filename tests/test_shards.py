@@ -7,9 +7,9 @@ replaying through ``shards`` partitioned worker processes must produce a
 **byte-identical** to the single-process path.  Every other strategy is
 refused before any worker starts.  The suite also pins the workers' stream
 filter and closed-universe guard, the invariant the dropped single
-messages rest on, the partitioner entry point, the placement digests, the
-fields the benchmark's two-shard block reads, and that the spec, the
-executor, the command line and the simulator take no shard count.
+messages rest on, the owner map (shard ``user % shards``), the placement
+digests, the fields the benchmark's two-shard block reads, and that the
+spec, the executor, the command line and the simulator take no shard count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from parity import (
 )
 from repro.config import DynaSoReConfig, SimulationConfig
 from repro.exceptions import SimulationError
-from repro.partitioning import assign_user_shards
 from repro.scenarios.base import CompositeScenario, ScenarioContext
 from repro.runtime.executor import RuntimeExecutor, execute_spec
 from repro.runtime.spec import (
@@ -158,7 +157,6 @@ class TestShardedParity:
         materials = parity_materials(strategy_key, "plain")
         report = run_sharded_detailed(materials, 1)
         assert [outcome.shard_id for outcome in report.outcomes] == [0]
-        assert set(report.assignment.shard_map) == {0}
         assert canonical_result_bytes(report.result) == single_process_bytes(materials)
 
     @pytest.mark.parametrize("scenario_key", ["plain", "crash"])
@@ -176,11 +174,11 @@ class TestShardedParity:
 
     def test_partitioned_workers_agree_on_placement(self):
         """The replicated-decision-plane audit: every worker ends with the
-        same placement digest, and the merge records the assignment."""
+        same placement digest."""
         report = run_sharded_detailed(parity_materials("metis", "diurnal"), 2)
         digests = {outcome.digest for outcome in report.outcomes}
         assert len(digests) == 1 and None not in digests
-        assert report.assignment.shards == 2
+        assert report.shards == 2
 
 
 # ---------------------------------------------------------------------------
@@ -299,58 +297,23 @@ class TestRefusals:
 
 
 # ---------------------------------------------------------------------------
-# Partitioner entry point
+# The owner map
 # ---------------------------------------------------------------------------
-class TestUserSharding:
-    def test_assignment_is_balanced_and_total(self):
-        graph = parity_graph()
-        assignment = assign_user_shards(graph, 4)
-        assert assignment.shards == 4
-        assert sum(assignment.populations) == len(graph.users)
-        assert max(assignment.populations) - min(assignment.populations) <= max(
-            2, len(graph.users) // 8
-        )
-
-    def test_assignment_is_deterministic(self):
-        graph = parity_graph()
-        first = assign_user_shards(graph, 3)
-        second = assign_user_shards(graph, 3)
-        assert first.shard_map == second.shard_map
-        assert first.edge_cut == second.edge_cut
-
-    def test_owner_of_covers_unmapped_users(self):
-        graph = parity_graph()
-        assignment = assign_user_shards(graph, 3)
-        beyond = len(assignment.shard_map) + 5
-        assert assignment.owner_of(beyond) == beyond % 3
-        for user in list(graph.users)[:10]:
-            assert assignment.owner_of(user) == assignment.shard_map[user]
-
-    def test_single_shard_is_trivial(self):
-        graph = parity_graph()
-        assignment = assign_user_shards(graph, 1)
-        assert set(assignment.shard_map) == {0}
-        assert assignment.edge_cut == 0
-
-    def test_shard_count_bounds(self):
-        from repro.exceptions import PartitioningError
-
-        graph = parity_graph()
-        with pytest.raises(PartitioningError):
-            assign_user_shards(graph, 0)
-        with pytest.raises(PartitioningError):
-            assign_user_shards(graph, 257)
-
-    def test_owner_map_marks_holes_unowned(self):
-        graph = parity_graph()
-        assignment = assign_user_shards(graph, 2)
-        owner_map = _build_owner_map(graph, assignment)
-        users = set(graph.users)
-        for user in range(len(owner_map)):
-            if user in users:
-                assert owner_map[user] == assignment.shard_map[user]
-            else:
-                assert owner_map[user] == UNOWNED
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_owner_map_is_user_id_modulo_shards(shards):
+    """Shard ``user % shards`` owns every user of the initial graph and every
+    hole is UNOWNED.  The parity graph's ids are contiguous; one more user
+    past a gap of four ids adds the holes.  Populations differ by at most 1."""
+    graph = parity_graph()
+    graph.add_user(len(graph.users) + 4)
+    users = set(graph.users)
+    owner_map = _build_owner_map(graph, shards)
+    assert len(owner_map) == max(users) + 1
+    for user, owner in enumerate(owner_map):
+        assert owner == (user % shards if user in users else UNOWNED)
+    populations = [owner_map.count(shard_id) for shard_id in range(shards)]
+    assert sum(populations) == len(users)
+    assert max(populations) - min(populations) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +333,7 @@ class TestShardFilter:
         if scenario is not None:
             stream = scenario.transform_stream(stream, context)
         rows = list(stream.rows())
-        owner_map = _build_owner_map(graph, assign_user_shards(graph, 2))
+        owner_map = _build_owner_map(graph, 2)
         assert any(row[0] > KIND_WRITE for row in rows)
         kept_requests = []
         for shard_id in range(2):
@@ -449,7 +412,7 @@ class TestPlacementDigest:
         for _ in range(2):
             materials = parity_materials("spar", "plain")
             graph = materials.graph_factory()
-            owner_map = _build_owner_map(graph, assign_user_shards(graph, 1))
+            owner_map = _build_owner_map(graph, 1)
             outcome = _execute_shard(0, owner_map, materials)
             results.append(placement_digest_from(materials, outcome))
         assert results[0] == results[1]
@@ -540,12 +503,11 @@ class TestLaunchSurface:
 
 class TestLoadSummary:
     def test_report_carries_load_summary(self):
-        """After the merge the report holds expected vs. actual per-shard
-        load shares."""
+        """After the merge the report holds the measured per-shard load
+        shares."""
         report = run_sharded_detailed(parity_materials("spar", "plain"), 2)
         summary = report.load_summary
         assert summary.shards == 2
         assert len(summary.cpu_shares) == 2
         assert abs(sum(summary.cpu_shares) - 1.0) < 1e-9
-        assert abs(sum(summary.expected_shares) - 1.0) < 1e-9
         assert summary.cpu_imbalance >= 1.0
