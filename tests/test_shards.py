@@ -53,6 +53,7 @@ from repro.simulator.shard import (
     placement_digest,
     run_sharded_detailed,
 )
+from repro.socialgraph.generators import facebook_like, livejournal_like, twitter_like
 from repro.traffic.accounting import TrafficAccountant
 from repro.workload.stream import (
     KIND_EDGE_ADD,
@@ -67,6 +68,11 @@ from repro.workload.stream import (
 #: Strategies whose request execution never feeds back into placement —
 #: exactly the set the engine may partition (``shard_requests_pure``).
 PURE_STRATEGIES = frozenset({"random", "metis", "hmetis", "spar"})
+
+#: Generated graphs (contiguous ids ``0..users-1``) for the owner-map and
+#: filter grids, at the partition goldens' sizes and seed.
+GENERATED = {"twitter": twitter_like, "facebook": facebook_like, "livejournal": livejournal_like}
+GENERATED_USERS = (150, 700, 2500)
 
 
 def parity_materials(strategy_key: str, scenario_key: str) -> ShardMaterials:
@@ -316,6 +322,24 @@ def test_owner_map_is_user_id_modulo_shards(shards):
     assert max(populations) - min(populations) <= 1
 
 
+@pytest.mark.parametrize("shards", [1, 2, 3, 4, 8, 255])
+@pytest.mark.parametrize("users", GENERATED_USERS)
+@pytest.mark.parametrize("kind", sorted(GENERATED))
+def test_owner_map_balances_generated_graphs(kind, users, shards):
+    """On every generated graph the owner map covers each user with shard
+    ``user % shards``, so populations differ by at most 1 whatever the
+    graph's shape.  At 255 shards, the most ``run_sharded_detailed``
+    accepts, no owner byte collides with the UNOWNED sentinel."""
+    graph = GENERATED[kind](users=users, seed=11)
+    owner_map = _build_owner_map(graph, shards)
+    assert len(owner_map) == users == len(graph.users)
+    assert owner_map.find(UNOWNED) == -1
+    assert all(owner_map[user] == user % shards for user in graph.users)
+    populations = [owner_map.count(shard_id) for shard_id in range(shards)]
+    assert sum(populations) == users
+    assert max(populations) - min(populations) <= 1
+
+
 # ---------------------------------------------------------------------------
 # The workers' stream filter and the single messages they drop
 # ---------------------------------------------------------------------------
@@ -350,6 +374,30 @@ class TestShardFilter:
             requests = [row for row in kept if row[0] <= KIND_WRITE]
             assert requests
             kept_requests += requests
+            assert (shard_filter.events, shard_filter.first_timestamp) == (len(rows), rows[0][1])
+            assert shard_filter.last_timestamp == rows[-1][1]
+        assert sorted(kept_requests) == sorted(row for row in rows if row[0] <= KIND_WRITE)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("users", GENERATED_USERS)
+    @pytest.mark.parametrize("kind", sorted(GENERATED))
+    def test_shards_split_generated_streams_exactly(self, kind, users, shards):
+        """On every generated graph and shard count, each shard keeps every
+        edge event and exactly the requests of its users, in stream order;
+        together the shards keep every request once."""
+        graph = GENERATED[kind](users=users, seed=11)
+        context = ScenarioContext(topology=parity_cluster()[0], graph=graph, seed=7)
+        rows = list(churned_stream(graph).rows())
+        owner_map = _build_owner_map(graph, shards)
+        assert any(row[0] > KIND_WRITE for row in rows)
+        kept_requests = []
+        for shard_id in range(shards):
+            shard_filter = ShardFilter(shard_id, owner_map)
+            kept = list(shard_filter.transform_stream(churned_stream(graph), context).rows())
+            assert kept == [
+                row for row in rows if row[0] > KIND_WRITE or row[2] % shards == shard_id
+            ]
+            kept_requests += [row for row in kept if row[0] <= KIND_WRITE]
             assert (shard_filter.events, shard_filter.first_timestamp) == (len(rows), rows[0][1])
             assert shard_filter.last_timestamp == rows[-1][1]
         assert sorted(kept_requests) == sorted(row for row in rows if row[0] <= KIND_WRITE)
