@@ -6,9 +6,10 @@ decides where view replicas live, which broker executes each request, and it
 is driven by the same trace-driven simulator.  This module defines the
 interface (:class:`PlacementStrategy`), the batch kernel shared by the four
 strategies whose placement ignores request traffic
-(:class:`FootprintStrategy`), and the static baselines' common engine
-(:class:`StaticPlacementStrategy`: fixed single-replica placement, proxies
-on the broker of the rack hosting the view).
+(:class:`FootprintStrategy`), and the one placement store of the four
+(:class:`StaticPlacementStrategy`: a fixed master placement in a
+:class:`~repro.store.tables.ReplicaTable`, proxies on the broker of the
+rack hosting the master; SPAR adds co-located copies).
 
 Request execution is **batch-first**: the simulator segments event streams
 into runs of requests (reads and writes, bounded by graph mutations, faults
@@ -43,7 +44,7 @@ from ..exceptions import SimulationError
 from ..persistence.recovery import RecoveryPlan
 from ..socialgraph.graph import SocialGraph
 from ..store.memory import MemoryBudget
-from ..store.tables import pick_least_loaded
+from ..store.tables import ReplicaTable, pick_least_loaded
 from ..topology.base import ClusterTopology
 from ..traffic.accounting import TrafficAccountant
 from ..traffic.messages import MessageKind
@@ -485,26 +486,34 @@ class FootprintStrategy(PlacementStrategy):
 
 
 class StaticPlacementStrategy(FootprintStrategy):
-    """Shared behaviour of the static baselines (Random, METIS, hMETIS).
+    """Shared engine of the baselines whose placement ignores traffic.
 
-    A static strategy stores exactly one replica per view, never changes the
-    placement during the run, and deploys both proxies of a user on the
-    broker associated with the server holding her view (paper section 4.1).
-    Every initial graph user is assigned up front by
-    ``build_initial_placement``; later arrivals are placed lazily on the
-    least-loaded server.  Only a server departure moves a view.
+    Random, METIS and hMETIS store exactly one replica per view, never move
+    it during the run, and deploy both proxies of a user on the broker
+    associated with the server holding her view (paper section 4.1); SPAR
+    (:class:`~repro.baselines.spar.SparPlacement`) is the same placement
+    plus co-located copies.  Every initial graph user gets a *master*
+    replica at the position ``compute_assignment`` gives; later arrivals
+    are placed lazily on the least-loaded server.  Only edge events
+    (SPAR) and server departures move a view.
+
+    Placement lives in a statistics-free
+    :class:`~repro.store.tables.ReplicaTable` (its ``used`` counters are
+    the per-position loads) plus a ``user -> master position`` map.
+    Reads go to the closest replica of each target view; writes update
+    every replica of the written view.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        #: user -> storage-server position (0 .. num_servers - 1)
-        self._assignment: dict[int, int] = {}
-        #: flat per-position replica counters, maintained incrementally on
-        #: every assignment change (the object days recomputed them from the
-        #: full assignment dict on every lazy placement)
-        self._load: list[int] = []
+        #: user -> server position of the master replica (0 .. servers - 1)
+        self._master: dict[int, int] = {}
+        #: flat placement table (chains + per-position counters, no stats)
+        self.tables = ReplicaTable(with_stats=False)
         #: server positions currently out of service
         self._down_positions: set[int] = set()
+        #: closest-replica resolution (a ``RoutingService`` once built)
+        self.routing = None
 
     # ----------------------------------------------------------- assignment
     @abstractmethod
@@ -512,67 +521,90 @@ class StaticPlacementStrategy(FootprintStrategy):
         """Return the user → server-position assignment for the bound graph."""
 
     def build_initial_placement(self) -> None:
+        # ``repro.core`` imports this module through its public API.
+        from ..core.routing import RoutingService
+
         self.require_bound()
-        self._assignment = dict(self.compute_assignment())
-        missing = set(self.graph.users) - set(self._assignment)
+        self._master = dict(self.compute_assignment())
+        missing = set(self.graph.users) - set(self._master)
         if missing:
             raise SimulationError(
                 f"{self.name} assignment misses {len(missing)} users"
             )
         servers = len(self.topology.servers)
-        self._load = [0] * servers
-        for position in self._assignment.values():
-            if 0 <= position < servers:
-                self._load[position] += 1
+        stray = [p for p in set(self._master.values()) if not 0 <= p < servers]
+        if stray:
+            raise SimulationError(
+                f"{self.name} assignment uses position {min(stray)} outside "
+                f"0..{servers - 1}"
+            )
+        capacities = self.budget.per_server_capacity()
+        if len(capacities) != servers:
+            raise SimulationError("memory budget does not match the number of servers")
+        table = ReplicaTable(positions=servers, with_stats=False)
+        for position, capacity in enumerate(capacities):
+            table.set_capacity(position, capacity)
+        for user, position in self._master.items():
+            table.allocate(user, position)
+        self.tables = table
+        self.routing = RoutingService(self.topology)
         self._reset_footprints()
 
     def assignment(self) -> dict[int, int]:
-        """Copy of the user → server-position assignment."""
-        return dict(self._assignment)
+        """Copy of the user → master-position assignment."""
+        return dict(self._master)
 
     def server_position_of(self, user: int) -> int:
-        """Server position of a user's (single) replica, assigning lazily for
+        """Server position of a user's master replica, placing it lazily for
         users that joined after the initial placement."""
-        position = self._assignment.get(user)
+        position = self._master.get(user)
         if position is None:
-            position = self._least_loaded_position()
-            self._assignment[user] = position
-            self._load[position] += 1
+            position = self._place_master(user)
         return position
 
-    def _least_loaded_position(self) -> int:
-        position = pick_least_loaded(self._load, self._down_positions)
+    def _place_master(self, user: int) -> int:
+        """Put the user's master replica on the least-loaded survivor."""
+        position = pick_least_loaded(self.tables.used, self._down_positions)
         if position is None:
             raise SimulationError("no storage server is available")
+        self._master[user] = position
+        self.tables.allocate(user, position)
         return position
 
     # ---------------------------------------------------------------- faults
     def on_server_down(
         self, position: int, now: float, graceful: bool = False
     ) -> RecoveryPlan:
-        """Re-place every view of the departed server on the survivors.
+        """Evacuate a departed server.
 
-        Static strategies keep a single replica per view, so a crash always
-        goes through the persistent store (slow path): the new host's rack
-        broker fetches each lost view with a :data:`REPLICA_COPY` message.
-        A graceful drain copies views directly from the leaving server.
+        Masters with a surviving copy are promoted in place (fast path, the
+        data is already in memory); masters without one are re-created on
+        the least-loaded survivor — after a crash from the persistent store
+        (the new host's rack broker fetches the view with a
+        :data:`REPLICA_COPY` message), on a graceful drain by direct copy
+        from the leaving server.  Lost co-located copies are dropped.
         """
         self.require_bound()
-        assert self.topology is not None and self.accountant is not None
         servers = len(self.topology.servers)
         self._begin_server_down(position, self._down_positions, servers)
-        self._drop_footprints()  # views move: every footprint is stale
+        table = self.tables
 
         plan = RecoveryPlan(crashed_server=position)
         source_device = self.server_device(position)
-        for user, assigned in self._assignment.items():
-            if assigned != position:
+        affected = set(table.users_at(position))
+        for user, master in self._master.items():
+            if user not in affected:
                 continue
-            target = self._least_loaded_position()
-            self._load[target] += 1
-            self._load[position] -= 1
-            self._assignment[user] = target
-            target_device = self.server_device(target)
+            table.free(table.slot_of(user, position))
+            if master != position:
+                continue  # a lost co-located copy; the master survives
+            remaining = table.user_positions(user)
+            if remaining:
+                # Promote the closest surviving replica to master.
+                self._master[user] = min(remaining)
+                plan.recoverable_from_memory.append(user)
+                continue
+            target_device = self.server_device(self._place_master(user))
             if graceful:
                 plan.recoverable_from_memory.append(user)
                 source = source_device
@@ -582,15 +614,16 @@ class StaticPlacementStrategy(FootprintStrategy):
             self.accountant.record(
                 source, target_device, MessageKind.REPLICA_COPY, now
             )
+        self._drop_footprints()  # views moved: every footprint is stale
         return plan
 
     def on_server_up(self, position: int, now: float) -> None:
+        """The server rejoins empty; only new placements refill it."""
         self._begin_server_up(position, self._down_positions)
 
     # -------------------------------------------------------------- proxies
     def proxy_broker(self, user: int) -> int:
-        """Broker hosting both proxies of a user (rack of her view)."""
-        assert self.topology is not None
+        """Broker hosting both proxies of a user (rack of her master)."""
         server = self.server_device(self.server_position_of(user))
         return self.topology.proxy_broker_for_server(server)
 
@@ -599,39 +632,51 @@ class StaticPlacementStrategy(FootprintStrategy):
         self, user: int, now: float, targets: tuple[int, ...] | None = None
     ) -> None:
         self.require_bound()
-        assert self.graph is not None and self.accountant is not None
         if targets is None:
             if not self.graph.has_user(user):
                 return
             targets = tuple(self.graph.following(user))
         broker = self.proxy_broker(user)
         for target in targets:
-            server = self.server_device(self.server_position_of(target))
+            self.server_position_of(target)
+            replicas = {self.server_device(p) for p in self.tables.user_positions(target)}
+            server = self.routing.closest_replica(broker, replicas)
             self.accountant.record_roundtrip(
                 broker, server, MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE, now
             )
 
     def execute_write(self, user: int, now: float) -> None:
         self.require_bound()
-        assert self.accountant is not None
         broker = self.proxy_broker(user)
-        server = self.server_device(self.server_position_of(user))
-        self.accountant.record_roundtrip(
-            broker, server, MessageKind.WRITE_UPDATE, MessageKind.WRITE_ACK, now
-        )
+        self.server_position_of(user)
+        for position in self.tables.user_positions(user):
+            self.accountant.record_roundtrip(
+                broker,
+                self.server_device(position),
+                MessageKind.WRITE_UPDATE,
+                MessageKind.WRITE_ACK,
+                now,
+            )
 
     def footprint(self, kind: int, user: int) -> Footprint:
-        """One roundtrip from the user's rack broker per view touched: each
-        followee's single replica for a read, her own for a write."""
+        """From the broker of the user's master rack: a read reaches each
+        followee's view (:meth:`_read_footprint`), a write every replica of
+        her own."""
         if kind == KIND_READ and not self.graph.has_user(user):
             return ()
         position = self.server_position_of(user)  # the issuer is placed first
+        if kind == KIND_READ:
+            return self._read_footprint(user, position)
         row = self._position_key_rows[position]
-        if kind != KIND_READ:
-            return (row[position],)
+        return tuple(map(row.__getitem__, self.tables.user_positions(user)))
+
+    def _read_footprint(self, user: int, position: int) -> Footprint:
+        """One roundtrip per followee to her master, the only replica a
+        static strategy keeps: a C-level gather over the master map."""
+        row = self._position_key_rows[position]
         following = self.graph.following(user)
         try:
-            return tuple(map(row.__getitem__, map(self._assignment.__getitem__, following)))
+            return tuple(map(row.__getitem__, map(self._master.__getitem__, following)))
         except KeyError:
             # A followee joined after the initial placement: place every
             # unassigned one in ``following`` order, as ``execute_read`` does.
@@ -639,25 +684,27 @@ class StaticPlacementStrategy(FootprintStrategy):
 
     # -------------------------------------------------------- introspection
     def replica_locations(self) -> dict[int, set[int]]:
+        table = self.tables
         return {
-            user: {self.server_device(position)}
-            for user, position in self._assignment.items()
+            user: {self.server_device(position) for position in table.user_positions(user)}
+            for user in table.users()
         }
 
     def replica_count(self, user: int) -> int:
-        return 1 if user in self._assignment else 0
+        return self.tables.user_replica_count(user)
 
     def has_any_replica(self, user: int) -> bool:
         """O(1) availability check used by the simulator's final audit."""
-        return user in self._assignment
-
-    def replication_factor(self) -> float:
-        """Exactly one replica per assigned view."""
-        return 1.0 if self._assignment else 0.0
+        return self.tables.has_user(user)
 
     def memory_in_use(self) -> int:
-        """One replica per assigned view (O(1), no dict materialisation)."""
-        return len(self._assignment)
+        """Total replicas stored (O(1) from the table counters)."""
+        return self.tables.active_count
+
+    def replication_factor(self) -> float:
+        """Average number of replicas per stored view."""
+        views = len(self.tables.users())
+        return self.tables.active_count / views if views else 0.0
 
 
 __all__ = ["FootprintStrategy", "PlacementStrategy", "StaticPlacementStrategy"]

@@ -389,6 +389,8 @@ class ClusterSimulator:
         # Final maintenance tick and sample so end-of-run state is captured.
         self._fire_pre_tick(final_time)
         self.strategy.on_tick(final_time)
+        if self._check_tables:
+            self._audit_placement_tables()
         if self._tracked_views:
             self._sample_tracked(final_time)
 

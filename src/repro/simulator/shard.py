@@ -274,22 +274,15 @@ def placement_digest(strategy) -> str | None:
     """Digest of a strategy's placement state for the cross-worker audit.
 
     Covers the array-backed placement tables (replicas, stats, counters)
-    and the dict-based assignment state of the static baselines and SPAR.
-    Returns ``None`` for strategies exposing none of those — the audit is
-    then skipped rather than failed.
+    and the master map of the static baselines and SPAR.  Returns ``None``
+    for strategies exposing neither — the audit is then skipped rather
+    than failed.
     """
     hasher = hashlib.sha256()
     seen = False
     tables = getattr(strategy, "tables", None)
     if tables is not None and hasattr(tables, "state_digest"):
         hasher.update(tables.state_digest().encode())
-        seen = True
-    assignment = getattr(strategy, "_assignment", None)
-    if isinstance(assignment, dict):
-        hasher.update(repr(sorted(assignment.items())).encode())
-        load = getattr(strategy, "_load", None)
-        if load is not None:
-            hasher.update(repr(list(load)).encode())
         seen = True
     master = getattr(strategy, "_master", None)
     if isinstance(master, dict):

@@ -536,8 +536,7 @@ class ReplicaTable:
 
     See the module docstring for the column layout and the replica-id
     contract.  ``with_stats=False`` builds a table without the statistics
-    columns (SPAR tracks placement only; the static baselines keep an
-    assignment dict instead of a table).
+    columns: the static baselines and SPAR track placement only.
     """
 
     def __init__(

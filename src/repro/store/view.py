@@ -70,9 +70,6 @@ class ViewReplica:
     stats: AccessStatistics
     #: Cached utility of this replica, recomputed during maintenance ticks.
     utility: float = 0.0
-    #: Index of the broker hosting the view's write proxy (paper: each view
-    #: stores the location of its write proxy so the server can notify it).
-    write_proxy_broker: int | None = None
     #: Index of the server hosting the next closest replica, or None when
     #: this is the only replica (paper: each replica stores the location of
     #: the next closest replica, used to estimate utility).

@@ -102,6 +102,21 @@ class TestStaticBaselines:
         with pytest.raises(SimulationError):
             strategy.require_bound()
 
+    @pytest.mark.parametrize("stray", [-1, "servers"])
+    def test_assignment_outside_the_cluster_is_refused(self, tree_topology, tiny_graph, stray):
+        """A position outside ``0..servers-1`` is refused at build time,
+        not accepted until the first footprint indexes past the cluster."""
+        position = len(tree_topology.servers) if stray == "servers" else stray
+
+        class Stray(RandomPlacement):
+            def compute_assignment(self):
+                assignment = super().compute_assignment()
+                assignment[next(iter(assignment))] = position
+                return assignment
+
+        with pytest.raises(SimulationError, match="outside"):
+            bind_strategy(Stray(seed=2), tree_topology, tiny_graph)
+
     def test_proxy_broker_in_same_rack_as_view(self, tree_topology, small_graph):
         strategy = HierarchicalMetisPlacement(seed=2)
         bind_strategy(strategy, tree_topology, small_graph)

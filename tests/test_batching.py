@@ -907,6 +907,46 @@ def test_table_audit_detects_corruption(monkeypatch):
         simulator.run(stream)
 
 
+@pytest.mark.parametrize("key", ["random", "metis", "hmetis"])
+def test_table_audit_covers_the_static_baselines(monkeypatch, key):
+    """The static baselines keep their placement in a ``ReplicaTable``, so
+    ``REPRO_CHECK_TABLES=1`` audits it after every fault burst and every
+    run of ticks of a crash-and-rejoin run."""
+    from repro.store.tables import ReplicaTable
+
+    monkeypatch.setenv("REPRO_CHECK_TABLES", "1")
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=80)
+    stream = parity_stream(graph, days=0.25)
+    strategy = build_strategy(key, 7, DynaSoReConfig())
+    simulator = ClusterSimulator(
+        topology, graph, strategy, config=SimulationConfig(seed=7), scenario=SCENARIOS["crash"]()
+    )
+    log: list[str] = []
+    for hook, entry in (("on_tick", "tick"), ("on_server_down", "fault"), ("on_server_up", "fault")):
+        original = getattr(strategy, hook)
+
+        def logged(*args, _original=original, _entry=entry, **kwargs):
+            log.append(_entry)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(strategy, hook, logged)
+    audit = ReplicaTable.check_integrity
+
+    def audited(table):
+        assert table is strategy.tables
+        log.append("audit")
+        audit(table)
+
+    monkeypatch.setattr(ReplicaTable, "check_integrity", audited)
+    simulator.run(stream)
+    assert log.count("fault") == 4 and "tick" in log
+    runs = [entry for i, entry in enumerate(log) if i == 0 or log[i - 1] != entry]
+    for entry, following in zip(runs, runs[1:] + [None]):
+        if entry != "audit":
+            assert following == "audit", runs
+
+
 def test_table_audit_off_by_default(monkeypatch):
     monkeypatch.delenv("REPRO_CHECK_TABLES", raising=False)
     topology, _ = parity_cluster()

@@ -320,7 +320,7 @@ class TestMutations:
             if quiet and not dropped:
                 dropped.append(quiet[0])
                 plan.recoverable_from_disk.remove(quiet[0])
-                self._load[self._assignment.pop(quiet[0])] -= 1
+                self.tables.free(self.tables.slot_of(quiet[0], self._master.pop(quiet[0])))
             return plan
 
         monkeypatch.setattr(StaticPlacementStrategy, "on_server_down", lossy)
