@@ -4,12 +4,14 @@ Every view-management protocol evaluated in the paper — Random, METIS,
 hierarchical METIS, SPAR and DynaSoRe itself — is a *placement strategy*: it
 decides where view replicas live, which broker executes each request, and it
 is driven by the same trace-driven simulator.  This module defines the
-interface (:class:`PlacementStrategy`), the batch kernel shared by the four
+interface (:class:`PlacementStrategy`, which also owns the one placement
+store of all seven: a :class:`~repro.store.tables.ReplicaTable`, the
+position → device column, the down set and the routing service, plus the
+table-backed introspection), the batch kernel shared by the four
 strategies whose placement ignores request traffic
-(:class:`FootprintStrategy`), and the one placement store of the four
-(:class:`StaticPlacementStrategy`: a fixed master placement in a
-:class:`~repro.store.tables.ReplicaTable`, proxies on the broker of the
-rack hosting the master; SPAR adds co-located copies).
+(:class:`FootprintStrategy`), and their shared placement
+(:class:`StaticPlacementStrategy`: a fixed master placement, proxies on
+the broker of the rack hosting the master; SPAR adds co-located copies).
 
 Request execution is **batch-first**: the simulator segments event streams
 into runs of requests (reads and writes, bounded by graph mutations, faults
@@ -107,6 +109,15 @@ class PlacementStrategy(ABC):
         self.accountant: TrafficAccountant | None = None
         self.budget: MemoryBudget | None = None
         self.rng = random.Random(0)
+        #: the placement store: empty until :meth:`_deploy_table` installs
+        #: the deployed one
+        self.tables = ReplicaTable(with_stats=False)
+        #: per-position leaf device index
+        self._device_of_position: list[int] = []
+        #: server positions currently out of service
+        self._down_positions: set[int] = set()
+        #: closest-replica resolution (a ``RoutingService`` once deployed)
+        self.routing = None
 
     # ------------------------------------------------------------------ setup
     def bind(
@@ -132,6 +143,33 @@ class PlacementStrategy(ABC):
     @abstractmethod
     def build_initial_placement(self) -> None:
         """Compute the initial assignment of views (and replicas) to servers."""
+
+    def _deploy_table(self, table: ReplicaTable) -> list[int]:
+        """Install ``table`` (one position per server) as the placement store.
+
+        Sets the budget's per-server capacities on it, fills the position →
+        device column, empties the down set and builds the routing service;
+        returns the capacities.
+        """
+        # ``repro.core`` imports this module through its public API.
+        from ..core.routing import RoutingService
+
+        servers = self.topology.servers
+        capacities = self.budget.per_server_capacity()
+        if len(capacities) != len(servers):
+            raise SimulationError("memory budget does not match the number of servers")
+        for position, capacity in enumerate(capacities):
+            table.set_capacity(position, capacity)
+        self.tables = table
+        self._device_of_position = [server.index for server in servers]
+        self._down_positions = set()
+        self.routing = RoutingService(self.topology)
+        return capacities
+
+    def _require_deployed(self) -> None:
+        """Raise when :meth:`build_initial_placement` has not run yet."""
+        if self.routing is None:
+            raise SimulationError("the placement has not been deployed yet")
 
     # -------------------------------------------------------------- execution
     @abstractmethod
@@ -217,14 +255,16 @@ class PlacementStrategy(ABC):
             f"strategy {self.name!r} does not support server recovery"
         )
 
-    def _begin_server_down(
-        self, position: int, down_positions: set[int], servers: int
-    ) -> None:
-        """Shared guard of every ``on_server_down``: validate and register.
+    def _begin_server_down(self, position: int) -> None:
+        """Shared guard of every ``on_server_down``: refuse an undeployed
+        placement, validate the position and register it.
 
         At least one server must stay in service — the cluster can shrink,
         never vanish.
         """
+        self._require_deployed()
+        down_positions = self._down_positions
+        servers = len(self._device_of_position)
         if not 0 <= position < servers:
             raise SimulationError(f"invalid server position {position}")
         if position in down_positions:
@@ -233,49 +273,49 @@ class PlacementStrategy(ABC):
             raise SimulationError("cannot take down the last available server")
         down_positions.add(position)
 
-    def _begin_server_up(self, position: int, down_positions: set[int]) -> None:
+    def _begin_server_up(self, position: int) -> None:
         """Shared guard of every ``on_server_up``: validate and deregister."""
-        if position not in down_positions:
+        if position not in self._down_positions:
             raise SimulationError(f"server position {position} is not down")
-        down_positions.discard(position)
+        self._down_positions.discard(position)
 
     # ------------------------------------------------------------ introspection
-    @abstractmethod
+    # Every figure is read off the table's counters and chains; before
+    # deployment the empty table answers (0, ``{}``, 0.0, ``False``).
     def replica_locations(self) -> dict[int, set[int]]:
         """Map of every user to the *leaf device indices* storing her view."""
+        table = self.tables
+        device_of_position = self._device_of_position
+        return {
+            user: {device_of_position[p] for p in table.user_positions(user)}
+            for user in table.users()
+        }
 
     def replica_count(self, user: int) -> int:
         """Number of replicas of one user's view."""
-        return len(self.replica_locations().get(user, set()))
+        return self.tables.user_replica_count(user)
 
     def total_replicas(self) -> int:
         """Total number of replicas stored in the cluster."""
-        return sum(len(servers) for servers in self.replica_locations().values())
+        return self.tables.active_count
 
     def memory_in_use(self) -> int:
         """Total view slots in use (equals :meth:`total_replicas`)."""
-        return self.total_replicas()
+        return self.tables.active_count
 
     def has_any_replica(self, user: int) -> bool:
-        """Whether ``user``'s view is stored anywhere.
-
-        The simulator's end-of-run audit asks this for every graph user, and
-        this default materialises :meth:`replica_locations` per call:
-        strategies with many users override it in O(1), as all seven do."""
-        return bool(self.replica_locations().get(user))
+        """Whether ``user``'s view is stored anywhere (the simulator's
+        end-of-run audit asks this for every graph user)."""
+        return self.tables.has_user(user)
 
     def replication_factor(self) -> float:
         """Average number of replicas per stored view (0.0 when none is)."""
-        locations = self.replica_locations()
-        if not locations:
-            return 0.0
-        return sum(len(devices) for devices in locations.values()) / len(locations)
+        views = len(self.tables.users())
+        return self.tables.active_count / views if views else 0.0
 
-    # --------------------------------------------------------------- helpers
-    def server_device(self, position: int) -> int:
+    def device_of_position(self, position: int) -> int:
         """Leaf device index of the ``position``-th storage server."""
-        assert self.topology is not None
-        return self.topology.servers[position].index
+        return self._device_of_position[position]
 
 
 class _Memo(dict):
@@ -348,8 +388,7 @@ class FootprintStrategy(PlacementStrategy):
 
     def __init__(self) -> None:
         super().__init__()
-        #: per-position leaf device / proxy broker columns
-        self._device_of_position: list[int] = []
+        #: per-position proxy broker column
         self._broker_of_position: list[int] = []
         #: ``request key -> footprint`` memo, and how many of a footprint's
         #: roundtrips cross the top switch (dropped together)
@@ -372,9 +411,8 @@ class FootprintStrategy(PlacementStrategy):
         self._segments = None
 
     def _reset_footprints(self) -> None:
-        """(Re)build the kernel state; call when initial placement starts."""
+        """(Re)build the kernel state; call once the table is deployed."""
         topology = self.topology
-        self._device_of_position = [server.index for server in topology.servers]
         self._broker_of_position = [
             topology.proxy_broker_for_server(device)
             for device in self._device_of_position
@@ -497,9 +535,9 @@ class StaticPlacementStrategy(FootprintStrategy):
     are placed lazily on the least-loaded server.  Only edge events
     (SPAR) and server departures move a view.
 
-    Placement lives in a statistics-free
-    :class:`~repro.store.tables.ReplicaTable` (its ``used`` counters are
-    the per-position loads) plus a ``user -> master position`` map.
+    Placement lives in the base's table, deployed statistics-free (its
+    ``used`` counters are the per-position loads), plus a ``user -> master
+    position`` map.
     Reads go to the closest replica of each target view; writes update
     every replica of the written view.
     """
@@ -508,12 +546,6 @@ class StaticPlacementStrategy(FootprintStrategy):
         super().__init__()
         #: user -> server position of the master replica (0 .. servers - 1)
         self._master: dict[int, int] = {}
-        #: flat placement table (chains + per-position counters, no stats)
-        self.tables = ReplicaTable(with_stats=False)
-        #: server positions currently out of service
-        self._down_positions: set[int] = set()
-        #: closest-replica resolution (a ``RoutingService`` once built)
-        self.routing = None
 
     # ----------------------------------------------------------- assignment
     @abstractmethod
@@ -521,9 +553,6 @@ class StaticPlacementStrategy(FootprintStrategy):
         """Return the user → server-position assignment for the bound graph."""
 
     def build_initial_placement(self) -> None:
-        # ``repro.core`` imports this module through its public API.
-        from ..core.routing import RoutingService
-
         self.require_bound()
         self._master = dict(self.compute_assignment())
         missing = set(self.graph.users) - set(self._master)
@@ -538,16 +567,10 @@ class StaticPlacementStrategy(FootprintStrategy):
                 f"{self.name} assignment uses position {min(stray)} outside "
                 f"0..{servers - 1}"
             )
-        capacities = self.budget.per_server_capacity()
-        if len(capacities) != servers:
-            raise SimulationError("memory budget does not match the number of servers")
         table = ReplicaTable(positions=servers, with_stats=False)
-        for position, capacity in enumerate(capacities):
-            table.set_capacity(position, capacity)
+        self._deploy_table(table)
         for user, position in self._master.items():
             table.allocate(user, position)
-        self.tables = table
-        self.routing = RoutingService(self.topology)
         self._reset_footprints()
 
     def assignment(self) -> dict[int, int]:
@@ -584,13 +607,11 @@ class StaticPlacementStrategy(FootprintStrategy):
         :data:`REPLICA_COPY` message), on a graceful drain by direct copy
         from the leaving server.  Lost co-located copies are dropped.
         """
-        self.require_bound()
-        servers = len(self.topology.servers)
-        self._begin_server_down(position, self._down_positions, servers)
+        self._begin_server_down(position)
         table = self.tables
 
         plan = RecoveryPlan(crashed_server=position)
-        source_device = self.server_device(position)
+        source_device = self._device_of_position[position]
         affected = set(table.users_at(position))
         for user, master in self._master.items():
             if user not in affected:
@@ -604,7 +625,7 @@ class StaticPlacementStrategy(FootprintStrategy):
                 self._master[user] = min(remaining)
                 plan.recoverable_from_memory.append(user)
                 continue
-            target_device = self.server_device(self._place_master(user))
+            target_device = self._device_of_position[self._place_master(user)]
             if graceful:
                 plan.recoverable_from_memory.append(user)
                 source = source_device
@@ -619,12 +640,12 @@ class StaticPlacementStrategy(FootprintStrategy):
 
     def on_server_up(self, position: int, now: float) -> None:
         """The server rejoins empty; only new placements refill it."""
-        self._begin_server_up(position, self._down_positions)
+        self._begin_server_up(position)
 
     # -------------------------------------------------------------- proxies
     def proxy_broker(self, user: int) -> int:
         """Broker hosting both proxies of a user (rack of her master)."""
-        server = self.server_device(self.server_position_of(user))
+        server = self._device_of_position[self.server_position_of(user)]
         return self.topology.proxy_broker_for_server(server)
 
     # ------------------------------------------------------------ execution
@@ -639,7 +660,7 @@ class StaticPlacementStrategy(FootprintStrategy):
         broker = self.proxy_broker(user)
         for target in targets:
             self.server_position_of(target)
-            replicas = {self.server_device(p) for p in self.tables.user_positions(target)}
+            replicas = {self._device_of_position[p] for p in self.tables.user_positions(target)}
             server = self.routing.closest_replica(broker, replicas)
             self.accountant.record_roundtrip(
                 broker, server, MessageKind.READ_REQUEST, MessageKind.READ_RESPONSE, now
@@ -652,7 +673,7 @@ class StaticPlacementStrategy(FootprintStrategy):
         for position in self.tables.user_positions(user):
             self.accountant.record_roundtrip(
                 broker,
-                self.server_device(position),
+                self._device_of_position[position],
                 MessageKind.WRITE_UPDATE,
                 MessageKind.WRITE_ACK,
                 now,
@@ -681,30 +702,6 @@ class StaticPlacementStrategy(FootprintStrategy):
             # A followee joined after the initial placement: place every
             # unassigned one in ``following`` order, as ``execute_read`` does.
             return tuple(row[self.server_position_of(t)] for t in following)
-
-    # -------------------------------------------------------- introspection
-    def replica_locations(self) -> dict[int, set[int]]:
-        table = self.tables
-        return {
-            user: {self.server_device(position) for position in table.user_positions(user)}
-            for user in table.users()
-        }
-
-    def replica_count(self, user: int) -> int:
-        return self.tables.user_replica_count(user)
-
-    def has_any_replica(self, user: int) -> bool:
-        """O(1) availability check used by the simulator's final audit."""
-        return self.tables.has_user(user)
-
-    def memory_in_use(self) -> int:
-        """Total replicas stored (O(1) from the table counters)."""
-        return self.tables.active_count
-
-    def replication_factor(self) -> float:
-        """Average number of replicas per stored view."""
-        views = len(self.tables.users())
-        return self.tables.active_count / views if views else 0.0
 
 
 __all__ = ["FootprintStrategy", "PlacementStrategy", "StaticPlacementStrategy"]

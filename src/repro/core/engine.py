@@ -13,7 +13,8 @@ This module ties the pieces together into the full protocol:
 
 Since the array-backed state refactor the engine holds **no replica
 objects**: all placement state of the fleet lives in one shared
-:class:`~repro.store.tables.ReplicaTable` (flat replica-id columns with
+:class:`~repro.store.tables.ReplicaTable`, the base class's ``tables``
+deployed with statistics (flat replica-id columns with
 per-user and per-server chain indexes, plus the
 :class:`~repro.store.tables.StatsTable` columns holding the rotating access
 windows).  The hot paths — request execution, closest-replica resolution,
@@ -54,7 +55,6 @@ from ..workload.stream import KIND_READ
 from .migration import MigrationAction, evaluate_replica_migration
 from .proxies import ProxyDirectory, optimal_proxy_broker
 from .replication import evaluate_replica_creation, origin_candidates
-from .routing import RoutingService
 from .utility import estimate_profit
 
 #: Signature of an initial-placement function: (graph, topology, seed) -> {user: server position}.
@@ -157,11 +157,7 @@ class DynaSoRe(PlacementStrategy):
             self.initializer_name = getattr(initializer, "__name__", "custom")
         self.name = f"dynasore[{self.initializer_name}]"
 
-        #: Shared struct-of-arrays placement state of the whole fleet.
-        self.tables: ReplicaTable | None = None
         self.proxies = ProxyDirectory()
-        self.routing: RoutingService | None = None
-        self._device_of_position: list[int] = []
         self._position_of_device: dict[int, int] = {}
         self._positions_under_switch: dict[int, tuple[int, ...]] = {}
         self._threshold_cache: dict[int, float] = {}
@@ -175,8 +171,6 @@ class DynaSoRe(PlacementStrategy):
         #: position -> origins whose ranking covers it (inverse sub-tree map)
         self._origins_above: list[tuple[int, ...]] = []
         self._last_tick: float = 0.0
-        #: storage-server positions currently out of service
-        self._down_positions: set[int] = set()
         #: nominal capacity of each position (restored when a server rejoins)
         self._position_capacity: list[int] = []
         #: recycled scratch containers of the fused (batch-path) decision
@@ -204,29 +198,20 @@ class DynaSoRe(PlacementStrategy):
     def build_initial_placement(self) -> None:
         self.require_bound()
         assert self.topology is not None and self.graph is not None and self.budget is not None
-        capacities = self.budget.per_server_capacity()
-        if len(capacities) != len(self.topology.servers):
-            raise SimulationError("memory budget does not match the number of servers")
-
+        # The shared struct-of-arrays placement state of the whole fleet.
         table = ReplicaTable(
-            positions=len(capacities),
+            positions=len(self.topology.servers),
             counter_slots=self.config.counter_slots,
             counter_period=self.config.counter_period,
         )
-        self.tables = table
-        for position, capacity in enumerate(capacities):
-            table.set_capacity(position, capacity)
-        self._position_capacity = list(capacities)
-        self._down_positions = set()
-        self._device_of_position = [server.index for server in self.topology.servers]
+        self._position_capacity = self._deploy_table(table)
         self._position_of_device = {
             device: position for position, device in enumerate(self._device_of_position)
         }
-        self.routing = RoutingService(self.topology)
         self._build_switch_index()
 
         assignment = self._initializer(self.graph, self.topology, self.seed)
-        assignment = fit_assignment_to_capacity(assignment, capacities)
+        assignment = fit_assignment_to_capacity(assignment, self._position_capacity)
 
         for user, position in assignment.items():
             device = self._device_of_position[position]
@@ -274,11 +259,6 @@ class DynaSoRe(PlacementStrategy):
         cache = self._origin_rank_cache
         for origin in self._origins_above[position]:
             cache.pop(origin, None)
-
-    def _require_tables(self) -> ReplicaTable:
-        if self.tables is None:
-            raise SimulationError("the placement has not been deployed yet")
-        return self.tables
 
     # =====================================================================
     # Helpers used by Algorithms 2 and 3
@@ -343,10 +323,6 @@ class DynaSoRe(PlacementStrategy):
             value = min(thresholds[position] for position in positions)
         self._threshold_cache[origin] = value
         return value
-
-    def device_of_position(self, position: int) -> int:
-        """Leaf device index of a storage-server position."""
-        return self._device_of_position[position]
 
     def position_available(self, position: int) -> bool:
         """True when the storage server at ``position`` is in service."""
@@ -1128,12 +1104,12 @@ class DynaSoRe(PlacementStrategy):
         as what ``tests/test_tick.py`` and the tick benchmark compare
         :meth:`on_tick` against (they bind it over ``on_tick`` on the
         instance)."""
-        self.require_bound()
+        self._require_deployed()
         assert self.topology is not None
         self._last_tick = now
         self._threshold_cache.clear()
 
-        table = self._require_tables()
+        table = self.tables
         table.stats.check_window_range()
         # Counter rotation is one flat sweep over the statistics columns;
         # the utility refresh then walks each position's chain (Algorithm 1
@@ -1218,12 +1194,12 @@ class DynaSoRe(PlacementStrategy):
         per-origin accumulation order, same rotation arithmetic, same
         removal order.
         """
-        self.require_bound()
+        self._require_deployed()
         assert self.topology is not None
         self._last_tick = now
         self._threshold_cache.clear()
 
-        table = self._require_tables()
+        table = self.tables
         stats = table.stats
         # The float32 windows' exactness bound, checked once per tick (the
         # end-of-run tick included) instead of once per recorded event.
@@ -1389,10 +1365,9 @@ class DynaSoRe(PlacementStrategy):
         through the view's write proxy, on a graceful drain it is copied
         directly from the leaving server (and keeps its access statistics).
         """
-        self.require_bound()
+        self._begin_server_down(position)
         assert self.accountant is not None and self.topology is not None
-        table = self._require_tables()
-        self._begin_server_down(position, self._down_positions, table.num_positions)
+        table = self.tables
         self.counters.servers_lost += 1
 
         device_of_position = self._device_of_position
@@ -1461,8 +1436,8 @@ class DynaSoRe(PlacementStrategy):
         it the most attractive target, so Algorithms 2 and 3 rebalance views
         onto it as traffic flows.
         """
-        self._begin_server_up(position, self._down_positions)
-        table = self._require_tables()
+        self._begin_server_up(position)
+        table = self.tables
         table.set_capacity(position, self._position_capacity[position])
         table.admission_thresholds[position] = 0.0
         self._threshold_cache.clear()
@@ -1492,42 +1467,15 @@ class DynaSoRe(PlacementStrategy):
     # =====================================================================
     def replica_positions(self, user: int) -> tuple[int, ...]:
         """Storage-server positions holding a replica of ``user``'s view."""
-        return self._require_tables().user_positions(user)
-
-    def replica_locations(self) -> dict[int, set[int]]:
-        table = self._require_tables()
-        device_of_position = self._device_of_position
-        return {
-            user: {device_of_position[p] for p in table.user_positions(user)}
-            for user in table.users()
-        }
-
-    def replica_count(self, user: int) -> int:
-        return self._require_tables().user_replica_count(user)
-
-    def has_any_replica(self, user: int) -> bool:
-        """O(1) availability check used by the simulator's final audit."""
-        return self._require_tables().has_user(user)
-
-    def replication_factor(self) -> float:
-        """Average number of replicas per view."""
-        table = self._require_tables()
-        users = len(table._user_head)
-        if not users:
-            return 0.0
-        return table.active_count / users
-
-    def memory_in_use(self) -> int:
-        """Total view slots in use (O(1) from the table counters)."""
-        return self._require_tables().active_count
+        return self.tables.user_positions(user)
 
     def memory_capacity(self) -> int:
         """Total capacity of the cluster in views."""
-        return sum(self._require_tables().capacities)
+        return sum(self.tables.capacities)
 
     def server_utilisations(self) -> list[float]:
         """Per-server memory utilisation (O(1) per server from counters)."""
-        table = self._require_tables()
+        table = self.tables
         result = []
         for position in range(table.num_positions):
             capacity = table.capacities[position]

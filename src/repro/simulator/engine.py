@@ -163,8 +163,8 @@ class ClusterSimulator:
         self._reads_executed = 0
         self._writes_executed = 0
         #: Opt-in auditing mode: with ``REPRO_CHECK_TABLES=1`` in the
-        #: environment, the placement tables of table-backed strategies are
-        #: integrity-checked after every maintenance tick and fault burst.
+        #: environment, the strategy's placement table is integrity-checked
+        #: after every maintenance tick and fault.
         self._check_tables = check_tables_enabled()
 
     # ------------------------------------------------------------------ setup
@@ -228,6 +228,8 @@ class ClusterSimulator:
             views_from_disk=len(plan.recoverable_from_disk),
         )
         self.fault_records.append(record)
+        if self._check_tables:
+            self._audit_placement_tables()
         return record
 
     def drain_server(self, position: int, now: float) -> FaultRecord:
@@ -243,6 +245,8 @@ class ClusterSimulator:
         self.server_up[position] = True
         record = FaultRecord(timestamp=now, kind="restore", position=position)
         self.fault_records.append(record)
+        if self._check_tables:
+            self._audit_placement_tables()
         return record
 
     def _check_position(self, position: int) -> None:
@@ -474,7 +478,6 @@ class ClusterSimulator:
         Maintenance ticks due before a fault fire first, so the ordering of
         ticks, faults and requests follows simulated time exactly.
         """
-        applied = False
         while (
             self._next_fault < len(self._fault_events)
             and self._fault_events[self._next_fault].timestamp <= until
@@ -483,9 +486,6 @@ class ClusterSimulator:
             self._next_fault += 1
             self._advance_ticks(clock, event.timestamp)
             event.apply(self)
-            applied = True
-        if applied and self._check_tables:
-            self._audit_placement_tables()
 
     def _advance_ticks(self, clock: SimulationClock, until: float) -> None:
         ticked = False
@@ -501,14 +501,11 @@ class ClusterSimulator:
 
         Enabled by the ``REPRO_CHECK_TABLES`` environment flag; runs the
         :meth:`~repro.store.tables.ReplicaTable.check_integrity` auditor
-        after maintenance ticks and fault bursts — the two moments bulk
-        state transitions (counter sweeps, evictions, evacuations) could
-        corrupt the chain indexes.  Strategies without a ``tables``
-        attribute (custom strategies keeping their own state) are skipped.
+        after maintenance ticks and after every crash, drain and restore —
+        the moments bulk state transitions (counter sweeps, evictions,
+        evacuations) could corrupt the chain indexes.
         """
-        tables = getattr(self.strategy, "tables", None)
-        if tables is not None and hasattr(tables, "check_integrity"):
-            tables.check_integrity()
+        self.strategy.tables.check_integrity()
 
     def _fire_pre_tick(self, tick_time: float) -> None:
         for hook in self._pre_tick_hooks:

@@ -220,9 +220,8 @@ class ShardOutcome:
     result: SimulationResult
     #: Traffic delta to merge.
     delta: TrafficDelta
-    #: Placement-state digest for the cross-worker consistency audit
-    #: (``None`` when the strategy exposes no digestible placement state).
-    digest: str | None
+    #: Placement-state digest for the cross-worker consistency audit.
+    digest: str
     #: Event count and first/last timestamps of the unfiltered stream
     #: (the :class:`ShardFilter`'s tally).
     events: int = 0
@@ -270,25 +269,17 @@ class ShardRunReport:
 # ---------------------------------------------------------------------------
 # Worker execution
 # ---------------------------------------------------------------------------
-def placement_digest(strategy) -> str | None:
+def placement_digest(strategy) -> str:
     """Digest of a strategy's placement state for the cross-worker audit.
 
-    Covers the array-backed placement tables (replicas, stats, counters)
-    and the master map of the static baselines and SPAR.  Returns ``None``
-    for strategies exposing neither — the audit is then skipped rather
-    than failed.
+    Covers the placement table (replicas, stats, counters) and the master
+    map of the static baselines and SPAR.
     """
-    hasher = hashlib.sha256()
-    seen = False
-    tables = getattr(strategy, "tables", None)
-    if tables is not None and hasattr(tables, "state_digest"):
-        hasher.update(tables.state_digest().encode())
-        seen = True
+    hasher = hashlib.sha256(strategy.tables.state_digest().encode())
     master = getattr(strategy, "_master", None)
     if isinstance(master, dict):
         hasher.update(repr(sorted(master.items())).encode())
-        seen = True
-    return hasher.hexdigest() if seen else None
+    return hasher.hexdigest()
 
 
 def _execute_shard(
@@ -456,8 +447,7 @@ def _merge_partitioned(
     construct the exported dicts exactly like a single-process run's
     accountant would, keeping the result byte-identical.
     """
-    digests = {o.digest for o in outcomes if o.digest is not None}
-    if len(digests) > 1:
+    if len({o.digest for o in outcomes}) > 1:
         raise SimulationError(
             "placement state diverged across shard workers — the replicated "
             "decision plane invariant is broken (digest mismatch)"

@@ -33,8 +33,9 @@ indexed by an integer **replica id** (a *slot*):
     Freed slots are recycled through a free list threaded through
     ``_user_next``; allocation therefore never shifts live rows, so a
     replica id stays valid from ``allocate`` until ``free`` — the
-    *replica-id contract* the engine, the baselines and the simulator all
-    rely on.  Per-position occupancy lives in ``_used``/``_capacity``
+    *replica-id contract* that all seven strategies (through the one table
+    :class:`~repro.baselines.base.PlacementStrategy` owns) and the
+    simulator rely on.  Per-position occupancy lives in ``_used``/``_capacity``
     counters, making ``memory_in_use``/``server_utilisations`` O(1) reads.
 
 ``StatsTable`` (rotating access windows as numeric columns)
@@ -101,7 +102,7 @@ def check_tables_enabled() -> bool:
 
     The one reader of the flag; any value but ``""``, ``0``, ``false``,
     ``no`` or ``off`` (case-insensitive) turns it on.  It enables the
-    simulator's table audits after every tick and fault burst.
+    simulator's table audits after every run of ticks and every fault.
     """
     return os.environ.get("REPRO_CHECK_TABLES", "").strip().lower() not in (
         "",

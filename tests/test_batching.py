@@ -642,9 +642,6 @@ class _RecordingStrategy(PlacementStrategy):
     def execute_write(self, user, now) -> None:
         self.executed.append(("write", user))
 
-    def replica_locations(self) -> dict[int, set[int]]:
-        return {}
-
 
 def test_base_loop_rejects_stray_kinds():
     """A non-request kind in the column raises before any event runs (it
@@ -657,7 +654,7 @@ def test_base_loop_rejects_stray_kinds():
     assert strategy.executed == []
     strategy.execute_request_batch(bytes([KIND_READ, KIND_WRITE]), [1, 2], [0.0, 1.0])
     assert strategy.executed == [("read", 1), ("write", 2)]
-    # The default audit answers from ``replica_locations()``.
+    # The default audit answers from the empty table.
     assert strategy.replication_factor() == 0.0
     assert not strategy.has_any_replica(1)
 
@@ -945,6 +942,32 @@ def test_table_audit_covers_the_static_baselines(monkeypatch, key):
     for entry, following in zip(runs, runs[1:] + [None]):
         if entry != "audit":
             assert following == "audit", runs
+
+
+@pytest.mark.parametrize("key", ["random", "dynasore_random"])
+def test_table_audit_covers_direct_fault_calls(monkeypatch, key):
+    """A ``crash_server`` / ``restore_server`` call made outside a scenario
+    (as the crash examples make) is audited under ``REPRO_CHECK_TABLES=1``."""
+    from repro.store.tables import ReplicaTable
+
+    monkeypatch.setenv("REPRO_CHECK_TABLES", "1")
+    topology, _ = parity_cluster()
+    graph = parity_graph(users=80)
+    strategy = build_strategy(key, 7, DynaSoReConfig())
+    simulator = ClusterSimulator(topology, graph, strategy, config=SimulationConfig(seed=7))
+    simulator.prepare()
+    audited = []
+    audit = ReplicaTable.check_integrity
+
+    def logged(table):
+        audited.append(table)
+        audit(table)
+
+    monkeypatch.setattr(ReplicaTable, "check_integrity", logged)
+    simulator.crash_server(1, now=HOUR)
+    assert audited == [strategy.tables]
+    simulator.restore_server(1, now=2 * HOUR)
+    assert audited == [strategy.tables] * 2
 
 
 def test_table_audit_off_by_default(monkeypatch):

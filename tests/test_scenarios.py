@@ -300,7 +300,7 @@ class TestStrategyEvacuation:
         strategy = self._bound(SparPlacement(seed=5), tree_topology, small_graph)
         plan = strategy.on_server_down(1, now=HOUR)
         locations = strategy.replica_locations()
-        crashed_device = strategy.server_device(1)
+        crashed_device = strategy.device_of_position(1)
         assert all(crashed_device not in devices for devices in locations.values())
         assert all(devices for devices in locations.values())
         # SPAR co-locates aggressively, so some masters had survivors.
@@ -322,17 +322,24 @@ class TestStrategyEvacuation:
         assert strategy.memory_capacity() == capacity_before
         assert strategy.position_available(2)
 
-    def test_dynasore_refuses_faults_before_deployment(self, tree_topology, small_graph):
+    @pytest.mark.parametrize("key", STRATEGY_KEYS)
+    def test_faults_are_refused_before_deployment(self, tree_topology, small_graph, key):
+        """A bound strategy whose placement is not built refuses a crash
+        (and DynaSoRe both of its ticks) instead of indexing an empty table."""
         from repro.store.memory import MemoryBudget
         from repro.traffic.accounting import TrafficAccountant
 
-        strategy = DynaSoRe(initializer="random", seed=5)
+        strategy = build_strategy(key, 5)
         budget = MemoryBudget(
             views=small_graph.num_users, extra_memory_pct=0.0, servers=len(tree_topology.servers)
         )
         strategy.bind(tree_topology, small_graph, TrafficAccountant(tree_topology), budget, seed=5)
         with pytest.raises(SimulationError, match="not been deployed"):
             strategy.on_server_down(0, now=HOUR)
+        if isinstance(strategy, DynaSoRe):
+            for tick in (strategy.on_tick, strategy._on_tick_reference):
+                with pytest.raises(SimulationError, match="not been deployed"):
+                    tick(HOUR)
 
     @pytest.mark.parametrize("position", [-1, 12])
     def test_dynasore_rejects_positions_outside_the_table(
@@ -358,9 +365,6 @@ class TestStrategyEvacuation:
 
             def execute_write(self, user, now):  # pragma: no cover - unused
                 pass
-
-            def replica_locations(self):  # pragma: no cover - unused
-                return {}
 
         stub = Stub()
         with pytest.raises(SimulationError):
