@@ -36,7 +36,6 @@ holding anything but reads and writes (:func:`require_request_kinds`).
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Sequence
@@ -84,7 +83,12 @@ def require_request_kinds(kinds: Sequence[int]) -> None:
 
 
 class PlacementStrategy(ABC):
-    """A view-placement protocol driven by the cluster simulator."""
+    """A view-placement protocol driven by the cluster simulator.
+
+    A strategy is constructed with its seed and deployed once, by
+    :meth:`bind`; until then its request entry points, fault handlers and
+    (DynaSoRe's) ticks raise "not been deployed" (:meth:`_require_deployed`).
+    """
 
     #: Human-readable name used in experiment reports.
     name: str = "strategy"
@@ -103,12 +107,13 @@ class PlacementStrategy(ABC):
     #: runner refuses the strategy.
     shard_requests_pure: bool = False
 
-    def __init__(self) -> None:
+    def __init__(self, seed: int = 7) -> None:
+        #: the strategy's only seed (assignment, SPAR's edge shuffle)
+        self.seed = seed
         self.topology: ClusterTopology | None = None
         self.graph: SocialGraph | None = None
         self.accountant: TrafficAccountant | None = None
         self.budget: MemoryBudget | None = None
-        self.rng = random.Random(0)
         #: the placement store: empty until :meth:`_deploy_table` installs
         #: the deployed one
         self.tables = ReplicaTable(with_stats=False)
@@ -126,23 +131,22 @@ class PlacementStrategy(ABC):
         graph: SocialGraph,
         accountant: TrafficAccountant,
         budget: MemoryBudget,
-        seed: int = 7,
     ) -> None:
-        """Attach the strategy to a cluster, graph, accountant and budget."""
+        """Attach the strategy to a cluster, graph, accountant and budget,
+        and deploy its initial placement there (paper section 3.1).
+
+        Bind a strategy once: it is either unbound or deployed.
+        """
         self.topology = topology
         self.graph = graph
         self.accountant = accountant
         self.budget = budget
-        self.rng = random.Random(seed)
-
-    def require_bound(self) -> None:
-        """Raise when the strategy has not been bound to a cluster yet."""
-        if self.topology is None or self.graph is None or self.accountant is None:
-            raise SimulationError(f"strategy {self.name!r} is not bound to a cluster")
+        self.build_initial_placement()
 
     @abstractmethod
     def build_initial_placement(self) -> None:
-        """Compute the initial assignment of views (and replicas) to servers."""
+        """Compute the initial assignment of views (and replicas) to servers
+        and deploy it (:meth:`_deploy_table`); :meth:`bind` calls it."""
 
     def _deploy_table(self, table: ReplicaTable) -> list[int]:
         """Install ``table`` (one position per server) as the placement store.
@@ -167,7 +171,12 @@ class PlacementStrategy(ABC):
         return capacities
 
     def _require_deployed(self) -> None:
-        """Raise when :meth:`build_initial_placement` has not run yet."""
+        """Raise when the strategy has not been bound, so nothing is deployed.
+
+        The one deployment guard, called on entry by the request entry
+        points, the fault handlers and DynaSoRe's ticks — by the batch
+        kernels once per run, never per event.
+        """
         if self.routing is None:
             raise SimulationError("the placement has not been deployed yet")
 
@@ -274,7 +283,9 @@ class PlacementStrategy(ABC):
         down_positions.add(position)
 
     def _begin_server_up(self, position: int) -> None:
-        """Shared guard of every ``on_server_up``: validate and deregister."""
+        """Shared guard of every ``on_server_up``: refuse an undeployed
+        placement, validate the position and deregister it."""
+        self._require_deployed()
         if position not in self._down_positions:
             raise SimulationError(f"server position {position} is not down")
         self._down_positions.discard(position)
@@ -386,8 +397,8 @@ class FootprintStrategy(PlacementStrategy):
 
     shard_requests_pure = True
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, seed: int = 7) -> None:
+        super().__init__(seed)
         #: per-position proxy broker column
         self._broker_of_position: list[int] = []
         #: ``request key -> footprint`` memo, and how many of a footprint's
@@ -406,8 +417,7 @@ class FootprintStrategy(PlacementStrategy):
         )
         #: ``request key -> measured requests`` since the last settle
         self._tally: Counter[int] = Counter()
-        #: segment cutter; ``None`` until the initial placement is built
-        #: (the kernel then falls back to the scalar loop)
+        #: segment cutter (set when the placement is deployed)
         self._segments = None
 
     def _reset_footprints(self) -> None:
@@ -455,11 +465,9 @@ class FootprintStrategy(PlacementStrategy):
         timestamps: Sequence[float],
     ) -> None:
         """Count the run's requests; footprints are multiplied at the settle."""
-        segments = self._segments
-        if segments is None:
-            super().execute_request_batch(kinds, users, timestamps)
-            return
+        self._require_deployed()
         require_request_kinds(kinds)
+        segments = self._segments
         accountant = self.accountant
         measure_from = accountant.measure_from
         double = (2).__mul__
@@ -542,8 +550,8 @@ class StaticPlacementStrategy(FootprintStrategy):
     every replica of the written view.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, seed: int = 7) -> None:
+        super().__init__(seed)
         #: user -> server position of the master replica (0 .. servers - 1)
         self._master: dict[int, int] = {}
 
@@ -553,7 +561,6 @@ class StaticPlacementStrategy(FootprintStrategy):
         """Return the user → server-position assignment for the bound graph."""
 
     def build_initial_placement(self) -> None:
-        self.require_bound()
         self._master = dict(self.compute_assignment())
         missing = set(self.graph.users) - set(self._master)
         if missing:
@@ -652,7 +659,7 @@ class StaticPlacementStrategy(FootprintStrategy):
     def execute_read(
         self, user: int, now: float, targets: tuple[int, ...] | None = None
     ) -> None:
-        self.require_bound()
+        self._require_deployed()
         if targets is None:
             if not self.graph.has_user(user):
                 return
@@ -667,7 +674,7 @@ class StaticPlacementStrategy(FootprintStrategy):
             )
 
     def execute_write(self, user: int, now: float) -> None:
-        self.require_bound()
+        self._require_deployed()
         broker = self.proxy_broker(user)
         self.server_position_of(user)
         for position in self.tables.user_positions(user):

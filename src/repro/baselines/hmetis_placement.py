@@ -37,12 +37,7 @@ class HierarchicalMetisPlacement(StaticPlacementStrategy):
 
     name = "hmetis"
 
-    def __init__(self, seed: int = 7) -> None:
-        super().__init__()
-        self.seed = seed
-
     def compute_assignment(self) -> dict[int, int]:
-        assert self.graph is not None and self.topology is not None
         return hmetis_assignment(self.graph, self.topology, seed=self.seed)
 
 

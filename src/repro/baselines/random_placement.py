@@ -25,12 +25,7 @@ class RandomPlacement(StaticPlacementStrategy):
 
     name = "random"
 
-    def __init__(self, seed: int = 7) -> None:
-        super().__init__()
-        self.seed = seed
-
     def compute_assignment(self) -> dict[int, int]:
-        assert self.graph is not None and self.topology is not None
         return random_assignment(self.graph, self.topology, seed=self.seed)
 
 

@@ -33,6 +33,8 @@ every replica of the written view.
 
 from __future__ import annotations
 
+import random
+
 from .base import Footprint, StaticPlacementStrategy
 
 
@@ -47,10 +49,6 @@ class SparPlacement(StaticPlacementStrategy):
 
     name = "spar"
 
-    def __init__(self, seed: int = 7) -> None:
-        super().__init__()
-        self.seed = seed
-
     # ------------------------------------------------------------- placement
     def compute_assignment(self) -> dict[int, int]:
         """Masters round-robin in graph order: what placing each user in
@@ -63,7 +61,7 @@ class SparPlacement(StaticPlacementStrategy):
         # Stream the edges of the social graph in random order and replicate
         # followees onto followers' servers while space remains.
         edges = list(self.graph.edges())
-        self.rng.shuffle(edges)
+        random.Random(self.seed).shuffle(edges)
         for follower, followee in edges:
             self._co_locate(follower, followee)
 

@@ -140,7 +140,8 @@ class SimulationConfig:
     #: tables, so those experiments treat the first part of the trace as a
     #: warm-up phase.
     measure_from: float = 0.0
-    #: Seed for every random decision taken during the simulation.
+    #: Seed of the run's scenarios, and of a ``RunSpec``'s strategy unless
+    #: its ``strategy_seed`` is set; a strategy keeps its constructor seed.
     seed: int = 7
 
     def __post_init__(self) -> None:

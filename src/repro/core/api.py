@@ -39,10 +39,12 @@ class DynaSoReStore:
     extra_memory_pct:
         Memory budget beyond one replica per view (paper section 2.3).
     strategy:
-        The placement strategy; defaults to DynaSoRe initialised from a
-        hierarchy-aware partitioning of the social graph.
-    config:
-        DynaSoRe tunables (only used when ``strategy`` is not provided).
+        An unbound placement strategy, deployed here; defaults to DynaSoRe
+        initialised from a hierarchy-aware partitioning of the social graph.
+        A given strategy keeps the seed it was constructed with.
+    config, seed:
+        The default DynaSoRe's tunables and seed (only used when
+        ``strategy`` is not provided).
     """
 
     def __init__(
@@ -67,8 +69,7 @@ class DynaSoReStore:
         self.strategy = strategy or DynaSoRe(
             initializer="hmetis", config=config or DynaSoReConfig(), seed=seed
         )
-        self.strategy.bind(topology, graph, self.accountant, self.budget, seed=seed)
-        self.strategy.build_initial_placement()
+        self.strategy.bind(topology, graph, self.accountant, self.budget)
         #: In-memory view payloads (one logical copy; physical replicas are
         #: tracked by the placement strategy).
         self._views: dict[int, View] = {}
@@ -76,7 +77,10 @@ class DynaSoReStore:
 
     # ------------------------------------------------------------------ time
     def advance_time(self, now: float) -> None:
-        """Advance the store's clock (drives counter rotation on ticks)."""
+        """Move the store's clock forward; requests are stamped with it.
+
+        Only the clock moves: :meth:`run_maintenance` runs the tick.
+        """
         if now < self._clock:
             raise SimulationError("time cannot go backwards")
         self._clock = now

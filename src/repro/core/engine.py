@@ -141,9 +141,8 @@ class DynaSoRe(PlacementStrategy):
         config: DynaSoReConfig | None = None,
         seed: int = 7,
     ) -> None:
-        super().__init__()
+        super().__init__(seed)
         self.config = config or DynaSoReConfig()
-        self.seed = seed
         if isinstance(initializer, str):
             if initializer not in INITIAL_PLACEMENTS:
                 raise ConfigurationError(
@@ -196,8 +195,6 @@ class DynaSoRe(PlacementStrategy):
     # Initial placement
     # =====================================================================
     def build_initial_placement(self) -> None:
-        self.require_bound()
-        assert self.topology is not None and self.graph is not None and self.budget is not None
         # The shared struct-of-arrays placement state of the whole fleet.
         table = ReplicaTable(
             positions=len(self.topology.servers),
@@ -231,7 +228,6 @@ class DynaSoRe(PlacementStrategy):
 
     def _build_switch_index(self) -> None:
         """Pre-compute the storage-server positions under every switch."""
-        assert self.topology is not None
         self._positions_under_switch = {}
         for switch in self.topology.switches:
             devices = self.topology.servers_under(switch.index)
@@ -341,7 +337,6 @@ class DynaSoRe(PlacementStrategy):
         table = self.tables
         if user in table._user_head:
             return
-        assert self.topology is not None
         position = pick_least_loaded(
             table.used, self._down_positions, capacities=table.capacities
         )
@@ -356,8 +351,7 @@ class DynaSoRe(PlacementStrategy):
     def execute_read(
         self, user: int, now: float, targets: tuple[int, ...] | None = None
     ) -> None:
-        self.require_bound()
-        assert self.graph is not None and self.accountant is not None and self.topology is not None
+        self._require_deployed()
         if targets is None:
             if not self.graph.has_user(user):
                 return
@@ -433,8 +427,7 @@ class DynaSoRe(PlacementStrategy):
                 self.counters.read_proxy_migrations += 1
 
     def execute_write(self, user: int, now: float) -> None:
-        self.require_bound()
-        assert self.accountant is not None and self.topology is not None
+        self._require_deployed()
         table = self.tables
         if user not in table._user_head:
             self._ensure_user(user)
@@ -497,13 +490,9 @@ class DynaSoRe(PlacementStrategy):
         control/copy, routing updates) go through the accountant's
         write-combining :meth:`~repro.traffic.accounting.TrafficAccountant.record`.
         """
-        read_run = self._read_run
-        if read_run is None:
-            # Not deployed through build_initial_placement (defensive).
-            super().execute_request_batch(kinds, users, timestamps)
-            return
-        self.require_bound()
+        self._require_deployed()
         require_request_kinds(kinds)
+        read_run = self._read_run
         topology = self.topology
         graph = self.graph
         has_user = graph.has_user
@@ -937,7 +926,6 @@ class DynaSoRe(PlacementStrategy):
         when it is full and none of its evictable replicas is less useful
         than the incoming view.
         """
-        assert self.accountant is not None and self.routing is not None
         table = self.tables
         device_of_position = self._device_of_position
         target_device = device_of_position[target_position]
@@ -995,7 +983,6 @@ class DynaSoRe(PlacementStrategy):
         useless at the next maintenance tick simply because its own counters
         are still empty, get evicted, and be re-created on the next read.
         """
-        assert self.topology is not None
         stats = self.tables.stats
         cost_from_origin = self.topology.cost_from_origin
         for origin, reads in stats.reads_by_origin(source_slot).items():
@@ -1023,7 +1010,6 @@ class DynaSoRe(PlacementStrategy):
     def _remove_replica(self, user: int, position: int, now: float) -> bool:
         """Remove the replica of ``user`` stored at ``position`` (never the
         last one)."""
-        assert self.accountant is not None and self.routing is not None
         device = self._device_of_position[position]
         slots, devices = self._replica_chain(user)
         if device not in devices or len(slots) <= 1:
@@ -1069,7 +1055,6 @@ class DynaSoRe(PlacementStrategy):
         self, write_broker: int | None, brokers: tuple[int, ...], now: float
     ) -> None:
         """A view's write proxy sends a routing update to each of ``brokers``."""
-        assert self.accountant is not None
         if write_broker is None:
             return
         record = self.accountant.record
@@ -1080,7 +1065,6 @@ class DynaSoRe(PlacementStrategy):
     def _link_siblings(self, slots: list[int], devices: list[int]) -> None:
         """Point every replica of one view (its whole chain, as returned by
         :meth:`_replica_chain`) at its next-closest sibling."""
-        assert self.topology is not None
         table = self.tables
         next_closest = table._next_closest
         if len(slots) == 1:
@@ -1105,7 +1089,6 @@ class DynaSoRe(PlacementStrategy):
         :meth:`on_tick` against (they bind it over ``on_tick`` on the
         instance)."""
         self._require_deployed()
-        assert self.topology is not None
         self._last_tick = now
         self._threshold_cache.clear()
 
@@ -1195,7 +1178,6 @@ class DynaSoRe(PlacementStrategy):
         removal order.
         """
         self._require_deployed()
-        assert self.topology is not None
         self._last_tick = now
         self._threshold_cache.clear()
 
@@ -1326,7 +1308,6 @@ class DynaSoRe(PlacementStrategy):
         Sole replicas are pinned at infinite utility: Algorithm 1 needs a
         next-closest replica to compare against.
         """
-        assert self.topology is not None
         table = self.tables
         next_closest = table._next_closest[slot]
         if next_closest == NO_SLOT:
@@ -1366,7 +1347,6 @@ class DynaSoRe(PlacementStrategy):
         directly from the leaving server (and keeps its access statistics).
         """
         self._begin_server_down(position)
-        assert self.accountant is not None and self.topology is not None
         table = self.tables
         self.counters.servers_lost += 1
 

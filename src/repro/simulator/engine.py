@@ -169,13 +169,11 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------ setup
     def prepare(self) -> None:
-        """Bind the strategy to the cluster and build the initial placement."""
+        """Deploy the strategy: bind it to the cluster, which builds its
+        initial placement (once; later calls do nothing)."""
         if self._prepared:
             return
-        self.strategy.bind(
-            self.topology, self.graph, self.accountant, self.budget, seed=self.config.seed
-        )
-        self.strategy.build_initial_placement()
+        self.strategy.bind(self.topology, self.graph, self.accountant, self.budget)
         self._prepared = True
 
     def track_view(self, user: int) -> None:

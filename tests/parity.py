@@ -25,11 +25,7 @@ import pickle
 from repro.baselines.base import PlacementStrategy
 from repro.config import ClusterSpec, DynaSoReConfig, SimulationConfig
 from repro.constants import HOUR
-
-# Imported from the run registry so a newly registered strategy
-# automatically joins the golden matrix (and fails loudly until its cells
-# are recorded).
-from repro.runtime.spec import STRATEGY_KEYS, build_strategy
+from repro.runtime.spec import build_strategy
 from repro.scenarios import CrashRecoverScenario, DiurnalLoadScenario
 from repro.simulator.engine import ClusterSimulator
 from repro.socialgraph.generators import dataset_preset, generate_social_graph

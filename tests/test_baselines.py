@@ -19,13 +19,12 @@ from repro.traffic.accounting import TrafficAccountant
 from repro.workload.synthetic import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 
-def bind_strategy(strategy, topology, graph, extra_memory_pct=30.0, seed=3):
+def bind_strategy(strategy, topology, graph, extra_memory_pct=30.0):
     accountant = TrafficAccountant(topology)
     budget = MemoryBudget(
         views=graph.num_users, extra_memory_pct=extra_memory_pct, servers=len(topology.servers)
     )
-    strategy.bind(topology, graph, accountant, budget, seed=seed)
-    strategy.build_initial_placement()
+    strategy.bind(topology, graph, accountant, budget)
     return accountant
 
 
@@ -99,8 +98,8 @@ class TestStaticBaselines:
 
     def test_unbound_strategy_raises(self, tree_topology):
         strategy = RandomPlacement()
-        with pytest.raises(SimulationError):
-            strategy.require_bound()
+        with pytest.raises(SimulationError, match="not been deployed"):
+            strategy.execute_write(0, now=0.0)
 
     @pytest.mark.parametrize("stray", [-1, "servers"])
     def test_assignment_outside_the_cluster_is_refused(self, tree_topology, tiny_graph, stray):
@@ -184,6 +183,16 @@ class TestSpar:
         strategy = SparPlacement(seed=2)
         bind_strategy(strategy, tree_topology, small_graph, extra_memory_pct=0.0)
         assert strategy.replication_factor() == pytest.approx(1.0, abs=0.01)
+
+    def test_constructor_seed_drives_the_edge_shuffle(self, tree_topology, small_graph):
+        """SPAR's only seed is its constructor's: two seeds on one cluster
+        and graph co-locate different copies under the same budget."""
+        placements = []
+        for seed in (2, 3):
+            strategy = SparPlacement(seed=seed)
+            bind_strategy(strategy, tree_topology, small_graph, extra_memory_pct=30.0)
+            placements.append(strategy.replica_locations())
+        assert placements[0] != placements[1]
 
     def test_writes_update_every_replica(self, tree_topology, small_graph):
         strategy = SparPlacement(seed=2)

@@ -858,13 +858,6 @@ def test_pure_run_wrappers_match_scalar_calls(key):
     assert sim_a.accountant.snapshot() == sim_b.accountant.snapshot()
 
 
-def test_unbuilt_strategy_falls_back_to_scalar_loop():
-    """Kernels guard against running before ``build_initial_placement``."""
-    strategy = build_strategy("random", 7, DynaSoReConfig())
-    with pytest.raises(Exception):
-        strategy.execute_read_batch([1], [0.0])
-
-
 # ---------------------------------------------------------------------------
 # Opt-in placement-table auditing (REPRO_CHECK_TABLES)
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ def bind_dynasore(
     budget = MemoryBudget(
         views=graph.num_users, extra_memory_pct=extra_memory_pct, servers=len(topology.servers)
     )
-    strategy.bind(topology, graph, accountant, budget, seed=seed)
-    strategy.build_initial_placement()
+    strategy.bind(topology, graph, accountant, budget)
     return strategy, accountant
 
 
@@ -92,8 +91,7 @@ class TestInitialPlacement:
             extra_memory_pct=200.0,
             servers=len(tree_topology.servers),
         )
-        strategy.bind(tree_topology, small_graph, accountant, budget, seed=1)
-        strategy.build_initial_placement()
+        strategy.bind(tree_topology, small_graph, accountant, budget)
         # Capacity fitting spreads the overflow across other servers.
         assert strategy.memory_in_use() == small_graph.num_users
 

@@ -18,6 +18,8 @@ from repro.store.memory import MemoryBudget
 from repro.store.stats import AccessStatistics
 from repro.topology.flat import FlatTopology
 from repro.topology.tree import TreeTopology
+from repro.traffic.accounting import TrafficAccountant
+from repro.traffic.messages import MessageKind
 from repro.config import ClusterSpec, FlatClusterSpec
 from repro.workload.stream import EventStream, KIND_READ, KIND_WRITE, NO_AUX, events_per_day
 
@@ -244,7 +246,6 @@ def _get_churn_graph():
 
 def _churn_engine(seed: int):
     from repro.core.engine import DynaSoRe
-    from repro.traffic.accounting import TrafficAccountant
 
     graph = _get_churn_graph()
     strategy = DynaSoRe(initializer="random", seed=seed)
@@ -253,8 +254,7 @@ def _churn_engine(seed: int):
         extra_memory_pct=100.0,
         servers=len(_topology.servers),
     )
-    strategy.bind(_topology, graph, TrafficAccountant(_topology), budget, seed=seed)
-    strategy.build_initial_placement()
+    strategy.bind(_topology, graph, TrafficAccountant(_topology), budget)
     return strategy, graph, budget
 
 
@@ -307,13 +307,9 @@ def test_churn_preserves_replication_and_budget_invariants(seed, steps):
 
 
 # ------------------------------------------------------------------- traffic deltas
-from repro.topology.tree import TreeTopology as _TreeTopology
-from repro.config import ClusterSpec as _ClusterSpec
-from repro.traffic.accounting import TrafficAccountant
-from repro.traffic.messages import MessageKind
 
-_DELTA_TOPOLOGY = _TreeTopology(
-    _ClusterSpec(
+_DELTA_TOPOLOGY = TreeTopology(
+    ClusterSpec(
         intermediate_switches=2,
         racks_per_intermediate=2,
         machines_per_rack=2,

@@ -38,7 +38,7 @@ from repro.scenarios.events import ServerCrash, ServerRecovery
 from repro.simulator.engine import ClusterSimulator
 from repro.simulator.runner import normalise_results
 from repro.workload.io import write_trace
-from repro.workload.stream import KIND_WRITE, EventStream
+from repro.workload.stream import KIND_READ, KIND_WRITE, EventStream
 
 
 @pytest.fixture
@@ -280,8 +280,7 @@ class TestStrategyEvacuation:
             extra_memory_pct=100.0,
             servers=len(tree_topology.servers),
         )
-        strategy.bind(tree_topology, small_graph, accountant, budget, seed=5)
-        strategy.build_initial_placement()
+        strategy.bind(tree_topology, small_graph, accountant, budget)
         return strategy
 
     def test_static_reassigns_off_the_crashed_server(self, tree_topology, small_graph):
@@ -323,23 +322,35 @@ class TestStrategyEvacuation:
         assert strategy.position_available(2)
 
     @pytest.mark.parametrize("key", STRATEGY_KEYS)
-    def test_faults_are_refused_before_deployment(self, tree_topology, small_graph, key):
-        """A bound strategy whose placement is not built refuses a crash
+    def test_faults_are_refused_before_deployment(self, key):
+        """A strategy that was never bound refuses a crash and a restore
         (and DynaSoRe both of its ticks) instead of indexing an empty table."""
-        from repro.store.memory import MemoryBudget
-        from repro.traffic.accounting import TrafficAccountant
-
         strategy = build_strategy(key, 5)
-        budget = MemoryBudget(
-            views=small_graph.num_users, extra_memory_pct=0.0, servers=len(tree_topology.servers)
-        )
-        strategy.bind(tree_topology, small_graph, TrafficAccountant(tree_topology), budget, seed=5)
         with pytest.raises(SimulationError, match="not been deployed"):
             strategy.on_server_down(0, now=HOUR)
+        with pytest.raises(SimulationError, match="not been deployed"):
+            strategy.on_server_up(0, now=HOUR)
         if isinstance(strategy, DynaSoRe):
             for tick in (strategy.on_tick, strategy._on_tick_reference):
                 with pytest.raises(SimulationError, match="not been deployed"):
                     tick(HOUR)
+
+    @pytest.mark.parametrize("key", STRATEGY_KEYS)
+    def test_requests_are_refused_before_deployment(self, key):
+        """A strategy that was never bound refuses every request entry
+        point with the deployment guard's error, not a placement failure."""
+        strategy = build_strategy(key, 5)
+        kinds = bytes([KIND_READ, KIND_WRITE])
+        calls = (
+            lambda: strategy.execute_read(1, HOUR),
+            lambda: strategy.execute_write(1, HOUR),
+            lambda: strategy.execute_request_batch(kinds, [1, 2], [HOUR, HOUR]),
+            lambda: strategy.execute_read_batch([1], [HOUR]),
+        )
+        for call in calls:
+            with pytest.raises(SimulationError, match="not been deployed"):
+                call()
+        assert strategy.total_replicas() == 0
 
     @pytest.mark.parametrize("position", [-1, 12])
     def test_dynasore_rejects_positions_outside_the_table(

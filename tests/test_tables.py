@@ -78,7 +78,6 @@ import pytest
 import parity
 from parity import (
     SCENARIOS,
-    STRATEGY_KEYS,
     golden_digest,
     parity_cluster,
     parity_graph,
@@ -88,7 +87,9 @@ from parity import (
 )
 from repro.config import DynaSoReConfig, SimulationConfig
 from repro.exceptions import StorageError
-from repro.runtime.spec import build_strategy
+# The golden matrix spans the run registry, so a newly registered strategy
+# joins it (and fails loudly until its cells are recorded).
+from repro.runtime.spec import STRATEGY_KEYS, build_strategy
 from repro.simulator.engine import ClusterSimulator
 from repro.store.stats import AccessStatistics
 from repro.store.tables import ReplicaTable, StatsTable, pick_least_loaded

@@ -750,8 +750,7 @@ def _placed_random_strategy(tree_topology, small_graph, budget):
 
     accountant = TrafficAccountant(tree_topology, bucket_width=50.0)
     strategy = RandomPlacement(seed=5)
-    strategy.bind(tree_topology, small_graph, accountant, budget, seed=5)
-    strategy.build_initial_placement()
+    strategy.bind(tree_topology, small_graph, accountant, budget)
     return strategy, accountant
 
 
