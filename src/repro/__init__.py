@@ -27,13 +27,7 @@ from .config import (
     FlatClusterSpec,
     SimulationConfig,
 )
-from .baselines import (
-    HierarchicalMetisPlacement,
-    MetisPlacement,
-    PlacementStrategy,
-    RandomPlacement,
-    SparPlacement,
-)
+from .baselines import PlacementStrategy, SparPlacement, StaticPlacementStrategy
 from .core import DynaSoRe, DynaSoReStore
 from .scenarios import (
     CompositeScenario,
@@ -80,17 +74,15 @@ __all__ = [
     "FlatClusterSpec",
     "FlatTopology",
     "Scenario",
-    "HierarchicalMetisPlacement",
     "MemoryBudget",
-    "MetisPlacement",
     "NewsActivityTraceConfig",
     "NewsActivityTraceGenerator",
     "PlacementStrategy",
-    "RandomPlacement",
     "SimulationConfig",
     "SimulationResult",
     "SocialGraph",
     "SparPlacement",
+    "StaticPlacementStrategy",
     "SyntheticWorkloadConfig",
     "SyntheticWorkloadGenerator",
     "TreeTopology",

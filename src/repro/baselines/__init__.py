@@ -1,16 +1,17 @@
 """Baseline placement strategies: Random, METIS, hierarchical METIS, SPAR."""
 
 from .base import PlacementStrategy, StaticPlacementStrategy
-from .hmetis_placement import HierarchicalMetisPlacement, hmetis_assignment
-from .metis_placement import MetisPlacement, metis_assignment
-from .random_placement import RandomPlacement, random_assignment
+from .placements import (
+    INITIAL_PLACEMENTS,
+    hmetis_assignment,
+    metis_assignment,
+    random_assignment,
+)
 from .spar import SparPlacement
 
 __all__ = [
-    "HierarchicalMetisPlacement",
-    "MetisPlacement",
+    "INITIAL_PLACEMENTS",
     "PlacementStrategy",
-    "RandomPlacement",
     "SparPlacement",
     "StaticPlacementStrategy",
     "hmetis_assignment",

@@ -1,4 +1,4 @@
-"""Placement-strategy interface and the shared footprint kernel.
+"""Placement-strategy interface and the static strategies' shared kernel.
 
 Every view-management protocol evaluated in the paper — Random, METIS,
 hierarchical METIS, SPAR and DynaSoRe itself — is a *placement strategy*: it
@@ -7,11 +7,12 @@ is driven by the same trace-driven simulator.  This module defines the
 interface (:class:`PlacementStrategy`, which also owns the one placement
 store of all seven: a :class:`~repro.store.tables.ReplicaTable`, the
 position → device column, the down set and the routing service, plus the
-table-backed introspection), the batch kernel shared by the four
-strategies whose placement ignores request traffic
-(:class:`FootprintStrategy`), and their shared placement
-(:class:`StaticPlacementStrategy`: a fixed master placement, proxies on
-the broker of the rack hosting the master; SPAR adds co-located copies).
+table-backed introspection) and the one class of the four strategies whose
+placement ignores request traffic (:class:`StaticPlacementStrategy`: a
+fixed master placement from a named partitioner of
+:data:`~repro.baselines.placements.INITIAL_PLACEMENTS`, proxies on the
+broker of the rack hosting the master, and the footprint kernel; SPAR
+subclasses it to add co-located copies).
 
 Request execution is **batch-first**: the simulator segments event streams
 into runs of requests (reads and writes, bounded by graph mutations, faults
@@ -23,9 +24,9 @@ strategy — including user subclasses — is batch-dispatchable by
 construction.  Two kernels override
 ``execute_request_batch`` with byte-identical results: DynaSoRe's
 (:mod:`repro.core.engine`, per event — its requests feed back into
-placement) and :class:`FootprintStrategy`'s, which *counts requests and
-settles once*: paper section 4.1 makes Random, METIS and hMETIS static and
-SPAR reactive "to changes of the social graph, not to request traffic", so
+placement) and :class:`StaticPlacementStrategy`'s, which *counts requests
+and settles once*: paper section 4.1 makes Random, METIS and hMETIS static
+and SPAR reactive "to changes of the social graph, not to request traffic", so
 between two such changes a request is a fixed tuple of ``(broker, device)``
 paths: requests are tallied at C speed and multiplied into paths on demand.
 ``execute_read`` / ``execute_write`` stay as the per-event reference, which
@@ -50,6 +51,7 @@ from ..topology.base import ClusterTopology
 from ..traffic.accounting import TrafficAccountant
 from ..traffic.messages import MessageKind
 from ..workload.stream import KIND_READ, KIND_WRITE
+from .placements import InitialAssignment, resolve_initializer
 
 #: One-byte kind column the read-run wrapper tiles to the run length.
 _READ_KINDS = bytes([KIND_READ])
@@ -271,24 +273,33 @@ class PlacementStrategy(ABC):
         At least one server must stay in service — the cluster can shrink,
         never vanish.
         """
-        self._require_deployed()
+        self._check_position(position)
         down_positions = self._down_positions
-        servers = len(self._device_of_position)
-        if not 0 <= position < servers:
-            raise SimulationError(f"invalid server position {position}")
         if position in down_positions:
             raise SimulationError(f"server position {position} is already down")
-        if len(down_positions) + 1 >= servers:
+        if len(down_positions) + 1 >= len(self._device_of_position):
             raise SimulationError("cannot take down the last available server")
         down_positions.add(position)
 
     def _begin_server_up(self, position: int) -> None:
         """Shared guard of every ``on_server_up``: refuse an undeployed
         placement, validate the position and deregister it."""
-        self._require_deployed()
+        self._check_position(position)
         if position not in self._down_positions:
             raise SimulationError(f"server position {position} is not down")
         self._down_positions.discard(position)
+
+    def _check_position(self, position: int) -> None:
+        """Refuse an undeployed placement or a position outside the cluster."""
+        self._require_deployed()
+        if not 0 <= position < len(self._device_of_position):
+            raise SimulationError(f"invalid server position {position}")
+
+    def position_available(self, position: int) -> bool:
+        """True when the storage server at ``position`` is in service (the
+        down set is the one record of availability; the simulator's
+        ``server_up`` reads it)."""
+        return position not in self._down_positions
 
     # ------------------------------------------------------------ introspection
     # Every figure is read off the table's counters and chains; before
@@ -348,18 +359,37 @@ class _Memo(dict):
         return value
 
 
-class FootprintStrategy(PlacementStrategy):
+class StaticPlacementStrategy(PlacementStrategy):
     """A strategy whose placement changes only on graph and fault events.
 
-    Between two such events a request is a fixed *traffic footprint* of its
-    issuer — the ``(broker, device)`` path of every roundtrip it causes — so
-    a run of requests is **counted**, not executed: subclasses supply
-    :meth:`footprint` and drop memoised footprints where they go stale
-    (:meth:`_drop_footprints`); :meth:`execute_request_batch` tallies
-    *request keys* and books the one per-bucket quantity, the top-switch
-    series; :meth:`_settle` multiplies the tally into per-path counts — when
-    a tallied footprint is dropped and when anything reads the accountant —
-    so a switch path is walked once per settle, not once per hour.
+    Random, METIS and hMETIS store exactly one replica per view, never move
+    it during the run, and deploy both proxies of a user on the broker
+    associated with the server holding her view (paper section 4.1); SPAR
+    (:class:`~repro.baselines.spar.SparPlacement`) is the same placement
+    plus co-located copies.  ``initializer`` is resolved as DynaSoRe's is
+    (:func:`~repro.baselines.placements.resolve_initializer`): a name of
+    :data:`~repro.baselines.placements.INITIAL_PLACEMENTS`, which also
+    names the strategy, or a callable of the same signature.  Every initial
+    graph user gets a *master* replica at the position it gives
+    (:meth:`compute_assignment`); later arrivals are placed lazily on the
+    least-loaded server.  Only edge events (SPAR) and server departures
+    move a view.
+
+    Placement lives in the base's table, deployed statistics-free (its
+    ``used`` counters are the per-position loads), plus a ``user -> master
+    position`` map.  Reads go to the closest replica of each target view;
+    writes update every replica of the written view.
+
+    Between two graph or fault events a request is a fixed *traffic
+    footprint* of its issuer — the ``(broker, device)`` path of every
+    roundtrip it causes — so a run of requests is **counted**, not
+    executed: :meth:`footprint` builds it, memoised footprints are dropped
+    where they go stale (:meth:`_drop_footprints`);
+    :meth:`execute_request_batch` tallies *request keys* and books the one
+    per-bucket quantity, the top-switch series; :meth:`_settle` multiplies
+    the tally into per-path counts — when a tallied footprint is dropped
+    and when anything reads the accountant — so a switch path is walked
+    once per settle, not once per hour.
 
     A request key is the int ``2 * user + kind`` (kinds are 0 and 1; the
     memo decodes ``key & 1, key >> 1``), built per segment at C speed, so
@@ -397,8 +427,11 @@ class FootprintStrategy(PlacementStrategy):
 
     shard_requests_pure = True
 
-    def __init__(self, seed: int = 7) -> None:
+    def __init__(self, initializer: str | InitialAssignment = "random", seed: int = 7) -> None:
         super().__init__(seed)
+        self._initializer, self.name = resolve_initializer(initializer)
+        #: user -> server position of the master replica (0 .. servers - 1)
+        self._master: dict[int, int] = {}
         #: per-position proxy broker column
         self._broker_of_position: list[int] = []
         #: ``request key -> footprint`` memo, and how many of a footprint's
@@ -441,17 +474,6 @@ class FootprintStrategy(PlacementStrategy):
         self._position_key_rows = [by_position[broker] for broker in self._broker_of_position]
         self._crosses_top.clear()
         self._drop_footprints()
-
-    @abstractmethod
-    def footprint(self, kind: int, user: int) -> Footprint:
-        """Flat path keys of the roundtrips one request of ``user`` causes.
-
-        Gather them from the key rows — by server position from
-        ``_position_key_rows``, by device with :meth:`_footprint_of`.
-        Users without a replica are placed lazily, in the order
-        ``execute_read`` / ``execute_write`` would place them; a read by a
-        user unknown to the graph is ``()``.
-        """
 
     def _footprint_of(self, broker: int, devices: Iterable[int]) -> Footprint:
         """Keys of roundtrips from ``broker`` to each of ``devices``, taken
@@ -530,35 +552,11 @@ class FootprintStrategy(PlacementStrategy):
         """Drop the follower's read footprint (one target fewer)."""
         self._drop_footprints([2 * follower + KIND_READ])
 
-
-class StaticPlacementStrategy(FootprintStrategy):
-    """Shared engine of the baselines whose placement ignores traffic.
-
-    Random, METIS and hMETIS store exactly one replica per view, never move
-    it during the run, and deploy both proxies of a user on the broker
-    associated with the server holding her view (paper section 4.1); SPAR
-    (:class:`~repro.baselines.spar.SparPlacement`) is the same placement
-    plus co-located copies.  Every initial graph user gets a *master*
-    replica at the position ``compute_assignment`` gives; later arrivals
-    are placed lazily on the least-loaded server.  Only edge events
-    (SPAR) and server departures move a view.
-
-    Placement lives in the base's table, deployed statistics-free (its
-    ``used`` counters are the per-position loads), plus a ``user -> master
-    position`` map.
-    Reads go to the closest replica of each target view; writes update
-    every replica of the written view.
-    """
-
-    def __init__(self, seed: int = 7) -> None:
-        super().__init__(seed)
-        #: user -> server position of the master replica (0 .. servers - 1)
-        self._master: dict[int, int] = {}
-
     # ----------------------------------------------------------- assignment
-    @abstractmethod
     def compute_assignment(self) -> dict[int, int]:
-        """Return the user → server-position assignment for the bound graph."""
+        """The initializer's user → server-position assignment for the
+        bound graph."""
+        return self._initializer(self.graph, self.topology, self.seed)
 
     def build_initial_placement(self) -> None:
         self._master = dict(self.compute_assignment())
@@ -628,7 +626,7 @@ class StaticPlacementStrategy(FootprintStrategy):
                 continue  # a lost co-located copy; the master survives
             remaining = table.user_positions(user)
             if remaining:
-                # Promote the closest surviving replica to master.
+                # Promote the surviving replica at the lowest position.
                 self._master[user] = min(remaining)
                 plan.recoverable_from_memory.append(user)
                 continue
@@ -687,9 +685,16 @@ class StaticPlacementStrategy(FootprintStrategy):
             )
 
     def footprint(self, kind: int, user: int) -> Footprint:
-        """From the broker of the user's master rack: a read reaches each
+        """Flat path keys of the roundtrips one request of ``user`` causes.
+
+        From the broker of the user's master rack: a read reaches each
         followee's view (:meth:`_read_footprint`), a write every replica of
-        her own."""
+        her own.  Keys are gathered from the key rows — by server position
+        from ``_position_key_rows``, by device with :meth:`_footprint_of`.
+        Users without a replica are placed lazily, in the order
+        ``execute_read`` / ``execute_write`` would place them; a read by a
+        user unknown to the graph is ``()``.
+        """
         if kind == KIND_READ and not self.graph.has_user(user):
             return ()
         position = self.server_position_of(user)  # the issuer is placed first
@@ -711,4 +716,4 @@ class StaticPlacementStrategy(FootprintStrategy):
             return tuple(row[self.server_position_of(t)] for t in following)
 
 
-__all__ = ["FootprintStrategy", "PlacementStrategy", "StaticPlacementStrategy"]
+__all__ = ["PlacementStrategy", "StaticPlacementStrategy"]

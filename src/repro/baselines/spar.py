@@ -20,11 +20,13 @@ The implementation below follows that adaptation:
   graph, not to request traffic, so the trace is executed against a fixed
   layout (new edges arriving during the run are processed the same way).
 
-SPAR is :class:`~repro.baselines.base.StaticPlacementStrategy` plus
-co-location: it shares the static baselines' statistics-free
-:class:`~repro.store.tables.ReplicaTable`, proxy rule, per-event paths,
-crash evacuation and introspection, and adds only the co-located copies
-and a read footprint that resolves each followee's closest replica.
+SPAR is :class:`~repro.baselines.base.StaticPlacementStrategy` with a
+round-robin initializer plus co-location: it shares the static baselines'
+statistics-free :class:`~repro.store.tables.ReplicaTable`, proxy rule,
+footprint kernel, per-event paths, crash evacuation and introspection, and
+adds only the co-located copies and a read footprint that resolves each
+followee's closest replica
+(:meth:`~repro.core.routing.RoutingService.closest_replica`).
 
 Proxies live on the broker of the rack hosting the user's master replica;
 reads are routed to the closest replica of each target view; writes update
@@ -35,7 +37,18 @@ from __future__ import annotations
 
 import random
 
+from ..socialgraph.graph import SocialGraph
+from ..topology.base import ClusterTopology
 from .base import Footprint, StaticPlacementStrategy
+
+
+def _round_robin_masters(
+    graph: SocialGraph, topology: ClusterTopology, seed: int
+) -> dict[int, int]:
+    """Masters round-robin in graph order: what placing each user in turn
+    on the least-loaded server of an empty cluster gives (``seed`` unused)."""
+    servers = len(topology.servers)
+    return {user: index % servers for index, user in enumerate(graph.users)}
 
 
 class SparPlacement(StaticPlacementStrategy):
@@ -47,15 +60,11 @@ class SparPlacement(StaticPlacementStrategy):
     view's closest replica may have changed for any broker).
     """
 
-    name = "spar"
+    def __init__(self, seed: int = 7) -> None:
+        super().__init__(_round_robin_masters, seed)
+        self.name = "spar"
 
     # ------------------------------------------------------------- placement
-    def compute_assignment(self) -> dict[int, int]:
-        """Masters round-robin in graph order: what placing each user in
-        turn on the least-loaded server of an empty cluster gives."""
-        servers = len(self.topology.servers)
-        return {user: index % servers for index, user in enumerate(self.graph.users)}
-
     def build_initial_placement(self) -> None:
         super().build_initial_placement()
         # Stream the edges of the social graph in random order and replicate
@@ -91,11 +100,11 @@ class SparPlacement(StaticPlacementStrategy):
         broker = self._broker_of_position[position]
         device_of = self._device_of_position
         user_positions = self.tables.user_positions
-        resolve = self.routing.batch_resolver(broker)
+        closest_replica = self.routing.closest_replica
         devices = []
         for target in self.graph.following(user):
             self.server_position_of(target)
-            devices.append(resolve([device_of[p] for p in user_positions(target)]))
+            devices.append(closest_replica(broker, [device_of[p] for p in user_positions(target)]))
         return self._footprint_of(broker, devices)
 
     # --------------------------------------------------------- graph changes

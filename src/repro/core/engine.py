@@ -25,23 +25,21 @@ total and device indexes.
 
 The engine implements the same :class:`~repro.baselines.base.PlacementStrategy`
 interface as the baselines, so the trace-driven simulator can run them
-interchangeably.
+interchangeably, and starts from the same initial placements: its
+``initializer`` names an entry of
+:data:`~repro.baselines.placements.INITIAL_PLACEMENTS` (re-exported here),
+resolved at construction exactly as the static baselines resolve theirs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from dataclasses import dataclass
 
 from ..baselines.base import PlacementStrategy, require_request_kinds
-from ..baselines.hmetis_placement import hmetis_assignment
-from ..baselines.metis_placement import metis_assignment
-from ..baselines.random_placement import random_assignment
+from ..baselines.placements import INITIAL_PLACEMENTS, InitialAssignment, resolve_initializer
 from ..config import DynaSoReConfig
-from ..exceptions import ConfigurationError, SimulationError
+from ..exceptions import SimulationError
 from ..persistence.recovery import RecoveryPlan
-from ..socialgraph.graph import SocialGraph
 from ..store.tables import (
     NO_SLOT,
     ReplicaTable,
@@ -49,24 +47,12 @@ from ..store.tables import (
     rank_by_utilisation,
 )
 from ..store.view import INFINITE_UTILITY
-from ..topology.base import ClusterTopology
 from ..traffic.messages import MessageKind
 from ..workload.stream import KIND_READ
 from .migration import MigrationAction, evaluate_replica_migration
 from .proxies import ProxyDirectory, optimal_proxy_broker
 from .replication import evaluate_replica_creation, origin_candidates
 from .utility import estimate_profit
-
-#: Signature of an initial-placement function: (graph, topology, seed) -> {user: server position}.
-InitialAssignment = Callable[[SocialGraph, ClusterTopology, int], dict[int, int]]
-
-
-#: Named initial placements accepted by :class:`DynaSoRe`.
-INITIAL_PLACEMENTS: dict[str, InitialAssignment] = {
-    "random": random_assignment,
-    "metis": metis_assignment,
-    "hmetis": hmetis_assignment,
-}
 
 
 @dataclass
@@ -82,20 +68,6 @@ class EngineCounters:
     servers_lost: int = 0
     views_recovered_from_memory: int = 0
     views_recovered_from_disk: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view used by reports and tests."""
-        return {
-            "replicas_created": self.replicas_created,
-            "replicas_removed": self.replicas_removed,
-            "replicas_migrated": self.replicas_migrated,
-            "read_proxy_migrations": self.read_proxy_migrations,
-            "write_proxy_migrations": self.write_proxy_migrations,
-            "creation_rejected_full": self.creation_rejected_full,
-            "servers_lost": self.servers_lost,
-            "views_recovered_from_memory": self.views_recovered_from_memory,
-            "views_recovered_from_disk": self.views_recovered_from_disk,
-        }
 
 
 def fit_assignment_to_capacity(
@@ -143,17 +115,7 @@ class DynaSoRe(PlacementStrategy):
     ) -> None:
         super().__init__(seed)
         self.config = config or DynaSoReConfig()
-        if isinstance(initializer, str):
-            if initializer not in INITIAL_PLACEMENTS:
-                raise ConfigurationError(
-                    f"unknown initial placement {initializer!r}; "
-                    f"expected one of {sorted(INITIAL_PLACEMENTS)} or a callable"
-                )
-            self._initializer: InitialAssignment = INITIAL_PLACEMENTS[initializer]
-            self.initializer_name = initializer
-        else:
-            self._initializer = initializer
-            self.initializer_name = getattr(initializer, "__name__", "custom")
+        self._initializer, self.initializer_name = resolve_initializer(initializer)
         self.name = f"dynasore[{self.initializer_name}]"
 
         self.proxies = ProxyDirectory()
@@ -319,10 +281,6 @@ class DynaSoRe(PlacementStrategy):
             value = min(thresholds[position] for position in positions)
         self._threshold_cache[origin] = value
         return value
-
-    def position_available(self, position: int) -> bool:
-        """True when the storage server at ``position`` is in service."""
-        return position not in self._down_positions
 
     # =====================================================================
     # Request execution

@@ -54,44 +54,13 @@ class RoutingService:
         self._mask_brokers: dict[int, tuple[int, ...]] = {}
 
     # ----------------------------------------------------------- resolution
-    def closest_replica(self, broker: int, replica_devices: set[int] | tuple[int, ...]) -> int:
+    def closest_replica(self, broker: int, replica_devices: Collection[int]) -> int:
         """Replica device closest to ``broker``; ties break on device index."""
         if not replica_devices:
             raise RoutingError("view has no replica to route to")
         if len(replica_devices) == 1:
             return next(iter(replica_devices))
         return _closest(self.topology.distance_row(broker), replica_devices)
-
-    # ----------------------------------------------------- batch resolution
-    def batch_resolver(self, broker: int):
-        """Closest-replica resolver with the broker's distance row hoisted.
-
-        The batched execution kernels resolve many views against the same
-        broker per run; sharing one distance-row fetch across all of them
-        removes the per-resolution topology hop.  The returned callable
-        reads the **live** distance row, so resolutions interleaved with
-        replication or migration decisions observe exactly the state a
-        per-event resolution at the same point would — batching changes
-        when the row is fetched, never what it contains (rows are immutable
-        per topology).
-        """
-        distances = self.topology.distance_row(broker)
-
-        def resolve(replica_devices) -> int:
-            if not replica_devices:
-                raise RoutingError("view has no replica to route to")
-            best_device = _INFINITY
-            best_distance = _INFINITY
-            for device in replica_devices:
-                distance = distances[device]
-                if distance < best_distance or (
-                    distance == best_distance and device < best_device
-                ):
-                    best_distance = distance
-                    best_device = device
-            return best_device
-
-        return resolve
 
     # ------------------------------------------------------------- fan-out
     def affected_brokers(

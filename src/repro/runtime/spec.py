@@ -23,12 +23,11 @@ import random
 from dataclasses import dataclass, field
 
 from ..baselines import (
-    HierarchicalMetisPlacement,
-    MetisPlacement,
-    RandomPlacement,
+    INITIAL_PLACEMENTS,
+    PlacementStrategy,
     SparPlacement,
+    StaticPlacementStrategy,
 )
-from ..baselines.base import PlacementStrategy
 from ..config import ClusterSpec, DynaSoReConfig, FlatClusterSpec, SimulationConfig
 from ..exceptions import ConfigurationError
 from ..socialgraph.generators import dataset_preset, generate_social_graph
@@ -284,24 +283,21 @@ STRATEGY_KEYS = (
 def build_strategy(
     key: str, seed: int, dynasore_config: DynaSoReConfig | None = None
 ) -> PlacementStrategy:
-    """Fresh, unbound strategy instance for a registry key."""
+    """Fresh, unbound strategy instance for a registry key: ``spar``,
+    ``dynasore_<name>`` or a static ``<name>``, where ``<name>`` is an
+    initial placement of :data:`~repro.baselines.placements.INITIAL_PLACEMENTS`."""
     from ..core.engine import DynaSoRe
 
-    if key == "random":
-        return RandomPlacement(seed=seed)
-    if key == "metis":
-        return MetisPlacement(seed=seed)
-    if key == "hmetis":
-        return HierarchicalMetisPlacement(seed=seed)
     if key == "spar":
         return SparPlacement(seed=seed)
     if key.startswith("dynasore_"):
-        initializer = key[len("dynasore_") :]
         return DynaSoRe(
-            initializer=initializer,
+            initializer=key.removeprefix("dynasore_"),
             config=dynasore_config or DynaSoReConfig(),
             seed=seed,
         )
+    if key in INITIAL_PLACEMENTS:
+        return StaticPlacementStrategy(key, seed=seed)
     raise ConfigurationError(
         f"unknown strategy key {key!r}; known: {', '.join(STRATEGY_KEYS)}"
     )

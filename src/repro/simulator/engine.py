@@ -34,9 +34,9 @@ On top of the benign replay the simulator hosts the *scenario* layer
 (diurnal load — a chunk-level stream transform) and inject
 infrastructure faults — server crashes, graceful drains, rejoins — which
 the simulator applies at their simulated timestamps, interleaved with
-maintenance ticks.  The simulator keeps the authoritative server up/down
-mask, drives the strategy's evacuation hooks, and wires crashes into the
-persistence layer: writes are mirrored into a
+maintenance ticks.  The simulator drives the strategy's evacuation hooks
+(the strategy's down set is the one record of which servers are out;
+``server_up`` reads it) and wires crashes into the persistence layer: writes are mirrored into a
 :class:`~repro.persistence.backend.PersistentStore`, and
 views whose only replica died are re-fetched from that store in simulated
 time (WAL-driven recovery, paper sections 2.2 and 3.3).
@@ -142,8 +142,6 @@ class ClusterSimulator:
         )
         self.persistent_store = persistent_store
         self._prepared = False
-        #: Per-position server availability mask (True = in service).
-        self.server_up: list[bool] = [True] * len(topology.servers)
         #: Faults applied during the run, in order.
         self.fault_records: list[FaultRecord] = []
         self._fault_events: list["FaultEvent"] = []
@@ -194,6 +192,13 @@ class ClusterSimulator:
         self._pre_tick_hooks.append(hook)
 
     # ----------------------------------------------------------------- faults
+    @property
+    def server_up(self) -> tuple[bool, ...]:
+        """Per-position availability mask (True = in service), read off the
+        strategy's down set — the one record of which servers are down."""
+        available = self.strategy.position_available
+        return tuple(available(p) for p in range(len(self.topology.servers)))
+
     def available_server_positions(self) -> tuple[int, ...]:
         """Positions of the storage servers currently in service."""
         return tuple(p for p, up in enumerate(self.server_up) if up)
@@ -205,15 +210,10 @@ class ClusterSimulator:
         keep serving; sole replicas are re-placed).  After an abrupt crash
         the re-placed views are additionally fetched from the persistent
         store — the in-memory copy is gone, so the write-ahead log is the
-        only source of truth for them.
+        only source of truth for them.  The strategy refuses an invalid
+        position, a server already down and the last one in service.
         """
-        self._check_position(position)
-        if not self.server_up[position]:
-            raise SimulationError(f"server position {position} is already down")
-        if sum(self.server_up) <= 1:
-            raise SimulationError("cannot take down the last available server")
         plan = self.strategy.on_server_down(position, now, graceful=graceful)
-        self.server_up[position] = False
         if plan.recoverable_from_disk:
             store = self._ensure_store()
             for user in plan.recoverable_from_disk:
@@ -235,21 +235,14 @@ class ClusterSimulator:
         return self.crash_server(position, now, graceful=True)
 
     def restore_server(self, position: int, now: float) -> FaultRecord:
-        """Bring a previously departed server back (with empty memory)."""
-        self._check_position(position)
-        if self.server_up[position]:
-            raise SimulationError(f"server position {position} is not down")
+        """Bring a previously departed server back (with empty memory); the
+        strategy refuses an invalid position and a server that is not down."""
         self.strategy.on_server_up(position, now)
-        self.server_up[position] = True
         record = FaultRecord(timestamp=now, kind="restore", position=position)
         self.fault_records.append(record)
         if self._check_tables:
             self._audit_placement_tables()
         return record
-
-    def _check_position(self, position: int) -> None:
-        if not 0 <= position < len(self.server_up):
-            raise SimulationError(f"invalid server position {position}")
 
     def _ensure_store(self) -> PersistentStore:
         """The persistent store, created on first need.

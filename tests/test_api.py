@@ -8,7 +8,7 @@ import pytest
 
 import repro
 
-from repro.baselines.random_placement import RandomPlacement
+from repro.baselines.base import StaticPlacementStrategy
 from repro.config import ClusterSpec
 from repro.core.api import DynaSoReStore
 from repro.exceptions import SimulationError
@@ -89,7 +89,7 @@ class TestDynaSoReStore:
             topology,
             graph,
             extra_memory_pct=0.0,
-            strategy=RandomPlacement(seed=7),
+            strategy=StaticPlacementStrategy("random", seed=7),
             persistent_store=persistent,
             seed=7,
         )

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.hmetis_placement import HierarchicalMetisPlacement
-from repro.baselines.metis_placement import MetisPlacement
-from repro.baselines.random_placement import RandomPlacement
+from repro.baselines.base import StaticPlacementStrategy
+from repro.baselines.placements import INITIAL_PLACEMENTS, random_assignment
 from repro.baselines.spar import SparPlacement
 from repro.config import ClusterSpec, SimulationConfig
-from repro.exceptions import SimulationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.partitioning.quality import edge_cut
+from repro.runtime.spec import STRATEGY_KEYS, build_strategy
 from repro.simulator.engine import ClusterSimulator
 from repro.socialgraph.generators import facebook_like, livejournal_like, twitter_like
 from repro.store.memory import MemoryBudget
@@ -29,23 +29,19 @@ def bind_strategy(strategy, topology, graph, extra_memory_pct=30.0):
 
 
 class TestStaticBaselines:
-    @pytest.mark.parametrize(
-        "strategy_class", [RandomPlacement, MetisPlacement, HierarchicalMetisPlacement]
-    )
+    @pytest.mark.parametrize("initializer", ["random", "metis", "hmetis"])
     def test_every_user_gets_exactly_one_replica(
-        self, strategy_class, tree_topology, small_graph
+        self, initializer, tree_topology, small_graph
     ):
-        strategy = strategy_class(seed=2)
+        strategy = StaticPlacementStrategy(initializer, seed=2)
         bind_strategy(strategy, tree_topology, small_graph)
         locations = strategy.replica_locations()
         assert set(locations) == set(small_graph.users)
         assert all(len(devices) == 1 for devices in locations.values())
 
-    @pytest.mark.parametrize(
-        "strategy_class", [RandomPlacement, MetisPlacement, HierarchicalMetisPlacement]
-    )
-    def test_placement_is_roughly_balanced(self, strategy_class, tree_topology, small_graph):
-        strategy = strategy_class(seed=2)
+    @pytest.mark.parametrize("initializer", ["random", "metis", "hmetis"])
+    def test_placement_is_roughly_balanced(self, initializer, tree_topology, small_graph):
+        strategy = StaticPlacementStrategy(initializer, seed=2)
         bind_strategy(strategy, tree_topology, small_graph)
         counts: dict[int, int] = {}
         for devices in strategy.replica_locations().values():
@@ -55,8 +51,8 @@ class TestStaticBaselines:
         assert max(counts.values()) <= average * 1.6
 
     def test_metis_cut_beats_random(self, tree_topology, small_graph):
-        random_strategy = RandomPlacement(seed=2)
-        metis_strategy = MetisPlacement(seed=2)
+        random_strategy = StaticPlacementStrategy("random", seed=2)
+        metis_strategy = StaticPlacementStrategy("metis", seed=2)
         bind_strategy(random_strategy, tree_topology, small_graph)
         bind_strategy(metis_strategy, tree_topology, small_graph)
         adjacency = small_graph.undirected_adjacency()
@@ -65,39 +61,39 @@ class TestStaticBaselines:
         )
 
     def test_read_routes_to_target_views(self, tree_topology, tiny_graph):
-        strategy = RandomPlacement(seed=2)
+        strategy = StaticPlacementStrategy("random", seed=2)
         accountant = bind_strategy(strategy, tree_topology, tiny_graph, extra_memory_pct=0.0)
         strategy.execute_read(0, now=0.0)
         # user 0 follows two users → 2 requests + 2 responses, each at most 5 switches.
         assert accountant.message_count == 4
 
     def test_write_touches_single_replica(self, tree_topology, tiny_graph):
-        strategy = RandomPlacement(seed=2)
+        strategy = StaticPlacementStrategy("random", seed=2)
         accountant = bind_strategy(strategy, tree_topology, tiny_graph, extra_memory_pct=0.0)
         strategy.execute_write(0, now=0.0)
         assert accountant.message_count == 2  # update + ack
 
     def test_explicit_targets_override_graph(self, tree_topology, tiny_graph):
-        strategy = RandomPlacement(seed=2)
+        strategy = StaticPlacementStrategy("random", seed=2)
         accountant = bind_strategy(strategy, tree_topology, tiny_graph, extra_memory_pct=0.0)
         strategy.execute_read(0, now=0.0, targets=(1,))
         assert accountant.message_count == 2
 
     def test_unknown_reader_is_ignored(self, tree_topology, tiny_graph):
-        strategy = RandomPlacement(seed=2)
+        strategy = StaticPlacementStrategy("random", seed=2)
         accountant = bind_strategy(strategy, tree_topology, tiny_graph, extra_memory_pct=0.0)
         strategy.execute_read(999, now=0.0)
         assert accountant.message_count == 0
 
     def test_lazy_assignment_for_new_user(self, tree_topology, tiny_graph):
-        strategy = RandomPlacement(seed=2)
+        strategy = StaticPlacementStrategy("random", seed=2)
         bind_strategy(strategy, tree_topology, tiny_graph, extra_memory_pct=0.0)
         tiny_graph.add_edge(42, 0)
         strategy.execute_write(42, now=0.0)
         assert strategy.replica_count(42) == 1
 
     def test_unbound_strategy_raises(self, tree_topology):
-        strategy = RandomPlacement()
+        strategy = StaticPlacementStrategy()
         with pytest.raises(SimulationError, match="not been deployed"):
             strategy.execute_write(0, now=0.0)
 
@@ -107,22 +103,77 @@ class TestStaticBaselines:
         not accepted until the first footprint indexes past the cluster."""
         position = len(tree_topology.servers) if stray == "servers" else stray
 
-        class Stray(RandomPlacement):
-            def compute_assignment(self):
-                assignment = super().compute_assignment()
-                assignment[next(iter(assignment))] = position
-                return assignment
+        def stray(graph, topology, seed):
+            assignment = random_assignment(graph, topology, seed)
+            assignment[next(iter(assignment))] = position
+            return assignment
 
         with pytest.raises(SimulationError, match="outside"):
-            bind_strategy(Stray(seed=2), tree_topology, tiny_graph)
+            bind_strategy(StaticPlacementStrategy(stray, seed=2), tree_topology, tiny_graph)
 
     def test_proxy_broker_in_same_rack_as_view(self, tree_topology, small_graph):
-        strategy = HierarchicalMetisPlacement(seed=2)
+        strategy = StaticPlacementStrategy("hmetis", seed=2)
         bind_strategy(strategy, tree_topology, small_graph)
         for user in list(small_graph.users)[:20]:
             view_device = next(iter(strategy.replica_locations()[user]))
             broker = strategy.proxy_broker(user)
             assert tree_topology.rack_of(broker) == tree_topology.rack_of(view_device)
+
+
+def deployed(strategy) -> dict[int, tuple[int, ...]]:
+    """``user -> positions`` of every replica in the strategy's table."""
+    return {user: strategy.tables.user_positions(user) for user in strategy.tables.users()}
+
+
+class TestInitialPlacementRegistry:
+    """One name → partitioner map serves the static baselines and DynaSoRe."""
+
+    @pytest.mark.parametrize("name", sorted(INITIAL_PLACEMENTS))
+    def test_static_and_dynasore_deploy_the_registry_assignment(
+        self, name, tree_topology, small_graph
+    ):
+        expected = {
+            user: (position,)
+            for user, position in INITIAL_PLACEMENTS[name](small_graph, tree_topology, 4).items()
+        }
+        static = build_strategy(name, 4)
+        bind_strategy(static, tree_topology, small_graph)
+        assert static.name == name
+        assert deployed(static) == expected
+        # With 100 % extra memory no server overflows, so DynaSoRe keeps
+        # the partitioner's assignment as is.
+        dynasore = build_strategy(f"dynasore_{name}", 4)
+        bind_strategy(dynasore, tree_topology, small_graph, extra_memory_pct=100.0)
+        assert dynasore.name == f"dynasore[{name}]"
+        assert deployed(dynasore) == expected
+
+    def test_strategy_keys_follow_the_registry(self):
+        names = set(INITIAL_PLACEMENTS)
+        assert set(STRATEGY_KEYS) == names | {"spar"} | {f"dynasore_{n}" for n in names}
+
+    @pytest.mark.parametrize("key", ["random", "dynasore_random"])
+    def test_the_name_is_resolved_at_construction(
+        self, key, monkeypatch, tree_topology, small_graph
+    ):
+        """The registry entry in place when the strategy is built is the
+        one it deploys, whatever the registry holds later."""
+        seeds = []
+
+        def traced(graph, topology, seed):
+            seeds.append(seed)
+            return random_assignment(graph, topology, seed)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(INITIAL_PLACEMENTS, "random", traced)
+            strategy = build_strategy(key, 4)
+        bind_strategy(strategy, tree_topology, small_graph, extra_memory_pct=100.0)
+        assert seeds == [4]
+
+    def test_unknown_name_is_refused(self):
+        with pytest.raises(ConfigurationError, match="unknown initial placement"):
+            StaticPlacementStrategy("sorting-hat")
+        with pytest.raises(ConfigurationError, match="unknown strategy key"):
+            build_strategy("sorting-hat", 4)
 
 
 class TestPaperPartitioningClaim:
@@ -143,11 +194,11 @@ class TestPaperPartitioningClaim:
             graph, SyntheticWorkloadConfig(days=0.5, seed=seed)
         ).stream()
         traffic = []
-        for strategy_class in (HierarchicalMetisPlacement, MetisPlacement, RandomPlacement):
+        for initializer in ("hmetis", "metis", "random"):
             simulator = ClusterSimulator(
                 TreeTopology(spec),
                 graph.copy(),
-                strategy_class(seed=seed),
+                StaticPlacementStrategy(initializer, seed=seed),
                 SimulationConfig(extra_memory_pct=0.0, seed=seed),
             )
             traffic.append(simulator.run(log).top_switch_traffic)
@@ -209,7 +260,7 @@ class TestSpar:
         """With abundant memory, most reads should be served from the reader's
         own rack, keeping top-switch traffic below the random baseline."""
         spar = SparPlacement(seed=2)
-        random_strategy = RandomPlacement(seed=2)
+        random_strategy = StaticPlacementStrategy("random", seed=2)
         spar_accountant = bind_strategy(spar, tree_topology, small_graph, extra_memory_pct=200.0)
         random_accountant = bind_strategy(
             random_strategy, tree_topology, small_graph, extra_memory_pct=200.0

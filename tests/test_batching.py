@@ -972,38 +972,6 @@ def test_table_audit_off_by_default(monkeypatch):
     assert not simulator._check_tables
 
 
-# ---------------------------------------------------------------------------
-# Routing batch resolution
-# ---------------------------------------------------------------------------
-def test_routing_batch_resolver_matches_scalar():
-    from repro.core.routing import RoutingService
-
-    topology, _ = parity_cluster()
-    routing = RoutingService(topology)
-    servers = [server.index for server in topology.servers]
-    broker = topology.brokers[0].index
-    sets = [
-        {servers[0]},
-        {servers[0], servers[-1]},
-        set(servers[:5]),
-        tuple(servers[3:7]),
-    ]
-    scalar = [routing.closest_replica(broker, devices) for devices in sets]
-    resolve = routing.batch_resolver(broker)
-    assert [resolve(devices) for devices in sets] == scalar
-
-
-def test_routing_batch_resolver_rejects_empty():
-    from repro.core.routing import RoutingService
-    from repro.exceptions import RoutingError
-
-    topology, _ = parity_cluster()
-    routing = RoutingService(topology)
-    resolve = routing.batch_resolver(topology.brokers[0].index)
-    with pytest.raises(RoutingError):
-        resolve(())
-
-
 def test_view_tracked_mid_run_is_sampled_from_the_next_event_on():
     """``track_view`` called from a pre-tick hook mid-run: periodic samples
     start there, not only the forced one at the end of the run."""

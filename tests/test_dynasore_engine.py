@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import DynaSoReConfig
@@ -187,7 +189,7 @@ class TestExecution:
         strategy, _ = bind_dynasore(tree_topology, small_graph, extra_memory_pct=100.0)
         for i, user in enumerate(list(small_graph.users)[:80]):
             strategy.execute_read(user, now=float(i))
-        counts = strategy.counters.as_dict()
+        counts = asdict(strategy.counters)
         assert counts["replicas_created"] >= 0
         assert counts["replicas_created"] >= counts["replicas_migrated"]
 

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.baselines.random_placement import RandomPlacement
+from repro.baselines.base import StaticPlacementStrategy
 from repro.baselines.spar import SparPlacement
 from repro.config import ClusterSpec, FlatClusterSpec, SimulationConfig
 from repro.constants import DAY
@@ -53,7 +53,9 @@ class TestEndToEndComparison:
     def test_dynasore_beats_random_and_spar(self, scenario):
         graph, log = scenario
         cutoff = log.stats().duration / 2
-        random_result, _ = run_strategy(RandomPlacement(seed=13), graph, log, 50.0, cutoff)
+        random_result, _ = run_strategy(
+            StaticPlacementStrategy("random", seed=13), graph, log, 50.0, cutoff
+        )
         spar_result, _ = run_strategy(SparPlacement(seed=13), graph, log, 50.0, cutoff)
         dynasore_result, _ = run_strategy(
             DynaSoRe(initializer="hmetis", seed=13), graph, log, 50.0, cutoff
@@ -90,7 +92,12 @@ class TestEndToEndComparison:
         flat_spec = FlatClusterSpec(machines=20)
         cutoff = log.stats().duration / 2
         random_result, _ = run_strategy(
-            RandomPlacement(seed=13), graph, log, 100.0, cutoff, topology=FlatTopology(flat_spec)
+            StaticPlacementStrategy("random", seed=13),
+            graph,
+            log,
+            100.0,
+            cutoff,
+            topology=FlatTopology(flat_spec),
         )
         dynasore_result, _ = run_strategy(
             DynaSoRe(initializer="metis", seed=13),

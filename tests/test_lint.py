@@ -1,6 +1,6 @@
 """Unused imports in ``src/repro``: stands in for F401 of CI's ``ruff check``,
 which the build container does not have.  Plus the checks ruff has no rule
-for: the packages' ``__all__`` lists name only things that exist, and the
+for: every ``__all__`` list names only things that exist, and the
 sharded runner and the process machinery stay out of what the library, the
 CLI and the runtime load."""
 
@@ -49,15 +49,26 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-PACKAGES = sorted(
-    ".".join(path.parent.relative_to(SRC.parent).parts) for path in SRC.rglob("__init__.py")
+def _declares_all(path: Path) -> bool:
+    return any(
+        isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for node in ast.parse(path.read_text()).body
+    )
+
+
+#: Every package and module that declares ``__all__``, by dotted name.
+EXPORTING_MODULES = sorted(
+    ".".join(path.relative_to(SRC.parent).with_suffix("").parts).removesuffix(".__init__")
+    for path in SRC.rglob("*.py")
+    if _declares_all(path)
 )
 
 
-@pytest.mark.parametrize("package", PACKAGES)
-def test_export_list_resolves(package):
-    """Every ``__all__`` entry of a package is importable from it, once."""
-    module = importlib.import_module(package)
+@pytest.mark.parametrize("module_name", EXPORTING_MODULES)
+def test_export_list_resolves(module_name):
+    """Every ``__all__`` entry of a package or module exists in it, once."""
+    module = importlib.import_module(module_name)
     exported = module.__all__
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(module, name)] == []

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.hmetis_placement import hmetis_assignment
-from repro.baselines.metis_placement import metis_assignment
+from repro.baselines.placements import hmetis_assignment, metis_assignment
 from repro.config import ClusterSpec, FlatClusterSpec
 from repro.exceptions import PartitioningError
 from repro.partitioning import coarsen, kway

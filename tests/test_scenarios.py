@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.random_placement import RandomPlacement
+from repro.baselines.base import StaticPlacementStrategy
 from repro.baselines.spar import SparPlacement
 from repro.config import ClusterSpec, SimulationConfig
 from repro.constants import DAY, HOUR
@@ -149,6 +149,18 @@ class TestSimulatorFaultCore:
         simulator.prepare()
         with pytest.raises(SimulationError):
             simulator.crash_server(999, now=HOUR)
+        with pytest.raises(SimulationError, match="invalid server position"):
+            simulator.restore_server(-1, now=HOUR)
+
+    def test_server_up_reads_the_strategy_down_set(self, simulator):
+        """The strategy's down set is the one record of availability: a
+        fault applied to the strategy directly shows in the simulator."""
+        simulator.prepare()
+        simulator.strategy.on_server_down(2, now=HOUR)
+        assert simulator.server_up[2] is False
+        assert 2 not in simulator.available_server_positions()
+        simulator.strategy.on_server_up(2, now=2 * HOUR)
+        assert all(simulator.server_up)
 
     def test_crash_creates_store_and_fetches_lost_views(self, simulator):
         simulator.prepare()
@@ -161,7 +173,7 @@ class TestSimulatorFaultCore:
         simulator = ClusterSimulator(
             tree_topology,
             small_graph.copy(),
-            RandomPlacement(seed=1),
+            StaticPlacementStrategy("random", seed=1),
             SimulationConfig(extra_memory_pct=0.0, seed=1),
         )
         ticks: list[float] = []
@@ -174,7 +186,7 @@ class TestSimulatorFaultCore:
         simulator = ClusterSimulator(
             tree_topology,
             small_graph.copy(),
-            RandomPlacement(seed=1),
+            StaticPlacementStrategy("random", seed=1),
             SimulationConfig(extra_memory_pct=0.0, seed=1),
             persistent_store=store,
         )
@@ -200,7 +212,7 @@ class TestCrashRecoveryRoundTrip:
             )
             for name, factory in (
                 ("dynasore", lambda: DynaSoRe(initializer="hmetis", seed=11)),
-                ("random", lambda: RandomPlacement(seed=11)),
+                ("random", lambda: StaticPlacementStrategy("random", seed=11)),
                 ("spar", lambda: SparPlacement(seed=11)),
             )
         ],
@@ -284,7 +296,9 @@ class TestStrategyEvacuation:
         return strategy
 
     def test_static_reassigns_off_the_crashed_server(self, tree_topology, small_graph):
-        strategy = self._bound(RandomPlacement(seed=5), tree_topology, small_graph)
+        strategy = self._bound(
+            StaticPlacementStrategy("random", seed=5), tree_topology, small_graph
+        )
         plan = strategy.on_server_down(0, now=HOUR)
         assert plan.total_views > 0
         assert not plan.recoverable_from_memory  # single replica -> disk only
@@ -352,6 +366,14 @@ class TestStrategyEvacuation:
                 call()
         assert strategy.total_replicas() == 0
 
+    @pytest.mark.parametrize("key", STRATEGY_KEYS)
+    def test_restoring_a_position_outside_the_cluster_is_refused(
+        self, key, tree_topology, small_graph
+    ):
+        strategy = self._bound(build_strategy(key, 5), tree_topology, small_graph)
+        with pytest.raises(SimulationError, match="invalid server position"):
+            strategy.on_server_up(-1, now=HOUR)
+
     @pytest.mark.parametrize("position", [-1, 12])
     def test_dynasore_rejects_positions_outside_the_table(
         self, tree_topology, small_graph, position
@@ -396,7 +418,7 @@ class TestNormalisationGuard:
                 SimulationConfig(extra_memory_pct=0.0, seed=1),
             ).run(EventStream.empty())
             for label, strategy in (
-                ("random", RandomPlacement(seed=1)),
+                ("random", StaticPlacementStrategy("random", seed=1)),
                 ("spar", SparPlacement(seed=1)),
             )
         }

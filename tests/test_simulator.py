@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.baselines.random_placement import RandomPlacement
+from repro.baselines.base import StaticPlacementStrategy
 from repro.config import SimulationConfig
 from repro.constants import DAY, HOUR
 from repro.core.engine import DynaSoRe
@@ -78,7 +78,10 @@ class TestClusterSimulator:
     def test_run_counts_requests(self, scenario):
         topology, graph, log = scenario
         simulator = ClusterSimulator(
-            topology, graph, RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
+            topology,
+            graph,
+            StaticPlacementStrategy("random", seed=1),
+            SimulationConfig(extra_memory_pct=0.0),
         )
         result = simulator.run(log)
         stats = log.stats()
@@ -98,7 +101,10 @@ class TestClusterSimulator:
             ]
         )
         simulator = ClusterSimulator(
-            topology, graph, RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
+            topology,
+            graph,
+            StaticPlacementStrategy("random", seed=1),
+            SimulationConfig(extra_memory_pct=0.0),
         )
         simulator.run(log)
         assert not graph.has_edge(users[0], users[5])
@@ -169,12 +175,15 @@ class TestClusterSimulator:
     def test_measure_from_reduces_traffic(self, scenario):
         topology, graph, log = scenario
         full = ClusterSimulator(
-            topology, graph.copy(), RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
+            topology,
+            graph.copy(),
+            StaticPlacementStrategy("random", seed=1),
+            SimulationConfig(extra_memory_pct=0.0),
         ).run(log)
         half = ClusterSimulator(
             topology,
             graph.copy(),
-            RandomPlacement(seed=1),
+            StaticPlacementStrategy("random", seed=1),
             SimulationConfig(extra_memory_pct=0.0, measure_from=log.stats().duration / 2),
         ).run(log)
         assert half.top_switch_traffic < full.top_switch_traffic
@@ -182,7 +191,10 @@ class TestClusterSimulator:
     def test_result_summary_and_series(self, scenario):
         topology, graph, log = scenario
         result = ClusterSimulator(
-            topology, graph, RandomPlacement(seed=1), SimulationConfig(extra_memory_pct=0.0)
+            topology,
+            graph,
+            StaticPlacementStrategy("random", seed=1),
+            SimulationConfig(extra_memory_pct=0.0),
         ).run(log)
         summary = result.summary()
         assert summary["reads"] == log.stats().reads

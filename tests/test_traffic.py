@@ -746,10 +746,10 @@ def test_batch_recording_fails_loudly_at_the_exactness_limit(tree_topology: Tree
 
 
 def _placed_random_strategy(tree_topology, small_graph, budget):
-    from repro.baselines.random_placement import RandomPlacement
+    from repro.baselines.base import StaticPlacementStrategy
 
     accountant = TrafficAccountant(tree_topology, bucket_width=50.0)
-    strategy = RandomPlacement(seed=5)
+    strategy = StaticPlacementStrategy("random", seed=5)
     strategy.bind(tree_topology, small_graph, accountant, budget)
     return strategy, accountant
 
