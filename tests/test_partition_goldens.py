@@ -58,6 +58,13 @@ CLUSTERS = {
 }
 #: one switch and one server per rack: two of the three levels ask for 1 part
 SINGLETONS = ClusterSpec(intermediate_switches=1, racks_per_intermediate=3, machines_per_rack=2)
+#: cells at the paper's shapes (graph, users, seed): the flat split into one
+#: part per server of its 225-server cluster (5 switches x 5 racks x 9
+#: servers, ``ClusterSpec()``) and the hierarchical split on that cluster
+PAPER_CELLS = (("livejournal", 2500, 7), ("facebook", 2500, 7))
+PAPER_PARTS = ClusterSpec().total_servers
+#: every cluster a hierarchical cell is cut for
+CLUSTER_SPECS = {**CLUSTERS, "5x5x9": ClusterSpec()}
 
 
 def _digest(*parts: object) -> str:
@@ -107,7 +114,7 @@ def _grid_kway(kind: str, users: int, parts: int, seed: int) -> PartitionResult:
 def _grid_hierarchical(
     kind: str, users: int, cluster: str, seed: int
 ) -> HierarchicalPartitionResult:
-    return hierarchical_partition(_adjacency(kind, users), CLUSTERS[cluster], seed=seed)
+    return hierarchical_partition(_adjacency(kind, users), CLUSTER_SPECS[cluster], seed=seed)
 
 
 def _star(leaves: int) -> dict[int, dict[int, int]]:
@@ -153,6 +160,17 @@ def golden_cases() -> Iterator[tuple[str, Callable[[], str]]]:
                             _grid_hierarchical(k, u, c, s)
                         ),
                     )
+    for kind, users, seed in PAPER_CELLS:
+        yield (
+            f"paper/{kind}/{users}/kway/parts{PAPER_PARTS}/seed{seed}",
+            lambda k=kind, u=users, s=seed: _kway_digest(_grid_kway(k, u, PAPER_PARTS, s)),
+        )
+        yield (
+            f"paper/{kind}/{users}/hierarchical/5x5x9/seed{seed}",
+            lambda k=kind, u=users, s=seed: _hierarchical_digest(
+                _grid_hierarchical(k, u, "5x5x9", s)
+            ),
+        )
     for kind in GRAPHS:
         for users in (40, 700):
             yield (
@@ -228,8 +246,12 @@ def _assert_within_tolerance(weights: list[int], parts: int) -> None:
     assert max(weights) <= max(math.ceil(ideal), ideal * 1.05), weights
 
 
-KWAY_GRID = [(k, u, p, s) for k in GRAPHS for u in USERS for p in PARTS for s in SEEDS]
-HIERARCHICAL_GRID = [(k, u, c, s) for k in GRAPHS for u in USERS for c in CLUSTERS for s in SEEDS]
+KWAY_GRID = [(k, u, p, s) for k in GRAPHS for u in USERS for p in PARTS for s in SEEDS] + [
+    (k, u, PAPER_PARTS, s) for k, u, s in PAPER_CELLS
+]
+HIERARCHICAL_GRID = [
+    (k, u, c, s) for k in GRAPHS for u in USERS for c in CLUSTERS for s in SEEDS
+] + [(k, u, "5x5x9", s) for k, u, s in PAPER_CELLS]
 
 
 @pytest.mark.parametrize("kind,users,parts,seed", KWAY_GRID)
@@ -248,7 +270,7 @@ def test_kway_partition_keeps_its_contract(kind, users, parts, seed):
 
 @pytest.mark.parametrize("kind,users,cluster,seed", HIERARCHICAL_GRID)
 def test_hierarchical_partition_keeps_its_contract(kind, users, cluster, seed):
-    spec = CLUSTERS[cluster]
+    spec = CLUSTER_SPECS[cluster]
     adjacency = _adjacency(kind, users)
     result = _grid_hierarchical(kind, users, cluster, seed)
     assert (
