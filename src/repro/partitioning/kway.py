@@ -9,7 +9,11 @@ scratch:
 2. *Initial partitioning* — greedy region growing on the coarsest graph,
    seeded from high-degree nodes, balanced by node weight.
 3. *Uncoarsening* — project the partition back level by level, running
-   boundary Kernighan–Lin/FM refinement and a rebalancing pass at each level.
+   boundary Kernighan–Lin/FM refinement at each level (a worklist that
+   keeps every node's internal minus external degree, so a node that
+   cannot gain is passed over without its row being read; see
+   :func:`~repro.partitioning.refine.refine_partition`), then one
+   rebalancing pass on the finest graph.
 
 The result is a balanced partition with a low edge cut — exactly what the
 baseline needs (absolute METIS parity is not required; the baseline's role in

@@ -263,8 +263,10 @@ def refinement_inputs(draw):
     size = draw(st.integers(min_value=4, max_value=28))
     adjacency: dict[int, dict[int, int]] = {node: {} for node in range(size)}
     # Edge weights 1-2 make equal gains common: ties among targets, and
-    # nodes whose external weight equals their internal weight.
+    # nodes whose external weight equals their internal weight.  A unit of
+    # 0.1 gives float weights whose sums round (0.1 + 0.2 != 0.3).
     heaviest = draw(st.sampled_from([2, 5]))
+    unit = draw(st.sampled_from([1, 1, 0.1]))
     edges = draw(
         st.lists(
             st.tuples(
@@ -274,9 +276,9 @@ def refinement_inputs(draw):
         )
     )
     for left, right, weight in edges:
-        if left != right:
-            adjacency[left][right] = weight
-            adjacency[right][left] = weight
+        # left == right is a self-loop: weight that moves with the node.
+        adjacency[left][right] = weight * unit
+        adjacency[right][left] = weight * unit
     parts = draw(st.integers(min_value=2, max_value=9))
     weights = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
     part = draw(st.lists(st.integers(0, parts - 1), min_size=size, max_size=size))
@@ -315,8 +317,8 @@ def test_moved_node_is_evaluated_again():
     assert part == expected == [2, 2, 2, 1, 0, 0]
 
 
-@pytest.mark.parametrize("first,second", [(1, 2), (2, 1)])
-def test_equal_gains_go_to_the_part_seen_first(first, second):
+@pytest.mark.parametrize("first,second,winner", [(1, 2, 2), (2, 1, 1)])
+def test_equal_gains_go_to_the_part_seen_first(first, second, winner):
     """The one order-dependent outcome: node 0 (part 0, no internal edge)
     gains 1 towards part 2 (neighbour 1) and towards part 1 (neighbour 2);
     both fit, and the tie goes to the part of the neighbour its row lists
@@ -334,8 +336,28 @@ def test_equal_gains_go_to_the_part_seen_first(first, second):
     expected = list(part)
     full_sweep_refine(rows, expected, 3, weights, max_part_weight=5)
     refine_partition(rows, part, 3, weights, max_part_weight=5)
-    assert part == expected == [part[first], 2, 1, 2, 1]
-    assert part[0] == (2 if first == 1 else 1)
+    assert part == expected == [winner, 2, 1, 2, 1]
+
+
+def test_float_weights_are_summed_afresh_at_every_evaluation():
+    """Node 2 leaves part 0 for part 1 (0.3 against 0.1).  Kept up to date
+    across that move, node 0's internal minus external weight would read
+    2 x 0.4 - 0.6 - 2 x 0.1 = 5.6e-17, not negative, and its next
+    evaluation would be skipped; summed from its row it has 0.3 inside
+    against 0.2 + 0.1 = 0.30000000000000004 towards part 1, a positive
+    gain, and node 0 follows, as does node 1 after it."""
+    adjacency = {
+        0: {3: 0.2, 1: 0.3, 2: 0.1},
+        1: {0: 0.3},
+        2: {3: 0.3, 0: 0.1},
+        3: {0: 0.2, 2: 0.3},
+    }
+    rows, weights, _ = indexed(adjacency)
+    part = [0, 0, 0, 1]
+    expected = list(part)
+    full_sweep_refine(rows, expected, 2, weights, max_part_weight=4)
+    refine_partition(rows, part, 2, weights, max_part_weight=4)
+    assert part == expected == [1, 1, 1, 1]
 
 
 def test_worklist_skips_two_fifths_of_the_full_sweep(monkeypatch):
