@@ -3,6 +3,7 @@
 from .base import PlacementStrategy, StaticPlacementStrategy
 from .placements import (
     INITIAL_PLACEMENTS,
+    fit_assignment_to_capacity,
     hmetis_assignment,
     metis_assignment,
     random_assignment,
@@ -14,6 +15,7 @@ __all__ = [
     "PlacementStrategy",
     "SparPlacement",
     "StaticPlacementStrategy",
+    "fit_assignment_to_capacity",
     "hmetis_assignment",
     "metis_assignment",
     "random_assignment",

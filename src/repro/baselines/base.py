@@ -5,14 +5,14 @@ hierarchical METIS, SPAR and DynaSoRe itself — is a *placement strategy*: it
 decides where view replicas live, which broker executes each request, and it
 is driven by the same trace-driven simulator.  This module defines the
 interface (:class:`PlacementStrategy`, which also owns the one placement
-store of all seven: a :class:`~repro.store.tables.ReplicaTable`, the
-position → device column, the down set and the routing service, plus the
-table-backed introspection) and the one class of the four strategies whose
-placement ignores request traffic (:class:`StaticPlacementStrategy`: a
-fixed master placement from a named partitioner of
-:data:`~repro.baselines.placements.INITIAL_PLACEMENTS`, proxies on the
-broker of the rack hosting the master, and the footprint kernel; SPAR
-subclasses it to add co-located copies).
+store of all seven — a :class:`~repro.store.tables.ReplicaTable`, the
+position → device and → proxy-broker columns, the down set and the routing
+service, the table-backed introspection — and their one deployment step)
+and the one class of the four strategies whose placement ignores request
+traffic (:class:`StaticPlacementStrategy`: a fixed master placement from a
+named partitioner of :data:`~repro.baselines.placements.INITIAL_PLACEMENTS`,
+proxies on the broker of the rack hosting the master, and the footprint
+kernel; SPAR subclasses it to add co-located copies).
 
 Request execution is **batch-first**: the simulator segments event streams
 into runs of requests (reads and writes, bounded by graph mutations, faults
@@ -42,7 +42,7 @@ from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from operator import add
 
-from ..exceptions import SimulationError
+from ..exceptions import ConfigurationError, SimulationError
 from ..persistence.recovery import RecoveryPlan
 from ..socialgraph.graph import SocialGraph
 from ..store.memory import MemoryBudget
@@ -51,7 +51,7 @@ from ..topology.base import ClusterTopology
 from ..traffic.accounting import TrafficAccountant
 from ..traffic.messages import MessageKind
 from ..workload.stream import KIND_READ, KIND_WRITE
-from .placements import InitialAssignment, resolve_initializer
+from .placements import INITIAL_PLACEMENTS, InitialAssignment, fit_assignment_to_capacity
 
 #: One-byte kind column the read-run wrapper tiles to the run length.
 _READ_KINDS = bytes([KIND_READ])
@@ -87,7 +87,9 @@ def require_request_kinds(kinds: Sequence[int]) -> None:
 class PlacementStrategy(ABC):
     """A view-placement protocol driven by the cluster simulator.
 
-    A strategy is constructed with its seed and deployed once, by
+    A strategy is constructed with its seed and its ``initializer`` — a
+    name of :data:`~repro.baselines.placements.INITIAL_PLACEMENTS`, looked
+    up now, or a callable of the same signature — and deployed once, by
     :meth:`bind`; until then its request entry points, fault handlers and
     (DynaSoRe's) ticks raise "not been deployed" (:meth:`_require_deployed`).
     """
@@ -109,7 +111,15 @@ class PlacementStrategy(ABC):
     #: runner refuses the strategy.
     shard_requests_pure: bool = False
 
-    def __init__(self, seed: int = 7) -> None:
+    def __init__(self, initializer: str | InitialAssignment = "random", seed: int = 7) -> None:
+        named = isinstance(initializer, str)
+        if named and initializer not in INITIAL_PLACEMENTS:
+            raise ConfigurationError(
+                f"unknown initial placement {initializer!r}; "
+                f"expected one of {sorted(INITIAL_PLACEMENTS)} or a callable"
+            )
+        self._initializer = INITIAL_PLACEMENTS[initializer] if named else initializer
+        self.initializer_name = initializer if named else getattr(initializer, "__name__", "custom")
         #: the strategy's only seed (assignment, SPAR's edge shuffle)
         self.seed = seed
         self.topology: ClusterTopology | None = None
@@ -119,8 +129,9 @@ class PlacementStrategy(ABC):
         #: the placement store: empty until :meth:`_deploy_table` installs
         #: the deployed one
         self.tables = ReplicaTable(with_stats=False)
-        #: per-position leaf device index
+        #: per-position leaf device index, and its rack's (proxy) broker
         self._device_of_position: list[int] = []
+        self._broker_of_position: list[int] = []
         #: server positions currently out of service
         self._down_positions: set[int] = set()
         #: closest-replica resolution (a ``RoutingService`` once deployed)
@@ -147,15 +158,40 @@ class PlacementStrategy(ABC):
 
     @abstractmethod
     def build_initial_placement(self) -> None:
-        """Compute the initial assignment of views (and replicas) to servers
-        and deploy it (:meth:`_deploy_table`); :meth:`bind` calls it."""
+        """Build the strategy's table and deploy the initial assignment in
+        it (:meth:`_deploy_assignment`), then the strategy's own state;
+        :meth:`bind` calls it."""
+
+    def _deploy_assignment(
+        self, table: ReplicaTable, compute: Callable[[], dict[int, int]]
+    ) -> dict[int, int]:
+        """The one deployment step of all seven strategies: check that the
+        assignment ``compute`` returns places every graph user inside the
+        cluster, fit it to capacity (:func:`fit_assignment_to_capacity`),
+        install ``table`` (:meth:`_deploy_table`) and allocate each user at
+        her position, in assignment order; return the fitted assignment."""
+        assignment = compute()
+        missing = set(self.graph.users).difference(assignment)
+        if missing:
+            raise SimulationError(f"{self.name} assignment misses {len(missing)} users")
+        servers = len(self.topology.servers)
+        stray = [p for p in set(assignment.values()) if not 0 <= p < servers]
+        if stray:
+            raise SimulationError(
+                f"{self.name} assignment uses position {min(stray)} outside "
+                f"0..{servers - 1}"
+            )
+        assignment = fit_assignment_to_capacity(assignment, self._deploy_table(table))
+        for user, position in assignment.items():
+            table.allocate(user, position)
+        return assignment
 
     def _deploy_table(self, table: ReplicaTable) -> list[int]:
         """Install ``table`` (one position per server) as the placement store.
 
         Sets the budget's per-server capacities on it, fills the position →
-        device column, empties the down set and builds the routing service;
-        returns the capacities.
+        device and position → proxy-broker columns, empties the down set
+        and builds the routing service; returns the capacities.
         """
         # ``repro.core`` imports this module through its public API.
         from ..core.routing import RoutingService
@@ -168,6 +204,9 @@ class PlacementStrategy(ABC):
             table.set_capacity(position, capacity)
         self.tables = table
         self._device_of_position = [server.index for server in servers]
+        self._broker_of_position = [
+            self.topology.proxy_broker_for_server(server.index) for server in servers
+        ]
         self._down_positions = set()
         self.routing = RoutingService(self.topology)
         return capacities
@@ -367,13 +406,11 @@ class StaticPlacementStrategy(PlacementStrategy):
     associated with the server holding her view (paper section 4.1); SPAR
     (:class:`~repro.baselines.spar.SparPlacement`) is the same placement
     plus co-located copies.  ``initializer`` is resolved as DynaSoRe's is
-    (:func:`~repro.baselines.placements.resolve_initializer`): a name of
-    :data:`~repro.baselines.placements.INITIAL_PLACEMENTS`, which also
-    names the strategy, or a callable of the same signature.  Every initial
-    graph user gets a *master* replica at the position it gives
-    (:meth:`compute_assignment`); later arrivals are placed lazily on the
-    least-loaded server.  Only edge events (SPAR) and server departures
-    move a view.
+    (:class:`PlacementStrategy`), and its name names the strategy.  Every
+    initial graph user gets a *master* replica at the position it gives
+    (:meth:`compute_assignment`, fitted to capacity); later arrivals are
+    placed lazily on the least-loaded server.  Only edge events (SPAR) and
+    server departures move a view.
 
     Placement lives in the base's table, deployed statistics-free (its
     ``used`` counters are the per-position loads), plus a ``user -> master
@@ -428,12 +465,10 @@ class StaticPlacementStrategy(PlacementStrategy):
     shard_requests_pure = True
 
     def __init__(self, initializer: str | InitialAssignment = "random", seed: int = 7) -> None:
-        super().__init__(seed)
-        self._initializer, self.name = resolve_initializer(initializer)
+        super().__init__(initializer, seed)
+        self.name = self.initializer_name
         #: user -> server position of the master replica (0 .. servers - 1)
         self._master: dict[int, int] = {}
-        #: per-position proxy broker column
-        self._broker_of_position: list[int] = []
         #: ``request key -> footprint`` memo, and how many of a footprint's
         #: roundtrips cross the top switch (dropped together)
         self._footprints = _Memo(lambda request: self.footprint(request & 1, request >> 1))
@@ -455,11 +490,6 @@ class StaticPlacementStrategy(PlacementStrategy):
 
     def _reset_footprints(self) -> None:
         """(Re)build the kernel state; call once the table is deployed."""
-        topology = self.topology
-        self._broker_of_position = [
-            topology.proxy_broker_for_server(device)
-            for device in self._device_of_position
-        ]
         self._segments = self.accountant.roundtrip_run(*_READ_ROUNDTRIP)
         self.accountant.on_settle(self._settle)
         stride = self._segments.stride
@@ -559,23 +589,8 @@ class StaticPlacementStrategy(PlacementStrategy):
         return self._initializer(self.graph, self.topology, self.seed)
 
     def build_initial_placement(self) -> None:
-        self._master = dict(self.compute_assignment())
-        missing = set(self.graph.users) - set(self._master)
-        if missing:
-            raise SimulationError(
-                f"{self.name} assignment misses {len(missing)} users"
-            )
-        servers = len(self.topology.servers)
-        stray = [p for p in set(self._master.values()) if not 0 <= p < servers]
-        if stray:
-            raise SimulationError(
-                f"{self.name} assignment uses position {min(stray)} outside "
-                f"0..{servers - 1}"
-            )
-        table = ReplicaTable(positions=servers, with_stats=False)
-        self._deploy_table(table)
-        for user, position in self._master.items():
-            table.allocate(user, position)
+        table = ReplicaTable(positions=len(self.topology.servers), with_stats=False)
+        self._master = self._deploy_assignment(table, self.compute_assignment)
         self._reset_footprints()
 
     def assignment(self) -> dict[int, int]:
@@ -650,8 +665,7 @@ class StaticPlacementStrategy(PlacementStrategy):
     # -------------------------------------------------------------- proxies
     def proxy_broker(self, user: int) -> int:
         """Broker hosting both proxies of a user (rack of her master)."""
-        server = self._device_of_position[self.server_position_of(user)]
-        return self.topology.proxy_broker_for_server(server)
+        return self._broker_of_position[self.server_position_of(user)]
 
     # ------------------------------------------------------------ execution
     def execute_read(

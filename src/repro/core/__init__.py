@@ -1,7 +1,7 @@
 """DynaSoRe core: utility, routing, proxies, replication, migration, engine."""
 
 from .api import DynaSoReStore
-from .engine import DynaSoRe, INITIAL_PLACEMENTS, fit_assignment_to_capacity
+from .engine import DynaSoRe, INITIAL_PLACEMENTS
 from .migration import MigrationAction, MigrationDecision, evaluate_replica_migration
 from .proxies import ProxyDirectory, optimal_proxy_broker
 from .replication import ReplicationDecision, evaluate_replica_creation
@@ -20,6 +20,5 @@ __all__ = [
     "estimate_profit",
     "evaluate_replica_creation",
     "evaluate_replica_migration",
-    "fit_assignment_to_capacity",
     "optimal_proxy_broker",
 ]

@@ -28,15 +28,17 @@ interface as the baselines, so the trace-driven simulator can run them
 interchangeably, and starts from the same initial placements: its
 ``initializer`` names an entry of
 :data:`~repro.baselines.placements.INITIAL_PLACEMENTS` (re-exported here),
-resolved at construction exactly as the static baselines resolve theirs.
+resolved at construction and deployed, fitted to capacity, exactly as the
+static baselines' (:meth:`~repro.baselines.base.PlacementStrategy._deploy_assignment`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..baselines.base import PlacementStrategy, require_request_kinds
-from ..baselines.placements import INITIAL_PLACEMENTS, InitialAssignment, resolve_initializer
+from ..baselines.placements import INITIAL_PLACEMENTS, InitialAssignment
 from ..config import DynaSoReConfig
 from ..exceptions import SimulationError
 from ..persistence.recovery import RecoveryPlan
@@ -70,38 +72,6 @@ class EngineCounters:
     views_recovered_from_disk: int = 0
 
 
-def fit_assignment_to_capacity(
-    assignment: dict[int, int], capacities: list[int]
-) -> dict[int, int]:
-    """Adjust an assignment so no server exceeds its capacity.
-
-    Partitioners tolerate a few percent of imbalance, but at 0% extra memory
-    the per-server capacity exactly matches a perfectly balanced assignment.
-    Users overflowing a server are moved to the least-loaded server with free
-    slots (placement quality matters little for the handful of moved users).
-    """
-    loads = [0] * len(capacities)
-    fitted = dict(assignment)
-    overflow: list[int] = []
-    for user, position in assignment.items():
-        if position < 0 or position >= len(capacities):
-            raise SimulationError(f"user {user} assigned to invalid server {position}")
-        if loads[position] < capacities[position]:
-            loads[position] += 1
-        else:
-            overflow.append(user)
-    for user in overflow:
-        position = min(
-            range(len(capacities)),
-            key=lambda p: (loads[p] - capacities[p], loads[p], p),
-        )
-        if loads[position] >= capacities[position]:
-            raise SimulationError("cluster capacity is too small to store every view")
-        fitted[user] = position
-        loads[position] += 1
-    return fitted
-
-
 class DynaSoRe(PlacementStrategy):
     """Dynamic social store: adaptive replica placement over a switch tree."""
 
@@ -113,9 +83,8 @@ class DynaSoRe(PlacementStrategy):
         config: DynaSoReConfig | None = None,
         seed: int = 7,
     ) -> None:
-        super().__init__(seed)
+        super().__init__(initializer, seed)
         self.config = config or DynaSoReConfig()
-        self._initializer, self.initializer_name = resolve_initializer(initializer)
         self.name = f"dynasore[{self.initializer_name}]"
 
         self.proxies = ProxyDirectory()
@@ -132,8 +101,6 @@ class DynaSoRe(PlacementStrategy):
         #: position -> origins whose ranking covers it (inverse sub-tree map)
         self._origins_above: list[tuple[int, ...]] = []
         self._last_tick: float = 0.0
-        #: nominal capacity of each position (restored when a server rejoins)
-        self._position_capacity: list[int] = []
         #: recycled scratch containers of the fused (batch-path) decision
         #: kernel — Algorithms 2 and 3 run once per evaluated read, and
         #: reusing these avoids per-evaluation allocations
@@ -163,20 +130,16 @@ class DynaSoRe(PlacementStrategy):
             counter_slots=self.config.counter_slots,
             counter_period=self.config.counter_period,
         )
-        self._position_capacity = self._deploy_table(table)
+        assignment = self._deploy_assignment(
+            table, partial(self._initializer, self.graph, self.topology, self.seed)
+        )
+        broker_of_position = self._broker_of_position
+        for user, position in assignment.items():
+            self.proxies.place_both(user, broker_of_position[position])
         self._position_of_device = {
             device: position for position, device in enumerate(self._device_of_position)
         }
         self._build_switch_index()
-
-        assignment = self._initializer(self.graph, self.topology, self.seed)
-        assignment = fit_assignment_to_capacity(assignment, self._position_capacity)
-
-        for user, position in assignment.items():
-            device = self._device_of_position[position]
-            broker = self.topology.proxy_broker_for_server(device)
-            table.allocate(user, position)
-            self.proxies.place_both(user, broker)
         self._origin_rank_cache.clear()
         self._origin_memo = {}
         self._tick_has_negative = [False] * table.num_positions
@@ -300,10 +263,8 @@ class DynaSoRe(PlacementStrategy):
         )
         if position is None:
             raise SimulationError("no storage server is available")
-        device = self._device_of_position[position]
-        broker = self.topology.proxy_broker_for_server(device)
         table.allocate(user, position)
-        self.proxies.place_both(user, broker)
+        self.proxies.place_both(user, self._broker_of_position[position])
         self._invalidate_ranks(position)
 
     def execute_read(
@@ -319,10 +280,7 @@ class DynaSoRe(PlacementStrategy):
             self._ensure_user(user)
         broker = self.proxies.read_broker(user)
         if broker is None:
-            first_position = table._server[table._user_head[user]]
-            broker = self.topology.proxy_broker_for_server(
-                self._device_of_position[first_position]
-            )
+            broker = self._broker_of_position[table._server[table._user_head[user]]]
             self.proxies.read_proxy[user] = broker
 
         transfers: dict[int, float] = {}
@@ -391,10 +349,7 @@ class DynaSoRe(PlacementStrategy):
             self._ensure_user(user)
         broker = self.proxies.write_broker(user)
         if broker is None:
-            first_position = table._server[table._user_head[user]]
-            broker = self.topology.proxy_broker_for_server(
-                self._device_of_position[first_position]
-            )
+            broker = self._broker_of_position[table._server[table._user_head[user]]]
             self.proxies.write_proxy[user] = broker
 
         transfers: dict[int, float] = {}
@@ -467,7 +422,7 @@ class DynaSoRe(PlacementStrategy):
         device_of_position = self._device_of_position
         distance_row = topology.distance_row
         origin_of = topology.origin_of
-        proxy_broker_for_server = topology.proxy_broker_for_server
+        broker_of_position = self._broker_of_position
         origin_memo = self._origin_memo
         ensure_user = self._ensure_user
         decide_with_candidates = self._decide_with_candidates
@@ -506,10 +461,7 @@ class DynaSoRe(PlacementStrategy):
                     ensure_user(user)
                 broker = read_proxy.get(user)
                 if broker is None:
-                    first_position = server_column[user_head[user]]
-                    broker = proxy_broker_for_server(
-                        device_of_position[first_position]
-                    )
+                    broker = broker_of_position[server_column[user_head[user]]]
                     read_proxy[user] = broker
                 origins = origin_memo.get(broker)
                 if origins is None:
@@ -649,10 +601,7 @@ class DynaSoRe(PlacementStrategy):
                     ensure_user(user)
                 broker = write_proxy.get(user)
                 if broker is None:
-                    first_position = server_column[user_head[user]]
-                    broker = proxy_broker_for_server(
-                        device_of_position[first_position]
-                    )
+                    broker = broker_of_position[server_column[user_head[user]]]
                     write_proxy[user] = broker
                 base = broker * stride
                 counts = write_counts_for(now)
@@ -1376,7 +1325,7 @@ class DynaSoRe(PlacementStrategy):
         """
         self._begin_server_up(position)
         table = self.tables
-        table.set_capacity(position, self._position_capacity[position])
+        table.set_capacity(position, self.budget.per_server_capacity()[position])
         table.admission_thresholds[position] = 0.0
         self._threshold_cache.clear()
         self._origin_rank_cache.clear()
@@ -1425,4 +1374,4 @@ class DynaSoRe(PlacementStrategy):
         return result
 
 
-__all__ = ["DynaSoRe", "INITIAL_PLACEMENTS", "InitialAssignment", "fit_assignment_to_capacity"]
+__all__ = ["DynaSoRe", "INITIAL_PLACEMENTS", "InitialAssignment"]

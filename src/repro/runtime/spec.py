@@ -42,8 +42,10 @@ from ..workload.trace import NewsActivityTraceConfig, NewsActivityTraceGenerator
 
 #: Bump when the semantics of spec execution change, so stale on-disk cache
 #: entries from older code are never served.  Version 2: workloads are
-#: generated through the chunked stream pipeline.
-SPEC_VERSION = 2
+#: generated through the chunked stream pipeline.  Version 3: static METIS
+#: and hMETIS deploy a capacity-fitted assignment, as DynaSoRe does (their
+#: 0 % extra-memory results moved).
+SPEC_VERSION = 3
 
 
 # ---------------------------------------------------------------------------

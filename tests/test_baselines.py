@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
+import repro.core.engine
+from repro.baselines import fit_assignment_to_capacity
 from repro.baselines.base import StaticPlacementStrategy
 from repro.baselines.placements import INITIAL_PLACEMENTS, random_assignment
 from repro.baselines.spar import SparPlacement
-from repro.config import ClusterSpec, SimulationConfig
+from repro.config import ClusterSpec, ExperimentProfile, SimulationConfig
+from repro.core.engine import DynaSoRe
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.experiments.common import (
+    DATASETS,
+    graph_spec,
+    simulation_config,
+    synthetic_workload_spec,
+    topology_spec,
+)
 from repro.partitioning.quality import edge_cut
 from repro.runtime.spec import STRATEGY_KEYS, build_strategy
 from repro.simulator.engine import ClusterSimulator
@@ -97,10 +109,14 @@ class TestStaticBaselines:
         with pytest.raises(SimulationError, match="not been deployed"):
             strategy.execute_write(0, now=0.0)
 
+    @pytest.mark.parametrize("family", [StaticPlacementStrategy, DynaSoRe])
     @pytest.mark.parametrize("stray", [-1, "servers"])
-    def test_assignment_outside_the_cluster_is_refused(self, tree_topology, tiny_graph, stray):
-        """A position outside ``0..servers-1`` is refused at build time,
-        not accepted until the first footprint indexes past the cluster."""
+    def test_assignment_outside_the_cluster_is_refused(
+        self, tree_topology, tiny_graph, stray, family
+    ):
+        """A position outside ``0..servers-1`` is refused at build time by
+        both families, not accepted until the first footprint indexes
+        past the cluster."""
         position = len(tree_topology.servers) if stray == "servers" else stray
 
         def stray(graph, topology, seed):
@@ -108,8 +124,24 @@ class TestStaticBaselines:
             assignment[next(iter(assignment))] = position
             return assignment
 
-        with pytest.raises(SimulationError, match="outside"):
-            bind_strategy(StaticPlacementStrategy(stray, seed=2), tree_topology, tiny_graph)
+        last = len(tree_topology.servers) - 1
+        with pytest.raises(
+            SimulationError, match=rf"assignment uses position {position} outside 0\.\.{last}"
+        ):
+            bind_strategy(family(stray, seed=2), tree_topology, tiny_graph)
+
+    @pytest.mark.parametrize("family", [StaticPlacementStrategy, DynaSoRe])
+    def test_assignment_missing_a_user_is_refused(self, tree_topology, tiny_graph, family):
+        """Every graph user must be placed: neither family fills a gap in
+        the initializer's assignment on its own."""
+
+        def partial(graph, topology, seed):
+            assignment = random_assignment(graph, topology, seed)
+            del assignment[next(iter(assignment))]
+            return assignment
+
+        with pytest.raises(SimulationError, match="assignment misses 1 users"):
+            bind_strategy(family(partial, seed=2), tree_topology, tiny_graph)
 
     def test_proxy_broker_in_same_rack_as_view(self, tree_topology, small_graph):
         strategy = StaticPlacementStrategy("hmetis", seed=2)
@@ -140,8 +172,8 @@ class TestInitialPlacementRegistry:
         bind_strategy(static, tree_topology, small_graph)
         assert static.name == name
         assert deployed(static) == expected
-        # With 100 % extra memory no server overflows, so DynaSoRe keeps
-        # the partitioner's assignment as is.
+        # With 30 % extra memory or more no server overflows, so both
+        # families keep the partitioner's assignment as is.
         dynasore = build_strategy(f"dynasore_{name}", 4)
         bind_strategy(dynasore, tree_topology, small_graph, extra_memory_pct=100.0)
         assert dynasore.name == f"dynasore[{name}]"
@@ -174,6 +206,85 @@ class TestInitialPlacementRegistry:
             StaticPlacementStrategy("sorting-hat")
         with pytest.raises(ConfigurationError, match="unknown strategy key"):
             build_strategy("sorting-hat", 4)
+
+
+class TestFitAssignment:
+    def test_respects_capacity(self):
+        assignment = {user: 0 for user in range(10)}
+        fitted = fit_assignment_to_capacity(assignment, [4, 4, 4])
+        counts = [list(fitted.values()).count(i) for i in range(3)]
+        assert all(count <= 4 for count in counts)
+        assert set(fitted) == set(assignment)
+
+    def test_noop_when_already_fitting(self):
+        """A fitting assignment comes back as it is, not as a copy."""
+        assignment = {0: 0, 1: 1, 2: 2}
+        assert fit_assignment_to_capacity(assignment, [1, 1, 1]) is assignment
+
+    def test_raises_when_impossible(self):
+        with pytest.raises(SimulationError):
+            fit_assignment_to_capacity({0: 0, 1: 0, 2: 0}, [1, 1])
+
+
+@cache
+def ci_cluster(dataset: str):
+    """The ``ci`` profile's tree topology and one of its three graphs."""
+    profile = ExperimentProfile.ci()
+    return topology_spec(profile).build(), graph_spec(profile, dataset).build()
+
+
+class TestOneCapacityRule:
+    """Every strategy deploys a placement that fits the paper's budget
+    (section 2.3): at 0 % extra memory the partitioners' imbalance must be
+    fitted away, for the static baselines as for DynaSoRe."""
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("key", STRATEGY_KEYS)
+    def test_no_server_exceeds_its_capacity(self, key, dataset):
+        topology, graph = ci_cluster(dataset)
+        for extra_memory_pct in (0.0, 30.0, 60.0, 150.0):
+            strategy = build_strategy(key, 7)
+            bind_strategy(strategy, topology, graph, extra_memory_pct)
+            table = strategy.tables
+            assert all(
+                used <= capacity for used, capacity in zip(table.used, table.capacities)
+            ), (key, dataset, extra_memory_pct)
+            assert strategy.memory_in_use() >= graph.num_users
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("initializer", sorted(INITIAL_PLACEMENTS))
+    def test_dynasore_without_proxy_moves_records_the_static_traffic(
+        self, initializer, dataset, monkeypatch
+    ):
+        """A relation, not a golden: at 0 % extra memory DynaSoRe has no
+        free slot to replicate into, so with read-proxy moves shadowed it
+        keeps the initial placement, and its request kernel must record
+        exactly what the static kernel records on the same placement."""
+        monkeypatch.setattr(
+            repro.core.engine,
+            "optimal_proxy_broker",
+            lambda topology, transfers, default: default,
+        )
+        profile = ExperimentProfile.ci()
+        topology, graph = ci_cluster(dataset)
+        stream, _ = synthetic_workload_spec(profile).build_stream(graph)
+        results = []
+        for key in (initializer, f"dynasore_{initializer}"):
+            strategy = build_strategy(key, profile.seed)
+            simulator = ClusterSimulator(
+                topology, graph.copy(), strategy, simulation_config(profile, 0.0)
+            )
+            result = simulator.run(stream)
+            results.append((result.top_switch_traffic, result.snapshot.messages))
+        assert results[0] == results[1]
+        counters = strategy.counters
+        assert (
+            counters.replicas_created,
+            counters.replicas_removed,
+            counters.replicas_migrated,
+            counters.read_proxy_migrations,
+            counters.write_proxy_migrations,
+        ) == (0, 0, 0, 0, 0)
 
 
 class TestPaperPartitioningClaim:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import DynaSoReConfig
 from repro.constants import HOUR
-from repro.core.engine import DynaSoRe, fit_assignment_to_capacity
+from repro.core.engine import DynaSoRe
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.store.memory import MemoryBudget
 from repro.traffic.accounting import TrafficAccountant
@@ -31,27 +31,6 @@ def bind_dynasore(
     return strategy, accountant
 
 
-class TestFitAssignment:
-    def test_respects_capacity(self):
-        assignment = {user: 0 for user in range(10)}
-        fitted = fit_assignment_to_capacity(assignment, [4, 4, 4])
-        counts = [list(fitted.values()).count(i) for i in range(3)]
-        assert all(count <= 4 for count in counts)
-        assert set(fitted) == set(assignment)
-
-    def test_noop_when_already_fitting(self):
-        assignment = {0: 0, 1: 1, 2: 2}
-        assert fit_assignment_to_capacity(assignment, [1, 1, 1]) == assignment
-
-    def test_raises_when_impossible(self):
-        with pytest.raises(SimulationError):
-            fit_assignment_to_capacity({0: 0, 1: 0, 2: 0}, [1, 1])
-
-    def test_rejects_invalid_position(self):
-        with pytest.raises(SimulationError):
-            fit_assignment_to_capacity({0: 5}, [1, 1])
-
-
 class TestInitialPlacement:
     def test_every_view_has_one_replica(self, tree_topology, small_graph):
         strategy, _ = bind_dynasore(tree_topology, small_graph)
@@ -65,11 +44,6 @@ class TestInitialPlacement:
         assert table.capacities == strategy.budget.per_server_capacity()
         assert sum(table.capacities) == strategy.memory_capacity()
         assert table.admission_thresholds == [0.0] * table.num_positions
-
-    def test_capacity_respected_at_zero_extra_memory(self, tree_topology, small_graph):
-        strategy, _ = bind_dynasore(tree_topology, small_graph, extra_memory_pct=0.0)
-        table = strategy.tables
-        assert all(used <= cap for used, cap in zip(table.used, table.capacities))
 
     def test_proxies_start_in_view_rack(self, tree_topology, small_graph):
         strategy, _ = bind_dynasore(tree_topology, small_graph)
