@@ -89,7 +89,8 @@ class PlacementStrategy(ABC):
 
     A strategy is constructed with its seed and its ``initializer`` — a
     name of :data:`~repro.baselines.placements.INITIAL_PLACEMENTS`, looked
-    up now, or a callable of the same signature — and deployed once, by
+    up now, or a callable of the same signature that returns a fresh dict,
+    which the strategy takes over uncopied — and deployed once, by
     :meth:`bind`; until then its request entry points, fault handlers and
     (DynaSoRe's) ticks raise "not been deployed" (:meth:`_require_deployed`).
     """
@@ -163,24 +164,17 @@ class PlacementStrategy(ABC):
         :meth:`bind` calls it."""
 
     def _deploy_assignment(
-        self, table: ReplicaTable, compute: Callable[[], dict[int, int]]
+        self, table: ReplicaTable, assignment: dict[int, int]
     ) -> dict[int, int]:
-        """The one deployment step of all seven strategies: check that the
-        assignment ``compute`` returns places every graph user inside the
-        cluster, fit it to capacity (:func:`fit_assignment_to_capacity`),
-        install ``table`` (:meth:`_deploy_table`) and allocate each user at
-        her position, in assignment order; return the fitted assignment."""
-        assignment = compute()
+        """The one deployment step of all seven strategies: check that
+        ``assignment`` places every graph user, fit it to capacity
+        (:func:`fit_assignment_to_capacity`, which also refuses a position
+        outside the cluster), install ``table`` (:meth:`_deploy_table`) and
+        allocate each user at her position, in assignment order; return the
+        fitted assignment, which may be ``assignment`` itself."""
         missing = set(self.graph.users).difference(assignment)
         if missing:
             raise SimulationError(f"{self.name} assignment misses {len(missing)} users")
-        servers = len(self.topology.servers)
-        stray = [p for p in set(assignment.values()) if not 0 <= p < servers]
-        if stray:
-            raise SimulationError(
-                f"{self.name} assignment uses position {min(stray)} outside "
-                f"0..{servers - 1}"
-            )
         assignment = fit_assignment_to_capacity(assignment, self._deploy_table(table))
         for user, position in assignment.items():
             table.allocate(user, position)
@@ -590,7 +584,7 @@ class StaticPlacementStrategy(PlacementStrategy):
 
     def build_initial_placement(self) -> None:
         table = ReplicaTable(positions=len(self.topology.servers), with_stats=False)
-        self._master = self._deploy_assignment(table, self.compute_assignment)
+        self._master = self._deploy_assignment(table, self.compute_assignment())
         self._reset_footprints()
 
     def assignment(self) -> dict[int, int]:
@@ -645,13 +639,14 @@ class StaticPlacementStrategy(PlacementStrategy):
                 self._master[user] = min(remaining)
                 plan.recoverable_from_memory.append(user)
                 continue
-            target_device = self._device_of_position[self._place_master(user)]
+            target = self._place_master(user)
+            target_device = self._device_of_position[target]
             if graceful:
                 plan.recoverable_from_memory.append(user)
                 source = source_device
             else:
                 plan.recoverable_from_disk.append(user)
-                source = self.topology.proxy_broker_for_server(target_device)
+                source = self._broker_of_position[target]
             self.accountant.record(
                 source, target_device, MessageKind.REPLICA_COPY, now
             )

@@ -37,6 +37,8 @@ from ..topology.base import ClusterTopology
 from ..topology.tree import TreeTopology
 
 #: Signature of an initial-placement function: (graph, topology, seed) -> {user: server position}.
+#: It must return a fresh dict: the deploying strategy takes it over as its
+#: master map and changes it later (new users, evacuated servers).
 InitialAssignment = Callable[[SocialGraph, ClusterTopology, int], dict[int, int]]
 
 
@@ -91,15 +93,23 @@ def fit_assignment_to_capacity(
     full moves to the least-loaded server with a free slot, ignoring the
     graph.  A fitting assignment is returned as it is, not copied.
 
-    The blind move costs: at ``ci``, 0 %, it raises static hMETIS's
-    top-switch traffic by 19 %, 17 % and 11 % on the Facebook-, LiveJournal-
-    and Twitter-like graphs.  A tree-aware fit (nearest free slot: same
-    rack, then same switch) was measured and not taken: it moved static
-    hMETIS by −1.2 %, −1.6 % and +0.4 %, METIS by 0, DynaSoRe-hMETIS ≤ 1.6 %.
+    The blind move costs: at ``ci``, 0 %, seed 7, whole run, it raises
+    static hMETIS's top-switch traffic by 19 %, 17 % and 11 % on the
+    Facebook-, LiveJournal- and Twitter-like graphs.  A tree-aware fit
+    (the least-loaded free slot in the same rack, then under the same
+    intermediate switch, then anywhere) lowers that traffic by 1.7 %,
+    2.2 % and 1.0 % for static hMETIS, 1.6 %, 1.8 % and 1.1 % for
+    DynaSoRe-hMETIS, and 0 for METIS; it is not taken, as it would win
+    back a tenth to a seventh of the cost and change DynaSoRe's results.
     """
-    loads = [0] * len(capacities)
+    servers = len(capacities)
+    loads = [0] * servers
     overflow: list[int] = []
     for user, position in assignment.items():
+        if not 0 <= position < servers:
+            raise SimulationError(
+                f"assignment uses position {position} outside 0..{servers - 1}"
+            )
         if loads[position] < capacities[position]:
             loads[position] += 1
         else:
@@ -109,7 +119,7 @@ def fit_assignment_to_capacity(
     fitted = dict(assignment)
     for user in overflow:
         position = min(
-            range(len(capacities)),
+            range(servers),
             key=lambda p: (loads[p] - capacities[p], loads[p], p),
         )
         if loads[position] >= capacities[position]:

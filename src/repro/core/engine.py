@@ -35,7 +35,6 @@ static baselines' (:meth:`~repro.baselines.base.PlacementStrategy._deploy_assign
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from ..baselines.base import PlacementStrategy, require_request_kinds
 from ..baselines.placements import INITIAL_PLACEMENTS, InitialAssignment
@@ -131,7 +130,7 @@ class DynaSoRe(PlacementStrategy):
             counter_period=self.config.counter_period,
         )
         assignment = self._deploy_assignment(
-            table, partial(self._initializer, self.graph, self.topology, self.seed)
+            table, self._initializer(self.graph, self.topology, self.seed)
         )
         broker_of_position = self._broker_of_position
         for user, position in assignment.items():
@@ -1289,9 +1288,7 @@ class DynaSoRe(PlacementStrategy):
                 # store and ships it to the new host; the crash wiped the
                 # access statistics along with the memory.
                 source = (
-                    write_broker
-                    if write_broker is not None
-                    else self.topology.proxy_broker_for_server(target_device)
+                    write_broker if write_broker is not None else self._broker_of_position[target]
                 )
             self.accountant.record(source, target_device, MessageKind.REPLICA_COPY, now)
             new_slot = table.allocate(user, target)

@@ -225,6 +225,12 @@ class TestFitAssignment:
         with pytest.raises(SimulationError):
             fit_assignment_to_capacity({0: 0, 1: 0, 2: 0}, [1, 1])
 
+    def test_rejects_invalid_position(self):
+        """A negative position is refused too, not charged to the last server."""
+        for position in (5, -1):
+            with pytest.raises(SimulationError, match=rf"position {position} outside 0\.\.1"):
+                fit_assignment_to_capacity({0: position}, [1, 1])
+
 
 @cache
 def ci_cluster(dataset: str):
